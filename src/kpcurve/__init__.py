@@ -14,12 +14,10 @@ from .annotation import (
     FrameDetection,
     KeypointSet,
     NormalizedPoint,
-    Violation,
     convert_cvat_to_yolo,
     emit_yolo_line,
     parse_cvat_xml,
     parse_yolo_line,
-    validate,
 )
 from .evaluation import (
     CaseRecord,
@@ -86,7 +84,6 @@ __all__ = [
     "MetricsReport",
     "NormalizedPoint",
     "SynthFrame",
-    "Violation",
     "build_model",
     "classify",
     "compute_angles",
@@ -105,6 +102,5 @@ __all__ = [
     "project",
     "round_half_up",
     "sweep",
-    "validate",
     "vector_angle",
 ]

@@ -1,131 +1,45 @@
-"""Batch angle kernels over middle-line polylines.
-
-The per-frame math is tiny, but video analysis runs it over very long
-detection streams, so the batch kernel is compiled with numba when it
-is available. Setting the environment variable ``KPCURVE_NO_NUMBA`` to
-a non-empty value other than "0" skips the compiled path entirely and
-uses the vectorized numpy implementation instead. The two paths agree
-to within the last unit of precision of the platform arccos (observed
-differences below 1e-12 degrees), far inside every tolerance used by
-the measurement chain.
+"""Batch angle kernel over middle-line polylines.
 
 Input is an (n, 5, 2) float64 array of middle-line points in image
 coordinates (aspect correction already applied). Output is an (n, 4)
 angle array in degrees ordered deviation, bend 1, bend 2, bend 3, plus
-an (n,) int64 array marking the first degenerate vector pair per frame
+an (n,) int64 array marking the first degenerate segment per frame
 (-1 when none). Rows flagged degenerate have NaN angles.
-"""
 
-import os
+Each angle is ``atan2(|cross|, dot)`` of the two segment vectors. Unlike
+arccos of a normalized dot product, this needs no division and no clip,
+and stays accurate across the whole range [0, 180], including bends
+near 0 or 180 degrees where arccos loses most of its digits (W. Kahan,
+"How Futile are Mindless Assessments of Roundoff in Floating-Point
+Computation?", 2006).
+"""
 
 import numpy as np
 
 EPSILON = 1e-9
-RAD_TO_DEG = 180.0 / np.pi
 
-# (start, end) index pairs of the vectors compared per angle: the
-# deviation angle uses the first and last segments, the bend angles
-# use consecutive segments
-_PAIRS = ((0, 3), (0, 1), (1, 2), (2, 3))
-
-NUMBA_DISABLED = os.environ.get("KPCURVE_NO_NUMBA", "0") not in ("", "0")
+# segment index pairs compared per angle: the deviation angle uses the
+# first and last segments, the bend angles use consecutive segments
+_FIRST = [0, 0, 1, 2]
+_SECOND = [3, 1, 2, 3]
 
 
-def polyline_angles_numpy(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized reference implementation of the angle kernel."""
+def polyline_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Four angles per polyline plus the first degenerate segment index."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 3 or pts.shape[1:] != (5, 2):
         raise ValueError(f"expected (n, 5, 2) array, got {pts.shape}")
-    n = pts.shape[0]
 
     seg = pts[:, 1:, :] - pts[:, :-1, :]  # (n, 4, 2)
-    norms = np.sqrt(np.sum(seg * seg, axis=2))  # (n, 4)
-    degenerate = norms < EPSILON
-
-    # first degenerate segment index per frame, -1 when none
+    degenerate = np.sqrt(np.sum(seg * seg, axis=2)) < EPSILON
     bad = np.where(
         degenerate.any(axis=1), np.argmax(degenerate, axis=1), -1
     ).astype(np.int64)
 
-    angles = np.empty((n, 4), dtype=np.float64)
-    for out_col, (a, b) in enumerate(_PAIRS):
-        dot = np.sum(seg[:, a, :] * seg[:, b, :], axis=1)
-        denom = norms[:, a] * norms[:, b]
-        cos = np.clip(np.divide(dot, np.where(denom > 0.0, denom, 1.0)), -1.0, 1.0)
-        angles[:, out_col] = np.arccos(cos) * RAD_TO_DEG
+    u = seg[:, _FIRST, :]  # (n, 4, 2)
+    v = seg[:, _SECOND, :]
+    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    dot = u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+    angles = np.degrees(np.arctan2(np.abs(cross), dot))
     angles[bad >= 0] = np.nan
     return angles, bad
-
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("disabled by KPCURVE_NO_NUMBA")
-    from numba import njit
-
-    @njit(cache=True, nogil=True)
-    def _polyline_angles_loop(pts, angles, bad):  # pragma: no cover
-        n = pts.shape[0]
-        for i in range(n):
-            sx0 = pts[i, 1, 0] - pts[i, 0, 0]
-            sy0 = pts[i, 1, 1] - pts[i, 0, 1]
-            sx1 = pts[i, 2, 0] - pts[i, 1, 0]
-            sy1 = pts[i, 2, 1] - pts[i, 1, 1]
-            sx2 = pts[i, 3, 0] - pts[i, 2, 0]
-            sy2 = pts[i, 3, 1] - pts[i, 2, 1]
-            sx3 = pts[i, 4, 0] - pts[i, 3, 0]
-            sy3 = pts[i, 4, 1] - pts[i, 3, 1]
-            n0 = np.sqrt(sx0 * sx0 + sy0 * sy0)
-            n1 = np.sqrt(sx1 * sx1 + sy1 * sy1)
-            n2 = np.sqrt(sx2 * sx2 + sy2 * sy2)
-            n3 = np.sqrt(sx3 * sx3 + sy3 * sy3)
-
-            first_bad = -1
-            if n0 < EPSILON:
-                first_bad = 0
-            elif n1 < EPSILON:
-                first_bad = 1
-            elif n2 < EPSILON:
-                first_bad = 2
-            elif n3 < EPSILON:
-                first_bad = 3
-            bad[i] = first_bad
-            if first_bad >= 0:
-                for j in range(4):
-                    angles[i, j] = np.nan
-                continue
-
-            # same pair order as _PAIRS
-            dots = (
-                sx0 * sx3 + sy0 * sy3,
-                sx0 * sx1 + sy0 * sy1,
-                sx1 * sx2 + sy1 * sy2,
-                sx2 * sx3 + sy2 * sy3,
-            )
-            denoms = (n0 * n3, n0 * n1, n1 * n2, n2 * n3)
-            for j in range(4):
-                cos = dots[j] / denoms[j]
-                if cos > 1.0:
-                    cos = 1.0
-                elif cos < -1.0:
-                    cos = -1.0
-                angles[i, j] = np.arccos(cos) * RAD_TO_DEG
-
-    def polyline_angles_numba(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Compiled implementation, identical contract to the numpy path."""
-        pts = np.ascontiguousarray(points, dtype=np.float64)
-        if pts.ndim != 3 or pts.shape[1:] != (5, 2):
-            raise ValueError(f"expected (n, 5, 2) array, got {pts.shape}")
-        angles = np.empty((pts.shape[0], 4), dtype=np.float64)
-        bad = np.empty(pts.shape[0], dtype=np.int64)
-        _polyline_angles_loop(pts, angles, bad)
-        return angles, bad
-
-except ImportError:
-    polyline_angles_numba = None
-
-
-def polyline_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Angle kernel entry point; picks the compiled path when present."""
-    if polyline_angles_numba is not None:
-        return polyline_angles_numba(points)
-    return polyline_angles_numpy(points)

@@ -1,11 +1,12 @@
-"""Parsing, validation, and conversion of the two label representations.
+"""Parsing, emission, and conversion of the two label representations.
 
 Two formats are supported: YOLO keypoint label lines (one detection per
 line, 35 whitespace-separated tokens, everything normalized to [0, 1])
 and a minimal CVAT-style XML subset (pixel-space box plus 15 points per
 image element). Keypoints are kept in a fixed row-major order: lateral
 row 0 first, the middle row 1 second, lateral row 2 last, base to tip
-within each row.
+within each row. ``COORD_DECIMALS`` is the one output precision shared
+by YOLO label lines, JSONL frame streams and synthetic phantoms.
 """
 
 import math
@@ -19,7 +20,7 @@ COLS = 5
 NUM_KEYPOINTS = ROWS * COLS
 MIDDLE_ROW = 1
 YOLO_TOKENS = 1 + 4 + 2 * NUM_KEYPOINTS
-EMIT_DECIMALS = 6
+COORD_DECIMALS = 6
 
 # annotation tools jitter box corners slightly past the image edge;
 # anything beyond this is treated as bad data rather than clamped
@@ -90,7 +91,7 @@ class KeypointSet:
 
     ``points`` is row-major: row 0 cols 0..4, then row 1 (the middle
     line), then row 2. Construction enforces arity only; range checks
-    belong to :func:`parse_yolo_line` and :func:`validate`.
+    belong to the parsers that build it.
     """
 
     points: tuple[NormalizedPoint, ...]
@@ -106,9 +107,6 @@ class KeypointSet:
         """Build from an iterable of (x, y) pairs in row-major order."""
         return cls(tuple(NormalizedPoint(float(x), float(y)) for x, y in pairs))
 
-    def point_at(self, row: int, col: int) -> NormalizedPoint:
-        return self.points[row * COLS + col]
-
     def row(self, index: int) -> tuple[NormalizedPoint, ...]:
         return self.points[index * COLS : (index + 1) * COLS]
 
@@ -122,13 +120,12 @@ class KeypointSet:
 
 @dataclass(frozen=True)
 class FrameDetection:
-    """One detection record: class id, box, keypoints, optional extras."""
+    """One detection record: class id, box, keypoints, optional frame index."""
 
     class_id: int
     bbox: BoundingBox
     keypoints: KeypointSet
     frame_index: int | None = None
-    confidences: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -145,15 +142,6 @@ class CvatImageAnnotation:
     image_height: int
     box: tuple[float, float, float, float]
     points: tuple[tuple[float, float], ...]
-
-
-@dataclass(frozen=True)
-class Violation:
-    """A single failed invariant reported by :func:`validate`."""
-
-    code: str
-    where: str | None
-    message: str
 
 
 def parse_yolo_line(line: str) -> FrameDetection:
@@ -198,10 +186,10 @@ def emit_yolo_line(det: FrameDetection) -> str:
     """
     parts = [str(det.class_id)]
     for value in (det.bbox.cx, det.bbox.cy, det.bbox.w, det.bbox.h):
-        parts.append(f"{value:.{EMIT_DECIMALS}f}")
+        parts.append(f"{value:.{COORD_DECIMALS}f}")
     for point in det.keypoints.points:
-        parts.append(f"{point.x:.{EMIT_DECIMALS}f}")
-        parts.append(f"{point.y:.{EMIT_DECIMALS}f}")
+        parts.append(f"{point.x:.{COORD_DECIMALS}f}")
+        parts.append(f"{point.y:.{COORD_DECIMALS}f}")
     return " ".join(parts)
 
 
@@ -353,84 +341,3 @@ def convert_cvat_to_yolo(ann: CvatImageAnnotation, class_id: int = 0) -> FrameDe
         bbox=bbox,
         keypoints=KeypointSet.from_points(normalized),
     )
-
-
-def _in_unit(value: float) -> bool:
-    return math.isfinite(value) and 0.0 <= value <= 1.0
-
-
-def validate(det: FrameDetection) -> list[Violation]:
-    """Check every type invariant of a detection; never raises.
-
-    Returns an empty list when the detection is fully valid, otherwise
-    one Violation per failed invariant.
-    """
-    violations = []
-    if det.class_id < 0:
-        violations.append(
-            Violation("NegativeClass", "class_id", f"class id {det.class_id} < 0")
-        )
-    for field in ("cx", "cy", "w", "h"):
-        value = getattr(det.bbox, field)
-        if not _in_unit(value):
-            violations.append(
-                Violation("OutOfRange", f"bbox.{field}", f"{value} outside [0, 1]")
-            )
-    if math.isfinite(det.bbox.w) and det.bbox.w <= 0.0:
-        violations.append(Violation("OutOfRange", "bbox.w", "width must be > 0"))
-    if math.isfinite(det.bbox.h) and det.bbox.h <= 0.0:
-        violations.append(Violation("OutOfRange", "bbox.h", "height must be > 0"))
-
-    if len(det.keypoints.points) != NUM_KEYPOINTS:
-        violations.append(
-            Violation(
-                "WrongPointCount",
-                "keypoints",
-                f"{len(det.keypoints.points)} points, expected {NUM_KEYPOINTS}",
-            )
-        )
-    else:
-        for index, point in enumerate(det.keypoints.points):
-            row, col = divmod(index, COLS)
-            if not _in_unit(point.x):
-                violations.append(
-                    Violation(
-                        "OutOfRange", f"({row},{col})", f"x = {point.x} outside [0, 1]"
-                    )
-                )
-            if not _in_unit(point.y):
-                violations.append(
-                    Violation(
-                        "OutOfRange", f"({row},{col})", f"y = {point.y} outside [0, 1]"
-                    )
-                )
-
-    if det.confidences is not None:
-        if len(det.confidences) != NUM_KEYPOINTS:
-            violations.append(
-                Violation(
-                    "BadConfidenceArity",
-                    "confidences",
-                    f"{len(det.confidences)} values, expected {NUM_KEYPOINTS}",
-                )
-            )
-        else:
-            for index, value in enumerate(det.confidences):
-                if not _in_unit(value):
-                    violations.append(
-                        Violation(
-                            "OutOfRange",
-                            f"confidences[{index}]",
-                            f"{value} outside [0, 1]",
-                        )
-                    )
-
-    if det.frame_index is not None and det.frame_index < 0:
-        violations.append(
-            Violation(
-                "NegativeFrameIndex",
-                "frame_index",
-                f"frame index {det.frame_index} < 0",
-            )
-        )
-    return violations

@@ -183,13 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="omit per-frame details (bounded memory on long streams)",
     )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker threads for the angle kernel (default 1)",
-    )
     _add_output(p, "the report JSON")
 
     p = sub.add_parser("evaluate", help="score measurements against ground truth")
@@ -300,15 +293,12 @@ def _cmd_analyze(args, stdin, stdout, stderr) -> int:
         aspect_ratio=args.aspect,
         retain_per_frame=not args.no_per_frame,
     )
-    if args.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {args.workers}")
 
     def run(lines):
         return measure_stream(
             iter_frame_stream(lines),
             aspect=config.aspect_ratio,
             keep_frames=config.retain_per_frame,
-            workers=args.workers,
         )
 
     if args.input == "-":

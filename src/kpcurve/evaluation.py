@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 DEFAULT_THRESHOLD_DEG = 30.0
+DISPLAY_DECIMALS = 2
 
 DATASET_CSV_HEADER = ("case_id", "actual", "measured_deg")
 
@@ -78,7 +79,7 @@ class MetricsReport:
     sensitivity: float | None
     specificity: float | None
 
-    def rounded(self, places: int = 2) -> dict[str, float | None]:
+    def rounded(self, places: int = DISPLAY_DECIMALS) -> dict[str, float | None]:
         """Half-up rounded copies of the metrics for display."""
         return {
             "accuracy": round_half_up(self.accuracy, places),
@@ -87,7 +88,7 @@ class MetricsReport:
         }
 
 
-def round_half_up(value: float | None, places: int = 2) -> float | None:
+def round_half_up(value: float | None, places: int = DISPLAY_DECIMALS) -> float | None:
     """Round half away from zero, as printed tables conventionally do."""
     if value is None:
         return None

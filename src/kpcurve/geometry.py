@@ -14,6 +14,7 @@ first; ``compute_angles`` takes an ``aspect`` parameter (default 1.0)
 for that.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,21 +56,18 @@ class AngleSet:
 def vector_angle(a, b, c, d) -> float:
     """Unsigned angle in degrees between vectors b-a and d-c.
 
-    The cosine is clamped to [-1, 1] before arccos, so the result is
-    always in [0, 180]. Raises DegenerateVectorError when either vector
-    is shorter than the degeneracy threshold (segment 0 for b-a,
-    segment 1 for d-c).
+    Computed as atan2(|cross|, dot), the same formula as the batch
+    kernel, so the result is always in [0, 180]. Raises
+    DegenerateVectorError when either vector is shorter than the
+    degeneracy threshold (segment 0 for b-a, segment 1 for d-c).
     """
     ax, ay = float(b[0]) - float(a[0]), float(b[1]) - float(a[1])
     bx, by = float(d[0]) - float(c[0]), float(d[1]) - float(c[1])
-    na = np.hypot(ax, ay)
-    nb = np.hypot(bx, by)
-    if na < EPSILON:
+    if math.hypot(ax, ay) < EPSILON:
         raise DegenerateVectorError(0)
-    if nb < EPSILON:
+    if math.hypot(bx, by) < EPSILON:
         raise DegenerateVectorError(1)
-    cos = np.clip((ax * bx + ay * by) / (na * nb), -1.0, 1.0)
-    return float(np.degrees(np.arccos(cos)))
+    return math.degrees(math.atan2(abs(ax * by - ay * bx), ax * bx + ay * by))
 
 
 def middle_line(keypoints: KeypointSet) -> np.ndarray:

@@ -12,12 +12,14 @@ import json
 from dataclasses import dataclass
 
 from .annotation import (
+    COORD_DECIMALS,
     NUM_KEYPOINTS,
     BoundingBox,
     FrameDetection,
     KeypointSet,
 )
 from .evaluation import (
+    DISPLAY_DECIMALS,
     CaseRecord,
     ConfusionMatrix,
     Diagnosis,
@@ -27,7 +29,6 @@ from .evaluation import (
 from .sequence import CaseMeasurement
 
 SCHEMA_VERSION = 1
-COORD_DECIMALS = 6
 
 
 class JsonlFormatError(ValueError):
@@ -36,13 +37,15 @@ class JsonlFormatError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared across commands, snapshotted into every report."""
+    """Knobs shared across commands, snapshotted into every report.
+
+    The snapshot also records the fixed output precisions, so a report
+    states how its coordinates and rounded fields were produced.
+    """
 
     threshold_deg: float = 30.0
     aspect_ratio: float = 1.0
-    emit_precision: int = COORD_DECIMALS
     retain_per_frame: bool = True
-    rounding: int = 2
 
     def __post_init__(self):
         if not 0.0 < self.threshold_deg < 180.0:
@@ -54,9 +57,9 @@ class RunConfig:
         return {
             "threshold_deg": self.threshold_deg,
             "aspect_ratio": self.aspect_ratio,
-            "emit_precision": self.emit_precision,
+            "emit_precision": COORD_DECIMALS,
             "retain_per_frame": self.retain_per_frame,
-            "rounding": self.rounding,
+            "rounding": DISPLAY_DECIMALS,
         }
 
 
@@ -167,17 +170,13 @@ def iter_frame_stream(lines):
         yield parse_frame_line(stripped, lineno)
 
 
-def _round_angle(value: float, places: int) -> float:
-    return round_half_up(value, places)
-
-
 def _case_entry(
     case: CaseMeasurement, diagnosis: Diagnosis, config: RunConfig
 ) -> dict:
     entry = {
         "case_id": case.case_id,
         "curvature_deg": case.curvature_deg,
-        "curvature_deg_rounded": _round_angle(case.curvature_deg, config.rounding),
+        "curvature_deg_rounded": round_half_up(case.curvature_deg),
         "diagnosis": diagnosis.value,
         "argmax_frame": case.argmax_frame,
         "frames_total": case.frames_total,
@@ -242,7 +241,7 @@ def evaluation_report(
             "sensitivity": report.sensitivity,
             "specificity": report.specificity,
         },
-        "metrics_rounded": report.rounded(config.rounding),
+        "metrics_rounded": report.rounded(),
     }
 
 

@@ -11,12 +11,11 @@ Frames whose geometry is degenerate (coincident keypoints) are marked
 invalid and skipped rather than failing the case; only a case with
 zero valid frames is an error. Streams carrying several interleaved
 cases are handled by :func:`measure_stream`, which batches the angle
-kernel across case boundaries and can fan batches out to worker
-threads; the reduction is a per-case maximum, so worker count never
-changes any result.
+kernel across case boundaries, ``CHUNK_FRAMES`` frames at a time; the
+kernel measures each frame on its own and the reduction is a per-case
+maximum, so the batch size never changes any result.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,7 +76,6 @@ def measure_stream(
     records,
     aspect: float = 1.0,
     keep_frames: bool = True,
-    workers: int = 1,
 ) -> tuple[list[CaseMeasurement], list[tuple[str, str]]]:
     """Measure a stream of (case_id, FrameDetection) records.
 
@@ -89,15 +87,11 @@ def measure_stream(
     """
     if aspect <= 0.0:
         raise ValueError(f"aspect ratio must be positive, got {aspect}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     scale = np.array([aspect, 1.0], dtype=np.float64)
 
     states: dict[str, _CaseState] = {}
     buffer_pts: list[np.ndarray] = []
     buffer_meta: list[tuple[_CaseState, int]] = []
-    buffer_limit = CHUNK_FRAMES * workers
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
 
     def flush():
         if not buffer_pts:
@@ -105,13 +99,7 @@ def measure_stream(
         batch = np.stack(buffer_pts)
         if aspect != 1.0:
             batch = batch * scale
-        if executor is not None and len(batch) > workers:
-            parts = np.array_split(batch, workers)
-            results = list(executor.map(polyline_angles, parts))
-            angles = np.concatenate([r[0] for r in results])
-            bad = np.concatenate([r[1] for r in results])
-        else:
-            angles, bad = polyline_angles(batch)
+        angles, bad = polyline_angles(batch)
         for row, first_bad, (state, frame_index) in zip(angles, bad, buffer_meta):
             if first_bad >= 0:
                 if keep_frames:
@@ -138,21 +126,17 @@ def measure_stream(
         buffer_pts.clear()
         buffer_meta.clear()
 
-    try:
-        for case_id, det in records:
-            state = states.get(case_id)
-            if state is None:
-                state = states[case_id] = _CaseState()
-            index = det.frame_index if det.frame_index is not None else state.total
-            state.total += 1
-            buffer_pts.append(middle_line(det.keypoints))
-            buffer_meta.append((state, index))
-            if len(buffer_pts) >= buffer_limit:
-                flush()
-        flush()
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for case_id, det in records:
+        state = states.get(case_id)
+        if state is None:
+            state = states[case_id] = _CaseState()
+        index = det.frame_index if det.frame_index is not None else state.total
+        state.total += 1
+        buffer_pts.append(middle_line(det.keypoints))
+        buffer_meta.append((state, index))
+        if len(buffer_pts) >= CHUNK_FRAMES:
+            flush()
+    flush()
 
     if not states:
         raise EmptySequenceError("no frames in stream")

@@ -21,13 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import EPSILON
-from .annotation import BoundingBox, FrameDetection, KeypointSet
+from .annotation import COORD_DECIMALS, BoundingBox, FrameDetection, KeypointSet
 
 DEFAULT_LENGTH_CM = 5.5
 DEFAULT_WIDTH_CM = 1.5
 DEFAULT_IMAGE_SIZE = 640
 FIT_MARGIN = 0.1
-COORD_DECIMALS = 6
 
 # arc-length fractions of the five keypoints along each line
 LINE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)

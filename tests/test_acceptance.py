@@ -20,6 +20,7 @@ from conftest import (
     hinge_polyline,
     normalize_unit,
 )
+from kpcurve import _kernels, sequence
 from kpcurve.annotation import (
     BoundingBox,
     FrameDetection,
@@ -122,7 +123,21 @@ def test_criterion_3_kernel_oracle_equivalence():
             for i in range(subset):
                 angle = vector_angle(moved[i, 0], moved[i, 1], moved[i, 2], moved[i, 3])
                 assert abs(angle - base[i]) <= ORACLE_TOL_DEG, name
-        info["detail"] = f"worst oracle gap {worst:.2e} deg over {len(quads)} quadruples"
+
+        # the batch kernel that analyze runs: pack each quadruple as a
+        # polyline a, b, (b+c)/2, c, d whose deviation angle is the
+        # angle between b-a and d-c
+        a, b, c, d = (quads[:, k : k + 2] for k in (0, 2, 4, 6))
+        polylines = np.stack([a, b, (b + c) / 2.0, c, d], axis=1)
+        angles, bad = _kernels.polyline_angles(polylines)
+        assert (bad < 0).all()
+        expected = np.array([oracle_deg(*q) for q in quads])
+        kernel_worst = float(np.max(np.abs(angles[:, 0] - expected)))
+        assert kernel_worst <= ORACLE_TOL_DEG
+        info["detail"] = (
+            f"worst oracle gap {worst:.2e} deg scalar, {kernel_worst:.2e} deg "
+            f"batch kernel, over {len(quads)} quadruples"
+        )
 
 
 def test_criterion_4_hinge_identity():
@@ -147,7 +162,7 @@ def test_criterion_4_hinge_identity():
 
 
 def test_criterion_5_phantom_sweep_recovery(tmp_path):
-    # one throwaway run compiles the batch kernel so the timed section
+    # one throwaway run warms the analyze path so the timed section
     # reflects steady-state throughput
     run_cli(["analyze", "-"], dumps_frame("warm", detection_with_angle(10.0), 0) + "\n")
     with criterion(5, "synthetic sweeps recover the planted bend end to end") as info:
@@ -301,8 +316,17 @@ def test_criterion_8_determinism():
         interleaved = "".join(
             line + "\n" for group in zip(*case_streams) for line in group
         )
-        rc, out_single, _ = run_cli(["analyze", "--workers", "1", "-"], interleaved)
+        rc, out_default, _ = run_cli(["analyze", "-"], interleaved)
         assert rc == 0
-        _, out_pool, _ = run_cli(["analyze", "--workers", "8", "-"], interleaved)
-        assert out_single == out_pool
-        info["detail"] = "repeated generation and 1-vs-8-worker analysis byte-identical"
+        default_chunk = sequence.CHUNK_FRAMES
+        try:
+            sequence.CHUNK_FRAMES = 1
+            rc, out_single, _ = run_cli(["analyze", "-"], interleaved)
+        finally:
+            sequence.CHUNK_FRAMES = default_chunk
+        assert rc == 0
+        assert out_default == out_single
+        info["detail"] = (
+            f"repeated generation and analysis at chunk sizes {default_chunk} "
+            "and 1 byte-identical"
+        )

@@ -1,4 +1,4 @@
-"""Label parsing, emission, conversion, and validation."""
+"""Label parsing, emission, and conversion."""
 
 import dataclasses
 import math
@@ -25,7 +25,6 @@ from kpcurve.annotation import (
     emit_yolo_line,
     parse_cvat_xml,
     parse_yolo_line,
-    validate,
 )
 
 VALID_LINE = "0 0.5 0.5 0.4 0.6 " + " ".join(
@@ -62,9 +61,8 @@ class TestParseYoloLine:
 
     def test_row_major_grid_addressing(self):
         det = parse_yolo_line(VALID_LINE)
-        # index (row, col) maps to flat position row*5 + col
-        assert det.keypoints.point_at(1, 0) == det.keypoints.points[5]
-        assert det.keypoints.point_at(2, 4) == det.keypoints.points[14]
+        # row r spans flat positions 5r .. 5r+4
+        assert det.keypoints.row(2) == det.keypoints.points[10:15]
         assert det.keypoints.middle_row() == det.keypoints.points[5:10]
 
     @pytest.mark.parametrize("count", [34, 36, 1, 0])
@@ -246,48 +244,8 @@ class TestConvertCvatToYolo:
 
     def test_converted_detection_is_valid(self, cvat_document):
         for ann in parse_cvat_xml(cvat_document):
-            assert validate(convert_cvat_to_yolo(ann)) == []
-
-
-class TestValidate:
-    def test_valid_detection_no_violations(self):
-        assert validate(parse_yolo_line(VALID_LINE)) == []
-
-    def test_out_of_range_keypoint_locates_grid_cell(self):
-        det = parse_yolo_line(VALID_LINE)
-        pts = [(p.x, p.y) for p in det.keypoints.points]
-        pts[7] = (1.2, pts[7][1])
-        bad = dataclasses.replace(det, keypoints=KeypointSet.from_points(pts))
-        violations = validate(bad)
-        assert len(violations) == 1
-        assert violations[0].code == "OutOfRange"
-        assert violations[0].where == "(1,2)"
-
-    def test_negative_class_flagged(self):
-        det = parse_yolo_line(VALID_LINE)
-        bad = dataclasses.replace(det, class_id=-1)
-        assert any(v.code == "NegativeClass" for v in validate(bad))
-
-    def test_bad_bbox_flagged(self):
-        det = parse_yolo_line(VALID_LINE)
-        bad = dataclasses.replace(det, bbox=BoundingBox(0.5, 0.5, 0.0, 1.5))
-        codes = {(v.code, v.where) for v in validate(bad)}
-        assert ("OutOfRange", "bbox.w") in codes
-        assert ("OutOfRange", "bbox.h") in codes
-
-    def test_confidence_arity_flagged(self):
-        det = parse_yolo_line(VALID_LINE)
-        bad = dataclasses.replace(det, confidences=(0.5,) * 14)
-        assert any(v.code == "BadConfidenceArity" for v in validate(bad))
-        ok = dataclasses.replace(det, confidences=(0.5,) * 15)
-        assert validate(ok) == []
-
-    def test_never_raises_on_garbage(self):
-        det = parse_yolo_line(VALID_LINE)
-        bad = dataclasses.replace(
-            det,
-            bbox=BoundingBox(float("nan"), -3.0, float("inf"), 0.0),
-            frame_index=-4,
-        )
-        violations = validate(bad)
-        assert violations and all(v.message for v in violations)
+            det = convert_cvat_to_yolo(ann)
+            box = (det.bbox.cx, det.bbox.cy, det.bbox.w, det.bbox.h)
+            values = [*box, *det.keypoints.as_array().ravel()]
+            assert all(0.0 <= v <= 1.0 for v in values)
+            assert det.bbox.w > 0.0 and det.bbox.h > 0.0

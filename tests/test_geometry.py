@@ -72,9 +72,6 @@ class TestVectorAngle:
         assume(math.hypot(b[0] - a[0], b[1] - a[1]) > 1e-3)
         assume(math.hypot(d[0] - c[0], d[1] - c[1]) > 1e-3)
         expected = atan2_oracle(a, b, c, d)
-        # arccos is ill-conditioned at the range ends; the acceptance
-        # suite covers the bulk distribution, this guards the interior
-        assume(1e-3 < expected < 180.0 - 1e-3)
         assert vector_angle(a, b, c, d) == pytest.approx(expected, abs=1e-9)
 
     @given(a=point, b=point, c=point, d=point)
@@ -92,8 +89,8 @@ class TestVectorAngle:
         assert 0.0 <= vector_angle(a, b, c, d) <= 180.0
 
     def test_clamping_guards_arccos(self):
-        # cosines computed for (anti)parallel vectors land on either
-        # side of +/-1; the clamp keeps arccos defined and in range
+        # (anti)parallel vectors sit at the range ends, where a cosine
+        # formulation would need a clamp; the angle must stay in range
         for v in [(1e8, 1e8), (0.1, 0.3), (3.0, 4.0), (1e-3, 1e8)]:
             for flip in (2.0, -2.0):
                 angle = vector_angle((0, 0), v, (0, 0), (flip * v[0], flip * v[1]))
@@ -202,12 +199,12 @@ class TestComputeAngles:
         assert result.curvature_col == 1 + segments.index(max(segments))
 
     def test_curvature_col_tie_resolves_low(self):
-        # symmetric arc: equal segment angles at every interior point
-        angles = np.radians([0.0, 20.0, 40.0, 60.0])
-        steps = np.column_stack([np.cos(angles), np.sin(angles)])
-        pts = np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)])
+        # zigzag of three 45-degree turns; every segment vector is (1, 0)
+        # or (1, 1), so the three bend angles are bitwise equal
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0], [4.0, 2.0]])
         result = line_angles(pts)
-        assert result.segment_deg[0] == pytest.approx(result.segment_deg[1], abs=1e-9)
+        assert result.segment_deg[0] == result.segment_deg[1] == result.segment_deg[2]
+        assert result.segment_deg[0] == pytest.approx(45.0, abs=1e-12)
         assert result.curvature_col == 1
 
     def test_degenerate_segment_identified(self):

@@ -1,8 +1,6 @@
-"""Batch kernel: dual-path agreement, degeneracy flags, env selection."""
+"""Batch kernel: shape contract, scalar agreement, exactness, degeneracy flags."""
 
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +8,7 @@ import pytest
 from kpcurve import _kernels
 from kpcurve.geometry import vector_angle
 
-PATH_AGREEMENT_DEG = 1e-12  # observed well below; libm arccos ulp noise
+EXACT_TOL_DEG = 1e-9
 
 
 def random_batch(n, seed=0):
@@ -19,20 +17,20 @@ def random_batch(n, seed=0):
 
 class TestNumpyPath:
     def test_shape_contract(self):
-        angles, bad = _kernels.polyline_angles_numpy(random_batch(17))
+        angles, bad = _kernels.polyline_angles(random_batch(17))
         assert angles.shape == (17, 4)
         assert bad.shape == (17,)
         assert bad.dtype == np.int64
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
-            _kernels.polyline_angles_numpy(np.zeros((3, 4, 2)))
+            _kernels.polyline_angles(np.zeros((3, 4, 2)))
         with pytest.raises(ValueError):
-            _kernels.polyline_angles_numpy(np.zeros((5, 2)))
+            _kernels.polyline_angles(np.zeros((5, 2)))
 
     def test_matches_scalar_reference(self):
         batch = random_batch(200, seed=3)
-        angles, bad = _kernels.polyline_angles_numpy(batch)
+        angles, bad = _kernels.polyline_angles(batch)
         assert not (bad >= 0).any()
         for pts, row in zip(batch, angles):
             expected = [
@@ -43,12 +41,28 @@ class TestNumpyPath:
             ]
             assert np.allclose(row, expected, atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("beta", [1e-7, 1e-5, 1e-3, 179.999, 179.99999])
+    def test_planted_bend_exact_near_0_and_180(self, beta):
+        # straight run along +x into P2 at the origin, then a turn of beta
+        # degrees; every segment vector is exactly representable
+        turn = math.radians(beta)
+        step = [math.cos(turn), math.sin(turn)]
+        pts = np.array(
+            [[-2.0, 0.0], [-1.0, 0.0], [0.0, 0.0], step, [2 * c for c in step]]
+        )
+        angles, bad = _kernels.polyline_angles(pts[np.newaxis])
+        assert bad[0] == -1
+        deviation, bend1, bend2, bend3 = angles[0]
+        assert abs(deviation - beta) <= EXACT_TOL_DEG
+        assert abs(bend2 - beta) <= EXACT_TOL_DEG
+        assert bend1 == 0.0 and bend3 == 0.0
+
     def test_degenerate_rows_flagged_with_first_segment(self):
         batch = random_batch(4, seed=5)
         batch[1, 3] = batch[1, 2]  # segment 2 collapses
         batch[2, 1] = batch[2, 0]  # segment 0 collapses
         batch[2, 4] = batch[2, 3]  # ... and segment 3; first wins
-        angles, bad = _kernels.polyline_angles_numpy(batch)
+        angles, bad = _kernels.polyline_angles(batch)
         assert bad.tolist() == [-1, 2, 0, -1]
         assert np.isnan(angles[1]).all() and np.isnan(angles[2]).all()
         assert np.isfinite(angles[0]).all() and np.isfinite(angles[3]).all()
@@ -56,65 +70,8 @@ class TestNumpyPath:
     def test_near_degenerate_below_epsilon_only(self):
         batch = random_batch(1, seed=6)
         batch[0, 1] = batch[0, 0] + np.array([2e-9, 0.0])  # above 1e-9: fine
-        _, bad = _kernels.polyline_angles_numpy(batch)
+        _, bad = _kernels.polyline_angles(batch)
         assert bad[0] == -1
         batch[0, 1] = batch[0, 0] + np.array([5e-10, 0.0])  # below: degenerate
-        _, bad = _kernels.polyline_angles_numpy(batch)
+        _, bad = _kernels.polyline_angles(batch)
         assert bad[0] == 0
-
-
-@pytest.mark.skipif(
-    _kernels.polyline_angles_numba is None, reason="compiled path unavailable"
-)
-class TestNumbaPath:
-    def test_agrees_with_numpy_path(self):
-        batch = random_batch(50000, seed=11)
-        batch[100, 2] = batch[100, 1]
-        a_np, b_np = _kernels.polyline_angles_numpy(batch)
-        a_nb, b_nb = _kernels.polyline_angles_numba(batch)
-        assert np.array_equal(b_np, b_nb)
-        assert np.isnan(a_nb[100]).all()
-        mask = b_np < 0
-        assert np.nanmax(np.abs(a_np[mask] - a_nb[mask])) < PATH_AGREEMENT_DEG
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            _kernels.polyline_angles_numba(np.zeros((2, 3, 2)))
-
-    def test_dispatcher_uses_compiled_path(self):
-        assert not _kernels.NUMBA_DISABLED
-        batch = random_batch(8, seed=13)
-        a, b = _kernels.polyline_angles(batch)
-        a2, b2 = _kernels.polyline_angles_numba(batch)
-        assert np.array_equal(a, a2) and np.array_equal(b, b2)
-
-
-class TestEnvFlag:
-    def test_flag_disables_compiled_path_and_numba_import(self):
-        code = (
-            "import sys\n"
-            "from kpcurve import _kernels\n"
-            "import numpy as np\n"
-            "assert _kernels.polyline_angles_numba is None\n"
-            "assert _kernels.NUMBA_DISABLED\n"
-            "a, b = _kernels.polyline_angles(np.arange(20.0).reshape(2, 5, 2))\n"
-            "assert a.shape == (2, 4) and list(b) == [-1, -1]\n"
-            "assert 'numba' not in sys.modules\n"
-        )
-        env = dict(os.environ, KPCURVE_NO_NUMBA="1")
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-
-    def test_zero_and_empty_keep_compiled_path(self):
-        code = (
-            "from kpcurve import _kernels\n"
-            "assert not _kernels.NUMBA_DISABLED\n"
-        )
-        for value in ("0", ""):
-            env = dict(os.environ, KPCURVE_NO_NUMBA=value)
-            proc = subprocess.run(
-                [sys.executable, "-c", code], env=env, capture_output=True, text=True
-            )
-            assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import detection_from_middle, detection_with_angle, normalize_unit
+from kpcurve import sequence
 from kpcurve.annotation import KeypointSet
 from kpcurve.sequence import (
     AllFramesInvalidError,
@@ -199,7 +200,7 @@ class TestMeasureStream:
         with pytest.raises(EmptySequenceError):
             measure_stream(iter([]))
 
-    def test_worker_counts_agree_exactly(self):
+    def test_chunk_sizes_agree_exactly(self, monkeypatch):
         rng = np.random.default_rng(9)
         records = []
         for i in range(3000):
@@ -208,10 +209,8 @@ class TestMeasureStream:
             records.append(
                 (case, dataclasses.replace(detection_with_angle(angle), frame_index=i))
             )
-        solo, _ = measure_stream(records, workers=1)
-        pooled, _ = measure_stream(records, workers=8)
-        assert solo == pooled
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ValueError):
-            measure_stream([("a", detection_with_angle(5.0))], workers=0)
+        baseline, _ = measure_stream(records)  # default CHUNK_FRAMES
+        for chunk in (1, 7):
+            monkeypatch.setattr(sequence, "CHUNK_FRAMES", chunk)
+            chunked, _ = measure_stream(records)
+            assert chunked == baseline, chunk
