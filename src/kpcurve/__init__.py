@@ -13,7 +13,6 @@ from .annotation import (
     CvatImageAnnotation,
     FrameDetection,
     KeypointSet,
-    NormalizedPoint,
     convert_cvat_to_yolo,
     emit_yolo_line,
     parse_cvat_xml,
@@ -82,7 +81,6 @@ __all__ = [
     "HingeModelSpec",
     "KeypointSet",
     "MetricsReport",
-    "NormalizedPoint",
     "SynthFrame",
     "build_model",
     "classify",

@@ -68,14 +68,6 @@ class BadDimensionsError(AnnotationError):
 
 
 @dataclass(frozen=True)
-class NormalizedPoint:
-    """A 2D point expressed as fractions of image width and height."""
-
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
 class BoundingBox:
     """Axis-aligned box in normalized center/size form."""
 
@@ -85,37 +77,33 @@ class BoundingBox:
     h: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KeypointSet:
     """The 15 landmarks as a 3-row by 5-column grid, base to tip.
 
-    ``points`` is row-major: row 0 cols 0..4, then row 1 (the middle
-    line), then row 2. Construction enforces arity only; range checks
-    belong to the parsers that build it.
+    ``points`` is a read-only (15, 2) float64 array of normalized
+    (x, y) pairs in row-major order: row 0 cols 0..4, then row 1 (the
+    middle line), then row 2. Construction copies its input, so the
+    caller's array is never aliased or frozen, and enforces the shape
+    only; range checks belong to the parsers that build it. Equality
+    compares the values; a KeypointSet is not hashable.
     """
 
-    points: tuple[NormalizedPoint, ...]
+    points: np.ndarray
 
     def __post_init__(self):
-        if len(self.points) != NUM_KEYPOINTS:
+        points = np.array(self.points, dtype=np.float64)
+        if points.shape != (NUM_KEYPOINTS, 2):
             raise WrongPointCountError(
-                f"expected {NUM_KEYPOINTS} keypoints, got {len(self.points)}"
+                f"expected ({NUM_KEYPOINTS}, 2) keypoints, got shape {points.shape}"
             )
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
 
-    @classmethod
-    def from_points(cls, pairs) -> "KeypointSet":
-        """Build from an iterable of (x, y) pairs in row-major order."""
-        return cls(tuple(NormalizedPoint(float(x), float(y)) for x, y in pairs))
-
-    def row(self, index: int) -> tuple[NormalizedPoint, ...]:
-        return self.points[index * COLS : (index + 1) * COLS]
-
-    def middle_row(self) -> tuple[NormalizedPoint, ...]:
-        return self.row(MIDDLE_ROW)
-
-    def as_array(self) -> np.ndarray:
-        """Row-major (15, 2) float64 view of the points."""
-        return np.array([(p.x, p.y) for p in self.points], dtype=np.float64)
+    def __eq__(self, other):
+        if not isinstance(other, KeypointSet):
+            return NotImplemented
+        return np.array_equal(self.points, other.points)
 
 
 @dataclass(frozen=True)
@@ -174,7 +162,7 @@ def parse_yolo_line(line: str) -> FrameDetection:
     bbox = BoundingBox(values[0], values[1], values[2], values[3])
     if bbox.w <= 0.0 or bbox.h <= 0.0:
         raise OutOfRangeError("bounding box width and height must be positive")
-    keypoints = KeypointSet.from_points(zip(values[4::2], values[5::2]))
+    keypoints = KeypointSet(np.reshape(values[4:], (NUM_KEYPOINTS, 2)))
     return FrameDetection(class_id=class_id, bbox=bbox, keypoints=keypoints)
 
 
@@ -184,13 +172,9 @@ def emit_yolo_line(det: FrameDetection) -> str:
     Returns the bare line with no trailing whitespace or newline; file
     writers append the terminator.
     """
-    parts = [str(det.class_id)]
-    for value in (det.bbox.cx, det.bbox.cy, det.bbox.w, det.bbox.h):
-        parts.append(f"{value:.{COORD_DECIMALS}f}")
-    for point in det.keypoints.points:
-        parts.append(f"{point.x:.{COORD_DECIMALS}f}")
-        parts.append(f"{point.y:.{COORD_DECIMALS}f}")
-    return " ".join(parts)
+    bbox = det.bbox
+    values = [bbox.cx, bbox.cy, bbox.w, bbox.h, *det.keypoints.points.ravel().tolist()]
+    return " ".join([str(det.class_id), *(f"{v:.{COORD_DECIMALS}f}" for v in values)])
 
 
 def _dimension(element: ET.Element, name: str) -> int:
@@ -339,5 +323,5 @@ def convert_cvat_to_yolo(ann: CvatImageAnnotation, class_id: int = 0) -> FrameDe
     return FrameDetection(
         class_id=class_id,
         bbox=bbox,
-        keypoints=KeypointSet.from_points(normalized),
+        keypoints=KeypointSet(normalized),
     )

@@ -99,14 +99,14 @@ _SYNTH_SPEC_FIELDS = {
 def _read_text(path: str, stdin) -> str:
     if path == "-":
         return stdin.read()
-    return Path(path).read_text()
+    return Path(path).read_text(encoding="utf-8")
 
 
 def _write_text(path: str | None, text: str, stdout) -> None:
     if path is None or path == "-":
         stdout.write(text)
     else:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _add_threshold(parser):
@@ -250,7 +250,7 @@ def _cmd_convert(args, stdin, stdout, stderr) -> int:
     try:
         for filename, text in outputs:
             target = out_dir / filename
-            target.write_text(text)
+            target.write_text(text, encoding="utf-8")
             written.append(target)
     except OSError:
         for target in written:
@@ -304,7 +304,7 @@ def _cmd_analyze(args, stdin, stdout, stderr) -> int:
     if args.input == "-":
         cases, failures = run(stdin)
     else:
-        with open(args.input) as handle:
+        with open(args.input, encoding="utf-8") as handle:
             cases, failures = run(handle)
 
     entries = [
@@ -351,7 +351,7 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
             raise DatasetFormatError(
                 "report JSON input needs --labels with ground-truth diagnoses"
             )
-        labels = read_labels_csv(Path(args.labels).read_text())
+        labels = read_labels_csv(Path(args.labels).read_text(encoding="utf-8"))
         triples = []
         for case_id, measured in _cases_from_report(document):
             actual = labels.get(case_id)
@@ -428,7 +428,9 @@ def _cmd_synth(args, stdin, stdout, stderr) -> int:
         spec_fields = dict(raw)
         spec_fields["snapped_hinge_position"] = spec.snapped_position
         sidecar = sweep_sidecar(case_id, spec_fields, frames)
-        Path(sidecar_path).write_text(json.dumps(sidecar, indent=2) + "\n")
+        Path(sidecar_path).write_text(
+            json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
+        )
     return EXIT_OK
 
 

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import EPSILON, polyline_angles
-from .annotation import KeypointSet
-
-NUM_ANGLES = 4
+from .annotation import COLS, MIDDLE_ROW, KeypointSet
 
 
 class DegenerateVectorError(ValueError):
@@ -71,14 +69,13 @@ def vector_angle(a, b, c, d) -> float:
 
 
 def middle_line(keypoints: KeypointSet) -> np.ndarray:
-    """Extract the middle row as a (5, 2) array, base to tip.
+    """The middle row as a read-only (5, 2) view of ``points``, base to tip.
 
-    Coordinates pass through unchanged; aspect correction is applied by
-    the angle computation, not here.
+    This is the one accessor of the middle row. Coordinates pass through
+    unchanged; aspect correction is applied by the angle computation,
+    not here.
     """
-    return np.array(
-        [(p.x, p.y) for p in keypoints.middle_row()], dtype=np.float64
-    )
+    return keypoints.points[MIDDLE_ROW * COLS : (MIDDLE_ROW + 1) * COLS]
 
 
 def angle_set_from_row(row: np.ndarray) -> AngleSet:

@@ -65,9 +65,7 @@ def render_svg(
         },
     )
 
-    pixels = [
-        (p.x * image_width, p.y * image_height) for p in det.keypoints.points
-    ]
+    pixels = (det.keypoints.points * [image_width, image_height]).tolist()
     for row in range(ROWS):
         row_pts = pixels[row * COLS : (row + 1) * COLS]
         is_middle = row == 1

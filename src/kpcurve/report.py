@@ -76,8 +76,8 @@ def frame_record(case_id: str, det: FrameDetection, frame_index: int) -> dict:
             round(det.bbox.h, COORD_DECIMALS),
         ],
         "keypoints": [
-            [round(p.x, COORD_DECIMALS), round(p.y, COORD_DECIMALS)]
-            for p in det.keypoints.points
+            [round(x, COORD_DECIMALS), round(y, COORD_DECIMALS)]
+            for x, y in det.keypoints.points.tolist()
         ],
     }
 
@@ -93,14 +93,18 @@ def _require(condition: bool, lineno: int, message: str) -> None:
 
 
 def parse_frame_line(line: str, lineno: int = 1) -> tuple[str, FrameDetection]:
-    """Parse one JSONL frame line; errors carry the line number."""
+    """Parse one JSONL frame line; errors carry the line number.
+
+    Messages that quote the offending value are built only on failure.
+    """
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise JsonlFormatError(f"line {lineno}: not valid JSON ({exc.msg})") from None
     _require(isinstance(obj, dict), lineno, "expected a JSON object")
     for key in ("case_id", "frame_index", "class_id", "bbox", "keypoints"):
-        _require(key in obj, lineno, f"missing field {key!r}")
+        if key not in obj:
+            raise JsonlFormatError(f"line {lineno}: missing field {key!r}")
 
     case_id = obj["case_id"]
     _require(isinstance(case_id, str) and case_id != "", lineno, "bad case_id")
@@ -139,19 +143,15 @@ def parse_frame_line(line: str, lineno: int = 1) -> tuple[str, FrameDetection]:
         )
         values.extend(pair)
     for value in values:
-        _require(
-            isinstance(value, (int, float)) and not isinstance(value, bool),
-            lineno,
-            "coordinates must be numbers",
-        )
-        _require(0.0 <= float(value) <= 1.0, lineno, f"coordinate {value} outside [0, 1]")
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise JsonlFormatError(f"line {lineno}: coordinates must be numbers")
+        if not 0.0 <= value <= 1.0:
+            raise JsonlFormatError(f"line {lineno}: coordinate {value} outside [0, 1]")
 
     det = FrameDetection(
         class_id=class_id,
         bbox=BoundingBox(*(float(v) for v in bbox)),
-        keypoints=KeypointSet.from_points(
-            (float(x), float(y)) for x, y in keypoints
-        ),
+        keypoints=KeypointSet(keypoints),
         frame_index=frame_index,
     )
     return case_id, det

@@ -9,11 +9,12 @@ estimate of the true one.
 
 Frames whose geometry is degenerate (coincident keypoints) are marked
 invalid and skipped rather than failing the case; only a case with
-zero valid frames is an error. Streams carrying several interleaved
-cases are handled by :func:`measure_stream`, which batches the angle
-kernel across case boundaries, ``CHUNK_FRAMES`` frames at a time; the
-kernel measures each frame on its own and the reduction is a per-case
-maximum, so the batch size never changes any result.
+zero valid frames is an error. :func:`measure_stream` copies each
+frame's middle line into one preallocated (``CHUNK_FRAMES``, 5, 2)
+buffer and runs the angle kernel on it whenever it fills, across case
+boundaries. The reduction is a per-case maximum, ties going to the
+lowest frame index, so neither batch size nor stream order changes
+any result.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from ._kernels import polyline_angles
 from .annotation import FrameDetection
 from .geometry import AngleSet, angle_set_from_row, middle_line
 
-# frames buffered per kernel dispatch; bounds memory on long streams
+# frames per kernel dispatch, read at each call; bounds memory
 CHUNK_FRAMES = 4096
 
 
@@ -51,8 +52,9 @@ class CaseMeasurement:
     """A case-level curvature with its provenance.
 
     ``curvature_deg`` is the maximum frame angle over valid frames and
-    ``argmax_frame`` the index of the earliest frame attaining it.
-    ``per_frame`` is empty when frame retention was disabled.
+    ``argmax_frame`` the lowest frame index attaining it, whatever the
+    stream order. ``per_frame`` is empty when frame retention was
+    disabled.
     """
 
     case_id: str
@@ -81,26 +83,32 @@ def measure_stream(
 
     Cases may interleave arbitrarily; results come back in order of
     first appearance. Detections without a ``frame_index`` are numbered
-    by position within their case. Returns the measured cases plus a
-    (case_id, message) list for cases whose frames were all degenerate.
-    Raises EmptySequenceError when the stream has no records at all.
+    by position within their case. An ``AngleSet`` is built only for
+    frames that are retained (``keep_frames``). Returns the measured
+    cases plus a (case_id, message) list for cases whose frames were all
+    degenerate. Raises EmptySequenceError when the stream has no records
+    at all.
     """
     if aspect <= 0.0:
         raise ValueError(f"aspect ratio must be positive, got {aspect}")
     scale = np.array([aspect, 1.0], dtype=np.float64)
 
     states: dict[str, _CaseState] = {}
-    buffer_pts: list[np.ndarray] = []
+    chunk = CHUNK_FRAMES
+    buffer = np.empty((chunk, 5, 2), dtype=np.float64)
     buffer_meta: list[tuple[_CaseState, int]] = []
 
     def flush():
-        if not buffer_pts:
+        if not buffer_meta:
             return
-        batch = np.stack(buffer_pts)
+        batch = buffer[: len(buffer_meta)]
         if aspect != 1.0:
-            batch = batch * scale
+            batch *= scale
         angles, bad = polyline_angles(batch)
-        for row, first_bad, (state, frame_index) in zip(angles, bad, buffer_meta):
+        frame_max = angles.max(axis=1).tolist()
+        for row, angle, first_bad, (state, frame_index) in zip(
+            angles, frame_max, bad.tolist(), buffer_meta
+        ):
             if first_bad >= 0:
                 if keep_frames:
                     state.retained.append(
@@ -112,18 +120,15 @@ def measure_stream(
                         )
                     )
                 continue
-            angle_set = angle_set_from_row(row)
             state.valid += 1
-            if angle_set.frame_angle_deg > state.best_angle:
-                state.best_angle = angle_set.frame_angle_deg
+            if angle > state.best_angle or (
+                angle == state.best_angle and frame_index < state.best_frame
+            ):
+                state.best_angle = angle
                 state.best_frame = frame_index
             if keep_frames:
-                state.retained.append(
-                    FrameMeasurement(
-                        frame_index=frame_index, angles=angle_set, valid=True
-                    )
-                )
-        buffer_pts.clear()
+                angle_set = angle_set_from_row(row)
+                state.retained.append(FrameMeasurement(frame_index, angle_set, True))
         buffer_meta.clear()
 
     for case_id, det in records:
@@ -132,9 +137,9 @@ def measure_stream(
             state = states[case_id] = _CaseState()
         index = det.frame_index if det.frame_index is not None else state.total
         state.total += 1
-        buffer_pts.append(middle_line(det.keypoints))
+        buffer[len(buffer_meta)] = middle_line(det.keypoints)
         buffer_meta.append((state, index))
-        if len(buffer_pts) >= CHUNK_FRAMES:
+        if len(buffer_meta) >= chunk:
             flush()
     flush()
 
@@ -175,7 +180,7 @@ def measure_sequence(
 
     ``frames`` is any iterable of FrameDetection; detections without a
     ``frame_index`` are numbered by stream position. Ties on the
-    maximum resolve to the earliest frame. With ``keep_frames`` false
+    maximum resolve to the lowest frame index. With ``keep_frames`` false
     the per-frame list is dropped and memory stays bounded regardless
     of stream length.
     """

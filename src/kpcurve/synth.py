@@ -22,6 +22,7 @@ import numpy as np
 
 from ._kernels import EPSILON
 from .annotation import COORD_DECIMALS, BoundingBox, FrameDetection, KeypointSet
+from .geometry import middle_line
 
 DEFAULT_LENGTH_CM = 5.5
 DEFAULT_WIDTH_CM = 1.5
@@ -169,7 +170,7 @@ def _quantized_detection(coords: np.ndarray, class_id: int = 0) -> FrameDetectio
     return FrameDetection(
         class_id=class_id,
         bbox=bbox,
-        keypoints=KeypointSet.from_points(snapped),
+        keypoints=KeypointSet(snapped),
     )
 
 
@@ -217,7 +218,7 @@ def project(
     pixels = (flat - mins) * scale + (size - extents * scale) / 2.0
     detection = _quantized_detection(pixels / size)
 
-    mid = detection.keypoints.as_array()[5:10]
+    mid = middle_line(detection.keypoints)
     seg_norms = np.linalg.norm(np.diff(mid, axis=0), axis=1)
     if (seg_norms < EPSILON).any():
         raise DegenerateProjectionError(
@@ -256,7 +257,7 @@ def sweep(
         detection = frame.detection
         if jitter_sd > 0.0:
             rng = np.random.default_rng([spec.seed, index])
-            coords = detection.keypoints.as_array()
+            coords = detection.keypoints.points
             coords = np.clip(coords + rng.normal(0.0, jitter_sd, coords.shape), 0.0, 1.0)
             detection = _quantized_detection(coords, class_id=detection.class_id)
         detection = dataclasses.replace(detection, frame_index=index)

@@ -52,7 +52,7 @@ def detection_from_middle(middle: np.ndarray, offset: float = 0.02) -> FrameDete
         h=float(max(ys.max() - ys.min(), 1e-3)),
     )
     return FrameDetection(
-        class_id=0, bbox=bbox, keypoints=KeypointSet.from_points(pts)
+        class_id=0, bbox=bbox, keypoints=KeypointSet(pts)
     )
 
 

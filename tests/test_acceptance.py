@@ -6,6 +6,7 @@ randomized check uses a fixed seed, so a green run here is a stable,
 reproducible statement about the package.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -238,14 +239,14 @@ def test_criterion_6_round_trip_parsing():
             det = FrameDetection(
                 class_id=int(class_ids[i]),
                 bbox=BoundingBox(*boxes[i]),
-                keypoints=KeypointSet.from_points(points[i]),
+                keypoints=KeypointSet(points[i]),
             )
             parsed = parse_yolo_line(emit_yolo_line(det))
             assert parsed.class_id == det.class_id
             recovered = np.concatenate(
                 [
                     [parsed.bbox.cx, parsed.bbox.cy, parsed.bbox.w, parsed.bbox.h],
-                    parsed.keypoints.as_array().ravel(),
+                    parsed.keypoints.points.ravel(),
                 ]
             )
             original = np.concatenate([boxes[i], points[i].ravel()])
@@ -263,8 +264,8 @@ def test_criterion_6_round_trip_parsing():
         got_box = (det.bbox.cx, det.bbox.cy, det.bbox.w, det.bbox.h)
         assert max(abs(g - e) for g, e in zip(got_box, expected_box)) <= ORACLE_TOL_DEG
         for point, (px, py) in zip(det.keypoints.points, ann.points):
-            assert abs(point.x - px / ann.image_width) <= 1e-9
-            assert abs(point.y - py / ann.image_height) <= 1e-9
+            assert abs(point[0] - px / ann.image_width) <= 1e-9
+            assert abs(point[1] - py / ann.image_height) <= 1e-9
         info["detail"] = f"worst coordinate drift {worst:.2e} over {count} lines"
 
 
@@ -274,20 +275,33 @@ def test_criterion_7_aggregation_properties():
     with criterion(7, "case aggregation is order-free, monotone, and duplicate-proof") as info:
         for _ in range(trials):
             bends = rng.uniform(1.0, 120.0, rng.integers(3, 9))
+            indices = rng.choice(1000, size=len(bends), replace=False)
             dets = [
-                detection_with_angle(float(b), vertex=int(rng.integers(1, 4)))
-                for b in bends
+                dataclasses.replace(
+                    detection_with_angle(float(b), vertex=int(rng.integers(1, 4))),
+                    frame_index=int(i),
+                )
+                for b, i in zip(bends, indices)
             ]
-            baseline = measure_sequence("t", dets).curvature_deg
+            base = measure_sequence("t", dets)
+            baseline = base.curvature_deg
 
             shuffled = list(dets)
             rng.shuffle(shuffled)
-            assert measure_sequence("t", shuffled).curvature_deg == baseline
+            result = measure_sequence("t", shuffled)
+            assert result.curvature_deg == baseline
+            assert result.argmax_frame == base.argmax_frame
 
             extra = dets + [detection_with_angle(float(rng.uniform(1.0, 120.0)))]
             assert measure_sequence("t", extra).curvature_deg >= baseline
 
-            assert measure_sequence("t", dets + dets).curvature_deg == baseline
+            # the same frames again under later indices, streamed first: the
+            # tie on the maximum must still go to the lowest frame index
+            later = [dataclasses.replace(d, frame_index=d.frame_index + 1000) for d in dets]
+            for doubled in (dets + dets, shuffled + dets, later + shuffled):
+                result = measure_sequence("t", doubled)
+                assert result.curvature_deg == baseline
+                assert result.argmax_frame == base.argmax_frame
         info["detail"] = f"{trials} randomized streams, exact equality"
 
 

@@ -26,6 +26,8 @@ from kpcurve.annotation import (
     parse_cvat_xml,
     parse_yolo_line,
 )
+from kpcurve.geometry import middle_line
+from kpcurve.report import dumps_frame, parse_frame_line
 
 VALID_LINE = "0 0.5 0.5 0.4 0.6 " + " ".join(
     f"{0.1 + 0.05 * k:.6f} {0.2 + 0.04 * k:.6f}" for k in range(15)
@@ -47,8 +49,37 @@ def random_detection(rng) -> FrameDetection:
     return FrameDetection(
         class_id=int(rng.integers(0, 5)),
         bbox=BoundingBox(*values[:4]),
-        keypoints=KeypointSet.from_points(values[4:].reshape(15, 2)),
+        keypoints=KeypointSet(values[4:].reshape(15, 2)),
     )
+
+
+class TestKeypointSet:
+    def test_points_are_read_only(self):
+        kp = KeypointSet(np.full((15, 2), 0.5))
+        with pytest.raises(ValueError):
+            kp.points[0, 0] = 0.25
+
+    def test_source_array_is_copied(self):
+        source = np.full((15, 2), 0.5)
+        kp = KeypointSet(source)
+        source[0, 0] = 0.25
+        assert kp.points[0, 0] == 0.5
+        assert source.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(14, 2), (15, 3)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(WrongPointCountError):
+            KeypointSet(np.full(shape, 0.5))
+
+    def test_repeated_parses_compare_equal(self):
+        assert parse_yolo_line(VALID_LINE) == parse_yolo_line(VALID_LINE)
+        line = dumps_frame("c", parse_yolo_line(VALID_LINE), 3)
+        assert parse_frame_line(line) == parse_frame_line(line)
+        assert parse_frame_line(line) != parse_frame_line(line.replace("0.1,", "0.15,", 1))
+
+    def test_detections_are_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(parse_yolo_line(VALID_LINE))
 
 
 class TestParseYoloLine:
@@ -56,14 +87,15 @@ class TestParseYoloLine:
         det = parse_yolo_line(VALID_LINE)
         assert det.class_id == 0
         assert det.bbox == BoundingBox(0.5, 0.5, 0.4, 0.6)
-        assert det.keypoints.points[0].x == pytest.approx(0.1, abs=1e-12)
-        assert det.keypoints.points[14].y == pytest.approx(0.2 + 0.04 * 14, abs=1e-12)
+        assert det.keypoints.points[0, 0] == pytest.approx(0.1, abs=1e-12)
+        assert det.keypoints.points[14, 1] == pytest.approx(0.2 + 0.04 * 14, abs=1e-12)
 
     def test_row_major_grid_addressing(self):
         det = parse_yolo_line(VALID_LINE)
         # row r spans flat positions 5r .. 5r+4
-        assert det.keypoints.row(2) == det.keypoints.points[10:15]
-        assert det.keypoints.middle_row() == det.keypoints.points[5:10]
+        tokens = [float(t) for t in VALID_LINE.split()[5:]]
+        assert det.keypoints.points[10:15].ravel().tolist() == tokens[20:30]
+        assert np.array_equal(middle_line(det.keypoints), det.keypoints.points[5:10])
 
     @pytest.mark.parametrize("count", [34, 36, 1, 0])
     def test_wrong_token_count(self, count):
@@ -132,12 +164,10 @@ class TestEmitYoloLine:
         det = FrameDetection(
             class_id=0,
             bbox=bbox,
-            keypoints=KeypointSet.from_points(zip(values[4::2], values[5::2])),
+            keypoints=KeypointSet(np.reshape(values[4:], (15, 2))),
         )
         back = parse_yolo_line(emit_yolo_line(det))
-        for p, q in zip(det.keypoints.points, back.keypoints.points):
-            assert abs(p.x - q.x) <= 5e-7
-            assert abs(p.y - q.y) <= 5e-7
+        assert np.abs(det.keypoints.points - back.keypoints.points).max() <= 5e-7
 
 
 class TestParseCvatXml:
@@ -215,14 +245,14 @@ class TestConvertCvatToYolo:
         assert math.isclose(det.bbox.w, (900.75 - 100.5) / w, abs_tol=1e-9)
         assert math.isclose(det.bbox.h, (600.5 - 50.25) / h, abs_tol=1e-9)
         for k, (px, py) in enumerate(ann.points):
-            assert math.isclose(det.keypoints.points[k].x, px / w, abs_tol=1e-9)
-            assert math.isclose(det.keypoints.points[k].y, py / h, abs_tol=1e-9)
+            assert math.isclose(det.keypoints.points[k, 0], px / w, abs_tol=1e-9)
+            assert math.isclose(det.keypoints.points[k, 1], py / h, abs_tol=1e-9)
 
     def test_point_order_is_row_major(self, cvat_document):
         ann = parse_cvat_xml(cvat_document)[0]
         det = convert_cvat_to_yolo(ann)
         # middle row of the fixture starts at pixel point index 5
-        assert det.keypoints.middle_row()[0].x == pytest.approx(130 / 1280, abs=1e-12)
+        assert middle_line(det.keypoints)[0, 0] == pytest.approx(130 / 1280, abs=1e-12)
 
     def test_half_pixel_clamped_to_edge(self, cvat_document):
         ann = parse_cvat_xml(cvat_document)[0]
@@ -246,6 +276,6 @@ class TestConvertCvatToYolo:
         for ann in parse_cvat_xml(cvat_document):
             det = convert_cvat_to_yolo(ann)
             box = (det.bbox.cx, det.bbox.cy, det.bbox.w, det.bbox.h)
-            values = [*box, *det.keypoints.as_array().ravel()]
+            values = [*box, *det.keypoints.points.ravel()]
             assert all(0.0 <= v <= 1.0 for v in values)
             assert det.bbox.w > 0.0 and det.bbox.h > 0.0

@@ -2,14 +2,17 @@
 
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from conftest import CVAT_DOCUMENT, detection_from_middle, detection_with_angle, hinge_polyline, normalize_unit
+import kpcurve
 from kpcurve import __version__
 from kpcurve.annotation import emit_yolo_line
 from kpcurve.cli import EXIT_GEOMETRY, EXIT_INPUT, EXIT_OK, main
@@ -549,3 +552,34 @@ class TestConsoleScript:
         proc = subprocess.run([script, "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == f"kpcurve {__version__}"
+
+
+class TestFileEncoding:
+    def test_utf8_files_under_ascii_locale(self, tmp_path):
+        # files named on the command line are UTF-8 whatever the locale says
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps({"case_id": "caño", "hinge_angle_deg": 40.0, "steps": 5}, ensure_ascii=False),
+            encoding="utf-8",
+        )
+        frames, report = tmp_path / "frames.jsonl", tmp_path / "report.json"
+        src = str(Path(kpcurve.__file__).resolve().parent.parent)
+        env = {
+            **os.environ,
+            "LC_ALL": "C",
+            "PYTHONCOERCECLOCALE": "0",
+            "PYTHONUTF8": "0",
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        for argv in (
+            ["synth", str(spec), "-o", str(frames)],
+            ["analyze", str(frames), "-o", str(report)],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "kpcurve", *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert json.loads(report.read_text(encoding="utf-8"))["cases"][0]["case_id"] == "caño"

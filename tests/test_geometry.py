@@ -120,7 +120,7 @@ class TestMiddleLine:
             (0.7, 0.5),
             (0.9, 0.5),
         ] + [(1.0, 1.0)] * 5
-        line = middle_line(KeypointSet.from_points(pts))
+        line = middle_line(KeypointSet(pts))
         assert line.tolist() == [
             [0.1, 0.5],
             [0.3, 0.5],
@@ -133,8 +133,8 @@ class TestMiddleLine:
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, 1, (15, 2))
         swapped = np.concatenate([pts[10:15], pts[5:10], pts[0:5]])
-        a = middle_line(KeypointSet.from_points(pts))
-        b = middle_line(KeypointSet.from_points(swapped))
+        a = middle_line(KeypointSet(pts))
+        b = middle_line(KeypointSet(swapped))
         assert np.array_equal(a, b)
 
 

@@ -21,9 +21,9 @@ from kpcurve.sequence import (
 
 def degenerate_detection():
     det = detection_with_angle(20.0)
-    pts = [(p.x, p.y) for p in det.keypoints.points]
+    pts = det.keypoints.points.copy()
     pts[7] = pts[6]  # middle-line points 1 and 2 coincide
-    return dataclasses.replace(det, keypoints=KeypointSet.from_points(pts))
+    return dataclasses.replace(det, keypoints=KeypointSet(pts))
 
 
 class TestMeasureSequence:
@@ -44,6 +44,11 @@ class TestMeasureSequence:
         det = detection_with_angle(25.0)
         case = measure_sequence("c", [det, det, det])
         assert case.argmax_frame == 0
+
+    def test_tie_resolves_to_lowest_frame_index_not_stream_order(self):
+        det = detection_with_angle(25.0)
+        frames = [dataclasses.replace(det, frame_index=i) for i in (5, 2, 2)]
+        assert measure_sequence("c", frames).argmax_frame == 2
 
     def test_invalid_frames_skipped_not_fatal(self):
         frames = [
@@ -133,6 +138,27 @@ class TestAggregationProperties:
         rng = np.random.default_rng(seed)
         shuffled = [frames[i] for i in rng.permutation(len(frames))]
         assert measure_sequence("c", shuffled).curvature_deg == base
+
+    @given(
+        frames=st.lists(
+            st.tuples(st.sampled_from([15.0, 40.0, 75.0]), st.integers(0, 20)),
+            min_size=1,
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_permutation_leaves_argmax_frame_unchanged(self, frames, seed):
+        # few distinct angles and indices, so ties on the maximum are common
+        dets = [
+            dataclasses.replace(detection_with_angle(a), frame_index=i)
+            for a, i in frames
+        ]
+        base = measure_sequence("c", dets)
+        rng = np.random.default_rng(seed)
+        shuffled = measure_sequence("c", [dets[i] for i in rng.permutation(len(dets))])
+        assert shuffled.argmax_frame == base.argmax_frame
+        assert shuffled.curvature_deg == base.curvature_deg
 
     @given(
         angles=st.lists(st.floats(1.0, 179.0), min_size=1, max_size=10),

@@ -137,21 +137,21 @@ class TestProject:
 
     def test_laterals_coincide_with_center_at_frontal(self):
         model = build_model(HingeModelSpec(hinge_angle_deg=35.0))
-        pts = project(model, CameraPose(0.0, 0.0)).detection.keypoints.as_array()
+        pts = project(model, CameraPose(0.0, 0.0)).detection.keypoints.points
         rows = pts.reshape(3, 5, 2)
         assert np.allclose(rows[0], rows[1], atol=1e-6)
         assert np.allclose(rows[2], rows[1], atol=1e-6)
 
     def test_laterals_separate_under_yaw(self):
         model = build_model(HingeModelSpec(hinge_angle_deg=35.0))
-        pts = project(model, CameraPose(40.0, 0.0)).detection.keypoints.as_array()
+        pts = project(model, CameraPose(40.0, 0.0)).detection.keypoints.points
         rows = pts.reshape(3, 5, 2)
         assert not np.allclose(rows[0], rows[1], atol=1e-3)
 
     def test_frame_fits_margin_and_bbox_tight(self):
         model = build_model(HingeModelSpec(hinge_angle_deg=70.0))
         det = project(model, CameraPose(25.0, 10.0)).detection
-        pts = det.keypoints.as_array()
+        pts = det.keypoints.points
         assert (pts >= 0.1 - 1e-6).all() and (pts <= 0.9 + 1e-6).all()
         xs, ys = pts[:, 0], pts[:, 1]
         assert det.bbox.cx == pytest.approx((xs.min() + xs.max()) / 2, abs=1e-6)
@@ -161,9 +161,9 @@ class TestProject:
     def test_quantized_to_six_decimals(self):
         model = build_model(HingeModelSpec(hinge_angle_deg=33.3))
         det = project(model, CameraPose(17.0, 3.0)).detection
-        for p in det.keypoints.points:
-            assert p.x == round(p.x, 6)
-            assert p.y == round(p.y, 6)
+        for x, y in det.keypoints.points.tolist():
+            assert x == round(x, 6)
+            assert y == round(y, 6)
 
     def test_nonsquare_image_roundtrips_with_aspect(self):
         model = build_model(HingeModelSpec(hinge_angle_deg=50.0))
@@ -247,7 +247,7 @@ class TestSweep:
     def test_jitter_keeps_coordinates_in_unit_range(self):
         frames = sweep(HingeModelSpec(hinge_angle_deg=45.0, seed=3), steps=8, jitter_sd=0.2)
         for frame in frames:
-            pts = frame.detection.keypoints.as_array()
+            pts = frame.detection.keypoints.points
             assert (pts >= 0.0).all() and (pts <= 1.0).all()
 
     def test_jitter_perturbs_measurement_but_not_oracle(self):
