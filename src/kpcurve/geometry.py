@@ -80,14 +80,13 @@ def middle_line(keypoints: KeypointSet) -> np.ndarray:
 
 def angle_set_from_row(row: np.ndarray) -> AngleSet:
     """Assemble an AngleSet from one kernel output row."""
-    values = [float(v) for v in row]
+    values = row.tolist()
     segments = values[1:]
-    col = 1 + int(np.argmax(segments))  # ties resolve to the lowest column
     return AngleSet(
         deviation_deg=values[0],
-        segment_deg=(segments[0], segments[1], segments[2]),
+        segment_deg=tuple(segments),
         frame_angle_deg=max(values),
-        curvature_col=col,
+        curvature_col=1 + segments.index(max(segments)),  # first maximum: ties go low
     )
 
 

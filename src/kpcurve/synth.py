@@ -7,6 +7,9 @@ camera into keypoint frames. Because the bend angle and its projection
 are known in closed form, the generated frames carry exact oracle
 values for validating the measurement chain end to end.
 
+Every pose of a sweep is projected in one array pass; ``project`` is
+the same pass over one pose, so batch size never changes a byte.
+
 Geometry: the shaft base runs along +y (the vertical camera yaw axis)
 and the bend deflects in the x-y plane, so yaw rotation foreshortens
 the apparent bend. The lateral lines are offset along z (the viewing
@@ -14,7 +17,6 @@ axis at the frontal pose), so they project onto the center line at
 yaw 0 and separate as the camera swings.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -22,7 +24,6 @@ import numpy as np
 
 from ._kernels import EPSILON
 from .annotation import COORD_DECIMALS, BoundingBox, FrameDetection, KeypointSet
-from .geometry import middle_line
 
 DEFAULT_LENGTH_CM = 5.5
 DEFAULT_WIDTH_CM = 1.5
@@ -131,22 +132,24 @@ def build_model(spec: HingeModelSpec) -> np.ndarray:
     return np.stack([center + offset, center, center - offset])
 
 
-def _rotation(pose: CameraPose) -> np.ndarray:
-    """World-to-camera rotation: yaw about y, then pitch about x."""
-    cy, sy = math.cos(math.radians(pose.yaw_deg)), math.sin(math.radians(pose.yaw_deg))
-    cp, sp = math.cos(math.radians(pose.pitch_deg)), math.sin(
-        math.radians(pose.pitch_deg)
-    )
-    rot_yaw = np.array([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
-    rot_pitch = np.array([[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]])
-    return rot_pitch @ rot_yaw
+def _rotations(poses) -> np.ndarray:
+    """World-to-camera rotations, (n, 3, 3): yaw about y, then pitch about x.
+
+    Sines and cosines come from ``math``: ``np.sin`` may take a SIMD
+    path whose last bit differs from libm on other hosts.
+    """
+    rot_yaw, rot_pitch = [], []
+    for pose in poses:
+        yaw, pitch = math.radians(pose.yaw_deg), math.radians(pose.pitch_deg)
+        cy, sy, cp, sp = math.cos(yaw), math.sin(yaw), math.cos(pitch), math.sin(pitch)
+        rot_yaw.append([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
+        rot_pitch.append([[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]])
+    return np.array(rot_pitch) @ np.array(rot_yaw)
 
 
-def _planar_angle_deg(u: np.ndarray, v: np.ndarray) -> float:
+def _planar_angle_deg(u, v) -> float:
     """Unsigned angle between two 2D vectors via atan2, in degrees."""
-    nu = math.hypot(u[0], u[1])
-    nv = math.hypot(v[0], v[1])
-    if nu < EPSILON or nv < EPSILON:
+    if math.hypot(u[0], u[1]) < EPSILON or math.hypot(v[0], v[1]) < EPSILON:
         raise DegenerateProjectionError(
             "projected bend direction collapsed below the degeneracy threshold"
         )
@@ -155,23 +158,69 @@ def _planar_angle_deg(u: np.ndarray, v: np.ndarray) -> float:
     return abs(math.degrees(math.atan2(cross, dot)))
 
 
-def _quantized_detection(coords: np.ndarray, class_id: int = 0) -> FrameDetection:
-    """Round normalized (15, 2) coordinates and wrap as a detection."""
-    snapped = np.round(coords, COORD_DECIMALS)
-    xs, ys = snapped[:, 0], snapped[:, 1]
-    xtl, xbr = float(xs.min()), float(xs.max())
-    ytl, ybr = float(ys.min()), float(ys.max())
-    bbox = BoundingBox(
-        cx=round((xtl + xbr) / 2.0, COORD_DECIMALS),
-        cy=round((ytl + ybr) / 2.0, COORD_DECIMALS),
-        w=round(xbr - xtl, COORD_DECIMALS),
-        h=round(ybr - ytl, COORD_DECIMALS),
-    )
-    return FrameDetection(
-        class_id=class_id,
-        bbox=bbox,
-        keypoints=KeypointSet(snapped),
-    )
+def _project_all(model, poses, image_width: int, image_height: int):
+    """Quantized (n, 15, 2) keypoints and oracle angles at n poses, in one array pass.
+
+    Errors are raised in the order a frame-by-frame loop would meet them.
+    """
+    if image_width <= 0 or image_height <= 0:
+        raise BadSpecError(
+            f"image dimensions must be positive, got {image_width}x{image_height}"
+        )
+    model = np.asarray(model, dtype=np.float64)
+    rot = _rotations(poses)
+    pts = model.reshape(-1, 3) @ rot.transpose(0, 2, 1)
+    flat = np.stack([pts[..., 0], -pts[..., 1]], axis=-1)
+    center = model[1]  # the middle keypoint row
+    pre = rot @ (center[1] - center[0])
+    post = rot @ (center[4] - center[3])
+
+    mins = flat.min(axis=1, keepdims=True)
+    extents = flat.max(axis=1, keepdims=True) - mins
+    size = np.array([image_width, image_height], dtype=np.float64)
+    fits = extents > EPSILON
+    avail = size * (1.0 - 2.0 * FIT_MARGIN)
+    ratios = np.divide(avail, extents, out=np.full_like(extents, np.inf), where=fits)
+    single = ~fits.any(axis=2, keepdims=True)
+    scale = np.where(single, 1.0, ratios.min(axis=2, keepdims=True))  # single raises below
+    pixels = (flat - mins) * scale + (size - extents * scale) / 2.0
+    points = np.round(pixels / size, COORD_DECIMALS)
+
+    mid = points.reshape(len(points), *model.shape[:2], 2)[:, 1]
+    short = (np.linalg.norm(np.diff(mid, axis=1), axis=2) < EPSILON).any(axis=1)
+    angles = []
+    for u, v, is_point, is_short in zip(pre.tolist(), post.tolist(), single.flat, short):
+        angles.append(_planar_angle_deg((u[0], -u[1]), (v[0], -v[1])))
+        if is_point:
+            raise DegenerateProjectionError("model projects to a single point")
+        if is_short:
+            raise DegenerateProjectionError(
+                "a projected middle-line segment collapsed below the degeneracy threshold"
+            )
+    return points, angles
+
+
+def _detections(points: np.ndarray, frame_indices) -> list[FrameDetection]:
+    """Wrap quantized (n, 15, 2) keypoints as detections with tight boxes.
+
+    Box center and size use Python ``round``: the center is not on the
+    6-decimal grid, and ``np.round`` can differ from it at a decimal tie.
+    """
+    lo, hi = points.min(axis=1).tolist(), points.max(axis=1).tolist()
+    return [
+        FrameDetection(
+            class_id=0,
+            bbox=BoundingBox(
+                cx=round((xtl + xbr) / 2.0, COORD_DECIMALS),
+                cy=round((ytl + ybr) / 2.0, COORD_DECIMALS),
+                w=round(xbr - xtl, COORD_DECIMALS),
+                h=round(ybr - ytl, COORD_DECIMALS),
+            ),
+            keypoints=KeypointSet(coords),
+            frame_index=index,
+        )
+        for coords, (xtl, ytl), (xbr, ybr), index in zip(points, lo, hi, frame_indices)
+    ]
 
 
 def project(
@@ -180,51 +229,19 @@ def project(
     image_width: int = DEFAULT_IMAGE_SIZE,
     image_height: int = DEFAULT_IMAGE_SIZE,
 ) -> SynthFrame:
-    """Render the model at a pose into a normalized keypoint frame.
+    """Render the model at one pose into a normalized keypoint frame.
 
     The rotated model is orthographically projected (depth dropped),
     flipped to image-down y, uniformly scaled and centered into the
     frame with a 10% margin, normalized by the image size, and rounded
-    to the serialization precision. The oracle angle is the projected
-    angle between the pre-bend and post-bend center-line directions at
-    full precision.
+    to the serialization precision; the box is the keypoints' extent.
+    The oracle angle is the projected angle between the pre-bend and
+    post-bend center-line directions at full precision. This is the
+    one-pose call of the batched projection that ``sweep`` makes, so a
+    pose renders to the same bytes either way.
     """
-    if image_width <= 0 or image_height <= 0:
-        raise BadSpecError(
-            f"image dimensions must be positive, got {image_width}x{image_height}"
-        )
-    rot = _rotation(pose)
-    pts = np.asarray(model, dtype=np.float64).reshape(15, 3) @ rot.T
-    flat = np.column_stack([pts[:, 0], -pts[:, 1]])
-
-    center = np.asarray(model, dtype=np.float64)[1]
-    u_pre = rot @ (center[1] - center[0])
-    u_post = rot @ (center[4] - center[3])
-    true_apparent = _planar_angle_deg(
-        np.array([u_pre[0], -u_pre[1]]), np.array([u_post[0], -u_post[1]])
-    )
-
-    mins = flat.min(axis=0)
-    extents = flat.max(axis=0) - mins
-    avail = np.array(
-        [image_width * (1.0 - 2.0 * FIT_MARGIN), image_height * (1.0 - 2.0 * FIT_MARGIN)]
-    )
-    scales = [avail[d] / extents[d] for d in range(2) if extents[d] > EPSILON]
-    if not scales:
-        raise DegenerateProjectionError("model projects to a single point")
-    scale = min(scales)
-
-    size = np.array([float(image_width), float(image_height)])
-    pixels = (flat - mins) * scale + (size - extents * scale) / 2.0
-    detection = _quantized_detection(pixels / size)
-
-    mid = middle_line(detection.keypoints)
-    seg_norms = np.linalg.norm(np.diff(mid, axis=0), axis=1)
-    if (seg_norms < EPSILON).any():
-        raise DegenerateProjectionError(
-            "a projected middle-line segment collapsed below the degeneracy threshold"
-        )
-    return SynthFrame(detection=detection, pose=pose, true_apparent_deg=true_apparent)
+    points, angles = _project_all(model, [pose], image_width, image_height)
+    return SynthFrame(_detections(points, [None])[0], pose, angles[0])
 
 
 def sweep(
@@ -240,32 +257,25 @@ def sweep(
     """Generate a deterministic yaw sweep of the phantom.
 
     Frames are indexed 0..steps-1 at equally spaced yaw values
-    (steps=1 yields the start yaw alone). Optional Gaussian jitter is
-    applied per normalized coordinate with a per-frame generator
-    derived from the spec seed and the frame index, then clipped to
-    [0, 1]; output is fully reproducible for a given spec.
+    (steps=1 yields the start yaw alone). All poses are projected in
+    one array pass, and each frame equals ``project`` at its pose.
+    Optional Gaussian jitter is drawn per frame from its own generator,
+    ``default_rng([spec.seed, frame_index])``, added per normalized
+    coordinate, clipped to [0, 1] and re-quantized, and the box is taken
+    again from the jittered keypoints. Output is fully reproducible for
+    a given spec.
     """
     if steps < 1:
         raise BadSpecError(f"steps must be >= 1, got {steps}")
     if jitter_sd < 0.0:
         raise BadSpecError(f"jitter sd must be >= 0, got {jitter_sd}")
-    model = build_model(spec)
-    frames = []
-    for index, yaw in enumerate(np.linspace(yaw_start_deg, yaw_end_deg, steps)):
-        pose = CameraPose(yaw_deg=float(yaw), pitch_deg=pitch_deg)
-        frame = project(model, pose, image_width, image_height)
-        detection = frame.detection
-        if jitter_sd > 0.0:
-            rng = np.random.default_rng([spec.seed, index])
-            coords = detection.keypoints.points
-            coords = np.clip(coords + rng.normal(0.0, jitter_sd, coords.shape), 0.0, 1.0)
-            detection = _quantized_detection(coords, class_id=detection.class_id)
-        detection = dataclasses.replace(detection, frame_index=index)
-        frames.append(
-            SynthFrame(
-                detection=detection,
-                pose=pose,
-                true_apparent_deg=frame.true_apparent_deg,
-            )
-        )
-    return frames
+    poses = [
+        CameraPose(yaw_deg=yaw, pitch_deg=pitch_deg)
+        for yaw in np.linspace(yaw_start_deg, yaw_end_deg, steps).tolist()
+    ]
+    points, angles = _project_all(build_model(spec), poses, image_width, image_height)
+    if jitter_sd > 0.0:
+        rngs = (np.random.default_rng([spec.seed, index]) for index in range(steps))
+        noise = np.stack([rng.normal(0.0, jitter_sd, points.shape[1:]) for rng in rngs])
+        points = np.round(np.clip(points + noise, 0.0, 1.0), COORD_DECIMALS)
+    return list(map(SynthFrame, _detections(points, range(steps)), poses, angles))

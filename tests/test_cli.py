@@ -1,5 +1,6 @@
 """End-to-end command tests driving main() with injected streams."""
 
+import hashlib
 import io
 import json
 import os
@@ -448,6 +449,63 @@ class TestSynth:
         rc, _, err = run(["synth", "-"], '{"hinge_angle_deg": 30, "steps": "five"}')
         assert rc == EXIT_INPUT
         assert "steps" in err
+
+    # sha256 of (stream, sidecar) per spec: any change to synth output bytes fails here
+    GOLDEN = {
+        "plain": (
+            {"case_id": "plain", "hinge_angle_deg": 40.0},
+            "4dfd8dff87c598384b0909805764f17072e50e7afd0e14c31ca534e6c5fd58b4",
+            "12186929a229bc8df6fc6736e6692ce979150ff40256d7398ee45b727d9aaadf",
+        ),
+        "jittered_pitch": (
+            {
+                "case_id": "jit",
+                "hinge_angle_deg": 65.5,
+                "hinge_position": 0.3,
+                "seed": 11,
+                "jitter_sd": 0.004,
+                "pitch_deg": 12.5,
+                "steps": 17,
+                "yaw_start_deg": -45.0,
+                "yaw_end_deg": 70.0,
+            },
+            "8d844b99c602e46b8d44edf80e8f270c55b0c07739098fab27f610baf462907f",
+            "cf0f8f6ab78b42c65bb5eb23b8a546f734c7b2f9379280769af2b4c6951a1669",
+        ),
+        "wide_single": (
+            {
+                "case_id": "wide",
+                "hinge_angle_deg": 120.0,
+                "image_width": 1280,
+                "image_height": 720,
+                "steps": 1,
+                "yaw_start_deg": 20.0,
+            },
+            "a8bc588c0594249934dd192d489513f1ef8b19a73cf25d46578997df19784a38",
+            "b5d6416e1a77645c2304289885955b855da5019a59d6bb8afc3c60468f0c104b",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_bytes_in_fresh_process(self, name, tmp_path):
+        spec, stream_sha, sidecar_sha = self.GOLDEN[name]
+        spec_path, out = tmp_path / "spec.json", tmp_path / "frames.jsonl"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        src = str(Path(kpcurve.__file__).resolve().parent.parent)
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "kpcurve", "synth", str(spec_path), "-o", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        sidecar = tmp_path / "frames.jsonl.oracle.json"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == stream_sha
+        assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == sidecar_sha
 
 
 class TestRender:

@@ -12,6 +12,7 @@ from kpcurve.annotation import KeypointSet
 from kpcurve.geometry import (
     AngleSet,
     DegenerateVectorError,
+    angle_set_from_row,
     compute_angles,
     line_angles,
     middle_line,
@@ -206,6 +207,19 @@ class TestComputeAngles:
         assert result.segment_deg[0] == result.segment_deg[1] == result.segment_deg[2]
         assert result.segment_deg[0] == pytest.approx(45.0, abs=1e-12)
         assert result.curvature_col == 1
+
+    @given(row=st.lists(st.sampled_from([0.0, 12.5, 45.0, 90.0, 179.0]), min_size=4, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_angle_set_from_row_matches_argmax_rule(self, row):
+        # a five-value alphabet makes ties common; np.argmax takes the first maximum
+        arr = np.array(row)
+        result = angle_set_from_row(arr)
+        assert result.curvature_col == 1 + int(np.argmax(arr[1:]))
+        assert result.frame_angle_deg == max(float(v) for v in arr)
+        assert result.deviation_deg == row[0]
+        assert result.segment_deg == tuple(row[1:])
+        assert all(type(v) is float for v in (result.deviation_deg, *result.segment_deg))
+        assert type(result.frame_angle_deg) is float
 
     def test_degenerate_segment_identified(self):
         pts = hinge_polyline(30.0)

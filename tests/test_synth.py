@@ -1,5 +1,6 @@
 """Phantom generator: construction, projection oracle, sweeps, jitter."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -258,10 +259,43 @@ class TestSweep:
             assert n.true_apparent_deg == c.true_apparent_deg
             assert n.detection.keypoints != c.detection.keypoints
 
-    @pytest.mark.parametrize("kwargs", [{"steps": 0}, {"jitter_sd": -0.1}])
+    @pytest.mark.parametrize(
+        "kwargs", [{"steps": 0}, {"jitter_sd": -0.1}, {"image_width": 0}, {"image_height": -1}]
+    )
     def test_sweep_parameter_validation(self, kwargs):
         with pytest.raises(BadSpecError):
             sweep(HingeModelSpec(hinge_angle_deg=10.0), **kwargs)
+
+    @given(
+        beta=st.floats(0.0, 179.0),
+        length=st.floats(0.5, 10.0),
+        width=st.floats(0.1, 3.0),
+        position=st.floats(0.01, 0.99),
+        yaws=st.tuples(st.floats(-85.0, 85.0), st.floats(-85.0, 85.0)),
+        pitch=st.floats(-80.0, 80.0),
+        steps=st.integers(1, 40),
+        size=st.tuples(st.integers(16, 2000), st.integers(16, 2000)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_batch_equals_one_pose_projection(
+        self, beta, length, width, position, yaws, pitch, steps, size
+    ):
+        # the batch a frame is projected in never changes a byte of it
+        spec = HingeModelSpec(
+            hinge_angle_deg=beta, length_cm=length, width_cm=width, hinge_position=position
+        )
+        frames = sweep(
+            spec, *yaws, steps=steps, pitch_deg=pitch, image_width=size[0], image_height=size[1]
+        )
+        model = build_model(spec)
+        for index, frame in enumerate(frames):
+            alone = project(model, frame.pose, *size)
+            assert frame.detection == dataclasses.replace(alone.detection, frame_index=index)
+            assert (
+                frame.detection.keypoints.points.tobytes()
+                == alone.detection.keypoints.points.tobytes()
+            )
+            assert frame.true_apparent_deg.hex() == alone.true_apparent_deg.hex()
 
     @pytest.mark.parametrize("beta", [15.0, 30.0, 45.0, 60.0, 90.0])
     def test_phantom_grid_recovery(self, beta):
