@@ -11,6 +11,7 @@ error, 3 geometry error.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -138,7 +139,9 @@ def _add_output(parser, what):
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="kpcurve",
         description="Keypoint-based shaft curvature measurement toolkit.",
@@ -339,6 +342,36 @@ def _cases_from_report(document: dict) -> list[tuple[str, float]]:
     return extracted
 
 
+def _warn_unmeasured(document: dict, labels: dict, measured: set, stderr) -> None:
+    """Name on stderr each case that the metrics leave out, with the reason.
+
+    Metrics count measured cases only: a case that ``analyze`` listed
+    under ``errors``, and a labelled case absent from the report, are
+    reported here and left out.
+    """
+    errors = document.get("errors", [])
+    if not isinstance(errors, list) or not all(
+        isinstance(entry, dict)
+        and isinstance(entry.get("case_id"), str)
+        and isinstance(entry.get("error"), str)
+        for entry in errors
+    ):
+        raise DatasetFormatError("report errors need 'case_id' and 'error' fields")
+    failed = set()
+    for entry in errors:
+        failed.add(entry["case_id"])
+        stderr.write(
+            f"kpcurve: warning: case {entry['case_id']!r} left out of the metrics: "
+            f"not measured ({entry['error']})\n"
+        )
+    for case_id in labels:
+        if case_id not in measured and case_id not in failed:
+            stderr.write(
+                f"kpcurve: warning: case {case_id!r} left out of the metrics: "
+                "labelled but not in the report\n"
+            )
+
+
 def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
     config = RunConfig(threshold_deg=args.threshold)
     text = _read_text(args.input, stdin)
@@ -360,6 +393,8 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
                     f"case {case_id!r} missing from labels file"
                 )
             triples.append((case_id, actual, measured))
+        measured = {case_id for case_id, _, _ in triples}
+        _warn_unmeasured(document, labels, measured, stderr)
     else:
         if args.labels is not None:
             stderr.write(

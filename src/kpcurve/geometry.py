@@ -71,9 +71,10 @@ def vector_angle(a, b, c, d) -> float:
 def middle_line(keypoints: KeypointSet) -> np.ndarray:
     """The middle row as a read-only (5, 2) view of ``points``, base to tip.
 
-    This is the one accessor of the middle row. Coordinates pass through
-    unchanged; aspect correction is applied by the angle computation,
-    not here.
+    This is the one accessor of a detection's middle row; the batched
+    JSONL parser takes the same row from its stacked keypoint grid.
+    Coordinates pass through unchanged; aspect correction is applied by
+    the angle computation, not here.
     """
     return keypoints.points[MIDDLE_ROW * COLS : (MIDDLE_ROW + 1) * COLS]
 

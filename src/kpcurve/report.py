@@ -2,18 +2,29 @@
 
 The frame-stream format is one JSON object per line with a fixed key
 order and floats rounded to the shared 6-decimal precision, so a given
-stream serializes to identical bytes on every run. Report documents
-carry exact values alongside their display-rounded counterparts; the
-rounded fields are always recomputable from the exact ones under the
-half-up rule.
+stream serializes to identical bytes on every run.
+:func:`iter_frame_stream` reads such a stream in batches of up to
+``sequence.CHUNK_FRAMES`` lines: each batch is checked as a whole and
+lands in one keypoint array, and a batch that fails any check is parsed
+again line by line by :func:`parse_frame_line`, which raises the first
+bad line's error with its line number. Report documents carry exact
+values alongside their display-rounded counterparts; the rounded fields
+are always recomputable from the exact ones under the half-up rule.
 """
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
+import numpy as np
+
+from . import sequence
 from .annotation import (
+    COLS,
     COORD_DECIMALS,
+    MIDDLE_ROW,
     NUM_KEYPOINTS,
+    ROWS,
     BoundingBox,
     FrameDetection,
     KeypointSet,
@@ -26,6 +37,7 @@ from .evaluation import (
     MetricsReport,
     round_half_up,
 )
+from .geometry import middle_line
 from .sequence import CaseMeasurement
 
 SCHEMA_VERSION = 1
@@ -157,17 +169,94 @@ def parse_frame_line(line: str, lineno: int = 1) -> tuple[str, FrameDetection]:
     return case_id, det
 
 
-def iter_frame_stream(lines):
-    """Yield (case_id, FrameDetection) from an iterable of JSONL lines.
+def _batch_from_objects(objs: list):
+    """Check a batch of decoded lines as a whole and stack its keypoints.
 
+    Returns None when any line breaks a rule of :func:`parse_frame_line`;
+    a missing field raises KeyError and a coordinate too large for a
+    float raises OverflowError.
+    """
+    if set(map(type, objs)) != {dict}:
+        return None
+    case_ids = [obj["case_id"] for obj in objs]
+    frame_indices = [obj["frame_index"] for obj in objs]
+    class_ids = [obj["class_id"] for obj in objs]
+    bboxes = [obj["bbox"] for obj in objs]
+    keypoints = [obj["keypoints"] for obj in objs]
+    # exact type sets: json.loads yields no subclasses, and bool is not int here
+    if (
+        set(map(type, case_ids)) != {str}
+        or "" in case_ids
+        or set(map(type, frame_indices)) != {int}
+        or min(frame_indices) < 0
+        or set(map(type, class_ids)) != {int}
+        or min(class_ids) < 0
+        or set(map(type, bboxes)) != {list}
+        or set(map(len, bboxes)) != {4}
+        or set(map(type, keypoints)) != {list}
+        or set(map(len, keypoints)) != {NUM_KEYPOINTS}
+    ):
+        return None
+    pairs = list(chain.from_iterable(keypoints))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    values = list(chain(chain.from_iterable(bboxes), chain.from_iterable(pairs)))
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    array = np.array(values, dtype=np.float64)
+    if not (array.min() >= 0.0 and array.max() <= 1.0):  # NaN fails both
+        return None
+    grid = array[4 * len(objs) :].reshape(len(objs), ROWS, COLS, 2)
+    return case_ids, frame_indices, grid[:, MIDDLE_ROW]
+
+
+def _parse_batch(texts: list[str], linenos: list[int]):
+    """One batch of non-blank lines as (case_ids, frame_indices, middle_lines).
+
+    Any failed batch check hands the batch to the per-line parser, so a
+    batch is accepted exactly when every line passes
+    :func:`parse_frame_line`, and a bad line raises that parser's error.
+    """
+    try:
+        batch = _batch_from_objects(list(map(json.loads, texts)))
+    # JSONDecodeError is a ValueError; RecursionError is deeply nested JSON,
+    # which the per-line pass raises again unless an earlier line fails first
+    except (ValueError, KeyError, OverflowError, RecursionError):
+        batch = None
+    if batch is not None:
+        return batch
+    records = [parse_frame_line(text, lineno) for text, lineno in zip(texts, linenos)]
+    return (
+        [case_id for case_id, _ in records],
+        [det.frame_index for _, det in records],
+        np.array([middle_line(det.keypoints) for _, det in records]),
+    )
+
+
+def iter_frame_stream(lines):
+    """Yield frame batches from an iterable of JSONL lines.
+
+    Each batch is ``(case_ids, frame_indices, middle_lines)`` for up to
+    ``sequence.CHUNK_FRAMES`` (read at the first ``next()``) consecutive
+    non-blank lines: a list of case ids, a list of frame indices as
+    Python ints, and an (n, 5, 2) float64 array of middle-row keypoints.
     Blank lines are skipped; line numbers in errors refer to the
     physical input.
     """
+    size = sequence.CHUNK_FRAMES
+    texts: list[str] = []
+    linenos: list[int] = []
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
             continue
-        yield parse_frame_line(stripped, lineno)
+        texts.append(stripped)
+        linenos.append(lineno)
+        if len(texts) >= size:
+            yield _parse_batch(texts, linenos)
+            texts, linenos = [], []
+    if texts:
+        yield _parse_batch(texts, linenos)
 
 
 def _case_entry(

@@ -9,12 +9,14 @@ estimate of the true one.
 
 Frames whose geometry is degenerate (coincident keypoints) are marked
 invalid and skipped rather than failing the case; only a case with
-zero valid frames is an error. :func:`measure_stream` copies each
-frame's middle line into one preallocated (``CHUNK_FRAMES``, 5, 2)
-buffer and runs the angle kernel on it whenever it fills, across case
-boundaries. The reduction is a per-case maximum, ties going to the
-lowest frame index, so neither batch size nor stream order changes
-any result.
+zero valid frames is an error. :func:`measure_stream` consumes frame
+batches ``(case_ids, frame_indices, middle_lines)`` of up to
+``CHUNK_FRAMES`` frames, as :func:`kpcurve.report.iter_frame_stream`
+yields them from JSONL and :func:`detection_batches` from detections.
+It runs the angle kernel once per batch, cases interleaving freely
+within and across batches, then reduces frame by frame. The reduction
+is a per-case maximum, ties going to the lowest frame index, so neither
+batch size nor stream order changes any result.
 """
 
 from dataclasses import dataclass, field
@@ -25,8 +27,9 @@ from ._kernels import polyline_angles
 from .annotation import FrameDetection
 from .geometry import AngleSet, angle_set_from_row, middle_line
 
-# frames per kernel dispatch, read at each call; bounds memory
-CHUNK_FRAMES = 4096
+# frames per batch, read when a batch producer starts; bounds how many
+# parsed lines (~2.9 KB each) are held at once
+CHUNK_FRAMES = 256
 
 
 class EmptySequenceError(ValueError):
@@ -74,19 +77,42 @@ class _CaseState:
     retained: list = field(default_factory=list)
 
 
+def detection_batches(records):
+    """Batch (case_id, FrameDetection) records for :func:`measure_stream`.
+
+    Detections without a ``frame_index`` are numbered by position within
+    their case.
+    """
+    size = CHUNK_FRAMES
+    positions: dict[str, int] = {}
+    case_ids, frame_indices, lines = [], [], []
+    for case_id, det in records:
+        position = positions.get(case_id, 0)
+        positions[case_id] = position + 1
+        case_ids.append(case_id)
+        frame_indices.append(position if det.frame_index is None else det.frame_index)
+        lines.append(middle_line(det.keypoints))
+        if len(lines) >= size:
+            yield case_ids, frame_indices, np.array(lines)
+            case_ids, frame_indices, lines = [], [], []
+    if lines:
+        yield case_ids, frame_indices, np.array(lines)
+
+
 def measure_stream(
-    records,
+    batches,
     aspect: float = 1.0,
     keep_frames: bool = True,
 ) -> tuple[list[CaseMeasurement], list[tuple[str, str]]]:
-    """Measure a stream of (case_id, FrameDetection) records.
+    """Measure a stream of frame batches.
 
-    Cases may interleave arbitrarily; results come back in order of
-    first appearance. Detections without a ``frame_index`` are numbered
-    by position within their case. An ``AngleSet`` is built only for
-    frames that are retained (``keep_frames``). Returns the measured
-    cases plus a (case_id, message) list for cases whose frames were all
-    degenerate. Raises EmptySequenceError when the stream has no records
+    Each batch is ``(case_ids, frame_indices, middle_lines)``: per frame
+    a case id, a frame index and an (n, 5, 2) array of middle-row
+    keypoints. Cases may interleave arbitrarily; results come back in
+    order of first appearance. An ``AngleSet`` is built only for frames
+    that are retained (``keep_frames``). Returns the measured cases plus
+    a (case_id, message) list for cases whose frames were all
+    degenerate. Raises EmptySequenceError when the stream has no frames
     at all.
     """
     if aspect <= 0.0:
@@ -94,21 +120,18 @@ def measure_stream(
     scale = np.array([aspect, 1.0], dtype=np.float64)
 
     states: dict[str, _CaseState] = {}
-    chunk = CHUNK_FRAMES
-    buffer = np.empty((chunk, 5, 2), dtype=np.float64)
-    buffer_meta: list[tuple[_CaseState, int]] = []
-
-    def flush():
-        if not buffer_meta:
-            return
-        batch = buffer[: len(buffer_meta)]
+    for case_ids, frame_indices, lines in batches:
         if aspect != 1.0:
-            batch *= scale
-        angles, bad = polyline_angles(batch)
+            lines = lines * scale
+        angles, bad = polyline_angles(lines)
         frame_max = angles.max(axis=1).tolist()
-        for row, angle, first_bad, (state, frame_index) in zip(
-            angles, frame_max, bad.tolist(), buffer_meta
+        for row, case_id, frame_index, angle, first_bad in zip(
+            angles, case_ids, frame_indices, frame_max, bad.tolist()
         ):
+            state = states.get(case_id)
+            if state is None:
+                state = states[case_id] = _CaseState()
+            state.total += 1
             if first_bad >= 0:
                 if keep_frames:
                     state.retained.append(
@@ -129,19 +152,6 @@ def measure_stream(
             if keep_frames:
                 angle_set = angle_set_from_row(row)
                 state.retained.append(FrameMeasurement(frame_index, angle_set, True))
-        buffer_meta.clear()
-
-    for case_id, det in records:
-        state = states.get(case_id)
-        if state is None:
-            state = states[case_id] = _CaseState()
-        index = det.frame_index if det.frame_index is not None else state.total
-        state.total += 1
-        buffer[len(buffer_meta)] = middle_line(det.keypoints)
-        buffer_meta.append((state, index))
-        if len(buffer_meta) >= chunk:
-            flush()
-    flush()
 
     if not states:
         raise EmptySequenceError("no frames in stream")
@@ -186,7 +196,7 @@ def measure_sequence(
     """
     try:
         cases, failures = measure_stream(
-            ((case_id, det) for det in frames),
+            detection_batches((case_id, det) for det in frames),
             aspect=aspect,
             keep_frames=keep_frames,
         )

@@ -333,14 +333,27 @@ def test_criterion_8_determinism():
         rc, out_default, _ = run_cli(["analyze", "-"], interleaved)
         assert rc == 0
         default_chunk = sequence.CHUNK_FRAMES
+        kernel = sequence.polyline_angles
+        calls = []
+
+        def counted(points):
+            calls.append(len(points))
+            return kernel(points)
+
         try:
-            sequence.CHUNK_FRAMES = 1
-            rc, out_single, _ = run_cli(["analyze", "-"], interleaved)
+            sequence.polyline_angles = counted
+            for chunk in (1, 7):
+                # the constant that analyze's batches read
+                sequence.CHUNK_FRAMES = chunk
+                calls.clear()
+                rc, out_chunked, _ = run_cli(["analyze", "-"], interleaved)
+                assert rc == 0
+                assert out_chunked == out_default, chunk
+                assert max(calls) == chunk and sum(calls) == len(case_streams) * 50
         finally:
             sequence.CHUNK_FRAMES = default_chunk
-        assert rc == 0
-        assert out_default == out_single
+            sequence.polyline_angles = kernel
         info["detail"] = (
-            f"repeated generation and analysis at chunk sizes {default_chunk} "
-            "and 1 byte-identical"
+            f"repeated generation and analysis at chunk sizes {default_chunk}, "
+            "7 and 1 byte-identical"
         )

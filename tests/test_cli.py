@@ -9,14 +9,18 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CVAT_DOCUMENT, detection_from_middle, detection_with_angle, hinge_polyline, normalize_unit
 import kpcurve
-from kpcurve import __version__
+from kpcurve import __version__, sequence
 from kpcurve.annotation import emit_yolo_line
-from kpcurve.cli import EXIT_GEOMETRY, EXIT_INPUT, EXIT_OK, main
+from kpcurve.cli import EXIT_GEOMETRY, EXIT_INPUT, EXIT_OK, build_parser, main
 from kpcurve.evaluation import round_half_up
 from kpcurve.report import dumps_frame
 
@@ -282,6 +286,66 @@ class TestAnalyze:
         assert rc == EXIT_OK
         assert json.loads(out)["cases"][0]["case_id"] == "a"
 
+    def test_chunk_sizes_give_identical_report_bytes(self, monkeypatch):
+        bends = [5.0 + 7.5 * i for i in range(20)]
+        stream = "".join(
+            line + "\n"
+            for group in zip(*(jsonl_for(c, bends).splitlines() for c in "abc"))
+            for line in group
+        ) + dumps_frame("bad", degenerate_detection(), 0) + "\n"
+        outputs = {}
+        for chunk in (1, 7, sequence.CHUNK_FRAMES):
+            monkeypatch.setattr(sequence, "CHUNK_FRAMES", chunk)
+            rc, outputs[chunk], _ = run(["analyze", "--no-per-frame", "-"], stream)
+            assert rc == EXIT_OK
+        assert len(set(outputs.values())) == 1
+
+    @given(
+        frames=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c"]),
+                st.sampled_from([15.0, 40.0, None]),  # None: degenerate frame
+                st.integers(0, 6),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_permuted_lines_leave_case_results_unchanged(self, frames, seed):
+        # few angles and indices, so ties on the maximum are common
+        lines = [
+            dumps_frame(
+                case,
+                degenerate_detection() if bend is None else detection_with_angle(bend),
+                index,
+            )
+            + "\n"
+            for case, bend, index in frames
+        ]
+        order = np.random.default_rng(seed).permutation(len(lines))
+
+        def results(stream):
+            _, out, _ = run(["analyze", "--no-per-frame", "-"], "".join(stream))
+            doc = json.loads(out)
+            return (
+                {case.pop("case_id"): case for case in doc["cases"]},
+                sorted(error["case_id"] for error in doc["errors"]),
+            )
+
+        with mock.patch.object(sequence, "CHUNK_FRAMES", 3):
+            assert results([lines[i] for i in order]) == results(lines)
+
+    def test_huge_frame_index_reported_exactly(self):
+        line = dumps_frame("a", detection_with_angle(20.0), 10**30)
+        rc, out, _ = run(["analyze", "-"], line + "\n")
+        assert rc == EXIT_OK
+        case = json.loads(out)["cases"][0]
+        assert case["argmax_frame"] == 10**30
+        assert case["per_frame"][0]["frame_index"] == 10**30
+        assert '"argmax_frame": 1000000000000000000000000000000,' in out
+
 
 def degenerate_detection():
     middle = normalize_unit(hinge_polyline(30.0))
@@ -337,11 +401,41 @@ class TestEvaluate:
         _, report, _ = run(["analyze", "-"], stream)
         labels = tmp_path / "labels.csv"
         labels.write_text("case_id,actual\na,pd\nb,normal\n")
-        rc, out, _ = run(["evaluate", "--labels", str(labels), "-"], report)
+        rc, out, err = run(["evaluate", "--labels", str(labels), "-"], report)
         assert rc == EXIT_OK
         doc = json.loads(out)
         assert doc["confusion"] == {"tp": 1, "fp": 0, "fn": 0, "tn": 1}
         assert doc["metrics"]["accuracy"] == 1.0
+        assert err == ""
+
+    def test_unmeasured_cases_named_and_left_out_of_metrics(self, tmp_path):
+        bad = dumps_frame("bad", degenerate_detection(), 0) + "\n"
+        _, report, _ = run(["analyze", "-"], jsonl_for("a", [67.51]) + bad)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("case_id,actual\na,pd\nbad,pd\nghost,normal\n")
+        rc, out, err = run(["evaluate", "--labels", str(labels), "-"], report)
+        assert rc == EXIT_OK
+        doc = json.loads(out)
+        # metrics count measured cases only
+        assert [c["case_id"] for c in doc["cases"]] == ["a"]
+        assert doc["confusion"] == {"tp": 1, "fp": 0, "fn": 0, "tn": 0}
+        assert err.splitlines() == [
+            "kpcurve: warning: case 'bad' left out of the metrics: not measured "
+            "(all 1 frames had degenerate geometry)",
+            "kpcurve: warning: case 'ghost' left out of the metrics: "
+            "labelled but not in the report",
+        ]
+
+    def test_malformed_report_errors_rejected(self, tmp_path):
+        _, report, _ = run(["analyze", "-"], jsonl_for("a", [40.0]))
+        document = json.loads(report)
+        document["errors"] = [{"case_id": "x"}]
+        labels = tmp_path / "labels.csv"
+        labels.write_text("case_id,actual\na,pd\n")
+        rc, out, err = run(["evaluate", "--labels", str(labels), "-"], json.dumps(document))
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert "'error'" in err
 
     def test_report_json_requires_labels(self):
         _, report, _ = run(["analyze", "-"], jsonl_for("a", [40.0]))
@@ -576,6 +670,33 @@ class TestPipeline:
         case = json.loads(out)["cases"][0]
         assert case["case_id"] == "case_a_0001"
         assert case["frames_valid"] == 1
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_successive_calls_get_independent_namespaces(self, tmp_path):
+        stream = jsonl_for("a", [10.0, 45.0])
+        _, slim, _ = run(["analyze", "--no-per-frame", "--aspect", "2", "-"], stream)
+        _, full, _ = run(["analyze", "-"], stream)
+        assert "per_frame" not in json.loads(slim)["cases"][0]
+        assert "per_frame" in json.loads(full)["cases"][0]
+        assert json.loads(full)["config"]["aspect_ratio"] == 1.0
+        assert run(["analyze", "-"], stream)[1] == full
+
+        labels = tmp_path / "labels.csv"
+        labels.write_text("case_id,actual\na,pd\n")
+        _, low, _ = run(["evaluate", "--threshold", "50", "--labels", str(labels), "-"], full)
+        _, default, _ = run(["evaluate", "-"], "case_id,actual,measured_deg\na,pd,45\n")
+        assert json.loads(low)["config"]["threshold_deg"] == 50.0
+        assert json.loads(default)["config"]["threshold_deg"] == 30.0
+        assert json.loads(default)["confusion"]["tp"] == 1
+
+        spec = json.dumps({"hinge_angle_deg": 30.0, "steps": 3, "jitter_sd": 0.01})
+        seeded = run(["synth", "--seed", "5", "-"], spec)[1]
+        assert run(["synth", "-"], spec)[1] != seeded
+        assert run(["synth", "--seed", "5", "-"], spec)[1] == seeded
 
 
 class TestArgumentErrors:

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from conftest import detection_from_middle, detection_with_angle, normalize_unit
 from kpcurve import sequence
 from kpcurve.annotation import KeypointSet
+from kpcurve.report import dumps_frame, iter_frame_stream
 from kpcurve.sequence import (
     AllFramesInvalidError,
     EmptySequenceError,
+    detection_batches,
     measure_sequence,
     measure_single,
     measure_stream,
@@ -191,7 +193,7 @@ class TestMeasureStream:
             ("a", dataclasses.replace(detection_with_angle(55.0), frame_index=1)),
             ("b", dataclasses.replace(detection_with_angle(20.0), frame_index=1)),
         ]
-        cases, failures = measure_stream(records)
+        cases, failures = measure_stream(detection_batches(records))
         assert failures == []
         assert [c.case_id for c in cases] == ["a", "b"]
         by_id = {c.case_id: c for c in cases}
@@ -206,7 +208,7 @@ class TestMeasureStream:
             ("b", detection_with_angle(20.0)),
             ("a", detection_with_angle(30.0)),
         ]
-        cases, _ = measure_stream(records)
+        cases, _ = measure_stream(detection_batches(records))
         by_id = {c.case_id: c for c in cases}
         assert [fm.frame_index for fm in by_id["a"].per_frame] == [0, 1]
         assert [fm.frame_index for fm in by_id["b"].per_frame] == [0]
@@ -216,7 +218,7 @@ class TestMeasureStream:
             ("ok", detection_with_angle(40.0)),
             ("bad", degenerate_detection()),
         ]
-        cases, failures = measure_stream(records)
+        cases, failures = measure_stream(detection_batches(records))
         assert [c.case_id for c in cases] == ["ok"]
         assert len(failures) == 1
         assert failures[0][0] == "bad"
@@ -235,8 +237,19 @@ class TestMeasureStream:
             records.append(
                 (case, dataclasses.replace(detection_with_angle(angle), frame_index=i))
             )
-        baseline, _ = measure_stream(records)  # default CHUNK_FRAMES
-        for chunk in (1, 7):
+        lines = [dumps_frame(case, det, det.frame_index) for case, det in records]
+        results = {}
+        for chunk in (1, 7, sequence.CHUNK_FRAMES):
             monkeypatch.setattr(sequence, "CHUNK_FRAMES", chunk)
-            chunked, _ = measure_stream(records)
-            assert chunked == baseline, chunk
+            for name, batches in (
+                ("records", list(detection_batches(records))),
+                ("jsonl", list(iter_frame_stream(lines))),
+            ):
+                # the patched constant is the one both producers read
+                assert [len(ids) for ids, _, _ in batches[:-1]] == [chunk] * (
+                    len(batches) - 1
+                )
+                results[name, chunk] = measure_stream(iter(batches))
+        assert results["records", 1][0][0].frames_total == 1000
+        for (name, chunk), result in results.items():
+            assert result == results[name, 1], (name, chunk)
