@@ -33,17 +33,13 @@ from .geometry import (
     AngleSet,
     DegenerateVectorError,
     compute_angles,
-    line_angles,
     middle_line,
-    vector_angle,
 )
 from .sequence import (
     AllFramesInvalidError,
     CaseMeasurement,
     EmptySequenceError,
     FrameMeasurement,
-    measure_sequence,
-    measure_single,
     measure_stream,
 )
 from .synth import (
@@ -89,9 +85,6 @@ __all__ = [
     "convert_cvat_to_yolo",
     "emit_yolo_line",
     "evaluate_dataset",
-    "line_angles",
-    "measure_sequence",
-    "measure_single",
     "measure_stream",
     "metrics",
     "middle_line",
@@ -100,5 +93,4 @@ __all__ = [
     "project",
     "round_half_up",
     "sweep",
-    "vector_angle",
 ]

@@ -33,7 +33,7 @@ from .evaluation import (
     read_dataset_csv,
     read_labels_csv,
 )
-from .geometry import DegenerateVectorError, compute_angles
+from .geometry import DegenerateVectorError, compute_angles, middle_line
 from .overlay import render_svg
 from .report import (
     JsonlFormatError,
@@ -45,12 +45,7 @@ from .report import (
     measurement_report,
     sweep_sidecar,
 )
-from .sequence import (
-    AllFramesInvalidError,
-    EmptySequenceError,
-    measure_single,
-    measure_stream,
-)
+from .sequence import AllFramesInvalidError, EmptySequenceError, measure_stream
 from .synth import (
     BadPoseError,
     BadSpecError,
@@ -283,9 +278,13 @@ def _cmd_measure(args, stdin, stdout, stderr) -> int:
     line = _first_label_line(_read_text(args.label, stdin), stderr)
     det = parse_yolo_line(line)
     case_id = "stdin" if args.label == "-" else Path(args.label).stem
-    case = measure_single(case_id, det, aspect=config.aspect_ratio)
-    diagnosis = classify(case.curvature_deg, config.threshold_deg)
-    document = measurement_report([(case, diagnosis)], config, __version__)
+    # a still image is a stream of one batch of one frame
+    batch = ([case_id], [0], middle_line(det.keypoints)[None])
+    cases, failures = measure_stream([batch], aspect=config.aspect_ratio)
+    if failures:
+        raise AllFramesInvalidError(f"case {case_id!r}: {failures[0][1]}")
+    diagnosis = classify(cases[0].curvature_deg, config.threshold_deg)
+    document = measurement_report([(cases[0], diagnosis)], config, __version__)
     _write_text(args.output, dumps_report(document), stdout)
     return EXIT_OK
 
@@ -463,9 +462,7 @@ def _cmd_synth(args, stdin, stdout, stderr) -> int:
         spec_fields = dict(raw)
         spec_fields["snapped_hinge_position"] = spec.snapped_position
         sidecar = sweep_sidecar(case_id, spec_fields, frames)
-        Path(sidecar_path).write_text(
-            json.dumps(sidecar, indent=2) + "\n", encoding="utf-8"
-        )
+        Path(sidecar_path).write_text(dumps_report(sidecar), encoding="utf-8")
     return EXIT_OK
 
 

@@ -14,7 +14,6 @@ first; ``compute_angles`` takes an ``aspect`` parameter (default 1.0)
 for that.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,23 +50,6 @@ class AngleSet:
     curvature_col: int
 
 
-def vector_angle(a, b, c, d) -> float:
-    """Unsigned angle in degrees between vectors b-a and d-c.
-
-    Computed as atan2(|cross|, dot), the same formula as the batch
-    kernel, so the result is always in [0, 180]. Raises
-    DegenerateVectorError when either vector is shorter than the
-    degeneracy threshold (segment 0 for b-a, segment 1 for d-c).
-    """
-    ax, ay = float(b[0]) - float(a[0]), float(b[1]) - float(a[1])
-    bx, by = float(d[0]) - float(c[0]), float(d[1]) - float(c[1])
-    if math.hypot(ax, ay) < EPSILON:
-        raise DegenerateVectorError(0)
-    if math.hypot(bx, by) < EPSILON:
-        raise DegenerateVectorError(1)
-    return math.degrees(math.atan2(abs(ax * by - ay * bx), ax * bx + ay * by))
-
-
 def middle_line(keypoints: KeypointSet) -> np.ndarray:
     """The middle row as a read-only (5, 2) view of ``points``, base to tip.
 
@@ -91,21 +73,14 @@ def angle_set_from_row(row: np.ndarray) -> AngleSet:
     )
 
 
-def line_angles(points: np.ndarray, aspect: float = 1.0) -> AngleSet:
-    """Compute the four angles of one (5, 2) middle-line array."""
+def compute_angles(keypoints: KeypointSet, aspect: float = 1.0) -> AngleSet:
+    """Measure the four curvature angles of a detection's middle line."""
     if aspect <= 0.0:
         raise ValueError(f"aspect ratio must be positive, got {aspect}")
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.shape != (5, 2):
-        raise ValueError(f"expected (5, 2) array, got {pts.shape}")
+    points = middle_line(keypoints)
     if aspect != 1.0:
-        pts = pts * np.array([aspect, 1.0])
-    angles, bad = polyline_angles(pts[np.newaxis])
+        points = points * np.array([aspect, 1.0])
+    angles, bad = polyline_angles(points[np.newaxis])
     if bad[0] >= 0:
         raise DegenerateVectorError(int(bad[0]))
     return angle_set_from_row(angles[0])
-
-
-def compute_angles(keypoints: KeypointSet, aspect: float = 1.0) -> AngleSet:
-    """Measure the four curvature angles of a detection's middle line."""
-    return line_angles(middle_line(keypoints), aspect=aspect)

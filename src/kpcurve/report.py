@@ -7,14 +7,18 @@ stream serializes to identical bytes on every run.
 ``sequence.CHUNK_FRAMES`` lines: each batch is checked as a whole and
 lands in one keypoint array, and a batch that fails any check is parsed
 again line by line by :func:`parse_frame_line`, which raises the first
-bad line's error with its line number. Report documents carry exact
-values alongside their display-rounded counterparts; the rounded fields
-are always recomputable from the exact ones under the half-up rule.
+bad line's error with its line number. Every indented document (report
+or synth sidecar) is written by the one writer :func:`dumps_report`, as
+``json.dumps(document, indent=2)`` plus a newline. Report documents
+carry exact values alongside their display-rounded counterparts; the
+rounded fields are always recomputable from the exact ones under the
+half-up rule.
 """
 
 import json
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -41,6 +45,10 @@ from .geometry import middle_line
 from .sequence import CaseMeasurement
 
 SCHEMA_VERSION = 1
+
+# json's spelling of the constants, and of the floats repr writes as nan and inf
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 class JsonlFormatError(ValueError):
@@ -75,28 +83,33 @@ class RunConfig:
         }
 
 
-def frame_record(case_id: str, det: FrameDetection, frame_index: int) -> dict:
-    """Build the canonical JSONL object for one detection."""
-    return {
-        "case_id": case_id,
-        "frame_index": frame_index,
-        "class_id": det.class_id,
-        "bbox": [
-            round(det.bbox.cx, COORD_DECIMALS),
-            round(det.bbox.cy, COORD_DECIMALS),
-            round(det.bbox.w, COORD_DECIMALS),
-            round(det.bbox.h, COORD_DECIMALS),
-        ],
-        "keypoints": [
-            [round(x, COORD_DECIMALS), round(y, COORD_DECIMALS)]
-            for x, y in det.keypoints.points.tolist()
-        ],
-    }
+# case_id, frame_index, class_id, then the 4 bbox and 30 keypoint coordinates
+_FRAME = (
+    '{{"case_id":{},"frame_index":{},"class_id":{},"bbox":[{},{},{},{}],"keypoints":['
+    + ",".join(["[{},{}]"] * NUM_KEYPOINTS)
+    + "]}}"
+)
 
 
 def dumps_frame(case_id: str, det: FrameDetection, frame_index: int) -> str:
-    """Serialize one frame as a compact single-line JSON string."""
-    return json.dumps(frame_record(case_id, det, frame_index), separators=(",", ":"))
+    """Serialize one frame as a compact single-line JSON string.
+
+    A coordinate is written as json writes ``round(v, 6)``: in
+    [1e-4, 0.9999995) that is its ``%.6f`` text without trailing zeros.
+    """
+    box = det.bbox
+    values = [box.cx, box.cy, box.w, box.h, *det.keypoints.points.ravel().tolist()]
+    return _FRAME.format(
+        _encode(case_id, ""),
+        _encode(frame_index, ""),
+        _encode(det.class_id, ""),
+        *[
+            ("%.6f" % v).rstrip("0")
+            if type(v) is float and 1e-4 <= v < 0.9999995
+            else _encode(round(v, COORD_DECIMALS), "")
+            for v in values
+        ],
+    )
 
 
 def _require(condition: bool, lineno: int, message: str) -> None:
@@ -334,9 +347,51 @@ def evaluation_report(
     }
 
 
-def dumps_report(document: dict) -> str:
-    """Render a report document as pretty JSON with a trailing newline."""
-    return json.dumps(document, indent=2) + "\n"
+def _key(key) -> str:
+    """A dict key that is not a str, as json writes it (or rejects it)."""
+    return json.dumps({key: None}, separators=(",", ":"))[1:-6]  # '{' key ':null}'
+
+
+def _encode(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it at indent ``pad``.
+
+    The exact JSON types are written here; anything else (a subclass
+    such as numpy.float64, or a value json rejects) is json's own call.
+    """
+    kind = type(value)
+    if kind is float:
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [
+            (_quote(k) if type(k) is str else _key(k)) + ": " + _encode(v, inner)
+            for k, v in value.items()
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [_encode(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if value is None or kind is bool:
+        return _CONSTANTS[value]
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def dumps_report(document) -> str:
+    """Render a document as ``json.dumps(document, indent=2)`` plus a newline."""
+    try:
+        return _encode(document, "") + "\n"
+    except RecursionError:  # nested deeper, or circular: json's own encoder decides
+        return json.dumps(document, indent=2) + "\n"
 
 
 def sweep_sidecar(

@@ -3,16 +3,17 @@
 A case is a stream of detections from one video (or a single still).
 Each frame is measured independently; the case-level curvature is the
 maximum frame angle across the stream. The maximum compensates for
-camera deviation: out-of-plane viewing only foreshortens a planar
-bend, so the largest apparent angle over a sweep is the closest
-estimate of the true one.
+yaw about the shaft's base axis: foreshortening across that axis
+shrinks a bend of up to 90 degrees, so the frontal-most view reads the
+true bend. It over-reads otherwise: foreshortening along the axis
+(camera pitch) widens a bend, and so does yaw on a bend past 90 degrees.
 
 Frames whose geometry is degenerate (coincident keypoints) are marked
 invalid and skipped rather than failing the case; only a case with
 zero valid frames is an error. :func:`measure_stream` consumes frame
 batches ``(case_ids, frame_indices, middle_lines)`` of up to
 ``CHUNK_FRAMES`` frames, as :func:`kpcurve.report.iter_frame_stream`
-yields them from JSONL and :func:`detection_batches` from detections.
+yields them from JSONL (a still image is one batch of one frame).
 It runs the angle kernel once per batch, cases interleaving freely
 within and across batches, then reduces frame by frame. The reduction
 is a per-case maximum, ties going to the lowest frame index, so neither
@@ -24,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import polyline_angles
-from .annotation import FrameDetection
-from .geometry import AngleSet, angle_set_from_row, middle_line
+from .geometry import AngleSet, angle_set_from_row
+from .geometry import middle_line  # noqa: F401  a call site perfbench traces by name
 
 # frames per batch, read when a batch producer starts; bounds how many
 # parsed lines (~2.9 KB each) are held at once
@@ -75,28 +76,6 @@ class _CaseState:
     best_angle: float = -1.0
     best_frame: int = -1
     retained: list = field(default_factory=list)
-
-
-def detection_batches(records):
-    """Batch (case_id, FrameDetection) records for :func:`measure_stream`.
-
-    Detections without a ``frame_index`` are numbered by position within
-    their case.
-    """
-    size = CHUNK_FRAMES
-    positions: dict[str, int] = {}
-    case_ids, frame_indices, lines = [], [], []
-    for case_id, det in records:
-        position = positions.get(case_id, 0)
-        positions[case_id] = position + 1
-        case_ids.append(case_id)
-        frame_indices.append(position if det.frame_index is None else det.frame_index)
-        lines.append(middle_line(det.keypoints))
-        if len(lines) >= size:
-            yield case_ids, frame_indices, np.array(lines)
-            case_ids, frame_indices, lines = [], [], []
-    if lines:
-        yield case_ids, frame_indices, np.array(lines)
 
 
 def measure_stream(
@@ -178,37 +157,3 @@ def measure_stream(
             )
         )
     return cases, failures
-
-
-def measure_sequence(
-    case_id: str,
-    frames,
-    aspect: float = 1.0,
-    keep_frames: bool = True,
-) -> CaseMeasurement:
-    """Measure every frame of one case and take the maximum angle.
-
-    ``frames`` is any iterable of FrameDetection; detections without a
-    ``frame_index`` are numbered by stream position. Ties on the
-    maximum resolve to the lowest frame index. With ``keep_frames`` false
-    the per-frame list is dropped and memory stays bounded regardless
-    of stream length.
-    """
-    try:
-        cases, failures = measure_stream(
-            detection_batches((case_id, det) for det in frames),
-            aspect=aspect,
-            keep_frames=keep_frames,
-        )
-    except EmptySequenceError:
-        raise EmptySequenceError(f"case {case_id!r}: no frames in stream") from None
-    if failures:
-        raise AllFramesInvalidError(f"case {case_id!r}: {failures[0][1]}")
-    return cases[0]
-
-
-def measure_single(
-    case_id: str, frame: FrameDetection, aspect: float = 1.0
-) -> CaseMeasurement:
-    """Measure a still image as a one-frame stream."""
-    return measure_sequence(case_id, [frame], aspect=aspect)

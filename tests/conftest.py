@@ -5,7 +5,34 @@ import math
 import numpy as np
 import pytest
 
+from kpcurve import sequence
+from kpcurve._kernels import EPSILON
 from kpcurve.annotation import BoundingBox, FrameDetection, KeypointSet
+from kpcurve.geometry import AngleSet, DegenerateVectorError, compute_angles, middle_line
+from kpcurve.sequence import AllFramesInvalidError, EmptySequenceError, measure_stream
+
+
+def vector_angle(a, b, c, d) -> float:
+    """Unsigned angle in degrees between vectors b-a and d-c: the tests' oracle.
+
+    Computed as atan2(|cross|, dot) in scalar Python floats, so the
+    result is always in [0, 180]. Raises DegenerateVectorError when
+    either vector is shorter than the kernel's degeneracy threshold
+    (segment 0 for b-a, segment 1 for d-c).
+    """
+    ax, ay = float(b[0]) - float(a[0]), float(b[1]) - float(a[1])
+    bx, by = float(d[0]) - float(c[0]), float(d[1]) - float(c[1])
+    if math.hypot(ax, ay) < EPSILON:
+        raise DegenerateVectorError(0)
+    if math.hypot(bx, by) < EPSILON:
+        raise DegenerateVectorError(1)
+    return math.degrees(math.atan2(abs(ax * by - ay * bx), ax * bx + ay * by))
+
+
+def line_angles(points, aspect: float = 1.0) -> AngleSet:
+    """``compute_angles`` of a (5, 2) middle line, set as every row of a grid."""
+    middle = np.asarray(points, dtype=np.float64)
+    return compute_angles(KeypointSet(np.concatenate([middle] * 3)), aspect=aspect)
 
 
 def hinge_polyline(bend_deg: float, vertex: int = 2) -> np.ndarray:
@@ -59,6 +86,45 @@ def detection_from_middle(middle: np.ndarray, offset: float = 0.02) -> FrameDete
 def detection_with_angle(bend_deg: float, vertex: int = 2) -> FrameDetection:
     """A detection whose middle line measures exactly-ish bend_deg."""
     return detection_from_middle(normalize_unit(hinge_polyline(bend_deg, vertex)))
+
+
+def detection_batches(records):
+    """Batch (case_id, FrameDetection) records for ``measure_stream``.
+
+    Batches hold up to ``sequence.CHUNK_FRAMES`` frames (read at the
+    first ``next()``), as the JSONL parser's do. Detections without a
+    ``frame_index`` are numbered by position within their case.
+    """
+    size = sequence.CHUNK_FRAMES
+    positions: dict[str, int] = {}
+    case_ids, frame_indices, lines = [], [], []
+    for case_id, det in records:
+        position = positions.get(case_id, 0)
+        positions[case_id] = position + 1
+        case_ids.append(case_id)
+        frame_indices.append(position if det.frame_index is None else det.frame_index)
+        lines.append(middle_line(det.keypoints))
+        if len(lines) >= size:
+            yield case_ids, frame_indices, np.array(lines)
+            case_ids, frame_indices, lines = [], [], []
+    if lines:
+        yield case_ids, frame_indices, np.array(lines)
+
+
+def measure_sequence(case_id, frames, aspect=1.0, keep_frames=True):
+    """``measure_stream`` over the detections of one case.
+
+    Raises EmptySequenceError for no frames and AllFramesInvalidError
+    when every frame is degenerate.
+    """
+    batches = detection_batches((case_id, det) for det in frames)
+    try:
+        cases, failures = measure_stream(batches, aspect=aspect, keep_frames=keep_frames)
+    except EmptySequenceError:
+        raise EmptySequenceError(f"case {case_id!r}: no frames in stream") from None
+    if failures:
+        raise AllFramesInvalidError(f"case {case_id!r}: {failures[0][1]}")
+    return cases[0]
 
 
 CVAT_DOCUMENT = """<?xml version="1.0" encoding="utf-8"?>

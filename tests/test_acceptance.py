@@ -19,7 +19,10 @@ from conftest import (
     CVAT_DOCUMENT,
     detection_with_angle,
     hinge_polyline,
+    line_angles,
+    measure_sequence,
     normalize_unit,
+    vector_angle,
 )
 from kpcurve import _kernels, sequence
 from kpcurve.annotation import (
@@ -33,9 +36,7 @@ from kpcurve.annotation import (
 )
 from kpcurve.cli import main
 from kpcurve.evaluation import ConfusionMatrix, Diagnosis, classify, metrics
-from kpcurve.geometry import line_angles, vector_angle
 from kpcurve.report import dumps_frame
-from kpcurve.sequence import measure_sequence
 
 ORACLE_TOL_DEG = 1e-9
 ROUND_TRIP_TOL = 5e-7

@@ -33,6 +33,23 @@ def run(argv, stdin_text=""):
     return rc, out.getvalue(), err.getvalue()
 
 
+def run_fresh(argv):
+    """Run the CLI in a new interpreter; it must exit 0."""
+    src = str(Path(kpcurve.__file__).resolve().parent.parent)
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "kpcurve", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def label_line(bend_deg, vertex=2):
     return emit_yolo_line(detection_with_angle(bend_deg, vertex)) + "\n"
 
@@ -585,21 +602,74 @@ class TestSynth:
         spec, stream_sha, sidecar_sha = self.GOLDEN[name]
         spec_path, out = tmp_path / "spec.json", tmp_path / "frames.jsonl"
         spec_path.write_text(json.dumps(spec), encoding="utf-8")
-        src = str(Path(kpcurve.__file__).resolve().parent.parent)
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-        }
-        proc = subprocess.run(
-            [sys.executable, "-m", "kpcurve", "synth", str(spec_path), "-o", str(out)],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
+        run_fresh(["synth", str(spec_path), "-o", str(out)])
         sidecar = tmp_path / "frames.jsonl.oracle.json"
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == stream_sha
-        assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == sidecar_sha
+        assert sha256_of(out) == stream_sha
+        assert sha256_of(sidecar) == sidecar_sha
+
+
+class TestReportGolden:
+    """Report bytes of measure, analyze and evaluate, each run in a new process.
+
+    The inputs are two synth sweeps (one with a non-ASCII case id) plus
+    literal lines: a degenerate frame in the first case, and a case of
+    one degenerate frame that lands under ``errors``.
+    """
+
+    DEGENERATE = (
+        '{{"case_id":"{}","frame_index":{},"class_id":0,"bbox":[0.5,0.5,0.1,0.1],'
+        '"keypoints":[' + ",".join(["[0.5,0.5]"] * 15) + "]}}\n"
+    )
+    STILL = "0 0.5 0.5 0.8 0.8 " + " ".join(
+        f"{0.1 + 0.18 * c:.6f} {0.2 + 0.15 * r + 0.02 * c * c:.6f}"
+        for r in range(3)
+        for c in range(5)
+    )
+    # sha256 per output: any change to report bytes fails here
+    GOLDEN = {
+        "analyze": "bcadc83ba0910ed59838e8f45f454ecdced24e47a945d99b8022cc04a1167a4d",
+        "analyze_slim": "f3b2531895f6eaae3f78d2ca6374ce53b2dc9fff31eeff64d0d68e1f2568061d",
+        "evaluate": "901b7a190f1138905b0d6f3e47f26fa31c347f33366c743f2b752cfaa3508899",
+        "measure": "717c0317138753c6cb9337e448f28f2cd3fd475365e22d6bbf08773bb686f46b",
+    }
+
+    @pytest.fixture(scope="class")
+    def outputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("golden")
+        specs = [
+            {"case_id": "plain", "hinge_angle_deg": 40.0},
+            {**TestSynth.GOLDEN["jittered_pitch"][0], "case_id": "ca\u00f1o"},
+        ]
+        stream = ""
+        for i, spec in enumerate(specs):
+            spec_path, out = tmp / f"spec{i}.json", tmp / f"part{i}.jsonl"
+            spec_path.write_text(json.dumps(spec), encoding="utf-8")
+            run_fresh(["synth", str(spec_path), "-o", str(out)])
+            stream += out.read_text(encoding="utf-8")
+        stream += self.DEGENERATE.format("plain", 25) + self.DEGENERATE.format("flat", 0)
+        frames = tmp / "frames.jsonl"
+        frames.write_text(stream, encoding="utf-8")
+        labels = tmp / "labels.csv"
+        labels.write_text("case_id,actual\nplain,pd\nca\u00f1o,normal\nflat,normal\n", encoding="utf-8")
+        still = tmp / "still.txt"
+        still.write_text(self.STILL + "\n", encoding="utf-8")
+
+        paths = {name: tmp / f"{name}.json" for name in self.GOLDEN}
+        run_fresh(["analyze", str(frames), "-o", str(paths["analyze"])])
+        run_fresh([
+            "analyze", str(frames), "--no-per-frame", "--aspect", "1.7777777777777777",
+            "-o", str(paths["analyze_slim"]),
+        ])
+        run_fresh([
+            "evaluate", str(paths["analyze_slim"]), "--labels", str(labels),
+            "-o", str(paths["evaluate"]),
+        ])
+        run_fresh(["measure", str(still), "-o", str(paths["measure"])])
+        return paths
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_bytes_in_fresh_process(self, name, outputs):
+        assert sha256_of(outputs[name]) == self.GOLDEN[name]
 
 
 class TestRender:
@@ -661,6 +731,26 @@ class TestPipeline:
         rc, metrics, _ = run(["evaluate", "--labels", str(labels), "-"], report)
         assert rc == EXIT_OK
         assert json.loads(metrics)["confusion"]["tp"] == 1
+
+    # the max rule's pose bias, pinned as documented current behaviour
+    # (README, "How it measures"); criterion 5 covers pitch 0 and bends up to 90
+    @pytest.mark.parametrize(
+        "spec,rounded,frame",
+        [
+            ({"hinge_angle_deg": 28.0, "pitch_deg": 25.0}, 31.2, 9),
+            ({"hinge_angle_deg": 120.0}, 139.11, 0),
+        ],
+        ids=["pitch_widens_28", "yaw_widens_120"],
+    )
+    def test_pose_bias_over_reads(self, spec, rounded, frame):
+        _, stream, _ = run(["synth", "-"], json.dumps(spec))
+        rc, report, _ = run(["analyze", "--no-per-frame", "-"], stream)
+        assert rc == EXIT_OK
+        case = json.loads(report)["cases"][0]
+        assert case["curvature_deg"] > spec["hinge_angle_deg"]
+        assert case["curvature_deg_rounded"] == rounded
+        assert case["argmax_frame"] == frame
+        assert case["diagnosis"] == "pd"
 
     def test_convert_then_measure(self, tmp_path):
         out_dir = tmp_path / "labels"

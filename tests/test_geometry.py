@@ -7,16 +7,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import detection_from_middle, hinge_polyline, normalize_unit
+from conftest import (
+    detection_from_middle,
+    hinge_polyline,
+    line_angles,
+    normalize_unit,
+    vector_angle,
+)
 from kpcurve.annotation import KeypointSet
 from kpcurve.geometry import (
     AngleSet,
     DegenerateVectorError,
     angle_set_from_row,
     compute_angles,
-    line_angles,
     middle_line,
-    vector_angle,
 )
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)

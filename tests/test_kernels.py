@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import vector_angle
 from kpcurve import _kernels
-from kpcurve.geometry import vector_angle
 
 EXACT_TOL_DEG = 1e-9
 

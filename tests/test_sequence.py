@@ -1,24 +1,26 @@
 """Per-case aggregation: max rule, invalid-frame handling, streaming."""
 
 import dataclasses
+import io
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import detection_from_middle, detection_with_angle, normalize_unit
-from kpcurve import sequence
-from kpcurve.annotation import KeypointSet
-from kpcurve.report import dumps_frame, iter_frame_stream
-from kpcurve.sequence import (
-    AllFramesInvalidError,
-    EmptySequenceError,
+from conftest import (
     detection_batches,
+    detection_from_middle,
+    detection_with_angle,
     measure_sequence,
-    measure_single,
-    measure_stream,
+    normalize_unit,
 )
+from kpcurve import sequence
+from kpcurve.annotation import KeypointSet, emit_yolo_line
+from kpcurve.cli import main
+from kpcurve.report import dumps_frame, iter_frame_stream
+from kpcurve.sequence import AllFramesInvalidError, EmptySequenceError, measure_stream
 
 
 def degenerate_detection():
@@ -114,18 +116,28 @@ class TestMeasureSequence:
 
 
 class TestMeasureSingle:
+    """``measure`` scores a still image as a stream of one frame."""
+
+    @staticmethod
+    def measure(det) -> dict:
+        out = io.StringIO()
+        assert main(["measure", "-"], stdin=io.StringIO(emit_yolo_line(det)), stdout=out) == 0
+        return json.loads(out.getvalue())["cases"][0]
+
     def test_equivalent_to_one_frame_sequence(self):
         det = detection_with_angle(42.0)
-        assert measure_single("c", det) == measure_sequence("c", [det])
+        report, stream = io.StringIO(), io.StringIO(dumps_frame("stdin", det, 0) + "\n")
+        main(["analyze", "-"], stdin=stream, stdout=report)
+        assert self.measure(det) == json.loads(report.getvalue())["cases"][0]
 
     def test_straight_line_zero(self):
         line = np.column_stack([np.linspace(0.1, 0.9, 5), np.full(5, 0.5)])
-        case = measure_single("c", detection_from_middle(line))
-        assert case.curvature_deg == 0.0
+        case = self.measure(detection_from_middle(line))
+        assert case["curvature_deg"] == 0.0
 
     def test_hinge_sixty_within_tolerance(self):
-        case = measure_single("c", detection_with_angle(60.0))
-        assert case.curvature_deg == pytest.approx(60.0, abs=0.5)
+        case = self.measure(detection_with_angle(60.0))
+        assert case["curvature_deg"] == pytest.approx(60.0, abs=0.5)
 
 
 class TestAggregationProperties:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpcurve.geometry import compute_angles, vector_angle
+from conftest import measure_sequence, vector_angle
+from kpcurve.geometry import compute_angles
 from kpcurve.synth import (
     BadPoseError,
     BadSpecError,
@@ -299,8 +300,6 @@ class TestSweep:
 
     @pytest.mark.parametrize("beta", [15.0, 30.0, 45.0, 60.0, 90.0])
     def test_phantom_grid_recovery(self, beta):
-        from kpcurve.sequence import measure_sequence
-
         frames = sweep(HingeModelSpec(hinge_angle_deg=beta), -60.0, 60.0, 25)
         case = measure_sequence("p", [f.detection for f in frames])
         assert case.curvature_deg == pytest.approx(beta, abs=1.0)
