@@ -25,9 +25,9 @@ from .annotation import (
     parse_yolo_line,
 )
 from .evaluation import (
+    DEFAULT_THRESHOLD_DEG,
     DatasetFormatError,
     Diagnosis,
-    DuplicateCaseIdError,
     classify,
     evaluate_dataset,
     read_dataset_csv,
@@ -36,7 +36,6 @@ from .evaluation import (
 from .geometry import DegenerateVectorError, compute_angles, middle_line
 from .overlay import render_svg
 from .report import (
-    JsonlFormatError,
     RunConfig,
     dumps_frame,
     dumps_report,
@@ -45,51 +44,40 @@ from .report import (
     measurement_report,
     sweep_sidecar,
 )
-from .sequence import AllFramesInvalidError, EmptySequenceError, measure_stream
-from .synth import (
-    BadPoseError,
-    BadSpecError,
-    DegenerateProjectionError,
-    HingeModelSpec,
-    sweep,
-)
+from .sequence import AllFramesInvalidError, measure_stream
+from .synth import BadSpecError, DegenerateProjectionError, HingeModelSpec, sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_GEOMETRY = 3
 
-_INPUT_ERRORS = (
-    AnnotationError,
-    JsonlFormatError,
-    DatasetFormatError,
-    DuplicateCaseIdError,
-    BadSpecError,
-    BadPoseError,
-    EmptySequenceError,
-    OSError,
-    ValueError,
-)
+# every kpcurve error is a ValueError; the geometry ones are matched first
+_INPUT_ERRORS = (OSError, ValueError)
 _GEOMETRY_ERRORS = (
     DegenerateVectorError,
     DegenerateProjectionError,
     AllFramesInvalidError,
 )
 
-_SYNTH_SPEC_FIELDS = {
-    "case_id": str,
-    "hinge_angle_deg": (int, float),
-    "length_cm": (int, float),
-    "width_cm": (int, float),
-    "hinge_position": (int, float),
+# synth spec fields by type, passed on to HingeModelSpec and to sweep; a
+# field the spec leaves out takes that parameter's default there
+_PHANTOM_FIELDS = {
+    "hinge_angle_deg": float,
+    "length_cm": float,
+    "width_cm": float,
+    "hinge_position": float,
     "seed": int,
-    "yaw_start_deg": (int, float),
-    "yaw_end_deg": (int, float),
+}
+_SWEEP_FIELDS = {
+    "yaw_start_deg": float,
+    "yaw_end_deg": float,
     "steps": int,
-    "jitter_sd": (int, float),
-    "pitch_deg": (int, float),
+    "jitter_sd": float,
+    "pitch_deg": float,
     "image_width": int,
     "image_height": int,
 }
+_SPEC_FIELDS = {"case_id": str, **_PHANTOM_FIELDS, **_SWEEP_FIELDS}
 
 
 def _read_text(path: str, stdin) -> str:
@@ -109,9 +97,9 @@ def _add_threshold(parser):
     parser.add_argument(
         "--threshold",
         type=float,
-        default=30.0,
+        default=DEFAULT_THRESHOLD_DEG,
         metavar="DEG",
-        help="diagnostic angle threshold in degrees (default 30)",
+        help=f"diagnostic angle threshold in degrees (default {DEFAULT_THRESHOLD_DEG:g})",
     )
 
 
@@ -332,7 +320,8 @@ def _cases_from_report(document: dict) -> list[tuple[str, float]]:
         if (
             not isinstance(entry, dict)
             or not isinstance(entry.get("case_id"), str)
-            or not isinstance(entry.get("curvature_deg"), (int, float))
+            # exact types, so a JSON true is not read as 1 degree
+            or type(entry.get("curvature_deg")) not in (int, float)
         ):
             raise DatasetFormatError(
                 "report cases need 'case_id' and 'curvature_deg' fields"
@@ -377,8 +366,9 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
     if text.lstrip().startswith("{"):
         try:
             document = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"input is not valid JSON: {exc.msg}") from None
+        except (json.JSONDecodeError, RecursionError) as exc:
+            reason = getattr(exc, "msg", "nested too deeply")  # RecursionError has no msg
+            raise DatasetFormatError(f"input is not valid JSON: {reason}") from None
         if args.labels is None:
             raise DatasetFormatError(
                 "report JSON input needs --labels with ground-truth diagnoses"
@@ -412,15 +402,18 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
 def _parse_synth_spec(text: str) -> dict:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BadSpecError(f"spec is not valid JSON: {exc.msg}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        reason = getattr(exc, "msg", "nested too deeply")  # RecursionError has no msg
+        raise BadSpecError(f"spec is not valid JSON: {reason}") from None
     if not isinstance(raw, dict):
         raise BadSpecError("spec must be a JSON object")
     for key, value in raw.items():
-        expected = _SYNTH_SPEC_FIELDS.get(key)
-        if expected is None:
+        kind = _SPEC_FIELDS.get(key)
+        if kind is None:
             raise BadSpecError(f"unknown spec field {key!r}")
-        if not isinstance(value, expected) or isinstance(value, bool):
+        # a float field takes an int too; bool is never a number here
+        accepted = (int, float) if kind is float else kind
+        if not isinstance(value, accepted) or isinstance(value, bool):
             raise BadSpecError(f"spec field {key!r} has the wrong type")
     if "hinge_angle_deg" not in raw:
         raise BadSpecError("spec is missing 'hinge_angle_deg'")
@@ -432,23 +425,13 @@ def _cmd_synth(args, stdin, stdout, stderr) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     case_id = raw.get("case_id", "synth")
-    spec = HingeModelSpec(
-        hinge_angle_deg=float(raw["hinge_angle_deg"]),
-        length_cm=float(raw.get("length_cm", HingeModelSpec.length_cm)),
-        width_cm=float(raw.get("width_cm", HingeModelSpec.width_cm)),
-        hinge_position=float(raw.get("hinge_position", HingeModelSpec.hinge_position)),
-        seed=int(raw.get("seed", HingeModelSpec.seed)),
-    )
-    frames = sweep(
-        spec,
-        yaw_start_deg=float(raw.get("yaw_start_deg", -60.0)),
-        yaw_end_deg=float(raw.get("yaw_end_deg", 60.0)),
-        steps=int(raw.get("steps", 25)),
-        jitter_sd=float(raw.get("jitter_sd", 0.0)),
-        pitch_deg=float(raw.get("pitch_deg", 0.0)),
-        image_width=int(raw.get("image_width", 640)),
-        image_height=int(raw.get("image_height", 640)),
-    )
+
+    def given(fields):
+        # float() keeps an int-valued angle such as "pitch_deg": 12 a float downstream
+        return {name: kind(raw[name]) for name, kind in fields.items() if name in raw}
+
+    spec = HingeModelSpec(**given(_PHANTOM_FIELDS))
+    frames = sweep(spec, **given(_SWEEP_FIELDS))
     stream = "".join(
         dumps_frame(case_id, f.detection, f.detection.frame_index) + "\n"
         for f in frames

@@ -20,6 +20,7 @@ DEFAULT_THRESHOLD_DEG = 30.0
 DISPLAY_DECIMALS = 2
 
 DATASET_CSV_HEADER = ("case_id", "actual", "measured_deg")
+LABELS_CSV_HEADER = ("case_id", "actual")
 
 
 class DuplicateCaseIdError(ValueError):
@@ -157,58 +158,55 @@ def evaluate_dataset(
     return records, cm, metrics(cm)
 
 
+def _csv_rows(text: str, header: tuple[str, ...], what: str):
+    """Yield (line number, fields) per non-blank row under a case-insensitive header.
+
+    Raises DatasetFormatError on an empty document, another header or a wrong width.
+    """
+    reader = csv.reader(io.StringIO(text))
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise DatasetFormatError(f"empty {what} CSV") from None
+    if [h.strip().lower() for h in first] != list(header):
+        raise DatasetFormatError(
+            f"expected header {','.join(header)!r}, got {','.join(first)!r}"
+        )
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise DatasetFormatError(
+                f"line {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
+        yield lineno, row
+
+
 def read_dataset_csv(text: str) -> list[tuple[str, Diagnosis, float]]:
     """Parse dataset CSV: header case_id,actual,measured_deg.
 
     Diagnosis labels are case-insensitive. Raises DatasetFormatError on
     a bad header, bad label, or non-numeric angle.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DatasetFormatError("empty dataset CSV") from None
-    if [h.strip().lower() for h in header] != list(DATASET_CSV_HEADER):
-        raise DatasetFormatError(
-            f"expected header {','.join(DATASET_CSV_HEADER)!r}, got {','.join(header)!r}"
-        )
     rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise DatasetFormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        case_id = row[0].strip()
-        actual = Diagnosis.parse(row[1])
+    for lineno, row in _csv_rows(text, DATASET_CSV_HEADER, "dataset"):
+        case_id, actual, measured = row
+        diagnosis = Diagnosis.parse(actual)
         try:
-            measured = float(row[2])
+            rows.append((case_id.strip(), diagnosis, float(measured)))
         except ValueError:
             raise DatasetFormatError(
-                f"line {lineno}: measured_deg {row[2]!r} is not a number"
+                f"line {lineno}: measured_deg {measured!r} is not a number"
             ) from None
-        rows.append((case_id, actual, measured))
     return rows
 
 
 def read_labels_csv(text: str) -> dict[str, Diagnosis]:
     """Parse labels CSV: header case_id,actual; returns a lookup map."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DatasetFormatError("empty labels CSV") from None
-    if [h.strip().lower() for h in header] != ["case_id", "actual"]:
-        raise DatasetFormatError(
-            f"expected header 'case_id,actual', got {','.join(header)!r}"
-        )
     labels: dict[str, Diagnosis] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise DatasetFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
-        case_id = row[0].strip()
+    for _, (case_id, actual) in _csv_rows(text, LABELS_CSV_HEADER, "labels"):
+        case_id = case_id.strip()
         if case_id in labels:
             raise DuplicateCaseIdError(f"case id {case_id!r} appears more than once")
-        labels[case_id] = Diagnosis.parse(row[1])
+        labels[case_id] = Diagnosis.parse(actual)
     return labels

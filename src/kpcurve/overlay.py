@@ -9,7 +9,7 @@ frame measurement is highlighted. Output is standalone SVG 1.1.
 import xml.etree.ElementTree as ET
 
 from .annotation import COLS, ROWS, FrameDetection
-from .evaluation import round_half_up
+from .evaluation import DISPLAY_DECIMALS, round_half_up
 from .geometry import AngleSet
 
 SVG_NS = "http://www.w3.org/2000/svg"
@@ -32,7 +32,6 @@ def render_svg(
     angles: AngleSet,
     image_width: int = 640,
     image_height: int = 640,
-    rounding: int = 2,
 ) -> str:
     """Render one detection as an SVG document string."""
     if image_width <= 0 or image_height <= 0:
@@ -99,7 +98,7 @@ def render_svg(
             (f"bend{col}", value, not deviation_is_max and col == angles.curvature_col)
         )
     for slot, (name, value, highlight) in enumerate(labels):
-        shown = round_half_up(value, rounding)
+        shown = round_half_up(value)
         text = ET.SubElement(
             svg,
             f"{{{SVG_NS}}}text",
@@ -112,7 +111,7 @@ def render_svg(
                 "font-weight": "bold" if highlight else "normal",
             },
         )
-        text.text = f"{name} {shown:.{rounding}f}°"
+        text.text = f"{name} {shown:.{DISPLAY_DECIMALS}f}°"
 
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'

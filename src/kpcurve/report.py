@@ -34,6 +34,7 @@ from .annotation import (
     KeypointSet,
 )
 from .evaluation import (
+    DEFAULT_THRESHOLD_DEG,
     DISPLAY_DECIMALS,
     CaseRecord,
     ConfusionMatrix,
@@ -63,7 +64,7 @@ class RunConfig:
     states how its coordinates and rounded fields were produced.
     """
 
-    threshold_deg: float = 30.0
+    threshold_deg: float = DEFAULT_THRESHOLD_DEG
     aspect_ratio: float = 1.0
     retain_per_frame: bool = True
 
@@ -124,8 +125,9 @@ def parse_frame_line(line: str, lineno: int = 1) -> tuple[str, FrameDetection]:
     """
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise JsonlFormatError(f"line {lineno}: not valid JSON ({exc.msg})") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        reason = getattr(exc, "msg", "nested too deeply")  # RecursionError has no msg
+        raise JsonlFormatError(f"line {lineno}: not valid JSON ({reason})") from None
     _require(isinstance(obj, dict), lineno, "expected a JSON object")
     for key in ("case_id", "frame_index", "class_id", "bbox", "keypoints"):
         if key not in obj:
@@ -233,7 +235,7 @@ def _parse_batch(texts: list[str], linenos: list[int]):
     try:
         batch = _batch_from_objects(list(map(json.loads, texts)))
     # JSONDecodeError is a ValueError; RecursionError is deeply nested JSON,
-    # which the per-line pass raises again unless an earlier line fails first
+    # which the per-line pass reports with its line number
     except (ValueError, KeyError, OverflowError, RecursionError):
         batch = None
     if batch is not None:

@@ -1,9 +1,11 @@
 """End-to-end command tests driving main() with injected streams."""
 
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from conftest import CVAT_DOCUMENT, detection_from_middle, detection_with_angle, hinge_polyline, normalize_unit
 import kpcurve
-from kpcurve import __version__, sequence
+from kpcurve import __version__, cli, sequence
 from kpcurve.annotation import emit_yolo_line
 from kpcurve.cli import EXIT_GEOMETRY, EXIT_INPUT, EXIT_OK, build_parser, main
 from kpcurve.evaluation import round_half_up
@@ -245,6 +247,16 @@ class TestAnalyze:
         assert rc == EXIT_INPUT
         assert "line 2" in err
 
+    @pytest.mark.parametrize("valid_before, lineno", [(0, 1), (3, 5)])
+    def test_deeply_nested_line_is_an_input_error(self, valid_before, lineno):
+        # the deep line sits first, or mid-batch after valid lines and a blank one
+        valid = jsonl_for("a", [10.0, 20.0, 30.0][:valid_before])
+        stream = valid + ("\n" if valid else "") + "[" * 100_000 + "\n" + valid
+        rc, out, err = run(["analyze", "-"], stream)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err == f"kpcurve analyze: line {lineno}: not valid JSON (nested too deeply)\n"
+
     def test_out_of_range_coordinate_rejected(self):
         record = json.loads(jsonl_for("a", [10.0]).strip())
         record["keypoints"][3][0] = 1.5
@@ -454,6 +466,27 @@ class TestEvaluate:
         assert out == ""
         assert "'error'" in err
 
+    def test_deeply_nested_report_is_an_input_error(self, tmp_path):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("case_id,actual\na,pd\n")
+        report = '{"cases": ' + "[" * 100_000
+        rc, out, err = run(["evaluate", "--labels", str(labels), "-"], report)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err == "kpcurve evaluate: input is not valid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize("angle", ["true", "false", '"40"', "null"])
+    def test_non_numeric_report_angle_rejected(self, angle, tmp_path):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("case_id,actual\na,pd\n")
+        report = '{"cases": [{"case_id": "a", "curvature_deg": %s}]}' % angle
+        rc, out, err = run(["evaluate", "--labels", str(labels), "-"], report)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err == (
+            "kpcurve evaluate: report cases need 'case_id' and 'curvature_deg' fields\n"
+        )
+
     def test_report_json_requires_labels(self):
         _, report, _ = run(["analyze", "-"], jsonl_for("a", [40.0]))
         rc, _, err = run(["evaluate", "-"], report)
@@ -560,6 +593,60 @@ class TestSynth:
         rc, _, err = run(["synth", "-"], '{"hinge_angle_deg": 30, "steps": "five"}')
         assert rc == EXIT_INPUT
         assert "steps" in err
+
+    def synth_outputs(self, spec, tmp_path):
+        """(stream, sidecar document) of one spec written to files."""
+        tmp_path.mkdir()
+        spec_path, out = tmp_path / "spec.json", tmp_path / "frames.jsonl"
+        spec_path.write_text(json.dumps(spec), encoding="utf-8")
+        rc, _, err = run(["synth", str(spec_path), "-o", str(out)])
+        assert rc == EXIT_OK, err
+        sidecar = Path(str(out) + ".oracle.json").read_text(encoding="utf-8")
+        return out.read_text(encoding="utf-8"), json.loads(sidecar)
+
+    def test_omitted_fields_take_documented_defaults(self, tmp_path):
+        explicit = {
+            "case_id": "synth",
+            "hinge_angle_deg": 40.0,
+            "length_cm": 5.5,
+            "width_cm": 1.5,
+            "hinge_position": 0.5,
+            "seed": 0,
+            "yaw_start_deg": -60.0,
+            "yaw_end_deg": 60.0,
+            "steps": 25,
+            "jitter_sd": 0.0,
+            "pitch_deg": 0.0,
+            "image_width": 640,
+            "image_height": 640,
+        }
+        stream, sidecar = self.synth_outputs({"hinge_angle_deg": 40.0}, tmp_path / "a")
+        full_stream, full_sidecar = self.synth_outputs(explicit, tmp_path / "b")
+        assert stream == full_stream
+        assert stream.count("\n") == 25
+        # the sidecar echoes the spec as written, so only that block differs
+        assert sidecar["spec"] == {"hinge_angle_deg": 40.0, "snapped_hinge_position": 0.5}
+        assert full_sidecar["spec"] == {**explicit, "snapped_hinge_position": 0.5}
+        assert {**sidecar, "spec": None} == {**full_sidecar, "spec": None}
+        assert [f["yaw_deg"] for f in sidecar["frames"]][::12] == [-60.0, 0.0, 60.0]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("pitch_deg", 12), ("yaw_start_deg", -40), ("yaw_end_deg", 50), ("jitter_sd", 0)],
+    )
+    def test_int_valued_float_fields_write_float_bytes(self, field, value, tmp_path):
+        base = {"hinge_angle_deg": 35.0, "steps": 4, "pitch_deg": 5.0, "jitter_sd": 0.002}
+        as_int = self.synth_outputs({**base, field: value}, tmp_path / "int")
+        as_float = self.synth_outputs({**base, field: float(value)}, tmp_path / "float")
+        assert as_int[0] == as_float[0]
+        assert as_int[1]["frames"] == as_float[1]["frames"]
+        pitches = [f["pitch_deg"] for f in as_int[1]["frames"]]
+        assert all(type(p) is float for p in pitches)
+
+    def test_deeply_nested_spec_is_an_input_error(self):
+        rc, _, err = run(["synth", "-"], "[" * 100_000)
+        assert rc == EXIT_INPUT
+        assert err == "kpcurve synth: spec is not valid JSON: nested too deeply\n"
 
     # sha256 of (stream, sidecar) per spec: any change to synth output bytes fails here
     GOLDEN = {
@@ -801,6 +888,42 @@ class TestArgumentErrors:
     def test_convert_requires_output_dir(self):
         rc, _, _ = run(["convert", "file.xml"])
         assert rc == 2
+
+
+def library_exceptions():
+    """Every exception class defined in a kpcurve module."""
+    found = []
+    for info in pkgutil.iter_modules(kpcurve.__path__):
+        module = importlib.import_module(f"kpcurve.{info.name}")
+        found.extend(
+            obj
+            for obj in vars(module).values()
+            if isinstance(obj, type)
+            and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        )
+    return found
+
+
+class TestExitCodes:
+    def test_library_exceptions_found(self):
+        names = {cls.__name__ for cls in library_exceptions()}
+        assert {"DatasetFormatError", "JsonlFormatError", "BadSpecError"} <= names
+
+    @pytest.mark.parametrize("error", library_exceptions(), ids=lambda cls: cls.__name__)
+    def test_every_library_exception_maps_to_a_stable_exit_code(self, error):
+        # a ValueError is an input error unless the CLI lists it as a geometry error
+        assert issubclass(error, ValueError)
+
+        exc = error("boom")
+
+        def fail(args, stdin, stdout, stderr):
+            raise exc
+
+        with mock.patch.dict(cli._COMMANDS, {"render": fail}):
+            rc, out, err = run(["render", "-"])
+        expected = EXIT_GEOMETRY if issubclass(error, cli._GEOMETRY_ERRORS) else EXIT_INPUT
+        assert (rc, out, err) == (expected, "", f"kpcurve render: {exc}\n")
 
 
 class TestConsoleScript:

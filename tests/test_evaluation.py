@@ -291,3 +291,112 @@ class TestLabelsCsv:
     def test_bad_header(self):
         with pytest.raises(DatasetFormatError):
             read_labels_csv("case,truth\na,pd\n")
+
+
+def _dataset_rows(text):
+    # duplicate ids in a dataset CSV are caught when the rows are scored
+    return evaluate_dataset(read_dataset_csv(text))
+
+
+class TestCsvMessages:
+    """Exact messages of both CSV readers, line numbers counting blank rows."""
+
+    CASES = [
+        pytest.param(
+            _dataset_rows, "", DatasetFormatError, "empty dataset CSV", id="dataset-empty"
+        ),
+        pytest.param(
+            read_labels_csv, "", DatasetFormatError, "empty labels CSV", id="labels-empty"
+        ),
+        pytest.param(
+            _dataset_rows,
+            "id,truth,angle\nc1,pd,50\n",
+            DatasetFormatError,
+            "expected header 'case_id,actual,measured_deg', got 'id,truth,angle'",
+            id="dataset-header",
+        ),
+        pytest.param(
+            read_labels_csv,
+            "case,truth\na,pd\n",
+            DatasetFormatError,
+            "expected header 'case_id,actual', got 'case,truth'",
+            id="labels-header",
+        ),
+        pytest.param(
+            _dataset_rows,
+            "\n",
+            DatasetFormatError,
+            "expected header 'case_id,actual,measured_deg', got ''",
+            id="dataset-blank-header",
+        ),
+        pytest.param(
+            read_labels_csv,
+            "\n\n",
+            DatasetFormatError,
+            "expected header 'case_id,actual', got ''",
+            id="labels-blank-header",
+        ),
+        pytest.param(
+            _dataset_rows,
+            "case_id,actual,measured_deg\nc0,pd,1\n\nc1,pd\n",
+            DatasetFormatError,
+            "line 4: expected 3 fields, got 2",
+            id="dataset-field-count",
+        ),
+        pytest.param(
+            read_labels_csv,
+            "case_id,actual\na,pd\n\nb\n",
+            DatasetFormatError,
+            "line 4: expected 2 fields, got 1",
+            id="labels-too-few",
+        ),
+        pytest.param(
+            read_labels_csv,
+            "case_id,actual\na,pd,3\n",
+            DatasetFormatError,
+            "line 2: expected 2 fields, got 3",
+            id="labels-too-many",
+        ),
+        pytest.param(
+            _dataset_rows,
+            "case_id,actual,measured_deg\nc1,sick,50\n",
+            DatasetFormatError,
+            "unknown diagnosis label 'sick'; expected 'pd' or 'normal'",
+            id="dataset-label",
+        ),
+        pytest.param(
+            read_labels_csv,
+            "case_id,actual\na,sick\n",
+            DatasetFormatError,
+            "unknown diagnosis label 'sick'; expected 'pd' or 'normal'",
+            id="labels-label",
+        ),
+        pytest.param(
+            _dataset_rows,
+            "case_id,actual,measured_deg\n\nc1,pd,many\n",
+            DatasetFormatError,
+            "line 3: measured_deg 'many' is not a number",
+            id="dataset-number",
+        ),
+        pytest.param(
+            _dataset_rows,
+            "case_id,actual,measured_deg\nc1,pd,50\nc1,normal,3\n",
+            DuplicateCaseIdError,
+            "case id 'c1' appears more than once",
+            id="dataset-duplicate",
+        ),
+        pytest.param(
+            read_labels_csv,
+            "case_id,actual\na,pd\na,normal\n",
+            DuplicateCaseIdError,
+            "case id 'a' appears more than once",
+            id="labels-duplicate",
+        ),
+    ]
+
+    @pytest.mark.parametrize("reader, text, error, message", CASES)
+    def test_exact_message(self, reader, text, error, message):
+        with pytest.raises(error) as info:
+            reader(text)
+        assert type(info.value) is error
+        assert str(info.value) == message
