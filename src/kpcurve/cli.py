@@ -34,7 +34,7 @@ from .evaluation import (
     read_labels_csv,
 )
 from .geometry import DegenerateVectorError, compute_angles, middle_line
-from .overlay import render_svg
+from .overlay import DEFAULT_CANVAS_PX, render_svg
 from .report import (
     RunConfig,
     dumps_frame,
@@ -201,16 +201,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render a label file as an SVG overlay")
     p.add_argument("label", help="YOLO label path, or - for stdin")
     _add_aspect(p)
-    p.add_argument(
-        "--width", type=int, default=640, metavar="PX", help="canvas width (default 640)"
-    )
-    p.add_argument(
-        "--height",
-        type=int,
-        default=640,
-        metavar="PX",
-        help="canvas height (default 640)",
-    )
+    for side in ("width", "height"):
+        p.add_argument(
+            f"--{side}",
+            type=int,
+            default=DEFAULT_CANVAS_PX,
+            metavar="PX",
+            help=f"canvas {side} (default {DEFAULT_CANVAS_PX})",
+        )
     _add_output(p, "the SVG document")
     return parser
 
@@ -326,7 +324,13 @@ def _cases_from_report(document: dict) -> list[tuple[str, float]]:
             raise DatasetFormatError(
                 "report cases need 'case_id' and 'curvature_deg' fields"
             )
-        extracted.append((entry["case_id"], float(entry["curvature_deg"])))
+        try:
+            angle = float(entry["curvature_deg"])
+        except OverflowError:  # an integer with no float value
+            raise DatasetFormatError(
+                f"report case {entry['case_id']!r} has a curvature_deg too large for a float"
+            ) from None
+        extracted.append((entry["case_id"], angle))
     return extracted
 
 
@@ -420,6 +424,14 @@ def _parse_synth_spec(text: str) -> dict:
     return raw
 
 
+def _coerce(name: str, kind, value):
+    """A spec value as its field's type, so "pitch_deg": 12 is a float downstream."""
+    try:
+        return kind(value)
+    except OverflowError:  # an integer with no float value
+        raise BadSpecError(f"spec field {name!r} is too large for a float") from None
+
+
 def _cmd_synth(args, stdin, stdout, stderr) -> int:
     raw = _parse_synth_spec(_read_text(args.spec, stdin))
     if args.seed is not None:
@@ -427,15 +439,13 @@ def _cmd_synth(args, stdin, stdout, stderr) -> int:
     case_id = raw.get("case_id", "synth")
 
     def given(fields):
-        # float() keeps an int-valued angle such as "pitch_deg": 12 a float downstream
-        return {name: kind(raw[name]) for name, kind in fields.items() if name in raw}
+        return {
+            name: _coerce(name, kind, raw[name]) for name, kind in fields.items() if name in raw
+        }
 
     spec = HingeModelSpec(**given(_PHANTOM_FIELDS))
-    frames = sweep(spec, **given(_SWEEP_FIELDS))
-    stream = "".join(
-        dumps_frame(case_id, f.detection, f.detection.frame_index) + "\n"
-        for f in frames
-    )
+    result = sweep(spec, **given(_SWEEP_FIELDS))
+    stream = dumps_frame(case_id, result.boxes, result.points, range(len(result.points)))
     _write_text(args.output, stream, stdout)
 
     sidecar_path = args.sidecar
@@ -444,7 +454,7 @@ def _cmd_synth(args, stdin, stdout, stderr) -> int:
     if sidecar_path is not None:
         spec_fields = dict(raw)
         spec_fields["snapped_hinge_position"] = spec.snapped_position
-        sidecar = sweep_sidecar(case_id, spec_fields, frames)
+        sidecar = sweep_sidecar(case_id, spec_fields, result)
         Path(sidecar_path).write_text(dumps_report(sidecar), encoding="utf-8")
     return EXIT_OK
 

@@ -14,6 +14,8 @@ from .geometry import AngleSet
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
+DEFAULT_CANVAS_PX = 640
+
 POINT_RADIUS = 4.0
 LATERAL_COLOR = "#8a8a8a"
 MIDDLE_COLOR = "#d62828"
@@ -30,8 +32,8 @@ def _fmt(value: float) -> str:
 def render_svg(
     det: FrameDetection,
     angles: AngleSet,
-    image_width: int = 640,
-    image_height: int = 640,
+    image_width: int = DEFAULT_CANVAS_PX,
+    image_height: int = DEFAULT_CANVAS_PX,
 ) -> str:
     """Render one detection as an SVG document string."""
     if image_width <= 0 or image_height <= 0:

@@ -3,6 +3,10 @@
 The frame-stream format is one JSON object per line with a fixed key
 order and floats rounded to the shared 6-decimal precision, so a given
 stream serializes to identical bytes on every run.
+:func:`dumps_frame` writes a whole sweep from its box and keypoint
+arrays: a row whose values all lie on the 6-decimal grid in
+[1e-4, 0.9999995) is formatted in numpy from their integer digits, and
+any other row value by value, to the same bytes.
 :func:`iter_frame_stream` reads such a stream in batches of up to
 ``sequence.CHUNK_FRAMES`` lines: each batch is checked as a whole and
 lands in one keypoint array, and a batch that fails any check is parsed
@@ -84,33 +88,84 @@ class RunConfig:
         }
 
 
-# case_id, frame_index, class_id, then the 4 bbox and 30 keypoint coordinates
-_FRAME = (
-    '{{"case_id":{},"frame_index":{},"class_id":{},"bbox":[{},{},{},{}],"keypoints":['
+# json writes a float in [_FIXED_LO, _FIXED_HI) rounded to 6 decimals as
+# its "%.6f" text without trailing zeros
+_FIXED_LO, _FIXED_HI = 1e-4, 0.9999995
+# a frame line after its frame index: class id 0, then the 4 bbox and 30
+# keypoint coordinates
+_TAIL = (
+    ',"class_id":0,"bbox":[{},{},{},{}],"keypoints":['
     + ",".join(["[{},{}]"] * NUM_KEYPOINTS)
-    + "]}}"
+    + "]}}\n"
 )
+# the same tail as bytes, each coordinate "0." and six digit slots
+_TAIL_BYTES = np.frombuffer(
+    _TAIL.format(*["0.######"] * (4 + 2 * NUM_KEYPOINTS)).encode(), np.uint8
+)
+_DIGIT_SLOTS = np.flatnonzero(_TAIL_BYTES == ord("#"))
+_PLACES = 10 ** np.arange(COORD_DECIMALS - 1, -1, -1)  # 100000, ..., 10, 1
 
 
-def dumps_frame(case_id: str, det: FrameDetection, frame_index: int) -> str:
-    """Serialize one frame as a compact single-line JSON string.
+def _coordinate(v: float) -> str:
+    """One coordinate as json writes ``round(v, 6)``."""
+    if _FIXED_LO <= v < _FIXED_HI:
+        return ("%.6f" % v).rstrip("0")
+    return _encode(round(v, COORD_DECIMALS), "")
 
-    A coordinate is written as json writes ``round(v, 6)``: in
-    [1e-4, 0.9999995) that is its ``%.6f`` text without trailing zeros.
+
+def _digit_tails(values: np.ndarray) -> list[str]:
+    """Line tails of (m, 34) rows whose values all lie on the 6-decimal grid
+    in [_FIXED_LO, _FIXED_HI).
+
+    Such a value is ``k / 1e6`` for the integer ``k = rint(v * 1e6)``, and
+    its text is "0." and the six digits of ``k`` without trailing zeros; a
+    dropped digit is written as NUL and removed with the others at once.
     """
-    box = det.bbox
-    values = [box.cx, box.cy, box.w, box.h, *det.keypoints.points.ravel().tolist()]
-    return _FRAME.format(
-        _encode(case_id, ""),
-        _encode(frame_index, ""),
-        _encode(det.class_id, ""),
-        *[
-            ("%.6f" % v).rstrip("0")
-            if type(v) is float and 1e-4 <= v < 0.9999995
-            else _encode(round(v, COORD_DECIMALS), "")
-            for v in values
-        ],
+    k = np.rint(values * 10.0**COORD_DECIMALS).astype(np.int64)[..., None]
+    digits = np.where(k % (10 * _PLACES) != 0, k // _PLACES % 10 + ord("0"), 0)
+    rows = np.tile(_TAIL_BYTES, (len(values), 1))
+    rows[:, _DIGIT_SLOTS] = digits.reshape(len(values), len(_DIGIT_SLOTS))
+    return rows[rows != 0].tobytes().decode("ascii").splitlines(keepends=True)
+
+
+def _row_tails(values: np.ndarray) -> list[str]:
+    """Line tails of (m, 34) rows, each row on the array path if its values allow."""
+    with np.errstate(all="ignore"):  # huge values overflow inside np.round
+        on_grid = np.round(values, COORD_DECIMALS) == values
+    array_path = (on_grid & (values >= _FIXED_LO) & (values < _FIXED_HI)).all(axis=1)
+    tails = _digit_tails(values[array_path])
+    if len(tails) == len(values):
+        return tails
+    digit_tails = iter(tails)
+    return [
+        next(digit_tails) if on_path else _TAIL.format(*map(_coordinate, row))
+        for on_path, row in zip(array_path.tolist(), values.tolist())
+    ]
+
+
+def dumps_frame(case_id: str, boxes, points, frame_indices) -> str:
+    """Serialize frames as compact single-line JSON, each line ending in a newline.
+
+    Row i is frame ``frame_indices[i]`` of ``case_id`` with class id 0,
+    box ``boxes[i]`` (cx, cy, w, h) and keypoints ``points[i]`` (15 x 2),
+    read as float64. A coordinate is written as json writes
+    ``round(v, 6)``. A row whose values all lie on the 6-decimal grid in
+    [1e-4, 0.9999995) is formatted in numpy from their integer digits;
+    any other row goes value by value. Rows are formatted in blocks of at
+    most ``sequence.CHUNK_FRAMES``, so the temporaries stay bounded.
+    """
+    values = np.concatenate(
+        [np.reshape(boxes, (-1, 4)), np.reshape(points, (-1, 2 * NUM_KEYPOINTS))],
+        axis=1,
+        dtype=np.float64,
     )
+    size = sequence.CHUNK_FRAMES
+    tails = []
+    for start in range(0, len(values), size):
+        tails += _row_tails(values[start : start + size])
+    head = '{"case_id":' + _encode(case_id, "") + ',"frame_index":'
+    lines = zip(frame_indices, tails, strict=True)
+    return "".join([head + _encode(index, "") + tail for index, tail in lines])
 
 
 def _require(condition: bool, lineno: int, message: str) -> None:
@@ -396,23 +451,19 @@ def dumps_report(document) -> str:
         return json.dumps(document, indent=2) + "\n"
 
 
-def sweep_sidecar(
-    case_id: str,
-    spec_fields: dict,
-    frames,
-) -> dict:
-    """Oracle sidecar for a generated sweep: true angle per frame."""
+def sweep_sidecar(case_id: str, spec_fields: dict, result) -> dict:
+    """Oracle sidecar for a ``synth.SweepColumns`` result: true angle per frame."""
     return {
         "schema_version": SCHEMA_VERSION,
         "case_id": case_id,
         "spec": spec_fields,
         "frames": [
             {
-                "frame_index": f.detection.frame_index,
-                "yaw_deg": f.pose.yaw_deg,
-                "pitch_deg": f.pose.pitch_deg,
-                "true_apparent_deg": f.true_apparent_deg,
+                "frame_index": index,
+                "yaw_deg": yaw,
+                "pitch_deg": result.pitch_deg,
+                "true_apparent_deg": angle,
             }
-            for f in frames
+            for index, (yaw, angle) in enumerate(zip(result.yaw_deg, result.true_apparent_deg))
         ],
     }

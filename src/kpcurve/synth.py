@@ -7,8 +7,11 @@ camera into keypoint frames. Because the bend angle and its projection
 are known in closed form, the generated frames carry exact oracle
 values for validating the measurement chain end to end.
 
-Every pose of a sweep is projected in one array pass; ``project`` is
-the same pass over one pose, so batch size never changes a byte.
+Every pose of a sweep is projected in one array pass, and ``sweep``
+returns the result as columns (:class:`SweepColumns`): keypoints and
+boxes as arrays, poses and oracle angles as lists, with no object per
+frame. ``project`` is the same pass over one pose, wrapped as a
+detection, so batch size never changes a byte.
 
 Geometry: the shaft base runs along +y (the vertical camera yaw axis)
 and the bend deflects in the x-y plane, so yaw rotation foreshortens
@@ -89,11 +92,13 @@ class CameraPose:
     pitch_deg: float = 0.0
 
     def __post_init__(self):
-        for name, value in (("yaw", self.yaw_deg), ("pitch", self.pitch_deg)):
-            if not -90.0 < value < 90.0:
-                raise BadPoseError(
-                    f"{name} {value} outside (-90, 90); model self-occludes"
-                )
+        _check_pose(self.yaw_deg, self.pitch_deg)
+
+
+def _check_pose(yaw_deg: float, pitch_deg: float) -> None:
+    for name, value in (("yaw", yaw_deg), ("pitch", pitch_deg)):
+        if not -90.0 < value < 90.0:
+            raise BadPoseError(f"{name} {value} outside (-90, 90); model self-occludes")
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,22 @@ class SynthFrame:
     detection: FrameDetection
     pose: CameraPose
     true_apparent_deg: float
+
+
+@dataclass(frozen=True, eq=False)
+class SweepColumns:
+    """A generated sweep as columns; row i is frame index i.
+
+    ``points`` holds the (n, 15, 2) quantized keypoints and ``boxes`` the
+    (n, 4) boxes ``cx, cy, w, h``; ``yaw_deg`` and ``true_apparent_deg``
+    hold one float per frame, and every frame shares ``pitch_deg``.
+    """
+
+    points: np.ndarray
+    boxes: np.ndarray
+    yaw_deg: list[float]
+    pitch_deg: float
+    true_apparent_deg: list[float]
 
 
 def build_model(spec: HingeModelSpec) -> np.ndarray:
@@ -132,19 +153,20 @@ def build_model(spec: HingeModelSpec) -> np.ndarray:
     return np.stack([center + offset, center, center - offset])
 
 
-def _rotations(poses) -> np.ndarray:
+def _rotations(yaws, pitch_deg: float) -> np.ndarray:
     """World-to-camera rotations, (n, 3, 3): yaw about y, then pitch about x.
 
     Sines and cosines come from ``math``: ``np.sin`` may take a SIMD
     path whose last bit differs from libm on other hosts.
     """
-    rot_yaw, rot_pitch = [], []
-    for pose in poses:
-        yaw, pitch = math.radians(pose.yaw_deg), math.radians(pose.pitch_deg)
-        cy, sy, cp, sp = math.cos(yaw), math.sin(yaw), math.cos(pitch), math.sin(pitch)
+    pitch = math.radians(pitch_deg)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    rot_pitch = [[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]]
+    rot_yaw = []
+    for yaw in map(math.radians, yaws):
+        cy, sy = math.cos(yaw), math.sin(yaw)
         rot_yaw.append([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
-        rot_pitch.append([[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]])
-    return np.array(rot_pitch) @ np.array(rot_yaw)
+    return np.array([rot_pitch] * len(rot_yaw)) @ np.array(rot_yaw)
 
 
 def _planar_angle_deg(u, v) -> float:
@@ -158,8 +180,8 @@ def _planar_angle_deg(u, v) -> float:
     return abs(math.degrees(math.atan2(cross, dot)))
 
 
-def _project_all(model, poses, image_width: int, image_height: int):
-    """Quantized (n, 15, 2) keypoints and oracle angles at n poses, in one array pass.
+def _project_all(model, yaws, pitch_deg: float, image_width: int, image_height: int):
+    """Quantized (n, 15, 2) keypoints and oracle angles at n yaws, in one array pass.
 
     Errors are raised in the order a frame-by-frame loop would meet them.
     """
@@ -168,7 +190,7 @@ def _project_all(model, poses, image_width: int, image_height: int):
             f"image dimensions must be positive, got {image_width}x{image_height}"
         )
     model = np.asarray(model, dtype=np.float64)
-    rot = _rotations(poses)
+    rot = _rotations(yaws, pitch_deg)
     pts = model.reshape(-1, 3) @ rot.transpose(0, 2, 1)
     flat = np.stack([pts[..., 0], -pts[..., 1]], axis=-1)
     center = model[1]  # the middle keypoint row
@@ -200,27 +222,23 @@ def _project_all(model, poses, image_width: int, image_height: int):
     return points, angles
 
 
-def _detections(points: np.ndarray, frame_indices) -> list[FrameDetection]:
-    """Wrap quantized (n, 15, 2) keypoints as detections with tight boxes.
+def _boxes(points: np.ndarray) -> np.ndarray:
+    """Tight (n, 4) boxes ``cx, cy, w, h`` around quantized (n, 15, 2) keypoints.
 
     Box center and size use Python ``round``: the center is not on the
     6-decimal grid, and ``np.round`` can differ from it at a decimal tie.
     """
     lo, hi = points.min(axis=1).tolist(), points.max(axis=1).tolist()
-    return [
-        FrameDetection(
-            class_id=0,
-            bbox=BoundingBox(
-                cx=round((xtl + xbr) / 2.0, COORD_DECIMALS),
-                cy=round((ytl + ybr) / 2.0, COORD_DECIMALS),
-                w=round(xbr - xtl, COORD_DECIMALS),
-                h=round(ybr - ytl, COORD_DECIMALS),
-            ),
-            keypoints=KeypointSet(coords),
-            frame_index=index,
+    boxes = [
+        (
+            round((xtl + xbr) / 2.0, COORD_DECIMALS),
+            round((ytl + ybr) / 2.0, COORD_DECIMALS),
+            round(xbr - xtl, COORD_DECIMALS),
+            round(ybr - ytl, COORD_DECIMALS),
         )
-        for coords, (xtl, ytl), (xbr, ybr), index in zip(points, lo, hi, frame_indices)
+        for (xtl, ytl), (xbr, ybr) in zip(lo, hi)
     ]
+    return np.array(boxes, dtype=np.float64).reshape(len(boxes), 4)
 
 
 def project(
@@ -240,8 +258,12 @@ def project(
     one-pose call of the batched projection that ``sweep`` makes, so a
     pose renders to the same bytes either way.
     """
-    points, angles = _project_all(model, [pose], image_width, image_height)
-    return SynthFrame(_detections(points, [None])[0], pose, angles[0])
+    points, angles = _project_all(
+        model, [pose.yaw_deg], pose.pitch_deg, image_width, image_height
+    )
+    box = BoundingBox(*_boxes(points)[0].tolist())
+    detection = FrameDetection(class_id=0, bbox=box, keypoints=KeypointSet(points[0]))
+    return SynthFrame(detection, pose, angles[0])
 
 
 def sweep(
@@ -253,12 +275,14 @@ def sweep(
     pitch_deg: float = 0.0,
     image_width: int = DEFAULT_IMAGE_SIZE,
     image_height: int = DEFAULT_IMAGE_SIZE,
-) -> list[SynthFrame]:
-    """Generate a deterministic yaw sweep of the phantom.
+) -> SweepColumns:
+    """Generate a deterministic yaw sweep of the phantom, as columns.
 
     Frames are indexed 0..steps-1 at equally spaced yaw values
-    (steps=1 yields the start yaw alone). All poses are projected in
-    one array pass, and each frame equals ``project`` at its pose.
+    (steps=1 yields the start yaw alone). A bad pose raises for the
+    first failing frame, its yaw checked before the shared pitch. All
+    poses are projected in one array pass, and each row equals
+    ``project`` at its pose.
     Optional Gaussian jitter is drawn per frame from its own generator,
     ``default_rng([spec.seed, frame_index])``, added per normalized
     coordinate, clipped to [0, 1] and re-quantized, and the box is taken
@@ -269,13 +293,13 @@ def sweep(
         raise BadSpecError(f"steps must be >= 1, got {steps}")
     if jitter_sd < 0.0:
         raise BadSpecError(f"jitter sd must be >= 0, got {jitter_sd}")
-    poses = [
-        CameraPose(yaw_deg=yaw, pitch_deg=pitch_deg)
-        for yaw in np.linspace(yaw_start_deg, yaw_end_deg, steps).tolist()
-    ]
-    points, angles = _project_all(build_model(spec), poses, image_width, image_height)
+    yaws = np.linspace(yaw_start_deg, yaw_end_deg, steps).tolist()
+    for yaw in yaws:
+        _check_pose(yaw, pitch_deg)
+    model = build_model(spec)
+    points, angles = _project_all(model, yaws, pitch_deg, image_width, image_height)
     if jitter_sd > 0.0:
         rngs = (np.random.default_rng([spec.seed, index]) for index in range(steps))
         noise = np.stack([rng.normal(0.0, jitter_sd, points.shape[1:]) for rng in rngs])
         points = np.round(np.clip(points + noise, 0.0, 1.0), COORD_DECIMALS)
-    return list(map(SynthFrame, _detections(points, range(steps)), poses, angles))
+    return SweepColumns(points, _boxes(points), yaws, pitch_deg, angles)

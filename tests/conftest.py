@@ -9,6 +9,7 @@ from kpcurve import sequence
 from kpcurve._kernels import EPSILON
 from kpcurve.annotation import BoundingBox, FrameDetection, KeypointSet
 from kpcurve.geometry import AngleSet, DegenerateVectorError, compute_angles, middle_line
+from kpcurve.report import dumps_frame
 from kpcurve.sequence import AllFramesInvalidError, EmptySequenceError, measure_stream
 
 
@@ -86,6 +87,16 @@ def detection_from_middle(middle: np.ndarray, offset: float = 0.02) -> FrameDete
 def detection_with_angle(bend_deg: float, vertex: int = 2) -> FrameDetection:
     """A detection whose middle line measures exactly-ish bend_deg."""
     return detection_from_middle(normalize_unit(hinge_polyline(bend_deg, vertex)))
+
+
+def frame_line(case_id: str, det: FrameDetection, frame_index: int) -> str:
+    """One class-0 detection as a JSONL frame line without its newline.
+
+    A batch of one row for ``dumps_frame``, the synth stream writer.
+    """
+    assert det.class_id == 0, "dumps_frame writes class id 0"
+    box = (det.bbox.cx, det.bbox.cy, det.bbox.w, det.bbox.h)
+    return dumps_frame(case_id, [box], det.keypoints.points[None], [frame_index])[:-1]
 
 
 def detection_batches(records):

@@ -18,6 +18,7 @@ import numpy as np
 from conftest import (
     CVAT_DOCUMENT,
     detection_with_angle,
+    frame_line,
     hinge_polyline,
     line_angles,
     measure_sequence,
@@ -36,7 +37,6 @@ from kpcurve.annotation import (
 )
 from kpcurve.cli import main
 from kpcurve.evaluation import ConfusionMatrix, Diagnosis, classify, metrics
-from kpcurve.report import dumps_frame
 
 ORACLE_TOL_DEG = 1e-9
 ROUND_TRIP_TOL = 5e-7
@@ -166,7 +166,7 @@ def test_criterion_4_hinge_identity():
 def test_criterion_5_phantom_sweep_recovery(tmp_path):
     # one throwaway run warms the analyze path so the timed section
     # reflects steady-state throughput
-    run_cli(["analyze", "-"], dumps_frame("warm", detection_with_angle(10.0), 0) + "\n")
+    run_cli(["analyze", "-"], frame_line("warm", detection_with_angle(10.0), 0) + "\n")
     with criterion(5, "synthetic sweeps recover the planted bend end to end") as info:
         start = perf_counter()
         streams = {}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import frame_line
 from kpcurve.annotation import (
     BadDimensionsError,
     BoundingBox,
@@ -27,7 +28,7 @@ from kpcurve.annotation import (
     parse_yolo_line,
 )
 from kpcurve.geometry import middle_line
-from kpcurve.report import dumps_frame, parse_frame_line
+from kpcurve.report import parse_frame_line
 
 VALID_LINE = "0 0.5 0.5 0.4 0.6 " + " ".join(
     f"{0.1 + 0.05 * k:.6f} {0.2 + 0.04 * k:.6f}" for k in range(15)
@@ -73,7 +74,7 @@ class TestKeypointSet:
 
     def test_repeated_parses_compare_equal(self):
         assert parse_yolo_line(VALID_LINE) == parse_yolo_line(VALID_LINE)
-        line = dumps_frame("c", parse_yolo_line(VALID_LINE), 3)
+        line = frame_line("c", parse_yolo_line(VALID_LINE), 3)
         assert parse_frame_line(line) == parse_frame_line(line)
         assert parse_frame_line(line) != parse_frame_line(line.replace("0.1,", "0.15,", 1))
 

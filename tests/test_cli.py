@@ -18,13 +18,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CVAT_DOCUMENT, detection_from_middle, detection_with_angle, hinge_polyline, normalize_unit
+from conftest import (
+    CVAT_DOCUMENT,
+    detection_from_middle,
+    detection_with_angle,
+    frame_line,
+    hinge_polyline,
+    normalize_unit,
+)
 import kpcurve
 from kpcurve import __version__, cli, sequence
-from kpcurve.annotation import emit_yolo_line
+from kpcurve.annotation import BoundingBox, FrameDetection, KeypointSet, emit_yolo_line
 from kpcurve.cli import EXIT_GEOMETRY, EXIT_INPUT, EXIT_OK, build_parser, main
 from kpcurve.evaluation import round_half_up
-from kpcurve.report import dumps_frame
+from kpcurve.synth import CameraPose, SynthFrame
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -64,7 +71,7 @@ def degenerate_label_line():
 
 def jsonl_for(case_id, bends, start_index=0):
     lines = [
-        dumps_frame(case_id, detection_with_angle(b), start_index + i)
+        frame_line(case_id, detection_with_angle(b), start_index + i)
         for i, b in enumerate(bends)
     ]
     return "".join(line + "\n" for line in lines)
@@ -265,7 +272,7 @@ class TestAnalyze:
         assert "1.5" in err
 
     def test_failed_case_listed_in_document(self):
-        bad = dumps_frame("bad", degenerate_detection(), 0) + "\n"
+        bad = frame_line("bad", degenerate_detection(), 0) + "\n"
         stream = jsonl_for("good", [40.0]) + bad
         rc, out, _ = run(["analyze", "-"], stream)
         assert rc == EXIT_OK
@@ -278,7 +285,7 @@ class TestAnalyze:
 
     def test_all_cases_failed(self):
         rc, out, err = run(
-            ["analyze", "-"], dumps_frame("bad", degenerate_detection(), 0) + "\n"
+            ["analyze", "-"], frame_line("bad", degenerate_detection(), 0) + "\n"
         )
         assert rc == EXIT_GEOMETRY
         assert "no case yielded a valid measurement" in err
@@ -321,7 +328,7 @@ class TestAnalyze:
             line + "\n"
             for group in zip(*(jsonl_for(c, bends).splitlines() for c in "abc"))
             for line in group
-        ) + dumps_frame("bad", degenerate_detection(), 0) + "\n"
+        ) + frame_line("bad", degenerate_detection(), 0) + "\n"
         outputs = {}
         for chunk in (1, 7, sequence.CHUNK_FRAMES):
             monkeypatch.setattr(sequence, "CHUNK_FRAMES", chunk)
@@ -345,7 +352,7 @@ class TestAnalyze:
     def test_permuted_lines_leave_case_results_unchanged(self, frames, seed):
         # few angles and indices, so ties on the maximum are common
         lines = [
-            dumps_frame(
+            frame_line(
                 case,
                 degenerate_detection() if bend is None else detection_with_angle(bend),
                 index,
@@ -367,7 +374,7 @@ class TestAnalyze:
             assert results([lines[i] for i in order]) == results(lines)
 
     def test_huge_frame_index_reported_exactly(self):
-        line = dumps_frame("a", detection_with_angle(20.0), 10**30)
+        line = frame_line("a", detection_with_angle(20.0), 10**30)
         rc, out, _ = run(["analyze", "-"], line + "\n")
         assert rc == EXIT_OK
         case = json.loads(out)["cases"][0]
@@ -438,7 +445,7 @@ class TestEvaluate:
         assert err == ""
 
     def test_unmeasured_cases_named_and_left_out_of_metrics(self, tmp_path):
-        bad = dumps_frame("bad", degenerate_detection(), 0) + "\n"
+        bad = frame_line("bad", degenerate_detection(), 0) + "\n"
         _, report, _ = run(["analyze", "-"], jsonl_for("a", [67.51]) + bad)
         labels = tmp_path / "labels.csv"
         labels.write_text("case_id,actual\na,pd\nbad,pd\nghost,normal\n")
@@ -485,6 +492,17 @@ class TestEvaluate:
         assert out == ""
         assert err == (
             "kpcurve evaluate: report cases need 'case_id' and 'curvature_deg' fields\n"
+        )
+
+    def test_huge_integer_report_angle_rejected(self, tmp_path):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("case_id,actual\na,pd\n")
+        report = '{"cases": [{"case_id": "a", "curvature_deg": 1%s}]}' % ("0" * 400)
+        rc, out, err = run(["evaluate", "--labels", str(labels), "-"], report)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err == (
+            "kpcurve evaluate: report case 'a' has a curvature_deg too large for a float\n"
         )
 
     def test_report_json_requires_labels(self):
@@ -648,6 +666,54 @@ class TestSynth:
         assert rc == EXIT_INPUT
         assert err == "kpcurve synth: spec is not valid JSON: nested too deeply\n"
 
+    @pytest.mark.parametrize("field", ["hinge_angle_deg", "pitch_deg"])
+    def test_huge_integer_spec_is_an_input_error(self, field):
+        # json.loads reads the integer exactly; it has no float value
+        fields = {"hinge_angle_deg": "30", field: "1" + "0" * 400}
+        spec = "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}"
+        rc, out, err = run(["synth", "-"], spec)
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err == f"kpcurve synth: spec field {field!r} is too large for a float\n"
+
+    # the first frame whose pose fails, in sweep order; a frame's yaw is checked first
+    POSE_ERRORS = {
+        "first_bad_yaw": (
+            {"hinge_angle_deg": 30, "yaw_start_deg": 0, "yaw_end_deg": 120, "steps": 5},
+            "yaw 90.0",
+        ),
+        "bad_pitch": ({"hinge_angle_deg": 30, "pitch_deg": 95}, "pitch 95.0"),
+        "bad_yaw_and_pitch": (
+            {"hinge_angle_deg": 30, "pitch_deg": -90, "yaw_start_deg": 100},
+            "yaw 100.0",
+        ),
+        "bad_pitch_then_bad_yaw": (
+            {"hinge_angle_deg": 30, "pitch_deg": -90, "yaw_start_deg": 10, "yaw_end_deg": 100},
+            "pitch -90.0",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(POSE_ERRORS))
+    def test_pose_error_names_first_failing_frame(self, name):
+        spec, value = self.POSE_ERRORS[name]
+        rc, out, err = run(["synth", "-"], json.dumps(spec))
+        assert rc == EXIT_INPUT
+        assert out == ""
+        assert err == f"kpcurve synth: {value} outside (-90, 90); model self-occludes\n"
+
+    def test_builds_no_per_frame_objects(self, monkeypatch, tmp_path):
+        def refuse(obj, *args, **kwargs):
+            raise AssertionError(f"synth built a {type(obj).__name__}")
+
+        for kind in (FrameDetection, KeypointSet, BoundingBox, CameraPose, SynthFrame):
+            monkeypatch.setattr(kind, "__init__", refuse)
+        spec = {"hinge_angle_deg": 40.0, "steps": 25, "jitter_sd": 0.002, "pitch_deg": 5.0}
+        sidecar = tmp_path / "oracle.json"
+        rc, out, err = run(["synth", "-", "--sidecar", str(sidecar)], json.dumps(spec))
+        assert rc == EXIT_OK, err
+        assert out.count("\n") == 25
+        assert len(json.loads(sidecar.read_text())["frames"]) == 25
+
     # sha256 of (stream, sidecar) per spec: any change to synth output bytes fails here
     GOLDEN = {
         "plain": (
@@ -681,6 +747,22 @@ class TestSynth:
             },
             "a8bc588c0594249934dd192d489513f1ef8b19a73cf25d46578997df19784a38",
             "b5d6416e1a77645c2304289885955b855da5019a59d6bb8afc3c60468f0c104b",
+        ),
+        # jitter clips coordinates to 0.0 and 1.0, so every row takes the
+        # writer's per-value path
+        "clipped_fallback": (
+            {
+                "case_id": "clip\u00f1o\u00e9",
+                "hinge_angle_deg": 50.0,
+                "seed": 5,
+                "jitter_sd": 0.3,
+                "image_width": 101,
+                "image_height": 37,
+                "steps": 9,
+                "pitch_deg": 7.5,
+            },
+            "2f8a4f488d62f4c155c9ad0d0f1dd8525835bf845722bc5d1f25b4ec15d0dbed",
+            "d0bdd7ab1da3f42e99ec41552c16a35325028976ce4c117d40623cdf091b58f3",
         ),
     }
 
@@ -787,6 +869,19 @@ class TestRender:
         root = self.parse_svg(out)
         assert root.get("width") == "800"
         assert root.get("height") == "450"
+
+    def test_default_canvas(self, capsys):
+        rc, out, _ = run(["render", "-"], label_line(40.0))
+        assert rc == EXIT_OK
+        root = self.parse_svg(out)
+        assert (root.get("width"), root.get("height")) == ("640", "640")
+        # the SVG bytes of the default canvas, recorded before it got one constant
+        digest = "a3ec56afeea0239296dfd342697e2df94fea1cc7e07511ed60a4f36bd376ab81"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert run(["render", "--help"])[0] == EXIT_OK
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "canvas width (default 640)" in help_text
+        assert "canvas height (default 640)" in help_text
 
     def test_degenerate_input_exit_code(self):
         rc, _, _ = run(["render", "-"], degenerate_label_line())

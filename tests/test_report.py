@@ -10,17 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import detection_with_angle
+from conftest import detection_with_angle, frame_line
 from kpcurve import sequence
 from kpcurve.geometry import middle_line
 from kpcurve.report import (
     JsonlFormatError,
-    dumps_frame,
     iter_frame_stream,
     parse_frame_line,
 )
 
-GOOD_LINE = dumps_frame("c", detection_with_angle(30.0), 0)
+GOOD_LINE = frame_line("c", detection_with_angle(30.0), 0)
 
 
 def bad_stream(edit) -> list[str]:
@@ -181,7 +180,7 @@ BAD_LINES = {
     "half_line": GOOD_LINE[: len(GOOD_LINE) // 2],
 }
 BASE_RECORDS = [
-    json.loads(dumps_frame("c", detection_with_angle(angle), 0))
+    json.loads(frame_line("c", detection_with_angle(angle), 0))
     for angle in (5.0, 40.0, 120.0)
 ]
 

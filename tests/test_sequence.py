@@ -13,13 +13,14 @@ from conftest import (
     detection_batches,
     detection_from_middle,
     detection_with_angle,
+    frame_line,
     measure_sequence,
     normalize_unit,
 )
 from kpcurve import sequence
 from kpcurve.annotation import KeypointSet, emit_yolo_line
 from kpcurve.cli import main
-from kpcurve.report import dumps_frame, iter_frame_stream
+from kpcurve.report import iter_frame_stream
 from kpcurve.sequence import AllFramesInvalidError, EmptySequenceError, measure_stream
 
 
@@ -126,7 +127,7 @@ class TestMeasureSingle:
 
     def test_equivalent_to_one_frame_sequence(self):
         det = detection_with_angle(42.0)
-        report, stream = io.StringIO(), io.StringIO(dumps_frame("stdin", det, 0) + "\n")
+        report, stream = io.StringIO(), io.StringIO(frame_line("stdin", det, 0) + "\n")
         main(["analyze", "-"], stdin=stream, stdout=report)
         assert self.measure(det) == json.loads(report.getvalue())["cases"][0]
 
@@ -249,7 +250,7 @@ class TestMeasureStream:
             records.append(
                 (case, dataclasses.replace(detection_with_angle(angle), frame_index=i))
             )
-        lines = [dumps_frame(case, det, det.frame_index) for case, det in records]
+        lines = [frame_line(case, det, det.frame_index) for case, det in records]
         results = {}
         for chunk in (1, 7, sequence.CHUNK_FRAMES):
             monkeypatch.setattr(sequence, "CHUNK_FRAMES", chunk)

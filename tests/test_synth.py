@@ -1,6 +1,5 @@
 """Phantom generator: construction, projection oracle, sweeps, jitter."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import measure_sequence, vector_angle
+from kpcurve.annotation import BoundingBox, FrameDetection, KeypointSet
 from kpcurve.geometry import compute_angles
+from kpcurve.report import sweep_sidecar
 from kpcurve.synth import (
     BadPoseError,
     BadSpecError,
@@ -212,22 +213,44 @@ class TestOracleAgreement:
         assert rotated <= frontal + 1e-9
 
 
+def columns(result) -> tuple:
+    """Every column of a sweep, comparable with ``==`` bit for bit."""
+    return (
+        result.points.tobytes(),
+        result.boxes.tobytes(),
+        result.yaw_deg,
+        result.pitch_deg,
+        result.true_apparent_deg,
+    )
+
+
+def detections(result) -> list[FrameDetection]:
+    return [
+        FrameDetection(class_id=0, bbox=BoundingBox(*box), keypoints=KeypointSet(points))
+        for box, points in zip(result.boxes.tolist(), result.points)
+    ]
+
+
 class TestSweep:
     def test_single_step_uses_start_yaw(self):
         spec = HingeModelSpec(hinge_angle_deg=40.0)
-        frames = sweep(spec, yaw_start_deg=-15.0, yaw_end_deg=60.0, steps=1)
-        assert len(frames) == 1
-        assert frames[0].pose.yaw_deg == -15.0
-        assert frames[0].detection.frame_index == 0
+        result = sweep(spec, yaw_start_deg=-15.0, yaw_end_deg=60.0, steps=1)
+        assert result.points.shape == (1, 15, 2)
+        assert result.boxes.shape == (1, 4)
+        assert result.yaw_deg == [-15.0]
+        assert len(result.true_apparent_deg) == 1
+        assert sweep_sidecar("c", {}, result)["frames"][0]["frame_index"] == 0
 
     def test_frame_indices_sequential(self):
-        frames = sweep(HingeModelSpec(hinge_angle_deg=20.0), steps=7)
-        assert [f.detection.frame_index for f in frames] == list(range(7))
+        result = sweep(HingeModelSpec(hinge_angle_deg=20.0), steps=7)
+        frames = sweep_sidecar("c", {}, result)["frames"]
+        assert [f["frame_index"] for f in frames] == list(range(7))
+        assert len(result.points) == len(result.boxes) == len(result.yaw_deg) == 7
+        assert len(result.true_apparent_deg) == 7
 
     def test_recovers_angle_at_frontal(self):
         spec = HingeModelSpec(hinge_angle_deg=40.0)
-        frames = sweep(spec, -60.0, 60.0, steps=25)
-        apparent = [f.true_apparent_deg for f in frames]
+        apparent = sweep(spec, -60.0, 60.0, steps=25).true_apparent_deg
         assert max(apparent) == apparent[12]  # yaw 0 at the center
         assert apparent[12] == pytest.approx(40.0, abs=1e-9)
 
@@ -235,30 +258,28 @@ class TestSweep:
         spec = HingeModelSpec(hinge_angle_deg=35.0, seed=7)
         a = sweep(spec, steps=10, jitter_sd=0.003)
         b = sweep(spec, steps=10, jitter_sd=0.003)
-        assert a == b
+        assert columns(a) == columns(b)
 
     def test_seed_changes_jittered_frames(self):
         a = sweep(HingeModelSpec(hinge_angle_deg=35.0, seed=1), steps=5, jitter_sd=0.003)
         b = sweep(HingeModelSpec(hinge_angle_deg=35.0, seed=2), steps=5, jitter_sd=0.003)
-        assert a != b
+        assert columns(a) != columns(b)
         # jitter-free output ignores the seed entirely
         c = sweep(HingeModelSpec(hinge_angle_deg=35.0, seed=1), steps=5)
         d = sweep(HingeModelSpec(hinge_angle_deg=35.0, seed=2), steps=5)
-        assert c == d
+        assert columns(c) == columns(d)
 
     def test_jitter_keeps_coordinates_in_unit_range(self):
-        frames = sweep(HingeModelSpec(hinge_angle_deg=45.0, seed=3), steps=8, jitter_sd=0.2)
-        for frame in frames:
-            pts = frame.detection.keypoints.points
-            assert (pts >= 0.0).all() and (pts <= 1.0).all()
+        result = sweep(HingeModelSpec(hinge_angle_deg=45.0, seed=3), steps=8, jitter_sd=0.2)
+        assert (result.points >= 0.0).all() and (result.points <= 1.0).all()
 
     def test_jitter_perturbs_measurement_but_not_oracle(self):
         spec = HingeModelSpec(hinge_angle_deg=40.0, seed=5)
         clean = sweep(spec, steps=3)
         noisy = sweep(spec, steps=3, jitter_sd=0.01)
-        for c, n in zip(clean, noisy):
-            assert n.true_apparent_deg == c.true_apparent_deg
-            assert n.detection.keypoints != c.detection.keypoints
+        assert noisy.true_apparent_deg == clean.true_apparent_deg
+        for c, n in zip(clean.points, noisy.points):
+            assert not np.array_equal(n, c)
 
     @pytest.mark.parametrize(
         "kwargs", [{"steps": 0}, {"jitter_sd": -0.1}, {"image_width": 0}, {"image_height": -1}]
@@ -285,21 +306,24 @@ class TestSweep:
         spec = HingeModelSpec(
             hinge_angle_deg=beta, length_cm=length, width_cm=width, hinge_position=position
         )
-        frames = sweep(
+        result = sweep(
             spec, *yaws, steps=steps, pitch_deg=pitch, image_width=size[0], image_height=size[1]
         )
+        assert result.yaw_deg == np.linspace(*yaws, steps).tolist()
+        assert result.pitch_deg == pitch
         model = build_model(spec)
-        for index, frame in enumerate(frames):
-            alone = project(model, frame.pose, *size)
-            assert frame.detection == dataclasses.replace(alone.detection, frame_index=index)
-            assert (
-                frame.detection.keypoints.points.tobytes()
-                == alone.detection.keypoints.points.tobytes()
-            )
-            assert frame.true_apparent_deg.hex() == alone.true_apparent_deg.hex()
+        for index, yaw in enumerate(result.yaw_deg):
+            alone = project(model, CameraPose(yaw, pitch), *size)
+            box = alone.detection.bbox
+            assert alone.detection.class_id == 0
+            assert result.boxes[index].tobytes() == np.array(
+                [box.cx, box.cy, box.w, box.h]
+            ).tobytes()
+            assert result.points[index].tobytes() == alone.detection.keypoints.points.tobytes()
+            assert result.true_apparent_deg[index].hex() == alone.true_apparent_deg.hex()
 
     @pytest.mark.parametrize("beta", [15.0, 30.0, 45.0, 60.0, 90.0])
     def test_phantom_grid_recovery(self, beta):
-        frames = sweep(HingeModelSpec(hinge_angle_deg=beta), -60.0, 60.0, 25)
-        case = measure_sequence("p", [f.detection for f in frames])
+        result = sweep(HingeModelSpec(hinge_angle_deg=beta), -60.0, 60.0, 25)
+        case = measure_sequence("p", detections(result))
         assert case.curvature_deg == pytest.approx(beta, abs=1.0)

@@ -2,8 +2,9 @@
 
 ``dumps_report`` must equal ``json.dumps(value, indent=2) + "\\n"`` for
 every value json accepts, and raise what json raises otherwise.
-``dumps_frame`` must equal the compact dump of the canonical record
-below, whose coordinates are Python ``round`` to six decimals.
+``dumps_frame`` must equal the compact dumps of the canonical records
+below, one line per row, whose coordinates are Python ``round`` to six
+decimals.
 """
 
 import json
@@ -14,32 +15,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpcurve.annotation import COORD_DECIMALS, BoundingBox, FrameDetection, KeypointSet
+from kpcurve import report, sequence
+from kpcurve.annotation import COORD_DECIMALS
 from kpcurve.report import dumps_frame, dumps_report
 from kpcurve.synth import HingeModelSpec, sweep
 
 
-def frame_record(case_id, det, frame_index) -> dict:
-    """The canonical JSONL object for one detection, built as a dict."""
+def frame_record(case_id, box, points, frame_index) -> dict:
+    """The canonical JSONL object for one frame, built as a dict."""
     return {
         "case_id": case_id,
         "frame_index": frame_index,
-        "class_id": det.class_id,
-        "bbox": [
-            round(det.bbox.cx, COORD_DECIMALS),
-            round(det.bbox.cy, COORD_DECIMALS),
-            round(det.bbox.w, COORD_DECIMALS),
-            round(det.bbox.h, COORD_DECIMALS),
-        ],
-        "keypoints": [
-            [round(x, COORD_DECIMALS), round(y, COORD_DECIMALS)]
-            for x, y in det.keypoints.points.tolist()
-        ],
+        "class_id": 0,
+        "bbox": [round(v, COORD_DECIMALS) for v in box],
+        "keypoints": [[round(x, COORD_DECIMALS), round(y, COORD_DECIMALS)] for x, y in points],
     }
 
 
-def reference_frame(case_id, det, frame_index) -> str:
-    return json.dumps(frame_record(case_id, det, frame_index), separators=(",", ":"))
+def reference_frames(case_id, boxes, points, frame_indices) -> str:
+    """One compact json line per row; rows are taken as Python floats."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).tolist()
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 15, 2).tolist()
+    return "".join(
+        json.dumps(frame_record(case_id, *row), separators=(",", ":")) + "\n"
+        for row in zip(boxes, points, frame_indices)
+    )
 
 
 def reference_report(value) -> str:
@@ -136,12 +136,15 @@ class TestDumpsReport:
             dumps_report(loop)
 
 
-# values on either side of the %.6f fast path's bounds, and an exact binary tie
+# values on either side of the array path's bounds, an exact binary tie,
+# decimal ties whose %.6f text and rint(v * 1e6) disagree, a grid value
+# below 1e-4, and the non-finite floats
 EDGE_COORDS = [
     0.0,
     -0.0,
     1.0,
     5e-324,
+    0.000099,
     0.00009999949,
     0.0000999995,
     0.0001,
@@ -150,50 +153,93 @@ EDGE_COORDS = [
     math.nextafter(0.9999995, 0.0),
     math.nextafter(0.9999995, 1.0),
     0.99999949,
+    0.999999,
     0.0078125,
+    0.0001005,
+    0.0001075,
     0.5,
     0.1234565,
+    math.nan,
+    math.inf,
+    -math.inf,
 ]
+# values on the 6-decimal grid, which the array path takes inside its bounds
+grid_coords = st.integers(0, 10**6).map(lambda k: k / 10**6)
 coords = st.one_of(
-    st.floats(0.0, 1.0), st.sampled_from(EDGE_COORDS), st.floats(), st.floats(-2.0, 2.0)
+    st.floats(0.0, 1.0),
+    st.sampled_from(EDGE_COORDS),
+    st.floats(),
+    st.floats(-2.0, 2.0),
+    grid_coords,
+)
+rows = st.one_of(
+    st.lists(grid_coords, min_size=34, max_size=34),
+    st.lists(coords, min_size=34, max_size=34),
 )
 
 
-def detection(box, points) -> FrameDetection:
-    return FrameDetection(class_id=0, bbox=BoundingBox(*box), keypoints=KeypointSet(points))
+def frames_from_rows(values):
+    """(boxes, points) arrays from (n, 34) rows."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1, 34)
+    return values[:, :4], values[:, 4:].reshape(-1, 15, 2)
+
+
+def grid_row(seed: int) -> list[float]:
+    """A row every value of which takes the array path."""
+    rng = np.random.default_rng(seed)
+    return (rng.integers(100, 999_999, 34) / 10**6).tolist()
+
+
+def row_ending_in(value: float) -> list[float]:
+    """A row of array-path values but the last; the row takes that value's path."""
+    return [0.25] * 33 + [value]
+
+
+def assert_matches_reference(case_id, boxes, points, frame_indices):
+    text = dumps_frame(case_id, boxes, points, frame_indices)
+    assert text == reference_frames(case_id, boxes, points, frame_indices)
+    return text
+
+
+@pytest.fixture
+def array_path_rows(monkeypatch):
+    """Count the rows that ``dumps_frame`` formats on the array path."""
+    counted = []
+    digit_tails = report._digit_tails
+
+    def counting(values):
+        counted.append(len(values))
+        return digit_tails(values)
+
+    monkeypatch.setattr(report, "_digit_tails", counting)
+    return counted
 
 
 class TestDumpsFrame:
     @given(
-        box=st.lists(coords, min_size=4, max_size=4),
-        points=st.lists(coords, min_size=30, max_size=30),
-        class_id=st.integers(0, 10**30),
+        values=st.lists(rows, max_size=6),
         case_id=text.filter(bool),
-        frame_index=st.integers(0, 10**30),
+        frame_indices=st.lists(st.integers(0, 10**30), min_size=6, max_size=6),
     )
     @settings(max_examples=500, deadline=None)
-    def test_matches_reference(self, box, points, class_id, case_id, frame_index):
-        det = FrameDetection(
-            class_id=class_id,
-            bbox=BoundingBox(*box),
-            keypoints=KeypointSet(np.reshape(points, (15, 2))),
-        )
-        assert dumps_frame(case_id, det, frame_index) == reference_frame(
-            case_id, det, frame_index
-        )
+    def test_matches_reference(self, values, case_id, frame_indices):
+        boxes, points = frames_from_rows(values)
+        assert_matches_reference(case_id, boxes, points, frame_indices[: len(values)])
 
     @pytest.mark.parametrize("value", EDGE_COORDS, ids=repr)
     def test_edge_values(self, value):
-        det = detection([value] * 4, np.full((15, 2), value))
-        assert dumps_frame("c", det, 0) == reference_frame("c", det, 0)
+        # the value alone, and once among array-path values, between array-path rows
+        values = [[value] * 34, grid_row(1), row_ending_in(value), grid_row(2)]
+        assert_matches_reference("c", *frames_from_rows(values), [0, 1, 2, 3])
 
     def test_random_detections(self):
         rng = np.random.default_rng(7)
         for scale in (1.0, 1e-3, 1e-5):
-            for _ in range(200):
-                points = rng.uniform(0.0, 1.0, (15, 2)) * scale
-                det = detection(rng.uniform(0.0, 1.0, 4).tolist(), points)
-                assert dumps_frame("r", det, 3) == reference_frame("r", det, 3)
+            boxes = rng.uniform(0.0, 1.0, (200, 4))
+            points = rng.uniform(0.0, 1.0, (200, 15, 2)) * scale
+            assert_matches_reference("r", boxes, points, range(200))
+            quantized = np.round(points, COORD_DECIMALS)
+            assert_matches_reference("r", np.round(boxes, 6), quantized, range(200))
 
     @pytest.mark.parametrize(
         "box",
@@ -201,33 +247,68 @@ class TestDumpsFrame:
         ids=["ints", "bools", "float64"],
     )
     def test_directly_built_box(self, box):
-        det = detection(box, np.full((15, 2), 0.5))
-        assert dumps_frame("c", det, 0) == reference_frame("c", det, 0)
+        # box fields of any real type are written as their float64 values
+        points = np.full((1, 15, 2), 0.5)
+        text = assert_matches_reference("c", [box], points, [0])
+        assert text == dumps_frame("c", [[float(v) for v in box]], points, [0])
 
-    @pytest.mark.parametrize("value", [np.float32(0.5), "0.5"], ids=repr)
+    @pytest.mark.parametrize("value", ["0.5"], ids=repr)
     def test_unsupported_coordinate_type_raises(self, value):
-        det = detection([value, 0.5, 0.5, 0.5], np.full((15, 2), 0.5))
         with pytest.raises(TypeError):
-            reference_frame("c", det, 0)
-        with pytest.raises(TypeError):
-            dumps_frame("c", det, 0)
+            dumps_frame("c", [[value, 0.5, 0.5, 0.5]], np.full((1, 15, 2), 0.5), [0])
 
     def test_non_ascii_case_id_and_huge_frame_index(self):
-        det = detection([0.5, 0.5, 0.25, 0.125], np.full((15, 2), 0.3))
-        line = dumps_frame("caño\U0001f600", det, 10**30)
-        assert line == reference_frame("caño\U0001f600", det, 10**30)
-        assert line.isascii()
+        boxes = [[0.5, 0.5, 0.25, 0.125], [0.5, 0.5, 0.25, 0.125]]
+        points = np.full((2, 15, 2), 0.3)
+        text = assert_matches_reference("caño\U0001f600", boxes, points, [10**30, 0])
+        assert text.isascii()
+        assert text.count("\n") == 2
 
-    def test_every_frame_of_jittered_sweeps(self):
+    def test_no_rows_no_text(self):
+        assert dumps_frame("c", np.empty((0, 4)), np.empty((0, 15, 2)), []) == ""
+
+    def test_row_and_frame_index_counts_must_agree(self):
+        with pytest.raises(ValueError):
+            dumps_frame("c", np.full((2, 4), 0.5), np.full((2, 15, 2), 0.5), [0])
+
+    def test_blocks_mix_array_and_fallback_rows(self, array_path_rows):
+        values = []
+        for i, value in enumerate(EDGE_COORDS):
+            values += [grid_row(i), row_ending_in(value)]
+        text = assert_matches_reference("m", *frames_from_rows(values), range(len(values)))
+        assert text.count("\n") == len(values)
+        # the grid rows and the rows ending in an edge value on the grid in
+        # [1e-4, 0.9999995) take the array path, the others go value by value
+        on_grid = [0.0001, 0.999999, 0.5]
+        assert array_path_rows == [len(EDGE_COORDS) + len(on_grid)]
+
+    @pytest.mark.parametrize(
+        "rows_count",
+        [1, sequence.CHUNK_FRAMES - 1, sequence.CHUNK_FRAMES, sequence.CHUNK_FRAMES + 1],
+    )
+    def test_block_sizes(self, rows_count, array_path_rows):
+        # a fallback row ends the first block, so each block has both paths
+        values = [grid_row(i) for i in range(rows_count)]
+        end = min(rows_count, sequence.CHUNK_FRAMES) - 1
+        values[end] = row_ending_in(0.0)
+        assert_matches_reference("b", *frames_from_rows(values), range(rows_count))
+        blocks = [min(rows_count, sequence.CHUNK_FRAMES) - 1]
+        if rows_count > sequence.CHUNK_FRAMES:
+            blocks.append(rows_count - sequence.CHUNK_FRAMES)
+        assert array_path_rows == blocks
+
+    def test_every_frame_of_jittered_sweeps(self, array_path_rows):
+        rows_total = 0
         for i in range(16):
             spec = HingeModelSpec(hinge_angle_deg=5.0 + 11.0 * i, seed=i)
-            frames = sweep(
+            result = sweep(
                 spec,
                 steps=80,
                 jitter_sd=0.003 * (i % 2),
                 pitch_deg=2.0 * (i % 5),
                 image_width=640 + 97 * i,
             )
-            for f in frames:
-                det, index = f.detection, f.detection.frame_index
-                assert dumps_frame("s", det, index) == reference_frame("s", det, index)
+            assert_matches_reference("s", result.boxes, result.points, range(80))
+            rows_total += 80
+        # a sweep whose jitter does not clip goes wholly down the array path
+        assert sum(array_path_rows) == rows_total
