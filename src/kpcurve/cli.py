@@ -33,7 +33,6 @@ from .evaluation import (
     read_dataset_csv,
     read_labels_csv,
 )
-from .geometry import DegenerateVectorError, compute_angles, middle_line
 from .overlay import DEFAULT_CANVAS_PX, render_svg
 from .report import (
     RunConfig,
@@ -44,7 +43,7 @@ from .report import (
     measurement_report,
     sweep_sidecar,
 )
-from .sequence import AllFramesInvalidError, measure_stream
+from .sequence import AllFramesInvalidError, measure_stream, middle_line
 from .synth import BadSpecError, DegenerateProjectionError, HingeModelSpec, sweep
 
 EXIT_OK = 0
@@ -53,11 +52,7 @@ EXIT_GEOMETRY = 3
 
 # every kpcurve error is a ValueError; the geometry ones are matched first
 _INPUT_ERRORS = (OSError, ValueError)
-_GEOMETRY_ERRORS = (
-    DegenerateVectorError,
-    DegenerateProjectionError,
-    AllFramesInvalidError,
-)
+_GEOMETRY_ERRORS = (DegenerateProjectionError, AllFramesInvalidError)
 
 # synth spec fields by type, passed on to HingeModelSpec and to sweep; a
 # field the spec leaves out takes that parameter's default there
@@ -255,22 +250,31 @@ def _first_label_line(text: str, stderr) -> str:
     return lines[0]
 
 
+def _measure_still(args, stdin, stderr):
+    """The first label line's detection and its case, measured with its one frame kept.
+
+    A still image is a stream of one batch of one frame, so ``measure``
+    and ``render`` share the measurement and its error messages.
+    """
+    line = _first_label_line(_read_text(args.label, stdin), stderr)
+    det = parse_yolo_line(line)
+    case_id = "stdin" if args.label == "-" else Path(args.label).stem
+    batch = ([case_id], [0], middle_line(det.keypoints)[None])
+    cases, failures = measure_stream([batch], aspect=args.aspect)
+    if failures:
+        raise AllFramesInvalidError(f"case {case_id!r}: {failures[0][1]}")
+    return det, cases[0]
+
+
 def _cmd_measure(args, stdin, stdout, stderr) -> int:
     config = RunConfig(
         threshold_deg=args.threshold,
         aspect_ratio=args.aspect,
         retain_per_frame=not args.no_per_frame,
     )
-    line = _first_label_line(_read_text(args.label, stdin), stderr)
-    det = parse_yolo_line(line)
-    case_id = "stdin" if args.label == "-" else Path(args.label).stem
-    # a still image is a stream of one batch of one frame
-    batch = ([case_id], [0], middle_line(det.keypoints)[None])
-    cases, failures = measure_stream([batch], aspect=config.aspect_ratio)
-    if failures:
-        raise AllFramesInvalidError(f"case {case_id!r}: {failures[0][1]}")
-    diagnosis = classify(cases[0].curvature_deg, config.threshold_deg)
-    document = measurement_report([(cases[0], diagnosis)], config, __version__)
+    _, case = _measure_still(args, stdin, stderr)
+    diagnosis = classify(case.curvature_deg, config.threshold_deg)
+    document = measurement_report([(case, diagnosis)], config, __version__)
     _write_text(args.output, dumps_report(document), stdout)
     return EXIT_OK
 
@@ -460,10 +464,8 @@ def _cmd_synth(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_render(args, stdin, stdout, stderr) -> int:
-    line = _first_label_line(_read_text(args.label, stdin), stderr)
-    det = parse_yolo_line(line)
-    angles = compute_angles(det.keypoints, aspect=args.aspect)
-    svg = render_svg(det, angles, args.width, args.height)
+    det, case = _measure_still(args, stdin, stderr)
+    svg = render_svg(det, case.per_frame[0].angles, args.width, args.height)
     _write_text(args.output, svg, stdout)
     return EXIT_OK
 

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 
 from .annotation import COLS, ROWS, FrameDetection
 from .evaluation import DISPLAY_DECIMALS, round_half_up
-from .geometry import AngleSet
+from .sequence import AngleSet
 
 SVG_NS = "http://www.w3.org/2000/svg"
 

@@ -46,8 +46,7 @@ from .evaluation import (
     MetricsReport,
     round_half_up,
 )
-from .geometry import middle_line
-from .sequence import CaseMeasurement
+from .sequence import CaseMeasurement, middle_line
 
 SCHEMA_VERSION = 1
 
@@ -75,8 +74,6 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.threshold_deg < 180.0:
             raise ValueError(f"threshold {self.threshold_deg} outside (0, 180)")
-        if self.aspect_ratio <= 0.0:
-            raise ValueError(f"aspect ratio {self.aspect_ratio} must be positive")
 
     def as_dict(self) -> dict:
         return {

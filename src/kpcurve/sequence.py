@@ -1,4 +1,15 @@
-"""Aggregation of per-frame angles into per-case measurements.
+"""Measurement of frame streams: four angles per frame, a maximum per case.
+
+A detection's curvature is read from the five middle-row landmarks
+P0..P4 (base to tip). Four angles are computed between pairs of the
+four segments they span: the deviation angle between the first and
+last segments, and three segment angles between consecutive segments
+meeting at the interior points. The frame-level angle is the largest
+of the four, which keeps the measurement sensitive to both gradual
+arcs and a sharp local kink. Coordinates arrive normalized per axis,
+so angles are distorted on non-square images unless x is rescaled by
+the width/height ratio first; :func:`measure_stream` takes that ratio
+as ``aspect`` (default 1.0), a positive finite number.
 
 A case is a stream of detections from one video (or a single still).
 Each frame is measured independently; the case-level curvature is the
@@ -20,13 +31,13 @@ is a per-case maximum, ties going to the lowest frame index, so neither
 batch size nor stream order changes any result.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._kernels import polyline_angles
-from .geometry import AngleSet, angle_set_from_row
-from .geometry import middle_line  # noqa: F401  a call site perfbench traces by name
+from .annotation import COLS, MIDDLE_ROW, KeypointSet
 
 # frames per batch, read when a batch producer starts; bounds how many
 # parsed lines (~2.9 KB each) are held at once
@@ -39,6 +50,47 @@ class EmptySequenceError(ValueError):
 
 class AllFramesInvalidError(ValueError):
     """Every frame of a case had degenerate geometry."""
+
+
+@dataclass(frozen=True)
+class AngleSet:
+    """The four angles, in degrees, measured on one middle line.
+
+    ``deviation_deg`` compares the base segment P0P1 with the tip
+    segment P3P4. ``segment_deg`` holds the angles between consecutive
+    segments meeting at interior points P1, P2, P3. ``frame_angle_deg``
+    is the maximum of all four; ``curvature_col`` is the grid column
+    (1, 2, or 3) of the interior point with the largest segment angle,
+    ties resolving to the lowest column.
+    """
+
+    deviation_deg: float
+    segment_deg: tuple[float, float, float]
+    frame_angle_deg: float
+    curvature_col: int
+
+
+def middle_line(keypoints: KeypointSet) -> np.ndarray:
+    """The middle row as a read-only (5, 2) view of ``points``, base to tip.
+
+    This is the one accessor of a detection's middle row; the batched
+    JSONL parser takes the same row from its stacked keypoint grid.
+    Coordinates pass through unchanged; aspect correction is applied by
+    the angle computation, not here.
+    """
+    return keypoints.points[MIDDLE_ROW * COLS : (MIDDLE_ROW + 1) * COLS]
+
+
+def angle_set_from_row(row: np.ndarray) -> AngleSet:
+    """Assemble an AngleSet from one kernel output row."""
+    values = row.tolist()
+    segments = values[1:]
+    return AngleSet(
+        deviation_deg=values[0],
+        segment_deg=tuple(segments),
+        frame_angle_deg=max(values),
+        curvature_col=1 + segments.index(max(segments)),  # first maximum: ties go low
+    )
 
 
 @dataclass(frozen=True)
@@ -91,11 +143,13 @@ def measure_stream(
     order of first appearance. An ``AngleSet`` is built only for frames
     that are retained (``keep_frames``). Returns the measured cases plus
     a (case_id, message) list for cases whose frames were all
-    degenerate. Raises EmptySequenceError when the stream has no frames
+    degenerate. Raises ValueError when ``aspect`` is not a positive
+    finite number, and EmptySequenceError when the stream has no frames
     at all.
     """
-    if aspect <= 0.0:
-        raise ValueError(f"aspect ratio must be positive, got {aspect}")
+    # a NaN or infinite ratio would give NaN angles that count as valid
+    if not 0.0 < aspect < math.inf:
+        raise ValueError(f"aspect ratio {aspect} must be positive and finite")
     scale = np.array([aspect, 1.0], dtype=np.float64)
 
     states: dict[str, _CaseState] = {}

@@ -10,8 +10,7 @@ values for validating the measurement chain end to end.
 Every pose of a sweep is projected in one array pass, and ``sweep``
 returns the result as columns (:class:`SweepColumns`): keypoints and
 boxes as arrays, poses and oracle angles as lists, with no object per
-frame. ``project`` is the same pass over one pose, wrapped as a
-detection, so batch size never changes a byte.
+frame. A one-step sweep renders a single pose.
 
 Geometry: the shaft base runs along +y (the vertical camera yaw axis)
 and the bend deflects in the x-y plane, so yaw rotation foreshortens
@@ -21,12 +20,13 @@ yaw 0 and separate as the camera swings.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import EPSILON
-from .annotation import COORD_DECIMALS, BoundingBox, FrameDetection, KeypointSet
+from .annotation import COORD_DECIMALS
 
 DEFAULT_LENGTH_CM = 5.5
 DEFAULT_WIDTH_CM = 1.5
@@ -65,10 +65,10 @@ class HingeModelSpec:
             raise BadSpecError(
                 f"hinge angle {self.hinge_angle_deg} outside [0, 180)"
             )
-        if self.length_cm <= 0.0:
-            raise BadSpecError(f"length {self.length_cm} must be positive")
-        if self.width_cm <= 0.0:
-            raise BadSpecError(f"width {self.width_cm} must be positive")
+        if not 0.0 < self.length_cm < math.inf:
+            raise BadSpecError(f"length {self.length_cm} must be positive and finite")
+        if not 0.0 < self.width_cm < math.inf:
+            raise BadSpecError(f"width {self.width_cm} must be positive and finite")
         if not 0.0 < self.hinge_position < 1.0:
             raise BadSpecError(
                 f"hinge position {self.hinge_position} must be strictly interior"
@@ -82,32 +82,6 @@ class HingeModelSpec:
         the true angle recoverable from five samples.
         """
         return min(INTERIOR_FRACTIONS, key=lambda f: (abs(f - self.hinge_position), f))
-
-
-@dataclass(frozen=True)
-class CameraPose:
-    """Orthographic camera orientation; yaw about vertical, then pitch."""
-
-    yaw_deg: float = 0.0
-    pitch_deg: float = 0.0
-
-    def __post_init__(self):
-        _check_pose(self.yaw_deg, self.pitch_deg)
-
-
-def _check_pose(yaw_deg: float, pitch_deg: float) -> None:
-    for name, value in (("yaw", yaw_deg), ("pitch", pitch_deg)):
-        if not -90.0 < value < 90.0:
-            raise BadPoseError(f"{name} {value} outside (-90, 90); model self-occludes")
-
-
-@dataclass(frozen=True)
-class SynthFrame:
-    """A generated detection with its pose and oracle angle."""
-
-    detection: FrameDetection
-    pose: CameraPose
-    true_apparent_deg: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,12 +157,14 @@ def _planar_angle_deg(u, v) -> float:
 def _project_all(model, yaws, pitch_deg: float, image_width: int, image_height: int):
     """Quantized (n, 15, 2) keypoints and oracle angles at n yaws, in one array pass.
 
-    Errors are raised in the order a frame-by-frame loop would meet them.
+    The rotated model is orthographically projected (depth dropped),
+    flipped to image-down y, uniformly scaled and centered into the
+    frame with a 10% margin, normalized by the image size, and rounded
+    to the serialization precision. The oracle angle is the projected
+    angle between the pre-bend and post-bend center-line directions at
+    full precision. Errors are raised in the order a frame-by-frame loop
+    would meet them.
     """
-    if image_width <= 0 or image_height <= 0:
-        raise BadSpecError(
-            f"image dimensions must be positive, got {image_width}x{image_height}"
-        )
     model = np.asarray(model, dtype=np.float64)
     rot = _rotations(yaws, pitch_deg)
     pts = model.reshape(-1, 3) @ rot.transpose(0, 2, 1)
@@ -241,31 +217,6 @@ def _boxes(points: np.ndarray) -> np.ndarray:
     return np.array(boxes, dtype=np.float64).reshape(len(boxes), 4)
 
 
-def project(
-    model: np.ndarray,
-    pose: CameraPose,
-    image_width: int = DEFAULT_IMAGE_SIZE,
-    image_height: int = DEFAULT_IMAGE_SIZE,
-) -> SynthFrame:
-    """Render the model at one pose into a normalized keypoint frame.
-
-    The rotated model is orthographically projected (depth dropped),
-    flipped to image-down y, uniformly scaled and centered into the
-    frame with a 10% margin, normalized by the image size, and rounded
-    to the serialization precision; the box is the keypoints' extent.
-    The oracle angle is the projected angle between the pre-bend and
-    post-bend center-line directions at full precision. This is the
-    one-pose call of the batched projection that ``sweep`` makes, so a
-    pose renders to the same bytes either way.
-    """
-    points, angles = _project_all(
-        model, [pose.yaw_deg], pose.pitch_deg, image_width, image_height
-    )
-    box = BoundingBox(*_boxes(points)[0].tolist())
-    detection = FrameDetection(class_id=0, bbox=box, keypoints=KeypointSet(points[0]))
-    return SynthFrame(detection, pose, angles[0])
-
-
 def sweep(
     spec: HingeModelSpec,
     yaw_start_deg: float = -60.0,
@@ -281,8 +232,8 @@ def sweep(
     Frames are indexed 0..steps-1 at equally spaced yaw values
     (steps=1 yields the start yaw alone). A bad pose raises for the
     first failing frame, its yaw checked before the shared pitch. All
-    poses are projected in one array pass, and each row equals
-    ``project`` at its pose.
+    poses are projected in one array pass, and each row equals a
+    one-step sweep at its pose; a frame's box is its keypoints' extent.
     Optional Gaussian jitter is drawn per frame from its own generator,
     ``default_rng([spec.seed, frame_index])``, added per normalized
     coordinate, clipped to [0, 1] and re-quantized, and the box is taken
@@ -291,11 +242,19 @@ def sweep(
     """
     if steps < 1:
         raise BadSpecError(f"steps must be >= 1, got {steps}")
-    if jitter_sd < 0.0:
-        raise BadSpecError(f"jitter sd must be >= 0, got {jitter_sd}")
+    if not 0.0 <= jitter_sd < math.inf:
+        raise BadSpecError(f"jitter sd must be finite and >= 0, got {jitter_sd}")
     yaws = np.linspace(yaw_start_deg, yaw_end_deg, steps).tolist()
     for yaw in yaws:
-        _check_pose(yaw, pitch_deg)
+        for name, value in (("yaw", yaw), ("pitch", pitch_deg)):
+            if not -90.0 < value < 90.0:
+                raise BadPoseError(f"{name} {value} outside (-90, 90); model self-occludes")
+    if image_width <= 0 or image_height <= 0:
+        raise BadSpecError(
+            f"image dimensions must be positive, got {image_width}x{image_height}"
+        )
+    if max(image_width, image_height) > sys.float_info.max:  # an int with no float value
+        raise BadSpecError("image dimensions too large for a float")
     model = build_model(spec)
     points, angles = _project_all(model, yaws, pitch_deg, image_width, image_height)
     if jitter_sd > 0.0:

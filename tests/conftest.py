@@ -8,32 +8,42 @@ import pytest
 from kpcurve import sequence
 from kpcurve._kernels import EPSILON
 from kpcurve.annotation import BoundingBox, FrameDetection, KeypointSet
-from kpcurve.geometry import AngleSet, DegenerateVectorError, compute_angles, middle_line
 from kpcurve.report import dumps_frame
-from kpcurve.sequence import AllFramesInvalidError, EmptySequenceError, measure_stream
+from kpcurve.sequence import (
+    AllFramesInvalidError,
+    AngleSet,
+    EmptySequenceError,
+    measure_stream,
+    middle_line,
+)
 
 
 def vector_angle(a, b, c, d) -> float:
     """Unsigned angle in degrees between vectors b-a and d-c: the tests' oracle.
 
     Computed as atan2(|cross|, dot) in scalar Python floats, so the
-    result is always in [0, 180]. Raises DegenerateVectorError when
-    either vector is shorter than the kernel's degeneracy threshold
-    (segment 0 for b-a, segment 1 for d-c).
+    result is always in [0, 180]. Raises ValueError naming the vector
+    (segment 0 for b-a, segment 1 for d-c) when either is shorter than
+    the kernel's degeneracy threshold.
     """
     ax, ay = float(b[0]) - float(a[0]), float(b[1]) - float(a[1])
     bx, by = float(d[0]) - float(c[0]), float(d[1]) - float(c[1])
-    if math.hypot(ax, ay) < EPSILON:
-        raise DegenerateVectorError(0)
-    if math.hypot(bx, by) < EPSILON:
-        raise DegenerateVectorError(1)
+    for segment, (x, y) in enumerate([(ax, ay), (bx, by)]):
+        if math.hypot(x, y) < EPSILON:
+            raise ValueError(f"segment {segment} shorter than {EPSILON}; angle undefined")
     return math.degrees(math.atan2(abs(ax * by - ay * bx), ax * bx + ay * by))
 
 
 def line_angles(points, aspect: float = 1.0) -> AngleSet:
-    """``compute_angles`` of a (5, 2) middle line, set as every row of a grid."""
-    middle = np.asarray(points, dtype=np.float64)
-    return compute_angles(KeypointSet(np.concatenate([middle] * 3)), aspect=aspect)
+    """The angles ``measure_stream`` gives a (5, 2) middle line as a one-frame case.
+
+    Raises AllFramesInvalidError when a segment of the line is degenerate.
+    """
+    batch = (["line"], [0], np.asarray(points, dtype=np.float64)[None])
+    cases, failures = measure_stream([batch], aspect=aspect)
+    if failures:
+        raise AllFramesInvalidError(failures[0][1])
+    return cases[0].per_frame[0].angles
 
 
 def hinge_polyline(bend_deg: float, vertex: int = 2) -> np.ndarray:

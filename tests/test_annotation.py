@@ -27,8 +27,8 @@ from kpcurve.annotation import (
     parse_cvat_xml,
     parse_yolo_line,
 )
-from kpcurve.geometry import middle_line
 from kpcurve.report import parse_frame_line
+from kpcurve.sequence import middle_line
 
 VALID_LINE = "0 0.5 0.5 0.4 0.6 " + " ".join(
     f"{0.1 + 0.05 * k:.6f} {0.2 + 0.04 * k:.6f}" for k in range(15)

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import pkgutil
 import shutil
@@ -31,7 +32,6 @@ from kpcurve import __version__, cli, sequence
 from kpcurve.annotation import BoundingBox, FrameDetection, KeypointSet, emit_yolo_line
 from kpcurve.cli import EXIT_GEOMETRY, EXIT_INPUT, EXIT_OK, build_parser, main
 from kpcurve.evaluation import round_half_up
-from kpcurve.synth import CameraPose, SynthFrame
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -676,6 +676,27 @@ class TestSynth:
         assert out == ""
         assert err == f"kpcurve synth: spec field {field!r} is too large for a float\n"
 
+    # NaN and Infinity are JSON extensions json.loads accepts
+    BAD_VALUES = {
+        "width_inf": ({"width_cm": math.inf}, "width inf must be positive and finite"),
+        "width_nan": ({"width_cm": math.nan}, "width nan must be positive and finite"),
+        "length_inf": ({"length_cm": math.inf}, "length inf must be positive and finite"),
+        "length_nan": ({"length_cm": math.nan}, "length nan must be positive and finite"),
+        "jitter_inf": ({"jitter_sd": math.inf}, "jitter sd must be finite and >= 0, got inf"),
+        "jitter_nan": ({"jitter_sd": math.nan}, "jitter sd must be finite and >= 0, got nan"),
+        "huge_image_width": ({"image_width": 10**400}, "image dimensions too large for a float"),
+        "huge_image_height": ({"image_height": 10**400}, "image dimensions too large for a float"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_VALUES))
+    def test_non_finite_or_oversize_value_is_an_input_error(self, name, tmp_path):
+        fields, message = self.BAD_VALUES[name]
+        spec = json.dumps({"hinge_angle_deg": 30.0, "steps": 3, **fields})
+        sidecar = tmp_path / "oracle.json"
+        rc, out, err = run(["synth", "-", "--sidecar", str(sidecar)], spec)
+        assert (rc, out, err) == (EXIT_INPUT, "", f"kpcurve synth: {message}\n")
+        assert not sidecar.exists()
+
     # the first frame whose pose fails, in sweep order; a frame's yaw is checked first
     POSE_ERRORS = {
         "first_bad_yaw": (
@@ -705,7 +726,7 @@ class TestSynth:
         def refuse(obj, *args, **kwargs):
             raise AssertionError(f"synth built a {type(obj).__name__}")
 
-        for kind in (FrameDetection, KeypointSet, BoundingBox, CameraPose, SynthFrame):
+        for kind in (FrameDetection, KeypointSet, BoundingBox):
             monkeypatch.setattr(kind, "__init__", refuse)
         spec = {"hinge_angle_deg": 40.0, "steps": 25, "jitter_sd": 0.002, "pitch_deg": 5.0}
         sidecar = tmp_path / "oracle.json"
@@ -883,9 +904,23 @@ class TestRender:
         assert "canvas width (default 640)" in help_text
         assert "canvas height (default 640)" in help_text
 
+    def test_wide_canvas_golden(self):
+        argv = ["render", "--aspect", "1.7778", "--width", "1280", "--height", "720", "-"]
+        rc, out, err = run(argv, label_line(33.0, vertex=3))
+        assert (rc, err) == (EXIT_OK, "")
+        # recorded before render measured through measure_stream
+        digest = "0eac6240acb61b592d3e613ba1fc20524a2ace72b61e6c902e555d5232c2c599"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_degenerate_input_exit_code(self):
         rc, _, _ = run(["render", "-"], degenerate_label_line())
         assert rc == EXIT_GEOMETRY
+
+    def test_degenerate_message_matches_measure(self):
+        results = {cmd: run([cmd, "-"], degenerate_label_line()) for cmd in ("measure", "render")}
+        for cmd, (rc, out, err) in results.items():
+            assert (rc, out) == (EXIT_GEOMETRY, "")
+            assert err == f"kpcurve {cmd}: case 'stdin': all 1 frames had degenerate geometry\n"
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "overlay.svg"
@@ -971,6 +1006,18 @@ class TestParserReuse:
         assert run(["synth", "--seed", "5", "-"], spec)[1] == seeded
 
 
+class TestAspectRule:
+    """One rule for ``--aspect`` on every measuring command: positive and finite."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    @pytest.mark.parametrize("command", ["measure", "analyze", "render"])
+    def test_rejected(self, command, value):
+        stdin = jsonl_for("a", [10.0, 20.0]) if command == "analyze" else label_line(20.0)
+        rc, out, err = run([command, f"--aspect={value}", "-"], stdin)
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == f"kpcurve {command}: aspect ratio {float(value)} must be positive and finite\n"
+
+
 class TestArgumentErrors:
     def test_no_command(self):
         rc, _, _ = run([])
@@ -1033,12 +1080,22 @@ class TestConsoleScript:
         assert json.loads(proc.stdout)["cases"][0]["diagnosis"] == "pd"
 
     def test_version_flag(self):
-        script = shutil.which("kpcurve")
-        if script is None:
-            pytest.skip("console script not on PATH")
-        proc = subprocess.run([script, "--version"], capture_output=True, text=True)
-        assert proc.returncode == 0
+        # the console script named in pyproject.toml, run the way its wrapper runs it
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert 'kpcurve = "kpcurve.cli:entry"' in pyproject.read_text(encoding="utf-8")
+        src = str(Path(kpcurve.__file__).resolve().parent.parent)
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "sys.argv = ['kpcurve', '--version']; from kpcurve.cli import entry; entry()"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == f"kpcurve {__version__}"
+        script = shutil.which("kpcurve")
+        if script is not None:
+            proc = subprocess.run([script, "--version"], capture_output=True, text=True)
+            assert proc.returncode == 0
+            assert proc.stdout.strip() == f"kpcurve {__version__}"
 
 
 class TestFileEncoding:

@@ -1,4 +1,8 @@
-"""Angle math: oracle agreement, invariances, middle-line semantics."""
+"""Angle math: oracle agreement, invariances, middle-line semantics.
+
+Angles are measured through ``measure_stream``, the one measuring path,
+a middle line at a time (``conftest.line_angles``).
+"""
 
 import math
 
@@ -11,15 +15,16 @@ from conftest import (
     detection_from_middle,
     hinge_polyline,
     line_angles,
+    measure_sequence,
     normalize_unit,
     vector_angle,
 )
 from kpcurve.annotation import KeypointSet
-from kpcurve.geometry import (
+from kpcurve.sequence import (
+    AllFramesInvalidError,
     AngleSet,
-    DegenerateVectorError,
     angle_set_from_row,
-    compute_angles,
+    measure_stream,
     middle_line,
 )
 
@@ -62,14 +67,12 @@ class TestVectorAngle:
         )
 
     def test_degenerate_first_vector(self):
-        with pytest.raises(DegenerateVectorError) as info:
+        with pytest.raises(ValueError, match="^segment 0 shorter"):
             vector_angle((1, 1), (1, 1), (0, 0), (1, 0))
-        assert info.value.segment == 0
 
     def test_degenerate_second_vector(self):
-        with pytest.raises(DegenerateVectorError) as info:
+        with pytest.raises(ValueError, match="^segment 1 shorter"):
             vector_angle((0, 0), (1, 0), (2, 2), (2, 2))
-        assert info.value.segment == 1
 
     @given(a=point, b=point, c=point, d=point)
     @settings(max_examples=300)
@@ -228,13 +231,19 @@ class TestComputeAngles:
     def test_degenerate_segment_identified(self):
         pts = hinge_polyline(30.0)
         pts[2] = pts[1]
-        with pytest.raises(DegenerateVectorError) as info:
+        with pytest.raises(AllFramesInvalidError, match="all 1 frames had degenerate geometry"):
             line_angles(pts)
-        assert info.value.segment == 1
+        # beside a valid frame, the degenerate one is kept with its first bad segment
+        batch = (["c", "c"], [0, 1], np.array([hinge_polyline(30.0), pts]))
+        cases, failures = measure_stream([batch])
+        assert failures == []
+        invalid = cases[0].per_frame[1]
+        assert (invalid.valid, invalid.angles) == (False, None)
+        assert invalid.error_note == "degenerate middle-line segment 1"
 
     def test_full_keypoint_entry_point(self):
         det = detection_from_middle(normalize_unit(hinge_polyline(33.0)))
-        result = compute_angles(det.keypoints)
+        result = measure_sequence("c", [det]).per_frame[0].angles
         assert result.frame_angle_deg == pytest.approx(33.0, abs=1e-6)
 
 
@@ -256,9 +265,9 @@ class TestAspectCorrection:
         pts = normalize_unit(hinge_polyline(30.0))
         assert line_angles(pts, aspect=1.0) == line_angles(pts)
 
-    @pytest.mark.parametrize("aspect", [0.0, -1.5])
+    @pytest.mark.parametrize("aspect", [0.0, -1.5, math.nan, math.inf, -math.inf])
     def test_invalid_aspect_rejected(self, aspect):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be positive and finite"):
             line_angles(hinge_polyline(10.0), aspect=aspect)
 
 

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from conftest import detection_with_angle, frame_line
 from kpcurve import sequence
-from kpcurve.geometry import middle_line
 from kpcurve.report import (
     JsonlFormatError,
     iter_frame_stream,
     parse_frame_line,
 )
+from kpcurve.sequence import middle_line
 
 GOOD_LINE = frame_line("c", detection_with_angle(30.0), 0)
 

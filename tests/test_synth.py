@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import measure_sequence, vector_angle
+from conftest import line_angles, measure_sequence, vector_angle
 from kpcurve.annotation import BoundingBox, FrameDetection, KeypointSet
-from kpcurve.geometry import compute_angles
 from kpcurve.report import sweep_sidecar
 from kpcurve.synth import (
     BadPoseError,
     BadSpecError,
-    CameraPose,
     DegenerateProjectionError,
     HingeModelSpec,
+    _project_all,
     build_model,
-    project,
     sweep,
 )
 
@@ -35,6 +33,16 @@ def closed_form_yaw_apparent(beta_deg: float, yaw_deg: float) -> float:
     # pre-bend direction is on the rotation axis: projects to (0, 1)
     px, py = math.sin(b) * math.cos(y), math.cos(b)
     return abs(math.degrees(math.atan2(px, py)))
+
+
+def project(spec, yaw_deg=0.0, pitch_deg=0.0, **image):
+    """One pose of the phantom: a one-step sweep at that yaw and pitch."""
+    return sweep(spec, yaw_start_deg=yaw_deg, steps=1, pitch_deg=pitch_deg, **image)
+
+
+def measured_deg(result, aspect=1.0) -> float:
+    """The frame angle ``measure_stream`` gives row 0 of a sweep."""
+    return line_angles(result.points[0].reshape(3, 5, 2)[1], aspect=aspect).frame_angle_deg
 
 
 class TestSpecValidation:
@@ -67,7 +75,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("yaw,pitch", [(90.0, 0.0), (-90.0, 0.0), (0.0, 95.0)])
     def test_pose_limits(self, yaw, pitch):
         with pytest.raises(BadPoseError):
-            CameraPose(yaw_deg=yaw, pitch_deg=pitch)
+            project(HingeModelSpec(hinge_angle_deg=40.0), yaw, pitch)
 
 
 class TestBuildModel:
@@ -111,94 +119,84 @@ class TestBuildModel:
 
 
 class TestProject:
+    """One pose at a time: row 0 of a one-step sweep."""
+
     def test_frontal_oracle_exact(self):
-        model = build_model(HingeModelSpec(hinge_angle_deg=40.0))
-        frame = project(model, CameraPose(0.0, 0.0))
-        assert frame.true_apparent_deg == pytest.approx(40.0, abs=1e-9)
+        result = project(HingeModelSpec(hinge_angle_deg=40.0))
+        assert result.true_apparent_deg[0] == pytest.approx(40.0, abs=1e-9)
 
     def test_frontal_measured_within_quantization(self):
         for beta in (5.0, 40.0, 90.0, 150.0):
-            model = build_model(HingeModelSpec(hinge_angle_deg=beta))
-            frame = project(model, CameraPose(0.0, 0.0))
-            measured = compute_angles(frame.detection.keypoints).frame_angle_deg
-            assert measured == pytest.approx(beta, abs=0.5)
+            result = project(HingeModelSpec(hinge_angle_deg=beta))
+            assert measured_deg(result) == pytest.approx(beta, abs=0.5)
 
     def test_yaw_foreshortens_and_matches_closed_form(self):
-        model = build_model(HingeModelSpec(hinge_angle_deg=40.0))
-        frame = project(model, CameraPose(yaw_deg=60.0))
-        assert frame.true_apparent_deg < 40.0
-        assert frame.true_apparent_deg == pytest.approx(
-            closed_form_yaw_apparent(40.0, 60.0), abs=1e-9
-        )
+        apparent = project(HingeModelSpec(hinge_angle_deg=40.0), 60.0).true_apparent_deg[0]
+        assert apparent < 40.0
+        assert apparent == pytest.approx(closed_form_yaw_apparent(40.0, 60.0), abs=1e-9)
 
     def test_straight_model_any_pose_zero(self):
-        model = build_model(HingeModelSpec(hinge_angle_deg=0.0))
-        for pose in (CameraPose(0, 0), CameraPose(45, 0), CameraPose(-30, 20)):
-            assert project(model, pose).true_apparent_deg == pytest.approx(
+        spec = HingeModelSpec(hinge_angle_deg=0.0)
+        for yaw, pitch in ((0, 0), (45, 0), (-30, 20)):
+            assert project(spec, yaw, pitch).true_apparent_deg[0] == pytest.approx(
                 0.0, abs=1e-9
             )
 
     def test_laterals_coincide_with_center_at_frontal(self):
-        model = build_model(HingeModelSpec(hinge_angle_deg=35.0))
-        pts = project(model, CameraPose(0.0, 0.0)).detection.keypoints.points
+        pts = project(HingeModelSpec(hinge_angle_deg=35.0)).points[0]
         rows = pts.reshape(3, 5, 2)
         assert np.allclose(rows[0], rows[1], atol=1e-6)
         assert np.allclose(rows[2], rows[1], atol=1e-6)
 
     def test_laterals_separate_under_yaw(self):
-        model = build_model(HingeModelSpec(hinge_angle_deg=35.0))
-        pts = project(model, CameraPose(40.0, 0.0)).detection.keypoints.points
+        pts = project(HingeModelSpec(hinge_angle_deg=35.0), 40.0).points[0]
         rows = pts.reshape(3, 5, 2)
         assert not np.allclose(rows[0], rows[1], atol=1e-3)
 
     def test_frame_fits_margin_and_bbox_tight(self):
-        model = build_model(HingeModelSpec(hinge_angle_deg=70.0))
-        det = project(model, CameraPose(25.0, 10.0)).detection
-        pts = det.keypoints.points
+        result = project(HingeModelSpec(hinge_angle_deg=70.0), 25.0, 10.0)
+        pts = result.points[0]
+        cx, _, w, h = result.boxes[0]
         assert (pts >= 0.1 - 1e-6).all() and (pts <= 0.9 + 1e-6).all()
         xs, ys = pts[:, 0], pts[:, 1]
-        assert det.bbox.cx == pytest.approx((xs.min() + xs.max()) / 2, abs=1e-6)
-        assert det.bbox.w == pytest.approx(xs.max() - xs.min(), abs=1e-6)
-        assert det.bbox.h == pytest.approx(ys.max() - ys.min(), abs=1e-6)
+        assert cx == pytest.approx((xs.min() + xs.max()) / 2, abs=1e-6)
+        assert w == pytest.approx(xs.max() - xs.min(), abs=1e-6)
+        assert h == pytest.approx(ys.max() - ys.min(), abs=1e-6)
 
     def test_quantized_to_six_decimals(self):
-        model = build_model(HingeModelSpec(hinge_angle_deg=33.3))
-        det = project(model, CameraPose(17.0, 3.0)).detection
-        for x, y in det.keypoints.points.tolist():
+        result = project(HingeModelSpec(hinge_angle_deg=33.3), 17.0, 3.0)
+        for x, y in result.points[0].tolist():
             assert x == round(x, 6)
             assert y == round(y, 6)
 
     def test_nonsquare_image_roundtrips_with_aspect(self):
-        model = build_model(HingeModelSpec(hinge_angle_deg=50.0))
-        frame = project(model, CameraPose(0.0, 0.0), image_width=1280, image_height=720)
-        measured = compute_angles(frame.detection.keypoints, aspect=1280 / 720)
-        assert measured.frame_angle_deg == pytest.approx(50.0, abs=0.5)
+        spec = HingeModelSpec(hinge_angle_deg=50.0)
+        result = project(spec, image_width=1280, image_height=720)
+        assert measured_deg(result, aspect=1280 / 720) == pytest.approx(50.0, abs=0.5)
 
+    # a hand-built model no spec can give goes straight to the projection
     def test_point_model_degenerate(self):
         with pytest.raises(DegenerateProjectionError):
-            project(np.zeros((3, 5, 3)), CameraPose(0.0, 0.0))
+            _project_all(np.zeros((3, 5, 3)), [0.0], 0.0, 640, 640)
 
     def test_collapsed_direction_degenerate(self):
         model = build_model(HingeModelSpec(hinge_angle_deg=20.0))
         collapsed = model.copy()
         collapsed[1, 1] = collapsed[1, 0]  # pre-bend direction vanishes
-        with pytest.raises(DegenerateProjectionError):
-            project(collapsed, CameraPose(0.0, 0.0))
+        with pytest.raises(DegenerateProjectionError, match="bend direction collapsed"):
+            _project_all(collapsed, [0.0], 0.0, 640, 640)
 
     def test_bad_image_dimensions(self):
-        model = build_model(HingeModelSpec(hinge_angle_deg=20.0))
         with pytest.raises(BadSpecError):
-            project(model, CameraPose(0.0, 0.0), image_width=0)
+            project(HingeModelSpec(hinge_angle_deg=20.0), image_width=0)
 
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("beta", [10.0, 40.0, 75.0])
     @pytest.mark.parametrize("yaw", [-60.0, -25.0, 0.0, 30.0, 55.0])
     def test_measured_tracks_oracle(self, beta, yaw):
-        model = build_model(HingeModelSpec(hinge_angle_deg=beta))
-        frame = project(model, CameraPose(yaw_deg=yaw))
-        measured = compute_angles(frame.detection.keypoints).frame_angle_deg
-        assert measured == pytest.approx(frame.true_apparent_deg, abs=0.5)
+        result = project(HingeModelSpec(hinge_angle_deg=beta), yaw)
+        assert measured_deg(result) == pytest.approx(result.true_apparent_deg[0], abs=0.5)
 
     @given(
         beta=st.floats(1.0, 90.0),
@@ -207,9 +205,9 @@ class TestOracleAgreement:
     @settings(max_examples=150, deadline=None)
     def test_yaw_underestimates_up_to_ninety(self, beta, yaw):
         # rotation about the base axis only foreshortens bends up to 90
-        model = build_model(HingeModelSpec(hinge_angle_deg=beta))
-        frontal = project(model, CameraPose(0.0, 0.0)).true_apparent_deg
-        rotated = project(model, CameraPose(yaw_deg=yaw)).true_apparent_deg
+        spec = HingeModelSpec(hinge_angle_deg=beta)
+        frontal = project(spec).true_apparent_deg[0]
+        rotated = project(spec, yaw).true_apparent_deg[0]
         assert rotated <= frontal + 1e-9
 
 
@@ -311,16 +309,12 @@ class TestSweep:
         )
         assert result.yaw_deg == np.linspace(*yaws, steps).tolist()
         assert result.pitch_deg == pitch
-        model = build_model(spec)
+        image = {"image_width": size[0], "image_height": size[1]}
         for index, yaw in enumerate(result.yaw_deg):
-            alone = project(model, CameraPose(yaw, pitch), *size)
-            box = alone.detection.bbox
-            assert alone.detection.class_id == 0
-            assert result.boxes[index].tobytes() == np.array(
-                [box.cx, box.cy, box.w, box.h]
-            ).tobytes()
-            assert result.points[index].tobytes() == alone.detection.keypoints.points.tobytes()
-            assert result.true_apparent_deg[index].hex() == alone.true_apparent_deg.hex()
+            alone = project(spec, yaw, pitch, **image)
+            assert result.boxes[index].tobytes() == alone.boxes[0].tobytes()
+            assert result.points[index].tobytes() == alone.points[0].tobytes()
+            assert result.true_apparent_deg[index].hex() == alone.true_apparent_deg[0].hex()
 
     @pytest.mark.parametrize("beta", [15.0, 30.0, 45.0, 60.0, 90.0])
     def test_phantom_grid_recovery(self, beta):
