@@ -1,11 +1,14 @@
-"""Parsing, emission, and conversion of the two label representations.
+"""Parsing and emission of the two label representations.
 
-Two formats are supported: YOLO keypoint label lines (one detection per
+Two formats are read: YOLO keypoint label lines (one detection per
 line, 35 whitespace-separated tokens, everything normalized to [0, 1])
 and a minimal CVAT-style XML subset (pixel-space box plus 15 points per
-image element). Keypoints are kept in a fixed row-major order: lateral
-row 0 first, the middle row 1 second, lateral row 2 last, base to tip
-within each row. ``COORD_DECIMALS`` is the one output precision shared
+image element). Both parsers reach a normalized :class:`FrameDetection`
+in one pass: :func:`parse_cvat_xml` reads, checks, clamps and
+normalizes each pixel value of an image once. Every label error is an
+:class:`AnnotationError`. Keypoints are kept in a fixed row-major
+order: lateral row 0 first, the middle row 1 second, lateral row 2
+last, base to tip within each row. ``COORD_DECIMALS`` is the one output precision shared
 by YOLO label lines, JSONL frame streams and synthetic phantoms.
 """
 
@@ -28,43 +31,7 @@ PIXEL_SLACK = 0.5
 
 
 class AnnotationError(ValueError):
-    """Base class for label parsing and conversion failures."""
-
-
-class TokenCountError(AnnotationError):
-    pass
-
-
-class NonNumericError(AnnotationError):
-    pass
-
-
-class OutOfRangeError(AnnotationError):
-    pass
-
-
-class NegativeClassError(AnnotationError):
-    pass
-
-
-class MalformedXmlError(AnnotationError):
-    pass
-
-
-class MissingBoxError(AnnotationError):
-    pass
-
-
-class MissingPointsError(AnnotationError):
-    pass
-
-
-class WrongPointCountError(AnnotationError):
-    pass
-
-
-class BadDimensionsError(AnnotationError):
-    pass
+    """A label line or CVAT document that cannot be read."""
 
 
 @dataclass(frozen=True)
@@ -94,7 +61,7 @@ class KeypointSet:
     def __post_init__(self):
         points = np.array(self.points, dtype=np.float64)
         if points.shape != (NUM_KEYPOINTS, 2):
-            raise WrongPointCountError(
+            raise AnnotationError(
                 f"expected ({NUM_KEYPOINTS}, 2) keypoints, got shape {points.shape}"
             )
         points.flags.writeable = False
@@ -116,22 +83,6 @@ class FrameDetection:
     frame_index: int | None = None
 
 
-@dataclass(frozen=True)
-class CvatImageAnnotation:
-    """Pixel-space annotation of a single image element.
-
-    ``box`` is (xtl, ytl, xbr, ybr); ``points`` holds 15 (x, y) pairs in
-    the same row-major order used everywhere else. Values are preserved
-    exactly as written in the XML.
-    """
-
-    image_name: str
-    image_width: int
-    image_height: int
-    box: tuple[float, float, float, float]
-    points: tuple[tuple[float, float], ...]
-
-
 def parse_yolo_line(line: str) -> FrameDetection:
     """Parse one YOLO keypoint label line into a FrameDetection.
 
@@ -141,27 +92,27 @@ def parse_yolo_line(line: str) -> FrameDetection:
     """
     tokens = line.split()
     if len(tokens) != YOLO_TOKENS:
-        raise TokenCountError(f"expected {YOLO_TOKENS} tokens, got {len(tokens)}")
+        raise AnnotationError(f"expected {YOLO_TOKENS} tokens, got {len(tokens)}")
     try:
         class_id = int(tokens[0])
     except ValueError:
-        raise NonNumericError(f"class id {tokens[0]!r} is not an integer") from None
+        raise AnnotationError(f"class id {tokens[0]!r} is not an integer") from None
     if class_id < 0:
-        raise NegativeClassError(f"class id must be >= 0, got {class_id}")
+        raise AnnotationError(f"class id must be >= 0, got {class_id}")
 
     values = []
     for pos, token in enumerate(tokens[1:], start=1):
         try:
             value = float(token)
         except ValueError:
-            raise NonNumericError(f"token {pos} ({token!r}) is not a number") from None
+            raise AnnotationError(f"token {pos} ({token!r}) is not a number") from None
         if not math.isfinite(value) or value < 0.0 or value > 1.0:
-            raise OutOfRangeError(f"token {pos} ({token}) outside [0, 1]")
+            raise AnnotationError(f"token {pos} ({token}) outside [0, 1]")
         values.append(value)
 
     bbox = BoundingBox(values[0], values[1], values[2], values[3])
     if bbox.w <= 0.0 or bbox.h <= 0.0:
-        raise OutOfRangeError("bounding box width and height must be positive")
+        raise AnnotationError("bounding box width and height must be positive")
     keypoints = KeypointSet(np.reshape(values[4:], (NUM_KEYPOINTS, 2)))
     return FrameDetection(class_id=class_id, bbox=bbox, keypoints=keypoints)
 
@@ -180,148 +131,114 @@ def emit_yolo_line(det: FrameDetection) -> str:
 def _dimension(element: ET.Element, name: str) -> int:
     raw = element.get(name)
     if raw is None:
-        raise BadDimensionsError(f"image element missing {name!r} attribute")
+        raise AnnotationError(f"image element missing {name!r} attribute")
     try:
         value = int(raw)
     except ValueError:
-        raise BadDimensionsError(f"image {name} {raw!r} is not an integer") from None
+        raise AnnotationError(f"image {name} {raw!r} is not an integer") from None
     if value <= 0:
-        raise BadDimensionsError(f"image {name} must be positive, got {value}")
+        raise AnnotationError(f"image {name} must be positive, got {value}")
     return value
 
 
 def _box_attr(box: ET.Element, name: str, image_name: str) -> float:
     raw = box.get(name)
     if raw is None:
-        raise MalformedXmlError(f"box in {image_name!r} missing {name!r} attribute")
+        raise AnnotationError(f"box in {image_name!r} missing {name!r} attribute")
     try:
         return float(raw)
     except ValueError:
-        raise MalformedXmlError(
+        raise AnnotationError(
             f"box attribute {name}={raw!r} in {image_name!r} is not a number"
         ) from None
 
 
-def _check_pixel_bounds(value: float, limit: float, label: str) -> None:
-    if value < -PIXEL_SLACK or value > limit + PIXEL_SLACK:
-        raise OutOfRangeError(
+def _clamped(value: float, limit: int, label: str) -> float:
+    """A pixel value clamped to [0, limit].
+
+    A value more than PIXEL_SLACK outside, or NaN, raises instead.
+    """
+    if not -PIXEL_SLACK <= value <= limit + PIXEL_SLACK:
+        raise AnnotationError(
             f"{label} = {value} more than {PIXEL_SLACK} px outside [0, {limit}]"
         )
+    return min(max(value, 0.0), limit)
 
 
-def parse_cvat_xml(document: str) -> list[CvatImageAnnotation]:
-    """Extract per-image annotations from a CVAT-style XML document.
+def parse_cvat_xml(document: str, class_id: int = 0) -> list[tuple[str, FrameDetection]]:
+    """Each image's name and its normalized detection, from a CVAT-style XML document.
 
     Only ``image`` elements carrying width/height attributes with one
     ``box`` child (xtl/ytl/xbr/ybr) and one ``points`` child (15
     semicolon-separated "x,y" pairs) are consumed; everything else in
-    the document is ignored. Pixel values are kept exactly as written,
-    but coordinates more than half a pixel outside the image are
-    rejected.
+    the document is ignored. Within an image the box is checked xtl,
+    xbr, ytl, ybr, then the points. A coordinate up to half a pixel
+    outside the image is clamped to the edge; a larger excursion raises.
+    The k-th pixel point maps to the k-th normalized keypoint. A fault
+    in any image is raised before a negative ``class_id``, which a
+    document with no image never checks.
     """
     try:
         root = ET.fromstring(document)
     except ET.ParseError as exc:
-        raise MalformedXmlError(f"not well-formed XML: {exc}") from None
+        raise AnnotationError(f"not well-formed XML: {exc}") from None
 
-    annotations = []
+    detections = []
     for image in root.iter("image"):
         name = image.get("name")
         if not name:
-            raise MalformedXmlError("image element missing 'name' attribute")
+            raise AnnotationError("image element missing 'name' attribute")
         width = _dimension(image, "width")
         height = _dimension(image, "height")
 
         box = image.find("box")
         if box is None:
-            raise MissingBoxError(f"image {name!r} has no box element")
+            raise AnnotationError(f"image {name!r} has no box element")
         xtl = _box_attr(box, "xtl", name)
         ytl = _box_attr(box, "ytl", name)
         xbr = _box_attr(box, "xbr", name)
         ybr = _box_attr(box, "ybr", name)
         if not (xtl < xbr and ytl < ybr):
-            raise MalformedXmlError(f"box in {name!r} is empty or inverted")
+            raise AnnotationError(f"box in {name!r} is empty or inverted")
 
         points_el = image.find("points")
         if points_el is None:
-            raise MissingPointsError(f"image {name!r} has no points element")
+            raise AnnotationError(f"image {name!r} has no points element")
         raw_points = points_el.get("points", "")
         pairs = []
         for chunk in filter(None, (c.strip() for c in raw_points.split(";"))):
             parts = chunk.split(",")
             if len(parts) != 2:
-                raise MalformedXmlError(f"bad point {chunk!r} in {name!r}")
+                raise AnnotationError(f"bad point {chunk!r} in {name!r}")
             try:
                 pairs.append((float(parts[0]), float(parts[1])))
             except ValueError:
-                raise MalformedXmlError(f"bad point {chunk!r} in {name!r}") from None
+                raise AnnotationError(f"bad point {chunk!r} in {name!r}") from None
         if len(pairs) != NUM_KEYPOINTS:
-            raise WrongPointCountError(
+            raise AnnotationError(
                 f"image {name!r} has {len(pairs)} points, expected {NUM_KEYPOINTS}"
             )
 
-        for label, value, limit in (
-            (f"{name}: box xtl", xtl, width),
-            (f"{name}: box xbr", xbr, width),
-            (f"{name}: box ytl", ytl, height),
-            (f"{name}: box ybr", ybr, height),
-        ):
-            _check_pixel_bounds(value, limit, label)
-        for k, (px, py) in enumerate(pairs):
-            _check_pixel_bounds(px, width, f"{name}: point {k} x")
-            _check_pixel_bounds(py, height, f"{name}: point {k} y")
-
-        annotations.append(
-            CvatImageAnnotation(
-                image_name=name,
-                image_width=width,
-                image_height=height,
-                box=(xtl, ytl, xbr, ybr),
-                points=tuple(pairs),
+        xtl = _clamped(xtl, width, f"{name}: box xtl")
+        xbr = _clamped(xbr, width, f"{name}: box xbr")
+        ytl = _clamped(ytl, height, f"{name}: box ytl")
+        ybr = _clamped(ybr, height, f"{name}: box ybr")
+        w, h = float(width), float(height)
+        bbox = BoundingBox(
+            cx=(xtl + xbr) / (2.0 * w),
+            cy=(ytl + ybr) / (2.0 * h),
+            w=(xbr - xtl) / w,
+            h=(ybr - ytl) / h,
+        )
+        normalized = [
+            (
+                _clamped(px, width, f"{name}: point {k} x") / w,
+                _clamped(py, height, f"{name}: point {k} y") / h,
             )
-        )
-    return annotations
-
-
-def _clamp_pixel(value: float, limit: float, label: str) -> float:
-    _check_pixel_bounds(value, limit, label)
-    return min(max(value, 0.0), limit)
-
-
-def convert_cvat_to_yolo(ann: CvatImageAnnotation, class_id: int = 0) -> FrameDetection:
-    """Normalize a pixel-space annotation into a YOLO-style detection.
-
-    Coordinates up to half a pixel outside the image are clamped to the
-    edge; larger excursions raise. The k-th pixel point maps to the k-th
-    normalized keypoint.
-    """
-    if ann.image_width <= 0 or ann.image_height <= 0:
-        raise BadDimensionsError(
-            f"image dimensions must be positive, got "
-            f"{ann.image_width}x{ann.image_height}"
-        )
-    if class_id < 0:
-        raise NegativeClassError(f"class id must be >= 0, got {class_id}")
-
-    w, h = float(ann.image_width), float(ann.image_height)
-    name = ann.image_name
-    xtl = _clamp_pixel(ann.box[0], w, f"{name}: box xtl")
-    ytl = _clamp_pixel(ann.box[1], h, f"{name}: box ytl")
-    xbr = _clamp_pixel(ann.box[2], w, f"{name}: box xbr")
-    ybr = _clamp_pixel(ann.box[3], h, f"{name}: box ybr")
-    bbox = BoundingBox(
-        cx=(xtl + xbr) / (2.0 * w),
-        cy=(ytl + ybr) / (2.0 * h),
-        w=(xbr - xtl) / w,
-        h=(ybr - ytl) / h,
-    )
-    normalized = []
-    for k, (px, py) in enumerate(ann.points):
-        cx = _clamp_pixel(px, w, f"{name}: point {k} x")
-        cy = _clamp_pixel(py, h, f"{name}: point {k} y")
-        normalized.append((cx / w, cy / h))
-    return FrameDetection(
-        class_id=class_id,
-        bbox=bbox,
-        keypoints=KeypointSet(normalized),
-    )
+            for k, (px, py) in enumerate(pairs)
+        ]
+        keypoints = KeypointSet(normalized)
+        detections.append((name, FrameDetection(class_id, bbox, keypoints)))
+    if class_id < 0 and detections:
+        raise AnnotationError(f"class id must be >= 0, got {class_id}")
+    return detections

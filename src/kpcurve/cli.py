@@ -12,14 +12,12 @@ error, 3 geometry error.
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
 from . import __version__
 from .annotation import (
     AnnotationError,
-    convert_cvat_to_yolo,
     emit_yolo_line,
     parse_cvat_xml,
     parse_yolo_line,
@@ -27,7 +25,6 @@ from .annotation import (
 from .evaluation import (
     DEFAULT_THRESHOLD_DEG,
     DatasetFormatError,
-    Diagnosis,
     classify,
     evaluate_dataset,
     read_dataset_csv,
@@ -40,6 +37,7 @@ from .report import (
     dumps_report,
     evaluation_report,
     iter_frame_stream,
+    loads_json,
     measurement_report,
     sweep_sidecar,
 )
@@ -210,12 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_convert(args, stdin, stdout, stderr) -> int:
     document = _read_text(args.xml, stdin)
-    annotations = parse_cvat_xml(document)
     outputs = []
     seen = set()
-    for ann in annotations:
-        det = convert_cvat_to_yolo(ann, class_id=args.class_id)
-        filename = Path(ann.image_name).stem + ".txt"
+    for image_name, det in parse_cvat_xml(document, class_id=args.class_id):
+        filename = Path(image_name).stem + ".txt"
         if filename in seen:
             raise AnnotationError(
                 f"two images map to the same label file {filename!r}"
@@ -372,11 +368,7 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
     config = RunConfig(threshold_deg=args.threshold)
     text = _read_text(args.input, stdin)
     if text.lstrip().startswith("{"):
-        try:
-            document = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            reason = getattr(exc, "msg", "nested too deeply")  # RecursionError has no msg
-            raise DatasetFormatError(f"input is not valid JSON: {reason}") from None
+        document = loads_json(text, DatasetFormatError, "input is not valid JSON: %s")
         if args.labels is None:
             raise DatasetFormatError(
                 "report JSON input needs --labels with ground-truth diagnoses"
@@ -408,11 +400,7 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
 
 
 def _parse_synth_spec(text: str) -> dict:
-    try:
-        raw = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        reason = getattr(exc, "msg", "nested too deeply")  # RecursionError has no msg
-        raise BadSpecError(f"spec is not valid JSON: {reason}") from None
+    raw = loads_json(text, BadSpecError, "spec is not valid JSON: %s")
     if not isinstance(raw, dict):
         raise BadSpecError("spec must be a JSON object")
     for key, value in raw.items():

@@ -23,12 +23,8 @@ DATASET_CSV_HEADER = ("case_id", "actual", "measured_deg")
 LABELS_CSV_HEADER = ("case_id", "actual")
 
 
-class DuplicateCaseIdError(ValueError):
-    pass
-
-
 class DatasetFormatError(ValueError):
-    pass
+    """A dataset, labels or report input that cannot be scored."""
 
 
 class Diagnosis(enum.Enum):
@@ -144,7 +140,7 @@ def evaluate_dataset(
     seen = set()
     for case_id, actual, measured_deg in cases:
         if case_id in seen:
-            raise DuplicateCaseIdError(f"case id {case_id!r} appears more than once")
+            raise DatasetFormatError(f"case id {case_id!r} appears more than once")
         seen.add(case_id)
         records.append(
             CaseRecord(
@@ -207,6 +203,6 @@ def read_labels_csv(text: str) -> dict[str, Diagnosis]:
     for _, (case_id, actual) in _csv_rows(text, LABELS_CSV_HEADER, "labels"):
         case_id = case_id.strip()
         if case_id in labels:
-            raise DuplicateCaseIdError(f"case id {case_id!r} appears more than once")
+            raise DatasetFormatError(f"case id {case_id!r} appears more than once")
         labels[case_id] = Diagnosis.parse(actual)
     return labels

@@ -170,16 +170,25 @@ def _require(condition: bool, lineno: int, message: str) -> None:
         raise JsonlFormatError(f"line {lineno}: {message}")
 
 
+def loads_json(text: str, error: type[ValueError], template: str):
+    """``json.loads(text)``, raising ``error(template % reason)`` on invalid JSON.
+
+    The reason is the decoder's message, or "nested too deeply" for JSON
+    nested past the interpreter's recursion limit.
+    """
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        reason = getattr(exc, "msg", "nested too deeply")  # RecursionError has no msg
+        raise error(template % reason) from None
+
+
 def parse_frame_line(line: str, lineno: int = 1) -> tuple[str, FrameDetection]:
     """Parse one JSONL frame line; errors carry the line number.
 
     Messages that quote the offending value are built only on failure.
     """
-    try:
-        obj = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        reason = getattr(exc, "msg", "nested too deeply")  # RecursionError has no msg
-        raise JsonlFormatError(f"line {lineno}: not valid JSON ({reason})") from None
+    obj = loads_json(line, JsonlFormatError, f"line {lineno}: not valid JSON (%s)")
     _require(isinstance(obj, dict), lineno, "expected a JSON object")
     for key in ("case_id", "frame_index", "class_id", "bbox", "keypoints"):
         if key not in obj:

@@ -39,11 +39,7 @@ INTERIOR_FRACTIONS = (0.25, 0.5, 0.75)
 
 
 class BadSpecError(ValueError):
-    pass
-
-
-class BadPoseError(ValueError):
-    pass
+    """A phantom spec or sweep parameter outside its valid range."""
 
 
 class DegenerateProjectionError(ValueError):
@@ -73,6 +69,8 @@ class HingeModelSpec:
             raise BadSpecError(
                 f"hinge position {self.hinge_position} must be strictly interior"
             )
+        if self.seed < 0:
+            raise BadSpecError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def snapped_position(self) -> float:
@@ -242,13 +240,15 @@ def sweep(
     """
     if steps < 1:
         raise BadSpecError(f"steps must be >= 1, got {steps}")
+    if steps > np.iinfo(np.intp).max:  # more frames than an array can index
+        raise BadSpecError(f"steps must be <= {np.iinfo(np.intp).max}")
     if not 0.0 <= jitter_sd < math.inf:
         raise BadSpecError(f"jitter sd must be finite and >= 0, got {jitter_sd}")
     yaws = np.linspace(yaw_start_deg, yaw_end_deg, steps).tolist()
     for yaw in yaws:
         for name, value in (("yaw", yaw), ("pitch", pitch_deg)):
             if not -90.0 < value < 90.0:
-                raise BadPoseError(f"{name} {value} outside (-90, 90); model self-occludes")
+                raise BadSpecError(f"{name} {value} outside (-90, 90); model self-occludes")
     if image_width <= 0 or image_height <= 0:
         raise BadSpecError(
             f"image dimensions must be positive, got {image_width}x{image_height}"

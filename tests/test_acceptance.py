@@ -30,7 +30,6 @@ from kpcurve.annotation import (
     BoundingBox,
     FrameDetection,
     KeypointSet,
-    convert_cvat_to_yolo,
     emit_yolo_line,
     parse_cvat_xml,
     parse_yolo_line,
@@ -254,19 +253,31 @@ def test_criterion_6_round_trip_parsing():
             worst = max(worst, float(np.abs(recovered - original).max()))
         assert worst <= ROUND_TRIP_TOL
 
-        ann = parse_cvat_xml(CVAT_DOCUMENT)[0]
-        det = convert_cvat_to_yolo(ann)
+        # the first image of the fixture, as its literal pixels
+        width, height = 1280, 720
+        xtl, ytl, xbr, ybr = 100.5, 50.25, 900.75, 600.5
+        pixels = [
+            (120, 80), (300, 90), (500, 100), (700, 110), (880, 120),
+            (130, 300), (310, 310), (510, 320), (710, 330), (890, 340),
+            (140, 520), (320, 530), (520, 540), (720, 550), (895, 560),
+        ]
+        assert f'width="{width}" height="{height}"' in CVAT_DOCUMENT
+        assert f'xtl="{xtl}" ytl="{ytl}" xbr="{xbr}" ybr="{ybr}"' in CVAT_DOCUMENT
+        assert 'points="' + ";".join(f"{x},{y}" for x, y in pixels) + '"' in CVAT_DOCUMENT
+        name, det = parse_cvat_xml(CVAT_DOCUMENT)[0]
+        assert name == "case_a_0001.png"
         expected_box = (
-            (ann.box[0] + ann.box[2]) / 2 / ann.image_width,
-            (ann.box[1] + ann.box[3]) / 2 / ann.image_height,
-            (ann.box[2] - ann.box[0]) / ann.image_width,
-            (ann.box[3] - ann.box[1]) / ann.image_height,
+            (xtl + xbr) / 2 / width,
+            (ytl + ybr) / 2 / height,
+            (xbr - xtl) / width,
+            (ybr - ytl) / height,
         )
         got_box = (det.bbox.cx, det.bbox.cy, det.bbox.w, det.bbox.h)
         assert max(abs(g - e) for g, e in zip(got_box, expected_box)) <= ORACLE_TOL_DEG
-        for point, (px, py) in zip(det.keypoints.points, ann.points):
-            assert abs(point[0] - px / ann.image_width) <= 1e-9
-            assert abs(point[1] - py / ann.image_height) <= 1e-9
+        assert len(det.keypoints.points) == len(pixels)
+        for point, (px, py) in zip(det.keypoints.points, pixels):
+            assert abs(point[0] - px / width) <= 1e-9
+            assert abs(point[1] - py / height) <= 1e-9
         info["detail"] = f"worst coordinate drift {worst:.2e} over {count} lines"
 
 

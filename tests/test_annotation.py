@@ -1,7 +1,7 @@
 """Label parsing, emission, and conversion."""
 
-import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,19 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import frame_line
 from kpcurve.annotation import (
-    BadDimensionsError,
+    AnnotationError,
     BoundingBox,
     FrameDetection,
     KeypointSet,
-    MalformedXmlError,
-    MissingBoxError,
-    MissingPointsError,
-    NegativeClassError,
-    NonNumericError,
-    OutOfRangeError,
-    TokenCountError,
-    WrongPointCountError,
-    convert_cvat_to_yolo,
     emit_yolo_line,
     parse_cvat_xml,
     parse_yolo_line,
@@ -33,6 +24,11 @@ from kpcurve.sequence import middle_line
 VALID_LINE = "0 0.5 0.5 0.4 0.6 " + " ".join(
     f"{0.1 + 0.05 * k:.6f} {0.2 + 0.04 * k:.6f}" for k in range(15)
 )
+
+
+def raises(message):
+    """Expect an AnnotationError whose message is exactly ``message``."""
+    return pytest.raises(AnnotationError, match=f"^{re.escape(message)}$")
 
 
 def coords(n=34):
@@ -69,7 +65,7 @@ class TestKeypointSet:
 
     @pytest.mark.parametrize("shape", [(14, 2), (15, 3)])
     def test_wrong_shape_rejected(self, shape):
-        with pytest.raises(WrongPointCountError):
+        with raises(f"expected (15, 2) keypoints, got shape {shape}"):
             KeypointSet(np.full(shape, 0.5))
 
     def test_repeated_parses_compare_equal(self):
@@ -101,38 +97,38 @@ class TestParseYoloLine:
     @pytest.mark.parametrize("count", [34, 36, 1, 0])
     def test_wrong_token_count(self, count):
         line = " ".join(["0.5"] * count)
-        with pytest.raises(TokenCountError):
+        with raises(f"expected 35 tokens, got {count}"):
             parse_yolo_line(line)
 
     def test_non_numeric_token(self):
         bad = VALID_LINE.split()
         bad[7] = "abc"
-        with pytest.raises(NonNumericError):
+        with raises("token 7 ('abc') is not a number"):
             parse_yolo_line(" ".join(bad))
 
     def test_non_integer_class(self):
         bad = VALID_LINE.split()
         bad[0] = "1.5"
-        with pytest.raises(NonNumericError):
+        with raises("class id '1.5' is not an integer"):
             parse_yolo_line(" ".join(bad))
 
     def test_negative_class(self):
         bad = VALID_LINE.split()
         bad[0] = "-1"
-        with pytest.raises(NegativeClassError):
+        with raises("class id must be >= 0, got -1"):
             parse_yolo_line(" ".join(bad))
 
     @pytest.mark.parametrize("value", ["1.2", "-0.1", "nan", "inf"])
     def test_out_of_range_coordinate(self, value):
         bad = VALID_LINE.split()
         bad[5] = value
-        with pytest.raises(OutOfRangeError):
+        with raises(f"token 5 ({value}) outside [0, 1]"):
             parse_yolo_line(" ".join(bad))
 
     def test_zero_size_box_rejected(self):
         bad = VALID_LINE.split()
         bad[3] = "0.000000"
-        with pytest.raises(OutOfRangeError):
+        with raises("bounding box width and height must be positive"):
             parse_yolo_line(" ".join(bad))
 
     def test_whitespace_flexible(self):
@@ -173,21 +169,21 @@ class TestEmitYoloLine:
 
 class TestParseCvatXml:
     def test_fixture_fields_preserved(self, cvat_document):
-        anns = parse_cvat_xml(cvat_document)
-        assert [a.image_name for a in anns] == ["case_a_0001.png", "case_b_0001.png"]
-        first = anns[0]
-        assert (first.image_width, first.image_height) == (1280, 720)
-        assert first.box == (100.5, 50.25, 900.75, 600.5)
-        assert len(first.points) == 15
-        assert first.points[0] == (120.0, 80.0)
-        assert first.points[14] == (895.0, 560.0)
+        pairs = parse_cvat_xml(cvat_document)
+        assert [name for name, _ in pairs] == ["case_a_0001.png", "case_b_0001.png"]
+        det = pairs[0][1]
+        assert det.class_id == 0
+        assert det.bbox.w == (900.75 - 100.5) / 1280
+        assert det.keypoints.points.shape == (15, 2)
+        assert tuple(det.keypoints.points[0]) == (120 / 1280, 80 / 720)
+        assert tuple(det.keypoints.points[14]) == (895 / 1280, 560 / 720)
 
     def test_non_image_elements_ignored(self, cvat_document):
-        anns = parse_cvat_xml(cvat_document)
-        assert len(anns) == 2  # version/meta elements skipped
+        pairs = parse_cvat_xml(cvat_document)
+        assert len(pairs) == 2  # version/meta elements skipped
 
     def test_malformed_xml(self):
-        with pytest.raises(MalformedXmlError):
+        with pytest.raises(AnnotationError, match="^not well-formed XML: unclosed token"):
             parse_cvat_xml("<annotations><image")
 
     def test_missing_box(self, cvat_document):
@@ -195,87 +191,119 @@ class TestParseCvatXml:
             '<box label="shaft" xtl="100.5" ytl="50.25" xbr="900.75" ybr="600.5" occluded="0"/>',
             "",
         )
-        with pytest.raises(MissingBoxError):
+        with raises("image 'case_a_0001.png' has no box element"):
             parse_cvat_xml(doc)
 
     def test_missing_points(self, cvat_document):
         start = cvat_document.index('<points label="grid" points="120')
         end = cvat_document.index("/>", start) + 2
-        with pytest.raises(MissingPointsError):
+        with raises("image 'case_a_0001.png' has no points element"):
             parse_cvat_xml(cvat_document[:start] + cvat_document[end:])
 
     def test_wrong_point_count(self, cvat_document):
         doc = cvat_document.replace(";895,560", "")
-        with pytest.raises(WrongPointCountError):
+        with raises("image 'case_a_0001.png' has 14 points, expected 15"):
             parse_cvat_xml(doc)
 
     def test_bad_dimensions(self, cvat_document):
-        with pytest.raises(BadDimensionsError):
+        with raises("image width must be positive, got 0"):
             parse_cvat_xml(cvat_document.replace('width="1280"', 'width="0"'))
-        with pytest.raises(BadDimensionsError):
+        with raises("image width 'wide' is not an integer"):
             parse_cvat_xml(cvat_document.replace('width="1280"', 'width="wide"'))
 
     def test_inverted_box(self, cvat_document):
         doc = cvat_document.replace('xbr="900.75"', 'xbr="50.0"')
-        with pytest.raises(MalformedXmlError):
+        with raises("box in 'case_a_0001.png' is empty or inverted"):
             parse_cvat_xml(doc)
-
-    def test_half_pixel_excursion_preserved(self, cvat_document):
-        doc = cvat_document.replace('xtl="100.5"', 'xtl="-0.4"')
-        anns = parse_cvat_xml(doc)
-        assert anns[0].box[0] == -0.4
 
     def test_larger_excursion_rejected(self, cvat_document):
         doc = cvat_document.replace('xtl="100.5"', 'xtl="-0.6"')
-        with pytest.raises(OutOfRangeError):
+        with raises("case_a_0001.png: box xtl = -0.6 more than 0.5 px outside [0, 1280]"):
             parse_cvat_xml(doc)
         doc = cvat_document.replace("895,560", "1280.6,560")
-        with pytest.raises(OutOfRangeError):
+        with raises("case_a_0001.png: point 14 x = 1280.6 more than 0.5 px outside [0, 1280]"):
             parse_cvat_xml(doc)
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            # within an image the box goes xtl, xbr, ytl, ybr, then the points
+            (
+                [('xbr="900.75"', 'xbr="1300"'), ('ytl="50.25"', 'ytl="-1"')],
+                "box xbr = 1300.0 more than 0.5 px outside [0, 1280]",
+            ),
+            (
+                [('ybr="600.5"', 'ybr="800"'), ("120,80", "-5,80")],
+                "box ybr = 800.0 more than 0.5 px outside [0, 720]",
+            ),
+            (
+                [("120,80", "nan,80"), ("895,560", "895,-1")],
+                "point 0 x = nan more than 0.5 px outside [0, 1280]",
+            ),
+        ],
+    )
+    def test_first_bound_fault_wins(self, cvat_document, edits, message):
+        doc = cvat_document
+        for old, new in edits:
+            doc = doc.replace(old, new)
+        with raises(f"case_a_0001.png: {message}"):
+            parse_cvat_xml(doc)
+
+    def test_xml_fault_in_a_later_image_wins_over_negative_class(self, cvat_document):
+        doc = cvat_document.replace("10,20", "10,481")
+        with raises("case_b_0001.png: point 0 y = 481.0 more than 0.5 px outside [0, 480]"):
+            parse_cvat_xml(doc, class_id=-1)
+
+    def test_no_image_needs_no_class_check(self):
+        assert parse_cvat_xml("<annotations><meta/></annotations>", class_id=-1) == []
 
 
 class TestConvertCvatToYolo:
     def test_matches_independent_normalization(self, cvat_document):
         # recompute the expected values with plain arithmetic, no library code
-        ann = parse_cvat_xml(cvat_document)[0]
-        det = convert_cvat_to_yolo(ann, class_id=3)
+        name, det = parse_cvat_xml(cvat_document, class_id=3)[0]
         w, h = 1280.0, 720.0
+        pixels = [
+            tuple(map(float, pair.split(",")))
+            for pair in cvat_document.split('points="')[1].split('"')[0].split(";")
+        ]
+        assert name == "case_a_0001.png"
         assert det.class_id == 3
         assert math.isclose(det.bbox.cx, (100.5 + 900.75) / 2 / w, abs_tol=1e-9)
         assert math.isclose(det.bbox.cy, (50.25 + 600.5) / 2 / h, abs_tol=1e-9)
         assert math.isclose(det.bbox.w, (900.75 - 100.5) / w, abs_tol=1e-9)
         assert math.isclose(det.bbox.h, (600.5 - 50.25) / h, abs_tol=1e-9)
-        for k, (px, py) in enumerate(ann.points):
+        assert len(pixels) == 15
+        for k, (px, py) in enumerate(pixels):
             assert math.isclose(det.keypoints.points[k, 0], px / w, abs_tol=1e-9)
             assert math.isclose(det.keypoints.points[k, 1], py / h, abs_tol=1e-9)
 
     def test_point_order_is_row_major(self, cvat_document):
-        ann = parse_cvat_xml(cvat_document)[0]
-        det = convert_cvat_to_yolo(ann)
+        _, det = parse_cvat_xml(cvat_document)[0]
         # middle row of the fixture starts at pixel point index 5
         assert middle_line(det.keypoints)[0, 0] == pytest.approx(130 / 1280, abs=1e-12)
 
     def test_half_pixel_clamped_to_edge(self, cvat_document):
-        ann = parse_cvat_xml(cvat_document)[0]
-        shifted = dataclasses.replace(ann, box=(-0.4, 50.25, 900.75, 720.3))
-        det = convert_cvat_to_yolo(shifted)
+        doc = cvat_document.replace('xtl="100.5"', 'xtl="-0.4"').replace(
+            'ybr="600.5"', 'ybr="720.3"'
+        )
+        _, det = parse_cvat_xml(doc)[0]
         assert det.bbox.cx == pytest.approx((0.0 + 900.75) / 2 / 1280, abs=1e-12)
         assert det.bbox.cy == pytest.approx((50.25 + 720.0) / 2 / 720, abs=1e-12)
+        _, det = parse_cvat_xml(cvat_document.replace("895,560", "1280.5,-0.5"))[0]
+        assert tuple(det.keypoints.points[14]) == (1.0, 0.0)
 
     def test_large_excursion_rejected(self, cvat_document):
-        ann = parse_cvat_xml(cvat_document)[0]
-        shifted = dataclasses.replace(ann, box=(-0.6, 50.25, 900.75, 600.5))
-        with pytest.raises(OutOfRangeError):
-            convert_cvat_to_yolo(shifted)
+        doc = cvat_document.replace('ybr="600.5"', 'ybr="720.51"')
+        with raises("case_a_0001.png: box ybr = 720.51 more than 0.5 px outside [0, 720]"):
+            parse_cvat_xml(doc)
 
     def test_negative_class_rejected(self, cvat_document):
-        ann = parse_cvat_xml(cvat_document)[0]
-        with pytest.raises(NegativeClassError):
-            convert_cvat_to_yolo(ann, class_id=-2)
+        with raises("class id must be >= 0, got -2"):
+            parse_cvat_xml(cvat_document, class_id=-2)
 
     def test_converted_detection_is_valid(self, cvat_document):
-        for ann in parse_cvat_xml(cvat_document):
-            det = convert_cvat_to_yolo(ann)
+        for _, det in parse_cvat_xml(cvat_document):
             box = (det.bbox.cx, det.bbox.cy, det.bbox.w, det.bbox.h)
             values = [*box, *det.keypoints.points.ravel()]
             assert all(0.0 <= v <= 1.0 for v in values)

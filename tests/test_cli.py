@@ -137,6 +137,48 @@ class TestConvert:
         assert "case_a_0001.txt" in err
         assert not out_dir.exists()
 
+    # sha256 of each label file, recorded before CVAT parsing became one
+    # pass; "clamped" moves three values up to half a pixel past the edge
+    GOLDEN = {
+        ("plain", "0"): {
+            "case_a_0001.txt": "ca1d03df95e5230809d166710cce39820c1b885662dec46121edc0ab49dd48e7",
+            "case_b_0001.txt": "f87dd56ef929542d9b9ef1b9119f52ac4b6f21e64d24f7d8a6cbb071c4c491c9",
+        },
+        ("plain", "3"): {
+            "case_a_0001.txt": "9782c4094bdd66709783253945050b8b12fac66e642bbdda11b45f92d8939d9f",
+            "case_b_0001.txt": "cfd43c22d036c35275e28bab5c38d7c85d1cd4a100134321961638d934b9a653",
+        },
+        ("clamped", "0"): {
+            "case_a_0001.txt": "5ba5bb76dcdec25924c2f9a2dcf3043788a74c6cf55e7d98aa1d6807637758db",
+            "case_b_0001.txt": "f87dd56ef929542d9b9ef1b9119f52ac4b6f21e64d24f7d8a6cbb071c4c491c9",
+        },
+    }
+    DOCUMENTS = {
+        "plain": CVAT_DOCUMENT,
+        "clamped": CVAT_DOCUMENT.replace('xtl="100.5"', 'xtl="-0.4"')
+        .replace('ybr="600.5"', 'ybr="720.3"')
+        .replace("895,560", "1280.5,560"),
+    }
+
+    @pytest.mark.parametrize("variant, class_id", sorted(GOLDEN))
+    def test_label_files_match_golden_digests(self, variant, class_id, tmp_path):
+        argv = ["convert", "-", "-o", str(tmp_path), "--class-id", class_id]
+        rc, _, err = run(argv, self.DOCUMENTS[variant])
+        assert (rc, err) == (EXIT_OK, "")
+        digests = {path.name: sha256_of(path) for path in tmp_path.iterdir()}
+        assert digests == self.GOLDEN[variant, class_id]
+
+    def test_nan_point_is_an_input_error(self, tmp_path):
+        out_dir = tmp_path / "labels"
+        doc = CVAT_DOCUMENT.replace("120,80", "nan,80")
+        rc, out, err = run(["convert", "-", "-o", str(out_dir)], doc)
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == (
+            "kpcurve convert: case_a_0001.png: "
+            "point 0 x = nan more than 0.5 px outside [0, 1280]\n"
+        )
+        assert not out_dir.exists()
+
     def test_missing_input_file(self, tmp_path):
         rc, _, err = run(["convert", str(tmp_path / "nope.xml"), "-o", str(tmp_path)])
         assert rc == EXIT_INPUT
@@ -697,6 +739,24 @@ class TestSynth:
         assert (rc, out, err) == (EXIT_INPUT, "", f"kpcurve synth: {message}\n")
         assert not sidecar.exists()
 
+    # a seed or a step count numpy cannot take is named as a spec field
+    @pytest.mark.parametrize(
+        "options, fields, message",
+        [
+            ([], {"seed": -1, "jitter_sd": 0.01}, "seed must be >= 0, got -1"),
+            ([], {"seed": -1}, "seed must be >= 0, got -1"),
+            (["--seed", "-3"], {}, "seed must be >= 0, got -3"),
+            ([], {"steps": 10**400}, f"steps must be <= {np.iinfo(np.intp).max}"),
+        ],
+        ids=["negative_seed_jittered", "negative_seed", "negative_seed_option", "huge_steps"],
+    )
+    def test_seed_and_steps_errors_name_the_field(self, options, fields, message, tmp_path):
+        spec = json.dumps({"hinge_angle_deg": 30.0, "steps": 3, **fields})
+        sidecar = tmp_path / "oracle.json"
+        rc, out, err = run(["synth", "-", "--sidecar", str(sidecar), *options], spec)
+        assert (rc, out, err) == (EXIT_INPUT, "", f"kpcurve synth: {message}\n")
+        assert not sidecar.exists()
+
     # the first frame whose pose fails, in sweep order; a frame's yaw is checked first
     POSE_ERRORS = {
         "first_bad_yaw": (
@@ -1049,8 +1109,19 @@ def library_exceptions():
 
 class TestExitCodes:
     def test_library_exceptions_found(self):
+        # one input error per module, plus the two the CLI maps to exit 3
         names = {cls.__name__ for cls in library_exceptions()}
-        assert {"DatasetFormatError", "JsonlFormatError", "BadSpecError"} <= names
+        assert names == {
+            "AnnotationError",
+            "JsonlFormatError",
+            "DatasetFormatError",
+            "BadSpecError",
+            "EmptySequenceError",
+            "DegenerateProjectionError",
+            "AllFramesInvalidError",
+        }
+        geometry = {cls.__name__ for cls in cli._GEOMETRY_ERRORS}
+        assert geometry == {"DegenerateProjectionError", "AllFramesInvalidError"}
 
     @pytest.mark.parametrize("error", library_exceptions(), ids=lambda cls: cls.__name__)
     def test_every_library_exception_maps_to_a_stable_exit_code(self, error):

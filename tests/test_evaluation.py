@@ -8,7 +8,6 @@ from kpcurve.evaluation import (
     ConfusionMatrix,
     DatasetFormatError,
     Diagnosis,
-    DuplicateCaseIdError,
     classify,
     confusion,
     evaluate_dataset,
@@ -205,7 +204,7 @@ class TestEvaluateDataset:
 
     def test_duplicate_case_id_rejected(self):
         cases = [("x", Diagnosis.PD, 50.0), ("x", Diagnosis.NORMAL, 10.0)]
-        with pytest.raises(DuplicateCaseIdError):
+        with pytest.raises(DatasetFormatError, match="^case id 'x' appears more than once$"):
             evaluate_dataset(cases)
 
     def test_threshold_sweep_monotonicity(self):
@@ -285,7 +284,7 @@ class TestLabelsCsv:
         assert labels == {"a": Diagnosis.PD, "b": Diagnosis.NORMAL}
 
     def test_duplicate_rejected(self):
-        with pytest.raises(DuplicateCaseIdError):
+        with pytest.raises(DatasetFormatError, match="^case id 'a' appears more than once$"):
             read_labels_csv("case_id,actual\na,pd\na,normal\n")
 
     def test_bad_header(self):
@@ -381,14 +380,14 @@ class TestCsvMessages:
         pytest.param(
             _dataset_rows,
             "case_id,actual,measured_deg\nc1,pd,50\nc1,normal,3\n",
-            DuplicateCaseIdError,
+            DatasetFormatError,
             "case id 'c1' appears more than once",
             id="dataset-duplicate",
         ),
         pytest.param(
             read_labels_csv,
             "case_id,actual\na,pd\na,normal\n",
-            DuplicateCaseIdError,
+            DatasetFormatError,
             "case id 'a' appears more than once",
             id="labels-duplicate",
         ),

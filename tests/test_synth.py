@@ -1,6 +1,7 @@
 """Phantom generator: construction, projection oracle, sweeps, jitter."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from conftest import line_angles, measure_sequence, vector_angle
 from kpcurve.annotation import BoundingBox, FrameDetection, KeypointSet
 from kpcurve.report import sweep_sidecar
 from kpcurve.synth import (
-    BadPoseError,
     BadSpecError,
     DegenerateProjectionError,
     HingeModelSpec,
@@ -74,7 +74,9 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("yaw,pitch", [(90.0, 0.0), (-90.0, 0.0), (0.0, 95.0)])
     def test_pose_limits(self, yaw, pitch):
-        with pytest.raises(BadPoseError):
+        bad = f"yaw {yaw}" if abs(yaw) >= 90.0 else f"pitch {pitch}"
+        message = re.escape(f"{bad} outside (-90, 90); model self-occludes")
+        with pytest.raises(BadSpecError, match=f"^{message}$"):
             project(HingeModelSpec(hinge_angle_deg=40.0), yaw, pitch)
 
 
