@@ -172,11 +172,14 @@ def parse_cvat_xml(document: str, class_id: int = 0) -> list[tuple[str, FrameDet
     ``box`` child (xtl/ytl/xbr/ybr) and one ``points`` child (15
     semicolon-separated "x,y" pairs) are consumed; everything else in
     the document is ignored. Within an image the box is checked xtl,
-    xbr, ytl, ybr, then the points. A coordinate up to half a pixel
-    outside the image is clamped to the edge; a larger excursion raises.
-    The k-th pixel point maps to the k-th normalized keypoint. A fault
-    in any image is raised before a negative ``class_id``, which a
-    document with no image never checks.
+    xbr, ytl, ybr, then its size, then the points. A coordinate up to
+    half a pixel outside the image is clamped to the edge; a larger
+    excursion raises, as does a box whose clamped width or height is not
+    positive at ``COORD_DECIMALS`` decimals, so every label written has
+    a box that :func:`parse_yolo_line` accepts. The k-th pixel point
+    maps to the k-th normalized keypoint. A fault in any image is raised
+    before a negative ``class_id``, which a document with no image never
+    checks.
     """
     try:
         root = ET.fromstring(document)
@@ -194,11 +197,19 @@ def parse_cvat_xml(document: str, class_id: int = 0) -> list[tuple[str, FrameDet
         box = image.find("box")
         if box is None:
             raise AnnotationError(f"image {name!r} has no box element")
-        xtl = _box_attr(box, "xtl", name)
-        ytl = _box_attr(box, "ytl", name)
-        xbr = _box_attr(box, "xbr", name)
-        ybr = _box_attr(box, "ybr", name)
-        if not (xtl < xbr and ytl < ybr):
+        xtl, xbr, ytl, ybr = (
+            _clamped(_box_attr(box, key, name), limit, f"{name}: box {key}")
+            for key, limit in (("xtl", width), ("xbr", width), ("ytl", height), ("ybr", height))
+        )
+        w, h = float(width), float(height)
+        bbox = BoundingBox(
+            cx=(xtl + xbr) / (2.0 * w),
+            cy=(ytl + ybr) / (2.0 * h),
+            w=(xbr - xtl) / w,
+            h=(ybr - ytl) / h,
+        )
+        # the size as written: a box wholly inside the slack past an edge is empty
+        if not (round(bbox.w, COORD_DECIMALS) > 0.0 and round(bbox.h, COORD_DECIMALS) > 0.0):
             raise AnnotationError(f"box in {name!r} is empty or inverted")
 
         points_el = image.find("points")
@@ -219,17 +230,6 @@ def parse_cvat_xml(document: str, class_id: int = 0) -> list[tuple[str, FrameDet
                 f"image {name!r} has {len(pairs)} points, expected {NUM_KEYPOINTS}"
             )
 
-        xtl = _clamped(xtl, width, f"{name}: box xtl")
-        xbr = _clamped(xbr, width, f"{name}: box xbr")
-        ytl = _clamped(ytl, height, f"{name}: box ytl")
-        ybr = _clamped(ybr, height, f"{name}: box ybr")
-        w, h = float(width), float(height)
-        bbox = BoundingBox(
-            cx=(xtl + xbr) / (2.0 * w),
-            cy=(ytl + ybr) / (2.0 * h),
-            w=(xbr - xtl) / w,
-            h=(ybr - ytl) / h,
-        )
         normalized = [
             (
                 _clamped(px, width, f"{name}: point {k} x") / w,

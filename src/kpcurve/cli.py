@@ -41,7 +41,7 @@ from .report import (
     measurement_report,
     sweep_sidecar,
 )
-from .sequence import AllFramesInvalidError, measure_stream, middle_line
+from .sequence import AllFramesInvalidError, angle_set_from_row, measure_stream, middle_line
 from .synth import BadSpecError, DegenerateProjectionError, HingeModelSpec, sweep
 
 EXIT_OK = 0
@@ -453,7 +453,7 @@ def _cmd_synth(args, stdin, stdout, stderr) -> int:
 
 def _cmd_render(args, stdin, stdout, stderr) -> int:
     det, case = _measure_still(args, stdin, stderr)
-    svg = render_svg(det, case.per_frame[0].angles, args.width, args.height)
+    svg = render_svg(det, angle_set_from_row(case.per_frame.angles[0]), args.width, args.height)
     _write_text(args.output, svg, stdout)
     return EXIT_OK
 

@@ -135,19 +135,27 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
 def evaluate_dataset(
     cases, threshold_deg: float = DEFAULT_THRESHOLD_DEG
 ) -> tuple[list[CaseRecord], ConfusionMatrix, MetricsReport]:
-    """Classify (case_id, actual, measured_deg) triples and score them."""
+    """Classify (case_id, actual, measured_deg) triples and score them.
+
+    A repeated case id or an angle outside [0, 180] raises, naming the case.
+    """
     records = []
     seen = set()
     for case_id, actual, measured_deg in cases:
         if case_id in seen:
             raise DatasetFormatError(f"case id {case_id!r} appears more than once")
         seen.add(case_id)
+        measured = float(measured_deg)
+        if not 0.0 <= measured <= 180.0:
+            raise DatasetFormatError(
+                f"case {case_id!r}: measured angle {measured} outside [0, 180]"
+            )
         records.append(
             CaseRecord(
                 case_id=case_id,
                 actual=actual,
-                measured_deg=float(measured_deg),
-                predicted=classify(float(measured_deg), threshold_deg),
+                measured_deg=measured,
+                predicted=classify(measured, threshold_deg),
             )
         )
     cm = confusion((r.actual, r.predicted) for r in records)

@@ -93,7 +93,7 @@ def render_svg(
             },
         )
 
-    deviation_is_max = angles.deviation_deg >= max(angles.segment_deg)
+    deviation_is_max = angles.deviation_deg == angles.frame_angle_deg
     labels = [("deviation", angles.deviation_deg, deviation_is_max)]
     for col, value in enumerate(angles.segment_deg, start=1):
         labels.append(

@@ -12,17 +12,19 @@ any other row value by value, to the same bytes.
 lands in one keypoint array, and a batch that fails any check is parsed
 again line by line by :func:`parse_frame_line`, which raises the first
 bad line's error with its line number. Every indented document (report
-or synth sidecar) is written by the one writer :func:`dumps_report`, as
-``json.dumps(document, indent=2)`` plus a newline. Report documents
-carry exact values alongside their display-rounded counterparts; the
-rounded fields are always recomputable from the exact ones under the
-half-up rule.
+or synth sidecar) is written by :func:`dumps_report` as
+``json.dumps(document, indent=2)`` plus a newline: one encoder, the
+stock one, writes all of it but the lists of cases and frames, which
+fixed templates write from their columns (a report's case entry, its
+valid and degenerate ``per_frame`` rows, a sidecar's ``frames`` row).
+Report documents carry exact values alongside their display-rounded
+counterparts; the rounded fields are always recomputable from the exact
+ones under the half-up rule.
 """
 
 import json
 from dataclasses import dataclass
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -46,13 +48,49 @@ from .evaluation import (
     MetricsReport,
     round_half_up,
 )
-from .sequence import CaseMeasurement, middle_line
+from .sequence import CaseMeasurement, FrameColumns, frame_rules, middle_line
 
 SCHEMA_VERSION = 1
 
-# json's spelling of the constants, and of the floats repr writes as nan and inf
-_CONSTANTS = {None: "null", True: "true", False: "false"}
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# the one home of each layout below: a list item as json.dumps(document,
+# indent=2) writes it at its depth; floats go in through float.__repr__,
+# json's text for the finite angles and poses
+_CASE_ENTRY = """\
+    {{
+      "case_id": {},
+      "curvature_deg": {},
+      "curvature_deg_rounded": {},
+      "diagnosis": {},
+      "argmax_frame": {},
+      "frames_total": {},
+      "frames_valid": {}{}
+    }}"""
+_VALID_ROW = """\
+        {{
+          "frame_index": {},
+          "valid": true,
+          "deviation_deg": {},
+          "segment_deg": [
+            {},
+            {},
+            {}
+          ],
+          "frame_angle_deg": {},
+          "curvature_col": {}
+        }}"""
+_DEGENERATE_ROW = """\
+        {{
+          "frame_index": {},
+          "valid": false,
+          "error_note": "degenerate middle-line segment {}"
+        }}"""
+_SIDECAR_ROW = """\
+    {{
+      "frame_index": {},
+      "yaw_deg": {},
+      "pitch_deg": {},
+      "true_apparent_deg": {}
+    }}"""
 
 
 class JsonlFormatError(ValueError):
@@ -107,7 +145,7 @@ def _coordinate(v: float) -> str:
     """One coordinate as json writes ``round(v, 6)``."""
     if _FIXED_LO <= v < _FIXED_HI:
         return ("%.6f" % v).rstrip("0")
-    return _encode(round(v, COORD_DECIMALS), "")
+    return json.dumps(round(v, COORD_DECIMALS))
 
 
 def _digit_tails(values: np.ndarray) -> list[str]:
@@ -160,9 +198,9 @@ def dumps_frame(case_id: str, boxes, points, frame_indices) -> str:
     tails = []
     for start in range(0, len(values), size):
         tails += _row_tails(values[start : start + size])
-    head = '{"case_id":' + _encode(case_id, "") + ',"frame_index":'
+    head = '{"case_id":' + json.dumps(case_id) + ',"frame_index":'
     lines = zip(frame_indices, tails, strict=True)
-    return "".join([head + _encode(index, "") + tail for index, tail in lines])
+    return "".join([head + int.__repr__(index) + tail for index, tail in lines])
 
 
 def _require(condition: bool, lineno: int, message: str) -> None:
@@ -335,32 +373,66 @@ def iter_frame_stream(lines):
         yield _parse_batch(texts, linenos)
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """A list in a document whose items are written already, each with its indent."""
+
+    items: list[str]
+
+
+def _dumps(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` at indent ``pad``, with _Rows spliced in.
+
+    A dict holding a _Rows value is written member by member; json.dumps
+    writes everything else, and its raw newlines are all structural. The
+    long texts are joined once, not copied by each ``+``.
+    """
+    if type(value) is _Rows:
+        items = ",\n".join(value.items)
+        return "".join(["[\n", items, "\n", pad, "]"]) if value.items else "[]"
+    if type(value) is dict and _Rows in map(type, value.values()):
+        inner = pad + "  "
+        members = [json.dumps(key) + ": " + _dumps(v, inner) for key, v in value.items()]
+        return "".join(["{\n", inner, (",\n" + inner).join(members), "\n", pad, "}"])
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _per_frame_rows(columns: FrameColumns) -> list[str]:
+    """A case's ``per_frame`` rows, written from its columns in stream order."""
+    frame_angle, curvature_col = frame_rules(columns.angles)
+    rows = zip(
+        columns.frame_indices,
+        columns.angles.tolist(),
+        frame_angle.tolist(),
+        curvature_col.tolist(),
+        columns.first_bad.tolist(),
+    )
+    return [
+        _VALID_ROW.format(index, *map(float.__repr__, [*angles, top]), col)
+        if first_bad < 0
+        else _DEGENERATE_ROW.format(index, first_bad)
+        for index, angles, top, col, first_bad in rows
+    ]
+
+
 def _case_entry(
     case: CaseMeasurement, diagnosis: Diagnosis, config: RunConfig
-) -> dict:
-    entry = {
-        "case_id": case.case_id,
-        "curvature_deg": case.curvature_deg,
-        "curvature_deg_rounded": round_half_up(case.curvature_deg),
-        "diagnosis": diagnosis.value,
-        "argmax_frame": case.argmax_frame,
-        "frames_total": case.frames_total,
-        "frames_valid": case.frames_valid,
-    }
+) -> str:
+    """One case of a measurement report, written as an item of its ``cases``."""
+    per_frame = ""
     if config.retain_per_frame:
-        per_frame = []
-        for fm in case.per_frame:
-            row = {"frame_index": fm.frame_index, "valid": fm.valid}
-            if fm.valid:
-                row["deviation_deg"] = fm.angles.deviation_deg
-                row["segment_deg"] = list(fm.angles.segment_deg)
-                row["frame_angle_deg"] = fm.angles.frame_angle_deg
-                row["curvature_col"] = fm.angles.curvature_col
-            else:
-                row["error_note"] = fm.error_note
-            per_frame.append(row)
-        entry["per_frame"] = per_frame
-    return entry
+        rows = _Rows(_per_frame_rows(case.per_frame))
+        per_frame = ',\n      "per_frame": ' + _dumps(rows, "      ")
+    return _CASE_ENTRY.format(
+        json.dumps(case.case_id),
+        float.__repr__(case.curvature_deg),
+        float.__repr__(round_half_up(case.curvature_deg)),
+        json.dumps(diagnosis.value),
+        case.argmax_frame,
+        case.frames_total,
+        case.frames_valid,
+        per_frame,
+    )
 
 
 def measurement_report(
@@ -374,7 +446,7 @@ def measurement_report(
         "schema_version": SCHEMA_VERSION,
         "tool_version": tool_version,
         "config": config.as_dict(),
-        "cases": [_case_entry(case, diagnosis, config) for case, diagnosis in cases],
+        "cases": _Rows([_case_entry(case, diagnosis, config) for case, diagnosis in cases]),
         "errors": errors or [],
     }
 
@@ -410,66 +482,23 @@ def evaluation_report(
     }
 
 
-def _key(key) -> str:
-    """A dict key that is not a str, as json writes it (or rejects it)."""
-    return json.dumps({key: None}, separators=(",", ":"))[1:-6]  # '{' key ':null}'
-
-
-def _encode(value, pad: str) -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` writes it at indent ``pad``.
-
-    The exact JSON types are written here; anything else (a subclass
-    such as numpy.float64, or a value json rejects) is json's own call.
-    """
-    kind = type(value)
-    if kind is float:
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        items = [
-            (_quote(k) if type(k) is str else _key(k)) + ": " + _encode(v, inner)
-            for k, v in value.items()
-        ]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        items = [_encode(v, inner) for v in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-    if value is None or kind is bool:
-        return _CONSTANTS[value]
-    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
-
-
 def dumps_report(document) -> str:
     """Render a document as ``json.dumps(document, indent=2)`` plus a newline."""
-    try:
-        return _encode(document, "") + "\n"
-    except RecursionError:  # nested deeper, or circular: json's own encoder decides
-        return json.dumps(document, indent=2) + "\n"
+    return _dumps(document, "") + "\n"
 
 
 def sweep_sidecar(case_id: str, spec_fields: dict, result) -> dict:
     """Oracle sidecar for a ``synth.SweepColumns`` result: true angle per frame."""
+    pitch = json.dumps(result.pitch_deg)  # once per sweep, and exact for an int pitch too
+    frames = enumerate(zip(result.yaw_deg, result.true_apparent_deg))
     return {
         "schema_version": SCHEMA_VERSION,
         "case_id": case_id,
         "spec": spec_fields,
-        "frames": [
-            {
-                "frame_index": index,
-                "yaw_deg": yaw,
-                "pitch_deg": result.pitch_deg,
-                "true_apparent_deg": angle,
-            }
-            for index, (yaw, angle) in enumerate(zip(result.yaw_deg, result.true_apparent_deg))
-        ],
+        "frames": _Rows(
+            [
+                _SIDECAR_ROW.format(index, float.__repr__(yaw), pitch, float.__repr__(angle))
+                for index, (yaw, angle) in frames
+            ]
+        ),
     }

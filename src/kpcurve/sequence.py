@@ -28,7 +28,8 @@ yields them from JSONL (a still image is one batch of one frame).
 It runs the angle kernel once per batch, cases interleaving freely
 within and across batches, then reduces frame by frame. The reduction
 is a per-case maximum, ties going to the lowest frame index, so neither
-batch size nor stream order changes any result.
+batch size nor stream order changes any result. A case's retained
+frames stay as columns (:class:`FrameColumns`), with no object per frame.
 """
 
 import math
@@ -54,14 +55,12 @@ class AllFramesInvalidError(ValueError):
 
 @dataclass(frozen=True)
 class AngleSet:
-    """The four angles, in degrees, measured on one middle line.
+    """The four angles, in degrees, of one frame, as the overlay draws them.
 
     ``deviation_deg`` compares the base segment P0P1 with the tip
     segment P3P4. ``segment_deg`` holds the angles between consecutive
     segments meeting at interior points P1, P2, P3. ``frame_angle_deg``
-    is the maximum of all four; ``curvature_col`` is the grid column
-    (1, 2, or 3) of the interior point with the largest segment angle,
-    ties resolving to the lowest column.
+    and ``curvature_col`` follow :func:`frame_rules`.
     """
 
     deviation_deg: float
@@ -81,26 +80,41 @@ def middle_line(keypoints: KeypointSet) -> np.ndarray:
     return keypoints.points[MIDDLE_ROW * COLS : (MIDDLE_ROW + 1) * COLS]
 
 
+def frame_rules(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frame angle and curvature column of each row of a (k, 4) angle block.
+
+    The frame angle is the largest of the four angles; the curvature
+    column (1, 2 or 3) the first largest segment angle, ties going low.
+    """
+    return angles.max(axis=1), 1 + angles[:, 1:].argmax(axis=1)
+
+
 def angle_set_from_row(row: np.ndarray) -> AngleSet:
     """Assemble an AngleSet from one kernel output row."""
-    values = row.tolist()
-    segments = values[1:]
-    return AngleSet(
-        deviation_deg=values[0],
-        segment_deg=tuple(segments),
-        frame_angle_deg=max(values),
-        curvature_col=1 + segments.index(max(segments)),  # first maximum: ties go low
-    )
+    frame_angle, curvature_col = frame_rules(row[None])
+    deviation, *segments = row.tolist()
+    return AngleSet(deviation, tuple(segments), frame_angle.item(), curvature_col.item())
 
 
-@dataclass(frozen=True)
-class FrameMeasurement:
-    """Measurement outcome for one frame; angles absent when invalid."""
+@dataclass(frozen=True, eq=False)
+class FrameColumns:
+    """A case's retained frames in stream order; row i is one frame.
 
-    frame_index: int
-    angles: AngleSet | None
-    valid: bool
-    error_note: str | None = None
+    Python int frame indices, the kernel's (k, 4) angle rows (NaN when
+    degenerate) and each frame's first bad segment, -1 when valid.
+    """
+
+    frame_indices: list[int]
+    angles: np.ndarray
+    first_bad: np.ndarray
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FrameColumns)
+            and self.frame_indices == other.frame_indices
+            and np.array_equal(self.angles, other.angles, equal_nan=True)
+            and np.array_equal(self.first_bad, other.first_bad)
+        )
 
 
 @dataclass(frozen=True)
@@ -109,8 +123,8 @@ class CaseMeasurement:
 
     ``curvature_deg`` is the maximum frame angle over valid frames and
     ``argmax_frame`` the lowest frame index attaining it, whatever the
-    stream order. ``per_frame`` is empty when frame retention was
-    disabled.
+    stream order. ``per_frame`` holds the case's frames, and no rows when
+    frame retention was disabled.
     """
 
     case_id: str
@@ -118,7 +132,7 @@ class CaseMeasurement:
     argmax_frame: int
     frames_total: int
     frames_valid: int
-    per_frame: tuple[FrameMeasurement, ...]
+    per_frame: FrameColumns
 
 
 @dataclass
@@ -127,7 +141,8 @@ class _CaseState:
     valid: int = 0
     best_angle: float = -1.0
     best_frame: int = -1
-    retained: list = field(default_factory=list)
+    positions: list = field(default_factory=list)  # stream positions of kept frames
+    frame_indices: list = field(default_factory=list)
 
 
 def measure_stream(
@@ -140,12 +155,12 @@ def measure_stream(
     Each batch is ``(case_ids, frame_indices, middle_lines)``: per frame
     a case id, a frame index and an (n, 5, 2) array of middle-row
     keypoints. Cases may interleave arbitrarily; results come back in
-    order of first appearance. An ``AngleSet`` is built only for frames
-    that are retained (``keep_frames``). Returns the measured cases plus
-    a (case_id, message) list for cases whose frames were all
-    degenerate. Raises ValueError when ``aspect`` is not a positive
-    finite number, and EmptySequenceError when the stream has no frames
-    at all.
+    order of first appearance. With ``keep_frames`` each case's frames
+    are kept as :class:`FrameColumns`; otherwise its columns have no
+    rows. Returns the measured cases plus a (case_id, message) list for
+    cases whose frames were all degenerate. Raises ValueError when
+    ``aspect`` is not a positive finite number, and EmptySequenceError
+    when the stream has no frames at all.
     """
     # a NaN or infinite ratio would give NaN angles that count as valid
     if not 0.0 < aspect < math.inf:
@@ -153,28 +168,28 @@ def measure_stream(
     scale = np.array([aspect, 1.0], dtype=np.float64)
 
     states: dict[str, _CaseState] = {}
+    # the kernel output of every batch, when frames are kept
+    kept_angles, kept_bad = [np.empty((0, 4))], [np.empty(0, np.int64)]
+    offset = 0
     for case_ids, frame_indices, lines in batches:
         if aspect != 1.0:
             lines = lines * scale
         angles, bad = polyline_angles(lines)
-        frame_max = angles.max(axis=1).tolist()
-        for row, case_id, frame_index, angle, first_bad in zip(
-            angles, case_ids, frame_indices, frame_max, bad.tolist()
+        if keep_frames:
+            kept_angles.append(angles)
+            kept_bad.append(bad)
+        frame_max = frame_rules(angles)[0].tolist()
+        for position, (case_id, frame_index, angle, first_bad) in enumerate(
+            zip(case_ids, frame_indices, frame_max, bad.tolist()), start=offset
         ):
             state = states.get(case_id)
             if state is None:
                 state = states[case_id] = _CaseState()
             state.total += 1
+            if keep_frames:
+                state.positions.append(position)
+                state.frame_indices.append(frame_index)
             if first_bad >= 0:
-                if keep_frames:
-                    state.retained.append(
-                        FrameMeasurement(
-                            frame_index=frame_index,
-                            angles=None,
-                            valid=False,
-                            error_note=f"degenerate middle-line segment {first_bad}",
-                        )
-                    )
                 continue
             state.valid += 1
             if angle > state.best_angle or (
@@ -182,13 +197,13 @@ def measure_stream(
             ):
                 state.best_angle = angle
                 state.best_frame = frame_index
-            if keep_frames:
-                angle_set = angle_set_from_row(row)
-                state.retained.append(FrameMeasurement(frame_index, angle_set, True))
+        offset += len(case_ids)
 
     if not states:
         raise EmptySequenceError("no frames in stream")
 
+    all_angles, all_bad = np.concatenate(kept_angles), np.concatenate(kept_bad)
+    no_frames = FrameColumns([], all_angles, all_bad)  # every case's, unless frames are kept
     cases = []
     failures = []
     for case_id, state in states.items():
@@ -207,7 +222,11 @@ def measure_stream(
                 argmax_frame=state.best_frame,
                 frames_total=state.total,
                 frames_valid=state.valid,
-                per_frame=tuple(state.retained),
+                per_frame=FrameColumns(
+                    state.frame_indices, all_angles[state.positions], all_bad[state.positions]
+                )
+                if keep_frames
+                else no_frames,
             )
         )
     return cases, failures

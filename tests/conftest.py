@@ -1,5 +1,6 @@
 """Shared fixtures and builders for the test suite."""
 
+import json
 import math
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 from kpcurve import sequence
 from kpcurve._kernels import EPSILON
 from kpcurve.annotation import BoundingBox, FrameDetection, KeypointSet
-from kpcurve.report import dumps_frame
+from kpcurve.evaluation import Diagnosis
+from kpcurve.report import RunConfig, dumps_frame, dumps_report, measurement_report
 from kpcurve.sequence import (
     AllFramesInvalidError,
     AngleSet,
     EmptySequenceError,
+    angle_set_from_row,
     measure_stream,
     middle_line,
 )
@@ -37,13 +40,21 @@ def vector_angle(a, b, c, d) -> float:
 def line_angles(points, aspect: float = 1.0) -> AngleSet:
     """The angles ``measure_stream`` gives a (5, 2) middle line as a one-frame case.
 
-    Raises AllFramesInvalidError when a segment of the line is degenerate.
+    They are read from the case's frame columns, the frame's kernel row
+    through ``angle_set_from_row``. Raises AllFramesInvalidError when a
+    segment of the line is degenerate.
     """
     batch = (["line"], [0], np.asarray(points, dtype=np.float64)[None])
     cases, failures = measure_stream([batch], aspect=aspect)
     if failures:
         raise AllFramesInvalidError(failures[0][1])
-    return cases[0].per_frame[0].angles
+    return angle_set_from_row(cases[0].per_frame.angles[0])
+
+
+def per_frame_rows(case) -> list[dict]:
+    """The ``per_frame`` rows a measurement report writes for ``case``."""
+    document = measurement_report([(case, Diagnosis.PD)], RunConfig(), "test")
+    return json.loads(dumps_report(document))["cases"][0]["per_frame"]
 
 
 def hinge_polyline(bend_deg: float, vertex: int = 2) -> np.ndarray:

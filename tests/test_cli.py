@@ -179,6 +179,25 @@ class TestConvert:
         )
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            # wholly inside the half-pixel slack: both corners clamp to 640
+            ('xtl="0" ytl="0" xbr="640"', 'xtl="640.1" ytl="0" xbr="640.4"'),
+            # a sliver whose width rounds to 0 at 6 decimals
+            ('xtl="0" ytl="0" xbr="640"', 'xtl="100" ytl="0" xbr="100.0002"'),
+            ('ybr="480"', 'ybr="0.0001"'),
+        ],
+        ids=["clamped_to_edge", "rounds_to_zero", "flat_box"],
+    )
+    def test_zero_size_box_is_an_input_error(self, old, new, tmp_path):
+        out_dir = tmp_path / "labels"
+        assert old in CVAT_DOCUMENT
+        rc, out, err = run(["convert", "-", "-o", str(out_dir)], CVAT_DOCUMENT.replace(old, new))
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == "kpcurve convert: box in 'case_b_0001.png' is empty or inverted\n"
+        assert not out_dir.exists()
+
     def test_missing_input_file(self, tmp_path):
         rc, _, err = run(["convert", str(tmp_path / "nope.xml"), "-o", str(tmp_path)])
         assert rc == EXIT_INPUT
@@ -545,6 +564,29 @@ class TestEvaluate:
         assert out == ""
         assert err == (
             "kpcurve evaluate: report case 'a' has a curvature_deg too large for a float\n"
+        )
+
+    @pytest.mark.parametrize("angle", ["200", "nan", "-1e-9"])
+    def test_out_of_range_csv_angle_names_its_case(self, angle):
+        text = f"case_id,actual,measured_deg\na,pd,50\nb,normal,{angle}\n"
+        rc, out, err = run(["evaluate", "-"], text)
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == (
+            f"kpcurve evaluate: case 'b': measured angle {float(angle)} outside [0, 180]\n"
+        )
+
+    @pytest.mark.parametrize("angle", ["-1", "180.5", "NaN"])
+    def test_out_of_range_report_angle_names_its_case(self, angle, tmp_path):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("case_id,actual\na,pd\nb,normal\n")
+        report = (
+            '{"cases": [{"case_id": "a", "curvature_deg": 50.0}, '
+            '{"case_id": "b", "curvature_deg": %s}]}' % angle
+        )
+        rc, out, err = run(["evaluate", "--labels", str(labels), "-"], report)
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == (
+            f"kpcurve evaluate: case 'b': measured angle {float(angle)} outside [0, 180]\n"
         )
 
     def test_report_json_requires_labels(self):

@@ -17,6 +17,7 @@ from conftest import (
     line_angles,
     measure_sequence,
     normalize_unit,
+    per_frame_rows,
     vector_angle,
 )
 from kpcurve.annotation import KeypointSet
@@ -24,6 +25,7 @@ from kpcurve.sequence import (
     AllFramesInvalidError,
     AngleSet,
     angle_set_from_row,
+    frame_rules,
     measure_stream,
     middle_line,
 )
@@ -215,18 +217,30 @@ class TestComputeAngles:
         assert result.segment_deg[0] == pytest.approx(45.0, abs=1e-12)
         assert result.curvature_col == 1
 
-    @given(row=st.lists(st.sampled_from([0.0, 12.5, 45.0, 90.0, 179.0]), min_size=4, max_size=4))
+    @given(
+        rows=st.lists(
+            st.lists(st.sampled_from([0.0, 12.5, 45.0, 90.0, 179.0]), min_size=4, max_size=4),
+            min_size=1,
+            max_size=6,
+        )
+    )
     @settings(max_examples=300, deadline=None)
-    def test_angle_set_from_row_matches_argmax_rule(self, row):
-        # a five-value alphabet makes ties common; np.argmax takes the first maximum
-        arr = np.array(row)
+    def test_angle_set_from_row_matches_argmax_rule(self, rows):
+        # a five-value alphabet makes ties common; the first maximum wins
+        block = np.array(rows)
+        frame_angle, curvature_col = frame_rules(block)
+        for row, top, col in zip(rows, frame_angle.tolist(), curvature_col.tolist()):
+            assert top == max(row)
+            assert col == 1 + row[1:].index(max(row[1:]))
+        arr = block[0]
         result = angle_set_from_row(arr)
         assert result.curvature_col == 1 + int(np.argmax(arr[1:]))
         assert result.frame_angle_deg == max(float(v) for v in arr)
-        assert result.deviation_deg == row[0]
-        assert result.segment_deg == tuple(row[1:])
+        assert result.deviation_deg == rows[0][0]
+        assert result.segment_deg == tuple(rows[0][1:])
         assert all(type(v) is float for v in (result.deviation_deg, *result.segment_deg))
         assert type(result.frame_angle_deg) is float
+        assert type(result.curvature_col) is int
 
     def test_degenerate_segment_identified(self):
         pts = hinge_polyline(30.0)
@@ -237,13 +251,16 @@ class TestComputeAngles:
         batch = (["c", "c"], [0, 1], np.array([hinge_polyline(30.0), pts]))
         cases, failures = measure_stream([batch])
         assert failures == []
-        invalid = cases[0].per_frame[1]
-        assert (invalid.valid, invalid.angles) == (False, None)
-        assert invalid.error_note == "degenerate middle-line segment 1"
+        assert cases[0].per_frame.first_bad.tolist() == [-1, 1]
+        assert per_frame_rows(cases[0])[1] == {
+            "frame_index": 1,
+            "valid": False,
+            "error_note": "degenerate middle-line segment 1",
+        }
 
     def test_full_keypoint_entry_point(self):
         det = detection_from_middle(normalize_unit(hinge_polyline(33.0)))
-        result = measure_sequence("c", [det]).per_frame[0].angles
+        result = angle_set_from_row(measure_sequence("c", [det]).per_frame.angles[0])
         assert result.frame_angle_deg == pytest.approx(33.0, abs=1e-6)
 
 

@@ -1,4 +1,5 @@
-"""Static checks on the package sources: every imported name is used."""
+"""Static checks on the package sources: every imported name and every
+module-level private name is read."""
 
 import ast
 from pathlib import Path
@@ -32,6 +33,31 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used | exported]
 
 
+def unused_private_names(source: str) -> list[str]:
+    """Module-level private names (a ``_name`` function, class or assignment)
+    that no other top-level statement of the module reads, in definition
+    order; a function that only calls itself is unused."""
+    body = ast.parse(source).body
+    reads = [
+        {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in body
+    ]
+    unused = []
+    for i, node in enumerate(body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in bound:
+            private = name.startswith("_") and not name.startswith("__")
+            if private and not any(name in read for j, read in enumerate(reads) if j != i):
+                unused.append(name)
+    return unused
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -52,3 +78,29 @@ def test_no_unused_imports(path):
 )
 def test_checker_finds_unused_names(source, unused):
     assert unused_imports(source) == unused
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_unused_private_names(path):
+    assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "source, unused",
+    [
+        ("def _f():\n    pass\n", ["_f"]),
+        ("def _f():\n    pass\n_f()\n", []),
+        ("class _C:\n    pass\n", ["_C"]),
+        ("class _C:\n    pass\nx: _C = None\n", []),
+        ("_A = 1\n", ["_A"]),
+        ("_A, (_B, c) = 1, (2, 3)\nprint(_B)\n", ["_A"]),
+        ("_A: int = 1\n", ["_A"]),
+        ("_A = 1\ndef f(x=_A):\n    return x\n", []),
+        ("_A = {}\n_B = {**_A}\n", ["_B"]),
+        ("__version__ = '1'\npublic = 1\n", []),
+        ("def f():\n    _local = 1\n", []),
+        ("def _f():\n    return _f()\n", ["_f"]),
+    ],
+)
+def test_checker_finds_unused_private_names(source, unused):
+    assert unused_private_names(source) == unused

@@ -16,6 +16,7 @@ from conftest import (
     frame_line,
     measure_sequence,
     normalize_unit,
+    per_frame_rows,
 )
 from kpcurve import sequence
 from kpcurve.annotation import KeypointSet, emit_yolo_line
@@ -66,10 +67,13 @@ class TestMeasureSequence:
         assert case.frames_valid == 2
         assert case.curvature_deg == pytest.approx(30.0, abs=1e-6)
         assert case.argmax_frame == 2
-        invalid = case.per_frame[1]
-        assert not invalid.valid
-        assert invalid.angles is None
-        assert "segment 1" in invalid.error_note
+        assert case.per_frame.first_bad.tolist() == [-1, 1, -1]
+        assert np.isnan(case.per_frame.angles[1]).all()
+        assert not np.isnan(case.per_frame.angles[[0, 2]]).any()
+        rows = per_frame_rows(case)
+        assert [row["valid"] for row in rows] == [True, False, True]
+        assert "frame_angle_deg" not in rows[1]
+        assert "segment 1" in rows[1]["error_note"]
 
     def test_all_frames_invalid(self):
         with pytest.raises(AllFramesInvalidError):
@@ -86,13 +90,17 @@ class TestMeasureSequence:
         ]
         case = measure_sequence("c", frames)
         assert case.argmax_frame == 3
-        assert [fm.frame_index for fm in case.per_frame] == [7, 3]
+        assert case.per_frame.frame_indices == [7, 3]
+        assert [row["frame_index"] for row in per_frame_rows(case)] == [7, 3]
 
     def test_keep_frames_false_drops_details_only(self):
         frames = [detection_with_angle(a) for a in (12.0, 48.0)]
         full = measure_sequence("c", frames)
         slim = measure_sequence("c", frames, keep_frames=False)
-        assert slim.per_frame == ()
+        assert slim.per_frame.frame_indices == []
+        assert slim.per_frame.angles.shape == (0, 4)
+        assert slim.per_frame.first_bad.shape == (0,)
+        assert len(full.per_frame.frame_indices) == 2
         assert slim.curvature_deg == full.curvature_deg
         assert slim.argmax_frame == full.argmax_frame
         assert slim.frames_valid == full.frames_valid
@@ -223,8 +231,8 @@ class TestMeasureStream:
         ]
         cases, _ = measure_stream(detection_batches(records))
         by_id = {c.case_id: c for c in cases}
-        assert [fm.frame_index for fm in by_id["a"].per_frame] == [0, 1]
-        assert [fm.frame_index for fm in by_id["b"].per_frame] == [0]
+        assert by_id["a"].per_frame.frame_indices == [0, 1]
+        assert by_id["b"].per_frame.frame_indices == [0]
 
     def test_failed_case_reported_not_fatal(self):
         records = [

@@ -1,5 +1,6 @@
 """Phantom generator: construction, projection oracle, sweeps, jitter."""
 
+import json
 import math
 import re
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import line_angles, measure_sequence, vector_angle
 from kpcurve.annotation import BoundingBox, FrameDetection, KeypointSet
-from kpcurve.report import sweep_sidecar
+from kpcurve.report import dumps_report, sweep_sidecar
 from kpcurve.synth import (
     BadSpecError,
     DegenerateProjectionError,
@@ -224,6 +225,11 @@ def columns(result) -> tuple:
     )
 
 
+def sidecar_frames(result) -> list[dict]:
+    """The ``frames`` rows of the sidecar written for a sweep."""
+    return json.loads(dumps_report(sweep_sidecar("c", {}, result)))["frames"]
+
+
 def detections(result) -> list[FrameDetection]:
     return [
         FrameDetection(class_id=0, bbox=BoundingBox(*box), keypoints=KeypointSet(points))
@@ -239,11 +245,11 @@ class TestSweep:
         assert result.boxes.shape == (1, 4)
         assert result.yaw_deg == [-15.0]
         assert len(result.true_apparent_deg) == 1
-        assert sweep_sidecar("c", {}, result)["frames"][0]["frame_index"] == 0
+        assert sidecar_frames(result)[0]["frame_index"] == 0
 
     def test_frame_indices_sequential(self):
         result = sweep(HingeModelSpec(hinge_angle_deg=20.0), steps=7)
-        frames = sweep_sidecar("c", {}, result)["frames"]
+        frames = sidecar_frames(result)
         assert [f["frame_index"] for f in frames] == list(range(7))
         assert len(result.points) == len(result.boxes) == len(result.yaw_deg) == 7
         assert len(result.true_apparent_deg) == 7

@@ -1,10 +1,12 @@
-"""The two JSON writers pinned byte for byte to the stock json encoder.
+"""The JSON writers pinned byte for byte to the stock json encoder.
 
 ``dumps_report`` must equal ``json.dumps(value, indent=2) + "\\n"`` for
-every value json accepts, and raise what json raises otherwise.
-``dumps_frame`` must equal the compact dumps of the canonical records
-below, one line per row, whose coordinates are Python ``round`` to six
-decimals.
+every value json accepts, and raise what json raises otherwise; a
+measurement report and a sidecar, whose per-frame lists the row
+templates write, must equal ``json.dumps`` of the same document built
+as dicts. ``dumps_frame`` must equal the compact dumps of the canonical
+records below, one line per row, whose coordinates are Python ``round``
+to six decimals.
 """
 
 import json
@@ -17,8 +19,17 @@ from hypothesis import strategies as st
 
 from kpcurve import report, sequence
 from kpcurve.annotation import COORD_DECIMALS
-from kpcurve.report import dumps_frame, dumps_report
-from kpcurve.synth import HingeModelSpec, sweep
+from kpcurve.evaluation import Diagnosis, round_half_up
+from kpcurve.report import (
+    SCHEMA_VERSION,
+    RunConfig,
+    dumps_frame,
+    dumps_report,
+    measurement_report,
+    sweep_sidecar,
+)
+from kpcurve.sequence import CaseMeasurement, FrameColumns
+from kpcurve.synth import HingeModelSpec, SweepColumns, sweep
 
 
 def frame_record(case_id, box, points, frame_index) -> dict:
@@ -134,6 +145,132 @@ class TestDumpsReport:
         loop.append(loop)
         with pytest.raises(ValueError, match="Circular reference"):
             dumps_report(loop)
+
+
+# angles at the ends of the range, the smallest subnormal, and a value
+# repr writes in exponent form
+EDGE_ANGLES = [0.0, 180.0, 5e-324, 1e-07]
+angles = st.one_of(st.floats(0.0, 180.0), st.sampled_from(EDGE_ANGLES))
+# a frame's index, then its four angles, or the first bad segment of a
+# degenerate frame
+frames = st.tuples(
+    st.integers(0, 10**30),
+    st.one_of(st.lists(angles, min_size=4, max_size=4), st.integers(0, 3)),
+)
+
+
+def case_from_frames(case_id: str, rows: list) -> CaseMeasurement:
+    """A measured case whose retained frames are ``rows``, in stream order."""
+    valid = [(index, max(value)) for index, value in rows if type(value) is list]
+    top = max((angle for _, angle in valid), default=0.0)
+    columns = FrameColumns(
+        [index for index, _ in rows],
+        np.array(
+            [value if type(value) is list else [math.nan] * 4 for _, value in rows],
+            dtype=np.float64,
+        ).reshape(-1, 4),
+        np.array([-1 if type(value) is list else value for _, value in rows], np.int64),
+    )
+    return CaseMeasurement(
+        case_id=case_id,
+        curvature_deg=top,
+        argmax_frame=min((index for index, angle in valid if angle == top), default=0),
+        frames_total=len(rows),
+        frames_valid=len(valid),
+        per_frame=columns,
+    )
+
+
+def reference_row(frame_index: int, value) -> dict:
+    """A per_frame row as a dict: a valid frame's angles, or a degenerate one's note."""
+    if type(value) is int:
+        return {
+            "frame_index": frame_index,
+            "valid": False,
+            "error_note": f"degenerate middle-line segment {value}",
+        }
+    segments = value[1:]
+    return {
+        "frame_index": frame_index,
+        "valid": True,
+        "deviation_deg": value[0],
+        "segment_deg": segments,
+        "frame_angle_deg": max(value),
+        "curvature_col": 1 + segments.index(max(segments)),
+    }
+
+
+def reference_measurement(cases, config, errors) -> str:
+    """The measurement report of ``(case_id, rows)`` pairs, built as dicts."""
+    entries = []
+    for case_id, rows in cases:
+        case = case_from_frames(case_id, rows)
+        entry = {
+            "case_id": case_id,
+            "curvature_deg": case.curvature_deg,
+            "curvature_deg_rounded": round_half_up(case.curvature_deg),
+            "diagnosis": "pd",
+            "argmax_frame": case.argmax_frame,
+            "frames_total": case.frames_total,
+            "frames_valid": case.frames_valid,
+        }
+        if config.retain_per_frame:
+            entry["per_frame"] = [reference_row(*row) for row in rows]
+        entries.append(entry)
+    document = {
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": "v",
+        "config": config.as_dict(),
+        "cases": entries,
+        "errors": errors,
+    }
+    return reference_report(document)
+
+
+class TestRowTemplates:
+    @given(
+        cases=st.lists(st.tuples(text, st.lists(frames, min_size=1, max_size=6)), max_size=3),
+        retain=st.booleans(),
+        errors=st.lists(st.fixed_dictionaries({"case_id": text, "error": text}), max_size=2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_measurement_report_matches_stock_encoder(self, cases, retain, errors):
+        config = RunConfig(retain_per_frame=retain)
+        measured = [(case_from_frames(*case), Diagnosis.PD) for case in cases]
+        document = measurement_report(measured, config, "v", errors=errors)
+        assert dumps_report(document) == reference_measurement(cases, config, errors)
+
+    def test_edge_rows_in_stream_order(self):
+        rows = [(10**30, EDGE_ANGLES), (0, 2), (7, EDGE_ANGLES[::-1])]
+        rows += [(i, segment) for i, segment in enumerate(range(4))]
+        rows += [(5, [1e-07] * 4), (3, [180.0, 0.0, 180.0, 5e-324])]
+        for retain in (True, False):
+            config = RunConfig(retain_per_frame=retain)
+            document = measurement_report([(case_from_frames("c", rows), Diagnosis.PD)], config, "v")
+            assert dumps_report(document) == reference_measurement([("c", rows)], config, [])
+
+    @given(
+        case_id=text,
+        spec=st.dictionaries(text, scalars, max_size=3),
+        yaws=st.lists(st.one_of(st.floats(-89.0, 89.0), st.just(-0.0)), max_size=6),
+        pitch=st.one_of(st.floats(-89.0, 89.0), st.sampled_from([-0.0, -12.5, -89.0])),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sidecar_matches_stock_encoder(self, case_id, spec, yaws, pitch, data):
+        true_angles = data.draw(st.lists(angles, min_size=len(yaws), max_size=len(yaws)))
+        n = len(yaws)
+        result = SweepColumns(np.zeros((n, 15, 2)), np.zeros((n, 4)), yaws, pitch, true_angles)
+        document = {
+            "schema_version": SCHEMA_VERSION,
+            "case_id": case_id,
+            "spec": spec,
+            "frames": [
+                {"frame_index": i, "yaw_deg": yaw, "pitch_deg": pitch, "true_apparent_deg": angle}
+                for i, (yaw, angle) in enumerate(zip(yaws, true_angles))
+            ],
+        }
+        assert dumps_report(sweep_sidecar(case_id, spec, result)) == reference_report(document)
 
 
 # values on either side of the array path's bounds, an exact binary tie,
