@@ -8,11 +8,18 @@ sidecar), render (label file to an SVG overlay).
 
 Exit codes are stable across subcommands: 0 success, 2 input or parse
 error, 3 geometry error.
+
+This module holds no file format: it reads argv, opens files and
+streams, writes warnings to stderr and maps errors to exit codes. Each
+format is read and written by the module that defines it: the synth
+spec by ``synth``, frame streams and reports by ``report``, label lines,
+CVAT XML and CSV datasets by ``annotation`` and ``evaluation``.
 """
 
 import argparse
 import functools
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__
@@ -39,10 +46,12 @@ from .report import (
     iter_frame_stream,
     loads_json,
     measurement_report,
+    report_cases,
+    report_errors,
     sweep_sidecar,
 )
 from .sequence import AllFramesInvalidError, angle_set_from_row, measure_stream, middle_line
-from .synth import BadSpecError, DegenerateProjectionError, HingeModelSpec, sweep
+from .synth import BadSpecError, DegenerateProjectionError, read_spec, sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -51,26 +60,6 @@ EXIT_GEOMETRY = 3
 # every kpcurve error is a ValueError; the geometry ones are matched first
 _INPUT_ERRORS = (OSError, ValueError)
 _GEOMETRY_ERRORS = (DegenerateProjectionError, AllFramesInvalidError)
-
-# synth spec fields by type, passed on to HingeModelSpec and to sweep; a
-# field the spec leaves out takes that parameter's default there
-_PHANTOM_FIELDS = {
-    "hinge_angle_deg": float,
-    "length_cm": float,
-    "width_cm": float,
-    "hinge_position": float,
-    "seed": int,
-}
-_SWEEP_FIELDS = {
-    "yaw_start_deg": float,
-    "yaw_end_deg": float,
-    "steps": int,
-    "jitter_sd": float,
-    "pitch_deg": float,
-    "image_width": int,
-    "image_height": int,
-}
-_SPEC_FIELDS = {"case_id": str, **_PHANTOM_FIELDS, **_SWEEP_FIELDS}
 
 
 def _read_text(path: str, stdin) -> str:
@@ -263,11 +252,7 @@ def _measure_still(args, stdin, stderr):
 
 
 def _cmd_measure(args, stdin, stdout, stderr) -> int:
-    config = RunConfig(
-        threshold_deg=args.threshold,
-        aspect_ratio=args.aspect,
-        retain_per_frame=not args.no_per_frame,
-    )
+    config = RunConfig(args.threshold, args.aspect, retain_per_frame=not args.no_per_frame)
     _, case = _measure_still(args, stdin, stderr)
     diagnosis = classify(case.curvature_deg, config.threshold_deg)
     document = measurement_report([(case, diagnosis)], config, __version__)
@@ -276,32 +261,19 @@ def _cmd_measure(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_analyze(args, stdin, stdout, stderr) -> int:
-    config = RunConfig(
-        threshold_deg=args.threshold,
-        aspect_ratio=args.aspect,
-        retain_per_frame=not args.no_per_frame,
-    )
-
-    def run(lines):
-        return measure_stream(
+    config = RunConfig(args.threshold, args.aspect, retain_per_frame=not args.no_per_frame)
+    source = nullcontext(stdin) if args.input == "-" else open(args.input, encoding="utf-8")
+    with source as lines:
+        cases, failures = measure_stream(
             iter_frame_stream(lines),
             aspect=config.aspect_ratio,
             keep_frames=config.retain_per_frame,
         )
 
-    if args.input == "-":
-        cases, failures = run(stdin)
-    else:
-        with open(args.input, encoding="utf-8") as handle:
-            cases, failures = run(handle)
-
     entries = [
         (case, classify(case.curvature_deg, config.threshold_deg)) for case in cases
     ]
-    errors = [
-        {"case_id": case_id, "error": message} for case_id, message in failures
-    ]
-    document = measurement_report(entries, config, __version__, errors=errors)
+    document = measurement_report(entries, config, __version__, errors=failures)
     _write_text(args.output, dumps_report(document), stdout)
     if not cases:
         stderr.write("kpcurve analyze: no case yielded a valid measurement\n")
@@ -309,53 +281,19 @@ def _cmd_analyze(args, stdin, stdout, stderr) -> int:
     return EXIT_OK
 
 
-def _cases_from_report(document: dict) -> list[tuple[str, float]]:
-    cases = document.get("cases")
-    if not isinstance(cases, list):
-        raise DatasetFormatError("report JSON has no 'cases' list")
-    extracted = []
-    for entry in cases:
-        if (
-            not isinstance(entry, dict)
-            or not isinstance(entry.get("case_id"), str)
-            # exact types, so a JSON true is not read as 1 degree
-            or type(entry.get("curvature_deg")) not in (int, float)
-        ):
-            raise DatasetFormatError(
-                "report cases need 'case_id' and 'curvature_deg' fields"
-            )
-        try:
-            angle = float(entry["curvature_deg"])
-        except OverflowError:  # an integer with no float value
-            raise DatasetFormatError(
-                f"report case {entry['case_id']!r} has a curvature_deg too large for a float"
-            ) from None
-        extracted.append((entry["case_id"], angle))
-    return extracted
-
-
-def _warn_unmeasured(document: dict, labels: dict, measured: set, stderr) -> None:
+def _warn_unmeasured(errors: list, labels: dict, measured: set, stderr) -> None:
     """Name on stderr each case that the metrics leave out, with the reason.
 
     Metrics count measured cases only: a case that ``analyze`` listed
     under ``errors``, and a labelled case absent from the report, are
     reported here and left out.
     """
-    errors = document.get("errors", [])
-    if not isinstance(errors, list) or not all(
-        isinstance(entry, dict)
-        and isinstance(entry.get("case_id"), str)
-        and isinstance(entry.get("error"), str)
-        for entry in errors
-    ):
-        raise DatasetFormatError("report errors need 'case_id' and 'error' fields")
-    failed = set()
-    for entry in errors:
-        failed.add(entry["case_id"])
+    for case_id, message in errors:
         stderr.write(
-            f"kpcurve: warning: case {entry['case_id']!r} left out of the metrics: "
-            f"not measured ({entry['error']})\n"
+            f"kpcurve: warning: case {case_id!r} left out of the metrics: "
+            f"not measured ({message})\n"
         )
+    failed = {case_id for case_id, _ in errors}
     for case_id in labels:
         if case_id not in measured and case_id not in failed:
             stderr.write(
@@ -375,7 +313,7 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
             )
         labels = read_labels_csv(Path(args.labels).read_text(encoding="utf-8"))
         triples = []
-        for case_id, measured in _cases_from_report(document):
+        for case_id, measured in report_cases(document):
             actual = labels.get(case_id)
             if actual is None:
                 raise DatasetFormatError(
@@ -383,7 +321,7 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
                 )
             triples.append((case_id, actual, measured))
         measured = {case_id for case_id, _, _ in triples}
-        _warn_unmeasured(document, labels, measured, stderr)
+        _warn_unmeasured(report_errors(document), labels, measured, stderr)
     else:
         if args.labels is not None:
             stderr.write(
@@ -399,55 +337,19 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
     return EXIT_OK
 
 
-def _parse_synth_spec(text: str) -> dict:
-    raw = loads_json(text, BadSpecError, "spec is not valid JSON: %s")
-    if not isinstance(raw, dict):
-        raise BadSpecError("spec must be a JSON object")
-    for key, value in raw.items():
-        kind = _SPEC_FIELDS.get(key)
-        if kind is None:
-            raise BadSpecError(f"unknown spec field {key!r}")
-        # a float field takes an int too; bool is never a number here
-        accepted = (int, float) if kind is float else kind
-        if not isinstance(value, accepted) or isinstance(value, bool):
-            raise BadSpecError(f"spec field {key!r} has the wrong type")
-    if "hinge_angle_deg" not in raw:
-        raise BadSpecError("spec is missing 'hinge_angle_deg'")
-    return raw
-
-
-def _coerce(name: str, kind, value):
-    """A spec value as its field's type, so "pitch_deg": 12 is a float downstream."""
-    try:
-        return kind(value)
-    except OverflowError:  # an integer with no float value
-        raise BadSpecError(f"spec field {name!r} is too large for a float") from None
-
-
 def _cmd_synth(args, stdin, stdout, stderr) -> int:
-    raw = _parse_synth_spec(_read_text(args.spec, stdin))
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    case_id = raw.get("case_id", "synth")
-
-    def given(fields):
-        return {
-            name: _coerce(name, kind, raw[name]) for name, kind in fields.items() if name in raw
-        }
-
-    spec = HingeModelSpec(**given(_PHANTOM_FIELDS))
-    result = sweep(spec, **given(_SWEEP_FIELDS))
-    stream = dumps_frame(case_id, result.boxes, result.points, range(len(result.points)))
+    raw = loads_json(_read_text(args.spec, stdin), BadSpecError, "spec is not valid JSON: %s")
+    phantom = read_spec(raw, seed=args.seed)
+    result = sweep(phantom.model, **phantom.sweep_args)
+    stream = dumps_frame(phantom.case_id, result.boxes, result.points, range(len(result.points)))
     _write_text(args.output, stream, stdout)
 
     sidecar_path = args.sidecar
     if sidecar_path is None and args.output not in (None, "-"):
         sidecar_path = args.output + ".oracle.json"
     if sidecar_path is not None:
-        spec_fields = dict(raw)
-        spec_fields["snapped_hinge_position"] = spec.snapped_position
-        sidecar = sweep_sidecar(case_id, spec_fields, result)
-        Path(sidecar_path).write_text(dumps_report(sidecar), encoding="utf-8")
+        sidecar = dumps_report(sweep_sidecar(phantom, result))
+        Path(sidecar_path).write_text(sidecar, encoding="utf-8")
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ rendered reports, never to stored values.
 import csv
 import enum
 import io
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -104,19 +105,10 @@ def classify(measured_deg: float, threshold_deg: float = DEFAULT_THRESHOLD_DEG) 
 
 def confusion(outcomes) -> ConfusionMatrix:
     """Tally (actual, predicted) pairs into a confusion matrix."""
-    tp = fp = fn = tn = 0
-    for actual, predicted in outcomes:
-        if actual is Diagnosis.PD:
-            if predicted is Diagnosis.PD:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if predicted is Diagnosis.PD:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+    tally = Counter((actual is Diagnosis.PD, guess is Diagnosis.PD) for actual, guess in outcomes)
+    return ConfusionMatrix(
+        tp=tally[True, True], fp=tally[False, True], fn=tally[True, False], tn=tally[False, False]
+    )
 
 
 def _ratio(numerator: int, denominator: int) -> float | None:
@@ -150,14 +142,7 @@ def evaluate_dataset(
             raise DatasetFormatError(
                 f"case {case_id!r}: measured angle {measured} outside [0, 180]"
             )
-        records.append(
-            CaseRecord(
-                case_id=case_id,
-                actual=actual,
-                measured_deg=measured,
-                predicted=classify(measured, threshold_deg),
-            )
-        )
+        records.append(CaseRecord(case_id, actual, measured, classify(measured, threshold_deg)))
     cm = confusion((r.actual, r.predicted) for r in records)
     return records, cm, metrics(cm)
 

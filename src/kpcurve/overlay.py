@@ -6,6 +6,7 @@ block with the four measured angles. The angle that determined the
 frame measurement is highlighted. Output is standalone SVG 1.1.
 """
 
+import sys
 import xml.etree.ElementTree as ET
 
 from .annotation import COLS, ROWS, FrameDetection
@@ -40,6 +41,8 @@ def render_svg(
         raise ValueError(
             f"canvas dimensions must be positive, got {image_width}x{image_height}"
         )
+    if max(image_width, image_height) > sys.float_info.max:  # an int with no float value
+        raise ValueError("canvas dimensions too large for a float")
     ET.register_namespace("", SVG_NS)
     svg = ET.Element(
         f"{{{SVG_NS}}}svg",

@@ -19,7 +19,9 @@ fixed templates write from their columns (a report's case entry, its
 valid and degenerate ``per_frame`` rows, a sidecar's ``frames`` row).
 Report documents carry exact values alongside their display-rounded
 counterparts; the rounded fields are always recomputable from the exact
-ones under the half-up rule.
+ones under the half-up rule. A measurement report is read back here
+too, by :func:`report_cases` and :func:`report_errors`, so its schema
+has one home.
 """
 
 import json
@@ -44,6 +46,7 @@ from .evaluation import (
     DISPLAY_DECIMALS,
     CaseRecord,
     ConfusionMatrix,
+    DatasetFormatError,
     Diagnosis,
     MetricsReport,
     round_half_up,
@@ -141,13 +144,6 @@ _DIGIT_SLOTS = np.flatnonzero(_TAIL_BYTES == ord("#"))
 _PLACES = 10 ** np.arange(COORD_DECIMALS - 1, -1, -1)  # 100000, ..., 10, 1
 
 
-def _coordinate(v: float) -> str:
-    """One coordinate as json writes ``round(v, 6)``."""
-    if _FIXED_LO <= v < _FIXED_HI:
-        return ("%.6f" % v).rstrip("0")
-    return json.dumps(round(v, COORD_DECIMALS))
-
-
 def _digit_tails(values: np.ndarray) -> list[str]:
     """Line tails of (m, 34) rows whose values all lie on the 6-decimal grid
     in [_FIXED_LO, _FIXED_HI).
@@ -173,7 +169,9 @@ def _row_tails(values: np.ndarray) -> list[str]:
         return tails
     digit_tails = iter(tails)
     return [
-        next(digit_tails) if on_path else _TAIL.format(*map(_coordinate, row))
+        next(digit_tails)
+        if on_path
+        else _TAIL.format(*[json.dumps(round(v, COORD_DECIMALS)) for v in row])
         for on_path, row in zip(array_path.tolist(), values.tolist())
     ]
 
@@ -439,16 +437,54 @@ def measurement_report(
     cases: list[tuple[CaseMeasurement, Diagnosis]],
     config: RunConfig,
     tool_version: str,
-    errors: list[dict] | None = None,
+    errors: list[tuple[str, str]] = (),
 ) -> dict:
-    """Assemble the measurement report document."""
+    """Assemble the measurement report document; ``errors`` holds the
+    ``(case_id, message)`` pairs that ``measure_stream`` returns."""
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": tool_version,
         "config": config.as_dict(),
         "cases": _Rows([_case_entry(case, diagnosis, config) for case, diagnosis in cases]),
-        "errors": errors or [],
+        "errors": [{"case_id": case_id, "error": message} for case_id, message in errors],
     }
+
+
+def report_cases(document: dict) -> list[tuple[str, float]]:
+    """The ``(case_id, curvature_deg)`` pairs of a measurement report's cases."""
+    cases = document.get("cases")
+    if not isinstance(cases, list):
+        raise DatasetFormatError("report JSON has no 'cases' list")
+    extracted = []
+    for entry in cases:
+        if (
+            not isinstance(entry, dict)
+            or not isinstance(entry.get("case_id"), str)
+            # exact types, so a JSON true is not read as 1 degree
+            or type(entry.get("curvature_deg")) not in (int, float)
+        ):
+            raise DatasetFormatError("report cases need 'case_id' and 'curvature_deg' fields")
+        try:
+            angle = float(entry["curvature_deg"])
+        except OverflowError:  # an integer with no float value
+            raise DatasetFormatError(
+                f"report case {entry['case_id']!r} has a curvature_deg too large for a float"
+            ) from None
+        extracted.append((entry["case_id"], angle))
+    return extracted
+
+
+def report_errors(document: dict) -> list[tuple[str, str]]:
+    """The ``(case_id, message)`` pairs of a measurement report's ``errors``."""
+    errors = document.get("errors", [])
+    if not isinstance(errors, list) or not all(
+        isinstance(entry, dict)
+        and isinstance(entry.get("case_id"), str)
+        and isinstance(entry.get("error"), str)
+        for entry in errors
+    ):
+        raise DatasetFormatError("report errors need 'case_id' and 'error' fields")
+    return [(entry["case_id"], entry["error"]) for entry in errors]
 
 
 def evaluation_report(
@@ -487,14 +523,15 @@ def dumps_report(document) -> str:
     return _dumps(document, "") + "\n"
 
 
-def sweep_sidecar(case_id: str, spec_fields: dict, result) -> dict:
-    """Oracle sidecar for a ``synth.SweepColumns`` result: true angle per frame."""
+def sweep_sidecar(phantom, result) -> dict:
+    """Oracle sidecar of a ``synth.PhantomSpec`` and its ``synth.SweepColumns``:
+    the spec as given, the snapped hinge position and the true angle per frame."""
     pitch = json.dumps(result.pitch_deg)  # once per sweep, and exact for an int pitch too
     frames = enumerate(zip(result.yaw_deg, result.true_apparent_deg))
     return {
         "schema_version": SCHEMA_VERSION,
-        "case_id": case_id,
-        "spec": spec_fields,
+        "case_id": phantom.case_id,
+        "spec": {**phantom.given, "snapped_hinge_position": phantom.model.snapped_position},
         "frames": _Rows(
             [
                 _SIDECAR_ROW.format(index, float.__repr__(yaw), pitch, float.__repr__(angle))

@@ -9,7 +9,8 @@ of the four, which keeps the measurement sensitive to both gradual
 arcs and a sharp local kink. Coordinates arrive normalized per axis,
 so angles are distorted on non-square images unless x is rescaled by
 the width/height ratio first; :func:`measure_stream` takes that ratio
-as ``aspect`` (default 1.0), a positive finite number.
+as ``aspect`` (default 1.0), a positive number whose square is finite
+(at most ~1.34e154).
 
 A case is a stream of detections from one video (or a single still).
 Each frame is measured independently; the case-level curvature is the
@@ -159,12 +160,15 @@ def measure_stream(
     are kept as :class:`FrameColumns`; otherwise its columns have no
     rows. Returns the measured cases plus a (case_id, message) list for
     cases whose frames were all degenerate. Raises ValueError when
-    ``aspect`` is not a positive finite number, and EmptySequenceError
-    when the stream has no frames at all.
+    ``aspect`` is not a positive number whose square is finite, and
+    EmptySequenceError when the stream has no frames at all.
     """
     # a NaN or infinite ratio would give NaN angles that count as valid
     if not 0.0 < aspect < math.inf:
         raise ValueError(f"aspect ratio {aspect} must be positive and finite")
+    # coordinates lie in [0, 1], so the kernel's products stay below aspect**2 + 1
+    if aspect * aspect == math.inf:
+        raise ValueError(f"aspect ratio {aspect} is too large: its square overflows a float")
     scale = np.array([aspect, 1.0], dtype=np.float64)
 
     states: dict[str, _CaseState] = {}

@@ -12,6 +12,9 @@ returns the result as columns (:class:`SweepColumns`): keypoints and
 boxes as arrays, poses and oracle angles as lists, with no object per
 frame. A one-step sweep renders a single pose.
 
+The synth spec format has its one home here: :func:`read_spec` takes
+its fields from :class:`HingeModelSpec` and the keywords of :func:`sweep`.
+
 Geometry: the shaft base runs along +y (the vertical camera yaw axis)
 and the bend deflects in the x-y plane, so yaw rotation foreshortens
 the apparent bend. The lateral lines are offset along z (the viewing
@@ -21,7 +24,7 @@ yaw 0 and separate as the camera swings.
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -227,8 +230,9 @@ def sweep(
 ) -> SweepColumns:
     """Generate a deterministic yaw sweep of the phantom, as columns.
 
-    Frames are indexed 0..steps-1 at equally spaced yaw values
-    (steps=1 yields the start yaw alone). A bad pose raises for the
+    Frames are indexed 0..steps-1 at equally spaced yaw values, frame 0
+    at the start yaw even when the step overflows a float (steps=1
+    yields the start yaw alone). A bad pose raises for the
     first failing frame, its yaw checked before the shared pitch. All
     poses are projected in one array pass, and each row equals a
     one-step sweep at its pose; a frame's box is its keypoints' extent.
@@ -244,7 +248,10 @@ def sweep(
         raise BadSpecError(f"steps must be <= {np.iinfo(np.intp).max}")
     if not 0.0 <= jitter_sd < math.inf:
         raise BadSpecError(f"jitter sd must be finite and >= 0, got {jitter_sd}")
-    yaws = np.linspace(yaw_start_deg, yaw_end_deg, steps).tolist()
+    with np.errstate(all="ignore"):  # a step past the float range is caught as a yaw below
+        yaws = np.linspace(yaw_start_deg, yaw_end_deg, steps).tolist()
+    if math.isnan(yaws[0]):  # 0 * inf; frame 0 is the start yaw, whatever the step
+        yaws[0] = float(yaw_start_deg)
     for yaw in yaws:
         for name, value in (("yaw", yaw), ("pitch", pitch_deg)):
             if not -90.0 < value < 90.0:
@@ -262,3 +269,54 @@ def sweep(
         noise = np.stack([rng.normal(0.0, jitter_sd, points.shape[1:]) for rng in rngs])
         points = np.round(np.clip(points + noise, 0.0, 1.0), COORD_DECIMALS)
     return SweepColumns(points, _boxes(points), yaws, pitch_deg, angles)
+
+
+# spec fields by type: case_id, then the phantom's, then sweep's keywords
+_MODEL_FIELDS = {field.name: field.type for field in fields(HingeModelSpec)}
+_SWEEP_FIELDS = {k: v for k, v in sweep.__annotations__.items() if k not in ("spec", "return")}
+_SPEC_FIELDS = {"case_id": str, **_MODEL_FIELDS, **_SWEEP_FIELDS}
+
+
+@dataclass(frozen=True)
+class PhantomSpec:
+    """A checked synth spec; ``given`` holds its fields as written, in its order."""
+
+    case_id: str
+    model: HingeModelSpec
+    sweep_args: dict
+    given: dict
+
+
+def _typed(given: dict, kinds: dict) -> dict:
+    """The given fields of ``kinds`` as their types, so "pitch_deg": 12 is a float downstream."""
+    typed = {}
+    for name, kind in kinds.items():
+        if name in given:
+            try:
+                typed[name] = kind(given[name])
+            except OverflowError:  # an integer with no float value
+                raise BadSpecError(f"spec field {name!r} is too large for a float") from None
+    return typed
+
+
+def read_spec(raw, seed: int | None = None) -> PhantomSpec:
+    """Check a decoded synth spec: ``case_id`` (default "synth") and the
+    parameters of :class:`HingeModelSpec` and :func:`sweep`, each taking
+    its default there when left out. ``seed`` replaces the spec's seed.
+    """
+    if not isinstance(raw, dict):
+        raise BadSpecError("spec must be a JSON object")
+    for key, value in raw.items():
+        kind = _SPEC_FIELDS.get(key)
+        if kind is None:
+            raise BadSpecError(f"unknown spec field {key!r}")
+        # a float field takes an int too; bool is never a number here
+        accepted = (int, float) if kind is float else kind
+        if not isinstance(value, accepted) or isinstance(value, bool):
+            raise BadSpecError(f"spec field {key!r} has the wrong type")
+    for field in fields(HingeModelSpec):
+        if field.default is MISSING and field.name not in raw:
+            raise BadSpecError(f"spec is missing {field.name!r}")
+    given = raw if seed is None else {**raw, "seed": seed}
+    model = HingeModelSpec(**_typed(given, _MODEL_FIELDS))
+    return PhantomSpec(given.get("case_id", "synth"), model, _typed(given, _SWEEP_FIELDS), given)

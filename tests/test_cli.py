@@ -1,7 +1,9 @@
 """End-to-end command tests driving main() with injected streams."""
 
+import dataclasses
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import math
@@ -32,6 +34,7 @@ from kpcurve import __version__, cli, sequence
 from kpcurve.annotation import BoundingBox, FrameDetection, KeypointSet, emit_yolo_line
 from kpcurve.cli import EXIT_GEOMETRY, EXIT_INPUT, EXIT_OK, build_parser, main
 from kpcurve.evaluation import round_half_up
+from kpcurve.synth import HingeModelSpec, sweep
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -824,6 +827,46 @@ class TestSynth:
         assert out == ""
         assert err == f"kpcurve synth: {value} outside (-90, 90); model self-occludes\n"
 
+    # a step past the float range: frame 0 is still the start yaw, and the
+    # error names a yaw the spec gave, with no numpy warning
+    YAW_OVERFLOWS = {
+        "span_overflows": ('"yaw_start_deg": -1e308, "yaw_end_deg": 1e308', "yaw -1e+308"),
+        "infinite_end": ('"yaw_start_deg": 0, "yaw_end_deg": 1e999', "yaw inf"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(YAW_OVERFLOWS))
+    def test_overflowing_yaw_step_names_a_given_yaw(self, name):
+        fields, value = self.YAW_OVERFLOWS[name]
+        rc, out, err = run(["synth", "-"], '{"hinge_angle_deg": 30, ' + fields + "}")
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == f"kpcurve synth: {value} outside (-90, 90); model self-occludes\n"
+
+    def test_one_step_sweep_is_its_start_yaw(self, tmp_path):
+        spec = '{"hinge_angle_deg": 30, "steps": 1, "yaw_start_deg": 0, "yaw_end_deg": 1e999}'
+        sidecar = tmp_path / "oracle.json"
+        rc, out, err = run(["synth", "-", "--sidecar", str(sidecar)], spec)
+        assert (rc, err, out.count("\n")) == (EXIT_OK, "", 1)
+        assert [f["yaw_deg"] for f in json.loads(sidecar.read_text())["frames"]] == [0.0]
+
+    def test_spec_fields_are_the_phantom_and_sweep_parameters(self):
+        """The spec takes exactly case_id, HingeModelSpec's fields and sweep's
+        keyword parameters, and README's phantom section names each."""
+        values = {"case_id": "x"}
+        for field in dataclasses.fields(HingeModelSpec):
+            values[field.name] = 30.0 if field.default is dataclasses.MISSING else field.default
+        for name, param in inspect.signature(sweep).parameters.items():
+            if param.default is not param.empty:
+                values[name] = param.default
+        for name, value in values.items():
+            rc, _, err = run(["synth", "-"], json.dumps({"hinge_angle_deg": 30.0, "steps": 2, name: value}))
+            assert (rc, err) == (EXIT_OK, ""), name
+        for name in ("spec", "return", "snapped_hinge_position"):
+            rc, _, err = run(["synth", "-"], json.dumps({"hinge_angle_deg": 30.0, name: 1}))
+            assert (rc, err) == (EXIT_INPUT, f"kpcurve synth: unknown spec field {name!r}\n")
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Synthetic phantoms\n")[1].split("\n## ")[0]
+        assert [name for name in values if f"`{name}`" not in section] == []
+
     def test_builds_no_per_frame_objects(self, monkeypatch, tmp_path):
         def refuse(obj, *args, **kwargs):
             raise AssertionError(f"synth built a {type(obj).__name__}")
@@ -1014,6 +1057,12 @@ class TestRender:
         digest = "0eac6240acb61b592d3e613ba1fc20524a2ace72b61e6c902e555d5232c2c599"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("side", ["width", "height"])
+    def test_canvas_too_large_for_a_float(self, side):
+        rc, out, err = run(["render", f"--{side}", str(10**400), "-"], label_line(25.0))
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == "kpcurve render: canvas dimensions too large for a float\n"
+
     def test_degenerate_input_exit_code(self):
         rc, _, _ = run(["render", "-"], degenerate_label_line())
         assert rc == EXIT_GEOMETRY
@@ -1109,7 +1158,7 @@ class TestParserReuse:
 
 
 class TestAspectRule:
-    """One rule for ``--aspect`` on every measuring command: positive and finite."""
+    """One rule for ``--aspect`` on every measuring command: positive, with a finite square."""
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
     @pytest.mark.parametrize("command", ["measure", "analyze", "render"])
@@ -1118,6 +1167,18 @@ class TestAspectRule:
         rc, out, err = run([command, f"--aspect={value}", "-"], stdin)
         assert (rc, out) == (EXIT_INPUT, "")
         assert err == f"kpcurve {command}: aspect ratio {float(value)} must be positive and finite\n"
+
+    # coordinates lie in [0, 1], so the angle kernel's products stay below aspect**2 + 1
+    @pytest.mark.parametrize("command", ["measure", "analyze", "render"])
+    def test_square_must_be_finite(self, command):
+        stdin = jsonl_for("a", [10.0, 20.0]) if command == "analyze" else label_line(20.0)
+        rc, out, err = run([command, "--aspect=1e300", "-"], stdin)
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == (
+            f"kpcurve {command}: aspect ratio 1e+300 is too large: its square overflows a float\n"
+        )
+        rc, out, err = run([command, "--aspect=1e154", "-"], stdin)
+        assert (rc, err) == (EXIT_OK, "")
 
 
 class TestArgumentErrors:

@@ -16,6 +16,7 @@ from kpcurve.synth import (
     BadSpecError,
     DegenerateProjectionError,
     HingeModelSpec,
+    PhantomSpec,
     _project_all,
     build_model,
     sweep,
@@ -227,7 +228,8 @@ def columns(result) -> tuple:
 
 def sidecar_frames(result) -> list[dict]:
     """The ``frames`` rows of the sidecar written for a sweep."""
-    return json.loads(dumps_report(sweep_sidecar("c", {}, result)))["frames"]
+    phantom = PhantomSpec("c", HingeModelSpec(0.0), {}, {})
+    return json.loads(dumps_report(sweep_sidecar(phantom, result)))["frames"]
 
 
 def detections(result) -> list[FrameDetection]:

@@ -29,7 +29,7 @@ from kpcurve.report import (
     sweep_sidecar,
 )
 from kpcurve.sequence import CaseMeasurement, FrameColumns
-from kpcurve.synth import HingeModelSpec, SweepColumns, sweep
+from kpcurve.synth import HingeModelSpec, PhantomSpec, SweepColumns, sweep
 
 
 def frame_record(case_id, box, points, frame_index) -> dict:
@@ -231,14 +231,15 @@ class TestRowTemplates:
     @given(
         cases=st.lists(st.tuples(text, st.lists(frames, min_size=1, max_size=6)), max_size=3),
         retain=st.booleans(),
-        errors=st.lists(st.fixed_dictionaries({"case_id": text, "error": text}), max_size=2),
+        errors=st.lists(st.tuples(text, text), max_size=2),
     )
     @settings(max_examples=300, deadline=None)
     def test_measurement_report_matches_stock_encoder(self, cases, retain, errors):
         config = RunConfig(retain_per_frame=retain)
         measured = [(case_from_frames(*case), Diagnosis.PD) for case in cases]
         document = measurement_report(measured, config, "v", errors=errors)
-        assert dumps_report(document) == reference_measurement(cases, config, errors)
+        entries = [{"case_id": case_id, "error": message} for case_id, message in errors]
+        assert dumps_report(document) == reference_measurement(cases, config, entries)
 
     def test_edge_rows_in_stream_order(self):
         rows = [(10**30, EDGE_ANGLES), (0, 2), (7, EDGE_ANGLES[::-1])]
@@ -261,16 +262,17 @@ class TestRowTemplates:
         true_angles = data.draw(st.lists(angles, min_size=len(yaws), max_size=len(yaws)))
         n = len(yaws)
         result = SweepColumns(np.zeros((n, 15, 2)), np.zeros((n, 4)), yaws, pitch, true_angles)
+        phantom = PhantomSpec(case_id, HingeModelSpec(30.0, hinge_position=0.3), {}, spec)
         document = {
             "schema_version": SCHEMA_VERSION,
             "case_id": case_id,
-            "spec": spec,
+            "spec": {**spec, "snapped_hinge_position": 0.25},
             "frames": [
                 {"frame_index": i, "yaw_deg": yaw, "pitch_deg": pitch, "true_apparent_deg": angle}
                 for i, (yaw, angle) in enumerate(zip(yaws, true_angles))
             ],
         }
-        assert dumps_report(sweep_sidecar(case_id, spec, result)) == reference_report(document)
+        assert dumps_report(sweep_sidecar(phantom, result)) == reference_report(document)
 
 
 # values on either side of the array path's bounds, an exact binary tie,
