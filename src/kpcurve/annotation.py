@@ -3,18 +3,20 @@
 Two formats are read: YOLO keypoint label lines (one detection per
 line, 35 whitespace-separated tokens, everything normalized to [0, 1])
 and a minimal CVAT-style XML subset (pixel-space box plus 15 points per
-image element). Both parsers reach a normalized :class:`FrameDetection`
-in one pass: :func:`parse_cvat_xml` reads, checks, clamps and
-normalizes each pixel value of an image once. Every label error is an
+image element). A detection is a pair of float64 arrays, the same in
+every format: a box ``(cx, cy, w, h)`` of shape (4,) and keypoints of
+shape (15, 2), normalized (x, y) pairs. Both parsers reach that pair in
+one pass: :func:`parse_cvat_xml` reads, checks, clamps and normalizes
+each pixel value of an image once. Every label error is an
 :class:`AnnotationError`. Keypoints are kept in a fixed row-major
 order: lateral row 0 first, the middle row 1 second, lateral row 2
-last, base to tip within each row. ``COORD_DECIMALS`` is the one output precision shared
-by YOLO label lines, JSONL frame streams and synthetic phantoms.
+last, base to tip within each row. ``COORD_DECIMALS`` is the one
+output precision shared by YOLO label lines, JSONL frame streams and
+synthetic phantoms.
 """
 
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,61 +36,13 @@ class AnnotationError(ValueError):
     """A label line or CVAT document that cannot be read."""
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box in normalized center/size form."""
-
-    cx: float
-    cy: float
-    w: float
-    h: float
-
-
-@dataclass(frozen=True, eq=False)
-class KeypointSet:
-    """The 15 landmarks as a 3-row by 5-column grid, base to tip.
-
-    ``points`` is a read-only (15, 2) float64 array of normalized
-    (x, y) pairs in row-major order: row 0 cols 0..4, then row 1 (the
-    middle line), then row 2. Construction copies its input, so the
-    caller's array is never aliased or frozen, and enforces the shape
-    only; range checks belong to the parsers that build it. Equality
-    compares the values; a KeypointSet is not hashable.
-    """
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        points = np.array(self.points, dtype=np.float64)
-        if points.shape != (NUM_KEYPOINTS, 2):
-            raise AnnotationError(
-                f"expected ({NUM_KEYPOINTS}, 2) keypoints, got shape {points.shape}"
-            )
-        points.flags.writeable = False
-        object.__setattr__(self, "points", points)
-
-    def __eq__(self, other):
-        if not isinstance(other, KeypointSet):
-            return NotImplemented
-        return np.array_equal(self.points, other.points)
-
-
-@dataclass(frozen=True)
-class FrameDetection:
-    """One detection record: class id, box, keypoints, optional frame index."""
-
-    class_id: int
-    bbox: BoundingBox
-    keypoints: KeypointSet
-    frame_index: int | None = None
-
-
-def parse_yolo_line(line: str) -> FrameDetection:
-    """Parse one YOLO keypoint label line into a FrameDetection.
+def parse_yolo_line(line: str) -> tuple[np.ndarray, np.ndarray]:
+    """The box and keypoints of one YOLO keypoint label line.
 
     The line must contain exactly 35 whitespace-separated tokens:
     class id, four box values, then 15 (x, y) keypoint pairs, all
-    normalized coordinates in [0, 1].
+    normalized coordinates in [0, 1]. The class id is checked, then
+    dropped.
     """
     tokens = line.split()
     if len(tokens) != YOLO_TOKENS:
@@ -110,22 +64,23 @@ def parse_yolo_line(line: str) -> FrameDetection:
             raise AnnotationError(f"token {pos} ({token}) outside [0, 1]")
         values.append(value)
 
-    bbox = BoundingBox(values[0], values[1], values[2], values[3])
-    if bbox.w <= 0.0 or bbox.h <= 0.0:
+    if values[2] <= 0.0 or values[3] <= 0.0:
         raise AnnotationError("bounding box width and height must be positive")
-    keypoints = KeypointSet(np.reshape(values[4:], (NUM_KEYPOINTS, 2)))
-    return FrameDetection(class_id=class_id, bbox=bbox, keypoints=keypoints)
+    return np.array(values[:4]), np.reshape(values[4:], (NUM_KEYPOINTS, 2))
 
 
-def emit_yolo_line(det: FrameDetection) -> str:
+def emit_yolo_line(class_id: int, box, points) -> str:
     """Format a detection as a YOLO label line (6 decimal places).
 
+    ``box`` is (cx, cy, w, h) and ``points`` the (15, 2) keypoints.
     Returns the bare line with no trailing whitespace or newline; file
-    writers append the terminator.
+    writers append the terminator. Raises AnnotationError for a negative
+    ``class_id``.
     """
-    bbox = det.bbox
-    values = [bbox.cx, bbox.cy, bbox.w, bbox.h, *det.keypoints.points.ravel().tolist()]
-    return " ".join([str(det.class_id), *(f"{v:.{COORD_DECIMALS}f}" for v in values)])
+    if class_id < 0:
+        raise AnnotationError(f"class id must be >= 0, got {class_id}")
+    values = [*np.ravel(box).tolist(), *np.ravel(points).tolist()]
+    return " ".join([str(class_id), *(f"{v:.{COORD_DECIMALS}f}" for v in values)])
 
 
 def _dimension(element: ET.Element, name: str) -> int:
@@ -165,8 +120,8 @@ def _clamped(value: float, limit: int, label: str) -> float:
     return min(max(value, 0.0), limit)
 
 
-def parse_cvat_xml(document: str, class_id: int = 0) -> list[tuple[str, FrameDetection]]:
-    """Each image's name and its normalized detection, from a CVAT-style XML document.
+def parse_cvat_xml(document: str) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """Each image's name, normalized box and keypoints, from a CVAT-style XML document.
 
     Only ``image`` elements carrying width/height attributes with one
     ``box`` child (xtl/ytl/xbr/ybr) and one ``points`` child (15
@@ -177,9 +132,7 @@ def parse_cvat_xml(document: str, class_id: int = 0) -> list[tuple[str, FrameDet
     excursion raises, as does a box whose clamped width or height is not
     positive at ``COORD_DECIMALS`` decimals, so every label written has
     a box that :func:`parse_yolo_line` accepts. The k-th pixel point
-    maps to the k-th normalized keypoint. A fault in any image is raised
-    before a negative ``class_id``, which a document with no image never
-    checks.
+    maps to the k-th normalized keypoint.
     """
     try:
         root = ET.fromstring(document)
@@ -202,14 +155,9 @@ def parse_cvat_xml(document: str, class_id: int = 0) -> list[tuple[str, FrameDet
             for key, limit in (("xtl", width), ("xbr", width), ("ytl", height), ("ybr", height))
         )
         w, h = float(width), float(height)
-        bbox = BoundingBox(
-            cx=(xtl + xbr) / (2.0 * w),
-            cy=(ytl + ybr) / (2.0 * h),
-            w=(xbr - xtl) / w,
-            h=(ybr - ytl) / h,
-        )
+        box_w, box_h = (xbr - xtl) / w, (ybr - ytl) / h
         # the size as written: a box wholly inside the slack past an edge is empty
-        if not (round(bbox.w, COORD_DECIMALS) > 0.0 and round(bbox.h, COORD_DECIMALS) > 0.0):
+        if not (round(box_w, COORD_DECIMALS) > 0.0 and round(box_h, COORD_DECIMALS) > 0.0):
             raise AnnotationError(f"box in {name!r} is empty or inverted")
 
         points_el = image.find("points")
@@ -237,8 +185,6 @@ def parse_cvat_xml(document: str, class_id: int = 0) -> list[tuple[str, FrameDet
             )
             for k, (px, py) in enumerate(pairs)
         ]
-        keypoints = KeypointSet(normalized)
-        detections.append((name, FrameDetection(class_id, bbox, keypoints)))
-    if class_id < 0 and detections:
-        raise AnnotationError(f"class id must be >= 0, got {class_id}")
+        box_values = [(xtl + xbr) / (2.0 * w), (ytl + ybr) / (2.0 * h), box_w, box_h]
+        detections.append((name, np.array(box_values), np.array(normalized)))
     return detections

@@ -46,8 +46,7 @@ from .report import (
     iter_frame_stream,
     loads_json,
     measurement_report,
-    report_cases,
-    report_errors,
+    report_results,
     sweep_sidecar,
 )
 from .sequence import AllFramesInvalidError, angle_set_from_row, measure_stream, middle_line
@@ -197,22 +196,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_convert(args, stdin, stdout, stderr) -> int:
     document = _read_text(args.xml, stdin)
-    outputs = []
-    seen = set()
-    for image_name, det in parse_cvat_xml(document, class_id=args.class_id):
+    # every line is built before any is written: every image fault comes
+    # first, then a bad class id, which a document with no image never checks
+    outputs = {}
+    for image_name, box, points in parse_cvat_xml(document):
+        line = emit_yolo_line(args.class_id, box, points) + "\n"
         filename = Path(image_name).stem + ".txt"
-        if filename in seen:
+        if filename in outputs:
             raise AnnotationError(
                 f"two images map to the same label file {filename!r}"
             )
-        seen.add(filename)
-        outputs.append((filename, emit_yolo_line(det) + "\n"))
+        outputs[filename] = line
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     try:
-        for filename, text in outputs:
+        for filename, text in outputs.items():
             target = out_dir / filename
             target.write_text(text, encoding="utf-8")
             written.append(target)
@@ -236,24 +236,24 @@ def _first_label_line(text: str, stderr) -> str:
 
 
 def _measure_still(args, stdin, stderr):
-    """The first label line's detection and its case, measured with its one frame kept.
+    """The first label line's box and keypoints, and its case measured with its one frame kept.
 
     A still image is a stream of one batch of one frame, so ``measure``
     and ``render`` share the measurement and its error messages.
     """
     line = _first_label_line(_read_text(args.label, stdin), stderr)
-    det = parse_yolo_line(line)
+    box, points = parse_yolo_line(line)
     case_id = "stdin" if args.label == "-" else Path(args.label).stem
-    batch = ([case_id], [0], middle_line(det.keypoints)[None])
+    batch = ([case_id], [0], middle_line(points)[None])
     cases, failures = measure_stream([batch], aspect=args.aspect)
     if failures:
         raise AllFramesInvalidError(f"case {case_id!r}: {failures[0][1]}")
-    return det, cases[0]
+    return box, points, cases[0]
 
 
 def _cmd_measure(args, stdin, stdout, stderr) -> int:
     config = RunConfig(args.threshold, args.aspect, retain_per_frame=not args.no_per_frame)
-    _, case = _measure_still(args, stdin, stderr)
+    *_, case = _measure_still(args, stdin, stderr)
     diagnosis = classify(case.curvature_deg, config.threshold_deg)
     document = measurement_report([(case, diagnosis)], config, __version__)
     _write_text(args.output, dumps_report(document), stdout)
@@ -312,8 +312,9 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
                 "report JSON input needs --labels with ground-truth diagnoses"
             )
         labels = read_labels_csv(Path(args.labels).read_text(encoding="utf-8"))
+        cases, errors = report_results(document)
         triples = []
-        for case_id, measured in report_cases(document):
+        for case_id, measured in cases:
             actual = labels.get(case_id)
             if actual is None:
                 raise DatasetFormatError(
@@ -321,7 +322,7 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
                 )
             triples.append((case_id, actual, measured))
         measured = {case_id for case_id, _, _ in triples}
-        _warn_unmeasured(report_errors(document), labels, measured, stderr)
+        _warn_unmeasured(errors, labels, measured, stderr)
     else:
         if args.labels is not None:
             stderr.write(
@@ -354,8 +355,9 @@ def _cmd_synth(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_render(args, stdin, stdout, stderr) -> int:
-    det, case = _measure_still(args, stdin, stderr)
-    svg = render_svg(det, angle_set_from_row(case.per_frame.angles[0]), args.width, args.height)
+    box, points, case = _measure_still(args, stdin, stderr)
+    angles = angle_set_from_row(case.per_frame.angles[0])
+    svg = render_svg(box, points, angles, args.width, args.height)
     _write_text(args.output, svg, stdout)
     return EXIT_OK
 

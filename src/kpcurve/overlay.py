@@ -9,7 +9,9 @@ frame measurement is highlighted. Output is standalone SVG 1.1.
 import sys
 import xml.etree.ElementTree as ET
 
-from .annotation import COLS, ROWS, FrameDetection
+import numpy as np
+
+from .annotation import COLS, MIDDLE_ROW, ROWS
 from .evaluation import DISPLAY_DECIMALS, round_half_up
 from .sequence import AngleSet
 
@@ -31,12 +33,14 @@ def _fmt(value: float) -> str:
 
 
 def render_svg(
-    det: FrameDetection,
+    box: np.ndarray,
+    points: np.ndarray,
     angles: AngleSet,
     image_width: int = DEFAULT_CANVAS_PX,
     image_height: int = DEFAULT_CANVAS_PX,
 ) -> str:
-    """Render one detection as an SVG document string."""
+    """Render one detection, its box (cx, cy, w, h) and (15, 2) keypoints,
+    as an SVG document string."""
     if image_width <= 0 or image_height <= 0:
         raise ValueError(
             f"canvas dimensions must be positive, got {image_width}x{image_height}"
@@ -54,25 +58,25 @@ def render_svg(
         },
     )
 
-    bbox = det.bbox
+    cx, cy, w, h = box.tolist()
     ET.SubElement(
         svg,
         f"{{{SVG_NS}}}rect",
         {
-            "x": _fmt((bbox.cx - bbox.w / 2.0) * image_width),
-            "y": _fmt((bbox.cy - bbox.h / 2.0) * image_height),
-            "width": _fmt(bbox.w * image_width),
-            "height": _fmt(bbox.h * image_height),
+            "x": _fmt((cx - w / 2.0) * image_width),
+            "y": _fmt((cy - h / 2.0) * image_height),
+            "width": _fmt(w * image_width),
+            "height": _fmt(h * image_height),
             "fill": "none",
             "stroke": BOX_COLOR,
             "stroke-dasharray": "6 4",
         },
     )
 
-    pixels = (det.keypoints.points * [image_width, image_height]).tolist()
+    pixels = (points * [image_width, image_height]).tolist()
     for row in range(ROWS):
         row_pts = pixels[row * COLS : (row + 1) * COLS]
-        is_middle = row == 1
+        is_middle = row == MIDDLE_ROW
         ET.SubElement(
             svg,
             f"{{{SVG_NS}}}polyline",
@@ -84,7 +88,7 @@ def render_svg(
             },
         )
     for index, (x, y) in enumerate(pixels):
-        is_middle = COLS <= index < 2 * COLS
+        is_middle = index // COLS == MIDDLE_ROW
         ET.SubElement(
             svg,
             f"{{{SVG_NS}}}circle",

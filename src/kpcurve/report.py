@@ -20,8 +20,7 @@ valid and degenerate ``per_frame`` rows, a sidecar's ``frames`` row).
 Report documents carry exact values alongside their display-rounded
 counterparts; the rounded fields are always recomputable from the exact
 ones under the half-up rule. A measurement report is read back here
-too, by :func:`report_cases` and :func:`report_errors`, so its schema
-has one home.
+too, by :func:`report_results`, so its schema has one home.
 """
 
 import json
@@ -31,16 +30,7 @@ from itertools import chain
 import numpy as np
 
 from . import sequence
-from .annotation import (
-    COLS,
-    COORD_DECIMALS,
-    MIDDLE_ROW,
-    NUM_KEYPOINTS,
-    ROWS,
-    BoundingBox,
-    FrameDetection,
-    KeypointSet,
-)
+from .annotation import COORD_DECIMALS, NUM_KEYPOINTS
 from .evaluation import (
     DEFAULT_THRESHOLD_DEG,
     DISPLAY_DECIMALS,
@@ -219,8 +209,11 @@ def loads_json(text: str, error: type[ValueError], template: str):
         raise error(template % reason) from None
 
 
-def parse_frame_line(line: str, lineno: int = 1) -> tuple[str, FrameDetection]:
-    """Parse one JSONL frame line; errors carry the line number.
+def parse_frame_line(line: str, lineno: int = 1) -> tuple[str, int, np.ndarray]:
+    """The case id, frame index and (15, 2) keypoints of one JSONL frame line.
+
+    Every field is checked, the box and class id too; errors carry the
+    line number.
 
     Messages that quote the offending value are built only on failure.
     """
@@ -272,13 +265,7 @@ def parse_frame_line(line: str, lineno: int = 1) -> tuple[str, FrameDetection]:
         if not 0.0 <= value <= 1.0:
             raise JsonlFormatError(f"line {lineno}: coordinate {value} outside [0, 1]")
 
-    det = FrameDetection(
-        class_id=class_id,
-        bbox=BoundingBox(*(float(v) for v in bbox)),
-        keypoints=KeypointSet(keypoints),
-        frame_index=frame_index,
-    )
-    return case_id, det
+    return case_id, frame_index, np.array(keypoints, dtype=np.float64)
 
 
 def _batch_from_objects(objs: list):
@@ -318,8 +305,8 @@ def _batch_from_objects(objs: list):
     array = np.array(values, dtype=np.float64)
     if not (array.min() >= 0.0 and array.max() <= 1.0):  # NaN fails both
         return None
-    grid = array[4 * len(objs) :].reshape(len(objs), ROWS, COLS, 2)
-    return case_ids, frame_indices, grid[:, MIDDLE_ROW]
+    points = array[4 * len(objs) :].reshape(len(objs), NUM_KEYPOINTS, 2)
+    return case_ids, frame_indices, middle_line(points)
 
 
 def _parse_batch(texts: list[str], linenos: list[int]):
@@ -337,12 +324,8 @@ def _parse_batch(texts: list[str], linenos: list[int]):
         batch = None
     if batch is not None:
         return batch
-    records = [parse_frame_line(text, lineno) for text, lineno in zip(texts, linenos)]
-    return (
-        [case_id for case_id, _ in records],
-        [det.frame_index for _, det in records],
-        np.array([middle_line(det.keypoints) for _, det in records]),
-    )
+    case_ids, frame_indices, points = zip(*map(parse_frame_line, texts, linenos))
+    return list(case_ids), list(frame_indices), middle_line(np.array(points))
 
 
 def iter_frame_stream(lines):
@@ -450,12 +433,13 @@ def measurement_report(
     }
 
 
-def report_cases(document: dict) -> list[tuple[str, float]]:
-    """The ``(case_id, curvature_deg)`` pairs of a measurement report's cases."""
+def report_results(document: dict) -> tuple[list[tuple[str, float]], list[tuple[str, str]]]:
+    """A measurement report's ``(case_id, curvature_deg)`` cases and its
+    ``(case_id, message)`` errors; no case may be listed under both."""
     cases = document.get("cases")
     if not isinstance(cases, list):
         raise DatasetFormatError("report JSON has no 'cases' list")
-    extracted = []
+    measured = []
     for entry in cases:
         if (
             not isinstance(entry, dict)
@@ -470,12 +454,8 @@ def report_cases(document: dict) -> list[tuple[str, float]]:
             raise DatasetFormatError(
                 f"report case {entry['case_id']!r} has a curvature_deg too large for a float"
             ) from None
-        extracted.append((entry["case_id"], angle))
-    return extracted
+        measured.append((entry["case_id"], angle))
 
-
-def report_errors(document: dict) -> list[tuple[str, str]]:
-    """The ``(case_id, message)`` pairs of a measurement report's ``errors``."""
     errors = document.get("errors", [])
     if not isinstance(errors, list) or not all(
         isinstance(entry, dict)
@@ -484,7 +464,14 @@ def report_errors(document: dict) -> list[tuple[str, str]]:
         for entry in errors
     ):
         raise DatasetFormatError("report errors need 'case_id' and 'error' fields")
-    return [(entry["case_id"], entry["error"]) for entry in errors]
+    failed = [(entry["case_id"], entry["error"]) for entry in errors]
+    measured_ids = {case_id for case_id, _ in measured}
+    for case_id, _ in failed:
+        if case_id in measured_ids:
+            raise DatasetFormatError(
+                f"report case {case_id!r} is listed under both 'cases' and 'errors'"
+            )
+    return measured, failed
 
 
 def evaluation_report(

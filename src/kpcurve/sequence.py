@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import polyline_angles
-from .annotation import COLS, MIDDLE_ROW, KeypointSet
+from .annotation import COLS, MIDDLE_ROW
 
 # frames per batch, read when a batch producer starts; bounds how many
 # parsed lines (~2.9 KB each) are held at once
@@ -70,15 +70,15 @@ class AngleSet:
     curvature_col: int
 
 
-def middle_line(keypoints: KeypointSet) -> np.ndarray:
-    """The middle row as a read-only (5, 2) view of ``points``, base to tip.
+def middle_line(points: np.ndarray) -> np.ndarray:
+    """The middle row of (..., 15, 2) keypoints as a (..., 5, 2) view, base to tip.
 
-    This is the one accessor of a detection's middle row; the batched
-    JSONL parser takes the same row from its stacked keypoint grid.
+    This is the one accessor of the middle row, for one detection, a
+    stack of them, or the 3D model points of a phantom (last axis 3).
     Coordinates pass through unchanged; aspect correction is applied by
     the angle computation, not here.
     """
-    return keypoints.points[MIDDLE_ROW * COLS : (MIDDLE_ROW + 1) * COLS]
+    return points[..., MIDDLE_ROW * COLS : (MIDDLE_ROW + 1) * COLS, :]
 
 
 def frame_rules(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

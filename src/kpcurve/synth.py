@@ -30,6 +30,7 @@ import numpy as np
 
 from ._kernels import EPSILON
 from .annotation import COORD_DECIMALS
+from .sequence import middle_line
 
 DEFAULT_LENGTH_CM = 5.5
 DEFAULT_WIDTH_CM = 1.5
@@ -170,7 +171,7 @@ def _project_all(model, yaws, pitch_deg: float, image_width: int, image_height: 
     rot = _rotations(yaws, pitch_deg)
     pts = model.reshape(-1, 3) @ rot.transpose(0, 2, 1)
     flat = np.stack([pts[..., 0], -pts[..., 1]], axis=-1)
-    center = model[1]  # the middle keypoint row
+    center = middle_line(model.reshape(-1, 3))
     pre = rot @ (center[1] - center[0])
     post = rot @ (center[4] - center[3])
 
@@ -185,8 +186,8 @@ def _project_all(model, yaws, pitch_deg: float, image_width: int, image_height: 
     pixels = (flat - mins) * scale + (size - extents * scale) / 2.0
     points = np.round(pixels / size, COORD_DECIMALS)
 
-    mid = points.reshape(len(points), *model.shape[:2], 2)[:, 1]
-    short = (np.linalg.norm(np.diff(mid, axis=1), axis=2) < EPSILON).any(axis=1)
+    segments = np.diff(middle_line(points), axis=1)
+    short = (np.linalg.norm(segments, axis=2) < EPSILON).any(axis=1)
     angles = []
     for u, v, is_point, is_short in zip(pre.tolist(), post.tolist(), single.flat, short):
         angles.append(_planar_angle_deg((u[0], -u[1]), (v[0], -v[1])))

@@ -8,7 +8,6 @@ import pytest
 
 from kpcurve import sequence
 from kpcurve._kernels import EPSILON
-from kpcurve.annotation import BoundingBox, FrameDetection, KeypointSet
 from kpcurve.evaluation import Diagnosis
 from kpcurve.report import RunConfig, dumps_frame, dumps_report, measurement_report
 from kpcurve.sequence import (
@@ -83,8 +82,9 @@ def normalize_unit(points: np.ndarray, decimals: int | None = None) -> np.ndarra
     return np.round(fitted, decimals) if decimals is not None else fitted
 
 
-def detection_from_middle(middle: np.ndarray, offset: float = 0.02) -> FrameDetection:
-    """Wrap a (5, 2) middle line into a full 15-point detection.
+def detection_from_middle(middle: np.ndarray, offset: float = 0.02):
+    """Wrap a (5, 2) middle line into a detection: its box (cx, cy, w, h)
+    and (15, 2) keypoints.
 
     Lateral rows are the middle line shifted by a small y offset, which
     never affects middle-line angle computations.
@@ -94,48 +94,47 @@ def detection_from_middle(middle: np.ndarray, offset: float = 0.02) -> FrameDete
     pts = np.concatenate(rows)
     pts = np.clip(pts, 0.0, 1.0)
     xs, ys = pts[:, 0], pts[:, 1]
-    bbox = BoundingBox(
-        cx=float((xs.min() + xs.max()) / 2),
-        cy=float((ys.min() + ys.max()) / 2),
-        w=float(max(xs.max() - xs.min(), 1e-3)),
-        h=float(max(ys.max() - ys.min(), 1e-3)),
+    box = np.array(
+        [
+            (xs.min() + xs.max()) / 2,
+            (ys.min() + ys.max()) / 2,
+            max(xs.max() - xs.min(), 1e-3),
+            max(ys.max() - ys.min(), 1e-3),
+        ]
     )
-    return FrameDetection(
-        class_id=0, bbox=bbox, keypoints=KeypointSet(pts)
-    )
+    return box, pts
 
 
-def detection_with_angle(bend_deg: float, vertex: int = 2) -> FrameDetection:
+def detection_with_angle(bend_deg: float, vertex: int = 2):
     """A detection whose middle line measures exactly-ish bend_deg."""
     return detection_from_middle(normalize_unit(hinge_polyline(bend_deg, vertex)))
 
 
-def frame_line(case_id: str, det: FrameDetection, frame_index: int) -> str:
-    """One class-0 detection as a JSONL frame line without its newline.
+def frame_line(case_id: str, det, frame_index: int) -> str:
+    """One detection ``(box, points)`` as a JSONL frame line without its newline.
 
     A batch of one row for ``dumps_frame``, the synth stream writer.
     """
-    assert det.class_id == 0, "dumps_frame writes class id 0"
-    box = (det.bbox.cx, det.bbox.cy, det.bbox.w, det.bbox.h)
-    return dumps_frame(case_id, [box], det.keypoints.points[None], [frame_index])[:-1]
+    box, points = det
+    return dumps_frame(case_id, [box], points[None], [frame_index])[:-1]
 
 
 def detection_batches(records):
-    """Batch (case_id, FrameDetection) records for ``measure_stream``.
+    """Batch ``(case_id, frame_index, points)`` records for ``measure_stream``.
 
     Batches hold up to ``sequence.CHUNK_FRAMES`` frames (read at the
-    first ``next()``), as the JSONL parser's do. Detections without a
-    ``frame_index`` are numbered by position within their case.
+    first ``next()``), as the JSONL parser's do. A ``frame_index`` of
+    None is numbered by position within its case.
     """
     size = sequence.CHUNK_FRAMES
     positions: dict[str, int] = {}
     case_ids, frame_indices, lines = [], [], []
-    for case_id, det in records:
+    for case_id, frame_index, points in records:
         position = positions.get(case_id, 0)
         positions[case_id] = position + 1
         case_ids.append(case_id)
-        frame_indices.append(position if det.frame_index is None else det.frame_index)
-        lines.append(middle_line(det.keypoints))
+        frame_indices.append(position if frame_index is None else frame_index)
+        lines.append(middle_line(points))
         if len(lines) >= size:
             yield case_ids, frame_indices, np.array(lines)
             case_ids, frame_indices, lines = [], [], []
@@ -143,15 +142,20 @@ def detection_batches(records):
         yield case_ids, frame_indices, np.array(lines)
 
 
-def measure_sequence(case_id, frames, aspect=1.0, keep_frames=True):
+def measure_sequence(case_id, frames, aspect=1.0, keep_frames=True, frame_indices=None):
     """``measure_stream`` over the detections of one case.
 
-    Raises EmptySequenceError for no frames and AllFramesInvalidError
-    when every frame is degenerate.
+    Frames are numbered by position unless ``frame_indices`` gives
+    their indices. Raises EmptySequenceError for no frames and
+    AllFramesInvalidError when every frame is degenerate.
     """
-    batches = detection_batches((case_id, det) for det in frames)
+    if frame_indices is None:
+        frame_indices = range(len(frames))
+    records = [(case_id, index, points) for index, (_, points) in zip(frame_indices, frames)]
     try:
-        cases, failures = measure_stream(batches, aspect=aspect, keep_frames=keep_frames)
+        cases, failures = measure_stream(
+            detection_batches(records), aspect=aspect, keep_frames=keep_frames
+        )
     except EmptySequenceError:
         raise EmptySequenceError(f"case {case_id!r}: no frames in stream") from None
     if failures:

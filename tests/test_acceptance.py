@@ -6,7 +6,6 @@ randomized check uses a fixed seed, so a green run here is a stable,
 reproducible statement about the package.
 """
 
-import dataclasses
 import io
 import json
 import math
@@ -27,9 +26,6 @@ from conftest import (
 )
 from kpcurve import _kernels, sequence
 from kpcurve.annotation import (
-    BoundingBox,
-    FrameDetection,
-    KeypointSet,
     emit_yolo_line,
     parse_cvat_xml,
     parse_yolo_line,
@@ -236,19 +232,10 @@ def test_criterion_6_round_trip_parsing():
     with criterion(6, "label lines survive an emit/parse round trip") as info:
         worst = 0.0
         for i in range(count):
-            det = FrameDetection(
-                class_id=int(class_ids[i]),
-                bbox=BoundingBox(*boxes[i]),
-                keypoints=KeypointSet(points[i]),
-            )
-            parsed = parse_yolo_line(emit_yolo_line(det))
-            assert parsed.class_id == det.class_id
-            recovered = np.concatenate(
-                [
-                    [parsed.bbox.cx, parsed.bbox.cy, parsed.bbox.w, parsed.bbox.h],
-                    parsed.keypoints.points.ravel(),
-                ]
-            )
+            line = emit_yolo_line(int(class_ids[i]), boxes[i], points[i])
+            parsed_box, parsed_points = parse_yolo_line(line)
+            assert int(line.split(maxsplit=1)[0]) == class_ids[i]
+            recovered = np.concatenate([parsed_box, parsed_points.ravel()])
             original = np.concatenate([boxes[i], points[i].ravel()])
             worst = max(worst, float(np.abs(recovered - original).max()))
         assert worst <= ROUND_TRIP_TOL
@@ -264,7 +251,7 @@ def test_criterion_6_round_trip_parsing():
         assert f'width="{width}" height="{height}"' in CVAT_DOCUMENT
         assert f'xtl="{xtl}" ytl="{ytl}" xbr="{xbr}" ybr="{ybr}"' in CVAT_DOCUMENT
         assert 'points="' + ";".join(f"{x},{y}" for x, y in pixels) + '"' in CVAT_DOCUMENT
-        name, det = parse_cvat_xml(CVAT_DOCUMENT)[0]
+        name, box, keypoints = parse_cvat_xml(CVAT_DOCUMENT)[0]
         assert name == "case_a_0001.png"
         expected_box = (
             (xtl + xbr) / 2 / width,
@@ -272,10 +259,9 @@ def test_criterion_6_round_trip_parsing():
             (xbr - xtl) / width,
             (ybr - ytl) / height,
         )
-        got_box = (det.bbox.cx, det.bbox.cy, det.bbox.w, det.bbox.h)
-        assert max(abs(g - e) for g, e in zip(got_box, expected_box)) <= ORACLE_TOL_DEG
-        assert len(det.keypoints.points) == len(pixels)
-        for point, (px, py) in zip(det.keypoints.points, pixels):
+        assert max(abs(g - e) for g, e in zip(box, expected_box)) <= ORACLE_TOL_DEG
+        assert len(keypoints) == len(pixels)
+        for point, (px, py) in zip(keypoints, pixels):
             assert abs(point[0] - px / width) <= 1e-9
             assert abs(point[1] - py / height) <= 1e-9
         info["detail"] = f"worst coordinate drift {worst:.2e} over {count} lines"
@@ -284,34 +270,38 @@ def test_criterion_6_round_trip_parsing():
 def test_criterion_7_aggregation_properties():
     rng = np.random.default_rng(7)
     trials = 1_000
+
+    def measure(frames):
+        """The case of ``(frame_index, detection)`` pairs, streamed in order."""
+        indices = [index for index, _ in frames]
+        return measure_sequence("t", [det for _, det in frames], frame_indices=indices)
+
     with criterion(7, "case aggregation is order-free, monotone, and duplicate-proof") as info:
         for _ in range(trials):
             bends = rng.uniform(1.0, 120.0, rng.integers(3, 9))
             indices = rng.choice(1000, size=len(bends), replace=False)
             dets = [
-                dataclasses.replace(
-                    detection_with_angle(float(b), vertex=int(rng.integers(1, 4))),
-                    frame_index=int(i),
-                )
+                (int(i), detection_with_angle(float(b), vertex=int(rng.integers(1, 4))))
                 for b, i in zip(bends, indices)
             ]
-            base = measure_sequence("t", dets)
+            base = measure(dets)
             baseline = base.curvature_deg
 
             shuffled = list(dets)
             rng.shuffle(shuffled)
-            result = measure_sequence("t", shuffled)
+            result = measure(shuffled)
             assert result.curvature_deg == baseline
             assert result.argmax_frame == base.argmax_frame
 
-            extra = dets + [detection_with_angle(float(rng.uniform(1.0, 120.0)))]
-            assert measure_sequence("t", extra).curvature_deg >= baseline
+            # an extra frame numbered by its position, as a stream without indices would
+            extra = dets + [(len(dets), detection_with_angle(float(rng.uniform(1.0, 120.0))))]
+            assert measure(extra).curvature_deg >= baseline
 
             # the same frames again under later indices, streamed first: the
             # tie on the maximum must still go to the lowest frame index
-            later = [dataclasses.replace(d, frame_index=d.frame_index + 1000) for d in dets]
+            later = [(index + 1000, det) for index, det in dets]
             for doubled in (dets + dets, shuffled + dets, later + shuffled):
-                result = measure_sequence("t", doubled)
+                result = measure(doubled)
                 assert result.curvature_deg == baseline
                 assert result.argmax_frame == base.argmax_frame
         info["detail"] = f"{trials} randomized streams, exact equality"

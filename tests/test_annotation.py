@@ -1,5 +1,6 @@
 """Label parsing, emission, and conversion."""
 
+import io
 import math
 import re
 
@@ -11,13 +12,11 @@ from hypothesis import strategies as st
 from conftest import frame_line
 from kpcurve.annotation import (
     AnnotationError,
-    BoundingBox,
-    FrameDetection,
-    KeypointSet,
     emit_yolo_line,
     parse_cvat_xml,
     parse_yolo_line,
 )
+from kpcurve.cli import EXIT_INPUT, EXIT_OK, main
 from kpcurve.report import parse_frame_line
 from kpcurve.sequence import middle_line
 
@@ -39,60 +38,46 @@ def coords(n=34):
     )
 
 
-def random_detection(rng) -> FrameDetection:
+def random_detection(rng):
+    """A class id, box and keypoints, drawn at random."""
     values = rng.uniform(0.0, 1.0, 34)
     values[2] = rng.uniform(1e-3, 1.0)
     values[3] = rng.uniform(1e-3, 1.0)
-    return FrameDetection(
-        class_id=int(rng.integers(0, 5)),
-        bbox=BoundingBox(*values[:4]),
-        keypoints=KeypointSet(values[4:].reshape(15, 2)),
-    )
+    return int(rng.integers(0, 5)), values[:4], values[4:].reshape(15, 2)
 
 
-class TestKeypointSet:
-    def test_points_are_read_only(self):
-        kp = KeypointSet(np.full((15, 2), 0.5))
-        with pytest.raises(ValueError):
-            kp.points[0, 0] = 0.25
-
-    def test_source_array_is_copied(self):
-        source = np.full((15, 2), 0.5)
-        kp = KeypointSet(source)
-        source[0, 0] = 0.25
-        assert kp.points[0, 0] == 0.5
-        assert source.flags.writeable
-
-    @pytest.mark.parametrize("shape", [(14, 2), (15, 3)])
-    def test_wrong_shape_rejected(self, shape):
-        with raises(f"expected (15, 2) keypoints, got shape {shape}"):
-            KeypointSet(np.full(shape, 0.5))
-
-    def test_repeated_parses_compare_equal(self):
-        assert parse_yolo_line(VALID_LINE) == parse_yolo_line(VALID_LINE)
-        line = frame_line("c", parse_yolo_line(VALID_LINE), 3)
-        assert parse_frame_line(line) == parse_frame_line(line)
-        assert parse_frame_line(line) != parse_frame_line(line.replace("0.1,", "0.15,", 1))
-
-    def test_detections_are_not_hashable(self):
-        with pytest.raises(TypeError):
-            hash(parse_yolo_line(VALID_LINE))
+def convert(document, tmp_path, class_id):
+    """Run ``convert`` on ``document``; (exit code, stdout, stderr, files written)."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["convert", "-", "-o", str(tmp_path), "--class-id", str(class_id)]
+    rc = main(argv, stdin=io.StringIO(document), stdout=out, stderr=err)
+    return rc, out.getvalue(), err.getvalue(), sorted(tmp_path.iterdir())
 
 
 class TestParseYoloLine:
     def test_happy_path_round_values(self):
-        det = parse_yolo_line(VALID_LINE)
-        assert det.class_id == 0
-        assert det.bbox == BoundingBox(0.5, 0.5, 0.4, 0.6)
-        assert det.keypoints.points[0, 0] == pytest.approx(0.1, abs=1e-12)
-        assert det.keypoints.points[14, 1] == pytest.approx(0.2 + 0.04 * 14, abs=1e-12)
+        box, points = parse_yolo_line(VALID_LINE)
+        assert box.tolist() == [0.5, 0.5, 0.4, 0.6]
+        assert points[0, 0] == pytest.approx(0.1, abs=1e-12)
+        assert points[14, 1] == pytest.approx(0.2 + 0.04 * 14, abs=1e-12)
 
     def test_row_major_grid_addressing(self):
-        det = parse_yolo_line(VALID_LINE)
+        _, points = parse_yolo_line(VALID_LINE)
         # row r spans flat positions 5r .. 5r+4
         tokens = [float(t) for t in VALID_LINE.split()[5:]]
-        assert det.keypoints.points[10:15].ravel().tolist() == tokens[20:30]
-        assert np.array_equal(middle_line(det.keypoints), det.keypoints.points[5:10])
+        assert points[10:15].ravel().tolist() == tokens[20:30]
+        assert np.array_equal(middle_line(points), points[5:10])
+
+    def test_repeated_parses_compare_equal(self):
+        def parsed(line):
+            case_id, frame_index, points = parse_frame_line(line)
+            return case_id, frame_index, points.tolist()
+
+        first, again = parse_yolo_line(VALID_LINE), parse_yolo_line(VALID_LINE)
+        assert [a.tolist() for a in first] == [a.tolist() for a in again]
+        line = frame_line("c", first, 3)
+        assert parsed(line) == parsed(line)
+        assert parsed(line) != parsed(line.replace("0.1,", "0.15,", 1))
 
     @pytest.mark.parametrize("count", [34, 36, 1, 0])
     def test_wrong_token_count(self, count):
@@ -132,14 +117,15 @@ class TestParseYoloLine:
             parse_yolo_line(" ".join(bad))
 
     def test_whitespace_flexible(self):
-        det = parse_yolo_line("  " + VALID_LINE.replace(" ", "   ") + " \t")
-        assert det.class_id == 0
+        box, points = parse_yolo_line("  " + VALID_LINE.replace(" ", "   ") + " \t")
+        expected_box, expected_points = parse_yolo_line(VALID_LINE)
+        assert box.tolist() == expected_box.tolist()
+        assert points.tolist() == expected_points.tolist()
 
 
 class TestEmitYoloLine:
     def test_shape_and_precision(self):
-        det = parse_yolo_line(VALID_LINE)
-        line = emit_yolo_line(det)
+        line = emit_yolo_line(0, *parse_yolo_line(VALID_LINE))
         tokens = line.split(" ")
         assert len(tokens) == 35
         assert line == line.strip()
@@ -149,34 +135,34 @@ class TestEmitYoloLine:
     def test_emit_parse_fixpoint(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
-            det = random_detection(rng)
-            once = emit_yolo_line(det)
-            again = emit_yolo_line(parse_yolo_line(once))
+            once = emit_yolo_line(*random_detection(rng))
+            again = emit_yolo_line(int(once.split()[0]), *parse_yolo_line(once))
             assert once == again
 
     @given(values=coords())
     @settings(max_examples=200)
     def test_round_trip_within_emit_precision(self, values):
-        bbox = BoundingBox(values[0], values[1], max(values[2], 1e-3), max(values[3], 1e-3))
-        det = FrameDetection(
-            class_id=0,
-            bbox=bbox,
-            keypoints=KeypointSet(np.reshape(values[4:], (15, 2))),
-        )
-        back = parse_yolo_line(emit_yolo_line(det))
-        assert np.abs(det.keypoints.points - back.keypoints.points).max() <= 5e-7
+        box = [values[0], values[1], max(values[2], 1e-3), max(values[3], 1e-3)]
+        points = np.reshape(values[4:], (15, 2))
+        _, back = parse_yolo_line(emit_yolo_line(0, box, points))
+        assert np.abs(points - back).max() <= 5e-7
+
+    @pytest.mark.parametrize("class_id", [-1, -2])
+    def test_negative_class_id_rejected(self, class_id):
+        with raises(f"class id must be >= 0, got {class_id}"):
+            emit_yolo_line(class_id, *parse_yolo_line(VALID_LINE))
 
 
 class TestParseCvatXml:
     def test_fixture_fields_preserved(self, cvat_document):
-        pairs = parse_cvat_xml(cvat_document)
-        assert [name for name, _ in pairs] == ["case_a_0001.png", "case_b_0001.png"]
-        det = pairs[0][1]
-        assert det.class_id == 0
-        assert det.bbox.w == (900.75 - 100.5) / 1280
-        assert det.keypoints.points.shape == (15, 2)
-        assert tuple(det.keypoints.points[0]) == (120 / 1280, 80 / 720)
-        assert tuple(det.keypoints.points[14]) == (895 / 1280, 560 / 720)
+        images = parse_cvat_xml(cvat_document)
+        assert [name for name, _, _ in images] == ["case_a_0001.png", "case_b_0001.png"]
+        _, box, points = images[0]
+        assert box.shape == (4,)
+        assert box[2] == (900.75 - 100.5) / 1280
+        assert points.shape == (15, 2)
+        assert tuple(points[0]) == (120 / 1280, 80 / 720)
+        assert tuple(points[14]) == (895 / 1280, 560 / 720)
 
     def test_non_image_elements_ignored(self, cvat_document):
         pairs = parse_cvat_xml(cvat_document)
@@ -249,62 +235,70 @@ class TestParseCvatXml:
         with raises(f"case_a_0001.png: {message}"):
             parse_cvat_xml(doc)
 
-    def test_xml_fault_in_a_later_image_wins_over_negative_class(self, cvat_document):
+    # the class id is checked by the writer, so these go through ``convert``
+    def test_xml_fault_in_a_later_image_wins_over_negative_class(self, cvat_document, tmp_path):
         doc = cvat_document.replace("10,20", "10,481")
-        with raises("case_b_0001.png: point 0 y = 481.0 more than 0.5 px outside [0, 480]"):
-            parse_cvat_xml(doc, class_id=-1)
+        assert convert(doc, tmp_path, -1) == (
+            EXIT_INPUT,
+            "",
+            "kpcurve convert: case_b_0001.png: point 0 y = 481.0 "
+            "more than 0.5 px outside [0, 480]\n",
+            [],
+        )
 
-    def test_no_image_needs_no_class_check(self):
-        assert parse_cvat_xml("<annotations><meta/></annotations>", class_id=-1) == []
+    def test_no_image_needs_no_class_check(self, tmp_path):
+        rc, out, err, written = convert("<annotations><meta/></annotations>", tmp_path, -1)
+        assert (rc, out, err, written) == (EXIT_OK, f"converted 0 images to {tmp_path}\n", "", [])
 
 
 class TestConvertCvatToYolo:
     def test_matches_independent_normalization(self, cvat_document):
         # recompute the expected values with plain arithmetic, no library code
-        name, det = parse_cvat_xml(cvat_document, class_id=3)[0]
+        name, box, points = parse_cvat_xml(cvat_document)[0]
         w, h = 1280.0, 720.0
         pixels = [
             tuple(map(float, pair.split(",")))
             for pair in cvat_document.split('points="')[1].split('"')[0].split(";")
         ]
         assert name == "case_a_0001.png"
-        assert det.class_id == 3
-        assert math.isclose(det.bbox.cx, (100.5 + 900.75) / 2 / w, abs_tol=1e-9)
-        assert math.isclose(det.bbox.cy, (50.25 + 600.5) / 2 / h, abs_tol=1e-9)
-        assert math.isclose(det.bbox.w, (900.75 - 100.5) / w, abs_tol=1e-9)
-        assert math.isclose(det.bbox.h, (600.5 - 50.25) / h, abs_tol=1e-9)
+        assert emit_yolo_line(3, box, points).split()[0] == "3"
+        cx, cy, box_w, box_h = box
+        assert math.isclose(cx, (100.5 + 900.75) / 2 / w, abs_tol=1e-9)
+        assert math.isclose(cy, (50.25 + 600.5) / 2 / h, abs_tol=1e-9)
+        assert math.isclose(box_w, (900.75 - 100.5) / w, abs_tol=1e-9)
+        assert math.isclose(box_h, (600.5 - 50.25) / h, abs_tol=1e-9)
         assert len(pixels) == 15
         for k, (px, py) in enumerate(pixels):
-            assert math.isclose(det.keypoints.points[k, 0], px / w, abs_tol=1e-9)
-            assert math.isclose(det.keypoints.points[k, 1], py / h, abs_tol=1e-9)
+            assert math.isclose(points[k, 0], px / w, abs_tol=1e-9)
+            assert math.isclose(points[k, 1], py / h, abs_tol=1e-9)
 
     def test_point_order_is_row_major(self, cvat_document):
-        _, det = parse_cvat_xml(cvat_document)[0]
+        _, _, points = parse_cvat_xml(cvat_document)[0]
         # middle row of the fixture starts at pixel point index 5
-        assert middle_line(det.keypoints)[0, 0] == pytest.approx(130 / 1280, abs=1e-12)
+        assert middle_line(points)[0, 0] == pytest.approx(130 / 1280, abs=1e-12)
 
     def test_half_pixel_clamped_to_edge(self, cvat_document):
         doc = cvat_document.replace('xtl="100.5"', 'xtl="-0.4"').replace(
             'ybr="600.5"', 'ybr="720.3"'
         )
-        _, det = parse_cvat_xml(doc)[0]
-        assert det.bbox.cx == pytest.approx((0.0 + 900.75) / 2 / 1280, abs=1e-12)
-        assert det.bbox.cy == pytest.approx((50.25 + 720.0) / 2 / 720, abs=1e-12)
-        _, det = parse_cvat_xml(cvat_document.replace("895,560", "1280.5,-0.5"))[0]
-        assert tuple(det.keypoints.points[14]) == (1.0, 0.0)
+        _, box, _ = parse_cvat_xml(doc)[0]
+        assert box[0] == pytest.approx((0.0 + 900.75) / 2 / 1280, abs=1e-12)
+        assert box[1] == pytest.approx((50.25 + 720.0) / 2 / 720, abs=1e-12)
+        _, _, points = parse_cvat_xml(cvat_document.replace("895,560", "1280.5,-0.5"))[0]
+        assert tuple(points[14]) == (1.0, 0.0)
 
     def test_large_excursion_rejected(self, cvat_document):
         doc = cvat_document.replace('ybr="600.5"', 'ybr="720.51"')
         with raises("case_a_0001.png: box ybr = 720.51 more than 0.5 px outside [0, 720]"):
             parse_cvat_xml(doc)
 
-    def test_negative_class_rejected(self, cvat_document):
-        with raises("class id must be >= 0, got -2"):
-            parse_cvat_xml(cvat_document, class_id=-2)
+    def test_negative_class_rejected(self, cvat_document, tmp_path):
+        assert convert(cvat_document, tmp_path, -1) == (
+            EXIT_INPUT, "", "kpcurve convert: class id must be >= 0, got -1\n", []
+        )
 
     def test_converted_detection_is_valid(self, cvat_document):
-        for _, det in parse_cvat_xml(cvat_document):
-            box = (det.bbox.cx, det.bbox.cy, det.bbox.w, det.bbox.h)
-            values = [*box, *det.keypoints.points.ravel()]
+        for _, box, points in parse_cvat_xml(cvat_document):
+            values = [*box, *points.ravel()]
             assert all(0.0 <= v <= 1.0 for v in values)
-            assert det.bbox.w > 0.0 and det.bbox.h > 0.0
+            assert box[2] > 0.0 and box[3] > 0.0

@@ -31,7 +31,7 @@ from conftest import (
 )
 import kpcurve
 from kpcurve import __version__, cli, sequence
-from kpcurve.annotation import BoundingBox, FrameDetection, KeypointSet, emit_yolo_line
+from kpcurve.annotation import emit_yolo_line
 from kpcurve.cli import EXIT_GEOMETRY, EXIT_INPUT, EXIT_OK, build_parser, main
 from kpcurve.evaluation import round_half_up
 from kpcurve.synth import HingeModelSpec, sweep
@@ -63,13 +63,13 @@ def sha256_of(path):
 
 
 def label_line(bend_deg, vertex=2):
-    return emit_yolo_line(detection_with_angle(bend_deg, vertex)) + "\n"
+    return emit_yolo_line(0, *detection_with_angle(bend_deg, vertex)) + "\n"
 
 
 def degenerate_label_line():
     middle = normalize_unit(hinge_polyline(30.0))
     middle[2] = middle[1]  # middle segment collapses
-    return emit_yolo_line(detection_from_middle(middle)) + "\n"
+    return emit_yolo_line(0, *detection_from_middle(middle)) + "\n"
 
 
 def jsonl_for(case_id, bends, start_index=0):
@@ -537,6 +537,21 @@ class TestEvaluate:
         assert out == ""
         assert "'error'" in err
 
+    def test_case_both_measured_and_failed_rejected(self, tmp_path):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("case_id,actual\na,pd\n")
+        report = json.dumps(
+            {
+                "cases": [{"case_id": "a", "curvature_deg": 40}],
+                "errors": [{"case_id": "a", "error": "x"}],
+            }
+        )
+        rc, out, err = run(["evaluate", "--labels", str(labels), "-"], report)
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == (
+            "kpcurve evaluate: report case 'a' is listed under both 'cases' and 'errors'\n"
+        )
+
     def test_deeply_nested_report_is_an_input_error(self, tmp_path):
         labels = tmp_path / "labels.csv"
         labels.write_text("case_id,actual\na,pd\n")
@@ -866,19 +881,6 @@ class TestSynth:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("\n## Synthetic phantoms\n")[1].split("\n## ")[0]
         assert [name for name in values if f"`{name}`" not in section] == []
-
-    def test_builds_no_per_frame_objects(self, monkeypatch, tmp_path):
-        def refuse(obj, *args, **kwargs):
-            raise AssertionError(f"synth built a {type(obj).__name__}")
-
-        for kind in (FrameDetection, KeypointSet, BoundingBox):
-            monkeypatch.setattr(kind, "__init__", refuse)
-        spec = {"hinge_angle_deg": 40.0, "steps": 25, "jitter_sd": 0.002, "pitch_deg": 5.0}
-        sidecar = tmp_path / "oracle.json"
-        rc, out, err = run(["synth", "-", "--sidecar", str(sidecar)], json.dumps(spec))
-        assert rc == EXIT_OK, err
-        assert out.count("\n") == 25
-        assert len(json.loads(sidecar.read_text())["frames"]) == 25
 
     # sha256 of (stream, sidecar) per spec: any change to synth output bytes fails here
     GOLDEN = {

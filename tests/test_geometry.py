@@ -20,7 +20,6 @@ from conftest import (
     per_frame_rows,
     vector_angle,
 )
-from kpcurve.annotation import KeypointSet
 from kpcurve.sequence import (
     AllFramesInvalidError,
     AngleSet,
@@ -130,7 +129,7 @@ class TestMiddleLine:
             (0.7, 0.5),
             (0.9, 0.5),
         ] + [(1.0, 1.0)] * 5
-        line = middle_line(KeypointSet(pts))
+        line = middle_line(np.array(pts))
         assert line.tolist() == [
             [0.1, 0.5],
             [0.3, 0.5],
@@ -143,9 +142,17 @@ class TestMiddleLine:
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, 1, (15, 2))
         swapped = np.concatenate([pts[10:15], pts[5:10], pts[0:5]])
-        a = middle_line(KeypointSet(pts))
-        b = middle_line(KeypointSet(swapped))
+        a = middle_line(pts)
+        b = middle_line(swapped)
         assert np.array_equal(a, b)
+
+    def test_stack_gives_a_view_per_detection(self):
+        stack = np.random.default_rng(1).uniform(0, 1, (2, 3, 15, 2))
+        lines = middle_line(stack)
+        assert lines.shape == (2, 3, 5, 2)
+        assert np.shares_memory(lines, stack)
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(lines[index], middle_line(stack[index]))
 
 
 class TestComputeAngles:

@@ -1,5 +1,6 @@
 """Static checks on the package sources: every imported name and every
-module-level private name is read."""
+module-level private name is read, and every module-level public name is
+read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -33,29 +34,58 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used | exported]
 
 
+def defined_names(node: ast.stmt) -> list[str]:
+    """The names a top-level function, class or assignment binds; an import binds none."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def loaded_names(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
 def unused_private_names(source: str) -> list[str]:
     """Module-level private names (a ``_name`` function, class or assignment)
     that no other top-level statement of the module reads, in definition
     order; a function that only calls itself is unused."""
     body = ast.parse(source).body
-    reads = [
-        {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        for node in body
-    ]
+    reads = [loaded_names(node) for node in body]
     unused = []
     for i, node in enumerate(body):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bound = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-        else:
-            continue
-        for name in bound:
+        for name in defined_names(node):
             private = name.startswith("_") and not name.startswith("__")
             if private and not any(name in read for j, read in enumerate(reads) if j != i):
                 unused.append(name)
     return unused
+
+
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """Module-level public names (a function, class or assignment whose name
+    has no leading underscore) that no other top-level statement of any
+    module reads, as ``module.name`` in module and definition order.
+
+    A read is a loaded name or an attribute (``module.name``), matched by
+    name alone; an import is not a read, so a name that only tests
+    import is unread.
+    """
+    statements = [
+        (module, node) for module, source in sources.items() for node in ast.parse(source).body
+    ]
+    reads = [
+        loaded_names(node) | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        for _, node in statements
+    ]
+    return [
+        f"{module}.{name}"
+        for i, (module, node) in enumerate(statements)
+        for name in defined_names(node)
+        if not name.startswith("_")
+        and not any(name in read for j, read in enumerate(reads) if j != i)
+    ]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -104,3 +134,25 @@ def test_no_unused_private_names(path):
 )
 def test_checker_finds_unused_private_names(source, unused):
     assert unused_private_names(source) == unused
+
+
+def test_no_unread_public_names():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unread_public_names(sources) == []
+
+
+@pytest.mark.parametrize(
+    "sources, unread",
+    [
+        ({"a": "def f():\n    pass\n"}, ["a.f"]),
+        ({"a": "def f():\n    pass\n", "b": "from .a import f\nf()\n"}, []),
+        ({"a": "class C:\n    pass\n", "b": "from .a import C\n"}, ["a.C"]),
+        ({"a": "X = 1\n", "b": "from . import a\nprint(a.X)\n"}, []),
+        ({"a": "X, Y = 1, 2\nZ: int = X\n"}, ["a.Y", "a.Z"]),
+        ({"a": "def f():\n    return f()\n"}, ["a.f"]),
+        ({"a": "LIMIT = 1\ndef f(x=LIMIT):\n    return x\nf()\n"}, []),
+        ({"a": "_X = 1\n__version__ = '1'\n"}, []),
+    ],
+)
+def test_checker_finds_unread_public_names(sources, unread):
+    assert unread_public_names(sources) == unread

@@ -252,9 +252,9 @@ def test_batched_parse_matches_line_parser(frames, bad, blanks, chunk):
             if line.strip()
         ]
         return (
-            [case_id for case_id, _ in records],
-            [det.frame_index for _, det in records],
-            np.array([middle_line(det.keypoints) for _, det in records]),
+            [case_id for case_id, _, _ in records],
+            [frame_index for _, frame_index, _ in records],
+            middle_line(np.array([points for _, _, points in records])),
         )
 
     with mock.patch.object(sequence, "CHUNK_FRAMES", chunk):

@@ -1,6 +1,5 @@
 """Per-case aggregation: max rule, invalid-frame handling, streaming."""
 
-import dataclasses
 import io
 import json
 
@@ -19,17 +18,16 @@ from conftest import (
     per_frame_rows,
 )
 from kpcurve import sequence
-from kpcurve.annotation import KeypointSet, emit_yolo_line
+from kpcurve.annotation import emit_yolo_line
 from kpcurve.cli import main
 from kpcurve.report import iter_frame_stream
 from kpcurve.sequence import AllFramesInvalidError, EmptySequenceError, measure_stream
 
 
 def degenerate_detection():
-    det = detection_with_angle(20.0)
-    pts = det.keypoints.points.copy()
+    box, pts = detection_with_angle(20.0)
     pts[7] = pts[6]  # middle-line points 1 and 2 coincide
-    return dataclasses.replace(det, keypoints=KeypointSet(pts))
+    return box, pts
 
 
 class TestMeasureSequence:
@@ -53,8 +51,7 @@ class TestMeasureSequence:
 
     def test_tie_resolves_to_lowest_frame_index_not_stream_order(self):
         det = detection_with_angle(25.0)
-        frames = [dataclasses.replace(det, frame_index=i) for i in (5, 2, 2)]
-        assert measure_sequence("c", frames).argmax_frame == 2
+        assert measure_sequence("c", [det] * 3, frame_indices=[5, 2, 2]).argmax_frame == 2
 
     def test_invalid_frames_skipped_not_fatal(self):
         frames = [
@@ -84,11 +81,8 @@ class TestMeasureSequence:
             measure_sequence("c", [])
 
     def test_explicit_frame_indices_respected(self):
-        frames = [
-            dataclasses.replace(detection_with_angle(10.0), frame_index=7),
-            dataclasses.replace(detection_with_angle(40.0), frame_index=3),
-        ]
-        case = measure_sequence("c", frames)
+        frames = [detection_with_angle(10.0), detection_with_angle(40.0)]
+        case = measure_sequence("c", frames, frame_indices=[7, 3])
         assert case.argmax_frame == 3
         assert case.per_frame.frame_indices == [7, 3]
         assert [row["frame_index"] for row in per_frame_rows(case)] == [7, 3]
@@ -130,7 +124,7 @@ class TestMeasureSingle:
     @staticmethod
     def measure(det) -> dict:
         out = io.StringIO()
-        assert main(["measure", "-"], stdin=io.StringIO(emit_yolo_line(det)), stdout=out) == 0
+        assert main(["measure", "-"], stdin=io.StringIO(emit_yolo_line(0, *det)), stdout=out) == 0
         return json.loads(out.getvalue())["cases"][0]
 
     def test_equivalent_to_one_frame_sequence(self):
@@ -173,13 +167,13 @@ class TestAggregationProperties:
     @settings(max_examples=60, deadline=None)
     def test_permutation_leaves_argmax_frame_unchanged(self, frames, seed):
         # few distinct angles and indices, so ties on the maximum are common
-        dets = [
-            dataclasses.replace(detection_with_angle(a), frame_index=i)
-            for a, i in frames
-        ]
-        base = measure_sequence("c", dets)
-        rng = np.random.default_rng(seed)
-        shuffled = measure_sequence("c", [dets[i] for i in rng.permutation(len(dets))])
+        dets = [detection_with_angle(a) for a, _ in frames]
+        indices = [i for _, i in frames]
+        base = measure_sequence("c", dets, frame_indices=indices)
+        order = np.random.default_rng(seed).permutation(len(dets))
+        shuffled = measure_sequence(
+            "c", [dets[i] for i in order], frame_indices=[indices[i] for i in order]
+        )
         assert shuffled.argmax_frame == base.argmax_frame
         assert shuffled.curvature_deg == base.curvature_deg
 
@@ -209,10 +203,10 @@ class TestAggregationProperties:
 class TestMeasureStream:
     def test_groups_interleaved_cases(self):
         records = [
-            ("a", dataclasses.replace(detection_with_angle(10.0), frame_index=0)),
-            ("b", dataclasses.replace(detection_with_angle(70.0), frame_index=0)),
-            ("a", dataclasses.replace(detection_with_angle(55.0), frame_index=1)),
-            ("b", dataclasses.replace(detection_with_angle(20.0), frame_index=1)),
+            ("a", 0, detection_with_angle(10.0)[1]),
+            ("b", 0, detection_with_angle(70.0)[1]),
+            ("a", 1, detection_with_angle(55.0)[1]),
+            ("b", 1, detection_with_angle(20.0)[1]),
         ]
         cases, failures = measure_stream(detection_batches(records))
         assert failures == []
@@ -225,9 +219,9 @@ class TestMeasureStream:
 
     def test_per_case_position_numbering(self):
         records = [
-            ("a", detection_with_angle(10.0)),
-            ("b", detection_with_angle(20.0)),
-            ("a", detection_with_angle(30.0)),
+            ("a", None, detection_with_angle(10.0)[1]),
+            ("b", None, detection_with_angle(20.0)[1]),
+            ("a", None, detection_with_angle(30.0)[1]),
         ]
         cases, _ = measure_stream(detection_batches(records))
         by_id = {c.case_id: c for c in cases}
@@ -236,8 +230,8 @@ class TestMeasureStream:
 
     def test_failed_case_reported_not_fatal(self):
         records = [
-            ("ok", detection_with_angle(40.0)),
-            ("bad", degenerate_detection()),
+            ("ok", None, detection_with_angle(40.0)[1]),
+            ("bad", None, degenerate_detection()[1]),
         ]
         cases, failures = measure_stream(detection_batches(records))
         assert [c.case_id for c in cases] == ["ok"]
@@ -251,14 +245,12 @@ class TestMeasureStream:
 
     def test_chunk_sizes_agree_exactly(self, monkeypatch):
         rng = np.random.default_rng(9)
-        records = []
+        records, lines = [], []
         for i in range(3000):
             case = f"case{i % 3}"
-            angle = float(rng.uniform(1.0, 179.0))
-            records.append(
-                (case, dataclasses.replace(detection_with_angle(angle), frame_index=i))
-            )
-        lines = [frame_line(case, det, det.frame_index) for case, det in records]
+            det = detection_with_angle(float(rng.uniform(1.0, 179.0)))
+            records.append((case, i, det[1]))
+            lines.append(frame_line(case, det, i))
         results = {}
         for chunk in (1, 7, sequence.CHUNK_FRAMES):
             monkeypatch.setattr(sequence, "CHUNK_FRAMES", chunk)

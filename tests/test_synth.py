@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import line_angles, measure_sequence, vector_angle
-from kpcurve.annotation import BoundingBox, FrameDetection, KeypointSet
 from kpcurve.report import dumps_report, sweep_sidecar
 from kpcurve.synth import (
     BadSpecError,
@@ -232,11 +231,8 @@ def sidecar_frames(result) -> list[dict]:
     return json.loads(dumps_report(sweep_sidecar(phantom, result)))["frames"]
 
 
-def detections(result) -> list[FrameDetection]:
-    return [
-        FrameDetection(class_id=0, bbox=BoundingBox(*box), keypoints=KeypointSet(points))
-        for box, points in zip(result.boxes.tolist(), result.points)
-    ]
+def detections(result) -> list[tuple[np.ndarray, np.ndarray]]:
+    return list(zip(result.boxes, result.points))
 
 
 class TestSweep:
