@@ -332,8 +332,8 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
 
     if not triples:
         stderr.write("kpcurve evaluate: no cases in input; metrics undefined\n")
-    records, cm, report = evaluate_dataset(triples, config.threshold_deg)
-    document = evaluation_report(records, cm, report, config, __version__)
+    rows, counts, scores = evaluate_dataset(triples, config.threshold_deg)
+    document = evaluation_report(rows, counts, scores, config, __version__)
     _write_text(args.output, dumps_report(document), stdout)
     return EXIT_OK
 

@@ -2,9 +2,12 @@
 
 A case measurement becomes a binary diagnosis by comparison against an
 angle threshold: strictly greater is positive (PD), anything else,
-including the threshold exactly, is normal. Metrics follow the usual
-confusion-matrix definitions; a metric whose denominator is zero is
-reported as undefined (None) rather than silently coerced to a number.
+including the threshold exactly, is normal. :func:`evaluate_dataset`
+returns the evaluation report's bodies as plain dicts in its key order:
+one row per case, the ``tp``/``fp``/``fn``/``tn`` counts, and the
+metrics of :func:`metrics`, the one place each metric is named and
+defined. A metric whose denominator is zero is reported as undefined
+(None) rather than silently coerced to a number.
 
 Display rounding is half-up to two decimals and applies only to
 rendered reports, never to stored values.
@@ -14,7 +17,6 @@ import csv
 import enum
 import io
 from collections import Counter
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 DEFAULT_THRESHOLD_DEG = 30.0
@@ -22,6 +24,10 @@ DISPLAY_DECIMALS = 2
 
 DATASET_CSV_HEADER = ("case_id", "actual", "measured_deg")
 LABELS_CSV_HEADER = ("case_id", "actual")
+# an evaluation report's case row: the dataset CSV's fields, then the prediction
+_ROW_FIELDS = (*DATASET_CSV_HEADER, "predicted")
+# (actually PD, predicted PD) -> the report's name for that cell, in its key order
+_CELLS = {(True, True): "tp", (False, True): "fp", (True, False): "fn", (False, False): "tn"}
 
 
 class DatasetFormatError(ValueError):
@@ -43,54 +49,11 @@ class Diagnosis(enum.Enum):
         )
 
 
-@dataclass(frozen=True)
-class CaseRecord:
-    """One evaluated case: ground truth, measurement, and prediction."""
-
-    case_id: str
-    actual: Diagnosis
-    measured_deg: float
-    predicted: Diagnosis
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Accuracy, sensitivity, and specificity as exact fractions.
-
-    A value of None marks a metric whose denominator was zero for this
-    matrix (for example sensitivity with no positive cases).
-    """
-
-    accuracy: float | None
-    sensitivity: float | None
-    specificity: float | None
-
-    def rounded(self, places: int = DISPLAY_DECIMALS) -> dict[str, float | None]:
-        """Half-up rounded copies of the metrics for display."""
-        return {
-            "accuracy": round_half_up(self.accuracy, places),
-            "sensitivity": round_half_up(self.sensitivity, places),
-            "specificity": round_half_up(self.specificity, places),
-        }
-
-
-def round_half_up(value: float | None, places: int = DISPLAY_DECIMALS) -> float | None:
-    """Round half away from zero, as printed tables conventionally do."""
+def round_half_up(value: float | None) -> float | None:
+    """Round half away from zero to DISPLAY_DECIMALS, as printed tables do."""
     if value is None:
         return None
-    quantum = Decimal(1).scaleb(-places)
+    quantum = Decimal(1).scaleb(-DISPLAY_DECIMALS)
     return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
@@ -103,36 +66,29 @@ def classify(measured_deg: float, threshold_deg: float = DEFAULT_THRESHOLD_DEG) 
     return Diagnosis.PD if measured_deg > threshold_deg else Diagnosis.NORMAL
 
 
-def confusion(outcomes) -> ConfusionMatrix:
-    """Tally (actual, predicted) pairs into a confusion matrix."""
-    tally = Counter((actual is Diagnosis.PD, guess is Diagnosis.PD) for actual, guess in outcomes)
-    return ConfusionMatrix(
-        tp=tally[True, True], fp=tally[False, True], fn=tally[True, False], tn=tally[False, False]
-    )
-
-
 def _ratio(numerator: int, denominator: int) -> float | None:
     return numerator / denominator if denominator else None
 
 
-def metrics(cm: ConfusionMatrix) -> MetricsReport:
-    """Compute accuracy, sensitivity, and specificity from a matrix."""
-    return MetricsReport(
-        accuracy=_ratio(cm.tp + cm.tn, cm.total),
-        sensitivity=_ratio(cm.tp, cm.tp + cm.fn),
-        specificity=_ratio(cm.tn, cm.tn + cm.fp),
-    )
+def metrics(tp: int, fp: int, fn: int, tn: int) -> dict[str, float | None]:
+    """Accuracy, sensitivity and specificity of confusion counts, by name."""
+    return {
+        "accuracy": _ratio(tp + tn, tp + fp + fn + tn),
+        "sensitivity": _ratio(tp, tp + fn),
+        "specificity": _ratio(tn, tn + fp),
+    }
 
 
-def evaluate_dataset(
-    cases, threshold_deg: float = DEFAULT_THRESHOLD_DEG
-) -> tuple[list[CaseRecord], ConfusionMatrix, MetricsReport]:
+def evaluate_dataset(cases, threshold_deg: float = DEFAULT_THRESHOLD_DEG):
     """Classify (case_id, actual, measured_deg) triples and score them.
 
-    A repeated case id or an angle outside [0, 180] raises, naming the case.
+    Returns the evaluation report's ``cases`` rows, its ``confusion``
+    counts and its ``metrics``. A repeated case id or an angle outside
+    [0, 180] raises, naming the case.
     """
-    records = []
+    rows = []
     seen = set()
+    tally = Counter()
     for case_id, actual, measured_deg in cases:
         if case_id in seen:
             raise DatasetFormatError(f"case id {case_id!r} appears more than once")
@@ -142,9 +98,12 @@ def evaluate_dataset(
             raise DatasetFormatError(
                 f"case {case_id!r}: measured angle {measured} outside [0, 180]"
             )
-        records.append(CaseRecord(case_id, actual, measured, classify(measured, threshold_deg)))
-    cm = confusion((r.actual, r.predicted) for r in records)
-    return records, cm, metrics(cm)
+        predicted = classify(measured, threshold_deg)
+        tally[actual is Diagnosis.PD, predicted is Diagnosis.PD] += 1
+        values = (case_id, actual.value, measured, predicted.value)
+        rows.append(dict(zip(_ROW_FIELDS, values)))
+    counts = {cell: tally[outcome] for outcome, cell in _CELLS.items()}
+    return rows, counts, metrics(**counts)
 
 
 def _csv_rows(text: str, header: tuple[str, ...], what: str):

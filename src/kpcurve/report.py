@@ -34,11 +34,8 @@ from .annotation import COORD_DECIMALS, NUM_KEYPOINTS
 from .evaluation import (
     DEFAULT_THRESHOLD_DEG,
     DISPLAY_DECIMALS,
-    CaseRecord,
-    ConfusionMatrix,
     DatasetFormatError,
     Diagnosis,
-    MetricsReport,
     round_half_up,
 )
 from .sequence import CaseMeasurement, FrameColumns, frame_rules, middle_line
@@ -435,7 +432,8 @@ def measurement_report(
 
 def report_results(document: dict) -> tuple[list[tuple[str, float]], list[tuple[str, str]]]:
     """A measurement report's ``(case_id, curvature_deg)`` cases and its
-    ``(case_id, message)`` errors; no case may be listed under both."""
+    ``(case_id, message)`` errors; no case may be listed under both, nor
+    more than once under ``errors``."""
     cases = document.get("cases")
     if not isinstance(cases, list):
         raise DatasetFormatError("report JSON has no 'cases' list")
@@ -466,42 +464,31 @@ def report_results(document: dict) -> tuple[list[tuple[str, float]], list[tuple[
         raise DatasetFormatError("report errors need 'case_id' and 'error' fields")
     failed = [(entry["case_id"], entry["error"]) for entry in errors]
     measured_ids = {case_id for case_id, _ in measured}
+    failed_ids = set()
     for case_id, _ in failed:
         if case_id in measured_ids:
             raise DatasetFormatError(
                 f"report case {case_id!r} is listed under both 'cases' and 'errors'"
             )
+        if case_id in failed_ids:
+            raise DatasetFormatError(
+                f"report case {case_id!r} is listed more than once under 'errors'"
+            )
+        failed_ids.add(case_id)
     return measured, failed
 
 
-def evaluation_report(
-    records: list[CaseRecord],
-    cm: ConfusionMatrix,
-    report: MetricsReport,
-    config: RunConfig,
-    tool_version: str,
-) -> dict:
-    """Assemble the evaluation report document."""
+def evaluation_report(rows, counts, scores, config: RunConfig, tool_version: str) -> dict:
+    """Assemble the evaluation report document from ``evaluate_dataset``'s
+    case rows, confusion counts and metrics; every metric is also rounded."""
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": tool_version,
         "config": config.as_dict(),
-        "cases": [
-            {
-                "case_id": r.case_id,
-                "actual": r.actual.value,
-                "measured_deg": r.measured_deg,
-                "predicted": r.predicted.value,
-            }
-            for r in records
-        ],
-        "confusion": {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn},
-        "metrics": {
-            "accuracy": report.accuracy,
-            "sensitivity": report.sensitivity,
-            "specificity": report.specificity,
-        },
-        "metrics_rounded": report.rounded(),
+        "cases": rows,
+        "confusion": counts,
+        "metrics": scores,
+        "metrics_rounded": {name: round_half_up(value) for name, value in scores.items()},
     }
 
 

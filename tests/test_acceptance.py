@@ -31,7 +31,7 @@ from kpcurve.annotation import (
     parse_yolo_line,
 )
 from kpcurve.cli import main
-from kpcurve.evaluation import ConfusionMatrix, Diagnosis, classify, metrics
+from kpcurve.evaluation import Diagnosis, classify, metrics, round_half_up
 
 ORACLE_TOL_DEG = 1e-9
 ROUND_TRIP_TOL = 5e-7
@@ -65,19 +65,42 @@ def oracle_deg(ax, ay, bx, by, cx, cy, dx, dy):
     return abs(math.degrees(math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)))
 
 
+def dataset_csv(tp, fp, fn, tn):
+    """A dataset CSV whose cases score as the given confusion counts."""
+    rows = ["case_id,actual,measured_deg"]
+    for prefix, actual, angle, count in (
+        ("tp", "pd", 45.0, tp),
+        ("fp", "normal", 61.0, fp),
+        ("fn", "pd", 12.0, fn),
+        ("tn", "normal", 8.0, tn),
+    ):
+        rows += [f"{prefix}{i},{actual},{angle}" for i in range(count)]
+    return "\n".join(rows) + "\n"
+
+
 def test_criterion_1_metric_table_reproduction():
     tables = [
         ((29, 0, 1, 30), {"accuracy": 0.98, "sensitivity": 0.97, "specificity": 1.0}),
         ((21, 5, 9, 25), {"accuracy": 0.77, "sensitivity": 0.7, "specificity": 0.83}),
     ]
-    metrics(ConfusionMatrix(1, 1, 1, 1)).rounded()  # warm the code path
+
+    def rounded(cells):
+        return {name: round_half_up(value) for name, value in metrics(*cells).items()}
+
+    rounded((1, 1, 1, 1))  # warm the code path
     with criterion(1, "confusion-matrix metrics reproduce the reference tables") as info:
         start = perf_counter()
         for cells, expected in tables:
-            assert metrics(ConfusionMatrix(*cells)).rounded() == expected
+            assert rounded(cells) == expected
         elapsed = perf_counter() - start
         assert elapsed < 1e-3
-        info["detail"] = f"both tables exact in {elapsed * 1e6:.0f} us"
+        for cells, expected in tables:
+            rc, out, err = run_cli(["evaluate", "-"], dataset_csv(*cells))
+            assert (rc, err) == (0, "")
+            document = json.loads(out)
+            assert document["confusion"] == dict(zip(("tp", "fp", "fn", "tn"), cells))
+            assert document["metrics_rounded"] == expected
+        info["detail"] = f"both tables exact in {elapsed * 1e6:.0f} us, and through evaluate"
 
 
 def test_criterion_2_threshold_semantics():

@@ -552,6 +552,21 @@ class TestEvaluate:
             "kpcurve evaluate: report case 'a' is listed under both 'cases' and 'errors'\n"
         )
 
+    def test_case_failed_twice_rejected(self, tmp_path):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("case_id,actual\na,pd\n")
+        report = json.dumps(
+            {
+                "cases": [],
+                "errors": [{"case_id": "a", "error": "x"}, {"case_id": "a", "error": "y"}],
+            }
+        )
+        rc, out, err = run(["evaluate", "--labels", str(labels), "-"], report)
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == (
+            "kpcurve evaluate: report case 'a' is listed more than once under 'errors'\n"
+        )
+
     def test_deeply_nested_report_is_an_input_error(self, tmp_path):
         labels = tmp_path / "labels.csv"
         labels.write_text("case_id,actual\na,pd\n")
@@ -950,7 +965,8 @@ class TestReportGolden:
 
     The inputs are two synth sweeps (one with a non-ASCII case id) plus
     literal lines: a degenerate frame in the first case, and a case of
-    one degenerate frame that lands under ``errors``.
+    one degenerate frame that lands under ``errors``. ``evaluate`` also
+    reads two dataset CSVs: the final reference table and a header only.
     """
 
     DEGENERATE = (
@@ -967,6 +983,8 @@ class TestReportGolden:
         "analyze": "bcadc83ba0910ed59838e8f45f454ecdced24e47a945d99b8022cc04a1167a4d",
         "analyze_slim": "f3b2531895f6eaae3f78d2ca6374ce53b2dc9fff31eeff64d0d68e1f2568061d",
         "evaluate": "901b7a190f1138905b0d6f3e47f26fa31c347f33366c743f2b752cfaa3508899",
+        "evaluate_csv": "d2d11b0fc4cd5529881b1f57e4c749388848f7bb14fa01b87e1709823c68d7b6",
+        "evaluate_empty": "576cc8a03f40109d5f116baf76a5a5081e6115ba26504094f8d91d33761d84c1",
         "measure": "717c0317138753c6cb9337e448f28f2cd3fd475365e22d6bbf08773bb686f46b",
     }
 
@@ -1001,6 +1019,11 @@ class TestReportGolden:
             "evaluate", str(paths["analyze_slim"]), "--labels", str(labels),
             "-o", str(paths["evaluate"]),
         ])
+        dataset, empty = tmp / "dataset.csv", tmp / "empty.csv"
+        dataset.write_text(golden_dataset_csv(), encoding="utf-8")
+        empty.write_text("case_id,actual,measured_deg\n", encoding="utf-8")
+        run_fresh(["evaluate", str(dataset), "-o", str(paths["evaluate_csv"])])
+        run_fresh(["evaluate", str(empty), "-o", str(paths["evaluate_empty"])])
         run_fresh(["measure", str(still), "-o", str(paths["measure"])])
         return paths
 

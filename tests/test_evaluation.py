@@ -5,11 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpcurve.evaluation import (
-    ConfusionMatrix,
     DatasetFormatError,
     Diagnosis,
     classify,
-    confusion,
     evaluate_dataset,
     metrics,
     read_dataset_csv,
@@ -18,10 +16,23 @@ from kpcurve.evaluation import (
 )
 
 # the two published confusion matrices used as golden fixtures
-MATRIX_FINAL = ConfusionMatrix(tp=29, fp=0, fn=1, tn=30)
-MATRIX_BASELINE = ConfusionMatrix(tp=21, fp=5, fn=9, tn=25)
+MATRIX_FINAL = {"tp": 29, "fp": 0, "fn": 1, "tn": 30}
+MATRIX_BASELINE = {"tp": 21, "fp": 5, "fn": 9, "tn": 25}
+ZERO_COUNTS = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
 
 diag = st.sampled_from(list(Diagnosis))
+# an angle on each side of the default 30-degree threshold
+ANGLE = {Diagnosis.PD: 45.0, Diagnosis.NORMAL: 12.0}
+
+
+def counts_of(pairs):
+    """evaluate_dataset's confusion counts of (actual, predicted) pairs."""
+    cases = [(f"c{i}", actual, ANGLE[guess]) for i, (actual, guess) in enumerate(pairs)]
+    return evaluate_dataset(cases)[1]
+
+
+def rounded(scores):
+    return {name: round_half_up(value) for name, value in scores.items()}
 
 
 class TestClassify:
@@ -68,7 +79,7 @@ class TestConfusion:
             + [(Diagnosis.PD, Diagnosis.NORMAL)] * 1
             + [(Diagnosis.NORMAL, Diagnosis.NORMAL)] * 30
         )
-        assert confusion(pairs) == MATRIX_FINAL
+        assert counts_of(pairs) == MATRIX_FINAL
 
     def test_baseline_matrix_cells(self):
         pairs = (
@@ -77,53 +88,57 @@ class TestConfusion:
             + [(Diagnosis.NORMAL, Diagnosis.PD)] * 5
             + [(Diagnosis.NORMAL, Diagnosis.NORMAL)] * 25
         )
-        assert confusion(pairs) == MATRIX_BASELINE
+        assert counts_of(pairs) == MATRIX_BASELINE
 
     def test_empty_is_all_zero(self):
-        assert confusion([]) == ConfusionMatrix(0, 0, 0, 0)
+        rows, counts, _ = evaluate_dataset([])
+        assert rows == []
+        assert list(counts.items()) == list(ZERO_COUNTS.items())  # the report's key order
 
     @given(pairs=st.lists(st.tuples(diag, diag), max_size=200))
     @settings(max_examples=150)
     def test_counting_conservation(self, pairs):
-        cm = confusion(pairs)
-        assert cm.total == len(pairs)
-        assert min(cm.tp, cm.fp, cm.fn, cm.tn) >= 0
+        counts = counts_of(pairs)
+        assert list(counts) == ["tp", "fp", "fn", "tn"]
+        assert sum(counts.values()) == len(pairs)
+        assert min(counts.values()) >= 0
 
 
 class TestMetrics:
     def test_final_dataset_values(self):
-        report = metrics(MATRIX_FINAL)
-        assert report.accuracy == pytest.approx(59 / 60)
-        assert report.sensitivity == pytest.approx(29 / 30)
-        assert report.specificity == 1.0
-        assert report.rounded() == {
+        scores = metrics(**MATRIX_FINAL)
+        assert scores["accuracy"] == pytest.approx(59 / 60)
+        assert scores["sensitivity"] == pytest.approx(29 / 30)
+        assert scores["specificity"] == 1.0
+        assert rounded(scores) == {
             "accuracy": 0.98,
             "sensitivity": 0.97,
             "specificity": 1.0,
         }
 
     def test_baseline_dataset_values(self):
-        report = metrics(MATRIX_BASELINE)
-        assert report.accuracy == pytest.approx(46 / 60)
-        assert report.sensitivity == pytest.approx(0.70)
-        assert report.specificity == pytest.approx(25 / 30)
-        assert report.rounded() == {
+        scores = metrics(**MATRIX_BASELINE)
+        assert scores["accuracy"] == pytest.approx(46 / 60)
+        assert scores["sensitivity"] == pytest.approx(0.70)
+        assert scores["specificity"] == pytest.approx(25 / 30)
+        assert rounded(scores) == {
             "accuracy": 0.77,
             "sensitivity": 0.7,
             "specificity": 0.83,
         }
 
     def test_zero_matrix_all_undefined(self):
-        report = metrics(ConfusionMatrix(0, 0, 0, 0))
-        assert report.accuracy is None
-        assert report.sensitivity is None
-        assert report.specificity is None
+        assert metrics(**ZERO_COUNTS) == {
+            "accuracy": None,
+            "sensitivity": None,
+            "specificity": None,
+        }
 
     def test_partial_undefined(self):
-        report = metrics(ConfusionMatrix(tp=0, fp=0, fn=0, tn=5))
-        assert report.sensitivity is None
-        assert report.specificity == 1.0
-        assert report.accuracy == 1.0
+        scores = metrics(tp=0, fp=0, fn=0, tn=5)
+        assert scores["sensitivity"] is None
+        assert scores["specificity"] == 1.0
+        assert scores["accuracy"] == 1.0
 
     @given(
         tp=st.integers(0, 500),
@@ -133,21 +148,21 @@ class TestMetrics:
     )
     @settings(max_examples=200)
     def test_brute_force_recomputation(self, tp, fp, fn, tn):
-        report = metrics(ConfusionMatrix(tp, fp, fn, tn))
+        scores = metrics(tp, fp, fn, tn)
         total = tp + fp + fn + tn
         if total:
-            assert abs(report.accuracy - (tp + tn) / total) < 1e-12
-            assert 0.0 <= report.accuracy <= 1.0
+            assert abs(scores["accuracy"] - (tp + tn) / total) < 1e-12
+            assert 0.0 <= scores["accuracy"] <= 1.0
         else:
-            assert report.accuracy is None
+            assert scores["accuracy"] is None
         if tp + fn:
-            assert abs(report.sensitivity - tp / (tp + fn)) < 1e-12
+            assert abs(scores["sensitivity"] - tp / (tp + fn)) < 1e-12
         else:
-            assert report.sensitivity is None
+            assert scores["sensitivity"] is None
         if tn + fp:
-            assert abs(report.specificity - tn / (tn + fp)) < 1e-12
+            assert abs(scores["specificity"] - tn / (tn + fp)) < 1e-12
         else:
-            assert report.specificity is None
+            assert scores["specificity"] is None
 
 
 class TestRounding:
@@ -167,29 +182,26 @@ class TestRounding:
     def test_half_up_display(self, value, expected):
         assert round_half_up(value) == expected
 
-    def test_places_parameter(self):
-        assert round_half_up(0.96667, 3) == 0.967
-        assert round_half_up(0.96667, 0) == 1.0
-
 
 class TestEvaluateDataset:
-    def _dataset(self, cm: ConfusionMatrix):
+    def _dataset(self, counts: dict):
         cases = []
-        for i in range(cm.tp):
+        for i in range(counts["tp"]):
             cases.append((f"tp{i}", Diagnosis.PD, 45.0))
-        for i in range(cm.fn):
+        for i in range(counts["fn"]):
             cases.append((f"fn{i}", Diagnosis.PD, 12.0))
-        for i in range(cm.fp):
+        for i in range(counts["fp"]):
             cases.append((f"fp{i}", Diagnosis.NORMAL, 61.0))
-        for i in range(cm.tn):
+        for i in range(counts["tn"]):
             cases.append((f"tn{i}", Diagnosis.NORMAL, 8.0))
         return cases
 
     def test_reproduces_final_dataset(self):
-        records, cm, report = evaluate_dataset(self._dataset(MATRIX_FINAL))
-        assert len(records) == 60
-        assert cm == MATRIX_FINAL
-        assert report.rounded() == {
+        rows, counts, scores = evaluate_dataset(self._dataset(MATRIX_FINAL))
+        assert len(rows) == 60
+        assert counts == MATRIX_FINAL
+        assert scores == metrics(**MATRIX_FINAL)
+        assert rounded(scores) == {
             "accuracy": 0.98,
             "sensitivity": 0.97,
             "specificity": 1.0,
@@ -197,10 +209,10 @@ class TestEvaluateDataset:
 
     def test_all_normal_zero_angle(self):
         cases = [(f"n{i}", Diagnosis.NORMAL, 0.0) for i in range(10)]
-        _, cm, report = evaluate_dataset(cases)
-        assert cm == ConfusionMatrix(tp=0, fp=0, fn=0, tn=10)
-        assert report.specificity == 1.0
-        assert report.sensitivity is None
+        _, counts, scores = evaluate_dataset(cases)
+        assert counts == {"tp": 0, "fp": 0, "fn": 0, "tn": 10}
+        assert scores["specificity"] == 1.0
+        assert scores["sensitivity"] is None
 
     def test_duplicate_case_id_rejected(self):
         cases = [("x", Diagnosis.PD, 50.0), ("x", Diagnosis.NORMAL, 10.0)]
@@ -223,20 +235,24 @@ class TestEvaluateDataset:
         ]
         prev_sens, prev_spec = None, None
         for threshold in np.linspace(1.0, 89.0, 45):
-            _, _, report = evaluate_dataset(cases, float(threshold))
-            if prev_sens is not None and report.sensitivity is not None:
-                assert report.sensitivity <= prev_sens + 1e-12
-            if prev_spec is not None and report.specificity is not None:
-                assert report.specificity >= prev_spec - 1e-12
-            prev_sens = report.sensitivity if report.sensitivity is not None else prev_sens
-            prev_spec = report.specificity if report.specificity is not None else prev_spec
+            _, _, scores = evaluate_dataset(cases, float(threshold))
+            sens, spec = scores["sensitivity"], scores["specificity"]
+            if prev_sens is not None and sens is not None:
+                assert sens <= prev_sens + 1e-12
+            if prev_spec is not None and spec is not None:
+                assert spec >= prev_spec - 1e-12
+            prev_sens = sens if sens is not None else prev_sens
+            prev_spec = spec if spec is not None else prev_spec
 
     def test_record_contents(self):
-        records, _, _ = evaluate_dataset([("k", Diagnosis.NORMAL, 31.5)])
-        record = records[0]
-        assert record.case_id == "k"
-        assert record.measured_deg == 31.5
-        assert record.predicted is Diagnosis.PD  # above default threshold
+        rows, _, _ = evaluate_dataset([("k", Diagnosis.NORMAL, 31.5)])
+        # the report's row, in its key order; 31.5 is above the default threshold
+        assert list(rows[0].items()) == [
+            ("case_id", "k"),
+            ("actual", "normal"),
+            ("measured_deg", 31.5),
+            ("predicted", "pd"),
+        ]
 
 
 class TestDatasetCsv:
