@@ -9,11 +9,12 @@ sidecar), render (label file to an SVG overlay).
 Exit codes are stable across subcommands: 0 success, 2 input or parse
 error, 3 geometry error.
 
-This module holds no file format: it reads argv, opens files and
-streams, writes warnings to stderr and maps errors to exit codes. Each
-format is read and written by the module that defines it: the synth
-spec by ``synth``, frame streams and reports by ``report``, label lines,
-CVAT XML and CSV datasets by ``annotation`` and ``evaluation``.
+This module holds no file format and no report policy: it reads argv,
+opens files and streams, writes warnings to stderr and maps errors to
+exit codes. Each format is read and written by the module that defines
+it: the synth spec by ``synth``, frame streams and reports (and what
+they diagnose and leave out) by ``report``, label lines, CVAT XML and
+CSV datasets by ``annotation`` and ``evaluation``.
 """
 
 import argparse
@@ -32,7 +33,6 @@ from .annotation import (
 from .evaluation import (
     DEFAULT_THRESHOLD_DEG,
     DatasetFormatError,
-    classify,
     evaluate_dataset,
     read_dataset_csv,
     read_labels_csv,
@@ -254,8 +254,7 @@ def _measure_still(args, stdin, stderr):
 def _cmd_measure(args, stdin, stdout, stderr) -> int:
     config = RunConfig(args.threshold, args.aspect, retain_per_frame=not args.no_per_frame)
     *_, case = _measure_still(args, stdin, stderr)
-    diagnosis = classify(case.curvature_deg, config.threshold_deg)
-    document = measurement_report([(case, diagnosis)], config, __version__)
+    document = measurement_report([case], config, __version__)
     _write_text(args.output, dumps_report(document), stdout)
     return EXIT_OK
 
@@ -269,37 +268,12 @@ def _cmd_analyze(args, stdin, stdout, stderr) -> int:
             aspect=config.aspect_ratio,
             keep_frames=config.retain_per_frame,
         )
-
-    entries = [
-        (case, classify(case.curvature_deg, config.threshold_deg)) for case in cases
-    ]
-    document = measurement_report(entries, config, __version__, errors=failures)
+    document = measurement_report(cases, config, __version__, errors=failures)
     _write_text(args.output, dumps_report(document), stdout)
     if not cases:
         stderr.write("kpcurve analyze: no case yielded a valid measurement\n")
         return EXIT_GEOMETRY
     return EXIT_OK
-
-
-def _warn_unmeasured(errors: list, labels: dict, measured: set, stderr) -> None:
-    """Name on stderr each case that the metrics leave out, with the reason.
-
-    Metrics count measured cases only: a case that ``analyze`` listed
-    under ``errors``, and a labelled case absent from the report, are
-    reported here and left out.
-    """
-    for case_id, message in errors:
-        stderr.write(
-            f"kpcurve: warning: case {case_id!r} left out of the metrics: "
-            f"not measured ({message})\n"
-        )
-    failed = {case_id for case_id, _ in errors}
-    for case_id in labels:
-        if case_id not in measured and case_id not in failed:
-            stderr.write(
-                f"kpcurve: warning: case {case_id!r} left out of the metrics: "
-                "labelled but not in the report\n"
-            )
 
 
 def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
@@ -312,17 +286,11 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
                 "report JSON input needs --labels with ground-truth diagnoses"
             )
         labels = read_labels_csv(Path(args.labels).read_text(encoding="utf-8"))
-        cases, errors = report_results(document)
-        triples = []
-        for case_id, measured in cases:
-            actual = labels.get(case_id)
-            if actual is None:
-                raise DatasetFormatError(
-                    f"case {case_id!r} missing from labels file"
-                )
-            triples.append((case_id, actual, measured))
-        measured = {case_id for case_id, _, _ in triples}
-        _warn_unmeasured(errors, labels, measured, stderr)
+        triples, left_out = report_results(document, labels)
+        for case_id, reason in left_out:
+            stderr.write(
+                f"kpcurve: warning: case {case_id!r} left out of the metrics: {reason}\n"
+            )
     else:
         if args.labels is not None:
             stderr.write(
@@ -350,7 +318,12 @@ def _cmd_synth(args, stdin, stdout, stderr) -> int:
         sidecar_path = args.output + ".oracle.json"
     if sidecar_path is not None:
         sidecar = dumps_report(sweep_sidecar(phantom, result))
-        Path(sidecar_path).write_text(sidecar, encoding="utf-8")
+        try:
+            Path(sidecar_path).write_text(sidecar, encoding="utf-8")
+        except OSError:  # no stream is left without its sidecar
+            if args.output not in (None, "-"):
+                Path(args.output).unlink(missing_ok=True)
+            raise
     return EXIT_OK
 
 

@@ -20,7 +20,8 @@ valid and degenerate ``per_frame`` rows, a sidecar's ``frames`` row).
 Report documents carry exact values alongside their display-rounded
 counterparts; the rounded fields are always recomputable from the exact
 ones under the half-up rule. A measurement report is read back here
-too, by :func:`report_results`, so its schema has one home.
+too, by :func:`report_results`, so its schema has one home, and so do
+its policies: which diagnosis a case gets and which cases metrics count.
 """
 
 import json
@@ -36,6 +37,7 @@ from .evaluation import (
     DISPLAY_DECIMALS,
     DatasetFormatError,
     Diagnosis,
+    classify,
     round_half_up,
 )
 from .sequence import CaseMeasurement, FrameColumns, frame_rules, middle_line
@@ -393,10 +395,8 @@ def _per_frame_rows(columns: FrameColumns) -> list[str]:
     ]
 
 
-def _case_entry(
-    case: CaseMeasurement, diagnosis: Diagnosis, config: RunConfig
-) -> str:
-    """One case of a measurement report, written as an item of its ``cases``."""
+def _case_entry(case: CaseMeasurement, config: RunConfig) -> str:
+    """One case of a measurement report, an item of its ``cases``, diagnosed at the threshold."""
     per_frame = ""
     if config.retain_per_frame:
         rows = _Rows(_per_frame_rows(case.per_frame))
@@ -405,7 +405,7 @@ def _case_entry(
         json.dumps(case.case_id),
         float.__repr__(case.curvature_deg),
         float.__repr__(round_half_up(case.curvature_deg)),
-        json.dumps(diagnosis.value),
+        json.dumps(classify(case.curvature_deg, config.threshold_deg).value),
         case.argmax_frame,
         case.frames_total,
         case.frames_valid,
@@ -414,26 +414,30 @@ def _case_entry(
 
 
 def measurement_report(
-    cases: list[tuple[CaseMeasurement, Diagnosis]],
+    cases: list[CaseMeasurement],
     config: RunConfig,
     tool_version: str,
     errors: list[tuple[str, str]] = (),
 ) -> dict:
-    """Assemble the measurement report document; ``errors`` holds the
-    ``(case_id, message)`` pairs that ``measure_stream`` returns."""
+    """Assemble the measurement report document from the measured cases and
+    the ``(case_id, message)`` errors that ``measure_stream`` returns."""
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": tool_version,
         "config": config.as_dict(),
-        "cases": _Rows([_case_entry(case, diagnosis, config) for case, diagnosis in cases]),
+        "cases": _Rows([_case_entry(case, config) for case in cases]),
         "errors": [{"case_id": case_id, "error": message} for case_id, message in errors],
     }
 
 
-def report_results(document: dict) -> tuple[list[tuple[str, float]], list[tuple[str, str]]]:
-    """A measurement report's ``(case_id, curvature_deg)`` cases and its
-    ``(case_id, message)`` errors; no case may be listed under both, nor
-    more than once under ``errors``."""
+def report_results(
+    document: dict, labels: dict[str, Diagnosis]
+) -> tuple[list[tuple[str, Diagnosis, float]], list[tuple[str, str]]]:
+    """A measurement report's ``(case_id, actual, curvature_deg)`` triples in
+    report order, and a ``(case_id, reason)`` pair per case the metrics leave
+    out: failed cases in report order, then the labelled cases it lacks in
+    ``labels`` order. A case listed under both ``cases`` and ``errors``, or
+    twice under ``errors``, raises; an unlabelled case raises after that."""
     cases = document.get("cases")
     if not isinstance(cases, list):
         raise DatasetFormatError("report JSON has no 'cases' list")
@@ -462,10 +466,10 @@ def report_results(document: dict) -> tuple[list[tuple[str, float]], list[tuple[
         for entry in errors
     ):
         raise DatasetFormatError("report errors need 'case_id' and 'error' fields")
-    failed = [(entry["case_id"], entry["error"]) for entry in errors]
     measured_ids = {case_id for case_id, _ in measured}
     failed_ids = set()
-    for case_id, _ in failed:
+    for entry in errors:
+        case_id = entry["case_id"]
         if case_id in measured_ids:
             raise DatasetFormatError(
                 f"report case {case_id!r} is listed under both 'cases' and 'errors'"
@@ -475,7 +479,14 @@ def report_results(document: dict) -> tuple[list[tuple[str, float]], list[tuple[
                 f"report case {case_id!r} is listed more than once under 'errors'"
             )
         failed_ids.add(case_id)
-    return measured, failed
+    unlabelled = [case_id for case_id, _ in measured if case_id not in labels]
+    if unlabelled:
+        raise DatasetFormatError(f"case {unlabelled[0]!r} missing from labels file")
+    reported = measured_ids | failed_ids
+    absent = [case_id for case_id in labels if case_id not in reported]
+    left_out = [(entry["case_id"], f"not measured ({entry['error']})") for entry in errors]
+    left_out += [(case_id, "labelled but not in the report") for case_id in absent]
+    return [(case_id, labels[case_id], angle) for case_id, angle in measured], left_out
 
 
 def evaluation_report(rows, counts, scores, config: RunConfig, tool_version: str) -> dict:

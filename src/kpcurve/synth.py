@@ -301,7 +301,7 @@ def _typed(given: dict, kinds: dict) -> dict:
 
 
 def read_spec(raw, seed: int | None = None) -> PhantomSpec:
-    """Check a decoded synth spec: ``case_id`` (default "synth") and the
+    """Check a decoded synth spec: a non-empty ``case_id`` (default "synth") and the
     parameters of :class:`HingeModelSpec` and :func:`sweep`, each taking
     its default there when left out. ``seed`` replaces the spec's seed.
     """
@@ -315,6 +315,8 @@ def read_spec(raw, seed: int | None = None) -> PhantomSpec:
         accepted = (int, float) if kind is float else kind
         if not isinstance(value, accepted) or isinstance(value, bool):
             raise BadSpecError(f"spec field {key!r} has the wrong type")
+    if raw.get("case_id") == "":
+        raise BadSpecError("spec field 'case_id' must not be empty")
     for field in fields(HingeModelSpec):
         if field.default is MISSING and field.name not in raw:
             raise BadSpecError(f"spec is missing {field.name!r}")

@@ -8,7 +8,6 @@ import pytest
 
 from kpcurve import sequence
 from kpcurve._kernels import EPSILON
-from kpcurve.evaluation import Diagnosis
 from kpcurve.report import RunConfig, dumps_frame, dumps_report, measurement_report
 from kpcurve.sequence import (
     AllFramesInvalidError,
@@ -52,7 +51,7 @@ def line_angles(points, aspect: float = 1.0) -> AngleSet:
 
 def per_frame_rows(case) -> list[dict]:
     """The ``per_frame`` rows a measurement report writes for ``case``."""
-    document = measurement_report([(case, Diagnosis.PD)], RunConfig(), "test")
+    document = measurement_report([case], RunConfig(), "test")
     return json.loads(dumps_report(document))["cases"][0]["per_frame"]
 
 

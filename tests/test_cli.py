@@ -567,6 +567,58 @@ class TestEvaluate:
             "kpcurve evaluate: report case 'a' is listed more than once under 'errors'\n"
         )
 
+    FAILED_F = [{"case_id": "f", "error": "all 1 frames had degenerate geometry"}]
+    LEFT_OUT = (
+        "kpcurve: warning: case 'f' left out of the metrics: "
+        "not measured (all 1 frames had degenerate geometry)\n"
+        "kpcurve: warning: case 'ghost' left out of the metrics: "
+        "labelled but not in the report\n"
+    )
+
+    @pytest.mark.parametrize(
+        "cases, errors, expected",
+        [
+            pytest.param(
+                [{"case_id": "zz", "curvature_deg": 40}, {"case_id": "a"}],
+                [],
+                "kpcurve evaluate: report cases need 'case_id' and 'curvature_deg' fields\n",
+                id="case-without-angle",
+            ),
+            pytest.param(
+                [{"case_id": "zz", "curvature_deg": 40}],
+                [{"case_id": 1}],
+                "kpcurve evaluate: report errors need 'case_id' and 'error' fields\n",
+                id="error-without-message",
+            ),
+            pytest.param(
+                [{"case_id": "zz", "curvature_deg": 40}, {"case_id": "f", "curvature_deg": 10}],
+                [{"case_id": "f", "error": "x"}],
+                "kpcurve evaluate: report case 'f' is listed under both 'cases' and 'errors'\n",
+                id="measured-and-failed",
+            ),
+            pytest.param(
+                [{"case_id": "a", "curvature_deg": 40}, {"case_id": "a", "curvature_deg": 50}],
+                FAILED_F,
+                LEFT_OUT + "kpcurve evaluate: case id 'a' appears more than once\n",
+                id="measured-twice",
+            ),
+            pytest.param(
+                [{"case_id": "a", "curvature_deg": 400}],
+                FAILED_F,
+                LEFT_OUT + "kpcurve evaluate: case 'a': measured angle 400.0 outside [0, 180]\n",
+                id="angle-out-of-range",
+            ),
+        ],
+    )
+    def test_report_faults_keep_their_precedence(self, cases, errors, expected, tmp_path):
+        """Report faults come before a missing label; the left-out warnings
+        precede the faults that scoring finds."""
+        labels = tmp_path / "labels.csv"
+        labels.write_text("case_id,actual\na,pd\nghost,normal\nf,normal\n")
+        report = json.dumps({"cases": cases, "errors": errors})
+        rc, out, err = run(["evaluate", "-", "--labels", str(labels)], report)
+        assert (rc, out, err) == (EXIT_INPUT, "", expected)
+
     def test_deeply_nested_report_is_an_input_error(self, tmp_path):
         labels = tmp_path / "labels.csv"
         labels.write_text("case_id,actual\na,pd\n")
@@ -728,6 +780,25 @@ class TestSynth:
         rc, _, err = run(["synth", "-"], '{"hinge_angle_deg": 30, "steps": "five"}')
         assert rc == EXIT_INPUT
         assert "steps" in err
+
+    def test_empty_case_id_rejected(self, tmp_path):
+        # analyze would reject every line of the stream with "bad case_id"
+        out = tmp_path / "frames.jsonl"
+        spec = '{"case_id": "", "hinge_angle_deg": 40, "steps": 3}'
+        rc, stdout, err = run(["synth", "-", "-o", str(out)], spec)
+        assert (rc, stdout) == (EXIT_INPUT, "")
+        assert err == "kpcurve synth: spec field 'case_id' must not be empty\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_sidecar_leaves_no_stream(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(self.SPEC)
+        out, sidecar = tmp_path / "frames.jsonl", tmp_path / "nodir" / "oracle.json"
+        rc, stdout, err = run(["synth", str(spec), "-o", str(out), "--sidecar", str(sidecar)])
+        assert (rc, stdout) == (EXIT_INPUT, "")
+        assert "No such file or directory" in err
+        assert not out.exists()
+        assert not sidecar.exists()
 
     def synth_outputs(self, spec, tmp_path):
         """(stream, sidecar document) of one spec written to files."""

@@ -1,6 +1,6 @@
 """Static checks on the package sources: every imported name and every
-module-level private name is read, and every module-level public name is
-read somewhere in the package."""
+module-level private name is read, every module-level public name is
+read somewhere in the package, and only the CLI talks to the terminal."""
 
 import ast
 from pathlib import Path
@@ -61,6 +61,20 @@ def unused_private_names(source: str) -> list[str]:
             if private and not any(name in read for j, read in enumerate(reads) if j != i):
                 unused.append(name)
     return unused
+
+
+def terminal_uses(source: str) -> list[str]:
+    """The ``print`` calls and ``stdout``/``stderr`` names and attributes of a
+    module, in source order."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+            uses.append((node.lineno, node.col_offset, "print"))
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = getattr(node, "id", None) or node.attr
+            if name in ("stdout", "stderr"):
+                uses.append((node.lineno, node.col_offset, name))
+    return [name for *_, name in sorted(uses)]
 
 
 def unread_public_names(sources: dict[str, str]) -> list[str]:
@@ -134,6 +148,26 @@ def test_no_unused_private_names(path):
 )
 def test_checker_finds_unused_private_names(source, unused):
     assert unused_private_names(source) == unused
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "cli.py"], ids=lambda path: path.name
+)
+def test_only_the_cli_talks_to_the_terminal(path):
+    """Library modules return what they find as data; ``cli`` writes it."""
+    assert terminal_uses(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "source, uses",
+    [
+        ("def f(stream, stderr_lines):\n    stream.write(''.join(stderr_lines))\n", []),
+        ("import sys\nprint(1)\nsys.stderr.write('x')\nstdout = None\n",
+         ["print", "stderr", "stdout"]),
+    ],
+)
+def test_checker_finds_terminal_uses(source, uses):
+    assert terminal_uses(source) == uses
 
 
 def test_no_unread_public_names():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from kpcurve import report, sequence
 from kpcurve.annotation import COORD_DECIMALS
-from kpcurve.evaluation import Diagnosis, round_half_up
+from kpcurve.evaluation import classify, round_half_up
 from kpcurve.report import (
     SCHEMA_VERSION,
     RunConfig,
@@ -209,7 +209,7 @@ def reference_measurement(cases, config, errors) -> str:
             "case_id": case_id,
             "curvature_deg": case.curvature_deg,
             "curvature_deg_rounded": round_half_up(case.curvature_deg),
-            "diagnosis": "pd",
+            "diagnosis": classify(case.curvature_deg, config.threshold_deg).value,
             "argmax_frame": case.argmax_frame,
             "frames_total": case.frames_total,
             "frames_valid": case.frames_valid,
@@ -236,7 +236,7 @@ class TestRowTemplates:
     @settings(max_examples=300, deadline=None)
     def test_measurement_report_matches_stock_encoder(self, cases, retain, errors):
         config = RunConfig(retain_per_frame=retain)
-        measured = [(case_from_frames(*case), Diagnosis.PD) for case in cases]
+        measured = [case_from_frames(*case) for case in cases]
         document = measurement_report(measured, config, "v", errors=errors)
         entries = [{"case_id": case_id, "error": message} for case_id, message in errors]
         assert dumps_report(document) == reference_measurement(cases, config, entries)
@@ -247,7 +247,7 @@ class TestRowTemplates:
         rows += [(5, [1e-07] * 4), (3, [180.0, 0.0, 180.0, 5e-324])]
         for retain in (True, False):
             config = RunConfig(retain_per_frame=retain)
-            document = measurement_report([(case_from_frames("c", rows), Diagnosis.PD)], config, "v")
+            document = measurement_report([case_from_frames("c", rows)], config, "v")
             assert dumps_report(document) == reference_measurement([("c", rows)], config, [])
 
     @given(
