@@ -49,7 +49,7 @@ from .report import (
     report_results,
     sweep_sidecar,
 )
-from .sequence import AllFramesInvalidError, angle_set_from_row, measure_stream, middle_line
+from .sequence import AllFramesInvalidError, angle_set_from_row, measure_stream
 from .synth import BadSpecError, DegenerateProjectionError, read_spec, sweep
 
 EXIT_OK = 0
@@ -244,7 +244,7 @@ def _measure_still(args, stdin, stderr):
     line = _first_label_line(_read_text(args.label, stdin), stderr)
     box, points = parse_yolo_line(line)
     case_id = "stdin" if args.label == "-" else Path(args.label).stem
-    batch = ([case_id], [0], middle_line(points)[None])
+    batch = ([case_id], [0], points[None])
     cases, failures = measure_stream([batch], aspect=args.aspect)
     if failures:
         raise AllFramesInvalidError(f"case {case_id!r}: {failures[0][1]}")
@@ -311,19 +311,20 @@ def _cmd_synth(args, stdin, stdout, stderr) -> int:
     phantom = read_spec(raw, seed=args.seed)
     result = sweep(phantom.model, **phantom.sweep_args)
     stream = dumps_frame(phantom.case_id, result.boxes, result.points, range(len(result.points)))
-    _write_text(args.output, stream, stdout)
 
+    # the sidecar goes first, so a failed run writes no stream, not even to stdout
     sidecar_path = args.sidecar
     if sidecar_path is None and args.output not in (None, "-"):
         sidecar_path = args.output + ".oracle.json"
     if sidecar_path is not None:
         sidecar = dumps_report(sweep_sidecar(phantom, result))
-        try:
-            Path(sidecar_path).write_text(sidecar, encoding="utf-8")
-        except OSError:  # no stream is left without its sidecar
-            if args.output not in (None, "-"):
-                Path(args.output).unlink(missing_ok=True)
-            raise
+        Path(sidecar_path).write_text(sidecar, encoding="utf-8")
+    try:
+        _write_text(args.output, stream, stdout)
+    except OSError:  # no sidecar is left without its stream
+        if sidecar_path is not None:
+            Path(sidecar_path).unlink(missing_ok=True)
+        raise
     return EXIT_OK
 
 

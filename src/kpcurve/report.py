@@ -8,11 +8,11 @@ arrays: a row whose values all lie on the 6-decimal grid in
 [1e-4, 0.9999995) is formatted in numpy from their integer digits, and
 any other row value by value, to the same bytes.
 :func:`iter_frame_stream` reads such a stream in batches of up to
-``sequence.CHUNK_FRAMES`` lines: each batch is checked as a whole and
-lands in one keypoint array, and a batch that fails any check is parsed
-again line by line by :func:`parse_frame_line`, which raises the first
-bad line's error with its line number. Every indented document (report
-or synth sidecar) is written by :func:`dumps_report` as
+``CHUNK_FRAMES`` lines: each batch is checked as a whole and its whole
+keypoint grids land in one array, and a batch that fails any check is
+parsed again line by line by :func:`parse_frame_line`, which raises the
+first bad line's error with its line number. Every indented document
+(report or synth sidecar) is written by :func:`dumps_report` as
 ``json.dumps(document, indent=2)`` plus a newline: one encoder, the
 stock one, writes all of it but the lists of cases and frames, which
 fixed templates write from their columns (a report's case entry, its
@@ -30,7 +30,6 @@ from itertools import chain
 
 import numpy as np
 
-from . import sequence
 from .annotation import COORD_DECIMALS, NUM_KEYPOINTS
 from .evaluation import (
     DEFAULT_THRESHOLD_DEG,
@@ -40,9 +39,13 @@ from .evaluation import (
     classify,
     round_half_up,
 )
-from .sequence import CaseMeasurement, FrameColumns, frame_rules, middle_line
+from .sequence import CaseMeasurement, FrameColumns, frame_rules
 
 SCHEMA_VERSION = 1
+
+# frames per batch, read when a batch producer starts; bounds how many
+# parsed lines (~2.9 KB each) are held at once
+CHUNK_FRAMES = 256
 
 # the one home of each layout below: a list item as json.dumps(document,
 # indent=2) writes it at its depth; floats go in through float.__repr__,
@@ -174,14 +177,14 @@ def dumps_frame(case_id: str, boxes, points, frame_indices) -> str:
     ``round(v, 6)``. A row whose values all lie on the 6-decimal grid in
     [1e-4, 0.9999995) is formatted in numpy from their integer digits;
     any other row goes value by value. Rows are formatted in blocks of at
-    most ``sequence.CHUNK_FRAMES``, so the temporaries stay bounded.
+    most ``CHUNK_FRAMES``, so the temporaries stay bounded.
     """
     values = np.concatenate(
         [np.reshape(boxes, (-1, 4)), np.reshape(points, (-1, 2 * NUM_KEYPOINTS))],
         axis=1,
         dtype=np.float64,
     )
-    size = sequence.CHUNK_FRAMES
+    size = CHUNK_FRAMES
     tails = []
     for start in range(0, len(values), size):
         tails += _row_tails(values[start : start + size])
@@ -305,11 +308,11 @@ def _batch_from_objects(objs: list):
     if not (array.min() >= 0.0 and array.max() <= 1.0):  # NaN fails both
         return None
     points = array[4 * len(objs) :].reshape(len(objs), NUM_KEYPOINTS, 2)
-    return case_ids, frame_indices, middle_line(points)
+    return case_ids, frame_indices, points
 
 
 def _parse_batch(texts: list[str], linenos: list[int]):
-    """One batch of non-blank lines as (case_ids, frame_indices, middle_lines).
+    """One batch of non-blank lines as (case_ids, frame_indices, points).
 
     Any failed batch check hands the batch to the per-line parser, so a
     batch is accepted exactly when every line passes
@@ -324,20 +327,20 @@ def _parse_batch(texts: list[str], linenos: list[int]):
     if batch is not None:
         return batch
     case_ids, frame_indices, points = zip(*map(parse_frame_line, texts, linenos))
-    return list(case_ids), list(frame_indices), middle_line(np.array(points))
+    return list(case_ids), list(frame_indices), np.array(points)
 
 
 def iter_frame_stream(lines):
     """Yield frame batches from an iterable of JSONL lines.
 
-    Each batch is ``(case_ids, frame_indices, middle_lines)`` for up to
-    ``sequence.CHUNK_FRAMES`` (read at the first ``next()``) consecutive
-    non-blank lines: a list of case ids, a list of frame indices as
-    Python ints, and an (n, 5, 2) float64 array of middle-row keypoints.
+    Each batch is ``(case_ids, frame_indices, points)`` for up to
+    ``CHUNK_FRAMES`` (read at the first ``next()``) consecutive non-blank
+    lines: a list of case ids, a list of frame indices as Python ints,
+    and an (n, 15, 2) float64 array of whole keypoint grids.
     Blank lines are skipped; line numbers in errors refer to the
     physical input.
     """
-    size = sequence.CHUNK_FRAMES
+    size = CHUNK_FRAMES
     texts: list[str] = []
     linenos: list[int] = []
     for lineno, line in enumerate(lines, start=1):

@@ -22,15 +22,16 @@ true bend. It over-reads otherwise: foreshortening along the axis
 
 Frames whose geometry is degenerate (coincident keypoints) are marked
 invalid and skipped rather than failing the case; only a case with
-zero valid frames is an error. :func:`measure_stream` consumes frame
-batches ``(case_ids, frame_indices, middle_lines)`` of up to
-``CHUNK_FRAMES`` frames, as :func:`kpcurve.report.iter_frame_stream`
-yields them from JSONL (a still image is one batch of one frame).
-It runs the angle kernel once per batch, cases interleaving freely
-within and across batches, then reduces frame by frame. The reduction
-is a per-case maximum, ties going to the lowest frame index, so neither
-batch size nor stream order changes any result. A case's retained
-frames stay as columns (:class:`FrameColumns`), with no object per frame.
+zero valid frames is an error. :func:`measure_stream` consumes batches
+``(case_ids, frame_indices, points)`` of whole (15, 2) keypoint grids,
+of any size, as :func:`kpcurve.report.iter_frame_stream` yields them
+from JSONL (a still image is one batch of one frame). It alone picks the
+middle row (:func:`middle_line`) and runs the angle kernel on it once per
+batch, cases interleaving freely within and across batches, then
+reduces frame by frame. The reduction is a per-case maximum, ties going
+to the lowest frame index, so neither batch size nor stream order
+changes any result. A case's retained frames stay as columns
+(:class:`FrameColumns`), with no object per frame.
 """
 
 import math
@@ -40,10 +41,6 @@ import numpy as np
 
 from ._kernels import polyline_angles
 from .annotation import COLS, MIDDLE_ROW
-
-# frames per batch, read when a batch producer starts; bounds how many
-# parsed lines (~2.9 KB each) are held at once
-CHUNK_FRAMES = 256
 
 
 class EmptySequenceError(ValueError):
@@ -153,15 +150,16 @@ def measure_stream(
 ) -> tuple[list[CaseMeasurement], list[tuple[str, str]]]:
     """Measure a stream of frame batches.
 
-    Each batch is ``(case_ids, frame_indices, middle_lines)``: per frame
-    a case id, a frame index and an (n, 5, 2) array of middle-row
-    keypoints. Cases may interleave arbitrarily; results come back in
-    order of first appearance. With ``keep_frames`` each case's frames
-    are kept as :class:`FrameColumns`; otherwise its columns have no
-    rows. Returns the measured cases plus a (case_id, message) list for
-    cases whose frames were all degenerate. Raises ValueError when
-    ``aspect`` is not a positive number whose square is finite, and
-    EmptySequenceError when the stream has no frames at all.
+    Each batch is ``(case_ids, frame_indices, points)``, of any size:
+    per frame a case id, a frame index and its whole keypoint grid, an
+    (n, 15, 2) array in all, of which the middle row is measured. Cases
+    may interleave arbitrarily; results come back in order of first
+    appearance. With ``keep_frames`` each case's frames are kept as
+    :class:`FrameColumns`; otherwise its columns have no rows. Returns
+    the measured cases plus a (case_id, message) list for cases whose
+    frames were all degenerate. Raises ValueError when ``aspect`` is not
+    a positive number whose square is finite, and EmptySequenceError
+    when the stream has no frames at all.
     """
     # a NaN or infinite ratio would give NaN angles that count as valid
     if not 0.0 < aspect < math.inf:
@@ -175,7 +173,8 @@ def measure_stream(
     # the kernel output of every batch, when frames are kept
     kept_angles, kept_bad = [np.empty((0, 4))], [np.empty(0, np.int64)]
     offset = 0
-    for case_ids, frame_indices, lines in batches:
+    for case_ids, frame_indices, points in batches:
+        lines = middle_line(points)
         if aspect != 1.0:
             lines = lines * scale
         angles, bad = polyline_angles(lines)
@@ -212,12 +211,7 @@ def measure_stream(
     failures = []
     for case_id, state in states.items():
         if state.valid == 0:
-            failures.append(
-                (
-                    case_id,
-                    f"all {state.total} frames had degenerate geometry",
-                )
-            )
+            failures.append((case_id, f"all {state.total} frames had degenerate geometry"))
             continue
         cases.append(
             CaseMeasurement(

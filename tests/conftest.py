@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from kpcurve import sequence
+from kpcurve import report
 from kpcurve._kernels import EPSILON
 from kpcurve.report import RunConfig, dumps_frame, dumps_report, measurement_report
 from kpcurve.sequence import (
@@ -15,7 +15,6 @@ from kpcurve.sequence import (
     EmptySequenceError,
     angle_set_from_row,
     measure_stream,
-    middle_line,
 )
 
 
@@ -38,11 +37,12 @@ def vector_angle(a, b, c, d) -> float:
 def line_angles(points, aspect: float = 1.0) -> AngleSet:
     """The angles ``measure_stream`` gives a (5, 2) middle line as a one-frame case.
 
-    They are read from the case's frame columns, the frame's kernel row
+    The line is the middle row of a grid whose three rows are all that
+    line. The angles are read from the case's frame columns, the frame's kernel row
     through ``angle_set_from_row``. Raises AllFramesInvalidError when a
     segment of the line is degenerate.
     """
-    batch = (["line"], [0], np.asarray(points, dtype=np.float64)[None])
+    batch = (["line"], [0], np.tile(np.asarray(points, dtype=np.float64), (3, 1))[None])
     cases, failures = measure_stream([batch], aspect=aspect)
     if failures:
         raise AllFramesInvalidError(failures[0][1])
@@ -121,24 +121,24 @@ def frame_line(case_id: str, det, frame_index: int) -> str:
 def detection_batches(records):
     """Batch ``(case_id, frame_index, points)`` records for ``measure_stream``.
 
-    Batches hold up to ``sequence.CHUNK_FRAMES`` frames (read at the
-    first ``next()``), as the JSONL parser's do. A ``frame_index`` of
+    Batches of whole (15, 2) grids hold up to ``report.CHUNK_FRAMES``
+    frames (read at the first ``next()``), as the JSONL parser's do. A ``frame_index`` of
     None is numbered by position within its case.
     """
-    size = sequence.CHUNK_FRAMES
+    size = report.CHUNK_FRAMES
     positions: dict[str, int] = {}
-    case_ids, frame_indices, lines = [], [], []
+    case_ids, frame_indices, grids = [], [], []
     for case_id, frame_index, points in records:
         position = positions.get(case_id, 0)
         positions[case_id] = position + 1
         case_ids.append(case_id)
         frame_indices.append(position if frame_index is None else frame_index)
-        lines.append(middle_line(points))
-        if len(lines) >= size:
-            yield case_ids, frame_indices, np.array(lines)
-            case_ids, frame_indices, lines = [], [], []
-    if lines:
-        yield case_ids, frame_indices, np.array(lines)
+        grids.append(points)
+        if len(grids) >= size:
+            yield case_ids, frame_indices, np.array(grids)
+            case_ids, frame_indices, grids = [], [], []
+    if grids:
+        yield case_ids, frame_indices, np.array(grids)
 
 
 def measure_sequence(case_id, frames, aspect=1.0, keep_frames=True, frame_indices=None):

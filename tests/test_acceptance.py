@@ -24,7 +24,7 @@ from conftest import (
     normalize_unit,
     vector_angle,
 )
-from kpcurve import _kernels, sequence
+from kpcurve import _kernels, report, sequence
 from kpcurve.annotation import (
     emit_yolo_line,
     parse_cvat_xml,
@@ -357,7 +357,7 @@ def test_criterion_8_determinism():
         )
         rc, out_default, _ = run_cli(["analyze", "-"], interleaved)
         assert rc == 0
-        default_chunk = sequence.CHUNK_FRAMES
+        default_chunk = report.CHUNK_FRAMES
         kernel = sequence.polyline_angles
         calls = []
 
@@ -369,14 +369,14 @@ def test_criterion_8_determinism():
             sequence.polyline_angles = counted
             for chunk in (1, 7):
                 # the constant that analyze's batches read
-                sequence.CHUNK_FRAMES = chunk
+                report.CHUNK_FRAMES = chunk
                 calls.clear()
                 rc, out_chunked, _ = run_cli(["analyze", "-"], interleaved)
                 assert rc == 0
                 assert out_chunked == out_default, chunk
                 assert max(calls) == chunk and sum(calls) == len(case_streams) * 50
         finally:
-            sequence.CHUNK_FRAMES = default_chunk
+            report.CHUNK_FRAMES = default_chunk
             sequence.polyline_angles = kernel
         info["detail"] = (
             f"repeated generation and analysis at chunk sizes {default_chunk}, "

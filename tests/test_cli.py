@@ -30,7 +30,7 @@ from conftest import (
     normalize_unit,
 )
 import kpcurve
-from kpcurve import __version__, cli, sequence
+from kpcurve import __version__, cli, report
 from kpcurve.annotation import emit_yolo_line
 from kpcurve.cli import EXIT_GEOMETRY, EXIT_INPUT, EXIT_OK, build_parser, main
 from kpcurve.evaluation import round_half_up
@@ -394,8 +394,8 @@ class TestAnalyze:
             for line in group
         ) + frame_line("bad", degenerate_detection(), 0) + "\n"
         outputs = {}
-        for chunk in (1, 7, sequence.CHUNK_FRAMES):
-            monkeypatch.setattr(sequence, "CHUNK_FRAMES", chunk)
+        for chunk in (1, 7, report.CHUNK_FRAMES):
+            monkeypatch.setattr(report, "CHUNK_FRAMES", chunk)
             rc, outputs[chunk], _ = run(["analyze", "--no-per-frame", "-"], stream)
             assert rc == EXIT_OK
         assert len(set(outputs.values())) == 1
@@ -434,7 +434,7 @@ class TestAnalyze:
                 sorted(error["case_id"] for error in doc["errors"]),
             )
 
-        with mock.patch.object(sequence, "CHUNK_FRAMES", 3):
+        with mock.patch.object(report, "CHUNK_FRAMES", 3):
             assert results([lines[i] for i in order]) == results(lines)
 
     def test_huge_frame_index_reported_exactly(self):
@@ -799,6 +799,40 @@ class TestSynth:
         assert "No such file or directory" in err
         assert not out.exists()
         assert not sidecar.exists()
+
+    def test_unwritable_sidecar_writes_nothing_to_stdout(self, tmp_path):
+        # a pipe reader gets no stream from a run that fails
+        sidecar = tmp_path / "nodir" / "oracle.json"
+        rc, stdout, err = run(["synth", "-", "--sidecar", str(sidecar)], self.SPEC)
+        assert (rc, stdout) == (EXIT_INPUT, "")
+        assert err == f"kpcurve synth: [Errno 2] No such file or directory: {str(sidecar)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_stream_leaves_no_sidecar(self, tmp_path):
+        out, sidecar = tmp_path / "nodir" / "frames.jsonl", tmp_path / "oracle.json"
+        rc, stdout, err = run(["synth", "-", "-o", str(out), "--sidecar", str(sidecar)], self.SPEC)
+        assert (rc, stdout) == (EXIT_INPUT, "")
+        assert err == f"kpcurve synth: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_stdout_leaves_no_sidecar(self, tmp_path):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        sidecar, err = tmp_path / "oracle.json", io.StringIO()
+        argv = ["synth", "-", "--sidecar", str(sidecar)]
+        rc = main(argv, stdin=io.StringIO(self.SPEC), stdout=ClosedPipe(), stderr=err)
+        assert (rc, err.getvalue()) == (EXIT_INPUT, "kpcurve synth: [Errno 32] Broken pipe\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_both_paths_unwritable_names_the_sidecar(self, tmp_path):
+        # the sidecar is written first, so its error is the one reported
+        out, sidecar = tmp_path / "a" / "frames.jsonl", tmp_path / "b" / "oracle.json"
+        rc, stdout, err = run(["synth", "-", "-o", str(out), "--sidecar", str(sidecar)], self.SPEC)
+        assert (rc, stdout) == (EXIT_INPUT, "")
+        assert err == f"kpcurve synth: [Errno 2] No such file or directory: {str(sidecar)!r}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def synth_outputs(self, spec, tmp_path):
         """(stream, sidecar document) of one spec written to files."""

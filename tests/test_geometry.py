@@ -4,6 +4,7 @@ Angles are measured through ``measure_stream``, the one measuring path,
 a middle line at a time (``conftest.line_angles``).
 """
 
+import io
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     detection_from_middle,
+    frame_line,
     hinge_polyline,
     line_angles,
     measure_sequence,
@@ -20,6 +22,7 @@ from conftest import (
     per_frame_rows,
     vector_angle,
 )
+from kpcurve.cli import main
 from kpcurve.sequence import (
     AllFramesInvalidError,
     AngleSet,
@@ -139,12 +142,34 @@ class TestMiddleLine:
         ]
 
     def test_independent_of_lateral_rows(self):
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(0, 1, (15, 2))
-        swapped = np.concatenate([pts[10:15], pts[5:10], pts[0:5]])
-        a = middle_line(pts)
-        b = middle_line(swapped)
-        assert np.array_equal(a, b)
+        # lateral rows swapped top for bottom, or every lateral point
+        # collapsed onto one point, change no measurement and no report byte
+        grids = np.random.default_rng(0).uniform(0, 1, (6, 15, 2))
+        swapped = np.concatenate([grids[:, 10:15], grids[:, 5:10], grids[:, 0:5]], axis=1)
+        collapsed = grids.copy()
+        collapsed[:, :5] = collapsed[:, 10:] = grids[0, 0]
+        variants = [grids, swapped, collapsed]
+        for variant in variants:
+            assert np.array_equal(middle_line(variant), middle_line(grids))
+
+        batch, box = (["c", "d"] * 3, [0, 0, 1, 1, 2, 2]), np.full(4, 0.5)
+        streams = [
+            "".join(
+                frame_line(case_id, (box, points), index) + "\n"
+                for case_id, index, points in zip(*batch, variant)
+            )
+            for variant in variants
+        ]
+        for aspect in (1.0, 16 / 9):
+            measured = [measure_stream([(*batch, grid)], aspect=aspect) for grid in variants]
+            assert len(measured[0][0]) == 2 and measured[0][1] == []
+            assert measured[1] == measured[0] and measured[2] == measured[0]
+            reports = set()
+            for stream in streams:
+                out, argv = io.StringIO(), ["analyze", "--aspect", repr(aspect), "-"]
+                assert main(argv, stdin=io.StringIO(stream), stdout=out, stderr=io.StringIO()) == 0
+                reports.add(out.getvalue())
+            assert len(reports) == 1
 
     def test_stack_gives_a_view_per_detection(self):
         stack = np.random.default_rng(1).uniform(0, 1, (2, 3, 15, 2))
@@ -255,7 +280,8 @@ class TestComputeAngles:
         with pytest.raises(AllFramesInvalidError, match="all 1 frames had degenerate geometry"):
             line_angles(pts)
         # beside a valid frame, the degenerate one is kept with its first bad segment
-        batch = (["c", "c"], [0, 1], np.array([hinge_polyline(30.0), pts]))
+        grids = [np.tile(line, (3, 1)) for line in (hinge_polyline(30.0), pts)]
+        batch = (["c", "c"], [0, 1], np.array(grids))
         cases, failures = measure_stream([batch])
         assert failures == []
         assert cases[0].per_frame.first_bad.tolist() == [-1, 1]

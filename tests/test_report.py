@@ -11,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import detection_with_angle, frame_line
-from kpcurve import sequence
+from kpcurve import report
 from kpcurve.report import (
     JsonlFormatError,
     iter_frame_stream,
     parse_frame_line,
 )
-from kpcurve.sequence import middle_line
 
 GOOD_LINE = frame_line("c", detection_with_angle(30.0), 0)
 
@@ -200,13 +199,15 @@ def good_line(base, case_id, frame_index, edit) -> str:
 
 
 def outcome(parse):
-    """Flattened (case_ids, frame_indices, middle-line bytes), or the error text."""
+    """Flattened (case_ids, frame_indices, keypoint-grid bytes), or the error
+    text; every one of a frame's 15 keypoints is compared."""
     try:
-        case_ids, frame_indices, middles = parse()
+        case_ids, frame_indices, points = parse()
     except JsonlFormatError as exc:
         return str(exc)
     assert all(type(index) is int for index in frame_indices)
-    return case_ids, frame_indices, middles.tobytes()
+    assert points.shape == (len(case_ids), 15, 2) and points.dtype == np.float64
+    return case_ids, frame_indices, points.tobytes()
 
 
 @given(
@@ -242,7 +243,7 @@ def test_batched_parse_matches_line_parser(frames, bad, blanks, chunk):
         return (
             [case_id for ids, _, _ in batches for case_id in ids],
             [index for _, indices, _ in batches for index in indices],
-            np.concatenate([middles for _, _, middles in batches]),
+            np.concatenate([points for _, _, points in batches]),
         )
 
     def reference():
@@ -254,10 +255,10 @@ def test_batched_parse_matches_line_parser(frames, bad, blanks, chunk):
         return (
             [case_id for case_id, _, _ in records],
             [frame_index for _, frame_index, _ in records],
-            middle_line(np.array([points for _, _, points in records])),
+            np.array([points for _, _, points in records]),
         )
 
-    with mock.patch.object(sequence, "CHUNK_FRAMES", chunk):
+    with mock.patch.object(report, "CHUNK_FRAMES", chunk):
         assert outcome(batched) == outcome(reference)
 
 
@@ -265,7 +266,7 @@ def test_batched_parse_matches_line_parser(frames, bad, blanks, chunk):
 @pytest.mark.parametrize("bad", BAD_LINES.values(), ids=BAD_LINES.keys())
 def test_bad_line_anywhere_in_a_batch(position, bad, monkeypatch):
     # batches of four: first, mid-batch, last in the batch, second batch
-    monkeypatch.setattr(sequence, "CHUNK_FRAMES", 4)
+    monkeypatch.setattr(report, "CHUNK_FRAMES", 4)
     lines = [GOOD_LINE] * 7
     lines[position] = bad
     with pytest.raises(JsonlFormatError) as expected:
@@ -276,7 +277,7 @@ def test_bad_line_anywhere_in_a_batch(position, bad, monkeypatch):
 def test_value_count_checked_per_line(monkeypatch):
     # five bbox values on one line and three on the next keep the batch's
     # total at 34 per line, so only the per-line length check sees them
-    monkeypatch.setattr(sequence, "CHUNK_FRAMES", 4)
+    monkeypatch.setattr(report, "CHUNK_FRAMES", 4)
     long_box = edited(lambda record: record["bbox"].append(0.5))
     short_box = edited(lambda record: record["bbox"].pop())
     lines = [GOOD_LINE, long_box, short_box, GOOD_LINE]

@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from conftest import (
     normalize_unit,
     per_frame_rows,
 )
-from kpcurve import sequence
+from kpcurve import report
 from kpcurve.annotation import emit_yolo_line
 from kpcurve.cli import main
 from kpcurve.report import iter_frame_stream
@@ -243,6 +244,29 @@ class TestMeasureStream:
         with pytest.raises(EmptySequenceError):
             measure_stream(iter([]))
 
+    @staticmethod
+    def peak_bytes(batch_count: int, keep_frames: bool) -> int:
+        """Peak traced allocation of ``measure_stream`` over ``batch_count``
+        batches of 256 frames of two interleaved cases, made one at a time."""
+        grids = np.tile(detection_with_angle(30.0)[1], (256, 1, 1))
+
+        def batches():
+            for start in range(0, 256 * batch_count, 256):
+                yield ["a", "b"] * 128, list(range(start, start + 256)), grids.copy()
+
+        tracemalloc.start()
+        try:
+            measure_stream(batches(), keep_frames=keep_frames)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_bounded_without_frames(self):
+        # analyze --no-per-frame promises bounded memory on long streams
+        assert self.peak_bytes(64, keep_frames=False) < 1.5 * self.peak_bytes(8, False)
+        # the measurement sees the growth of kept frames
+        assert self.peak_bytes(64, keep_frames=True) > 3 * self.peak_bytes(8, True)
+
     def test_chunk_sizes_agree_exactly(self, monkeypatch):
         rng = np.random.default_rng(9)
         records, lines = [], []
@@ -252,8 +276,8 @@ class TestMeasureStream:
             records.append((case, i, det[1]))
             lines.append(frame_line(case, det, i))
         results = {}
-        for chunk in (1, 7, sequence.CHUNK_FRAMES):
-            monkeypatch.setattr(sequence, "CHUNK_FRAMES", chunk)
+        for chunk in (1, 7, report.CHUNK_FRAMES):
+            monkeypatch.setattr(report, "CHUNK_FRAMES", chunk)
             for name, batches in (
                 ("records", list(detection_batches(records))),
                 ("jsonl", list(iter_frame_stream(lines))),

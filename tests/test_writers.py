@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpcurve import report, sequence
+from kpcurve import report
 from kpcurve.annotation import COORD_DECIMALS
 from kpcurve.evaluation import classify, round_half_up
 from kpcurve.report import (
@@ -423,17 +423,17 @@ class TestDumpsFrame:
 
     @pytest.mark.parametrize(
         "rows_count",
-        [1, sequence.CHUNK_FRAMES - 1, sequence.CHUNK_FRAMES, sequence.CHUNK_FRAMES + 1],
+        [1, report.CHUNK_FRAMES - 1, report.CHUNK_FRAMES, report.CHUNK_FRAMES + 1],
     )
     def test_block_sizes(self, rows_count, array_path_rows):
         # a fallback row ends the first block, so each block has both paths
         values = [grid_row(i) for i in range(rows_count)]
-        end = min(rows_count, sequence.CHUNK_FRAMES) - 1
+        end = min(rows_count, report.CHUNK_FRAMES) - 1
         values[end] = row_ending_in(0.0)
         assert_matches_reference("b", *frames_from_rows(values), range(rows_count))
-        blocks = [min(rows_count, sequence.CHUNK_FRAMES) - 1]
-        if rows_count > sequence.CHUNK_FRAMES:
-            blocks.append(rows_count - sequence.CHUNK_FRAMES)
+        blocks = [min(rows_count, report.CHUNK_FRAMES) - 1]
+        if rows_count > report.CHUNK_FRAMES:
+            blocks.append(rows_count - report.CHUNK_FRAMES)
         assert array_path_rows == blocks
 
     def test_every_frame_of_jittered_sweeps(self, array_path_rows):
