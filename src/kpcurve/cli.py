@@ -261,7 +261,13 @@ def _cmd_measure(args, stdin, stdout, stderr) -> int:
 
 def _cmd_analyze(args, stdin, stdout, stderr) -> int:
     config = RunConfig(args.threshold, args.aspect, retain_per_frame=not args.no_per_frame)
-    source = nullcontext(stdin) if args.input == "-" else open(args.input, encoding="utf-8")
+    # an undecodable byte reaches the parser as a lone surrogate, which it
+    # rejects with its line number
+    source = (
+        nullcontext(stdin)
+        if args.input == "-"
+        else open(args.input, encoding="utf-8", errors="surrogateescape")
+    )
     with source as lines:
         cases, failures = measure_stream(
             iter_frame_stream(lines),

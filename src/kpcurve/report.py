@@ -8,15 +8,17 @@ arrays: a row whose values all lie on the 6-decimal grid in
 [1e-4, 0.9999995) is formatted in numpy from their integer digits, and
 any other row value by value, to the same bytes.
 :func:`iter_frame_stream` reads such a stream in batches of up to
-``CHUNK_FRAMES`` lines: each batch is checked as a whole and its whole
-keypoint grids land in one array, and a batch that fails any check is
-parsed again line by line by :func:`parse_frame_line`, which raises the
-first bad line's error with its line number. Every indented document
-(report or synth sidecar) is written by :func:`dumps_report` as
-``json.dumps(document, indent=2)`` plus a newline: one encoder, the
-stock one, writes all of it but the lists of cases and frames, which
-fixed templates write from their columns (a report's case entry, its
-valid and degenerate ``per_frame`` rows, a sidecar's ``frames`` row).
+``CHUNK_FRAMES`` lines: orjson decodes each line of a batch, the batch
+is checked as a whole and its whole keypoint grids land in one array.
+A batch that orjson refuses or that fails any check is parsed again
+line by line by :func:`parse_frame_line`, which decodes with the stdlib
+json and raises the first bad line's error with its line number.
+Every indented document (report or synth sidecar) is written by
+:func:`dumps_report` as ``json.dumps(document, indent=2)`` plus a
+newline: one encoder, the stock one, writes all of it but the lists of
+cases and frames, which fixed templates write from their columns (a
+report's case entry, its valid and degenerate ``per_frame`` rows, a
+sidecar's ``frames`` row).
 Report documents carry exact values alongside their display-rounded
 counterparts; the rounded fields are always recomputable from the exact
 ones under the half-up rule. A measurement report is read back here
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .annotation import COORD_DECIMALS, NUM_KEYPOINTS
 from .evaluation import (
@@ -46,6 +49,13 @@ SCHEMA_VERSION = 1
 # frames per batch, read when a batch producer starts; bounds how many
 # parsed lines (~2.9 KB each) are held at once
 CHUNK_FRAMES = 256
+
+# the longest line orjson decodes. orjson 3.8 builds valid JSON's values by
+# recursion with no depth limit, and overflows the C stack (a segfault) on a
+# line like '{"":' * 100000 + '1' + '}' * 100000. A line this long nests at most
+# 819 objects or 2048 lists deep; orjson parsed 4000 and 16000 on a 1 MB
+# thread stack. A frame line is ~450 characters; a longer one goes to json.
+_ORJSON_MAX_CHARS = 4096
 
 # the one home of each layout below: a list item as json.dumps(document,
 # indent=2) writes it at its depth; floats go in through float.__repr__,
@@ -215,10 +225,16 @@ def parse_frame_line(line: str, lineno: int = 1) -> tuple[str, int, np.ndarray]:
     """The case id, frame index and (15, 2) keypoints of one JSONL frame line.
 
     Every field is checked, the box and class id too; errors carry the
-    line number.
+    line number. A lone surrogate in the line's text is a byte that was
+    not valid UTF-8, as a file or stdin read with ``surrogateescape``
+    yields it; an escaped ``\\ud800`` is JSON text and stays accepted.
 
     Messages that quote the offending value are built only on failure.
     """
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise JsonlFormatError(f"line {lineno}: not valid UTF-8") from None
     obj = loads_json(line, JsonlFormatError, f"line {lineno}: not valid JSON (%s)")
     _require(isinstance(obj, dict), lineno, "expected a JSON object")
     for key in ("case_id", "frame_index", "class_id", "bbox", "keypoints"):
@@ -226,7 +242,12 @@ def parse_frame_line(line: str, lineno: int = 1) -> tuple[str, int, np.ndarray]:
             raise JsonlFormatError(f"line {lineno}: missing field {key!r}")
 
     case_id = obj["case_id"]
-    _require(isinstance(case_id, str) and case_id != "", lineno, "bad case_id")
+    # a labels CSV strips its ids, so an id with outer whitespace could never match one
+    _require(
+        isinstance(case_id, str) and case_id != "" and case_id == case_id.strip(),
+        lineno,
+        "bad case_id",
+    )
     frame_index = obj["frame_index"]
     _require(
         isinstance(frame_index, int) and not isinstance(frame_index, bool)
@@ -274,8 +295,7 @@ def _batch_from_objects(objs: list):
     """Check a batch of decoded lines as a whole and stack its keypoints.
 
     Returns None when any line breaks a rule of :func:`parse_frame_line`;
-    a missing field raises KeyError and a coordinate too large for a
-    float raises OverflowError.
+    a missing field raises KeyError.
     """
     if set(map(type, objs)) != {dict}:
         return None
@@ -284,10 +304,11 @@ def _batch_from_objects(objs: list):
     class_ids = [obj["class_id"] for obj in objs]
     bboxes = [obj["bbox"] for obj in objs]
     keypoints = [obj["keypoints"] for obj in objs]
-    # exact type sets: json.loads yields no subclasses, and bool is not int here
+    # exact type sets: orjson yields no subclasses, and bool is not int here;
+    # an integer past 64 bits comes as a float, so such an index fails {int}
     if (
         set(map(type, case_ids)) != {str}
-        or "" in case_ids
+        or not all(case_id and case_id == case_id.strip() for case_id in set(case_ids))
         or set(map(type, frame_indices)) != {int}
         or min(frame_indices) < 0
         or set(map(type, class_ids)) != {int}
@@ -314,18 +335,22 @@ def _batch_from_objects(objs: list):
 def _parse_batch(texts: list[str], linenos: list[int]):
     """One batch of non-blank lines as (case_ids, frame_indices, points).
 
-    Any failed batch check hands the batch to the per-line parser, so a
-    batch is accepted exactly when every line passes
-    :func:`parse_frame_line`, and a bad line raises that parser's error.
+    orjson decodes the lines of a batch whose lines are all at most
+    ``_ORJSON_MAX_CHARS`` long. It refuses some text that json accepts
+    (NaN, Infinity, 1e400, lone surrogates), and where both accept, the
+    values are equal but for integers past 64 bits, which it returns as
+    floats. A longer line, any refusal or a failed batch check hands the
+    batch to the per-line parser, so a batch is accepted exactly when
+    every line passes :func:`parse_frame_line`, and a bad line raises
+    that parser's error.
     """
-    try:
-        batch = _batch_from_objects(list(map(json.loads, texts)))
-    # JSONDecodeError is a ValueError; RecursionError is deeply nested JSON,
-    # which the per-line pass reports with its line number
-    except (ValueError, KeyError, OverflowError, RecursionError):
-        batch = None
-    if batch is not None:
-        return batch
+    if max(map(len, texts)) <= _ORJSON_MAX_CHARS:
+        try:
+            batch = _batch_from_objects(list(map(orjson.loads, texts)))
+        except (orjson.JSONDecodeError, KeyError):
+            batch = None
+        if batch is not None:
+            return batch
     case_ids, frame_indices, points = zip(*map(parse_frame_line, texts, linenos))
     return list(case_ids), list(frame_indices), np.array(points)
 
@@ -337,8 +362,10 @@ def iter_frame_stream(lines):
     ``CHUNK_FRAMES`` (read at the first ``next()``) consecutive non-blank
     lines: a list of case ids, a list of frame indices as Python ints,
     and an (n, 15, 2) float64 array of whole keypoint grids.
-    Blank lines are skipped; line numbers in errors refer to the
-    physical input.
+    orjson decodes a batch; a batch it refuses or that fails a check is
+    read again line by line with the stdlib json, which names the first
+    bad line. Blank lines are skipped; line numbers in errors refer to
+    the physical input.
     """
     size = CHUNK_FRAMES
     texts: list[str] = []

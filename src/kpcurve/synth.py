@@ -301,7 +301,8 @@ def _typed(given: dict, kinds: dict) -> dict:
 
 
 def read_spec(raw, seed: int | None = None) -> PhantomSpec:
-    """Check a decoded synth spec: a non-empty ``case_id`` (default "synth") and the
+    """Check a decoded synth spec: a non-empty ``case_id`` (default "synth")
+    with no leading or trailing whitespace, and the
     parameters of :class:`HingeModelSpec` and :func:`sweep`, each taking
     its default there when left out. ``seed`` replaces the spec's seed.
     """
@@ -315,11 +316,15 @@ def read_spec(raw, seed: int | None = None) -> PhantomSpec:
         accepted = (int, float) if kind is float else kind
         if not isinstance(value, accepted) or isinstance(value, bool):
             raise BadSpecError(f"spec field {key!r} has the wrong type")
-    if raw.get("case_id") == "":
+    case_id = raw.get("case_id", "synth")
+    if case_id == "":
         raise BadSpecError("spec field 'case_id' must not be empty")
+    # a labels CSV strips its ids, so such an id could never be evaluated
+    if case_id != case_id.strip():
+        raise BadSpecError("spec field 'case_id' must not start or end with whitespace")
     for field in fields(HingeModelSpec):
         if field.default is MISSING and field.name not in raw:
             raise BadSpecError(f"spec is missing {field.name!r}")
     given = raw if seed is None else {**raw, "seed": seed}
     model = HingeModelSpec(**_typed(given, _MODEL_FIELDS))
-    return PhantomSpec(given.get("case_id", "synth"), model, _typed(given, _SWEEP_FIELDS), given)
+    return PhantomSpec(case_id, model, _typed(given, _SWEEP_FIELDS), given)

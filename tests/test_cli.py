@@ -328,6 +328,40 @@ class TestAnalyze:
         assert out == ""
         assert err == f"kpcurve analyze: line {lineno}: not valid JSON (nested too deeply)\n"
 
+    def test_deeply_nested_valid_line_is_an_input_error(self):
+        # valid JSON this deep overflows the C stack in orjson 3.8, so json reads it
+        deep = '{"":' * 100_000 + "1" + "}" * 100_000
+        rc, out, err = run(["analyze", "-"], jsonl_for("a", [10.0]) + deep + "\n")
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == "kpcurve analyze: line 2: not valid JSON (nested too deeply)\n"
+
+    def test_invalid_utf8_in_a_file_names_its_line(self, tmp_path):
+        path = tmp_path / "frames.jsonl"
+        first, second = jsonl_for("c", [10.0, 20.0]).encode().splitlines(keepends=True)
+        path.write_bytes(first + second.replace(b'"c"', b'"c\xff"'))
+        rc, out, err = run(["analyze", str(path)])
+        assert (rc, out, err) == (EXIT_INPUT, "", "kpcurve analyze: line 2: not valid UTF-8\n")
+
+    def test_invalid_utf8_on_stdin_names_its_line(self):
+        # stdin read with surrogateescape, as in the C locale, hands on 0xff as "\udcff"
+        first, second = jsonl_for("c", [10.0, 20.0]).splitlines(keepends=True)
+        stream = first + second.replace('"c"', '"c\udcff"')
+        rc, out, err = run(["analyze", "-"], stream)
+        assert (rc, out, err) == (EXIT_INPUT, "", "kpcurve analyze: line 2: not valid UTF-8\n")
+
+    def test_escaped_lone_surrogate_case_id_is_accepted(self):
+        # dumps_frame escapes the id as "\\ud800", which is valid JSON text
+        rc, out, _ = run(["analyze", "-"], jsonl_for("c\ud800", [10.0]))
+        assert rc == EXIT_OK
+        assert json.loads(out)["cases"][0]["case_id"] == "c\ud800"
+
+    @pytest.mark.parametrize("case_id", [" a", "a ", "\ta", "a\u3000"])
+    def test_case_id_with_outer_whitespace_is_an_input_error(self, case_id):
+        # a labels CSV strips its ids, so evaluate could never match this case
+        stream = jsonl_for("a", [10.0]) + jsonl_for(case_id, [20.0])
+        rc, out, err = run(["analyze", "-"], stream)
+        assert (rc, out, err) == (EXIT_INPUT, "", "kpcurve analyze: line 2: bad case_id\n")
+
     def test_out_of_range_coordinate_rejected(self):
         record = json.loads(jsonl_for("a", [10.0]).strip())
         record["keypoints"][3][0] = 1.5
@@ -788,6 +822,16 @@ class TestSynth:
         rc, stdout, err = run(["synth", "-", "-o", str(out)], spec)
         assert (rc, stdout) == (EXIT_INPUT, "")
         assert err == "kpcurve synth: spec field 'case_id' must not be empty\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case_id", [" a", "a ", "\\ta"])
+    def test_case_id_with_outer_whitespace_rejected(self, case_id, tmp_path):
+        # analyze would reject every line of the stream with "bad case_id"
+        out = tmp_path / "frames.jsonl"
+        spec = '{"case_id": "%s", "hinge_angle_deg": 40, "steps": 3}' % case_id
+        rc, stdout, err = run(["synth", "-", "-o", str(out)], spec)
+        assert (rc, stdout) == (EXIT_INPUT, "")
+        assert err == "kpcurve synth: spec field 'case_id' must not start or end with whitespace\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_sidecar_leaves_no_stream(self, tmp_path):

@@ -1,8 +1,11 @@
 """Static checks on the package sources: every imported name and every
 module-level private name is read, every module-level public name is
-read somewhere in the package, and only the CLI talks to the terminal."""
+read somewhere in the package, only the CLI talks to the terminal, and
+the package imports exactly the third-party modules it declares."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 import kpcurve
 
 SOURCES = sorted(Path(kpcurve.__file__).resolve().parent.glob("*.py"))
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -190,3 +194,47 @@ def test_no_unread_public_names():
 )
 def test_checker_finds_unread_public_names(sources, unread):
     assert unread_public_names(sources) == unread
+
+
+def dependency_mismatch(sources: list[str], pyproject: str) -> tuple[list[str], list[str]]:
+    """The top-level modules that ``sources`` import from outside the standard
+    library but ``pyproject``'s ``dependencies`` do not name, and the names
+    those dependencies give that no source imports, each sorted. A relative
+    import is the package's own; a requirement's name is read up to its
+    version specifier, and each name here is also its import name."""
+    tomllib = pytest.importorskip("tomllib")  # the standard library from Python 3.11
+    imported = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    imported -= sys.stdlib_module_names
+    requirements = tomllib.loads(pyproject)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9._-]+", requirement).group() for requirement in requirements}
+    return sorted(imported - declared), sorted(declared - imported)
+
+
+def test_imports_match_declared_dependencies():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert dependency_mismatch(sources, PYPROJECT.read_text(encoding="utf-8")) == ([], [])
+
+
+@pytest.mark.parametrize(
+    "sources, mismatch",
+    [
+        (
+            ["import json\nimport numpy as np\nfrom . import report\n", "import orjson.x\n"],
+            ([], []),
+        ),
+        (
+            ["from yaml import safe_load\nfrom __future__ import annotations\n"],
+            (["yaml"], ["numpy", "orjson"]),
+        ),
+    ],
+    ids=["passing", "failing"],
+)
+def test_checker_finds_dependency_mismatch(sources, mismatch):
+    pyproject = '[project]\ndependencies = ["numpy>=1.24", "orjson >= 3.8"]\n'
+    assert dependency_mismatch(sources, pyproject) == mismatch

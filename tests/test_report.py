@@ -2,10 +2,13 @@
 the batched stream parser checked line for line against the per-line one."""
 
 import copy
+import decimal
 import json
+import math
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,12 +116,16 @@ def test_huge_integer_is_a_range_error():
 
 BAD_VALUES = [
     True, "0.5", None, [0.5], float("nan"), float("inf"), float("-inf"), 1.5, -1e-9,
-    10**400,
+    10**400, 2**64,
 ]
-# in range, so accepted by both parsers, including the integers 0 and 1
-GOOD_VALUES = [0, 1, 0.0, -0.0, 1.0, 5e-324]
+# JSON literals in range, so accepted by both parsers, including the integers
+# 0, 1 and -0, and 17-significant-digit floats
+GOOD_VALUES = [
+    "0", "1", "-0", "0.0", "-0.0", "1.0", "5e-324", "1E-1",
+    "0.30000000000000004", "0.12345678901234567", "9.9999999999999995e-7",
+]
 BAD_FIELDS = {
-    "case_id": ["", 5, None],
+    "case_id": ["", 5, None, " a", "a ", "\ta", "a\u3000"],
     "frame_index": [-1, True, 1.0, "0"],
     "class_id": [-1, False, 0.5],
     "bbox": ["0.5", {}],
@@ -177,6 +184,12 @@ BAD_LINES = {
     "truncated": GOOD_LINE[:-1],
     "trailing_data": GOOD_LINE + "x",
     "half_line": GOOD_LINE[: len(GOOD_LINE) // 2],
+    # text that orjson refuses and json reads (BAD_VALUES gives NaN and Infinity)
+    "bbox=1e400": edited(set_bbox("<v>")).replace('"<v>"', "1e400"),
+    "keypoint=-1e400": edited(set_keypoint("<v>")).replace('"<v>"', "-1e400"),
+    "raw_surrogate_id": GOOD_LINE.replace('"c"', '"c\udcff"'),
+    # the last of duplicate keys wins in both decoders
+    "duplicate_bad_last": GOOD_LINE[:-1] + ',"frame_index":-1}',
 }
 BASE_RECORDS = [
     json.loads(frame_line("c", detection_with_angle(angle), 0))
@@ -184,18 +197,27 @@ BASE_RECORDS = [
 ]
 
 
-def good_line(base, case_id, frame_index, edit) -> str:
-    """A valid line; ``edit`` is None or (flat coordinate slot, in-range value)."""
+def good_line(base, case_id, frame_index, edit, ensure_ascii, duplicate) -> str:
+    """A valid line. ``frame_index`` is a JSON literal, and ``edit`` None or
+    (flat coordinate slot, in-range JSON literal). Non-ASCII ids are escaped
+    only with ``ensure_ascii``; ``duplicate`` puts bad values first under
+    keys that the line's own later keys override."""
     record = copy.deepcopy(base)
     record["case_id"] = case_id
-    record["frame_index"] = frame_index
+    record["frame_index"] = "<index>"
     if edit is not None:
         slot, value = edit
         if slot < 4:
-            record["bbox"][slot] = value
+            record["bbox"][slot] = "<value>"
         else:
-            record["keypoints"][(slot - 4) // 2][slot % 2] = value
-    return json.dumps(record, separators=(",", ":"))
+            record["keypoints"][(slot - 4) // 2][slot % 2] = "<value>"
+    text = json.dumps(record, separators=(",", ":"), ensure_ascii=ensure_ascii)
+    text = text.replace('"<index>"', frame_index)
+    if edit is not None:
+        text = text.replace('"<value>"', edit[1])
+    if duplicate:
+        text = '{"frame_index":-1,"case_id":"","bbox":null,' + text[1:]
+    return text
 
 
 def outcome(parse):
@@ -215,9 +237,20 @@ def outcome(parse):
         st.builds(
             good_line,
             st.sampled_from(BASE_RECORDS),
-            st.sampled_from(["a", "b", "ça"]),
-            st.one_of(st.integers(0, 40), st.just(10**30)),
-            st.none() | st.tuples(st.integers(0, 33), st.sampled_from(GOOD_VALUES)),
+            # "\ud800" is escaped with ensure_ascii and a bad raw surrogate without
+            st.sampled_from(["a", "b", "ça", "\ud800", "日本"]),
+            st.one_of(
+                st.integers(0, 40).map(str),
+                st.sampled_from([str(10**30), str(2**63), str(2**64), "-0"]),
+            ),
+            st.none()
+            | st.tuples(
+                st.integers(0, 33),
+                st.sampled_from(GOOD_VALUES)
+                | st.integers(0, 10**17 - 1).map(lambda digits: f"0.{digits:017d}"),
+            ),
+            st.booleans(),
+            st.booleans(),
         ),
         min_size=1,
         max_size=12,
@@ -282,3 +315,50 @@ def test_value_count_checked_per_line(monkeypatch):
     short_box = edited(lambda record: record["bbox"].pop())
     lines = [GOOD_LINE, long_box, short_box, GOOD_LINE]
     assert error_for(lines) == "line 2: bbox must be a list of 4 numbers"
+
+
+def test_lone_surrogates():
+    # a raw surrogate is an undecodable byte read with surrogateescape; an
+    # escaped one is JSON text, which json reads when orjson refuses it
+    raw = GOOD_LINE.replace('"c"', '"c\udcff"')
+    escaped = GOOD_LINE.replace('"c"', '"c\\udcff"')
+    with pytest.raises(JsonlFormatError, match="^line 1: not valid UTF-8$"):
+        parse_frame_line(raw)
+    assert parse_frame_line(escaped)[0] == "c\udcff"
+    assert [ids for ids, _, _ in iter_frame_stream([GOOD_LINE, escaped])] == [["c", "c\udcff"]]
+
+
+def decimal_strings(seed: int) -> list[str]:
+    """120000 decimal texts of finite floats, seeded: reprs of random doubles,
+    fractions of 1-25 digits, 64-bit mantissas with exponents -340..288, and
+    the exact midpoints between neighbouring doubles, each also nudged up and
+    down by 1e-30 of their gap."""
+    rng = np.random.default_rng(seed)
+    n = 30_000
+    # every finite double, sign included: the exponent field is below 0x7FF
+    bits = rng.integers(0, 0x7FF0000000000000, n, dtype=np.uint64)
+    bits |= rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+    texts = [repr(x) for x in bits.view(np.float64).tolist()]
+    lengths = rng.integers(1, 26, n)
+    digits = rng.integers(0, 10, (n, 25)).astype(str)
+    texts += ["0." + "".join(row[:k]) for row, k in zip(digits.tolist(), lengths.tolist())]
+    mantissas = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
+    exponents = rng.integers(-340, 289, n)
+    texts += [f"{m}e{e}" for m, e in zip(mantissas.tolist(), exponents.tolist())]
+    lows = 10.0 ** rng.uniform(-20, 20, n // 3)
+    with decimal.localcontext(prec=200):
+        for low in lows.tolist():
+            gap = decimal.Decimal(math.nextafter(low, math.inf)) - decimal.Decimal(low)
+            middle = decimal.Decimal(low) + gap / 2
+            nudge = gap * decimal.Decimal("1e-30")
+            texts += [f"{middle:e}", f"{middle + nudge:e}", f"{middle - nudge:e}"]
+    return texts
+
+
+def test_orjson_decodes_floats_as_json_does():
+    texts = decimal_strings(seed=17)
+    assert len(texts) >= 10**5
+    document = "[" + ",".join(texts) + "]"
+    ours, stock = orjson.loads(document), json.loads(document)
+    assert set(map(type, ours)) == set(map(type, stock)) == {float}
+    assert np.array(ours).view(np.uint64).tolist() == np.array(stock).view(np.uint64).tolist()
