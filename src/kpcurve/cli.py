@@ -43,6 +43,7 @@ from .report import (
     dumps_frame,
     dumps_report,
     evaluation_report,
+    is_case_id,
     iter_frame_stream,
     loads_json,
     measurement_report,
@@ -61,10 +62,19 @@ _INPUT_ERRORS = (OSError, ValueError)
 _GEOMETRY_ERRORS = (DegenerateProjectionError, AllFramesInvalidError)
 
 
+def _read_file(path: str) -> str:
+    """The text of a UTF-8 file; a byte that is not UTF-8 raises ValueError naming its line."""
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # the byte was read as a lone surrogate
+        lineno = text.count("\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
+    return text
+
+
 def _read_text(path: str, stdin) -> str:
-    if path == "-":
-        return stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    return stdin.read() if path == "-" else _read_file(path)
 
 
 def _write_text(path: str | None, text: str, stdout) -> None:
@@ -244,6 +254,10 @@ def _measure_still(args, stdin, stderr):
     line = _first_label_line(_read_text(args.label, stdin), stderr)
     box, points = parse_yolo_line(line)
     case_id = "stdin" if args.label == "-" else Path(args.label).stem
+    if not is_case_id(case_id):
+        raise AnnotationError(
+            f"case id {case_id!r} from the label file's name is empty or has outer whitespace"
+        )
     batch = ([case_id], [0], points[None])
     cases, failures = measure_stream([batch], aspect=args.aspect)
     if failures:
@@ -291,7 +305,7 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
             raise DatasetFormatError(
                 "report JSON input needs --labels with ground-truth diagnoses"
             )
-        labels = read_labels_csv(Path(args.labels).read_text(encoding="utf-8"))
+        labels = read_labels_csv(_read_file(args.labels))
         triples, left_out = report_results(document, labels)
         for case_id, reason in left_out:
             stderr.write(

@@ -4,9 +4,9 @@ The frame-stream format is one JSON object per line with a fixed key
 order and floats rounded to the shared 6-decimal precision, so a given
 stream serializes to identical bytes on every run.
 :func:`dumps_frame` writes a whole sweep from its box and keypoint
-arrays: a row whose values all lie on the 6-decimal grid in
-[1e-4, 0.9999995) is formatted in numpy from their integer digits, and
-any other row value by value, to the same bytes.
+arrays: orjson writes a row whose values all lie on the 6-decimal grid
+and are each 0 or of a magnitude in [1e-4, 1e16), where its float text
+is json's, and the stdlib json every other row, to the same bytes.
 :func:`iter_frame_stream` reads such a stream in batches of up to
 ``CHUNK_FRAMES`` lines: orjson decodes each line of a batch, the batch
 is checked as a whole and its whole keypoint grids land in one array.
@@ -128,79 +128,52 @@ class RunConfig:
         }
 
 
-# json writes a float in [_FIXED_LO, _FIXED_HI) rounded to 6 decimals as
-# its "%.6f" text without trailing zeros
-_FIXED_LO, _FIXED_HI = 1e-4, 0.9999995
-# a frame line after its frame index: class id 0, then the 4 bbox and 30
-# keypoint coordinates
-_TAIL = (
-    ',"class_id":0,"bbox":[{},{},{},{}],"keypoints":['
-    + ",".join(["[{},{}]"] * NUM_KEYPOINTS)
-    + "]}}\n"
-)
-# the same tail as bytes, each coordinate "0." and six digit slots
-_TAIL_BYTES = np.frombuffer(
-    _TAIL.format(*["0.######"] * (4 + 2 * NUM_KEYPOINTS)).encode(), np.uint8
-)
-_DIGIT_SLOTS = np.flatnonzero(_TAIL_BYTES == ord("#"))
-_PLACES = 10 ** np.arange(COORD_DECIMALS - 1, -1, -1)  # 100000, ..., 10, 1
-
-
-def _digit_tails(values: np.ndarray) -> list[str]:
-    """Line tails of (m, 34) rows whose values all lie on the 6-decimal grid
-    in [_FIXED_LO, _FIXED_HI).
-
-    Such a value is ``k / 1e6`` for the integer ``k = rint(v * 1e6)``, and
-    its text is "0." and the six digits of ``k`` without trailing zeros; a
-    dropped digit is written as NUL and removed with the others at once.
-    """
-    k = np.rint(values * 10.0**COORD_DECIMALS).astype(np.int64)[..., None]
-    digits = np.where(k % (10 * _PLACES) != 0, k // _PLACES % 10 + ord("0"), 0)
-    rows = np.tile(_TAIL_BYTES, (len(values), 1))
-    rows[:, _DIGIT_SLOTS] = digits.reshape(len(values), len(_DIGIT_SLOTS))
-    return rows[rows != 0].tobytes().decode("ascii").splitlines(keepends=True)
-
-
-def _row_tails(values: np.ndarray) -> list[str]:
-    """Line tails of (m, 34) rows, each row on the array path if its values allow."""
-    with np.errstate(all="ignore"):  # huge values overflow inside np.round
-        on_grid = np.round(values, COORD_DECIMALS) == values
-    array_path = (on_grid & (values >= _FIXED_LO) & (values < _FIXED_HI)).all(axis=1)
-    tails = _digit_tails(values[array_path])
-    if len(tails) == len(values):
-        return tails
-    digit_tails = iter(tails)
-    return [
-        next(digit_tails)
-        if on_path
-        else _TAIL.format(*[json.dumps(round(v, COORD_DECIMALS)) for v in row])
-        for on_path, row in zip(array_path.tolist(), values.tolist())
-    ]
-
-
 def dumps_frame(case_id: str, boxes, points, frame_indices) -> str:
     """Serialize frames as compact single-line JSON, each line ending in a newline.
 
     Row i is frame ``frame_indices[i]`` of ``case_id`` with class id 0,
     box ``boxes[i]`` (cx, cy, w, h) and keypoints ``points[i]`` (15 x 2),
-    read as float64. A coordinate is written as json writes
-    ``round(v, 6)``. A row whose values all lie on the 6-decimal grid in
-    [1e-4, 0.9999995) is formatted in numpy from their integer digits;
-    any other row goes value by value. Rows are formatted in blocks of at
-    most ``CHUNK_FRAMES``, so the temporaries stay bounded.
+    read as float64; each coordinate ``v`` is written as json writes
+    ``round(v, 6)``. orjson writes the records of rows whose values all lie
+    on the 6-decimal grid and are each 0 or of a magnitude in [1e-4, 1e16);
+    json writes the other records, rounded, and every line's head, as
+    orjson leaves non-ASCII text unescaped and refuses integers past 64 bits.
     """
     values = np.concatenate(
         [np.reshape(boxes, (-1, 4)), np.reshape(points, (-1, 2 * NUM_KEYPOINTS))],
         axis=1,
         dtype=np.float64,
     )
-    size = CHUNK_FRAMES
-    tails = []
-    for start in range(0, len(values), size):
-        tails += _row_tails(values[start : start + size])
+    # a value on the grid is its own round(v, 6)
+    with np.errstate(all="ignore"):  # huge values overflow inside np.round
+        on_grid = np.round(values, COORD_DECIMALS) == values
+    # orjson writes a float as json does where it is 0 or its magnitude lies in
+    # [1e-4, 1e16); below, json switches to an exponent first ("9.9e-05" against
+    # "0.000099"), and at 1e16 orjson writes "1e16" where json writes "1e+16"
+    magnitude = np.abs(values)
+    in_range = (values == 0.0) | ((magnitude >= 1e-4) & (magnitude < 1e16))
+    orjson_rows = (on_grid & in_range).all(axis=1).tolist()
+    rows = zip(values[:, :4], values[:, 4:].reshape(-1, NUM_KEYPOINTS, 2), orjson_rows)
     head = '{"case_id":' + json.dumps(case_id) + ',"frame_index":'
-    lines = zip(frame_indices, tails, strict=True)
-    return "".join([head + int.__repr__(index) + tail for index, tail in lines])
+    parts = []
+    for index, (box, pairs, by_orjson) in zip(frame_indices, rows, strict=True):
+        box, pairs = box.tolist(), pairs.tolist()
+        if by_orjson:
+            record = {"class_id": 0, "bbox": box, "keypoints": pairs}
+            text = orjson.dumps(record, option=orjson.OPT_APPEND_NEWLINE).decode()
+        else:
+            box = [round(v, COORD_DECIMALS) for v in box]
+            pairs = [[round(x, COORD_DECIMALS), round(y, COORD_DECIMALS)] for x, y in pairs]
+            record = {"class_id": 0, "bbox": box, "keypoints": pairs}
+            text = json.dumps(record, separators=(",", ":")) + "\n"
+        parts += (head, int.__repr__(index), ",", text[1:])  # the head opens the object
+    return "".join(parts)
+
+
+def is_case_id(text: str) -> bool:
+    """Whether ``text`` can name a case: non-empty, with no leading or trailing
+    whitespace, since a labels CSV strips its ids and could never match one."""
+    return text != "" and text == text.strip()
 
 
 def _require(condition: bool, lineno: int, message: str) -> None:
@@ -242,12 +215,7 @@ def parse_frame_line(line: str, lineno: int = 1) -> tuple[str, int, np.ndarray]:
             raise JsonlFormatError(f"line {lineno}: missing field {key!r}")
 
     case_id = obj["case_id"]
-    # a labels CSV strips its ids, so an id with outer whitespace could never match one
-    _require(
-        isinstance(case_id, str) and case_id != "" and case_id == case_id.strip(),
-        lineno,
-        "bad case_id",
-    )
+    _require(isinstance(case_id, str) and is_case_id(case_id), lineno, "bad case_id")
     frame_index = obj["frame_index"]
     _require(
         isinstance(frame_index, int) and not isinstance(frame_index, bool)
@@ -308,7 +276,7 @@ def _batch_from_objects(objs: list):
     # an integer past 64 bits comes as a float, so such an index fails {int}
     if (
         set(map(type, case_ids)) != {str}
-        or not all(case_id and case_id == case_id.strip() for case_id in set(case_ids))
+        or not all(map(is_case_id, set(case_ids)))
         or set(map(type, frame_indices)) != {int}
         or min(frame_indices) < 0
         or set(map(type, class_ids)) != {int}

@@ -167,6 +167,7 @@ def measure_stream(
     # coordinates lie in [0, 1], so the kernel's products stay below aspect**2 + 1
     if aspect * aspect == math.inf:
         raise ValueError(f"aspect ratio {aspect} is too large: its square overflows a float")
+    # x * 1.0 is exact, so at aspect 1.0 the scaling changes no coordinate
     scale = np.array([aspect, 1.0], dtype=np.float64)
 
     states: dict[str, _CaseState] = {}
@@ -174,10 +175,7 @@ def measure_stream(
     kept_angles, kept_bad = [np.empty((0, 4))], [np.empty(0, np.int64)]
     offset = 0
     for case_ids, frame_indices, points in batches:
-        lines = middle_line(points)
-        if aspect != 1.0:
-            lines = lines * scale
-        angles, bad = polyline_angles(lines)
+        angles, bad = polyline_angles(middle_line(points) * scale)
         if keep_frames:
             kept_angles.append(angles)
             kept_bad.append(bad)

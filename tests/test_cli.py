@@ -263,6 +263,20 @@ class TestMeasure:
         rc, _, _ = run(["measure", "/no/such/file.txt"])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("command", ["measure", "render"])
+    @pytest.mark.parametrize("stem", [" a", "a ", "\ta"])
+    def test_stem_with_outer_whitespace_is_an_input_error(self, command, stem, tmp_path):
+        # a labels CSV strips its ids, so evaluate could never match this case
+        label = tmp_path / f"{stem}.txt"
+        label.write_text(label_line(20.0))
+        rc, out, err = run([command, str(label), "-o", str(tmp_path / "out")])
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == (
+            f"kpcurve {command}: case id {stem!r} from the label file's name is empty "
+            "or has outer whitespace\n"
+        )
+        assert list(tmp_path.iterdir()) == [label]
+
     def test_output_file(self, tmp_path):
         target = tmp_path / "report.json"
         rc, out, _ = run(["measure", "-", "-o", str(target)], label_line(20.0))
@@ -508,6 +522,13 @@ class TestEvaluate:
         assert doc["cases"][0]["predicted"] == "pd"
         assert doc["cases"][1]["predicted"] == "normal"
 
+    def test_invalid_utf8_in_a_dataset_csv_names_its_line(self, tmp_path):
+        path = tmp_path / "dataset.csv"
+        path.write_bytes(b"case_id,actual,measured_deg\nc1,pd,67.51\nc\xed\xa0\x80,pd,50\n")
+        rc, out, err = run(["evaluate", str(path)])
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == f"kpcurve evaluate: {path}: line 3: not valid UTF-8\n"
+
     def test_header_only_yields_undefined_metrics(self):
         rc, out, err = run(["evaluate", "-"], "case_id,actual,measured_deg\n")
         assert rc == EXIT_OK
@@ -541,6 +562,15 @@ class TestEvaluate:
         assert doc["confusion"] == {"tp": 1, "fp": 0, "fn": 0, "tn": 1}
         assert doc["metrics"]["accuracy"] == 1.0
         assert err == ""
+
+    def test_invalid_utf8_in_a_labels_csv_names_its_line(self, tmp_path):
+        # the bytes of an escaped lone surrogate in a frame stream's case_id
+        _, report, _ = run(["analyze", "-"], jsonl_for("a", [67.51]))
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"case_id,actual\r\na,pd\r\nc\xed\xa0\x80,pd\r\n")
+        rc, out, err = run(["evaluate", "--labels", str(labels), "-"], report)
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == f"kpcurve evaluate: {labels}: line 3: not valid UTF-8\n"
 
     def test_unmeasured_cases_named_and_left_out_of_metrics(self, tmp_path):
         bad = frame_line("bad", degenerate_detection(), 0) + "\n"

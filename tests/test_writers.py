@@ -13,11 +13,11 @@ import json
 import math
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpcurve import report
 from kpcurve.annotation import COORD_DECIMALS
 from kpcurve.evaluation import classify, round_half_up
 from kpcurve.report import (
@@ -25,6 +25,8 @@ from kpcurve.report import (
     RunConfig,
     dumps_frame,
     dumps_report,
+    is_case_id,
+    iter_frame_stream,
     measurement_report,
     sweep_sidecar,
 )
@@ -275,7 +277,7 @@ class TestRowTemplates:
         assert dumps_report(sweep_sidecar(phantom, result)) == reference_report(document)
 
 
-# values on either side of the array path's bounds, an exact binary tie,
+# values on either side of the orjson path's bounds, an exact binary tie,
 # decimal ties whose %.6f text and rint(v * 1e6) disagree, a grid value
 # below 1e-4, and the non-finite floats
 EDGE_COORDS = [
@@ -298,11 +300,13 @@ EDGE_COORDS = [
     0.0001075,
     0.5,
     0.1234565,
+    1e16,
+    math.nextafter(1e16, 0.0),
     math.nan,
     math.inf,
     -math.inf,
 ]
-# values on the 6-decimal grid, which the array path takes inside its bounds
+# values on the 6-decimal grid, which the orjson path takes inside its bounds
 grid_coords = st.integers(0, 10**6).map(lambda k: k / 10**6)
 coords = st.one_of(
     st.floats(0.0, 1.0),
@@ -317,6 +321,21 @@ rows = st.one_of(
 )
 
 
+def test_orjson_float_text_is_json_text_in_its_range():
+    # dumps_frame hands orjson only such values: an orjson upgrade that
+    # changes its float text fails here first
+    def differ(values: list[float]) -> bool:
+        return orjson.dumps(values) != json.dumps(values, separators=(",", ":")).encode()
+
+    grid = (np.arange(10**6 + 1) / 10**6).tolist()
+    assert not differ(grid[:1] + grid[100:])
+    assert all(differ([v]) for v in grid[1:100])  # below 1e-4
+    magnitudes = 10 ** np.random.default_rng(3).uniform(-4.0, 16.0, 200_000)
+    magnitudes = magnitudes[(magnitudes >= 1e-4) & (magnitudes < 1e16)].tolist()
+    assert not differ(magnitudes + [-v for v in magnitudes])
+    assert differ([9.9e-05]) and differ([1e16])
+
+
 def frames_from_rows(values):
     """(boxes, points) arrays from (n, 34) rows."""
     values = np.asarray(values, dtype=np.float64).reshape(-1, 34)
@@ -324,13 +343,13 @@ def frames_from_rows(values):
 
 
 def grid_row(seed: int) -> list[float]:
-    """A row every value of which takes the array path."""
+    """A row every value of which takes the orjson path."""
     rng = np.random.default_rng(seed)
     return (rng.integers(100, 999_999, 34) / 10**6).tolist()
 
 
 def row_ending_in(value: float) -> list[float]:
-    """A row of array-path values but the last; the row takes that value's path."""
+    """A row of orjson-path values but the last; the row takes that value's path."""
     return [0.25] * 33 + [value]
 
 
@@ -341,17 +360,17 @@ def assert_matches_reference(case_id, boxes, points, frame_indices):
 
 
 @pytest.fixture
-def array_path_rows(monkeypatch):
-    """Count the rows that ``dumps_frame`` formats on the array path."""
-    counted = []
-    digit_tails = report._digit_tails
+def orjson_rows(monkeypatch):
+    """The records that ``dumps_frame`` has orjson write, one per row."""
+    records = []
+    dumps = orjson.dumps
 
-    def counting(values):
-        counted.append(len(values))
-        return digit_tails(values)
+    def recording(record, **options):
+        records.append(record)
+        return dumps(record, **options)
 
-    monkeypatch.setattr(report, "_digit_tails", counting)
-    return counted
+    monkeypatch.setattr(orjson, "dumps", recording)
+    return records
 
 
 class TestDumpsFrame:
@@ -365,9 +384,38 @@ class TestDumpsFrame:
         boxes, points = frames_from_rows(values)
         assert_matches_reference(case_id, boxes, points, frame_indices[: len(values)])
 
+    @given(
+        values=st.lists(
+            st.lists(
+                st.one_of(
+                    grid_coords,
+                    st.sampled_from([0.0, 5e-05, 0.0001, 1.0]),
+                    st.floats(0.0, 1.0),
+                ),
+                min_size=34,
+                max_size=34,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        case_id=text.filter(is_case_id),
+        frame_indices=st.lists(st.integers(0, 10**30), min_size=6, max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_reader_reads_back_what_it_wrote(self, values, case_id, frame_indices):
+        boxes, points = frames_from_rows(values)
+        frame_indices = frame_indices[: len(values)]
+        lines = dumps_frame(case_id, boxes, points, frame_indices).splitlines(keepends=True)
+        batches = list(iter_frame_stream(lines))
+        assert [c for case_ids, _, _ in batches for c in case_ids] == [case_id] * len(values)
+        assert [i for _, indices, _ in batches for i in indices] == frame_indices
+        rounded = [[round(v, COORD_DECIMALS) for v in row[4:]] for row in values]
+        read = np.concatenate([points for _, _, points in batches]).reshape(len(values), 30)
+        assert read.tolist() == rounded
+
     @pytest.mark.parametrize("value", EDGE_COORDS, ids=repr)
     def test_edge_values(self, value):
-        # the value alone, and once among array-path values, between array-path rows
+        # the value alone, and once among orjson-path values, between orjson-path rows
         values = [[value] * 34, grid_row(1), row_ending_in(value), grid_row(2)]
         assert_matches_reference("c", *frames_from_rows(values), [0, 1, 2, 3])
 
@@ -410,33 +458,26 @@ class TestDumpsFrame:
         with pytest.raises(ValueError):
             dumps_frame("c", np.full((2, 4), 0.5), np.full((2, 15, 2), 0.5), [0])
 
-    def test_blocks_mix_array_and_fallback_rows(self, array_path_rows):
+    def test_blocks_mix_array_and_fallback_rows(self, orjson_rows):
         values = []
         for i, value in enumerate(EDGE_COORDS):
             values += [grid_row(i), row_ending_in(value)]
         text = assert_matches_reference("m", *frames_from_rows(values), range(len(values)))
         assert text.count("\n") == len(values)
-        # the grid rows and the rows ending in an edge value on the grid in
-        # [1e-4, 0.9999995) take the array path, the others go value by value
-        on_grid = [0.0001, 0.999999, 0.5]
-        assert array_path_rows == [len(EDGE_COORDS) + len(on_grid)]
+        # the grid rows and the rows ending in an edge value on the grid that
+        # is 0 or of a magnitude in [1e-4, 1e16) go to orjson, the others to json
+        on_grid = [0.0, -0.0, 1.0, 0.0001, 0.999999, 0.5, math.nextafter(1e16, 0.0)]
+        assert len(orjson_rows) == len(EDGE_COORDS) + len(on_grid)
 
-    @pytest.mark.parametrize(
-        "rows_count",
-        [1, report.CHUNK_FRAMES - 1, report.CHUNK_FRAMES, report.CHUNK_FRAMES + 1],
-    )
-    def test_block_sizes(self, rows_count, array_path_rows):
-        # a fallback row ends the first block, so each block has both paths
+    @pytest.mark.parametrize("rows_count", [1, 255, 256, 257])
+    def test_block_sizes(self, rows_count, orjson_rows):
+        # one json row, the last of the first 256, among orjson rows
         values = [grid_row(i) for i in range(rows_count)]
-        end = min(rows_count, report.CHUNK_FRAMES) - 1
-        values[end] = row_ending_in(0.0)
+        values[min(rows_count, 256) - 1] = row_ending_in(0.000099)
         assert_matches_reference("b", *frames_from_rows(values), range(rows_count))
-        blocks = [min(rows_count, report.CHUNK_FRAMES) - 1]
-        if rows_count > report.CHUNK_FRAMES:
-            blocks.append(rows_count - report.CHUNK_FRAMES)
-        assert array_path_rows == blocks
+        assert len(orjson_rows) == rows_count - 1
 
-    def test_every_frame_of_jittered_sweeps(self, array_path_rows):
+    def test_every_frame_of_jittered_sweeps(self, orjson_rows):
         rows_total = 0
         for i in range(16):
             spec = HingeModelSpec(hinge_angle_deg=5.0 + 11.0 * i, seed=i)
@@ -449,5 +490,5 @@ class TestDumpsFrame:
             )
             assert_matches_reference("s", result.boxes, result.points, range(80))
             rows_total += 80
-        # a sweep whose jitter does not clip goes wholly down the array path
-        assert sum(array_path_rows) == rows_total
+        # orjson writes every frame of a sweep, clipped or not
+        assert len(orjson_rows) == rows_total
