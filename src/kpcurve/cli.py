@@ -62,19 +62,18 @@ _INPUT_ERRORS = (OSError, ValueError)
 _GEOMETRY_ERRORS = (DegenerateProjectionError, AllFramesInvalidError)
 
 
-def _read_file(path: str) -> str:
-    """The text of a UTF-8 file; a byte that is not UTF-8 raises ValueError naming its line."""
-    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+def _read_text(path: str, stdin=None) -> str:
+    """The text of a UTF-8 file, or of ``stdin`` for "-" when it is given; a byte
+    that is not UTF-8 raises ValueError naming its line."""
+    from_stdin = path == "-" and stdin is not None
+    text = stdin.read() if from_stdin else Path(path).read_text("utf-8", "surrogateescape")
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as exc:  # the byte was read as a lone surrogate
         lineno = text.count("\n", 0, exc.start) + 1
-        raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
+        where = "" if from_stdin else f"{path}: "
+        raise ValueError(f"{where}line {lineno}: not valid UTF-8") from None
     return text
-
-
-def _read_text(path: str, stdin) -> str:
-    return stdin.read() if path == "-" else _read_file(path)
 
 
 def _write_text(path: str | None, text: str, stdout) -> None:
@@ -300,12 +299,14 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
     config = RunConfig(threshold_deg=args.threshold)
     text = _read_text(args.input, stdin)
     if text.lstrip().startswith("{"):
+        # json, not orjson: orjson 3.8 has no nesting limit and overflows the C stack
+        # on deep input, and a report is far longer than the lines it is trusted with
         document = loads_json(text, DatasetFormatError, "input is not valid JSON: %s")
         if args.labels is None:
             raise DatasetFormatError(
                 "report JSON input needs --labels with ground-truth diagnoses"
             )
-        labels = read_labels_csv(_read_file(args.labels))
+        labels = read_labels_csv(_read_text(args.labels))
         triples, left_out = report_results(document, labels)
         for case_id, reason in left_out:
             stderr.write(

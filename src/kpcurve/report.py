@@ -15,10 +15,10 @@ line by line by :func:`parse_frame_line`, which decodes with the stdlib
 json and raises the first bad line's error with its line number.
 Every indented document (report or synth sidecar) is written by
 :func:`dumps_report` as ``json.dumps(document, indent=2)`` plus a
-newline: one encoder, the stock one, writes all of it but the lists of
-cases and frames, which fixed templates write from their columns (a
-report's case entry, its valid and degenerate ``per_frame`` rows, a
-sidecar's ``frames`` row).
+newline. Each item of its long lists (a report's case entries and
+``per_frame`` rows, a sidecar's ``frames`` rows) is a plain dict that
+orjson writes where every value is one it writes as json does, to the
+same text, and json writes otherwise, item by item.
 Report documents carry exact values alongside their display-rounded
 counterparts; the rounded fields are always recomputable from the exact
 ones under the half-up rule. A measurement report is read back here
@@ -57,45 +57,17 @@ CHUNK_FRAMES = 256
 # thread stack. A frame line is ~450 characters; a longer one goes to json.
 _ORJSON_MAX_CHARS = 4096
 
-# the one home of each layout below: a list item as json.dumps(document,
-# indent=2) writes it at its depth; floats go in through float.__repr__,
-# json's text for the finite angles and poses
-_CASE_ENTRY = """\
-    {{
-      "case_id": {},
-      "curvature_deg": {},
-      "curvature_deg_rounded": {},
-      "diagnosis": {},
-      "argmax_frame": {},
-      "frames_total": {},
-      "frames_valid": {}{}
-    }}"""
-_VALID_ROW = """\
-        {{
-          "frame_index": {},
-          "valid": true,
-          "deviation_deg": {},
-          "segment_deg": [
-            {},
-            {},
-            {}
-          ],
-          "frame_angle_deg": {},
-          "curvature_col": {}
-        }}"""
-_DEGENERATE_ROW = """\
-        {{
-          "frame_index": {},
-          "valid": false,
-          "error_note": "degenerate middle-line segment {}"
-        }}"""
-_SIDECAR_ROW = """\
-    {{
-      "frame_index": {},
-      "yaw_deg": {},
-      "pitch_deg": {},
-      "true_apparent_deg": {}
-    }}"""
+# what orjson writes as json does: ints in this range (it refuses others),
+# ASCII text but DEL (json escapes it, orjson does not) and _orjson_floats
+_ORJSON_INTS = range(-(2**63), 2**64)
+
+
+def _orjson_floats(values):
+    """Where a float array holds 0 or a magnitude in [1e-4, 1e16): below, json
+    switches to an exponent first ("9.9e-05" against "0.000099"), at 1e16
+    orjson writes "1e16" where json writes "1e+16", and NaN and infinities null."""
+    magnitude = np.abs(values)
+    return (values == 0.0) | ((magnitude >= 1e-4) & (magnitude < 1e16))
 
 
 class JsonlFormatError(ValueError):
@@ -147,11 +119,7 @@ def dumps_frame(case_id: str, boxes, points, frame_indices) -> str:
     # a value on the grid is its own round(v, 6)
     with np.errstate(all="ignore"):  # huge values overflow inside np.round
         on_grid = np.round(values, COORD_DECIMALS) == values
-    # orjson writes a float as json does where it is 0 or its magnitude lies in
-    # [1e-4, 1e16); below, json switches to an exponent first ("9.9e-05" against
-    # "0.000099"), and at 1e16 orjson writes "1e16" where json writes "1e+16"
-    magnitude = np.abs(values)
-    in_range = (values == 0.0) | ((magnitude >= 1e-4) & (magnitude < 1e16))
+    in_range = _orjson_floats(values)
     orjson_rows = (on_grid & in_range).all(axis=1).tolist()
     rows = zip(values[:, :4], values[:, 4:].reshape(-1, NUM_KEYPOINTS, 2), orjson_rows)
     head = '{"case_id":' + json.dumps(case_id) + ',"frame_index":'
@@ -353,7 +321,7 @@ def iter_frame_stream(lines):
 
 @dataclass(frozen=True)
 class _Rows:
-    """A list in a document whose items are written already, each with its indent."""
+    """A list in a document whose items are written already, as _dumps writes each at its depth."""
 
     items: list[str]
 
@@ -366,8 +334,9 @@ def _dumps(value, pad: str) -> str:
     long texts are joined once, not copied by each ``+``.
     """
     if type(value) is _Rows:
-        items = ",\n".join(value.items)
-        return "".join(["[\n", items, "\n", pad, "]"]) if value.items else "[]"
+        inner = pad + "  "
+        items = (",\n" + inner).join(value.items)
+        return "".join(["[\n", inner, items, "\n", pad, "]"]) if value.items else "[]"
     if type(value) is dict and _Rows in map(type, value.values()):
         inner = pad + "  "
         members = [json.dumps(key) + ": " + _dumps(v, inner) for key, v in value.items()]
@@ -375,40 +344,69 @@ def _dumps(value, pad: str) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
-def _per_frame_rows(columns: FrameColumns) -> list[str]:
+def _item(item: dict, by_orjson: bool, pad: str) -> str:
+    """A list item at indent ``pad`` as ``json.dumps(document, indent=2)`` writes it.
+
+    orjson writes it when ``by_orjson`` says that every value is one it
+    writes as json does, to the same text; :func:`_dumps` writes it otherwise.
+    """
+    if by_orjson:
+        return orjson.dumps(item, option=orjson.OPT_INDENT_2).decode().replace("\n", "\n" + pad)
+    return _dumps(item, pad)
+
+
+def _per_frame_rows(columns: FrameColumns) -> _Rows:
     """A case's ``per_frame`` rows, written from its columns in stream order."""
     frame_angle, curvature_col = frame_rules(columns.angles)
-    rows = zip(
+    # a degenerate row writes no angle
+    in_range = _orjson_floats(columns.angles).all(axis=1) | (columns.first_bad >= 0)
+    items = []
+    for index, angles, top, col, first_bad, floats_ok in zip(
         columns.frame_indices,
         columns.angles.tolist(),
         frame_angle.tolist(),
         curvature_col.tolist(),
         columns.first_bad.tolist(),
-    )
-    return [
-        _VALID_ROW.format(index, *map(float.__repr__, [*angles, top]), col)
-        if first_bad < 0
-        else _DEGENERATE_ROW.format(index, first_bad)
-        for index, angles, top, col, first_bad in rows
-    ]
+        in_range.tolist(),
+    ):
+        if first_bad < 0:
+            row = {
+                "frame_index": index,
+                "valid": True,
+                "deviation_deg": angles[0],
+                "segment_deg": angles[1:],
+                "frame_angle_deg": top,
+                "curvature_col": col,
+            }
+        else:
+            note = f"degenerate middle-line segment {first_bad}"
+            row = {"frame_index": index, "valid": False, "error_note": note}
+        items.append(_item(row, floats_ok and index in _ORJSON_INTS, "        "))
+    return _Rows(items)
 
 
-def _case_entry(case: CaseMeasurement, config: RunConfig) -> str:
-    """One case of a measurement report, an item of its ``cases``, diagnosed at the threshold."""
-    per_frame = ""
-    if config.retain_per_frame:
-        rows = _Rows(_per_frame_rows(case.per_frame))
-        per_frame = ',\n      "per_frame": ' + _dumps(rows, "      ")
-    return _CASE_ENTRY.format(
-        json.dumps(case.case_id),
-        float.__repr__(case.curvature_deg),
-        float.__repr__(round_half_up(case.curvature_deg)),
-        json.dumps(classify(case.curvature_deg, config.threshold_deg).value),
-        case.argmax_frame,
-        case.frames_total,
-        case.frames_valid,
-        per_frame,
-    )
+def _case_entries(cases: list[CaseMeasurement], config: RunConfig) -> _Rows:
+    """A measurement report's ``cases``, each diagnosed at the threshold."""
+    rounded = [round_half_up(case.curvature_deg) for case in cases]
+    angles = np.array([[case.curvature_deg for case in cases], rounded], np.float64)
+    items = []
+    for case, top, floats_ok in zip(cases, rounded, _orjson_floats(angles).all(axis=0).tolist()):
+        entry = {
+            "case_id": case.case_id,
+            "curvature_deg": case.curvature_deg,
+            "curvature_deg_rounded": top,
+            "diagnosis": classify(case.curvature_deg, config.threshold_deg).value,
+            "argmax_frame": case.argmax_frame,
+            "frames_total": case.frames_total,
+            "frames_valid": case.frames_valid,
+        }
+        text_ok = case.case_id.isascii() and "\x7f" not in case.case_id
+        by_orjson = floats_ok and text_ok and case.argmax_frame in _ORJSON_INTS
+        if config.retain_per_frame:  # _dumps splices the written rows in
+            entry["per_frame"] = _per_frame_rows(case.per_frame)
+            by_orjson = False
+        items.append(_item(entry, by_orjson, "    "))
+    return _Rows(items)
 
 
 def measurement_report(
@@ -423,7 +421,7 @@ def measurement_report(
         "schema_version": SCHEMA_VERSION,
         "tool_version": tool_version,
         "config": config.as_dict(),
-        "cases": _Rows([_case_entry(case, config) for case in cases]),
+        "cases": _case_entries(cases, config),
         "errors": [{"case_id": case_id, "error": message} for case_id, message in errors],
     }
 
@@ -509,16 +507,17 @@ def dumps_report(document) -> str:
 def sweep_sidecar(phantom, result) -> dict:
     """Oracle sidecar of a ``synth.PhantomSpec`` and its ``synth.SweepColumns``:
     the spec as given, the snapped hinge position and the true angle per frame."""
-    pitch = json.dumps(result.pitch_deg)  # once per sweep, and exact for an int pitch too
-    frames = enumerate(zip(result.yaw_deg, result.true_apparent_deg))
+    pitch = result.pitch_deg  # a float, or an int as given to synth.sweep
+    poses = np.array([result.yaw_deg, result.true_apparent_deg], np.float64).reshape(2, -1)
+    in_range = _orjson_floats(poses).all(axis=0) & _orjson_floats(np.float64(pitch))
+    in_range &= type(pitch) in (int, float)
+    frames = [
+        {"frame_index": i, "yaw_deg": yaw, "pitch_deg": pitch, "true_apparent_deg": angle}
+        for i, (yaw, angle) in enumerate(zip(result.yaw_deg, result.true_apparent_deg))
+    ]
     return {
         "schema_version": SCHEMA_VERSION,
         "case_id": phantom.case_id,
         "spec": {**phantom.given, "snapped_hinge_position": phantom.model.snapped_position},
-        "frames": _Rows(
-            [
-                _SIDECAR_ROW.format(index, float.__repr__(yaw), pitch, float.__repr__(angle))
-                for index, (yaw, angle) in frames
-            ]
-        ),
+        "frames": _Rows([_item(row, ok, "    ") for row, ok in zip(frames, in_range.tolist())]),
     }

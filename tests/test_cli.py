@@ -218,6 +218,11 @@ class TestMeasure:
         assert case["diagnosis"] == "normal"
         assert case["frames_total"] == case["frames_valid"] == 1
 
+    def test_invalid_utf8_on_stdin_names_its_line(self):
+        # a byte that is not UTF-8 is named as such, not as a bad number
+        rc, out, err = run(["measure", "-"], label_line(0.0).rstrip("\n") + "\udcff\n")
+        assert (rc, out, err) == (EXIT_INPUT, "", "kpcurve measure: line 1: not valid UTF-8\n")
+
     def test_bent_shaft_crosses_threshold(self, tmp_path):
         label = tmp_path / "case_007.txt"
         label.write_text(label_line(67.51))
@@ -529,6 +534,11 @@ class TestEvaluate:
         assert (rc, out) == (EXIT_INPUT, "")
         assert err == f"kpcurve evaluate: {path}: line 3: not valid UTF-8\n"
 
+    def test_invalid_utf8_on_stdin_names_its_line(self):
+        # stdin read with surrogateescape, as in the C locale, hands on 0xff as "\udcff"
+        rc, out, err = run(["evaluate", "-"], "case_id,actual,measured_deg\nc\udcff,pd,50\n")
+        assert (rc, out, err) == (EXIT_INPUT, "", "kpcurve evaluate: line 2: not valid UTF-8\n")
+
     def test_header_only_yields_undefined_metrics(self):
         rc, out, err = run(["evaluate", "-"], "case_id,actual,measured_deg\n")
         assert rc == EXIT_OK
@@ -781,6 +791,13 @@ class TestSynth:
             assert record["case_id"] == "ph1"
             assert record["frame_index"] == i
             assert len(record["keypoints"]) == 15
+
+    def test_invalid_utf8_on_stdin_names_its_line(self, tmp_path):
+        spec = '{"hinge_angle_deg": 40.0,\n "case_id": "c\udcff"}'
+        sidecar = tmp_path / "oracle.json"
+        rc, out, err = run(["synth", "-", "--sidecar", str(sidecar)], spec)
+        assert (rc, out, err) == (EXIT_INPUT, "", "kpcurve synth: line 2: not valid UTF-8\n")
+        assert not sidecar.exists()
 
     def test_byte_deterministic(self):
         _, first, _ = run(["synth", "-"], self.SPEC)

@@ -1,7 +1,8 @@
 """Static checks on the package sources: every imported name and every
 module-level private name is read, every module-level public name is
-read somewhere in the package, only the CLI talks to the terminal, and
-the package imports exactly the third-party modules it declares."""
+read somewhere in the package, only the CLI talks to the terminal, only
+the gated writers of ``report`` call ``orjson.dumps``, and the package
+imports exactly the third-party modules it declares."""
 
 import ast
 import re
@@ -194,6 +195,80 @@ def test_no_unread_public_names():
 )
 def test_checker_finds_unread_public_names(sources, unread):
     assert unread_public_names(sources) == unread
+
+
+# the writers that gate what they hand orjson.dumps, by module
+GATED_WRITERS = {"report": {"dumps_frame", "_item"}}
+
+
+def ungated_orjson_uses(sources: dict[str, str]) -> list[str]:
+    """Each way round the gated writers, in module and source order: an import
+    of orjson outside ``report``, a ``from orjson import`` or a renamed
+    ``import orjson`` anywhere, and an ``orjson.dumps`` outside the
+    module's gated top-level functions."""
+    uses = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = top.name if isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("orjson"):
+                    uses.append(f"{module}:{node.lineno}: from orjson import")
+                elif isinstance(node, ast.Import) and any(
+                    alias.name.split(".")[0] == "orjson"
+                    and (module != "report" or alias.asname is not None)
+                    for alias in node.names
+                ):
+                    uses.append(f"{module}:{node.lineno}: import orjson")
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "dumps"
+                    and getattr(node.value, "id", None) == "orjson"
+                    and owner not in GATED_WRITERS.get(module, ())
+                ):
+                    uses.append(f"{module}:{node.lineno}: orjson.dumps")
+    return uses
+
+
+def test_orjson_writes_only_through_the_gated_writers():
+    """orjson's text differs from json's for some floats, ints and text;
+    only the writers that check each value first may call it."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert ungated_orjson_uses(sources) == []
+
+
+@pytest.mark.parametrize(
+    "sources, uses",
+    [
+        (
+            {
+                "report": "import orjson\ndef _item(v):\n    return orjson.dumps(v)\n"
+                "def dumps_frame(v):\n    def inner():\n        return orjson.dumps(v)\n"
+                "orjson.loads('1')\n",
+                "cli": "from .report import dumps_frame\n",
+            },
+            [],
+        ),
+        (
+            {
+                "report": "import orjson\nimport orjson as oj\nfrom orjson import dumps\n"
+                "def f(v):\n    return orjson.dumps(v)\nclass C:\n    w = orjson.dumps\n"
+                "x = orjson.dumps(1)\n",
+                "cli": "import orjson.x\n",
+            },
+            [
+                "report:2: import orjson",
+                "report:3: from orjson import",
+                "report:5: orjson.dumps",
+                "report:7: orjson.dumps",
+                "report:8: orjson.dumps",
+                "cli:1: import orjson",
+            ],
+        ),
+    ],
+    ids=["passing", "failing"],
+)
+def test_checker_finds_ungated_orjson_uses(sources, uses):
+    assert ungated_orjson_uses(sources) == uses
 
 
 def dependency_mismatch(sources: list[str], pyproject: str) -> tuple[list[str], list[str]]:

@@ -2,11 +2,11 @@
 
 ``dumps_report`` must equal ``json.dumps(value, indent=2) + "\\n"`` for
 every value json accepts, and raise what json raises otherwise; a
-measurement report and a sidecar, whose per-frame lists the row
-templates write, must equal ``json.dumps`` of the same document built
-as dicts. ``dumps_frame`` must equal the compact dumps of the canonical
-records below, one line per row, whose coordinates are Python ``round``
-to six decimals.
+measurement report and a sidecar, whose list items orjson writes where
+their values are ones it writes as json does, must equal ``json.dumps``
+of the same document built as dicts. ``dumps_frame`` must equal the
+compact dumps of the canonical records below, one line per row, whose
+coordinates are Python ``round`` to six decimals.
 """
 
 import json
@@ -152,6 +152,12 @@ class TestDumpsReport:
 # angles at the ends of the range, the smallest subnormal, and a value
 # repr writes in exponent form
 EDGE_ANGLES = [0.0, 180.0, 5e-324, 1e-07]
+# angles about the least orjson writes as json does, and frame indices
+# about the least integer it refuses
+GATE_ANGLES = [9.99e-05, math.nextafter(1e-4, 0.0), 1e-4]
+GATE_INDICES = [2**64 - 1, 2**64]
+# poses about the least orjson writes as json does, and a zero of each sign
+GATE_POSES = [9.99e-05, -9.99e-05, 1e-4, -1e-4, 0.0, -0.0]
 angles = st.one_of(st.floats(0.0, 180.0), st.sampled_from(EDGE_ANGLES))
 # a frame's index, then its four angles, or the first bad segment of a
 # degenerate frame
@@ -229,7 +235,7 @@ def reference_measurement(cases, config, errors) -> str:
     return reference_report(document)
 
 
-class TestRowTemplates:
+class TestReportItems:
     @given(
         cases=st.lists(st.tuples(text, st.lists(frames, min_size=1, max_size=6)), max_size=3),
         retain=st.booleans(),
@@ -252,29 +258,93 @@ class TestRowTemplates:
             document = measurement_report([case_from_frames("c", rows)], config, "v")
             assert dumps_report(document) == reference_measurement([("c", rows)], config, [])
 
+    @pytest.mark.parametrize("angle", GATE_ANGLES, ids=repr)
+    def test_angles_at_the_gate(self, angle):
+        # the angle in each slot of a row, and as a case's curvature
+        rows = [(0, [angle, 1.0, 2.0, 3.0]), (1, [30.0, angle, 2.0, 3.0])]
+        rows += [(2, [30.0, 1.0, angle, 3.0]), (3, [30.0, 1.0, 2.0, angle])]
+        cases = [("a", rows), ("b", [(0, [angle] * 4), (1, 1)])]
+        for retain in (True, False):
+            config = RunConfig(retain_per_frame=retain)
+            measured = [case_from_frames(*case) for case in cases]
+            document = measurement_report(measured, config, "v")
+            assert dumps_report(document) == reference_measurement(cases, config, [])
+
+    @pytest.mark.parametrize("index", GATE_INDICES)
+    def test_frame_indices_at_the_gate(self, index):
+        # a valid and a degenerate row, the valid one the case's argmax
+        rows = [(index, [40.0, 1.0, 2.0, 3.0]), (index, 2), (0, [10.0, 1.0, 2.0, 3.0])]
+        for retain in (True, False):
+            config = RunConfig(retain_per_frame=retain)
+            document = measurement_report([case_from_frames("c", rows)], config, "v")
+            assert dumps_report(document) == reference_measurement([("c", rows)], config, [])
+
+    @pytest.mark.parametrize("case_id", ["caño\U0001f600", "a\x7fb", "a\x00\x1f\"\\b"])
+    def test_case_ids_json_escapes(self, case_id):
+        cases = [(case_id, [(0, [40.0, 1.0, 2.0, 3.0]), (1, 0)]), ("a", [(0, [1.0] * 4)])]
+        for retain in (True, False):
+            config = RunConfig(retain_per_frame=retain)
+            measured = [case_from_frames(*case) for case in cases]
+            document = measurement_report(measured, config, "v")
+            assert dumps_report(document) == reference_measurement(cases, config, [])
+
+    def test_one_fallback_row_leaves_the_others_to_orjson(self, orjson_rows):
+        rows = [(i, [10.0 + i, 1.0, 2.0, 3.0]) for i in range(8)] + [(8, 3)]
+        rows[5] = (5, [10.0, 1.0, 9.99e-05, 3.0])
+        config = RunConfig()
+        document = measurement_report([case_from_frames("c", rows)], config, "v")
+        assert dumps_report(document) == reference_measurement([("c", rows)], config, [])
+        assert orjson_rows == [reference_row(*row) for row in rows if row[0] != 5]
+
+    def test_case_entries_fall_back_one_by_one(self, orjson_rows):
+        cases = [(case_id, [(0, [40.0, 1.0, 2.0, 3.0])]) for case_id in "abcd"]
+        cases[1] = ("b", [(0, [9.99e-05] * 4)])
+        cases[2] = ("c\x7f", cases[2][1])
+        cases[3] = ("d", [(2**64, [40.0, 1.0, 2.0, 3.0])])
+        config = RunConfig(retain_per_frame=False)
+        document = measurement_report([case_from_frames(*case) for case in cases], config, "v")
+        assert dumps_report(document) == reference_measurement(cases, config, [])
+        assert [entry["case_id"] for entry in orjson_rows] == ["a"]
+
     @given(
         case_id=text,
         spec=st.dictionaries(text, scalars, max_size=3),
-        yaws=st.lists(st.one_of(st.floats(-89.0, 89.0), st.just(-0.0)), max_size=6),
-        pitch=st.one_of(st.floats(-89.0, 89.0), st.sampled_from([-0.0, -12.5, -89.0])),
+        yaws=st.lists(st.one_of(st.floats(-89.0, 89.0), st.sampled_from(GATE_POSES)), max_size=6),
+        pitch=st.one_of(st.floats(-89.0, 89.0), st.sampled_from([-12.5, -89.0, *GATE_POSES])),
         data=st.data(),
     )
     @settings(max_examples=300, deadline=None)
     def test_sidecar_matches_stock_encoder(self, case_id, spec, yaws, pitch, data):
         true_angles = data.draw(st.lists(angles, min_size=len(yaws), max_size=len(yaws)))
-        n = len(yaws)
-        result = SweepColumns(np.zeros((n, 15, 2)), np.zeros((n, 4)), yaws, pitch, true_angles)
-        phantom = PhantomSpec(case_id, HingeModelSpec(30.0, hinge_position=0.3), {}, spec)
-        document = {
-            "schema_version": SCHEMA_VERSION,
-            "case_id": case_id,
-            "spec": {**spec, "snapped_hinge_position": 0.25},
-            "frames": [
-                {"frame_index": i, "yaw_deg": yaw, "pitch_deg": pitch, "true_apparent_deg": angle}
-                for i, (yaw, angle) in enumerate(zip(yaws, true_angles))
-            ],
-        }
-        assert dumps_report(sweep_sidecar(phantom, result)) == reference_report(document)
+        assert_sidecar_matches_reference(case_id, spec, yaws, pitch, true_angles)
+
+    @pytest.mark.parametrize("pose", GATE_POSES, ids=repr)
+    def test_sidecar_poses_at_the_gate(self, pose, orjson_rows):
+        # the pose as one frame's yaw, then as the pitch every frame shares;
+        # json writes the frames it is in, orjson the others
+        by_orjson = pose == 0.0 or abs(pose) >= 1e-4
+        assert_sidecar_matches_reference("c", {}, [-30.0, pose, 30.0], 12.5, [40.0, 41.0, 42.0])
+        assert [row["frame_index"] for row in orjson_rows] == ([0, 1, 2] if by_orjson else [0, 2])
+        orjson_rows.clear()
+        assert_sidecar_matches_reference("c", {}, [-30.0, 30.0], pose, [40.0, 42.0])
+        assert len(orjson_rows) == (2 if by_orjson else 0)
+
+
+def assert_sidecar_matches_reference(case_id, spec, yaws, pitch, true_angles):
+    """The sidecar of a sweep with these poses and angles equals json's text of it."""
+    n = len(yaws)
+    result = SweepColumns(np.zeros((n, 15, 2)), np.zeros((n, 4)), yaws, pitch, true_angles)
+    phantom = PhantomSpec(case_id, HingeModelSpec(30.0, hinge_position=0.3), {}, spec)
+    document = {
+        "schema_version": SCHEMA_VERSION,
+        "case_id": case_id,
+        "spec": {**spec, "snapped_hinge_position": 0.25},
+        "frames": [
+            {"frame_index": i, "yaw_deg": yaw, "pitch_deg": pitch, "true_apparent_deg": angle}
+            for i, (yaw, angle) in enumerate(zip(yaws, true_angles))
+        ],
+    }
+    assert dumps_report(sweep_sidecar(phantom, result)) == reference_report(document)
 
 
 # values on either side of the orjson path's bounds, an exact binary tie,
@@ -336,6 +406,32 @@ def test_orjson_float_text_is_json_text_in_its_range():
     assert differ([9.9e-05]) and differ([1e16])
 
 
+def test_orjson_indent_layout_is_json_layout():
+    # the report writers hand orjson items of these shapes: an orjson upgrade
+    # that changes its indented layout, or its int and text rules, fails here first
+    values = [
+        [],
+        {},
+        [[], {}, [[]], [{}]],
+        {"a": [1, [2, [3, []]], {"b": {"c": []}}], "d": {}},
+        [True, False, None],
+        {"valid": True, "note": None, "ok": False},
+        [0, -1, 2**63 - 1, -(2**63), 2**64 - 1],
+        {"frame_index": 2**64 - 1, "segment_deg": [0.5, -0.0, 1e-4], "note": "a \"b\" \\ \n"},
+    ]
+    for value in values:
+        text = json.dumps(value, indent=2).encode()
+        assert orjson.dumps(value, option=orjson.OPT_INDENT_2) == text
+    for value in (2**64, -(2**63) - 1):
+        with pytest.raises(orjson.JSONEncodeError):
+            orjson.dumps(value)
+    # json escapes these, orjson does not
+    assert orjson.dumps("\x7f") != json.dumps("\x7f").encode()
+    assert orjson.dumps("ç") != json.dumps("ç").encode()
+    ascii_but_del = "".join(map(chr, range(127)))
+    assert orjson.dumps(ascii_but_del) == json.dumps(ascii_but_del).encode()
+
+
 def frames_from_rows(values):
     """(boxes, points) arrays from (n, 34) rows."""
     values = np.asarray(values, dtype=np.float64).reshape(-1, 34)
@@ -361,7 +457,8 @@ def assert_matches_reference(case_id, boxes, points, frame_indices):
 
 @pytest.fixture
 def orjson_rows(monkeypatch):
-    """The records that ``dumps_frame`` has orjson write, one per row."""
+    """The values that the writers hand ``orjson.dumps``: one per frame-stream row
+    or report item that orjson writes."""
     records = []
     dumps = orjson.dumps
 
