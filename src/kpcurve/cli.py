@@ -62,10 +62,10 @@ _INPUT_ERRORS = (OSError, ValueError)
 _GEOMETRY_ERRORS = (DegenerateProjectionError, AllFramesInvalidError)
 
 
-def _read_text(path: str, stdin=None) -> str:
-    """The text of a UTF-8 file, or of ``stdin`` for "-" when it is given; a byte
-    that is not UTF-8 raises ValueError naming its line."""
-    from_stdin = path == "-" and stdin is not None
+def _read_text(path: str, stdin) -> str:
+    """The text of a UTF-8 file, or of ``stdin`` for "-"; a byte that is not
+    UTF-8 raises ValueError naming its line."""
+    from_stdin = path == "-"
     text = stdin.read() if from_stdin else Path(path).read_text("utf-8", "surrogateescape")
     try:
         text.encode("utf-8")
@@ -171,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--labels",
         metavar="CSV",
-        help="case_id,actual ground-truth CSV (required for report JSON input)",
+        help="case_id,actual ground-truth CSV, - for stdin when the input is a "
+        "file (required for report JSON input)",
     )
     _add_output(p, "the metrics report JSON")
 
@@ -306,7 +307,9 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
             raise DatasetFormatError(
                 "report JSON input needs --labels with ground-truth diagnoses"
             )
-        labels = read_labels_csv(_read_text(args.labels))
+        if args.labels == "-" and args.input == "-":
+            raise DatasetFormatError("the report JSON and --labels cannot both be stdin")
+        labels = read_labels_csv(_read_text(args.labels, stdin))
         triples, left_out = report_results(document, labels)
         for case_id, reason in left_out:
             stderr.write(

@@ -8,11 +8,13 @@ arrays: orjson writes a row whose values all lie on the 6-decimal grid
 and are each 0 or of a magnitude in [1e-4, 1e16), where its float text
 is json's, and the stdlib json every other row, to the same bytes.
 :func:`iter_frame_stream` reads such a stream in batches of up to
-``CHUNK_FRAMES`` lines: orjson decodes each line of a batch, the batch
-is checked as a whole and its whole keypoint grids land in one array.
-A batch that orjson refuses or that fails any check is parsed again
-line by line by :func:`parse_frame_line`, which decodes with the stdlib
-json and raises the first bad line's error with its line number.
+``CHUNK_FRAMES`` lines: orjson decodes each line of a batch, and
+:func:`_frames`, the one statement of the frame-line rules, checks the
+batch as a whole and stacks its whole keypoint grids in one array. A
+batch with a line over ``_ORJSON_MAX_CHARS``, a line orjson refuses or a
+broken rule is parsed again line by line by :func:`parse_frame_line`,
+the stdlib json's decode plus the same check, which raises the first
+bad line's error with its line number.
 Every indented document (report or synth sidecar) is written by
 :func:`dumps_report` as ``json.dumps(document, indent=2)`` plus a
 newline. Each item of its long lists (a report's case entries and
@@ -27,6 +29,7 @@ its policies: which diagnosis a case gets and which cases metrics count.
 """
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
 
@@ -144,11 +147,6 @@ def is_case_id(text: str) -> bool:
     return text != "" and text == text.strip()
 
 
-def _require(condition: bool, lineno: int, message: str) -> None:
-    if not condition:
-        raise JsonlFormatError(f"line {lineno}: {message}")
-
-
 def loads_json(text: str, error: type[ValueError], template: str):
     """``json.loads(text)``, raising ``error(template % reason)`` on invalid JSON.
 
@@ -165,127 +163,87 @@ def loads_json(text: str, error: type[ValueError], template: str):
 def parse_frame_line(line: str, lineno: int = 1) -> tuple[str, int, np.ndarray]:
     """The case id, frame index and (15, 2) keypoints of one JSONL frame line.
 
-    Every field is checked, the box and class id too; errors carry the
-    line number. A lone surrogate in the line's text is a byte that was
-    not valid UTF-8, as a file or stdin read with ``surrogateescape``
-    yields it; an escaped ``\\ud800`` is JSON text and stays accepted.
-
-    Messages that quote the offending value are built only on failure.
+    The line must be valid UTF-8 and JSON, which the stdlib json decodes,
+    and :func:`_frames` checks it; errors carry the line number. A lone
+    surrogate in the line's text is a byte that was not valid UTF-8, as a
+    file or stdin read with ``surrogateescape`` yields it; an escaped
+    ``\\ud800`` is JSON text and stays accepted.
     """
     try:
         line.encode("utf-8")
     except UnicodeEncodeError:
         raise JsonlFormatError(f"line {lineno}: not valid UTF-8") from None
     obj = loads_json(line, JsonlFormatError, f"line {lineno}: not valid JSON (%s)")
-    _require(isinstance(obj, dict), lineno, "expected a JSON object")
-    for key in ("case_id", "frame_index", "class_id", "bbox", "keypoints"):
-        if key not in obj:
-            raise JsonlFormatError(f"line {lineno}: missing field {key!r}")
-
-    case_id = obj["case_id"]
-    _require(isinstance(case_id, str) and is_case_id(case_id), lineno, "bad case_id")
-    frame_index = obj["frame_index"]
-    _require(
-        isinstance(frame_index, int) and not isinstance(frame_index, bool)
-        and frame_index >= 0,
-        lineno,
-        "frame_index must be a non-negative integer",
-    )
-    class_id = obj["class_id"]
-    _require(
-        isinstance(class_id, int) and not isinstance(class_id, bool) and class_id >= 0,
-        lineno,
-        "class_id must be a non-negative integer",
-    )
-
-    bbox = obj["bbox"]
-    _require(
-        isinstance(bbox, list) and len(bbox) == 4,
-        lineno,
-        "bbox must be a list of 4 numbers",
-    )
-    keypoints = obj["keypoints"]
-    _require(
-        isinstance(keypoints, list) and len(keypoints) == NUM_KEYPOINTS,
-        lineno,
-        f"keypoints must be a list of {NUM_KEYPOINTS} [x, y] pairs",
-    )
-    values = list(bbox)
-    for pair in keypoints:
-        _require(
-            isinstance(pair, list) and len(pair) == 2,
-            lineno,
-            "each keypoint must be an [x, y] pair",
-        )
-        values.extend(pair)
-    for value in values:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise JsonlFormatError(f"line {lineno}: coordinates must be numbers")
-        if not 0.0 <= value <= 1.0:
-            raise JsonlFormatError(f"line {lineno}: coordinate {value} outside [0, 1]")
-
-    return case_id, frame_index, np.array(keypoints, dtype=np.float64)
+    frames = _frames([obj])
+    if type(frames) is str:
+        raise JsonlFormatError(f"line {lineno}: {frames}")
+    return tuple(column[0] for column in frames)
 
 
-def _batch_from_objects(objs: list):
-    """Check a batch of decoded lines as a whole and stack its keypoints.
+def _frames(objs: list):
+    """The frame-line rules, each checked in turn over a batch of decoded lines.
 
-    Returns None when any line breaks a rule of :func:`parse_frame_line`;
-    a missing field raises KeyError.
+    Returns ``(case_ids, frame_indices, points)``, or the message of the
+    first rule that some line breaks: for one line, that line's message.
+    Types are exact, as json and orjson yield no subclasses and bool is
+    not int here; orjson returns an integer past 64 bits as a float.
     """
     if set(map(type, objs)) != {dict}:
-        return None
-    case_ids = [obj["case_id"] for obj in objs]
-    frame_indices = [obj["frame_index"] for obj in objs]
-    class_ids = [obj["class_id"] for obj in objs]
-    bboxes = [obj["bbox"] for obj in objs]
-    keypoints = [obj["keypoints"] for obj in objs]
-    # exact type sets: orjson yields no subclasses, and bool is not int here;
-    # an integer past 64 bits comes as a float, so such an index fails {int}
-    if (
-        set(map(type, case_ids)) != {str}
-        or not all(map(is_case_id, set(case_ids)))
-        or set(map(type, frame_indices)) != {int}
-        or min(frame_indices) < 0
-        or set(map(type, class_ids)) != {int}
-        or min(class_ids) < 0
-        or set(map(type, bboxes)) != {list}
-        or set(map(len, bboxes)) != {4}
-        or set(map(type, keypoints)) != {list}
-        or set(map(len, keypoints)) != {NUM_KEYPOINTS}
-    ):
-        return None
+        return "expected a JSON object"
+    try:
+        case_ids = [obj["case_id"] for obj in objs]
+        frame_indices = [obj["frame_index"] for obj in objs]
+        class_ids = [obj["class_id"] for obj in objs]
+        bboxes = [obj["bbox"] for obj in objs]
+        keypoints = [obj["keypoints"] for obj in objs]
+    except KeyError:
+        fields = ("case_id", "frame_index", "class_id", "bbox", "keypoints")
+        return "missing field %r" % next(f for f in fields if not all(f in o for o in objs))
+    if set(map(type, case_ids)) != {str} or not all(map(is_case_id, set(case_ids))):
+        return "bad case_id"
+    if set(map(type, frame_indices)) != {int} or min(frame_indices) < 0:
+        return "frame_index must be a non-negative integer"
+    if set(map(type, class_ids)) != {int} or min(class_ids) < 0:
+        return "class_id must be a non-negative integer"
+    if set(map(type, bboxes)) != {list} or set(map(len, bboxes)) != {4}:
+        return "bbox must be a list of 4 numbers"
+    if set(map(type, keypoints)) != {list} or set(map(len, keypoints)) != {NUM_KEYPOINTS}:
+        return f"keypoints must be a list of {NUM_KEYPOINTS} [x, y] pairs"
     pairs = list(chain.from_iterable(keypoints))
     if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
-        return None
+        return "each keypoint must be an [x, y] pair"
     values = list(chain(chain.from_iterable(bboxes), chain.from_iterable(pairs)))
-    if not set(map(type, values)) <= {int, float}:
-        return None
-    array = np.array(values, dtype=np.float64)
-    if not (array.min() >= 0.0 and array.max() <= 1.0):  # NaN fails both
-        return None
-    points = array[4 * len(objs) :].reshape(len(objs), NUM_KEYPOINTS, 2)
-    return case_ids, frame_indices, points
+    if set(map(type, values)) <= {int, float}:
+        with suppress(OverflowError):  # an integer with no float value
+            array = np.array(values, dtype=np.float64)
+            if array.min() >= 0.0 and array.max() <= 1.0:  # NaN fails both
+                points = array[4 * len(objs) :].reshape(len(objs), NUM_KEYPOINTS, 2)
+                return case_ids, frame_indices, points
+    # the first bad value in line order, each line's box before its keypoints
+    for value in chain.from_iterable(chain(obj["bbox"], *obj["keypoints"]) for obj in objs):
+        if type(value) not in (int, float):
+            return "coordinates must be numbers"
+        if not 0.0 <= value <= 1.0:
+            return f"coordinate {value} outside [0, 1]"
 
 
 def _parse_batch(texts: list[str], linenos: list[int]):
     """One batch of non-blank lines as (case_ids, frame_indices, points).
 
-    orjson decodes the lines of a batch whose lines are all at most
-    ``_ORJSON_MAX_CHARS`` long. It refuses some text that json accepts
-    (NaN, Infinity, 1e400, lone surrogates), and where both accept, the
+    orjson decodes a batch whose lines are all at most ``_ORJSON_MAX_CHARS``
+    long, and :func:`_frames` checks it. orjson refuses some text that json
+    accepts (NaN, Infinity, 1e400, lone surrogates); where both accept, the
     values are equal but for integers past 64 bits, which it returns as
-    floats. A longer line, any refusal or a failed batch check hands the
-    batch to the per-line parser, so a batch is accepted exactly when
-    every line passes :func:`parse_frame_line`, and a bad line raises
-    that parser's error.
+    floats. An overlong line, a refusal or a broken rule sends the batch
+    line by line to :func:`parse_frame_line`, which raises the first bad
+    line's message.
     """
     if max(map(len, texts)) <= _ORJSON_MAX_CHARS:
         try:
-            batch = _batch_from_objects(list(map(orjson.loads, texts)))
-        except (orjson.JSONDecodeError, KeyError):
+            batch = _frames(list(map(orjson.loads, texts)))
+        except orjson.JSONDecodeError:
             batch = None
-        if batch is not None:
+        if type(batch) is tuple:
             return batch
     case_ids, frame_indices, points = zip(*map(parse_frame_line, texts, linenos))
     return list(case_ids), list(frame_indices), np.array(points)
@@ -298,16 +256,17 @@ def iter_frame_stream(lines):
     ``CHUNK_FRAMES`` (read at the first ``next()``) consecutive non-blank
     lines: a list of case ids, a list of frame indices as Python ints,
     and an (n, 15, 2) float64 array of whole keypoint grids.
-    orjson decodes a batch; a batch it refuses or that fails a check is
-    read again line by line with the stdlib json, which names the first
-    bad line. Blank lines are skipped; line numbers in errors refer to
-    the physical input.
+    orjson decodes a batch and one checker holds the rules; an orjson
+    refusal, an overlong line or a broken rule sends the batch line by line
+    to the stdlib json, which names the first bad line. Lines are stripped
+    of JSON whitespace only (space, tab, CR, LF), and lines left empty are
+    skipped; line numbers in errors refer to the physical input.
     """
     size = CHUNK_FRAMES
     texts: list[str] = []
     linenos: list[int] = []
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
+        stripped = line.strip(" \t\r\n")
         if not stripped:
             continue
         texts.append(stripped)

@@ -45,15 +45,18 @@ def run(argv, stdin_text=""):
     return rc, out.getvalue(), err.getvalue()
 
 
+def fresh_env(**overrides) -> dict:
+    """The environment with ``overrides`` and this kpcurve's source first on
+    PYTHONPATH, so a new interpreter imports it, installed or not."""
+    src = str(Path(kpcurve.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **overrides, "PYTHONPATH": path}
+
+
 def run_fresh(argv):
     """Run the CLI in a new interpreter; it must exit 0."""
-    src = str(Path(kpcurve.__file__).resolve().parent.parent)
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-    }
     proc = subprocess.run(
-        [sys.executable, "-m", "kpcurve", *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "kpcurve", *argv], env=fresh_env(), capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -303,6 +306,30 @@ class TestAnalyze:
         assert by_id["a"]["diagnosis"] == "pd"
         assert by_id["b"]["diagnosis"] == "normal"
         assert doc["errors"] == []
+
+    def test_long_case_id_measures_as_a_short_one(self):
+        # 5000-character ids make lines past report._ORJSON_MAX_CHARS, read by json
+        long_id = "L" * 5000
+        others = jsonl_for("x", [12.0, 7.0])
+        results = []
+        for case_id in ("a", long_id):
+            stream = others + jsonl_for(case_id, [10.0, 42.0, 20.0]) + others
+            rc, out, _ = run(["analyze", "-"], stream)
+            assert rc == EXIT_OK
+            case = {c["case_id"]: c for c in json.loads(out)["cases"]}[case_id]
+            results.append((case["curvature_deg"], case["argmax_frame"]))
+        assert results[0] == results[1]
+        assert results[0][1] == 1
+
+    def test_only_json_whitespace_makes_a_line_blank(self):
+        good, blank = jsonl_for("a", [10.0]), " \t\r\n"
+        for text in ("\x0c", "\xa0", "\x1c"):
+            rc, out, err = run(["analyze", "-"], good + blank + good.rstrip("\n") + text + "\n")
+            assert (rc, out) == (EXIT_INPUT, "")
+            assert err == "kpcurve analyze: line 3: not valid JSON (Extra data)\n"
+            rc, out, err = run(["analyze", "-"], good + text + "\n" + good)
+            assert (rc, out) == (EXIT_INPUT, "")
+            assert err == "kpcurve analyze: line 2: not valid JSON (Expecting value)\n"
 
     def test_interleaved_cases_group_correctly(self):
         lines = (
@@ -746,6 +773,25 @@ class TestEvaluate:
         assert (rc, out) == (EXIT_INPUT, "")
         assert err == (
             f"kpcurve evaluate: case 'b': measured angle {float(angle)} outside [0, 180]\n"
+        )
+
+    def test_labels_from_stdin_with_a_report_file(self, tmp_path):
+        _, report, _ = run(["analyze", "-"], jsonl_for("a", [67.51]) + jsonl_for("b", [3.75]))
+        path = tmp_path / "report.json"
+        path.write_text(report)
+        labels = "case_id,actual\na,pd\nb,normal\n"
+        rc, out, err = run(["evaluate", str(path), "--labels", "-"], labels)
+        assert (rc, err) == (EXIT_OK, "")
+        labels_file = tmp_path / "labels.csv"
+        labels_file.write_text(labels)
+        assert out == run(["evaluate", str(path), "--labels", str(labels_file)])[1]
+
+    def test_report_and_labels_cannot_both_be_stdin(self):
+        _, report, _ = run(["analyze", "-"], jsonl_for("a", [40.0]))
+        rc, out, err = run(["evaluate", "-", "--labels", "-"], report)
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == (
+            "kpcurve evaluate: the report JSON and --labels cannot both be stdin\n"
         )
 
     def test_report_json_requires_labels(self):
@@ -1467,6 +1513,7 @@ class TestConsoleScript:
     def test_module_invocation_and_pipe(self):
         proc = subprocess.run(
             [sys.executable, "-m", "kpcurve", "measure", "-"],
+            env=fresh_env(),
             input=label_line(67.51),
             capture_output=True,
             text=True,
@@ -1502,14 +1549,7 @@ class TestFileEncoding:
             encoding="utf-8",
         )
         frames, report = tmp_path / "frames.jsonl", tmp_path / "report.json"
-        src = str(Path(kpcurve.__file__).resolve().parent.parent)
-        env = {
-            **os.environ,
-            "LC_ALL": "C",
-            "PYTHONCOERCECLOCALE": "0",
-            "PYTHONUTF8": "0",
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-        }
+        env = fresh_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
         for argv in (
             ["synth", str(spec), "-o", str(frames)],
             ["analyze", str(frames), "-o", str(report)],

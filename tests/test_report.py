@@ -190,7 +190,70 @@ BAD_LINES = {
     "raw_surrogate_id": GOOD_LINE.replace('"c"', '"c\udcff"'),
     # the last of duplicate keys wins in both decoders
     "duplicate_bad_last": GOOD_LINE[:-1] + ',"frame_index":-1}',
+    # whitespace that is not JSON's makes no line blank
+    "formfeed_after": GOOD_LINE + "\x0c",
+    "nbsp_after": GOOD_LINE + "\xa0",
+    "separator_after": GOOD_LINE + "\x1c",
+    "formfeed_before": "\x0c" + GOOD_LINE,
+    "formfeed_only": "\x0c",
+    "nbsp_only": "\xa0",
+    "separator_only": "\x1c",
 }
+NOT_NUMBERS = "coordinates must be numbers"
+# each BAD_VALUES entry's message, in order
+BAD_VALUE_MESSAGES = [
+    NOT_NUMBERS, NOT_NUMBERS, NOT_NUMBERS, NOT_NUMBERS,
+    "coordinate nan outside [0, 1]",
+    "coordinate inf outside [0, 1]",
+    "coordinate -inf outside [0, 1]",
+    "coordinate 1.5 outside [0, 1]",
+    "coordinate -1e-09 outside [0, 1]",
+    "coordinate 1" + "0" * 400 + " outside [0, 1]",
+    "coordinate 18446744073709551616 outside [0, 1]",
+]
+BAD_FIELD_MESSAGES = {
+    "case_id": "bad case_id",
+    "frame_index": "frame_index must be a non-negative integer",
+    "class_id": "class_id must be a non-negative integer",
+    "bbox": "bbox must be a list of 4 numbers",
+    "keypoints": "keypoints must be a list of 15 [x, y] pairs",
+}
+NOT_JSON = "not valid JSON (Expecting value)"
+# the exact message of every BAD_LINES entry, without its "line N: " prefix
+BAD_LINE_MESSAGES = {
+    **{
+        f"{slot.__name__}={label(value)}": message
+        for slot in (set_bbox, set_keypoint)
+        for value, message in zip(BAD_VALUES, BAD_VALUE_MESSAGES, strict=True)
+    },
+    **{
+        f"{field}={label(value)}": BAD_FIELD_MESSAGES[field]
+        for field, values in BAD_FIELDS.items()
+        for value in values
+    },
+    **{f"no_{field}": f"missing field {field!r}" for field in BAD_FIELDS},
+    "three_element_pair": "each keypoint must be an [x, y] pair",
+    "regrouped_pairs": "each keypoint must be an [x, y] pair",
+    "array": "expected a JSON object",
+    "string": "expected a JSON object",
+    "number": "expected a JSON object",
+    "null": "expected a JSON object",
+    "truncated": "not valid JSON (Expecting ',' delimiter)",
+    "trailing_data": "not valid JSON (Extra data)",
+    "half_line": "not valid JSON (Expecting ',' delimiter)",
+    "bbox=1e400": "coordinate inf outside [0, 1]",
+    "keypoint=-1e400": "coordinate -inf outside [0, 1]",
+    "raw_surrogate_id": "not valid UTF-8",
+    "duplicate_bad_last": "frame_index must be a non-negative integer",
+    "formfeed_after": "not valid JSON (Extra data)",
+    "nbsp_after": "not valid JSON (Extra data)",
+    "separator_after": "not valid JSON (Extra data)",
+    "formfeed_before": NOT_JSON,
+    "formfeed_only": NOT_JSON,
+    "nbsp_only": NOT_JSON,
+    "separator_only": NOT_JSON,
+}
+JSON_WHITESPACE = " \t\r\n"
 BASE_RECORDS = [
     json.loads(frame_line("c", detection_with_angle(angle), 0))
     for angle in (5.0, 40.0, 120.0)
@@ -281,9 +344,9 @@ def test_batched_parse_matches_line_parser(frames, bad, blanks, chunk):
 
     def reference():
         records = [
-            parse_frame_line(line.strip(), lineno)
+            parse_frame_line(line.strip(JSON_WHITESPACE), lineno)
             for lineno, line in enumerate(lines, start=1)
-            if line.strip()
+            if line.strip(JSON_WHITESPACE)
         ]
         return (
             [case_id for case_id, _, _ in records],
@@ -305,6 +368,39 @@ def test_bad_line_anywhere_in_a_batch(position, bad, monkeypatch):
     with pytest.raises(JsonlFormatError) as expected:
         parse_frame_line(bad, position + 1)
     assert error_for(lines) == str(expected.value)
+
+
+@pytest.mark.parametrize("chunk", [1, 4])
+@pytest.mark.parametrize("name", BAD_LINES)
+def test_bad_line_message(name, chunk, monkeypatch):
+    # the bad line is third: mid-batch in batches of four
+    monkeypatch.setattr(report, "CHUNK_FRAMES", chunk)
+    lines = [GOOD_LINE + "\n"] * 7
+    lines[2] = BAD_LINES[name] + "\n"
+    assert error_for(lines) == f"line 3: {BAD_LINE_MESSAGES[name]}"
+    with pytest.raises(JsonlFormatError) as exc:
+        parse_frame_line(BAD_LINES[name], 9)
+    assert str(exc.value) == f"line 9: {BAD_LINE_MESSAGES[name]}"
+
+
+LONG_ID = "L" * 5000
+LONG_LINE = GOOD_LINE.replace('"c"', f'"{LONG_ID}"')
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 256])
+def test_long_line_is_accepted(chunk, monkeypatch):
+    # a line past _ORJSON_MAX_CHARS goes to json, alone or among short lines
+    assert len(LONG_LINE) > 5000 > report._ORJSON_MAX_CHARS
+    monkeypatch.setattr(report, "CHUNK_FRAMES", chunk)
+    short = [frame_line(f"s{i}", detection_with_angle(10.0 * i), i) for i in range(5)]
+    for lines in ([LONG_LINE], short[:2] + [LONG_LINE] + short[2:]):
+        case_ids, frame_indices, points = zip(*map(parse_frame_line, lines))
+        batches = list(iter_frame_stream(lines))
+        assert [case_id for ids, _, _ in batches for case_id in ids] == list(case_ids)
+        assert [index for _, indices, _ in batches for index in indices] == list(frame_indices)
+        grids = np.concatenate([grids for _, _, grids in batches])
+        assert grids.tobytes() == np.array(points).tobytes()
+    assert LONG_ID in case_ids
 
 
 def test_value_count_checked_per_line(monkeypatch):
