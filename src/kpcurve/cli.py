@@ -19,6 +19,7 @@ CSV datasets by ``annotation`` and ``evaluation``.
 
 import argparse
 import functools
+import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -64,15 +65,15 @@ _GEOMETRY_ERRORS = (DegenerateProjectionError, AllFramesInvalidError)
 
 def _read_text(path: str, stdin) -> str:
     """The text of a UTF-8 file, or of ``stdin`` for "-"; a byte that is not
-    UTF-8 raises ValueError naming its line."""
+    UTF-8 raises ValueError naming its source and line."""
     from_stdin = path == "-"
     text = stdin.read() if from_stdin else Path(path).read_text("utf-8", "surrogateescape")
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as exc:  # the byte was read as a lone surrogate
         lineno = text.count("\n", 0, exc.start) + 1
-        where = "" if from_stdin else f"{path}: "
-        raise ValueError(f"{where}line {lineno}: not valid UTF-8") from None
+        where = "<stdin>" if from_stdin else path
+        raise ValueError(f"{where}: line {lineno}: not valid UTF-8") from None
     return text
 
 
@@ -331,15 +332,20 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_synth(args, stdin, stdout, stderr) -> int:
+    sidecar_path, to_file = args.sidecar, args.output not in (None, "-")
+    if sidecar_path == "-":
+        raise ValueError("--sidecar must name a file, not -")
+    if sidecar_path is None:
+        sidecar_path = args.output + ".oracle.json" if to_file else None
+    elif to_file and os.path.realpath(sidecar_path) == os.path.realpath(args.output):
+        raise ValueError(f"--sidecar and --output name the same file {args.output!r}")
+
     raw = loads_json(_read_text(args.spec, stdin), BadSpecError, "spec is not valid JSON: %s")
     phantom = read_spec(raw, seed=args.seed)
     result = sweep(phantom.model, **phantom.sweep_args)
     stream = dumps_frame(phantom.case_id, result.boxes, result.points, range(len(result.points)))
 
     # the sidecar goes first, so a failed run writes no stream, not even to stdout
-    sidecar_path = args.sidecar
-    if sidecar_path is None and args.output not in (None, "-"):
-        sidecar_path = args.output + ".oracle.json"
     if sidecar_path is not None:
         sidecar = dumps_report(sweep_sidecar(phantom, result))
         Path(sidecar_path).write_text(sidecar, encoding="utf-8")

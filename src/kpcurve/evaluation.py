@@ -109,9 +109,11 @@ def evaluate_dataset(cases, threshold_deg: float = DEFAULT_THRESHOLD_DEG):
 def _csv_rows(text: str, header: tuple[str, ...], what: str):
     """Yield (line number, fields) per non-blank row under a case-insensitive header.
 
-    Raises DatasetFormatError on an empty document, another header or a wrong width.
+    One leading byte-order mark, as spreadsheets write "CSV UTF-8", is
+    dropped. Raises DatasetFormatError on an empty document, another
+    header or a wrong width.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
         first = next(reader)
     except StopIteration:

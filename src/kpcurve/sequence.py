@@ -20,18 +20,25 @@ shrinks a bend of up to 90 degrees, so the frontal-most view reads the
 true bend. It over-reads otherwise: foreshortening along the axis
 (camera pitch) widens a bend, and so does yaw on a bend past 90 degrees.
 
-Frames whose geometry is degenerate (coincident keypoints) are marked
-invalid and skipped rather than failing the case; only a case with
-zero valid frames is an error. :func:`measure_stream` consumes batches
-``(case_ids, frame_indices, points)`` of whole (15, 2) keypoint grids,
-of any size, as :func:`kpcurve.report.iter_frame_stream` yields them
-from JSONL (a still image is one batch of one frame). It alone picks the
-middle row (:func:`middle_line`) and runs the angle kernel on it once per
-batch, cases interleaving freely within and across batches, then
-reduces frame by frame. The reduction is a per-case maximum, ties going
-to the lowest frame index, so neither batch size nor stream order
-changes any result. A case's retained frames stay as columns
-(:class:`FrameColumns`), with no object per frame.
+A frame is degenerate when a middle-line segment is shorter than
+``EPSILON`` after aspect scaling; it is skipped rather than failing the
+case, and only a case with zero valid frames is an error (``synth``
+asks the kernel too, and writes no such frame). :func:`measure_stream`
+consumes batches ``(case_ids, frame_indices, points)`` of whole (15, 2)
+keypoint grids, of any size, as :func:`kpcurve.report.iter_frame_stream`
+yields them from JSONL (a still image is one batch of one frame). It
+alone picks the middle row (:func:`middle_line`) and runs the angle
+kernel (:func:`polyline_angles`) on it once per batch, cases
+interleaving freely within and across batches, then reduces frame by
+frame. The reduction is a per-case maximum, ties going to the lowest
+frame index, so neither batch size nor stream order changes any result.
+A case's retained frames stay as columns (:class:`FrameColumns`).
+
+Each angle is ``atan2(|cross|, dot)`` of two segment vectors. Unlike
+arccos of a normalized dot product, it needs no division and no clip,
+and stays accurate across [0, 180], including bends near 0 or 180
+degrees where arccos loses most of its digits (W. Kahan, "How Futile are
+Mindless Assessments of Roundoff in Floating-Point Computation?", 2006).
 """
 
 import math
@@ -39,8 +46,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import polyline_angles
 from .annotation import COLS, MIDDLE_ROW
+
+EPSILON = 1e-9
+
+# the segment pairs of the four angles: deviation (first, last), then consecutive bends
+_FIRST = [0, 0, 1, 2]
+_SECOND = [3, 1, 2, 3]
 
 
 class EmptySequenceError(ValueError):
@@ -76,6 +88,31 @@ def middle_line(points: np.ndarray) -> np.ndarray:
     the angle computation, not here.
     """
     return points[..., MIDDLE_ROW * COLS : (MIDDLE_ROW + 1) * COLS, :]
+
+
+def polyline_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angles of (n, 5, 2) middle lines, aspect already applied, plus their first bad segment.
+
+    Returns (n, 4) angles in degrees (deviation, bend 1, bend 2, bend 3)
+    and an (n,) int64 array of each line's first segment shorter than
+    ``EPSILON``, -1 when none; such a row's angles are NaN. Raises
+    ValueError on another shape.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 3 or pts.shape[1:] != (5, 2):
+        raise ValueError(f"expected (n, 5, 2) array, got {pts.shape}")
+
+    seg = pts[:, 1:, :] - pts[:, :-1, :]  # (n, 4, 2)
+    degenerate = np.sqrt(np.sum(seg * seg, axis=2)) < EPSILON
+    bad = np.where(degenerate.any(axis=1), np.argmax(degenerate, axis=1), -1).astype(np.int64)
+
+    u = seg[:, _FIRST, :]  # (n, 4, 2)
+    v = seg[:, _SECOND, :]
+    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    dot = u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+    angles = np.degrees(np.arctan2(np.abs(cross), dot))
+    angles[bad >= 0] = np.nan
+    return angles, bad
 
 
 def frame_rules(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +201,7 @@ def measure_stream(
     # a NaN or infinite ratio would give NaN angles that count as valid
     if not 0.0 < aspect < math.inf:
         raise ValueError(f"aspect ratio {aspect} must be positive and finite")
-    # coordinates lie in [0, 1], so the kernel's products stay below aspect**2 + 1
+    # coordinates lie in [0, 1], so polyline_angles' products stay below aspect**2 + 1
     if aspect * aspect == math.inf:
         raise ValueError(f"aspect ratio {aspect} is too large: its square overflows a float")
     # x * 1.0 is exact, so at aspect 1.0 the scaling changes no coordinate

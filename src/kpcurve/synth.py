@@ -28,9 +28,8 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from ._kernels import EPSILON
 from .annotation import COORD_DECIMALS
-from .sequence import middle_line
+from .sequence import EPSILON, middle_line, polyline_angles
 
 DEFAULT_LENGTH_CM = 5.5
 DEFAULT_WIDTH_CM = 1.5
@@ -186,8 +185,7 @@ def _project_all(model, yaws, pitch_deg: float, image_width: int, image_height: 
     pixels = (flat - mins) * scale + (size - extents * scale) / 2.0
     points = np.round(pixels / size, COORD_DECIMALS)
 
-    segments = np.diff(middle_line(points), axis=1)
-    short = (np.linalg.norm(segments, axis=2) < EPSILON).any(axis=1)
+    short = (polyline_angles(middle_line(points))[1] >= 0).tolist()
     angles = []
     for u, v, is_point, is_short in zip(pre.tolist(), post.tolist(), single.flat, short):
         angles.append(_planar_angle_deg((u[0], -u[1]), (v[0], -v[1])))

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from kpcurve import report
-from kpcurve._kernels import EPSILON
 from kpcurve.report import RunConfig, dumps_frame, dumps_report, measurement_report
 from kpcurve.sequence import (
+    EPSILON,
     AllFramesInvalidError,
     AngleSet,
     EmptySequenceError,

@@ -24,7 +24,7 @@ from conftest import (
     normalize_unit,
     vector_angle,
 )
-from kpcurve import _kernels, report, sequence
+from kpcurve import report, sequence
 from kpcurve.annotation import (
     emit_yolo_line,
     parse_cvat_xml,
@@ -149,7 +149,7 @@ def test_criterion_3_kernel_oracle_equivalence():
         # angle between b-a and d-c
         a, b, c, d = (quads[:, k : k + 2] for k in (0, 2, 4, 6))
         polylines = np.stack([a, b, (b + c) / 2.0, c, d], axis=1)
-        angles, bad = _kernels.polyline_angles(polylines)
+        angles, bad = sequence.polyline_angles(polylines)
         assert (bad < 0).all()
         expected = np.array([oracle_deg(*q) for q in quads])
         kernel_worst = float(np.max(np.abs(angles[:, 0] - expected)))

@@ -224,7 +224,9 @@ class TestMeasure:
     def test_invalid_utf8_on_stdin_names_its_line(self):
         # a byte that is not UTF-8 is named as such, not as a bad number
         rc, out, err = run(["measure", "-"], label_line(0.0).rstrip("\n") + "\udcff\n")
-        assert (rc, out, err) == (EXIT_INPUT, "", "kpcurve measure: line 1: not valid UTF-8\n")
+        assert (rc, out, err) == (
+            EXIT_INPUT, "", "kpcurve measure: <stdin>: line 1: not valid UTF-8\n"
+        )
 
     def test_bent_shaft_crosses_threshold(self, tmp_path):
         label = tmp_path / "case_007.txt"
@@ -564,7 +566,43 @@ class TestEvaluate:
     def test_invalid_utf8_on_stdin_names_its_line(self):
         # stdin read with surrogateescape, as in the C locale, hands on 0xff as "\udcff"
         rc, out, err = run(["evaluate", "-"], "case_id,actual,measured_deg\nc\udcff,pd,50\n")
-        assert (rc, out, err) == (EXIT_INPUT, "", "kpcurve evaluate: line 2: not valid UTF-8\n")
+        assert (rc, out, err) == (
+            EXIT_INPUT, "", "kpcurve evaluate: <stdin>: line 2: not valid UTF-8\n"
+        )
+
+    def test_invalid_utf8_in_labels_on_stdin_names_stdin(self, tmp_path):
+        _, report, _ = run(["analyze", "-"], jsonl_for("a", [67.51]))
+        path = tmp_path / "r.json"
+        path.write_text(report)
+        labels = "case_id,actual\na\udcff,pd\n"
+        rc, out, err = run(["evaluate", str(path), "--labels", "-"], labels)
+        assert (rc, out, err) == (
+            EXIT_INPUT, "", "kpcurve evaluate: <stdin>: line 2: not valid UTF-8\n"
+        )
+
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    def test_dataset_csv_with_byte_order_mark(self, from_stdin, tmp_path):
+        # a spreadsheet's "CSV UTF-8" starts with U+FEFF
+        text = "\ufeffcase_id,actual,measured_deg\nc1,pd,67.51\nc2,normal,3.75\n"
+        path = tmp_path / "dataset.csv"
+        path.write_text(text, encoding="utf-8")
+        rc, out, err = run(["evaluate", "-"], text) if from_stdin else run(["evaluate", str(path)])
+        assert (rc, err) == (EXIT_OK, "")
+        assert json.loads(out)["confusion"] == {"tp": 1, "fp": 0, "fn": 0, "tn": 1}
+
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    def test_labels_csv_with_byte_order_mark(self, from_stdin, tmp_path):
+        _, report, _ = run(["analyze", "-"], jsonl_for("a", [67.51]) + jsonl_for("b", [3.75]))
+        report_path, labels = tmp_path / "r.json", tmp_path / "labels.csv"
+        report_path.write_text(report)
+        text = "\ufeffcase_id,actual\r\na,pd\r\nb,normal\r\n"
+        labels.write_text(text, encoding="utf-8")
+        if from_stdin:
+            rc, out, err = run(["evaluate", str(report_path), "--labels", "-"], text)
+        else:
+            rc, out, err = run(["evaluate", "--labels", str(labels), "-"], report)
+        assert (rc, err) == (EXIT_OK, "")
+        assert json.loads(out)["confusion"] == {"tp": 1, "fp": 0, "fn": 0, "tn": 1}
 
     def test_header_only_yields_undefined_metrics(self):
         rc, out, err = run(["evaluate", "-"], "case_id,actual,measured_deg\n")
@@ -842,7 +880,9 @@ class TestSynth:
         spec = '{"hinge_angle_deg": 40.0,\n "case_id": "c\udcff"}'
         sidecar = tmp_path / "oracle.json"
         rc, out, err = run(["synth", "-", "--sidecar", str(sidecar)], spec)
-        assert (rc, out, err) == (EXIT_INPUT, "", "kpcurve synth: line 2: not valid UTF-8\n")
+        assert (rc, out, err) == (
+            EXIT_INPUT, "", "kpcurve synth: <stdin>: line 2: not valid UTF-8\n"
+        )
         assert not sidecar.exists()
 
     def test_byte_deterministic(self):
@@ -961,6 +1001,28 @@ class TestSynth:
         argv = ["synth", "-", "--sidecar", str(sidecar)]
         rc = main(argv, stdin=io.StringIO(self.SPEC), stdout=ClosedPipe(), stderr=err)
         assert (rc, err.getvalue()) == (EXIT_INPUT, "kpcurve synth: [Errno 32] Broken pipe\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sidecar", ["out.jsonl", "./out.jsonl", "{tmp}/out.jsonl"])
+    def test_sidecar_naming_the_stream_file_is_an_input_error(
+        self, sidecar, tmp_path, monkeypatch
+    ):
+        # either write would leave the file holding only one of the two outputs
+        monkeypatch.chdir(tmp_path)
+        argv = ["synth", "-", "-o", "out.jsonl", "--sidecar", sidecar.format(tmp=tmp_path)]
+        rc, stdout, err = run(argv, self.SPEC)
+        assert (rc, stdout) == (EXIT_INPUT, "")
+        assert err == "kpcurve synth: --sidecar and --output name the same file 'out.jsonl'\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "output", [[], ["-o", "-"], ["-o", "out.jsonl"]], ids=["none", "stdout", "file"]
+    )
+    def test_sidecar_on_stdout_is_an_input_error(self, output, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc, stdout, err = run(["synth", "-", *output, "--sidecar", "-"], self.SPEC)
+        assert (rc, stdout) == (EXIT_INPUT, "")
+        assert err == "kpcurve synth: --sidecar must name a file, not -\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_both_paths_unwritable_names_the_sidecar(self, tmp_path):

@@ -293,6 +293,13 @@ class TestDatasetCsv:
     def test_header_only_yields_no_rows(self):
         assert read_dataset_csv("case_id,actual,measured_deg\n") == []
 
+    def test_one_leading_byte_order_mark_dropped(self):
+        # spreadsheets save "CSV UTF-8" with a leading U+FEFF
+        rows = read_dataset_csv("\ufeffcase_id,actual,measured_deg\nc1,pd,50\n")
+        assert rows == [("c1", Diagnosis.PD, 50.0)]
+        with pytest.raises(DatasetFormatError, match="^expected header"):
+            read_dataset_csv("\ufeff\ufeffcase_id,actual,measured_deg\nc1,pd,50\n")
+
 
 class TestLabelsCsv:
     def test_happy_path(self):
@@ -406,6 +413,13 @@ class TestCsvMessages:
             DatasetFormatError,
             "case id 'a' appears more than once",
             id="labels-duplicate",
+        ),
+        pytest.param(
+            read_dataset_csv,
+            "\ufeffcase_id,actual,measured_deg\nc1,pd,50\n\nc2,pd\n",
+            DatasetFormatError,
+            "line 4: expected 3 fields, got 2",
+            id="dataset-byte-order-mark-keeps-line-numbers",
         ),
     ]
 

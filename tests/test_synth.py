@@ -1,5 +1,6 @@
 """Phantom generator: construction, projection oracle, sweeps, jitter."""
 
+import io
 import json
 import math
 import re
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import line_angles, measure_sequence, vector_angle
+from conftest import frame_line, line_angles, measure_sequence, vector_angle
+from kpcurve import sequence
+from kpcurve.cli import EXIT_GEOMETRY, EXIT_OK, main
 from kpcurve.report import dumps_report, sweep_sidecar
 from kpcurve.synth import (
     BadSpecError,
@@ -327,3 +330,33 @@ class TestSweep:
         result = sweep(HingeModelSpec(hinge_angle_deg=beta), -60.0, 60.0, 25)
         case = measure_sequence("p", detections(result))
         assert case.curvature_deg == pytest.approx(beta, abs=1.0)
+
+
+class TestOneDegeneracyRule:
+    """synth and analyze share the kernel's rule for a degenerate frame."""
+
+    @staticmethod
+    def analyze(stream: str):
+        """Exit code, report ``errors`` and stderr of ``analyze`` on a stream."""
+        out, err = io.StringIO(), io.StringIO()
+        rc = main(["analyze", "-"], stdin=io.StringIO(stream), stdout=out, stderr=err)
+        return rc, json.loads(out.getvalue())["errors"], err.getvalue()
+
+    def test_a_raised_threshold_reaches_synth_and_analyze(self, monkeypatch):
+        spec = HingeModelSpec(hinge_angle_deg=40.0)
+        result = project(spec)
+        stream = frame_line("p", (result.boxes[0], result.points[0]), 0) + "\n"
+        assert self.analyze(stream) == (EXIT_OK, [], "")
+
+        # every projected segment is shorter than half the unit image
+        monkeypatch.setattr(sequence, "EPSILON", 0.5)
+        with pytest.raises(DegenerateProjectionError) as info:
+            project(spec)
+        assert str(info.value) == (
+            "a projected middle-line segment collapsed below the degeneracy threshold"
+        )
+        assert self.analyze(stream) == (
+            EXIT_GEOMETRY,
+            [{"case_id": "p", "error": "all 1 frames had degenerate geometry"}],
+            "kpcurve analyze: no case yielded a valid measurement\n",
+        )
