@@ -40,6 +40,7 @@ from .evaluation import (
 )
 from .overlay import DEFAULT_CANVAS_PX, render_svg
 from .report import (
+    JsonlFormatError,
     RunConfig,
     dumps_frame,
     dumps_report,
@@ -278,17 +279,21 @@ def _cmd_analyze(args, stdin, stdout, stderr) -> int:
     config = RunConfig(args.threshold, args.aspect, retain_per_frame=not args.no_per_frame)
     # an undecodable byte reaches the parser as a lone surrogate, which it
     # rejects with its line number
+    from_stdin = args.input == "-"
     source = (
         nullcontext(stdin)
-        if args.input == "-"
+        if from_stdin
         else open(args.input, encoding="utf-8", errors="surrogateescape")
     )
-    with source as lines:
-        cases, failures = measure_stream(
-            iter_frame_stream(lines),
-            aspect=config.aspect_ratio,
-            keep_frames=config.retain_per_frame,
-        )
+    try:
+        with source as lines:
+            cases, failures = measure_stream(
+                iter_frame_stream(lines),
+                aspect=config.aspect_ratio,
+                keep_frames=config.retain_per_frame,
+            )
+    except JsonlFormatError as exc:  # the parser names the line, not its source
+        raise JsonlFormatError(f"{'<stdin>' if from_stdin else args.input}: {exc}") from None
     document = measurement_report(cases, config, __version__, errors=failures)
     _write_text(args.output, dumps_report(document), stdout)
     if not cases:

@@ -201,20 +201,92 @@ def _project_all(model, yaws, pitch_deg: float, image_width: int, image_height: 
 def _boxes(points: np.ndarray) -> np.ndarray:
     """Tight (n, 4) boxes ``cx, cy, w, h`` around quantized (n, 15, 2) keypoints.
 
-    Box center and size use Python ``round``: the center is not on the
-    6-decimal grid, and ``np.round`` can differ from it at a decimal tie.
+    Centres and sizes are rounded as Python ``round(v, 6)`` does. Away
+    from a decimal tie ``np.rint(v * 1e6) / 1e6`` gives the same integer
+    and the same nearest double; a value whose ``v * 1e6`` lies within
+    1e-6 of a half-integer, as a centre often does, or whose magnitude
+    reaches 2**52, is rounded by ``round`` itself.
     """
-    lo, hi = points.min(axis=1).tolist(), points.max(axis=1).tolist()
-    boxes = [
-        (
-            round((xtl + xbr) / 2.0, COORD_DECIMALS),
-            round((ytl + ybr) / 2.0, COORD_DECIMALS),
-            round(xbr - xtl, COORD_DECIMALS),
-            round(ybr - ytl, COORD_DECIMALS),
-        )
-        for (xtl, ytl), (xbr, ybr) in zip(lo, hi)
-    ]
-    return np.array(boxes, dtype=np.float64).reshape(len(boxes), 4)
+    lo, hi = points.min(axis=1), points.max(axis=1)
+    raw = np.concatenate([(lo + hi) / 2.0, hi - lo], axis=1)
+    scaled = raw * 10.0**COORD_DECIMALS
+    boxes = np.rint(scaled) / 10.0**COORD_DECIMALS
+    near_tie = (abs(scaled - np.floor(scaled) - 0.5) < 1e-6) | (abs(scaled) >= 2.0**52)
+    boxes[near_tie] = [round(v, COORD_DECIMALS) for v in raw[near_tie].tolist()]
+    return boxes
+
+
+# numpy's SeedSequence (pool size 4, O'Neill's seed_seq mixing) and PCG64 seeding
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The ``count + 1`` successive hash constants ``init * mult**k``, as a uint32 column."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, np.uint32)[:, None]
+
+
+_HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 16)  # entropy mixing: 4 + 12 hashes
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # state output: 8 words
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of ``values``, row k with constants k and k + 1."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> 16)
+
+
+def _seed_states(seed: int, n: int) -> list[list[int]]:
+    """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for every i < n, as ints.
+
+    Both entropy words fit one uint32 (``seed`` and ``n - 1`` below
+    2**32), so the pool of frame i starts as hashes of (seed, i, 0, 0),
+    computed for all frames at once in wrapping uint32 array arithmetic.
+    """
+    pool = np.zeros((4, n), np.uint32)
+    pool[0] = seed
+    pool[1] = np.arange(n, dtype=np.uint32)
+    pool = _hashmix(pool, _HASH_A[:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        hashed = _hashmix(pool[src], _HASH_A[4 + 3 * src : 8 + 3 * src])
+        mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
+        pool[dst] = mixed ^ (mixed >> 16)
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B).astype(np.uint64)
+    return (words[0::2] | words[1::2] << 32).T.tolist()  # little-endian word pairs
+
+
+def _frame_noise(seed: int, n: int, sd: float, shape: tuple) -> np.ndarray:
+    """``np.stack([default_rng([seed, i]).normal(0.0, sd, shape) for i in range(n)])``.
+
+    The generators are seeded in one array pass (:func:`_seed_states`)
+    and each state is set on one reused PCG64 as
+    ``pcg_setseq_128_srandom_r`` sets it. A seed or frame index past one
+    uint32 word changes the entropy's length, so such a sweep builds
+    ``default_rng`` per frame.
+    """
+    if seed >= 2**32 or n > 2**32:
+        rngs = (np.random.default_rng([seed, index]) for index in range(n))
+        return np.stack([rng.normal(0.0, sd, shape) for rng in rngs])
+    bitgen = np.random.PCG64()
+    rng = np.random.Generator(bitgen)
+    rows = []
+    for state_hi, state_lo, seq_hi, seq_lo in _seed_states(seed, n):
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        rows.append(rng.normal(0.0, sd, shape))
+    return np.stack(rows)
 
 
 def sweep(
@@ -236,10 +308,12 @@ def sweep(
     poses are projected in one array pass, and each row equals a
     one-step sweep at its pose; a frame's box is its keypoints' extent.
     Optional Gaussian jitter is drawn per frame from its own generator,
-    ``default_rng([spec.seed, frame_index])``, added per normalized
-    coordinate, clipped to [0, 1] and re-quantized, and the box is taken
-    again from the jittered keypoints. Output is fully reproducible for
-    a given spec.
+    ``default_rng([spec.seed, frame_index])``, whose bits define it; the
+    generators of all frames are seeded in one array pass, and a seed of
+    2**32 or more builds each one itself. The jitter is added per
+    normalized coordinate, clipped to [0, 1] and re-quantized, and the
+    box is taken again from the jittered keypoints. Output is fully
+    reproducible for a given spec.
     """
     if steps < 1:
         raise BadSpecError(f"steps must be >= 1, got {steps}")
@@ -264,8 +338,7 @@ def sweep(
     model = build_model(spec)
     points, angles = _project_all(model, yaws, pitch_deg, image_width, image_height)
     if jitter_sd > 0.0:
-        rngs = (np.random.default_rng([spec.seed, index]) for index in range(steps))
-        noise = np.stack([rng.normal(0.0, jitter_sd, points.shape[1:]) for rng in rngs])
+        noise = _frame_noise(spec.seed, steps, jitter_sd, points.shape[1:])
         points = np.round(np.clip(points + noise, 0.0, 1.0), COORD_DECIMALS)
     return SweepColumns(points, _boxes(points), yaws, pitch_deg, angles)
 

@@ -328,10 +328,10 @@ class TestAnalyze:
         for text in ("\x0c", "\xa0", "\x1c"):
             rc, out, err = run(["analyze", "-"], good + blank + good.rstrip("\n") + text + "\n")
             assert (rc, out) == (EXIT_INPUT, "")
-            assert err == "kpcurve analyze: line 3: not valid JSON (Extra data)\n"
+            assert err == "kpcurve analyze: <stdin>: line 3: not valid JSON (Extra data)\n"
             rc, out, err = run(["analyze", "-"], good + text + "\n" + good)
             assert (rc, out) == (EXIT_INPUT, "")
-            assert err == "kpcurve analyze: line 2: not valid JSON (Expecting value)\n"
+            assert err == "kpcurve analyze: <stdin>: line 2: not valid JSON (Expecting value)\n"
 
     def test_interleaved_cases_group_correctly(self):
         lines = (
@@ -374,28 +374,32 @@ class TestAnalyze:
         rc, out, err = run(["analyze", "-"], stream)
         assert rc == EXIT_INPUT
         assert out == ""
-        assert err == f"kpcurve analyze: line {lineno}: not valid JSON (nested too deeply)\n"
+        assert err == (
+            f"kpcurve analyze: <stdin>: line {lineno}: not valid JSON (nested too deeply)\n"
+        )
 
     def test_deeply_nested_valid_line_is_an_input_error(self):
         # valid JSON this deep overflows the C stack in orjson 3.8, so json reads it
         deep = '{"":' * 100_000 + "1" + "}" * 100_000
         rc, out, err = run(["analyze", "-"], jsonl_for("a", [10.0]) + deep + "\n")
         assert (rc, out) == (EXIT_INPUT, "")
-        assert err == "kpcurve analyze: line 2: not valid JSON (nested too deeply)\n"
+        assert err == "kpcurve analyze: <stdin>: line 2: not valid JSON (nested too deeply)\n"
 
     def test_invalid_utf8_in_a_file_names_its_line(self, tmp_path):
         path = tmp_path / "frames.jsonl"
         first, second = jsonl_for("c", [10.0, 20.0]).encode().splitlines(keepends=True)
         path.write_bytes(first + second.replace(b'"c"', b'"c\xff"'))
         rc, out, err = run(["analyze", str(path)])
-        assert (rc, out, err) == (EXIT_INPUT, "", "kpcurve analyze: line 2: not valid UTF-8\n")
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == f"kpcurve analyze: {path}: line 2: not valid UTF-8\n"
 
     def test_invalid_utf8_on_stdin_names_its_line(self):
         # stdin read with surrogateescape, as in the C locale, hands on 0xff as "\udcff"
         first, second = jsonl_for("c", [10.0, 20.0]).splitlines(keepends=True)
         stream = first + second.replace('"c"', '"c\udcff"')
         rc, out, err = run(["analyze", "-"], stream)
-        assert (rc, out, err) == (EXIT_INPUT, "", "kpcurve analyze: line 2: not valid UTF-8\n")
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == "kpcurve analyze: <stdin>: line 2: not valid UTF-8\n"
 
     def test_escaped_lone_surrogate_case_id_is_accepted(self):
         # dumps_frame escapes the id as "\\ud800", which is valid JSON text
@@ -408,7 +412,8 @@ class TestAnalyze:
         # a labels CSV strips its ids, so evaluate could never match this case
         stream = jsonl_for("a", [10.0]) + jsonl_for(case_id, [20.0])
         rc, out, err = run(["analyze", "-"], stream)
-        assert (rc, out, err) == (EXIT_INPUT, "", "kpcurve analyze: line 2: bad case_id\n")
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == "kpcurve analyze: <stdin>: line 2: bad case_id\n"
 
     def test_out_of_range_coordinate_rejected(self):
         record = json.loads(jsonl_for("a", [10.0]).strip())

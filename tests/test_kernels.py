@@ -75,3 +75,59 @@ class TestNumpyPath:
         batch[0, 1] = batch[0, 0] + np.array([5e-10, 0.0])  # below: degenerate
         _, bad = sequence.polyline_angles(batch)
         assert bad[0] == 0
+
+
+def reference_polyline_angles(pts):
+    """The kernel as a direct statement of its formula: the segment norms
+    summed over the last axis, the four pairs gathered by index, and the
+    first bad segment by ``np.where`` over ``argmax``."""
+    seg = pts[:, 1:, :] - pts[:, :-1, :]
+    degenerate = np.sqrt(np.sum(seg * seg, axis=2)) < sequence.EPSILON
+    bad = np.where(degenerate.any(axis=1), np.argmax(degenerate, axis=1), -1).astype(np.int64)
+    u, v = seg[:, [0, 0, 1, 2], :], seg[:, [3, 1, 2, 3], :]
+    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    dot = u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+    angles = np.degrees(np.arctan2(np.abs(cross), dot))
+    angles[bad >= 0] = np.nan
+    return angles, bad
+
+
+def near_epsilon_batch(n, seed):
+    """Unit-square lines with some segments collapsed or shortened to about EPSILON."""
+    rng = np.random.default_rng(seed)
+    batch = rng.random((n, 5, 2))
+    for row, segment in zip(range(0, n, 3), rng.integers(0, 4, n)):
+        batch[row, segment + 1] = batch[row, segment]
+    for row in range(1, n, 4):
+        segment = rng.integers(0, 4)
+        step = rng.uniform(0.5, 2.0) * sequence.EPSILON
+        direction = rng.normal(size=2)
+        batch[row, segment + 1] = batch[row, segment] + step * direction / np.hypot(*direction)
+    return batch
+
+
+class TestReferenceFormula:
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            random_batch(0),
+            random_batch(1, seed=1),
+            random_batch(257, seed=2),
+            np.zeros((3, 5, 2)),
+            near_epsilon_batch(400, seed=4),
+            near_epsilon_batch(7, seed=8),
+        ],
+        ids=["empty", "one", "random", "all-zero", "near-epsilon", "near-epsilon-small"],
+    )
+    def test_kernel_equals_reference_bitwise(self, batch):
+        angles, bad = sequence.polyline_angles(batch)
+        expected_angles, expected_bad = reference_polyline_angles(batch)
+        assert angles.shape == expected_angles.shape and angles.flags.c_contiguous
+        assert np.array_equal(angles, expected_angles, equal_nan=True)
+        assert angles.tobytes() == expected_angles.tobytes()
+        assert bad.dtype == expected_bad.dtype and np.array_equal(bad, expected_bad)
+
+    def test_near_epsilon_rows_fall_on_both_sides_of_the_threshold(self):
+        _, bad = sequence.polyline_angles(near_epsilon_batch(400, seed=4))
+        near = [bad[row] >= 0 for row in range(1, 400, 4) if row % 3]
+        assert any(near) and not all(near)

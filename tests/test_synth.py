@@ -19,8 +19,12 @@ from kpcurve.synth import (
     DegenerateProjectionError,
     HingeModelSpec,
     PhantomSpec,
+    _boxes,
+    _frame_noise,
     _project_all,
+    _seed_states,
     build_model,
+    read_spec,
     sweep,
 )
 
@@ -330,6 +334,104 @@ class TestSweep:
         result = sweep(HingeModelSpec(hinge_angle_deg=beta), -60.0, 60.0, 25)
         case = measure_sequence("p", detections(result))
         assert case.curvature_deg == pytest.approx(beta, abs=1.0)
+
+
+def per_frame_noise(seed, n, sd=0.01):
+    """Jitter as the reproducibility contract defines it: a generator per frame."""
+    return np.stack(
+        [np.random.default_rng([seed, index]).normal(0.0, sd, (15, 2)) for index in range(n)]
+    )
+
+
+class TestFrameNoise:
+    """One-pass seeding gives the bits of numpy's per-frame generators. A numpy
+    that changes SeedSequence or PCG64 seeding fails here first; NEP 19 keeps
+    the streams of a seeded generator stable, not how the seed becomes a state."""
+
+    SEEDS = [0, 1, 2**31 - 1, 2**32 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_equals_a_generator_per_frame(self, seed, n):
+        assert _frame_noise(seed, n, 0.01, (15, 2)).tobytes() == per_frame_noise(seed, n).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seed_states_past_two_to_the_sixteen(self, seed):
+        states = _seed_states(seed, 70_000)
+        for index in (0, 1, 65_535, 65_536, 69_999):
+            sequence = np.random.SeedSequence([seed, index])
+            assert states[index] == sequence.generate_state(4, np.uint64).tolist()
+
+    def test_noise_past_two_to_the_sixteen(self):
+        noise = _frame_noise(2**32 - 1, 65_538, 0.01, (15, 2))
+        for index in (65_535, 65_536, 65_537):
+            expected = np.random.default_rng([2**32 - 1, index]).normal(0.0, 0.01, (15, 2))
+            assert noise[index].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [2**32, 2**64])
+    def test_a_seed_past_one_word_takes_a_generator_per_frame(self, seed):
+        phantom = read_spec({"hinge_angle_deg": 30.0, "seed": seed, "steps": 4, "jitter_sd": 0.01})
+        result = sweep(phantom.model, **phantom.sweep_args)
+        clean = sweep(HingeModelSpec(30.0), steps=4).points
+        expected = np.round(np.clip(clean + per_frame_noise(seed, 4), 0.0, 1.0), 6)
+        assert result.points.tobytes() == expected.tobytes()
+
+
+def reference_boxes(points) -> np.ndarray:
+    """Boxes as one Python ``round`` per centre and size of each frame."""
+    lo, hi = points.min(axis=1).tolist(), points.max(axis=1).tolist()
+    boxes = [
+        (
+            round((xtl + xbr) / 2.0, 6),
+            round((ytl + ybr) / 2.0, 6),
+            round(xbr - xtl, 6),
+            round(ybr - ytl, 6),
+        )
+        for (xtl, ytl), (xbr, ybr) in zip(lo, hi)
+    ]
+    return np.array(boxes, dtype=np.float64).reshape(len(boxes), 4)
+
+
+@st.composite
+def grid_keypoints(draw):
+    """(n, 15, 2) keypoints on the 6-decimal grid in [0, 1]; each frame's x and
+    y are drawn freely, or span an odd number of grid steps, which puts the
+    box centre at a decimal tie, or are all equal."""
+    n = draw(st.integers(1, 6))
+    ticks = np.array(draw(st.lists(st.integers(0, 10**6), min_size=30 * n, max_size=30 * n)))
+    ticks = ticks.reshape(n, 15, 2)
+    for frame in range(n):
+        for axis in range(2):
+            kind = draw(st.sampled_from(["free", "tie", "flat"]))
+            lo = draw(st.integers(0, 10**6 - 1))
+            if kind == "tie":
+                hi = lo + 2 * draw(st.integers(0, (10**6 - 1 - lo) // 2)) + 1
+                ticks[frame, :, axis] = ([lo, hi] * 8)[:15]
+            elif kind == "flat":
+                ticks[frame, :, axis] = lo
+    return ticks / 10**6
+
+
+class TestBoxes:
+    @given(grid_keypoints())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_python_round_on_the_grid(self, points):
+        assert _boxes(points).tobytes() == reference_boxes(points).tobytes()
+
+    @given(st.lists(st.floats(-1e12, 1e12), min_size=30, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_python_round_off_the_grid(self, values):
+        # past 2**52 / 1e6 every value takes round, as does each near-tie
+        points = np.array(values).reshape(1, 15, 2)
+        assert _boxes(points).tobytes() == reference_boxes(points).tobytes()
+
+    def test_phantom_centres_sit_at_ties(self):
+        # the fallback is no corner case: a jittered centre is the midpoint of
+        # two grid values, at a tie whenever their sum is odd in the 6th decimal
+        points = sweep(HingeModelSpec(30.0, seed=3), steps=80, jitter_sd=0.01).points
+        centres = (points.min(axis=1) + points.max(axis=1)) / 2.0 * 1e6
+        assert (abs(centres - np.floor(centres) - 0.5) < 1e-6).mean() > 0.1
+        assert _boxes(points).tobytes() == reference_boxes(points).tobytes()
 
 
 class TestOneDegeneracyRule:
