@@ -38,16 +38,6 @@ class Diagnosis(enum.Enum):
     PD = "pd"
     NORMAL = "normal"
 
-    @classmethod
-    def parse(cls, text: str) -> "Diagnosis":
-        label = text.strip().lower()
-        for member in cls:
-            if member.value == label:
-                return member
-        raise DatasetFormatError(
-            f"unknown diagnosis label {text!r}; expected 'pd' or 'normal'"
-        )
-
 
 def round_half_up(value: float | None) -> float | None:
     """Round half away from zero to DISPLAY_DECIMALS, as printed tables do."""
@@ -107,11 +97,13 @@ def evaluate_dataset(cases, threshold_deg: float = DEFAULT_THRESHOLD_DEG):
 
 
 def _csv_rows(text: str, header: tuple[str, ...], what: str):
-    """Yield (line number, fields) per non-blank row under a case-insensitive header.
+    """Yield (line number, stripped case id, diagnosis, other fields) per non-blank row.
 
-    One leading byte-order mark, as spreadsheets write "CSV UTF-8", is
-    dropped. Raises DatasetFormatError on an empty document, another
-    header or a wrong width.
+    The header, matched case-insensitively, opens with ``case_id,actual``;
+    labels are case-insensitive too. One leading byte-order mark, as
+    spreadsheets write "CSV UTF-8", is dropped. Raises DatasetFormatError
+    on an empty document, another header, a wrong width, an empty case
+    id or an unknown label.
     """
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
@@ -129,21 +121,29 @@ def _csv_rows(text: str, header: tuple[str, ...], what: str):
             raise DatasetFormatError(
                 f"line {lineno}: expected {len(header)} fields, got {len(row)}"
             )
-        yield lineno, row
+        case_id, actual, *rest = row
+        case_id = case_id.strip()
+        if not case_id:
+            raise DatasetFormatError(f"line {lineno}: empty case_id")
+        try:
+            diagnosis = Diagnosis(actual.strip().lower())
+        except ValueError:
+            raise DatasetFormatError(
+                f"line {lineno}: unknown diagnosis label {actual!r}; expected 'pd' or 'normal'"
+            ) from None
+        yield lineno, case_id, diagnosis, rest
 
 
 def read_dataset_csv(text: str) -> list[tuple[str, Diagnosis, float]]:
     """Parse dataset CSV: header case_id,actual,measured_deg.
 
-    Diagnosis labels are case-insensitive. Raises DatasetFormatError on
-    a bad header, bad label, or non-numeric angle.
+    Raises DatasetFormatError on a bad row (see :func:`_csv_rows`) or a
+    non-numeric angle.
     """
     rows = []
-    for lineno, row in _csv_rows(text, DATASET_CSV_HEADER, "dataset"):
-        case_id, actual, measured = row
-        diagnosis = Diagnosis.parse(actual)
+    for lineno, case_id, diagnosis, (measured,) in _csv_rows(text, DATASET_CSV_HEADER, "dataset"):
         try:
-            rows.append((case_id.strip(), diagnosis, float(measured)))
+            rows.append((case_id, diagnosis, float(measured)))
         except ValueError:
             raise DatasetFormatError(
                 f"line {lineno}: measured_deg {measured!r} is not a number"
@@ -154,9 +154,8 @@ def read_dataset_csv(text: str) -> list[tuple[str, Diagnosis, float]]:
 def read_labels_csv(text: str) -> dict[str, Diagnosis]:
     """Parse labels CSV: header case_id,actual; returns a lookup map."""
     labels: dict[str, Diagnosis] = {}
-    for _, (case_id, actual) in _csv_rows(text, LABELS_CSV_HEADER, "labels"):
-        case_id = case_id.strip()
+    for _, case_id, diagnosis, _ in _csv_rows(text, LABELS_CSV_HEADER, "labels"):
         if case_id in labels:
             raise DatasetFormatError(f"case id {case_id!r} appears more than once")
-        labels[case_id] = Diagnosis.parse(actual)
+        labels[case_id] = diagnosis
     return labels

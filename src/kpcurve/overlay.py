@@ -4,10 +4,15 @@ Draws the three keypoint rows as polylines (the middle line
 emphasized), every keypoint as a circle, the bounding box, and a text
 block with the four measured angles. The angle that determined the
 frame measurement is highlighted. Output is standalone SVG 1.1.
+
+The document is written as text, not built as a tree. Every attribute
+value is an int, a ``:g``-formatted float or a fixed string, and every
+label is a name, a fixed-point number and a degree sign, so none of the
+characters XML escapes (``&``, ``<``, ``>``, ``"``) can occur and no
+value is escaped.
 """
 
 import sys
-import xml.etree.ElementTree as ET
 
 import numpy as np
 
@@ -28,10 +33,6 @@ LABEL_Y0 = 22.0
 LABEL_STEP = 18.0
 
 
-def _fmt(value: float) -> str:
-    return f"{value:g}"
-
-
 def render_svg(
     box: np.ndarray,
     points: np.ndarray,
@@ -47,83 +48,37 @@ def render_svg(
         )
     if max(image_width, image_height) > sys.float_info.max:  # an int with no float value
         raise ValueError("canvas dimensions too large for a float")
-    ET.register_namespace("", SVG_NS)
-    svg = ET.Element(
-        f"{{{SVG_NS}}}svg",
-        {
-            "version": "1.1",
-            "width": str(image_width),
-            "height": str(image_height),
-            "viewBox": f"0 0 {image_width} {image_height}",
-        },
-    )
-
+    # only ints, :g floats and fixed strings go into the text: nothing to escape
     cx, cy, w, h = box.tolist()
-    ET.SubElement(
-        svg,
-        f"{{{SVG_NS}}}rect",
-        {
-            "x": _fmt((cx - w / 2.0) * image_width),
-            "y": _fmt((cy - h / 2.0) * image_height),
-            "width": _fmt(w * image_width),
-            "height": _fmt(h * image_height),
-            "fill": "none",
-            "stroke": BOX_COLOR,
-            "stroke-dasharray": "6 4",
-        },
-    )
-
-    pixels = (points * [image_width, image_height]).tolist()
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="{SVG_NS}" version="1.1" width="{image_width}" height="{image_height}"'
+        f' viewBox="0 0 {image_width} {image_height}">'
+        f'<rect x="{(cx - w / 2.0) * image_width:g}" y="{(cy - h / 2.0) * image_height:g}"'
+        f' width="{w * image_width:g}" height="{h * image_height:g}"'
+        f' fill="none" stroke="{BOX_COLOR}" stroke-dasharray="6 4" />'
+    ]
+    pixels = [(f"{x:g}", f"{y:g}") for x, y in (points * [image_width, image_height]).tolist()]
     for row in range(ROWS):
-        row_pts = pixels[row * COLS : (row + 1) * COLS]
-        is_middle = row == MIDDLE_ROW
-        ET.SubElement(
-            svg,
-            f"{{{SVG_NS}}}polyline",
-            {
-                "points": " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in row_pts),
-                "fill": "none",
-                "stroke": MIDDLE_COLOR if is_middle else LATERAL_COLOR,
-                "stroke-width": "3" if is_middle else "1.5",
-            },
+        row_pts = " ".join(f"{x},{y}" for x, y in pixels[row * COLS : (row + 1) * COLS])
+        stroke, width = (MIDDLE_COLOR, "3") if row == MIDDLE_ROW else (LATERAL_COLOR, "1.5")
+        parts.append(
+            f'<polyline points="{row_pts}" fill="none" stroke="{stroke}" stroke-width="{width}" />'
         )
     for index, (x, y) in enumerate(pixels):
-        is_middle = index // COLS == MIDDLE_ROW
-        ET.SubElement(
-            svg,
-            f"{{{SVG_NS}}}circle",
-            {
-                "cx": _fmt(x),
-                "cy": _fmt(y),
-                "r": _fmt(POINT_RADIUS),
-                "fill": MIDDLE_COLOR if is_middle else LATERAL_COLOR,
-            },
-        )
+        fill = MIDDLE_COLOR if index // COLS == MIDDLE_ROW else LATERAL_COLOR
+        parts.append(f'<circle cx="{x}" cy="{y}" r="{POINT_RADIUS:g}" fill="{fill}" />')
 
     deviation_is_max = angles.deviation_deg == angles.frame_angle_deg
-    labels = [("deviation", angles.deviation_deg, deviation_is_max)]
-    for col, value in enumerate(angles.segment_deg, start=1):
-        labels.append(
-            (f"bend{col}", value, not deviation_is_max and col == angles.curvature_col)
+    highlighted = "deviation" if deviation_is_max else f"bend{angles.curvature_col}"
+    labels = [("deviation", angles.deviation_deg)]
+    labels += [(f"bend{col}", value) for col, value in enumerate(angles.segment_deg, start=1)]
+    for slot, (name, value) in enumerate(labels):
+        fill, weight = (MIDDLE_COLOR, "bold") if name == highlighted else ("#222222", "normal")
+        parts.append(
+            f'<text x="{LABEL_X:g}" y="{LABEL_Y0 + slot * LABEL_STEP:g}" font-family="monospace"'
+            f' font-size="14" fill="{fill}" font-weight="{weight}">'
+            f"{name} {round_half_up(value):.{DISPLAY_DECIMALS}f}°</text>"
         )
-    for slot, (name, value, highlight) in enumerate(labels):
-        shown = round_half_up(value)
-        text = ET.SubElement(
-            svg,
-            f"{{{SVG_NS}}}text",
-            {
-                "x": _fmt(LABEL_X),
-                "y": _fmt(LABEL_Y0 + slot * LABEL_STEP),
-                "font-family": "monospace",
-                "font-size": "14",
-                "fill": MIDDLE_COLOR if highlight else "#222222",
-                "font-weight": "bold" if highlight else "normal",
-            },
-        )
-        text.text = f"{name} {shown:.{DISPLAY_DECIMALS}f}°"
-
-    return (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        + ET.tostring(svg, encoding="unicode")
-        + "\n"
-    )
+    parts.append("</svg>\n")
+    return "".join(parts)

@@ -609,6 +609,43 @@ class TestEvaluate:
         assert (rc, err) == (EXIT_OK, "")
         assert json.loads(out)["confusion"] == {"tp": 1, "fp": 0, "fn": 0, "tn": 1}
 
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (" ,pd,10", "line 3: empty case_id"),
+            ("b,maybe,5", "line 3: unknown diagnosis label 'maybe'; expected 'pd' or 'normal'"),
+        ],
+        ids=["empty-id", "label"],
+    )
+    def test_bad_dataset_row_names_its_line(self, row, message, from_stdin, tmp_path):
+        text = f"case_id,actual,measured_deg\na,pd,50\n{row}\n"
+        path = tmp_path / "dataset.csv"
+        path.write_text(text)
+        rc, out, err = run(["evaluate", "-"], text) if from_stdin else run(["evaluate", str(path)])
+        assert (rc, out, err) == (EXIT_INPUT, "", f"kpcurve evaluate: {message}\n")
+
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (",pd", "line 3: empty case_id"),
+            ("b,maybe", "line 3: unknown diagnosis label 'maybe'; expected 'pd' or 'normal'"),
+        ],
+        ids=["empty-id", "label"],
+    )
+    def test_bad_labels_row_names_its_line(self, row, message, from_stdin, tmp_path):
+        _, report, _ = run(["analyze", "-"], jsonl_for("a", [67.51]))
+        report_path, labels = tmp_path / "r.json", tmp_path / "labels.csv"
+        report_path.write_text(report)
+        text = f"case_id,actual\na,pd\n{row}\n"
+        labels.write_text(text)
+        if from_stdin:
+            rc, out, err = run(["evaluate", str(report_path), "--labels", "-"], text)
+        else:
+            rc, out, err = run(["evaluate", "--labels", str(labels), "-"], report)
+        assert (rc, out, err) == (EXIT_INPUT, "", f"kpcurve evaluate: {message}\n")
+
     def test_header_only_yields_undefined_metrics(self):
         rc, out, err = run(["evaluate", "-"], "case_id,actual,measured_deg\n")
         assert rc == EXIT_OK
@@ -1390,6 +1427,36 @@ class TestRender:
         # recorded before render measured through measure_stream
         digest = "0eac6240acb61b592d3e613ba1fc20524a2ace72b61e6c902e555d5232c2c599"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # recorded while the overlay was built with ElementTree; a straight shaft's
+    # deviation ties the frame angle, an S-shaped middle line's bend 2 does not
+    @pytest.mark.parametrize(
+        "stdin_text, bold, digest",
+        [
+            pytest.param(
+                label_line(0.0),
+                "deviation 0.00°",
+                "a2bf3291b15bb490793c3cc9c8760689c93450539129f31b199e2efc7f034f8e",
+                id="straight",
+            ),
+            pytest.param(
+                "0 0.450000 0.425000 0.700000 0.250000 0.100000 0.450000 0.300000 0.450000"
+                " 0.450000 0.300000 0.600000 0.450000 0.800000 0.450000 0.100000 0.500000"
+                " 0.300000 0.500000 0.450000 0.350000 0.600000 0.500000 0.800000 0.500000"
+                " 0.100000 0.550000 0.300000 0.550000 0.450000 0.400000 0.600000 0.550000"
+                " 0.800000 0.550000\n",
+                "bend2 90.00°",
+                "ce155c5d447f15c1be4afb73af357d95b6c064e73c6891703dcb4551d91f23f9",
+                id="s-shaped",
+            ),
+        ],
+    )
+    def test_highlighted_label_golden(self, stdin_text, bold, digest):
+        rc, out, err = run(["render", "-"], stdin_text)
+        assert (rc, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        texts = self.parse_svg(out).findall(f".//{SVG}text")
+        assert [t.text for t in texts if t.get("font-weight") == "bold"] == [bold]
 
     @pytest.mark.parametrize("side", ["width", "height"])
     def test_canvas_too_large_for_a_float(self, side):

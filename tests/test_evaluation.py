@@ -383,15 +383,29 @@ class TestCsvMessages:
             _dataset_rows,
             "case_id,actual,measured_deg\nc1,sick,50\n",
             DatasetFormatError,
-            "unknown diagnosis label 'sick'; expected 'pd' or 'normal'",
+            "line 2: unknown diagnosis label 'sick'; expected 'pd' or 'normal'",
             id="dataset-label",
         ),
         pytest.param(
             read_labels_csv,
             "case_id,actual\na,sick\n",
             DatasetFormatError,
-            "unknown diagnosis label 'sick'; expected 'pd' or 'normal'",
+            "line 2: unknown diagnosis label 'sick'; expected 'pd' or 'normal'",
             id="labels-label",
+        ),
+        pytest.param(
+            _dataset_rows,
+            "case_id,actual,measured_deg\nc1,pd,50\n\n ,pd,10\n",
+            DatasetFormatError,
+            "line 4: empty case_id",
+            id="dataset-empty-id",
+        ),
+        pytest.param(
+            read_labels_csv,
+            "case_id,actual\n,pd\n",
+            DatasetFormatError,
+            "line 2: empty case_id",
+            id="labels-empty-id",
         ),
         pytest.param(
             _dataset_rows,
