@@ -78,6 +78,14 @@ def _read_text(path: str, stdin) -> str:
     return text
 
 
+def _read_csv(reader, text: str, path: str):
+    """``reader(text)``, whose errors name the CSV's path or <stdin>."""
+    try:
+        return reader(text)
+    except DatasetFormatError as exc:
+        raise DatasetFormatError(f"{'<stdin>' if path == '-' else path}: {exc}") from None
+
+
 def _write_text(path: str | None, text: str, stdout) -> None:
     if path is None or path == "-":
         stdout.write(text)
@@ -315,7 +323,7 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
             )
         if args.labels == "-" and args.input == "-":
             raise DatasetFormatError("the report JSON and --labels cannot both be stdin")
-        labels = read_labels_csv(_read_text(args.labels, stdin))
+        labels = _read_csv(read_labels_csv, _read_text(args.labels, stdin), args.labels)
         triples, left_out = report_results(document, labels)
         for case_id, reason in left_out:
             stderr.write(
@@ -326,7 +334,7 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
             stderr.write(
                 "kpcurve: warning: --labels ignored for dataset CSV input\n"
             )
-        triples = read_dataset_csv(text)
+        triples = _read_csv(read_dataset_csv, text, args.input)
 
     if not triples:
         stderr.write("kpcurve evaluate: no cases in input; metrics undefined\n")

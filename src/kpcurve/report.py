@@ -4,9 +4,9 @@ The frame-stream format is one JSON object per line with a fixed key
 order and floats rounded to the shared 6-decimal precision, so a given
 stream serializes to identical bytes on every run.
 :func:`dumps_frame` writes a whole sweep from its box and keypoint
-arrays: orjson writes a row whose values all lie on the 6-decimal grid
+arrays: orjson writes all rows whose values lie on the 6-decimal grid
 and are each 0 or of a magnitude in [1e-4, 1e16), where its float text
-is json's, and the stdlib json every other row, to the same bytes.
+is json's, at once, and the stdlib json each other row, to the same bytes.
 :func:`iter_frame_stream` reads such a stream in batches of up to
 ``CHUNK_FRAMES`` lines: orjson decodes each line of a batch, and
 :func:`_frames`, the one statement of the frame-line rules, checks the
@@ -109,9 +109,10 @@ def dumps_frame(case_id: str, boxes, points, frame_indices) -> str:
     Row i is frame ``frame_indices[i]`` of ``case_id`` with class id 0,
     box ``boxes[i]`` (cx, cy, w, h) and keypoints ``points[i]`` (15 x 2),
     read as float64; each coordinate ``v`` is written as json writes
-    ``round(v, 6)``. orjson writes the records of rows whose values all lie
-    on the 6-decimal grid and are each 0 or of a magnitude in [1e-4, 1e16);
-    json writes the other records, rounded, and every line's head, as
+    ``round(v, 6)``. orjson writes the boxes, in one call, and keypoints, in
+    another, of rows whose values all lie on the 6-decimal grid and are each
+    0 or of a magnitude in [1e-4, 1e16), and its text is split back into rows;
+    json writes the other rows one by one, rounded, and every line's head, as
     orjson leaves non-ASCII text unescaped and refuses integers past 64 bits.
     """
     values = np.concatenate(
@@ -122,23 +123,27 @@ def dumps_frame(case_id: str, boxes, points, frame_indices) -> str:
     # a value on the grid is its own round(v, 6)
     with np.errstate(all="ignore"):  # huge values overflow inside np.round
         on_grid = np.round(values, COORD_DECIMALS) == values
-    in_range = _orjson_floats(values)
-    orjson_rows = (on_grid & in_range).all(axis=1).tolist()
-    rows = zip(values[:, :4], values[:, 4:].reshape(-1, NUM_KEYPOINTS, 2), orjson_rows)
+    orjson_rows = (on_grid & _orjson_floats(values)).all(axis=1)
+    # orjson writes the rows it takes as two blocks (C-contiguous, as it requires),
+    # each split into one text per row
+    taken, option = values[orjson_rows], orjson.OPT_SERIALIZE_NUMPY
+    boxes = orjson.dumps(taken[:, :4].copy(), option=option).decode()[2:-2].split("],[")
+    grids = taken[:, 4:].reshape(-1, NUM_KEYPOINTS, 2).copy()
+    grids = orjson.dumps(grids, option=option).decode()[3:-3].split("]],[[")
+    written = zip(boxes, grids)
     head = '{"case_id":' + json.dumps(case_id) + ',"frame_index":'
-    parts = []
-    for index, (box, pairs, by_orjson) in zip(frame_indices, rows, strict=True):
-        box, pairs = box.tolist(), pairs.tolist()
+    lines = []
+    for index, by_orjson, row in zip(frame_indices, orjson_rows.tolist(), values, strict=True):
         if by_orjson:
-            record = {"class_id": 0, "bbox": box, "keypoints": pairs}
-            text = orjson.dumps(record, option=orjson.OPT_APPEND_NEWLINE).decode()
-        else:
-            box = [round(v, COORD_DECIMALS) for v in box]
-            pairs = [[round(x, COORD_DECIMALS), round(y, COORD_DECIMALS)] for x, y in pairs]
-            record = {"class_id": 0, "bbox": box, "keypoints": pairs}
-            text = json.dumps(record, separators=(",", ":")) + "\n"
-        parts += (head, int.__repr__(index), ",", text[1:])  # the head opens the object
-    return "".join(parts)
+            box, grid = next(written)
+        else:  # json writes the row, rounded
+            row = [round(v, COORD_DECIMALS) for v in row.tolist()]
+            box = json.dumps(row[:4], separators=(",", ":"))[1:-1]
+            grid = json.dumps(list(zip(row[4::2], row[5::2])), separators=(",", ":"))[2:-2]
+        lines.append(
+            f'{head}{int.__repr__(index)},"class_id":0,"bbox":[{box}],"keypoints":[[{grid}]]}}\n'
+        )
+    return "".join(lines)
 
 
 def is_case_id(text: str) -> bool:

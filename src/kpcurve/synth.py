@@ -7,10 +7,10 @@ camera into keypoint frames. Because the bend angle and its projection
 are known in closed form, the generated frames carry exact oracle
 values for validating the measurement chain end to end.
 
-Every pose of a sweep is projected in one array pass, and ``sweep``
-returns the result as columns (:class:`SweepColumns`): keypoints and
-boxes as arrays, poses and oracle angles as lists, with no object per
-frame. A one-step sweep renders a single pose.
+Every pose of a sweep is projected, checked and given its oracle angle
+in one array pass, and ``sweep`` returns the result as columns
+(:class:`SweepColumns`): keypoints and boxes as arrays, poses and oracle
+angles as lists, with no object or Python loop per frame.
 
 The synth spec format has its one home here: :func:`read_spec` takes
 its fields from :class:`HingeModelSpec` and the keywords of :func:`sweep`.
@@ -131,28 +131,19 @@ def build_model(spec: HingeModelSpec) -> np.ndarray:
 def _rotations(yaws, pitch_deg: float) -> np.ndarray:
     """World-to-camera rotations, (n, 3, 3): yaw about y, then pitch about x.
 
-    Sines and cosines come from ``math``: ``np.sin`` may take a SIMD
-    path whose last bit differs from libm on other hosts.
+    Sines and cosines come from ``math``, one call each per yaw: ``np.sin``
+    may take a SIMD path whose last bit differs from libm on other hosts.
+    The yaw matrices fill one block, multiplied by copies of the pitch's.
     """
     pitch = math.radians(pitch_deg)
     cp, sp = math.cos(pitch), math.sin(pitch)
-    rot_pitch = [[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]]
-    rot_yaw = []
-    for yaw in map(math.radians, yaws):
-        cy, sy = math.cos(yaw), math.sin(yaw)
-        rot_yaw.append([[cy, 0.0, sy], [0.0, 1.0, 0.0], [-sy, 0.0, cy]])
-    return np.array([rot_pitch] * len(rot_yaw)) @ np.array(rot_yaw)
-
-
-def _planar_angle_deg(u, v) -> float:
-    """Unsigned angle between two 2D vectors via atan2, in degrees."""
-    if math.hypot(u[0], u[1]) < EPSILON or math.hypot(v[0], v[1]) < EPSILON:
-        raise DegenerateProjectionError(
-            "projected bend direction collapsed below the degeneracy threshold"
-        )
-    cross = u[0] * v[1] - u[1] * v[0]
-    dot = u[0] * v[0] + u[1] * v[1]
-    return abs(math.degrees(math.atan2(cross, dot)))
+    radians = list(map(math.radians, yaws))
+    cos, sin = np.array(list(map(math.cos, radians))), np.array(list(map(math.sin, radians)))
+    rot_yaw = np.zeros((len(radians), 3, 3))
+    rot_yaw[:, 0, 0] = rot_yaw[:, 2, 2] = cos
+    rot_yaw[:, 0, 2], rot_yaw[:, 2, 0], rot_yaw[:, 1, 1] = sin, -sin, 1.0
+    rot_pitch = np.array([[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]])
+    return np.repeat(rot_pitch[None], len(radians), axis=0) @ rot_yaw
 
 
 def _project_all(model, yaws, pitch_deg: float, image_width: int, image_height: int):
@@ -169,33 +160,41 @@ def _project_all(model, yaws, pitch_deg: float, image_width: int, image_height: 
     model = np.asarray(model, dtype=np.float64)
     rot = _rotations(yaws, pitch_deg)
     pts = model.reshape(-1, 3) @ rot.transpose(0, 2, 1)
-    flat = np.stack([pts[..., 0], -pts[..., 1]], axis=-1)
+    # keypoint-major (15, n, 2): a frame's extent is a reduction over contiguous blocks
+    flat = np.stack([pts[..., 0].T, -pts[..., 1].T], axis=-1)
     center = middle_line(model.reshape(-1, 3))
     pre = rot @ (center[1] - center[0])
     post = rot @ (center[4] - center[3])
 
-    mins = flat.min(axis=1, keepdims=True)
-    extents = flat.max(axis=1, keepdims=True) - mins
+    mins = flat.min(axis=0)
+    extents = flat.max(axis=0) - mins
     size = np.array([image_width, image_height], dtype=np.float64)
     fits = extents > EPSILON
     avail = size * (1.0 - 2.0 * FIT_MARGIN)
     ratios = np.divide(avail, extents, out=np.full_like(extents, np.inf), where=fits)
-    single = ~fits.any(axis=2, keepdims=True)
-    scale = np.where(single, 1.0, ratios.min(axis=2, keepdims=True))  # single raises below
+    single = ~fits.any(axis=1, keepdims=True)
+    scale = np.where(single, 1.0, ratios.min(axis=1, keepdims=True))  # single raises below
     pixels = (flat - mins) * scale + (size - extents * scale) / 2.0
-    points = np.round(pixels / size, COORD_DECIMALS)
+    points = np.round(pixels / size, COORD_DECIMALS).transpose(1, 0, 2)
 
-    short = (polyline_angles(middle_line(points))[1] >= 0).tolist()
-    angles = []
-    for u, v, is_point, is_short in zip(pre.tolist(), post.tolist(), single.flat, short):
-        angles.append(_planar_angle_deg((u[0], -u[1]), (v[0], -v[1])))
-        if is_point:
-            raise DegenerateProjectionError("model projects to a single point")
-        if is_short:
-            raise DegenerateProjectionError(
-                "a projected middle-line segment collapsed below the degeneracy threshold"
-            )
-    return points, angles
+    # the bend directions in image axes (y down); a frame's first fault is the
+    # collapsed direction, then the single point, then the short segment
+    ux, uy, vx, vy = pre[:, 0], -pre[:, 1], post[:, 0], -post[:, 1]
+    collapsed = np.array(list(map(math.hypot, ux.tolist(), uy.tolist()))) < EPSILON
+    collapsed |= np.array(list(map(math.hypot, vx.tolist(), vy.tolist()))) < EPSILON
+    short = polyline_angles(middle_line(points))[1] >= 0
+    failed = collapsed | single.ravel() | short
+    if failed.any():
+        i = int(failed.argmax())
+        raise DegenerateProjectionError(
+            "projected bend direction collapsed below the degeneracy threshold"
+            if collapsed[i]
+            else "model projects to a single point"
+            if single.flat[i]
+            else "a projected middle-line segment collapsed below the degeneracy threshold"
+        )
+    cross, dot = (ux * vy - uy * vx).tolist(), (ux * vx + uy * vy).tolist()
+    return points, list(map(abs, map(math.degrees, map(math.atan2, cross, dot))))
 
 
 def _boxes(points: np.ndarray) -> np.ndarray:
@@ -207,7 +206,8 @@ def _boxes(points: np.ndarray) -> np.ndarray:
     1e-6 of a half-integer, as a centre often does, or whose magnitude
     reaches 2**52, is rounded by ``round`` itself.
     """
-    lo, hi = points.min(axis=1), points.max(axis=1)
+    keypoint_major = np.ascontiguousarray(points.transpose(1, 0, 2))
+    lo, hi = keypoint_major.min(axis=0), keypoint_major.max(axis=0)
     raw = np.concatenate([(lo + hi) / 2.0, hi - lo], axis=1)
     scaled = raw * 10.0**COORD_DECIMALS
     boxes = np.rint(scaled) / 10.0**COORD_DECIMALS
@@ -275,8 +275,8 @@ def _frame_noise(seed: int, n: int, sd: float, shape: tuple) -> np.ndarray:
         return np.stack([rng.normal(0.0, sd, shape) for rng in rngs])
     bitgen = np.random.PCG64()
     rng = np.random.Generator(bitgen)
-    rows = []
-    for state_hi, state_lo, seq_hi, seq_lo in _seed_states(seed, n):
+    block = np.empty((n, math.prod(shape)))
+    for row, (state_hi, state_lo, seq_hi, seq_lo) in zip(block, _seed_states(seed, n)):
         inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
         state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
         bitgen.state = {
@@ -285,8 +285,9 @@ def _frame_noise(seed: int, n: int, sd: float, shape: tuple) -> np.ndarray:
             "has_uint32": 0,
             "uinteger": 0,
         }
-        rows.append(rng.normal(0.0, sd, shape))
-    return np.stack(rows)
+        rng.standard_normal(out=row)
+    # numpy's normal(loc, scale) is loc + scale * z of these same standard normals
+    return (0.0 + sd * block).reshape(n, *shape)
 
 
 def sweep(
@@ -305,15 +306,16 @@ def sweep(
     at the start yaw even when the step overflows a float (steps=1
     yields the start yaw alone). A bad pose raises for the
     first failing frame, its yaw checked before the shared pitch. All
-    poses are projected in one array pass, and each row equals a
-    one-step sweep at its pose; a frame's box is its keypoints' extent.
+    poses are rotated, projected, checked for degeneracy and measured
+    by the oracle in one array pass, and each row equals a one-step
+    sweep at its pose; a frame's box is its keypoints' extent.
     Optional Gaussian jitter is drawn per frame from its own generator,
     ``default_rng([spec.seed, frame_index])``, whose bits define it; the
-    generators of all frames are seeded in one array pass, and a seed of
-    2**32 or more builds each one itself. The jitter is added per
-    normalized coordinate, clipped to [0, 1] and re-quantized, and the
-    box is taken again from the jittered keypoints. Output is fully
-    reproducible for a given spec.
+    generators of all frames are seeded in one array pass and draw into
+    one block, and a seed of 2**32 or more builds each one itself. The
+    jitter is added per normalized coordinate, clipped to [0, 1] and
+    re-quantized, and the box is taken again from the jittered
+    keypoints. Output is fully reproducible for a given spec.
     """
     if steps < 1:
         raise BadSpecError(f"steps must be >= 1, got {steps}")

@@ -615,15 +615,18 @@ class TestEvaluate:
         [
             (" ,pd,10", "line 3: empty case_id"),
             ("b,maybe,5", "line 3: unknown diagnosis label 'maybe'; expected 'pd' or 'normal'"),
+            ("b,pd,x", "line 3: measured_deg 'x' is not a number"),
+            ("b,pd", "line 3: expected 3 fields, got 2"),
         ],
-        ids=["empty-id", "label"],
+        ids=["empty-id", "label", "angle", "width"],
     )
     def test_bad_dataset_row_names_its_line(self, row, message, from_stdin, tmp_path):
         text = f"case_id,actual,measured_deg\na,pd,50\n{row}\n"
         path = tmp_path / "dataset.csv"
         path.write_text(text)
         rc, out, err = run(["evaluate", "-"], text) if from_stdin else run(["evaluate", str(path)])
-        assert (rc, out, err) == (EXIT_INPUT, "", f"kpcurve evaluate: {message}\n")
+        source = "<stdin>" if from_stdin else path
+        assert (rc, out, err) == (EXIT_INPUT, "", f"kpcurve evaluate: {source}: {message}\n")
 
     @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
     @pytest.mark.parametrize(
@@ -631,8 +634,9 @@ class TestEvaluate:
         [
             (",pd", "line 3: empty case_id"),
             ("b,maybe", "line 3: unknown diagnosis label 'maybe'; expected 'pd' or 'normal'"),
+            ("a,normal", "case id 'a' appears more than once"),
         ],
-        ids=["empty-id", "label"],
+        ids=["empty-id", "label", "duplicate"],
     )
     def test_bad_labels_row_names_its_line(self, row, message, from_stdin, tmp_path):
         _, report, _ = run(["analyze", "-"], jsonl_for("a", [67.51]))
@@ -644,7 +648,8 @@ class TestEvaluate:
             rc, out, err = run(["evaluate", str(report_path), "--labels", "-"], text)
         else:
             rc, out, err = run(["evaluate", "--labels", str(labels), "-"], report)
-        assert (rc, out, err) == (EXIT_INPUT, "", f"kpcurve evaluate: {message}\n")
+        source = "<stdin>" if from_stdin else labels
+        assert (rc, out, err) == (EXIT_INPUT, "", f"kpcurve evaluate: {source}: {message}\n")
 
     def test_header_only_yields_undefined_metrics(self):
         rc, out, err = run(["evaluate", "-"], "case_id,actual,measured_deg\n")
@@ -660,7 +665,8 @@ class TestEvaluate:
     def test_bad_header(self):
         rc, _, err = run(["evaluate", "-"], "id,truth,angle\nc1,pd,50\n")
         assert rc == EXIT_INPUT
-        assert "header" in err
+        expected = "<stdin>: expected header 'case_id,actual,measured_deg', got 'id,truth,angle'"
+        assert err == f"kpcurve evaluate: {expected}\n"
 
     def test_duplicate_case_rejected(self):
         text = "case_id,actual,measured_deg\nc1,pd,50\nc1,pd,60\n"

@@ -1,8 +1,10 @@
 """Phantom generator: construction, projection oracle, sweeps, jitter."""
 
+import hashlib
 import io
 import json
 import math
+import random
 import re
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import frame_line, line_angles, measure_sequence, vector_angle
 from kpcurve import sequence
 from kpcurve.cli import EXIT_GEOMETRY, EXIT_OK, main
-from kpcurve.report import dumps_report, sweep_sidecar
+from kpcurve.report import dumps_frame, dumps_report, sweep_sidecar
 from kpcurve.synth import (
     BadSpecError,
     DegenerateProjectionError,
@@ -196,6 +198,29 @@ class TestProject:
         with pytest.raises(DegenerateProjectionError, match="bend direction collapsed"):
             _project_all(collapsed, [0.0], 0.0, 640, 640)
 
+    def test_first_failing_frame_raises_its_first_fault(self):
+        # segment 0 lies along the view at yaw 0, so the pre-bend direction
+        # collapses there; segment 1 lies along it at yaw 30, so that frame
+        # has a short segment alone
+        half = math.sin(math.radians(30.0)), math.cos(math.radians(30.0))
+        center = np.cumsum([(0, 0, 0), (0, 0, 1), (-half[0], 0, half[1]), (1, 0, 0), (0, 1, 0)], 0)
+        model = np.stack([center] * 3).astype(np.float64)
+        short = "a projected middle-line segment collapsed below the degeneracy threshold"
+        collapsed = "projected bend direction collapsed below the degeneracy threshold"
+        for yaws, message in (([30.0, 0.0], short), ([0.0, 30.0], collapsed)):
+            with pytest.raises(DegenerateProjectionError) as info:
+                _project_all(model, yaws, 0.0, 640, 640)
+            assert str(info.value) == message
+        # a point model is also a single point; a model within 1e-9 on both
+        # image axes, whose bend directions are not, is that alone
+        with pytest.raises(DegenerateProjectionError, match=f"^{collapsed}$"):
+            _project_all(np.zeros((3, 5, 3)), [0.0, 30.0], 0.0, 640, 640)
+        tiny = np.zeros((3, 5, 3))
+        tiny[:, [1, 4], :2] = 0.8e-9
+        for yaws in ([0.0], [0.0, 30.0], [30.0, 0.0]):
+            with pytest.raises(DegenerateProjectionError, match="^model projects to a single point$"):
+                _project_all(tiny, yaws, 0.0, 640, 640)
+
     def test_bad_image_dimensions(self):
         with pytest.raises(BadSpecError):
             project(HingeModelSpec(hinge_angle_deg=20.0), image_width=0)
@@ -375,6 +400,45 @@ class TestFrameNoise:
         clean = sweep(HingeModelSpec(30.0), steps=4).points
         expected = np.round(np.clip(clean + per_frame_noise(seed, 4), 0.0, 1.0), 6)
         assert result.points.tobytes() == expected.tobytes()
+
+
+def random_phantom_spec(rng: random.Random, index: int) -> dict:
+    """A synth spec with every field drawn, some at the gates of the writers
+    (poses near 0) and of the degeneracy checks (poses near 90)."""
+    return {
+        "case_id": f"p{index}",
+        "hinge_angle_deg": rng.choice([rng.uniform(0.0, 179.9), 0.0, 90.0, 179.0]),
+        "length_cm": rng.uniform(0.5, 20.0),
+        "width_cm": rng.uniform(0.1, 5.0),
+        "hinge_position": rng.uniform(0.05, 0.95),
+        "seed": rng.randrange(2**32) if rng.random() < 0.9 else rng.randrange(2**32, 2**40),
+        "steps": rng.randint(1, 120),
+        "jitter_sd": rng.choice([0.0, 0.002, 0.05]),
+        "pitch_deg": rng.choice([rng.uniform(-60.0, 60.0), 0.0, 5e-5, 89.999]),
+        "yaw_start_deg": rng.choice([rng.uniform(-89.999, 0.0), -60.0, -89.9999, -1e-5]),
+        "yaw_end_deg": rng.choice([rng.uniform(0.0, 89.999), 60.0, 89.9999, 1e-5]),
+        "image_width": rng.randint(1, 2000),
+        "image_height": rng.randint(1, 2000),
+    }
+
+
+def test_random_specs_keep_their_bytes():
+    # the frame streams, sidecars and errors of 400 random specs, recorded
+    # before sweeps were projected and written in one array pass
+    rng, digest, errors = random.Random(20241019), hashlib.sha256(), 0
+    for index in range(400):
+        try:
+            phantom = read_spec(random_phantom_spec(rng, index))
+            result = sweep(phantom.model, **phantom.sweep_args)
+        except DegenerateProjectionError as exc:
+            digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+            errors += 1
+            continue
+        frames = range(len(result.points))
+        digest.update(dumps_frame(phantom.case_id, result.boxes, result.points, frames).encode())
+        digest.update(dumps_report(sweep_sidecar(phantom, result)).encode())
+    assert errors == 19
+    assert digest.hexdigest() == "d5ebd11b1ff9f5e3c7893f5b6347745a7f3dd4a113715547fce94342eed5988e"
 
 
 def reference_boxes(points) -> np.ndarray:

@@ -406,6 +406,23 @@ def test_orjson_float_text_is_json_text_in_its_range():
     assert differ([9.9e-05]) and differ([1e16])
 
 
+def test_orjson_numpy_float_text_is_json_text_in_its_range():
+    # dumps_frame hands orjson float64 blocks and splits its text per row: an
+    # orjson upgrade that writes numpy floats unlike Python floats, or lays a
+    # block out otherwise, fails here first
+    grid = np.arange(10**6 + 1) / 10**6
+    magnitudes = 10 ** np.random.default_rng(4).uniform(-4.0, 16.0, 200_000)
+    magnitudes = magnitudes[(magnitudes >= 1e-4) & (magnitudes < 1e16)]
+    values = np.concatenate([grid[:1], grid[100:], magnitudes, -magnitudes, [-0.0]])
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    assert text == orjson.dumps(values.tolist())
+    assert text == json.dumps(values.tolist(), separators=(",", ":")).encode()
+    for shape in ((0, 4), (1, 4), (3, 4), (1, 15, 2), (3, 15, 2)):
+        block = grid[100 : 100 + math.prod(shape)].reshape(shape)
+        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+        assert text == json.dumps(block.tolist(), separators=(",", ":")).encode()
+
+
 def test_orjson_indent_layout_is_json_layout():
     # the report writers hand orjson items of these shapes: an orjson upgrade
     # that changes its indented layout, or its int and text rules, fails here first
@@ -457,8 +474,9 @@ def assert_matches_reference(case_id, boxes, points, frame_indices):
 
 @pytest.fixture
 def orjson_rows(monkeypatch):
-    """The values that the writers hand ``orjson.dumps``: one per frame-stream row
-    or report item that orjson writes."""
+    """The values that the writers hand ``orjson.dumps``, one per call: the box and
+    keypoint blocks of a frame stream, and each report or sidecar item that orjson
+    writes."""
     records = []
     dumps = orjson.dumps
 
@@ -468,6 +486,14 @@ def orjson_rows(monkeypatch):
 
     monkeypatch.setattr(orjson, "dumps", recording)
     return records
+
+
+def orjson_frame_rows(records) -> list[list[float]]:
+    """The 34-value rows of the one box block and one keypoint block that
+    ``dumps_frame`` hands orjson."""
+    assert [type(block) for block in records] == [np.ndarray, np.ndarray]
+    boxes, points = records
+    return np.concatenate([boxes, points.reshape(len(points), 30)], axis=1).tolist()
 
 
 class TestDumpsFrame:
@@ -556,26 +582,28 @@ class TestDumpsFrame:
             dumps_frame("c", np.full((2, 4), 0.5), np.full((2, 15, 2), 0.5), [0])
 
     def test_blocks_mix_array_and_fallback_rows(self, orjson_rows):
-        values = []
-        for i, value in enumerate(EDGE_COORDS):
-            values += [grid_row(i), row_ending_in(value)]
-        text = assert_matches_reference("m", *frames_from_rows(values), range(len(values)))
-        assert text.count("\n") == len(values)
         # the grid rows and the rows ending in an edge value on the grid that
         # is 0 or of a magnitude in [1e-4, 1e16) go to orjson, the others to json
         on_grid = [0.0, -0.0, 1.0, 0.0001, 0.999999, 0.5, math.nextafter(1e16, 0.0)]
-        assert len(orjson_rows) == len(EDGE_COORDS) + len(on_grid)
+        values, taken = [], []
+        for i, value in enumerate(EDGE_COORDS):
+            values += [grid_row(i), row_ending_in(value)]
+            taken += [grid_row(i)] + ([row_ending_in(value)] if value in on_grid else [])
+        text = assert_matches_reference("m", *frames_from_rows(values), range(len(values)))
+        assert text.count("\n") == len(values)
+        assert len(taken) == len(EDGE_COORDS) + len(on_grid)
+        assert orjson_frame_rows(orjson_rows) == taken
 
     @pytest.mark.parametrize("rows_count", [1, 255, 256, 257])
     def test_block_sizes(self, rows_count, orjson_rows):
         # one json row, the last of the first 256, among orjson rows
         values = [grid_row(i) for i in range(rows_count)]
-        values[min(rows_count, 256) - 1] = row_ending_in(0.000099)
+        by_json = min(rows_count, 256) - 1
+        values[by_json] = row_ending_in(0.000099)
         assert_matches_reference("b", *frames_from_rows(values), range(rows_count))
-        assert len(orjson_rows) == rows_count - 1
+        assert orjson_frame_rows(orjson_rows) == values[:by_json] + values[by_json + 1 :]
 
     def test_every_frame_of_jittered_sweeps(self, orjson_rows):
-        rows_total = 0
         for i in range(16):
             spec = HingeModelSpec(hinge_angle_deg=5.0 + 11.0 * i, seed=i)
             result = sweep(
@@ -586,6 +614,7 @@ class TestDumpsFrame:
                 image_width=640 + 97 * i,
             )
             assert_matches_reference("s", result.boxes, result.points, range(80))
-            rows_total += 80
-        # orjson writes every frame of a sweep, clipped or not
-        assert len(orjson_rows) == rows_total
+            # orjson writes every frame of a sweep, clipped or not, in one call per block
+            rows = np.concatenate([result.boxes, result.points.reshape(80, -1)], axis=1)
+            assert orjson_frame_rows(orjson_rows) == rows.tolist()
+            orjson_rows.clear()
