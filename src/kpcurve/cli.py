@@ -412,5 +412,10 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
 
 
 def entry() -> None:
-    """Console-script entry point."""
+    """Console-script and ``python -m kpcurve`` entry point. Stdin and stdout
+    are UTF-8 whatever the locale, as files are; a byte that is not UTF-8
+    goes through as a lone surrogate, which the readers reject with its line."""
+    for stream in (sys.stdin, sys.stdout):
+        if stream is not None:
+            stream.reconfigure(encoding="utf-8", errors="surrogateescape")
     sys.exit(main())

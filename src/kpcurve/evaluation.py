@@ -73,16 +73,12 @@ def evaluate_dataset(cases, threshold_deg: float = DEFAULT_THRESHOLD_DEG):
     """Classify (case_id, actual, measured_deg) triples and score them.
 
     Returns the evaluation report's ``cases`` rows, its ``confusion``
-    counts and its ``metrics``. A repeated case id or an angle outside
-    [0, 180] raises, naming the case.
+    counts and its ``metrics``. An angle outside [0, 180] raises, naming
+    the case; the readers of the triples have rejected a repeated case id.
     """
     rows = []
-    seen = set()
     tally = Counter()
     for case_id, actual, measured_deg in cases:
-        if case_id in seen:
-            raise DatasetFormatError(f"case id {case_id!r} appears more than once")
-        seen.add(case_id)
         measured = float(measured_deg)
         if not 0.0 <= measured <= 180.0:
             raise DatasetFormatError(
@@ -102,8 +98,8 @@ def _csv_rows(text: str, header: tuple[str, ...], what: str):
     The header, matched case-insensitively, opens with ``case_id,actual``;
     labels are case-insensitive too. One leading byte-order mark, as
     spreadsheets write "CSV UTF-8", is dropped. Raises DatasetFormatError
-    on an empty document, another header, a wrong width, an empty case
-    id or an unknown label.
+    on an empty document, another header, a wrong width, an empty or
+    repeated case id or an unknown label; a row's error names its line.
     """
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
@@ -114,6 +110,7 @@ def _csv_rows(text: str, header: tuple[str, ...], what: str):
         raise DatasetFormatError(
             f"expected header {','.join(header)!r}, got {','.join(first)!r}"
         )
+    seen = set()
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -125,6 +122,9 @@ def _csv_rows(text: str, header: tuple[str, ...], what: str):
         case_id = case_id.strip()
         if not case_id:
             raise DatasetFormatError(f"line {lineno}: empty case_id")
+        if case_id in seen:
+            raise DatasetFormatError(f"line {lineno}: case id {case_id!r} appears more than once")
+        seen.add(case_id)
         try:
             diagnosis = Diagnosis(actual.strip().lower())
         except ValueError:
@@ -152,10 +152,9 @@ def read_dataset_csv(text: str) -> list[tuple[str, Diagnosis, float]]:
 
 
 def read_labels_csv(text: str) -> dict[str, Diagnosis]:
-    """Parse labels CSV: header case_id,actual; returns a lookup map."""
-    labels: dict[str, Diagnosis] = {}
-    for _, case_id, diagnosis, _ in _csv_rows(text, LABELS_CSV_HEADER, "labels"):
-        if case_id in labels:
-            raise DatasetFormatError(f"case id {case_id!r} appears more than once")
-        labels[case_id] = diagnosis
-    return labels
+    """Parse labels CSV: header case_id,actual; returns a lookup map.
+
+    Raises DatasetFormatError on a bad row (see :func:`_csv_rows`).
+    """
+    rows = _csv_rows(text, LABELS_CSV_HEADER, "labels")
+    return {case_id: diagnosis for _, case_id, diagnosis, _ in rows}

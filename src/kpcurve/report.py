@@ -396,8 +396,8 @@ def report_results(
     """A measurement report's ``(case_id, actual, curvature_deg)`` triples in
     report order, and a ``(case_id, reason)`` pair per case the metrics leave
     out: failed cases in report order, then the labelled cases it lacks in
-    ``labels`` order. A case listed under both ``cases`` and ``errors``, or
-    twice under ``errors``, raises; an unlabelled case raises after that."""
+    ``labels`` order. A case listed twice, under one list or under both,
+    raises; an unlabelled case raises after that."""
     cases = document.get("cases")
     if not isinstance(cases, list):
         raise DatasetFormatError("report JSON has no 'cases' list")
@@ -426,24 +426,20 @@ def report_results(
         for entry in errors
     ):
         raise DatasetFormatError("report errors need 'case_id' and 'error' fields")
-    measured_ids = {case_id for case_id, _ in measured}
-    failed_ids = set()
-    for entry in errors:
-        case_id = entry["case_id"]
-        if case_id in measured_ids:
-            raise DatasetFormatError(
-                f"report case {case_id!r} is listed under both 'cases' and 'errors'"
-            )
-        if case_id in failed_ids:
-            raise DatasetFormatError(
-                f"report case {case_id!r} is listed more than once under 'errors'"
-            )
-        failed_ids.add(case_id)
+    listed = {}  # case id -> the list it is first under
+    for where, entries in (("cases", cases), ("errors", errors)):
+        for case_id in [entry["case_id"] for entry in entries]:
+            if case_id in listed:
+                raise DatasetFormatError(
+                    f"report case {case_id!r} is listed more than once under {where!r}"
+                    if listed[case_id] == where
+                    else f"report case {case_id!r} is listed under both 'cases' and 'errors'"
+                )
+            listed[case_id] = where
     unlabelled = [case_id for case_id, _ in measured if case_id not in labels]
     if unlabelled:
         raise DatasetFormatError(f"case {unlabelled[0]!r} missing from labels file")
-    reported = measured_ids | failed_ids
-    absent = [case_id for case_id in labels if case_id not in reported]
+    absent = [case_id for case_id in labels if case_id not in listed]
     left_out = [(entry["case_id"], f"not measured ({entry['error']})") for entry in errors]
     left_out += [(case_id, "labelled but not in the report") for case_id in absent]
     return [(case_id, labels[case_id], angle) for case_id, angle in measured], left_out

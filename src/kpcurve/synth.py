@@ -29,6 +29,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .annotation import COORD_DECIMALS
+from .report import is_case_id
 from .sequence import EPSILON, middle_line, polyline_angles
 
 DEFAULT_LENGTH_CM = 5.5
@@ -216,11 +217,9 @@ def _boxes(points: np.ndarray) -> np.ndarray:
     return boxes
 
 
-# numpy's SeedSequence (pool size 4, O'Neill's seed_seq mixing) and PCG64 seeding
+# numpy's SeedSequence (pool size 4, O'Neill's seed_seq mixing)
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
@@ -241,8 +240,8 @@ def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
     return values ^ (values >> 16)
 
 
-def _seed_states(seed: int, n: int) -> list[list[int]]:
-    """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for every i < n, as ints.
+def _seed_states(seed: int, n: int) -> np.ndarray:
+    """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for every i < n, as rows.
 
     Both entropy words fit one uint32 (``seed`` and ``n - 1`` below
     2**32), so the pool of frame i starts as hashes of (seed, i, 0, 0),
@@ -258,34 +257,37 @@ def _seed_states(seed: int, n: int) -> list[list[int]]:
         mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
         pool[dst] = mixed ^ (mixed >> 16)
     words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B).astype(np.uint64)
-    return (words[0::2] | words[1::2] << 32).T.tolist()  # little-endian word pairs
+    return np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)  # little-endian word pairs
+
+
+class _SeedState:
+    """One row of :func:`_seed_states` as a seed sequence: PCG64 asks it for
+    4 uint64 words and reads the row's memory."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 def _frame_noise(seed: int, n: int, sd: float, shape: tuple) -> np.ndarray:
     """``np.stack([default_rng([seed, i]).normal(0.0, sd, shape) for i in range(n)])``.
 
-    The generators are seeded in one array pass (:func:`_seed_states`)
-    and each state is set on one reused PCG64 as
-    ``pcg_setseq_128_srandom_r`` sets it. A seed or frame index past one
-    uint32 word changes the entropy's length, so such a sweep builds
-    ``default_rng`` per frame.
+    Each frame's PCG64 is seeded from its row of :func:`_seed_states`,
+    computed for all frames in one array pass. A seed or frame index
+    past one uint32 word changes the entropy's length, so such a sweep
+    seeds each PCG64 from its own ``SeedSequence([seed, i])``.
     """
+    # registered here, not at import: numpy.random is loaded by the first jittered sweep
+    np.random.bit_generator.ISeedSequence.register(_SeedState)
     if seed >= 2**32 or n > 2**32:
-        rngs = (np.random.default_rng([seed, index]) for index in range(n))
-        return np.stack([rng.normal(0.0, sd, shape) for rng in rngs])
-    bitgen = np.random.PCG64()
-    rng = np.random.Generator(bitgen)
+        seeds = (np.random.SeedSequence([seed, index]) for index in range(n))
+    else:
+        seeds = map(_SeedState, _seed_states(seed, n))
     block = np.empty((n, math.prod(shape)))
-    for row, (state_hi, state_lo, seq_hi, seq_lo) in zip(block, _seed_states(seed, n)):
-        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        rng.standard_normal(out=row)
+    for row, seed_seq in zip(block, seeds):
+        np.random.Generator(np.random.PCG64(seed_seq)).standard_normal(out=row)
     # numpy's normal(loc, scale) is loc + scale * z of these same standard normals
     return (0.0 + sd * block).reshape(n, *shape)
 
@@ -312,10 +314,10 @@ def sweep(
     Optional Gaussian jitter is drawn per frame from its own generator,
     ``default_rng([spec.seed, frame_index])``, whose bits define it; the
     generators of all frames are seeded in one array pass and draw into
-    one block, and a seed of 2**32 or more builds each one itself. The
-    jitter is added per normalized coordinate, clipped to [0, 1] and
-    re-quantized, and the box is taken again from the jittered
-    keypoints. Output is fully reproducible for a given spec.
+    one block, and a seed of 2**32 or more seeds each from its own
+    ``SeedSequence``. The jitter is added per normalized coordinate,
+    clipped to [0, 1] and re-quantized, and the box is taken again from
+    the jittered keypoints. Output is fully reproducible for a given spec.
     """
     if steps < 1:
         raise BadSpecError(f"steps must be >= 1, got {steps}")
@@ -374,10 +376,10 @@ def _typed(given: dict, kinds: dict) -> dict:
 
 
 def read_spec(raw, seed: int | None = None) -> PhantomSpec:
-    """Check a decoded synth spec: a non-empty ``case_id`` (default "synth")
-    with no leading or trailing whitespace, and the
-    parameters of :class:`HingeModelSpec` and :func:`sweep`, each taking
-    its default there when left out. ``seed`` replaces the spec's seed.
+    """Check a decoded synth spec: a ``case_id`` (default "synth") that
+    ``report.is_case_id`` accepts, and the parameters of
+    :class:`HingeModelSpec` and :func:`sweep`, each taking its default
+    there when left out. ``seed`` replaces the spec's seed.
     """
     if not isinstance(raw, dict):
         raise BadSpecError("spec must be a JSON object")
@@ -390,11 +392,8 @@ def read_spec(raw, seed: int | None = None) -> PhantomSpec:
         if not isinstance(value, accepted) or isinstance(value, bool):
             raise BadSpecError(f"spec field {key!r} has the wrong type")
     case_id = raw.get("case_id", "synth")
-    if case_id == "":
-        raise BadSpecError("spec field 'case_id' must not be empty")
-    # a labels CSV strips its ids, so such an id could never be evaluated
-    if case_id != case_id.strip():
-        raise BadSpecError("spec field 'case_id' must not start or end with whitespace")
+    if not is_case_id(case_id):
+        raise BadSpecError("spec field 'case_id' is empty or has outer whitespace")
     for field in fields(HingeModelSpec):
         if field.default is MISSING and field.name not in raw:
             raise BadSpecError(f"spec is missing {field.name!r}")

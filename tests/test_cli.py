@@ -617,8 +617,9 @@ class TestEvaluate:
             ("b,maybe,5", "line 3: unknown diagnosis label 'maybe'; expected 'pd' or 'normal'"),
             ("b,pd,x", "line 3: measured_deg 'x' is not a number"),
             ("b,pd", "line 3: expected 3 fields, got 2"),
+            ("a,normal,10", "line 3: case id 'a' appears more than once"),
         ],
-        ids=["empty-id", "label", "angle", "width"],
+        ids=["empty-id", "label", "angle", "width", "duplicate"],
     )
     def test_bad_dataset_row_names_its_line(self, row, message, from_stdin, tmp_path):
         text = f"case_id,actual,measured_deg\na,pd,50\n{row}\n"
@@ -634,7 +635,7 @@ class TestEvaluate:
         [
             (",pd", "line 3: empty case_id"),
             ("b,maybe", "line 3: unknown diagnosis label 'maybe'; expected 'pd' or 'normal'"),
-            ("a,normal", "case id 'a' appears more than once"),
+            ("a,normal", "line 3: case id 'a' appears more than once"),
         ],
         ids=["empty-id", "label", "duplicate"],
     )
@@ -786,7 +787,7 @@ class TestEvaluate:
             pytest.param(
                 [{"case_id": "a", "curvature_deg": 40}, {"case_id": "a", "curvature_deg": 50}],
                 FAILED_F,
-                LEFT_OUT + "kpcurve evaluate: case id 'a' appears more than once\n",
+                "kpcurve evaluate: report case 'a' is listed more than once under 'cases'\n",
                 id="measured-twice",
             ),
             pytest.param(
@@ -1002,7 +1003,7 @@ class TestSynth:
         spec = '{"case_id": "", "hinge_angle_deg": 40, "steps": 3}'
         rc, stdout, err = run(["synth", "-", "-o", str(out)], spec)
         assert (rc, stdout) == (EXIT_INPUT, "")
-        assert err == "kpcurve synth: spec field 'case_id' must not be empty\n"
+        assert err == "kpcurve synth: spec field 'case_id' is empty or has outer whitespace\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("case_id", [" a", "a ", "\\ta"])
@@ -1012,7 +1013,7 @@ class TestSynth:
         spec = '{"case_id": "%s", "hinge_angle_deg": 40, "steps": 3}' % case_id
         rc, stdout, err = run(["synth", "-", "-o", str(out)], spec)
         assert (rc, stdout) == (EXIT_INPUT, "")
-        assert err == "kpcurve synth: spec field 'case_id' must not start or end with whitespace\n"
+        assert err == "kpcurve synth: spec field 'case_id' is empty or has outer whitespace\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_sidecar_leaves_no_stream(self, tmp_path):
@@ -1679,6 +1680,14 @@ class TestConsoleScript:
             assert proc.returncode == 0
             assert proc.stdout.strip() == f"kpcurve {__version__}"
 
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy.random is slow and large to import, and only a jittered sweep needs it
+        code = "import sys, kpcurve.cli; print('numpy.random' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
 
 class TestFileEncoding:
     def test_utf8_files_under_ascii_locale(self, tmp_path):
@@ -1702,3 +1711,47 @@ class TestFileEncoding:
             )
             assert proc.returncode == 0, proc.stderr
         assert json.loads(report.read_text(encoding="utf-8"))["cases"][0]["case_id"] == "caño"
+
+    # stdin and stdout are UTF-8 whatever the locale, as files are
+    def test_bad_stdin_byte_under_a_strict_utf8_locale_names_its_line(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kpcurve", "analyze", "-"],
+            env=fresh_env(PYTHONIOENCODING="utf-8:strict"),
+            input=b"\xff\n",
+            capture_output=True,
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_INPUT, b"")
+        assert proc.stderr == b"kpcurve analyze: <stdin>: line 1: not valid UTF-8\n"
+
+    def test_utf8_stdin_under_ascii_locale(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kpcurve", "evaluate", "-"],
+            env=fresh_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0"),
+            input="case_id,actual,measured_deg\ncaño,pd,50\n".encode("utf-8"),
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["cases"][0]["case_id"] == "caño"
+
+    def test_utf8_stdout_under_latin1_encoding(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kpcurve", "render", "-"],
+            env=fresh_env(PYTHONIOENCODING="latin-1"),
+            input=label_line(40.0).encode("ascii"),
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert '<?xml version="1.0" encoding="UTF-8"' in proc.stdout.decode("utf-8")
+        assert "°" in proc.stdout.decode("utf-8")
+
+    def test_undecodable_path_byte_written_back_to_stdout(self, tmp_path):
+        xml = tmp_path / "empty.xml"
+        xml.write_text("<annotations></annotations>")
+        out_dir = bytes(tmp_path / "labels") + b"\xff"
+        proc = subprocess.run(
+            [sys.executable, "-m", "kpcurve", "convert", str(xml), "-o", out_dir],
+            env=fresh_env(PYTHONIOENCODING="utf-8:strict"),
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"converted 0 images to " + out_dir + b"\n"

@@ -215,9 +215,11 @@ class TestEvaluateDataset:
         assert scores["sensitivity"] is None
 
     def test_duplicate_case_id_rejected(self):
-        cases = [("x", Diagnosis.PD, 50.0), ("x", Diagnosis.NORMAL, 10.0)]
-        with pytest.raises(DatasetFormatError, match="^case id 'x' appears more than once$"):
-            evaluate_dataset(cases)
+        # the dataset CSV's reader holds the rule, so evaluate_dataset never sees a repeat
+        text = "case_id,actual,measured_deg\nx,pd,50\nx,normal,10\n"
+        message = "^line 3: case id 'x' appears more than once$"
+        with pytest.raises(DatasetFormatError, match=message):
+            read_dataset_csv(text)
 
     def test_threshold_sweep_monotonicity(self):
         # brute-force sweep: sensitivity never rises, specificity never
@@ -307,7 +309,8 @@ class TestLabelsCsv:
         assert labels == {"a": Diagnosis.PD, "b": Diagnosis.NORMAL}
 
     def test_duplicate_rejected(self):
-        with pytest.raises(DatasetFormatError, match="^case id 'a' appears more than once$"):
+        message = "^line 3: case id 'a' appears more than once$"
+        with pytest.raises(DatasetFormatError, match=message):
             read_labels_csv("case_id,actual\na,pd\na,normal\n")
 
     def test_bad_header(self):
@@ -315,23 +318,18 @@ class TestLabelsCsv:
             read_labels_csv("case,truth\na,pd\n")
 
 
-def _dataset_rows(text):
-    # duplicate ids in a dataset CSV are caught when the rows are scored
-    return evaluate_dataset(read_dataset_csv(text))
-
-
 class TestCsvMessages:
     """Exact messages of both CSV readers, line numbers counting blank rows."""
 
     CASES = [
         pytest.param(
-            _dataset_rows, "", DatasetFormatError, "empty dataset CSV", id="dataset-empty"
+            read_dataset_csv, "", DatasetFormatError, "empty dataset CSV", id="dataset-empty"
         ),
         pytest.param(
             read_labels_csv, "", DatasetFormatError, "empty labels CSV", id="labels-empty"
         ),
         pytest.param(
-            _dataset_rows,
+            read_dataset_csv,
             "id,truth,angle\nc1,pd,50\n",
             DatasetFormatError,
             "expected header 'case_id,actual,measured_deg', got 'id,truth,angle'",
@@ -345,7 +343,7 @@ class TestCsvMessages:
             id="labels-header",
         ),
         pytest.param(
-            _dataset_rows,
+            read_dataset_csv,
             "\n",
             DatasetFormatError,
             "expected header 'case_id,actual,measured_deg', got ''",
@@ -359,7 +357,7 @@ class TestCsvMessages:
             id="labels-blank-header",
         ),
         pytest.param(
-            _dataset_rows,
+            read_dataset_csv,
             "case_id,actual,measured_deg\nc0,pd,1\n\nc1,pd\n",
             DatasetFormatError,
             "line 4: expected 3 fields, got 2",
@@ -380,7 +378,7 @@ class TestCsvMessages:
             id="labels-too-many",
         ),
         pytest.param(
-            _dataset_rows,
+            read_dataset_csv,
             "case_id,actual,measured_deg\nc1,sick,50\n",
             DatasetFormatError,
             "line 2: unknown diagnosis label 'sick'; expected 'pd' or 'normal'",
@@ -394,7 +392,7 @@ class TestCsvMessages:
             id="labels-label",
         ),
         pytest.param(
-            _dataset_rows,
+            read_dataset_csv,
             "case_id,actual,measured_deg\nc1,pd,50\n\n ,pd,10\n",
             DatasetFormatError,
             "line 4: empty case_id",
@@ -408,24 +406,24 @@ class TestCsvMessages:
             id="labels-empty-id",
         ),
         pytest.param(
-            _dataset_rows,
+            read_dataset_csv,
             "case_id,actual,measured_deg\n\nc1,pd,many\n",
             DatasetFormatError,
             "line 3: measured_deg 'many' is not a number",
             id="dataset-number",
         ),
         pytest.param(
-            _dataset_rows,
+            read_dataset_csv,
             "case_id,actual,measured_deg\nc1,pd,50\nc1,normal,3\n",
             DatasetFormatError,
-            "case id 'c1' appears more than once",
+            "line 3: case id 'c1' appears more than once",
             id="dataset-duplicate",
         ),
         pytest.param(
             read_labels_csv,
             "case_id,actual\na,pd\na,normal\n",
             DatasetFormatError,
-            "case id 'a' appears more than once",
+            "line 3: case id 'a' appears more than once",
             id="labels-duplicate",
         ),
         pytest.param(

@@ -373,9 +373,9 @@ class TestFrameNoise:
     that changes SeedSequence or PCG64 seeding fails here first; NEP 19 keeps
     the streams of a seeded generator stable, not how the seed becomes a state."""
 
-    SEEDS = [0, 1, 2**31 - 1, 2**32 - 1]
+    SEEDS = [0, 1, 2**31 - 1, 2**32 - 1]  # below 2**32, as _seed_states needs
 
-    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("seed", [*SEEDS, 2**32, 2**64])  # past one word, too
     @pytest.mark.parametrize("n", [1, 40])
     def test_equals_a_generator_per_frame(self, seed, n):
         assert _frame_noise(seed, n, 0.01, (15, 2)).tobytes() == per_frame_noise(seed, n).tobytes()
@@ -385,7 +385,7 @@ class TestFrameNoise:
         states = _seed_states(seed, 70_000)
         for index in (0, 1, 65_535, 65_536, 69_999):
             sequence = np.random.SeedSequence([seed, index])
-            assert states[index] == sequence.generate_state(4, np.uint64).tolist()
+            assert states[index].tolist() == sequence.generate_state(4, np.uint64).tolist()
 
     def test_noise_past_two_to_the_sixteen(self):
         noise = _frame_noise(2**32 - 1, 65_538, 0.01, (15, 2))
