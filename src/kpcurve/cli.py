@@ -52,8 +52,8 @@ from .report import (
     report_results,
     sweep_sidecar,
 )
-from .sequence import AllFramesInvalidError, angle_set_from_row, measure_stream
-from .synth import BadSpecError, DegenerateProjectionError, read_spec, sweep
+from .sequence import AllFramesInvalidError, DegenerateProjectionError, measure_stream
+from .synth import BadSpecError, read_spec, sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -373,8 +373,7 @@ def _cmd_synth(args, stdin, stdout, stderr) -> int:
 
 def _cmd_render(args, stdin, stdout, stderr) -> int:
     box, points, case = _measure_still(args, stdin, stderr)
-    angles = angle_set_from_row(case.per_frame.angles[0])
-    svg = render_svg(box, points, angles, args.width, args.height)
+    svg = render_svg(box, points, case.per_frame.angles[0], args.width, args.height)
     _write_text(args.output, svg, stdout)
     return EXIT_OK
 

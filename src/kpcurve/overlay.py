@@ -18,7 +18,7 @@ import numpy as np
 
 from .annotation import COLS, MIDDLE_ROW, ROWS
 from .evaluation import DISPLAY_DECIMALS, round_half_up
-from .sequence import AngleSet
+from .sequence import angle_set_from_row
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -36,12 +36,13 @@ LABEL_STEP = 18.0
 def render_svg(
     box: np.ndarray,
     points: np.ndarray,
-    angles: AngleSet,
+    angles: np.ndarray,
     image_width: int = DEFAULT_CANVAS_PX,
     image_height: int = DEFAULT_CANVAS_PX,
 ) -> str:
     """Render one detection, its box (cx, cy, w, h) and (15, 2) keypoints,
-    as an SVG document string."""
+    as an SVG document string; ``angles`` is the frame's kernel row
+    (deviation, bend 1, bend 2, bend 3)."""
     if image_width <= 0 or image_height <= 0:
         raise ValueError(
             f"canvas dimensions must be positive, got {image_width}x{image_height}"
@@ -69,10 +70,10 @@ def render_svg(
         fill = MIDDLE_COLOR if index // COLS == MIDDLE_ROW else LATERAL_COLOR
         parts.append(f'<circle cx="{x}" cy="{y}" r="{POINT_RADIUS:g}" fill="{fill}" />')
 
-    deviation_is_max = angles.deviation_deg == angles.frame_angle_deg
-    highlighted = "deviation" if deviation_is_max else f"bend{angles.curvature_col}"
-    labels = [("deviation", angles.deviation_deg)]
-    labels += [(f"bend{col}", value) for col, value in enumerate(angles.segment_deg, start=1)]
+    deviation, segments, frame_angle, curvature_col = angle_set_from_row(angles)
+    highlighted = "deviation" if deviation == frame_angle else f"bend{curvature_col}"
+    labels = [("deviation", deviation)]
+    labels += [(f"bend{col}", value) for col, value in enumerate(segments, start=1)]
     for slot, (name, value) in enumerate(labels):
         fill, weight = (MIDDLE_COLOR, "bold") if name == highlighted else ("#222222", "normal")
         parts.append(

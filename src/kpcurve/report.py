@@ -47,7 +47,7 @@ from .evaluation import (
 )
 from .sequence import CaseMeasurement, FrameColumns, frame_rules
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # frames per batch, read when a batch producer starts; bounds how many
 # parsed lines (~2.9 KB each) are held at once

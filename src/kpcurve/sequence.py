@@ -59,20 +59,9 @@ class AllFramesInvalidError(ValueError):
     """Every frame of a case had degenerate geometry."""
 
 
-@dataclass(frozen=True)
-class AngleSet:
-    """The four angles, in degrees, of one frame, as the overlay draws them.
-
-    ``deviation_deg`` compares the base segment P0P1 with the tip
-    segment P3P4. ``segment_deg`` holds the angles between consecutive
-    segments meeting at interior points P1, P2, P3. ``frame_angle_deg``
-    and ``curvature_col`` follow :func:`frame_rules`.
-    """
-
-    deviation_deg: float
-    segment_deg: tuple[float, float, float]
-    frame_angle_deg: float
-    curvature_col: int
+class DegenerateProjectionError(ValueError):
+    """A synth pose whose projection the kernel could not measure: a
+    collapsed bend direction, a single point or a short middle-line segment."""
 
 
 def middle_line(points: np.ndarray) -> np.ndarray:
@@ -126,11 +115,13 @@ def frame_rules(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return angles.max(axis=1), 1 + angles[:, 1:].argmax(axis=1)
 
 
-def angle_set_from_row(row: np.ndarray) -> AngleSet:
-    """Assemble an AngleSet from one kernel output row."""
+def angle_set_from_row(row: np.ndarray) -> tuple[float, tuple, float, int]:
+    """One kernel row as the overlay draws it, in Python numbers: the
+    deviation, the three segment angles, then the frame angle and
+    curvature column of :func:`frame_rules`."""
     frame_angle, curvature_col = frame_rules(row[None])
     deviation, *segments = row.tolist()
-    return AngleSet(deviation, tuple(segments), frame_angle.item(), curvature_col.item())
+    return deviation, tuple(segments), frame_angle.item(), curvature_col.item()
 
 
 @dataclass(frozen=True, eq=False)

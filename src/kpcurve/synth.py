@@ -30,7 +30,7 @@ import numpy as np
 
 from .annotation import COORD_DECIMALS
 from .report import is_case_id
-from .sequence import EPSILON, middle_line, polyline_angles
+from .sequence import EPSILON, DegenerateProjectionError, middle_line, polyline_angles
 
 DEFAULT_LENGTH_CM = 5.5
 DEFAULT_WIDTH_CM = 1.5
@@ -44,10 +44,6 @@ INTERIOR_FRACTIONS = (0.25, 0.5, 0.75)
 
 class BadSpecError(ValueError):
     """A phantom spec or sweep parameter outside its valid range."""
-
-
-class DegenerateProjectionError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -217,81 +213,6 @@ def _boxes(points: np.ndarray) -> np.ndarray:
     return boxes
 
 
-# numpy's SeedSequence (pool size 4, O'Neill's seed_seq mixing)
-_MASK32 = 0xFFFFFFFF
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """The ``count + 1`` successive hash constants ``init * mult**k``, as a uint32 column."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, np.uint32)[:, None]
-
-
-_HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 16)  # entropy mixing: 4 + 12 hashes
-_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # state output: 8 words
-
-
-def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of each row of ``values``, row k with constants k and k + 1."""
-    values = (values ^ consts[:-1]) * consts[1:]
-    return values ^ (values >> 16)
-
-
-def _seed_states(seed: int, n: int) -> np.ndarray:
-    """``SeedSequence([seed, i]).generate_state(4, np.uint64)`` for every i < n, as rows.
-
-    Both entropy words fit one uint32 (``seed`` and ``n - 1`` below
-    2**32), so the pool of frame i starts as hashes of (seed, i, 0, 0),
-    computed for all frames at once in wrapping uint32 array arithmetic.
-    """
-    pool = np.zeros((4, n), np.uint32)
-    pool[0] = seed
-    pool[1] = np.arange(n, dtype=np.uint32)
-    pool = _hashmix(pool, _HASH_A[:5])
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        hashed = _hashmix(pool[src], _HASH_A[4 + 3 * src : 8 + 3 * src])
-        mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
-        pool[dst] = mixed ^ (mixed >> 16)
-    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B).astype(np.uint64)
-    return np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)  # little-endian word pairs
-
-
-class _SeedState:
-    """One row of :func:`_seed_states` as a seed sequence: PCG64 asks it for
-    4 uint64 words and reads the row's memory."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.words
-
-
-def _frame_noise(seed: int, n: int, sd: float, shape: tuple) -> np.ndarray:
-    """``np.stack([default_rng([seed, i]).normal(0.0, sd, shape) for i in range(n)])``.
-
-    Each frame's PCG64 is seeded from its row of :func:`_seed_states`,
-    computed for all frames in one array pass. A seed or frame index
-    past one uint32 word changes the entropy's length, so such a sweep
-    seeds each PCG64 from its own ``SeedSequence([seed, i])``.
-    """
-    # registered here, not at import: numpy.random is loaded by the first jittered sweep
-    np.random.bit_generator.ISeedSequence.register(_SeedState)
-    if seed >= 2**32 or n > 2**32:
-        seeds = (np.random.SeedSequence([seed, index]) for index in range(n))
-    else:
-        seeds = map(_SeedState, _seed_states(seed, n))
-    block = np.empty((n, math.prod(shape)))
-    for row, seed_seq in zip(block, seeds):
-        np.random.Generator(np.random.PCG64(seed_seq)).standard_normal(out=row)
-    # numpy's normal(loc, scale) is loc + scale * z of these same standard normals
-    return (0.0 + sd * block).reshape(n, *shape)
-
-
 def sweep(
     spec: HingeModelSpec,
     yaw_start_deg: float = -60.0,
@@ -311,13 +232,13 @@ def sweep(
     poses are rotated, projected, checked for degeneracy and measured
     by the oracle in one array pass, and each row equals a one-step
     sweep at its pose; a frame's box is its keypoints' extent.
-    Optional Gaussian jitter is drawn per frame from its own generator,
-    ``default_rng([spec.seed, frame_index])``, whose bits define it; the
-    generators of all frames are seeded in one array pass and draw into
-    one block, and a seed of 2**32 or more seeds each from its own
-    ``SeedSequence``. The jitter is added per normalized coordinate,
-    clipped to [0, 1] and re-quantized, and the box is taken again from
-    the jittered keypoints. Output is fully reproducible for a given spec.
+    Optional Gaussian jitter is one draw from one generator per sweep,
+    ``default_rng(spec.seed).normal(0.0, jitter_sd, (steps, 15, 2))``,
+    whose row i is frame i's (schema 2); numpy draws in sequence, so
+    frame i's jitter does not depend on ``steps``. The jitter is added
+    per normalized coordinate, clipped to [0, 1] and re-quantized, and
+    the box is taken again from the jittered keypoints. Output is fully
+    reproducible for a given spec.
     """
     if steps < 1:
         raise BadSpecError(f"steps must be >= 1, got {steps}")
@@ -342,7 +263,7 @@ def sweep(
     model = build_model(spec)
     points, angles = _project_all(model, yaws, pitch_deg, image_width, image_height)
     if jitter_sd > 0.0:
-        noise = _frame_noise(spec.seed, steps, jitter_sd, points.shape[1:])
+        noise = np.random.default_rng(spec.seed).normal(0.0, jitter_sd, points.shape)
         points = np.round(np.clip(points + noise, 0.0, 1.0), COORD_DECIMALS)
     return SweepColumns(points, _boxes(points), yaws, pitch_deg, angles)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from kpcurve.report import RunConfig, dumps_frame, dumps_report, measurement_rep
 from kpcurve.sequence import (
     EPSILON,
     AllFramesInvalidError,
-    AngleSet,
     EmptySequenceError,
     angle_set_from_row,
     measure_stream,
@@ -34,7 +34,22 @@ def vector_angle(a, b, c, d) -> float:
     return math.degrees(math.atan2(abs(ax * by - ay * bx), ax * bx + ay * by))
 
 
-def line_angles(points, aspect: float = 1.0) -> AngleSet:
+class LineAngles(NamedTuple):
+    """The four angles of one frame, in degrees, and its frame rules.
+
+    ``deviation_deg`` compares the base segment P0P1 with the tip
+    segment P3P4. ``segment_deg`` holds the angles between consecutive
+    segments meeting at interior points P1, P2, P3. ``frame_angle_deg``
+    and ``curvature_col`` follow ``sequence.frame_rules``.
+    """
+
+    deviation_deg: float
+    segment_deg: tuple[float, float, float]
+    frame_angle_deg: float
+    curvature_col: int
+
+
+def line_angles(points, aspect: float = 1.0) -> LineAngles:
     """The angles ``measure_stream`` gives a (5, 2) middle line as a one-frame case.
 
     The line is the middle row of a grid whose three rows are all that
@@ -46,7 +61,7 @@ def line_angles(points, aspect: float = 1.0) -> AngleSet:
     cases, failures = measure_stream([batch], aspect=aspect)
     if failures:
         raise AllFramesInvalidError(failures[0][1])
-    return angle_set_from_row(cases[0].per_frame.angles[0])
+    return LineAngles(*angle_set_from_row(cases[0].per_frame.angles[0]))
 
 
 def per_frame_rows(case) -> list[dict]:

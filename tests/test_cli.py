@@ -292,7 +292,7 @@ class TestMeasure:
         rc, out, _ = run(["measure", "-", "-o", str(target)], label_line(20.0))
         assert rc == EXIT_OK
         assert out == ""
-        assert json.loads(target.read_text())["schema_version"] == 1
+        assert json.loads(target.read_text())["schema_version"] == 2
 
 
 class TestAnalyze:
@@ -957,7 +957,7 @@ class TestSynth:
         rc, out, _ = run(["synth", "-", "--sidecar", str(sidecar_path)], self.SPEC)
         assert rc == EXIT_OK
         assert out.count("\n") == 5
-        assert json.loads(sidecar_path.read_text())["schema_version"] == 1
+        assert json.loads(sidecar_path.read_text())["schema_version"] == 2
 
     def test_no_sidecar_on_stdout_by_default(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1255,7 +1255,7 @@ class TestSynth:
         "plain": (
             {"case_id": "plain", "hinge_angle_deg": 40.0},
             "4dfd8dff87c598384b0909805764f17072e50e7afd0e14c31ca534e6c5fd58b4",
-            "12186929a229bc8df6fc6736e6692ce979150ff40256d7398ee45b727d9aaadf",
+            "b6a6ad7bd4ced2d889e92a46c6d67966cf68914a1df72cde2c08fcca36f4ae86",
         ),
         "jittered_pitch": (
             {
@@ -1269,8 +1269,8 @@ class TestSynth:
                 "yaw_start_deg": -45.0,
                 "yaw_end_deg": 70.0,
             },
-            "8d844b99c602e46b8d44edf80e8f270c55b0c07739098fab27f610baf462907f",
-            "cf0f8f6ab78b42c65bb5eb23b8a546f734c7b2f9379280769af2b4c6951a1669",
+            "53fca95a2e5483dbce88a5928fc3b02c18d8eac6bfd629bb8a727b19c76d9ece",
+            "8f86b9df9e69b8830eb253b03aea3fc9021283836dc17ff11c12de90015a0f25",
         ),
         "wide_single": (
             {
@@ -1282,7 +1282,7 @@ class TestSynth:
                 "yaw_start_deg": 20.0,
             },
             "a8bc588c0594249934dd192d489513f1ef8b19a73cf25d46578997df19784a38",
-            "b5d6416e1a77645c2304289885955b855da5019a59d6bb8afc3c60468f0c104b",
+            "7596eca31874172a8b11e931c29562aa6a9e781680ff2324e2bb16cdc9ed8b3d",
         ),
         # jitter clips coordinates to 0.0 and 1.0, so every row takes the
         # writer's per-value path
@@ -1297,8 +1297,8 @@ class TestSynth:
                 "steps": 9,
                 "pitch_deg": 7.5,
             },
-            "2f8a4f488d62f4c155c9ad0d0f1dd8525835bf845722bc5d1f25b4ec15d0dbed",
-            "d0bdd7ab1da3f42e99ec41552c16a35325028976ce4c117d40623cdf091b58f3",
+            "d29278e29c989cd8ba9b8561ea0cbf961a20456f5bd80a216c2575ca521d5f60",
+            "cffe015557357e11c26030d998c38f806a001645250e58797c512ee74a0d029d",
         ),
     }
 
@@ -1333,12 +1333,12 @@ class TestReportGolden:
     )
     # sha256 per output: any change to report bytes fails here
     GOLDEN = {
-        "analyze": "bcadc83ba0910ed59838e8f45f454ecdced24e47a945d99b8022cc04a1167a4d",
-        "analyze_slim": "f3b2531895f6eaae3f78d2ca6374ce53b2dc9fff31eeff64d0d68e1f2568061d",
-        "evaluate": "901b7a190f1138905b0d6f3e47f26fa31c347f33366c743f2b752cfaa3508899",
-        "evaluate_csv": "d2d11b0fc4cd5529881b1f57e4c749388848f7bb14fa01b87e1709823c68d7b6",
-        "evaluate_empty": "576cc8a03f40109d5f116baf76a5a5081e6115ba26504094f8d91d33761d84c1",
-        "measure": "717c0317138753c6cb9337e448f28f2cd3fd475365e22d6bbf08773bb686f46b",
+        "analyze": "11fdbb10b7f9686c54a4f6635c49e0a293a4a414dbe4e8932bee19e01a6b6285",
+        "analyze_slim": "31b5d606f3fb817d88302e2831d182a60d80bc9bf2b90545bc16adc34a50c20b",
+        "evaluate": "de8c22a0b8669a5be1f4cf91cf9d789337ff0b03b4b731ac6208a0915360df2e",
+        "evaluate_csv": "351aa5c302092daba393268ddccfb640e2edf90f68648b8641e94271d5bf859b",
+        "evaluate_empty": "874d00771fe50f334ce781814b1bd3a64e6a2d3d484e6c1b75e0e9dffc9e57c7",
+        "measure": "17dcb08bab59799d65e96ac315241bee9c00f244152462c8044faf85711dc00e",
     }
 
     @pytest.fixture(scope="class")

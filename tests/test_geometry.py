@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    LineAngles,
     detection_from_middle,
     frame_line,
     hinge_polyline,
@@ -25,7 +26,6 @@ from conftest import (
 from kpcurve.cli import main
 from kpcurve.sequence import (
     AllFramesInvalidError,
-    AngleSet,
     angle_set_from_row,
     frame_rules,
     measure_stream,
@@ -184,7 +184,7 @@ class TestComputeAngles:
     def test_collinear_all_zero(self):
         line = np.column_stack([np.linspace(0.1, 0.9, 5), np.full(5, 0.4)])
         result = line_angles(line)
-        assert result == AngleSet(
+        assert result == LineAngles(
             deviation_deg=0.0,
             segment_deg=(0.0, 0.0, 0.0),
             frame_angle_deg=0.0,
@@ -265,14 +265,13 @@ class TestComputeAngles:
             assert top == max(row)
             assert col == 1 + row[1:].index(max(row[1:]))
         arr = block[0]
-        result = angle_set_from_row(arr)
-        assert result.curvature_col == 1 + int(np.argmax(arr[1:]))
-        assert result.frame_angle_deg == max(float(v) for v in arr)
-        assert result.deviation_deg == rows[0][0]
-        assert result.segment_deg == tuple(rows[0][1:])
-        assert all(type(v) is float for v in (result.deviation_deg, *result.segment_deg))
-        assert type(result.frame_angle_deg) is float
-        assert type(result.curvature_col) is int
+        deviation, segments, frame_angle_deg, col = angle_set_from_row(arr)
+        assert col == 1 + int(np.argmax(arr[1:]))
+        assert frame_angle_deg == max(float(v) for v in arr)
+        assert deviation == rows[0][0]
+        assert segments == tuple(rows[0][1:])
+        assert all(type(v) is float for v in (deviation, *segments, frame_angle_deg))
+        assert type(col) is int
 
     def test_degenerate_segment_identified(self):
         pts = hinge_polyline(30.0)
@@ -293,8 +292,8 @@ class TestComputeAngles:
 
     def test_full_keypoint_entry_point(self):
         det = detection_from_middle(normalize_unit(hinge_polyline(33.0)))
-        result = angle_set_from_row(measure_sequence("c", [det]).per_frame.angles[0])
-        assert result.frame_angle_deg == pytest.approx(33.0, abs=1e-6)
+        row = measure_sequence("c", [det]).per_frame.angles[0]
+        assert frame_rules(row[None])[0][0] == pytest.approx(33.0, abs=1e-6)
 
 
 class TestAspectCorrection:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpcurve.overlay import render_svg
-from kpcurve.sequence import angle_set_from_row
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -27,8 +26,7 @@ canvas = st.one_of(st.integers(1, 4096), st.integers(1, 10**20))
 @settings(max_examples=200, deadline=None)
 def test_render_svg_is_well_formed(box, points, angles, width, height):
     keypoints = np.array(points).reshape(15, 2)
-    angle_set = angle_set_from_row(np.array(angles))
-    root = ET.fromstring(render_svg(np.array(box), keypoints, angle_set, width, height))
+    root = ET.fromstring(render_svg(np.array(box), keypoints, np.array(angles), width, height))
 
     assert [child.tag.removeprefix(SVG) for child in root] == (
         ["rect"] + ["polyline"] * 3 + ["circle"] * 15 + ["text"] * 4
@@ -37,10 +35,11 @@ def test_render_svg_is_well_formed(box, points, angles, width, height):
     for circle, (x, y) in zip(circles, keypoints.tolist()):
         assert (circle.get("cx"), circle.get("cy")) == (f"{x * width:g}", f"{y * height:g}")
 
-    if angle_set.deviation_deg == angle_set.frame_angle_deg:
+    # the largest angle wins, the deviation before a bend and a low bend before a high one
+    if angles[0] == max(angles):
         highlighted = "deviation"
     else:
-        highlighted = f"bend{angle_set.curvature_col}"
+        highlighted = f"bend{1 + angles[1:].index(max(angles[1:]))}"
     texts = root.findall(f"{SVG}text")
     bold = [t.text.split()[0] for t in texts if t.get("font-weight") == "bold"]
     assert bold == [highlighted]

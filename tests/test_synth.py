@@ -16,15 +16,13 @@ from conftest import frame_line, line_angles, measure_sequence, vector_angle
 from kpcurve import sequence
 from kpcurve.cli import EXIT_GEOMETRY, EXIT_OK, main
 from kpcurve.report import dumps_frame, dumps_report, sweep_sidecar
+from kpcurve.sequence import DegenerateProjectionError
 from kpcurve.synth import (
     BadSpecError,
-    DegenerateProjectionError,
     HingeModelSpec,
     PhantomSpec,
     _boxes,
-    _frame_noise,
     _project_all,
-    _seed_states,
     build_model,
     read_spec,
     sweep,
@@ -361,45 +359,38 @@ class TestSweep:
         assert case.curvature_deg == pytest.approx(beta, abs=1.0)
 
 
-def per_frame_noise(seed, n, sd=0.01):
-    """Jitter as the reproducibility contract defines it: a generator per frame."""
-    return np.stack(
-        [np.random.default_rng([seed, index]).normal(0.0, sd, (15, 2)) for index in range(n)]
-    )
+class TestJitter:
+    """Jitter is one draw from one generator per sweep: row i of
+    ``default_rng(seed).normal(0.0, jitter_sd, (steps, 15, 2))`` is frame i's."""
 
-
-class TestFrameNoise:
-    """One-pass seeding gives the bits of numpy's per-frame generators. A numpy
-    that changes SeedSequence or PCG64 seeding fails here first; NEP 19 keeps
-    the streams of a seeded generator stable, not how the seed becomes a state."""
-
-    SEEDS = [0, 1, 2**31 - 1, 2**32 - 1]  # below 2**32, as _seed_states needs
-
-    @pytest.mark.parametrize("seed", [*SEEDS, 2**32, 2**64])  # past one word, too
-    @pytest.mark.parametrize("n", [1, 40])
-    def test_equals_a_generator_per_frame(self, seed, n):
-        assert _frame_noise(seed, n, 0.01, (15, 2)).tobytes() == per_frame_noise(seed, n).tobytes()
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_seed_states_past_two_to_the_sixteen(self, seed):
-        states = _seed_states(seed, 70_000)
-        for index in (0, 1, 65_535, 65_536, 69_999):
-            sequence = np.random.SeedSequence([seed, index])
-            assert states[index].tolist() == sequence.generate_state(4, np.uint64).tolist()
-
-    def test_noise_past_two_to_the_sixteen(self):
-        noise = _frame_noise(2**32 - 1, 65_538, 0.01, (15, 2))
-        for index in (65_535, 65_536, 65_537):
-            expected = np.random.default_rng([2**32 - 1, index]).normal(0.0, 0.01, (15, 2))
-            assert noise[index].tobytes() == expected.tobytes()
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64])
+    @pytest.mark.parametrize("steps", [1, 40])
+    def test_one_draw_per_sweep(self, seed, steps):
+        spec = {"hinge_angle_deg": 30.0, "seed": seed, "steps": steps, "jitter_sd": 0.01}
+        phantom = read_spec(spec)
+        result = sweep(phantom.model, **phantom.sweep_args)
+        clean = sweep(HingeModelSpec(30.0), steps=steps).points
+        noise = np.random.default_rng(seed).normal(0.0, 0.01, (steps, 15, 2))
+        expected = np.round(np.clip(clean + noise, 0.0, 1.0), 6)
+        assert result.points.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("seed", [2**32, 2**64])
-    def test_a_seed_past_one_word_takes_a_generator_per_frame(self, seed):
-        phantom = read_spec({"hinge_angle_deg": 30.0, "seed": seed, "steps": 4, "jitter_sd": 0.01})
-        result = sweep(phantom.model, **phantom.sweep_args)
-        clean = sweep(HingeModelSpec(30.0), steps=4).points
-        expected = np.round(np.clip(clean + per_frame_noise(seed, 4), 0.0, 1.0), 6)
-        assert result.points.tobytes() == expected.tobytes()
+    def test_a_seed_past_one_word_keeps_its_high_bits(self, seed):
+        # the whole seed reaches the generator: no fold into one uint32 word
+        def jittered(value):
+            phantom = read_spec({"hinge_angle_deg": 30.0, "seed": value, "steps": 4, "jitter_sd": 0.01})
+            return sweep(phantom.model, **phantom.sweep_args).points
+
+        assert jittered(seed).tobytes() != jittered(seed % 2**32).tobytes()
+
+    def test_a_frame_keeps_its_jitter_whatever_the_step_count(self):
+        # yaw -60..0 in 3 steps meets the first three poses of -60..60 in 5
+        spec = HingeModelSpec(40.0, seed=7)
+        short = sweep(spec, -60.0, 0.0, steps=3, jitter_sd=0.003)
+        long = sweep(spec, -60.0, 60.0, steps=5, jitter_sd=0.003)
+        assert short.yaw_deg == long.yaw_deg[:3]
+        assert short.points.tobytes() == long.points[:3].tobytes()
+        assert short.boxes.tobytes() == long.boxes[:3].tobytes()
 
 
 def random_phantom_spec(rng: random.Random, index: int) -> dict:
@@ -423,8 +414,9 @@ def random_phantom_spec(rng: random.Random, index: int) -> dict:
 
 
 def test_random_specs_keep_their_bytes():
-    # the frame streams, sidecars and errors of 400 random specs, recorded
-    # before sweeps were projected and written in one array pass
+    # the frame streams, sidecars and errors of 400 random specs; the
+    # unjittered ones keep the bytes recorded before sweeps were projected and
+    # written in one array pass, up to the sidecars' schema digit
     rng, digest, errors = random.Random(20241019), hashlib.sha256(), 0
     for index in range(400):
         try:
@@ -438,7 +430,7 @@ def test_random_specs_keep_their_bytes():
         digest.update(dumps_frame(phantom.case_id, result.boxes, result.points, frames).encode())
         digest.update(dumps_report(sweep_sidecar(phantom, result)).encode())
     assert errors == 19
-    assert digest.hexdigest() == "d5ebd11b1ff9f5e3c7893f5b6347745a7f3dd4a113715547fce94342eed5988e"
+    assert digest.hexdigest() == "11204654bec9e03263d21ac3e1b5a96d2d6757f838070cae63fb461555b42932"
 
 
 def reference_boxes(points) -> np.ndarray:
