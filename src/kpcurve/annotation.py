@@ -16,7 +16,6 @@ synthetic phantoms.
 """
 
 import math
-import xml.etree.ElementTree as ET
 
 import numpy as np
 
@@ -83,7 +82,7 @@ def emit_yolo_line(class_id: int, box, points) -> str:
     return " ".join([str(class_id), *(f"{v:.{COORD_DECIMALS}f}" for v in values)])
 
 
-def _dimension(element: ET.Element, name: str) -> int:
+def _dimension(element, name: str) -> int:
     raw = element.get(name)
     if raw is None:
         raise AnnotationError(f"image element missing {name!r} attribute")
@@ -96,7 +95,7 @@ def _dimension(element: ET.Element, name: str) -> int:
     return value
 
 
-def _box_attr(box: ET.Element, name: str, image_name: str) -> float:
+def _box_attr(box, name: str, image_name: str) -> float:
     raw = box.get(name)
     if raw is None:
         raise AnnotationError(f"box in {image_name!r} missing {name!r} attribute")
@@ -134,6 +133,8 @@ def parse_cvat_xml(document: str) -> list[tuple[str, np.ndarray, np.ndarray]]:
     a box that :func:`parse_yolo_line` accepts. The k-th pixel point
     maps to the k-th normalized keypoint.
     """
+    import xml.etree.ElementTree as ET  # here, so that only ``convert`` loads an XML parser
+
     try:
         root = ET.fromstring(document)
     except ET.ParseError as exc:

@@ -14,7 +14,9 @@ opens files and streams, writes warnings to stderr and maps errors to
 exit codes. Each format is read and written by the module that defines
 it: the synth spec by ``synth``, frame streams and reports (and what
 they diagnose and leave out) by ``report``, label lines, CVAT XML and
-CSV datasets by ``annotation`` and ``evaluation``.
+CSV datasets by ``annotation`` and ``evaluation``. Each command imports
+only what it runs: ``measure``, ``analyze`` and ``evaluate`` load no
+phantom (``synth``), SVG (``overlay``) or XML code.
 """
 
 import argparse
@@ -38,7 +40,6 @@ from .evaluation import (
     read_dataset_csv,
     read_labels_csv,
 )
-from .overlay import DEFAULT_CANVAS_PX, render_svg
 from .report import (
     JsonlFormatError,
     RunConfig,
@@ -53,11 +54,12 @@ from .report import (
     sweep_sidecar,
 )
 from .sequence import AllFramesInvalidError, DegenerateProjectionError, measure_stream
-from .synth import BadSpecError, read_spec, sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_GEOMETRY = 3
+
+DEFAULT_CANVAS_PX = 640
 
 # every kpcurve error is a ValueError; the geometry ones are matched first
 _INPUT_ERRORS = (OSError, ValueError)
@@ -313,10 +315,12 @@ def _cmd_analyze(args, stdin, stdout, stderr) -> int:
 def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
     config = RunConfig(threshold_deg=args.threshold)
     text = _read_text(args.input, stdin)
-    if text.lstrip().startswith("{"):
+    # one byte-order mark is dropped, as the CSV readers drop it
+    body = text.removeprefix("\ufeff")
+    if body.lstrip().startswith("{"):
         # json, not orjson: orjson 3.8 has no nesting limit and overflows the C stack
         # on deep input, and a report is far longer than the lines it is trusted with
-        document = loads_json(text, DatasetFormatError, "input is not valid JSON: %s")
+        document = loads_json(body, DatasetFormatError, "input is not valid JSON: %s")
         if args.labels is None:
             raise DatasetFormatError(
                 "report JSON input needs --labels with ground-truth diagnoses"
@@ -344,6 +348,14 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
     return EXIT_OK
 
 
+def sweep(*args, **kwargs):
+    """``synth.sweep``, imported on the first call so that only the synth command
+    loads ``synth``; a module-level name so that perfbench can trace its call site."""
+    from .synth import sweep as synth_sweep
+
+    return synth_sweep(*args, **kwargs)
+
+
 def _cmd_synth(args, stdin, stdout, stderr) -> int:
     sidecar_path, to_file = args.sidecar, args.output not in (None, "-")
     if sidecar_path == "-":
@@ -352,6 +364,8 @@ def _cmd_synth(args, stdin, stdout, stderr) -> int:
         sidecar_path = args.output + ".oracle.json" if to_file else None
     elif to_file and os.path.realpath(sidecar_path) == os.path.realpath(args.output):
         raise ValueError(f"--sidecar and --output name the same file {args.output!r}")
+
+    from .synth import BadSpecError, read_spec
 
     raw = loads_json(_read_text(args.spec, stdin), BadSpecError, "spec is not valid JSON: %s")
     phantom = read_spec(raw, seed=args.seed)
@@ -372,6 +386,8 @@ def _cmd_synth(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_render(args, stdin, stdout, stderr) -> int:
+    from .overlay import render_svg
+
     box, points, case = _measure_still(args, stdin, stderr)
     svg = render_svg(box, points, case.per_frame.angles[0], args.width, args.height)
     _write_text(args.output, svg, stdout)

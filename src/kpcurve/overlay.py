@@ -22,8 +22,6 @@ from .sequence import angle_set_from_row
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
-DEFAULT_CANVAS_PX = 640
-
 POINT_RADIUS = 4.0
 LATERAL_COLOR = "#8a8a8a"
 MIDDLE_COLOR = "#d62828"
@@ -37,8 +35,8 @@ def render_svg(
     box: np.ndarray,
     points: np.ndarray,
     angles: np.ndarray,
-    image_width: int = DEFAULT_CANVAS_PX,
-    image_height: int = DEFAULT_CANVAS_PX,
+    image_width: int,
+    image_height: int,
 ) -> str:
     """Render one detection, its box (cx, cy, w, h) and (15, 2) keypoints,
     as an SVG document string; ``angles`` is the frame's kernel row

@@ -596,6 +596,18 @@ class TestEvaluate:
         assert json.loads(out)["confusion"] == {"tp": 1, "fp": 0, "fn": 0, "tn": 1}
 
     @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    def test_report_json_with_byte_order_mark(self, from_stdin, tmp_path):
+        # a report saved by an editor that writes a BOM is still read as JSON
+        _, report, _ = run(["analyze", "-"], jsonl_for("a", [67.51]) + jsonl_for("b", [3.75]))
+        text, report_path, labels = "\ufeff" + report, tmp_path / "r.json", tmp_path / "labels.csv"
+        report_path.write_text(text, encoding="utf-8")
+        labels.write_text("case_id,actual\na,pd\nb,normal\n", encoding="utf-8")
+        source = "-" if from_stdin else str(report_path)
+        rc, out, err = run(["evaluate", source, "--labels", str(labels)], text)
+        assert (rc, err) == (EXIT_OK, "")
+        assert json.loads(out)["confusion"] == {"tp": 1, "fp": 0, "fn": 0, "tn": 1}
+
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
     def test_labels_csv_with_byte_order_mark(self, from_stdin, tmp_path):
         _, report, _ = run(["analyze", "-"], jsonl_for("a", [67.51]) + jsonl_for("b", [3.75]))
         report_path, labels = tmp_path / "r.json", tmp_path / "labels.csv"
@@ -1687,6 +1699,75 @@ class TestConsoleScript:
             [sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True
         )
         assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+    # only the command that runs the phantom, SVG or XML code loads it
+    @pytest.mark.parametrize(
+        "commands, unloaded",
+        [
+            (
+                ["measure", "analyze", "evaluate"],
+                ["kpcurve.synth", "kpcurve.overlay", "xml.etree.ElementTree", "pyexpat", "numpy.random"],
+            ),
+            (["synth"], ["kpcurve.overlay", "xml.etree.ElementTree"]),
+        ],
+        ids=["measure-analyze-evaluate", "synth"],
+    )
+    def test_commands_leave_unused_modules_unloaded(self, commands, unloaded, tmp_path):
+        label, frames, labels = tmp_path / "a.txt", tmp_path / "f.jsonl", tmp_path / "l.csv"
+        label.write_text(label_line(40.0))
+        frames.write_text(jsonl_for("a", [67.51]) + jsonl_for("b", [3.75]))
+        labels.write_text("case_id,actual\na,pd\nb,normal\n")
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"hinge_angle_deg": 40, "steps": 3}')
+        argvs = {
+            "measure": ["measure", str(label)],
+            "analyze": ["analyze", str(frames), "-o", str(tmp_path / "r.json")],
+            "evaluate": ["evaluate", str(tmp_path / "r.json"), "--labels", str(labels)],
+            "synth": ["synth", str(spec)],
+        }
+        code = (
+            "import io, sys, kpcurve.cli as cli\n"
+            f"for argv in {[argvs[c] for c in commands]!r}:\n"
+            "    assert cli.main(argv, stdout=io.StringIO()) == 0, argv\n"
+            f"print([m for m in {unloaded!r} if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+    # the lazily loaded modules keep their exit codes and bytes with nothing preloaded
+    @pytest.mark.parametrize(
+        "argv, stdin_text, expected",
+        [
+            (["convert", "-", "-o", "out"], "<annotations><image", "kpcurve convert: not well-formed XML: "),
+            (["synth", "-"], '{"hinge_angle_deg": 40, "bogus": 1}', "kpcurve synth: unknown spec field 'bogus'\n"),
+        ],
+        ids=["convert", "synth"],
+    )
+    def test_lazily_loaded_input_errors_exit_2(self, argv, stdin_text, expected, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kpcurve", *argv],
+            env=fresh_env(),
+            cwd=tmp_path,
+            input=stdin_text,
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_INPUT, "")
+        assert proc.stderr.startswith(expected), proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_render_in_a_fresh_interpreter_matches_in_process(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kpcurve", "render", "-"],
+            env=fresh_env(),
+            input=label_line(40.0),
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert proc.stdout == run(["render", "-"], label_line(40.0))[1]
 
 
 class TestFileEncoding:
