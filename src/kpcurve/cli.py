@@ -80,12 +80,12 @@ def _read_text(path: str, stdin) -> str:
     return text
 
 
-def _read_csv(reader, text: str, path: str):
-    """``reader(text)``, whose errors name the CSV's path or <stdin>."""
+def _named(path: str, reader, *args):
+    """``reader(*args)`` on a whole-text input, whose errors name its path or <stdin>."""
     try:
-        return reader(text)
-    except DatasetFormatError as exc:
-        raise DatasetFormatError(f"{'<stdin>' if path == '-' else path}: {exc}") from None
+        return reader(*args)
+    except ValueError as exc:  # every kpcurve error takes its message alone
+        raise type(exc)(f"{'<stdin>' if path == '-' else path}: {exc}") from None
 
 
 def _write_text(path: str | None, text: str, stdout) -> None:
@@ -246,15 +246,20 @@ def _cmd_convert(args, stdin, stdout, stderr) -> int:
     return EXIT_OK
 
 
-def _first_label_line(text: str, stderr) -> str:
-    lines = [line for line in text.splitlines() if line.strip()]
+def _first_label(text: str, stderr):
+    """The box and keypoints of the first non-blank line, whose errors name its line."""
+    lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
     if not lines:
         raise AnnotationError("label input is empty")
     if len(lines) > 1:
         stderr.write(
             f"kpcurve: warning: {len(lines)} label lines found, measuring the first\n"
         )
-    return lines[0]
+    lineno, line = lines[0]
+    try:
+        return parse_yolo_line(line)
+    except AnnotationError as exc:
+        raise AnnotationError(f"line {lineno}: {exc}") from None
 
 
 def _measure_still(args, stdin, stderr):
@@ -263,8 +268,7 @@ def _measure_still(args, stdin, stderr):
     A still image is a stream of one batch of one frame, so ``measure``
     and ``render`` share the measurement and its error messages.
     """
-    line = _first_label_line(_read_text(args.label, stdin), stderr)
-    box, points = parse_yolo_line(line)
+    box, points = _named(args.label, _first_label, _read_text(args.label, stdin), stderr)
     case_id = "stdin" if args.label == "-" else Path(args.label).stem
     if not is_case_id(case_id):
         raise AnnotationError(
@@ -320,14 +324,14 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
     if body.lstrip().startswith("{"):
         # json, not orjson: orjson 3.8 has no nesting limit and overflows the C stack
         # on deep input, and a report is far longer than the lines it is trusted with
-        document = loads_json(body, DatasetFormatError, "input is not valid JSON: %s")
+        document = _named(args.input, loads_json, body, DatasetFormatError)
         if args.labels is None:
             raise DatasetFormatError(
                 "report JSON input needs --labels with ground-truth diagnoses"
             )
         if args.labels == "-" and args.input == "-":
             raise DatasetFormatError("the report JSON and --labels cannot both be stdin")
-        labels = _read_csv(read_labels_csv, _read_text(args.labels, stdin), args.labels)
+        labels = _named(args.labels, read_labels_csv, _read_text(args.labels, stdin))
         triples, left_out = report_results(document, labels)
         for case_id, reason in left_out:
             stderr.write(
@@ -338,7 +342,7 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
             stderr.write(
                 "kpcurve: warning: --labels ignored for dataset CSV input\n"
             )
-        triples = _read_csv(read_dataset_csv, text, args.input)
+        triples = _named(args.input, read_dataset_csv, text)
 
     if not triples:
         stderr.write("kpcurve evaluate: no cases in input; metrics undefined\n")
@@ -367,7 +371,7 @@ def _cmd_synth(args, stdin, stdout, stderr) -> int:
 
     from .synth import BadSpecError, read_spec
 
-    raw = loads_json(_read_text(args.spec, stdin), BadSpecError, "spec is not valid JSON: %s")
+    raw = _named(args.spec, loads_json, _read_text(args.spec, stdin), BadSpecError)
     phantom = read_spec(raw, seed=args.seed)
     result = sweep(phantom.model, **phantom.sweep_args)
     stream = dumps_frame(phantom.case_id, result.boxes, result.points, range(len(result.points)))

@@ -152,17 +152,19 @@ def is_case_id(text: str) -> bool:
     return text != "" and text == text.strip()
 
 
-def loads_json(text: str, error: type[ValueError], template: str):
-    """``json.loads(text)``, raising ``error(template % reason)`` on invalid JSON.
+def loads_json(text: str, error: type[ValueError], lineno: int = 0):
+    """``json.loads(text)``, raising ``error("line N: not valid JSON (reason)")`` if invalid.
 
-    The reason is the decoder's message, or "nested too deeply" for JSON
-    nested past the interpreter's recursion limit.
+    N is ``lineno`` if given, else the decoder's line; the reason is the decoder's
+    message. JSON nested past the interpreter's recursion limit gives "nested too
+    deeply", and no line unless ``lineno`` is given.
     """
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         reason = getattr(exc, "msg", "nested too deeply")  # RecursionError has no msg
-        raise error(template % reason) from None
+        line = lineno or getattr(exc, "lineno", 0)  # nor a line
+        raise error((f"line {line}: " if line else "") + f"not valid JSON ({reason})") from None
 
 
 def parse_frame_line(line: str, lineno: int = 1) -> tuple[str, int, np.ndarray]:
@@ -178,7 +180,7 @@ def parse_frame_line(line: str, lineno: int = 1) -> tuple[str, int, np.ndarray]:
         line.encode("utf-8")
     except UnicodeEncodeError:
         raise JsonlFormatError(f"line {lineno}: not valid UTF-8") from None
-    obj = loads_json(line, JsonlFormatError, f"line {lineno}: not valid JSON (%s)")
+    obj = loads_json(line, JsonlFormatError, lineno)
     frames = _frames([obj])
     if type(frames) is str:
         raise JsonlFormatError(f"line {lineno}: {frames}")

@@ -87,22 +87,15 @@ def polyline_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if pts.ndim != 3 or pts.shape[1:] != (5, 2):
         raise ValueError(f"expected (n, 5, 2) array, got {pts.shape}")
 
-    # coordinate-major segments s3, s0, s1, s2, s3: pair (k, k + 1) is the deviation
-    # (s3, s0, whose |cross| and dot are those of s0, s3), then the three bends,
-    # and every operand below is a contiguous block
-    xy = pts.transpose(2, 1, 0)
-    seg = np.empty((2, 5, len(pts)))
-    np.subtract(xy[:, 1:], xy[:, :-1], out=seg[:, 1:])
-    seg[:, 0] = seg[:, 4]
-    (ux, uy), (vx, vy) = seg[:, :-1], seg[:, 1:]
-    degenerate = np.sqrt(vx * vx + vy * vy) < EPSILON  # (4, n), segments s0..s3
-    angles = np.empty((len(pts), 4))
-    np.degrees(np.arctan2(np.abs(ux * vy - uy * vx), ux * vx + uy * vy), out=angles.T)
-    bad = np.full(len(pts), -1, np.int64)
-    if degenerate.any():
-        rows = degenerate.any(axis=0)
-        bad[rows] = degenerate[:, rows].argmax(axis=0)
-        angles[rows] = np.nan
+    seg = pts[:, 1:] - pts[:, :-1]  # segments s0..s3
+    degenerate = np.sqrt(seg[..., 0] * seg[..., 0] + seg[..., 1] * seg[..., 1]) < EPSILON
+    bad = np.where(degenerate.any(axis=1), degenerate.argmax(axis=1), -1)
+    # the deviation (s0, s3), then the bends (s0, s1), (s1, s2), (s2, s3)
+    u, v = np.take(seg, [0, 0, 1, 2], axis=1), np.take(seg, [3, 1, 2, 3], axis=1)
+    cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    dot = u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1]
+    angles = np.degrees(np.arctan2(np.abs(cross), dot))
+    angles[bad >= 0] = np.nan
     return angles, bad
 
 

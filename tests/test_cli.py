@@ -274,6 +274,26 @@ class TestMeasure:
         assert rc == EXIT_INPUT
 
     @pytest.mark.parametrize("command", ["measure", "render"])
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("\n1 0.5\n", "line 2: expected 35 tokens, got 2"),
+            (" \n\n0 x" + " 0.5" * 33 + "\n", "line 3: token 1 ('x') is not a number"),
+            ("\n \n", "label input is empty"),
+        ],
+        ids=["tokens", "number", "empty"],
+    )
+    def test_bad_label_names_its_source_and_line(
+        self, command, from_stdin, text, message, tmp_path
+    ):
+        path = tmp_path / "case.txt"
+        path.write_text(text)
+        rc, out, err = run([command, "-" if from_stdin else str(path)], text)
+        source = "<stdin>" if from_stdin else path
+        assert (rc, out, err) == (EXIT_INPUT, "", f"kpcurve {command}: {source}: {message}\n")
+
+    @pytest.mark.parametrize("command", ["measure", "render"])
     @pytest.mark.parametrize("stem", [" a", "a ", "\ta"])
     def test_stem_with_outer_whitespace_is_an_input_error(self, command, stem, tmp_path):
         # a labels CSV strips its ids, so evaluate could never match this case
@@ -826,7 +846,19 @@ class TestEvaluate:
         rc, out, err = run(["evaluate", "--labels", str(labels), "-"], report)
         assert rc == EXIT_INPUT
         assert out == ""
-        assert err == "kpcurve evaluate: input is not valid JSON: nested too deeply\n"
+        assert err == "kpcurve evaluate: <stdin>: not valid JSON (nested too deeply)\n"
+
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    def test_undecodable_report_names_its_source_and_line(self, from_stdin, tmp_path):
+        labels, path = tmp_path / "labels.csv", tmp_path / "r.json"
+        labels.write_text("case_id,actual\na,pd\n")
+        text = '{"cases": [\n}\n'
+        path.write_text(text)
+        argv = ["evaluate", "-" if from_stdin else str(path), "--labels", str(labels)]
+        rc, out, err = run(argv, text)
+        source = "<stdin>" if from_stdin else path
+        expected = f"kpcurve evaluate: {source}: line 2: not valid JSON (Expecting value)\n"
+        assert (rc, out, err) == (EXIT_INPUT, "", expected)
 
     @pytest.mark.parametrize("angle", ["true", "false", '"40"', "null"])
     def test_non_numeric_report_angle_rejected(self, angle, tmp_path):
@@ -1146,7 +1178,17 @@ class TestSynth:
     def test_deeply_nested_spec_is_an_input_error(self):
         rc, _, err = run(["synth", "-"], "[" * 100_000)
         assert rc == EXIT_INPUT
-        assert err == "kpcurve synth: spec is not valid JSON: nested too deeply\n"
+        assert err == "kpcurve synth: <stdin>: not valid JSON (nested too deeply)\n"
+
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    def test_undecodable_spec_names_its_source_and_line(self, from_stdin, tmp_path):
+        path = tmp_path / "spec.json"
+        text = '{"hinge_angle_deg": 40\n "steps": 5}\n'
+        path.write_text(text)
+        rc, out, err = run(["synth", "-" if from_stdin else str(path)], text)
+        source = "<stdin>" if from_stdin else path
+        expected = f"kpcurve synth: {source}: line 2: not valid JSON (Expecting ',' delimiter)\n"
+        assert (rc, out, err) == (EXIT_INPUT, "", expected)
 
     @pytest.mark.parametrize("field", ["hinge_angle_deg", "pitch_deg"])
     def test_huge_integer_spec_is_an_input_error(self, field):

@@ -127,6 +127,23 @@ class TestReferenceFormula:
         assert angles.tobytes() == expected_angles.tobytes()
         assert bad.dtype == expected_bad.dtype and np.array_equal(bad, expected_bad)
 
+    @pytest.mark.parametrize("layout", ["middle-line-view", "fortran", "reversed"])
+    def test_any_memory_layout_gives_the_bytes_of_a_contiguous_copy(self, layout):
+        grids = np.random.default_rng(9).random((64, 15, 2))
+        sequence.middle_line(grids)[:] = near_epsilon_batch(64, seed=9)
+        middle = sequence.middle_line(grids)  # the strided view synth passes
+        batch = {
+            "middle-line-view": middle,
+            "fortran": np.asfortranarray(middle),
+            "reversed": middle[::-1, ::-1, ::-1],
+        }[layout]
+        assert not batch.flags.c_contiguous
+        angles, bad = sequence.polyline_angles(batch)
+        expected_angles, expected_bad = sequence.polyline_angles(np.ascontiguousarray(batch))
+        assert (bad >= 0).any() and (bad < 0).any()
+        assert angles.tobytes() == expected_angles.tobytes()
+        assert np.array_equal(bad, expected_bad)
+
     def test_near_epsilon_rows_fall_on_both_sides_of_the_threshold(self):
         _, bad = sequence.polyline_angles(near_epsilon_batch(400, seed=4))
         near = [bad[row] >= 0 for row in range(1, 400, 4) if row % 3]
