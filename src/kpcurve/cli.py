@@ -72,7 +72,7 @@ def _read_text(path: str, stdin) -> str:
     from_stdin = path == "-"
     text = stdin.read() if from_stdin else Path(path).read_text("utf-8", "surrogateescape")
     try:
-        text.encode("utf-8")
+        text.isascii() or text.encode("utf-8")  # ASCII text holds no lone surrogate
     except UnicodeEncodeError as exc:  # the byte was read as a lone surrogate
         lineno = text.count("\n", 0, exc.start) + 1
         where = "<stdin>" if from_stdin else path
@@ -80,10 +80,11 @@ def _read_text(path: str, stdin) -> str:
     return text
 
 
-def _named(path: str, reader, *args):
-    """``reader(*args)`` on a whole-text input, whose errors name its path or <stdin>."""
+def _named(path: str, reader, *args, **kwargs):
+    """``reader(*args, **kwargs)`` on what was read from ``path``, whose errors
+    name that path, or <stdin> for "-"."""
     try:
-        return reader(*args)
+        return reader(*args, **kwargs)
     except ValueError as exc:  # every kpcurve error takes its message alone
         raise type(exc)(f"{'<stdin>' if path == '-' else path}: {exc}") from None
 
@@ -93,6 +94,17 @@ def _write_text(path: str | None, text: str, stdout) -> None:
         stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
+
+
+def _write_document(path: str | None, document, stdout) -> None:
+    """Write a built document through ``dumps_report`` to ``path``, or to stdout
+    for None or "-". The file is opened only once the document is built, so a
+    run that fails before then leaves none."""
+    if path is None or path == "-":
+        dumps_report(document, stdout)
+    else:
+        with open(path, "w", encoding="utf-8") as out:
+            dumps_report(document, out)
 
 
 def _add_threshold(parser):
@@ -221,7 +233,7 @@ def _cmd_convert(args, stdin, stdout, stderr) -> int:
     # every line is built before any is written: every image fault comes
     # first, then a bad class id, which a document with no image never checks
     outputs = {}
-    for image_name, box, points in parse_cvat_xml(document):
+    for image_name, box, points in _named(args.xml, parse_cvat_xml, document):
         line = emit_yolo_line(args.class_id, box, points) + "\n"
         filename = Path(image_name).stem + ".txt"
         if filename in outputs:
@@ -285,7 +297,7 @@ def _cmd_measure(args, stdin, stdout, stderr) -> int:
     config = RunConfig(args.threshold, args.aspect, retain_per_frame=not args.no_per_frame)
     *_, case = _measure_still(args, stdin, stderr)
     document = measurement_report([case], config, __version__)
-    _write_text(args.output, dumps_report(document), stdout)
+    _write_document(args.output, document, stdout)
     return EXIT_OK
 
 
@@ -309,7 +321,7 @@ def _cmd_analyze(args, stdin, stdout, stderr) -> int:
     except JsonlFormatError as exc:  # the parser names the line, not its source
         raise JsonlFormatError(f"{'<stdin>' if from_stdin else args.input}: {exc}") from None
     document = measurement_report(cases, config, __version__, errors=failures)
-    _write_text(args.output, dumps_report(document), stdout)
+    _write_document(args.output, document, stdout)
     if not cases:
         stderr.write("kpcurve analyze: no case yielded a valid measurement\n")
         return EXIT_GEOMETRY
@@ -332,7 +344,7 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
         if args.labels == "-" and args.input == "-":
             raise DatasetFormatError("the report JSON and --labels cannot both be stdin")
         labels = _named(args.labels, read_labels_csv, _read_text(args.labels, stdin))
-        triples, left_out = report_results(document, labels)
+        triples, left_out = _named(args.input, report_results, document, labels)
         for case_id, reason in left_out:
             stderr.write(
                 f"kpcurve: warning: case {case_id!r} left out of the metrics: {reason}\n"
@@ -348,7 +360,7 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
         stderr.write("kpcurve evaluate: no cases in input; metrics undefined\n")
     rows, counts, scores = evaluate_dataset(triples, config.threshold_deg)
     document = evaluation_report(rows, counts, scores, config, __version__)
-    _write_text(args.output, dumps_report(document), stdout)
+    _write_document(args.output, document, stdout)
     return EXIT_OK
 
 
@@ -372,14 +384,14 @@ def _cmd_synth(args, stdin, stdout, stderr) -> int:
     from .synth import BadSpecError, read_spec
 
     raw = _named(args.spec, loads_json, _read_text(args.spec, stdin), BadSpecError)
-    phantom = read_spec(raw, seed=args.seed)
-    result = sweep(phantom.model, **phantom.sweep_args)
+    phantom = _named(args.spec, read_spec, raw, args.seed)
+    # every fault of the spec's values, found by either, names the spec
+    result = _named(args.spec, sweep, phantom.model, **phantom.sweep_args)
     stream = dumps_frame(phantom.case_id, result.boxes, result.points, range(len(result.points)))
 
     # the sidecar goes first, so a failed run writes no stream, not even to stdout
     if sidecar_path is not None:
-        sidecar = dumps_report(sweep_sidecar(phantom, result))
-        Path(sidecar_path).write_text(sidecar, encoding="utf-8")
+        _write_document(sidecar_path, sweep_sidecar(phantom, result), stdout)
     try:
         _write_text(args.output, stream, stdout)
     except OSError:  # no sidecar is left without its stream

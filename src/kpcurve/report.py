@@ -16,11 +16,12 @@ broken rule is parsed again line by line by :func:`parse_frame_line`,
 the stdlib json's decode plus the same check, which raises the first
 bad line's error with its line number.
 Every indented document (report or synth sidecar) is written by
-:func:`dumps_report` as ``json.dumps(document, indent=2)`` plus a
-newline. Each item of its long lists (a report's case entries and
-``per_frame`` rows, a sidecar's ``frames`` rows) is a plain dict that
+:func:`dumps_report` to a text stream as ``json.dumps(document, indent=2)``
+plus a newline. Its long lists (a report's case entries and ``per_frame``
+rows, a sidecar's ``frames`` rows) are made as they are written, item by
+item, so no whole document text is held; each item is a plain dict that
 orjson writes where every value is one it writes as json does, to the
-same text, and json writes otherwise, item by item.
+same text, and json writes otherwise.
 Report documents carry exact values alongside their display-rounded
 counterparts; the rounded fields are always recomputable from the exact
 ones under the half-up rule. A measurement report is read back here
@@ -29,9 +30,10 @@ its policies: which diagnosis a case gets and which cases metrics count.
 """
 
 import json
+from collections.abc import Callable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, repeat
 
 import numpy as np
 import orjson
@@ -50,8 +52,12 @@ from .sequence import CaseMeasurement, FrameColumns, frame_rules
 SCHEMA_VERSION = 2
 
 # frames per batch, read when a batch producer starts; bounds how many
-# parsed lines (~2.9 KB each) are held at once
+# parsed lines (~2.9 KB each), or per-frame rows being written, are held at once
 CHUNK_FRAMES = 256
+
+# pieces of a document joined into one write: a write call per item and
+# separator cost a sidecar ~0.5 us/frame, and 512 pieces hold ~256 list items
+_PIECES_PER_WRITE = 512
 
 # the longest line orjson decodes. orjson 3.8 builds valid JSON's values by
 # recursion with no depth limit, and overflows the C stack (a segfault) on a
@@ -287,75 +293,100 @@ def iter_frame_stream(lines):
 
 @dataclass(frozen=True)
 class _Rows:
-    """A list in a document whose items are written already, as _dumps writes each at its depth."""
+    """A list in a document whose items ``produce(*args)`` yields as it is written.
 
-    items: list[str]
-
-
-def _dumps(value, pad: str) -> str:
-    """``json.dumps(value, indent=2)`` at indent ``pad``, with _Rows spliced in.
-
-    A dict holding a _Rows value is written member by member; json.dumps
-    writes everything else, and its raw newlines are all structural. The
-    long texts are joined once, not copied by each ``+``.
+    An item is its text, written already at the list's depth, or a dict
+    holding _Rows, which :func:`_dumps` writes in place. Each iteration
+    calls ``produce`` again, so a document is written the same every time.
     """
+
+    produce: Callable[..., Iterator]
+    args: tuple
+
+    def __iter__(self):
+        return self.produce(*self.args)
+
+
+def _dumps(value, pad: str) -> Iterator[str]:
+    """Yield ``json.dumps(value, indent=2)`` at indent ``pad`` piece by piece.
+
+    A _Rows list, and a dict holding one, is written member by member, so
+    no text longer than one item is built; json.dumps writes everything
+    else, and its raw newlines are all structural.
+    """
+    inner = pad + "  "
     if type(value) is _Rows:
-        inner = pad + "  "
-        items = (",\n" + inner).join(value.items)
-        return "".join(["[\n", inner, items, "\n", pad, "]"]) if value.items else "[]"
-    if type(value) is dict and _Rows in map(type, value.values()):
-        inner = pad + "  "
-        members = [json.dumps(key) + ": " + _dumps(v, inner) for key, v in value.items()]
-        return "".join(["{\n", inner, (",\n" + inner).join(members), "\n", pad, "}"])
-    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+        opening = "[\n" + inner
+        for item in value:
+            yield opening
+            opening = ",\n" + inner
+            if type(item) is str:
+                yield item
+            else:
+                yield from _dumps(item, inner)
+        yield "[]" if opening[0] == "[" else "\n" + pad + "]"  # "[]": no item came
+    elif type(value) is dict and _Rows in map(type, value.values()):
+        opening = "{\n" + inner
+        for key, member in value.items():
+            yield opening + json.dumps(key) + ": "
+            opening = ",\n" + inner
+            yield from _dumps(member, inner)
+        yield "\n" + pad + "}"
+    else:
+        yield json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
 def _item(item: dict, by_orjson: bool, pad: str) -> str:
     """A list item at indent ``pad`` as ``json.dumps(document, indent=2)`` writes it.
 
     orjson writes it when ``by_orjson`` says that every value is one it
-    writes as json does, to the same text; :func:`_dumps` writes it otherwise.
+    writes as json does, to the same text; json.dumps writes it otherwise.
     """
     if by_orjson:
         return orjson.dumps(item, option=orjson.OPT_INDENT_2).decode().replace("\n", "\n" + pad)
-    return _dumps(item, pad)
+    return json.dumps(item, indent=2).replace("\n", "\n" + pad)
 
 
-def _per_frame_rows(columns: FrameColumns) -> _Rows:
-    """A case's ``per_frame`` rows, written from its columns in stream order."""
+def _per_frame_rows(columns: FrameColumns) -> Iterator[str]:
+    """Yield a case's ``per_frame`` rows, written from its columns in stream order.
+
+    The columns become Python values one block of ``CHUNK_FRAMES`` rows at
+    a time, so a long case never holds all its rows as Python objects.
+    """
     frame_angle, curvature_col = frame_rules(columns.angles)
     # a degenerate row writes no angle
     in_range = _orjson_floats(columns.angles).all(axis=1) | (columns.first_bad >= 0)
-    items = []
-    for index, angles, top, col, first_bad, floats_ok in zip(
-        columns.frame_indices,
-        columns.angles.tolist(),
-        frame_angle.tolist(),
-        curvature_col.tolist(),
-        columns.first_bad.tolist(),
-        in_range.tolist(),
-    ):
-        if first_bad < 0:
-            row = {
-                "frame_index": index,
-                "valid": True,
-                "deviation_deg": angles[0],
-                "segment_deg": angles[1:],
-                "frame_angle_deg": top,
-                "curvature_col": col,
-            }
-        else:
-            note = f"degenerate middle-line segment {first_bad}"
-            row = {"frame_index": index, "valid": False, "error_note": note}
-        items.append(_item(row, floats_ok and index in _ORJSON_INTS, "        "))
-    return _Rows(items)
+    size = CHUNK_FRAMES
+    for start in range(0, len(columns.frame_indices), size):
+        block = slice(start, start + size)
+        for index, angles, top, col, first_bad, floats_ok in zip(
+            columns.frame_indices[block],
+            columns.angles[block].tolist(),
+            frame_angle[block].tolist(),
+            curvature_col[block].tolist(),
+            columns.first_bad[block].tolist(),
+            in_range[block].tolist(),
+        ):
+            if first_bad < 0:
+                row = {
+                    "frame_index": index,
+                    "valid": True,
+                    "deviation_deg": angles[0],
+                    "segment_deg": angles[1:],
+                    "frame_angle_deg": top,
+                    "curvature_col": col,
+                }
+            else:
+                note = f"degenerate middle-line segment {first_bad}"
+                row = {"frame_index": index, "valid": False, "error_note": note}
+            yield _item(row, floats_ok and index in _ORJSON_INTS, "        ")
 
 
-def _case_entries(cases: list[CaseMeasurement], config: RunConfig) -> _Rows:
-    """A measurement report's ``cases``, each diagnosed at the threshold."""
+def _case_entries(cases: list[CaseMeasurement], config: RunConfig) -> Iterator:
+    """Yield a measurement report's ``cases``, each diagnosed at the threshold:
+    its text, or with per-frame rows a dict that _dumps writes in place."""
     rounded = [round_half_up(case.curvature_deg) for case in cases]
     angles = np.array([[case.curvature_deg for case in cases], rounded], np.float64)
-    items = []
     for case, top, floats_ok in zip(cases, rounded, _orjson_floats(angles).all(axis=0).tolist()):
         entry = {
             "case_id": case.case_id,
@@ -366,13 +397,13 @@ def _case_entries(cases: list[CaseMeasurement], config: RunConfig) -> _Rows:
             "frames_total": case.frames_total,
             "frames_valid": case.frames_valid,
         }
+        if config.retain_per_frame:
+            entry["per_frame"] = _Rows(_per_frame_rows, (case.per_frame,))
+            yield entry
+            continue
         text_ok = case.case_id.isascii() and "\x7f" not in case.case_id
         by_orjson = floats_ok and text_ok and case.argmax_frame in _ORJSON_INTS
-        if config.retain_per_frame:  # _dumps splices the written rows in
-            entry["per_frame"] = _per_frame_rows(case.per_frame)
-            by_orjson = False
-        items.append(_item(entry, by_orjson, "    "))
-    return _Rows(items)
+        yield _item(entry, by_orjson, "    ")
 
 
 def measurement_report(
@@ -387,7 +418,7 @@ def measurement_report(
         "schema_version": SCHEMA_VERSION,
         "tool_version": tool_version,
         "config": config.as_dict(),
-        "cases": _case_entries(cases, config),
+        "cases": _Rows(_case_entries, (cases, config)),
         "errors": [{"case_id": case_id, "error": message} for case_id, message in errors],
     }
 
@@ -461,9 +492,13 @@ def evaluation_report(rows, counts, scores, config: RunConfig, tool_version: str
     }
 
 
-def dumps_report(document) -> str:
-    """Render a document as ``json.dumps(document, indent=2)`` plus a newline."""
-    return _dumps(document, "") + "\n"
+def dumps_report(document, out) -> None:
+    """Write a document to the text stream ``out`` as ``json.dumps(document, indent=2)``
+    plus a newline, as it is made, ``_PIECES_PER_WRITE`` pieces at a time."""
+    pieces = _dumps(document, "")
+    while block := list(islice(pieces, _PIECES_PER_WRITE)):
+        out.write("".join(block))
+    out.write("\n")
 
 
 def sweep_sidecar(phantom, result) -> dict:
@@ -481,5 +516,5 @@ def sweep_sidecar(phantom, result) -> dict:
         "schema_version": SCHEMA_VERSION,
         "case_id": phantom.case_id,
         "spec": {**phantom.given, "snapped_hinge_position": phantom.model.snapped_position},
-        "frames": _Rows([_item(row, ok, "    ") for row, ok in zip(frames, in_range.tolist())]),
+        "frames": _Rows(map, (_item, frames, in_range.tolist(), repeat("    "))),
     }

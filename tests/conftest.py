@@ -1,5 +1,6 @@
 """Shared fixtures and builders for the test suite."""
 
+import io
 import json
 import math
 from typing import NamedTuple
@@ -64,10 +65,17 @@ def line_angles(points, aspect: float = 1.0) -> LineAngles:
     return LineAngles(*angle_set_from_row(cases[0].per_frame.angles[0]))
 
 
+def report_text(document) -> str:
+    """The text ``dumps_report`` writes for ``document``."""
+    out = io.StringIO()
+    dumps_report(document, out)
+    return out.getvalue()
+
+
 def per_frame_rows(case) -> list[dict]:
     """The ``per_frame`` rows a measurement report writes for ``case``."""
     document = measurement_report([case], RunConfig(), "test")
-    return json.loads(dumps_report(document))["cases"][0]["per_frame"]
+    return json.loads(report_text(document))["cases"][0]["per_frame"]
 
 
 def hinge_polyline(bend_deg: float, vertex: int = 2) -> np.ndarray:

@@ -241,7 +241,7 @@ class TestParseCvatXml:
         assert convert(doc, tmp_path, -1) == (
             EXIT_INPUT,
             "",
-            "kpcurve convert: case_b_0001.png: point 0 y = 481.0 "
+            "kpcurve convert: <stdin>: case_b_0001.png: point 0 y = 481.0 "
             "more than 0.5 px outside [0, 480]\n",
             [],
         )

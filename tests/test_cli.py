@@ -12,6 +12,7 @@ import pkgutil
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
@@ -28,12 +29,15 @@ from conftest import (
     frame_line,
     hinge_polyline,
     normalize_unit,
+    report_text,
 )
 import kpcurve
 from kpcurve import __version__, cli, report
 from kpcurve.annotation import emit_yolo_line
 from kpcurve.cli import EXIT_GEOMETRY, EXIT_INPUT, EXIT_OK, build_parser, main
 from kpcurve.evaluation import round_half_up
+from kpcurve.report import RunConfig, iter_frame_stream, measurement_report
+from kpcurve.sequence import measure_stream
 from kpcurve.synth import HingeModelSpec, sweep
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -180,7 +184,7 @@ class TestConvert:
         rc, out, err = run(["convert", "-", "-o", str(out_dir)], doc)
         assert (rc, out) == (EXIT_INPUT, "")
         assert err == (
-            "kpcurve convert: case_a_0001.png: "
+            "kpcurve convert: <stdin>: case_a_0001.png: "
             "point 0 x = nan more than 0.5 px outside [0, 1280]\n"
         )
         assert not out_dir.exists()
@@ -201,7 +205,7 @@ class TestConvert:
         assert old in CVAT_DOCUMENT
         rc, out, err = run(["convert", "-", "-o", str(out_dir)], CVAT_DOCUMENT.replace(old, new))
         assert (rc, out) == (EXIT_INPUT, "")
-        assert err == "kpcurve convert: box in 'case_b_0001.png' is empty or inverted\n"
+        assert err == "kpcurve convert: <stdin>: box in 'case_b_0001.png' is empty or inverted\n"
         assert not out_dir.exists()
 
     def test_missing_input_file(self, tmp_path):
@@ -554,6 +558,54 @@ class TestAnalyze:
         assert '"argmax_frame": 1000000000000000000000000000000,' in out
 
 
+@pytest.fixture(scope="module")
+def long_stream(tmp_path_factory) -> Path:
+    """One jittered 10 000-frame case as a JSONL file, written by synth."""
+    workdir = tmp_path_factory.mktemp("long")
+    spec = workdir / "spec.json"
+    spec.write_text(
+        '{"hinge_angle_deg": 35, "steps": 10000, "jitter_sd": 0.002, "seed": 7, "pitch_deg": 5}'
+    )
+    stream = workdir / "frames.jsonl"
+    assert main(["synth", str(spec), "-o", str(stream), "--sidecar", str(workdir / "o.json")]) == 0
+    return stream
+
+
+class TestStreamedReport:
+    """analyze writes its report as it makes it: the same bytes to a file, to
+    stdout and through dumps_report, and never the whole text in memory."""
+
+    def test_peak_memory_is_below_the_report_size(self, long_stream, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["analyze", str(long_stream), "-o", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(argv, stderr=io.StringIO()) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(json.loads(out.read_text())["cases"][0]["per_frame"]) == 10_000
+        assert peak < out.stat().st_size
+
+    def test_file_stdout_and_dumps_report_give_the_same_bytes(self, long_stream, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(long_stream), "-o", str(out)]) == EXIT_OK
+        rc, stdout, _ = run(["analyze", "-"], long_stream.read_text())
+        with long_stream.open() as lines:
+            cases, failures = measure_stream(iter_frame_stream(lines))
+        document = measurement_report(cases, RunConfig(), __version__, errors=failures)
+        assert rc == EXIT_OK
+        assert out.read_text() == stdout == report_text(document)
+
+    def test_bad_line_leaves_no_output_file(self, tmp_path):
+        stream = jsonl_for("a", [10.0, 20.0]) + '{"case_id": "a"}\n' + jsonl_for("a", [30.0], 3)
+        out = tmp_path / "report.json"
+        rc, stdout, err = run(["analyze", "-", "-o", str(out)], stream)
+        assert (rc, stdout) == (EXIT_INPUT, "")
+        assert err == "kpcurve analyze: <stdin>: line 3: missing field 'frame_index'\n"
+        assert not out.exists()
+
+
 def degenerate_detection():
     middle = normalize_unit(hinge_polyline(30.0))
     middle[2] = middle[1]
@@ -769,7 +821,7 @@ class TestEvaluate:
         rc, out, err = run(["evaluate", "--labels", str(labels), "-"], report)
         assert (rc, out) == (EXIT_INPUT, "")
         assert err == (
-            "kpcurve evaluate: report case 'a' is listed under both 'cases' and 'errors'\n"
+            "kpcurve evaluate: <stdin>: report case 'a' is listed under both 'cases' and 'errors'\n"
         )
 
     def test_case_failed_twice_rejected(self, tmp_path):
@@ -784,7 +836,7 @@ class TestEvaluate:
         rc, out, err = run(["evaluate", "--labels", str(labels), "-"], report)
         assert (rc, out) == (EXIT_INPUT, "")
         assert err == (
-            "kpcurve evaluate: report case 'a' is listed more than once under 'errors'\n"
+            "kpcurve evaluate: <stdin>: report case 'a' is listed more than once under 'errors'\n"
         )
 
     FAILED_F = [{"case_id": "f", "error": "all 1 frames had degenerate geometry"}]
@@ -801,25 +853,28 @@ class TestEvaluate:
             pytest.param(
                 [{"case_id": "zz", "curvature_deg": 40}, {"case_id": "a"}],
                 [],
-                "kpcurve evaluate: report cases need 'case_id' and 'curvature_deg' fields\n",
+                "kpcurve evaluate: <stdin>: "
+                "report cases need 'case_id' and 'curvature_deg' fields\n",
                 id="case-without-angle",
             ),
             pytest.param(
                 [{"case_id": "zz", "curvature_deg": 40}],
                 [{"case_id": 1}],
-                "kpcurve evaluate: report errors need 'case_id' and 'error' fields\n",
+                "kpcurve evaluate: <stdin>: report errors need 'case_id' and 'error' fields\n",
                 id="error-without-message",
             ),
             pytest.param(
                 [{"case_id": "zz", "curvature_deg": 40}, {"case_id": "f", "curvature_deg": 10}],
                 [{"case_id": "f", "error": "x"}],
-                "kpcurve evaluate: report case 'f' is listed under both 'cases' and 'errors'\n",
+                "kpcurve evaluate: <stdin>: "
+                "report case 'f' is listed under both 'cases' and 'errors'\n",
                 id="measured-and-failed",
             ),
             pytest.param(
                 [{"case_id": "a", "curvature_deg": 40}, {"case_id": "a", "curvature_deg": 50}],
                 FAILED_F,
-                "kpcurve evaluate: report case 'a' is listed more than once under 'cases'\n",
+                "kpcurve evaluate: <stdin>: "
+                "report case 'a' is listed more than once under 'cases'\n",
                 id="measured-twice",
             ),
             pytest.param(
@@ -869,7 +924,7 @@ class TestEvaluate:
         assert rc == EXIT_INPUT
         assert out == ""
         assert err == (
-            "kpcurve evaluate: report cases need 'case_id' and 'curvature_deg' fields\n"
+            "kpcurve evaluate: <stdin>: report cases need 'case_id' and 'curvature_deg' fields\n"
         )
 
     def test_huge_integer_report_angle_rejected(self, tmp_path):
@@ -880,7 +935,7 @@ class TestEvaluate:
         assert rc == EXIT_INPUT
         assert out == ""
         assert err == (
-            "kpcurve evaluate: report case 'a' has a curvature_deg too large for a float\n"
+            "kpcurve evaluate: <stdin>: report case 'a' has a curvature_deg too large for a float\n"
         )
 
     @pytest.mark.parametrize("angle", ["200", "nan", "-1e-9"])
@@ -1047,7 +1102,9 @@ class TestSynth:
         spec = '{"case_id": "", "hinge_angle_deg": 40, "steps": 3}'
         rc, stdout, err = run(["synth", "-", "-o", str(out)], spec)
         assert (rc, stdout) == (EXIT_INPUT, "")
-        assert err == "kpcurve synth: spec field 'case_id' is empty or has outer whitespace\n"
+        assert err == (
+            "kpcurve synth: <stdin>: spec field 'case_id' is empty or has outer whitespace\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("case_id", [" a", "a ", "\\ta"])
@@ -1057,7 +1114,9 @@ class TestSynth:
         spec = '{"case_id": "%s", "hinge_angle_deg": 40, "steps": 3}' % case_id
         rc, stdout, err = run(["synth", "-", "-o", str(out)], spec)
         assert (rc, stdout) == (EXIT_INPUT, "")
-        assert err == "kpcurve synth: spec field 'case_id' is empty or has outer whitespace\n"
+        assert err == (
+            "kpcurve synth: <stdin>: spec field 'case_id' is empty or has outer whitespace\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_sidecar_leaves_no_stream(self, tmp_path):
@@ -1198,7 +1257,7 @@ class TestSynth:
         rc, out, err = run(["synth", "-"], spec)
         assert rc == EXIT_INPUT
         assert out == ""
-        assert err == f"kpcurve synth: spec field {field!r} is too large for a float\n"
+        assert err == f"kpcurve synth: <stdin>: spec field {field!r} is too large for a float\n"
 
     # NaN and Infinity are JSON extensions json.loads accepts
     BAD_VALUES = {
@@ -1218,7 +1277,7 @@ class TestSynth:
         spec = json.dumps({"hinge_angle_deg": 30.0, "steps": 3, **fields})
         sidecar = tmp_path / "oracle.json"
         rc, out, err = run(["synth", "-", "--sidecar", str(sidecar)], spec)
-        assert (rc, out, err) == (EXIT_INPUT, "", f"kpcurve synth: {message}\n")
+        assert (rc, out, err) == (EXIT_INPUT, "", f"kpcurve synth: <stdin>: {message}\n")
         assert not sidecar.exists()
 
     # a seed or a step count numpy cannot take is named as a spec field
@@ -1236,7 +1295,7 @@ class TestSynth:
         spec = json.dumps({"hinge_angle_deg": 30.0, "steps": 3, **fields})
         sidecar = tmp_path / "oracle.json"
         rc, out, err = run(["synth", "-", "--sidecar", str(sidecar), *options], spec)
-        assert (rc, out, err) == (EXIT_INPUT, "", f"kpcurve synth: {message}\n")
+        assert (rc, out, err) == (EXIT_INPUT, "", f"kpcurve synth: <stdin>: {message}\n")
         assert not sidecar.exists()
 
     # the first frame whose pose fails, in sweep order; a frame's yaw is checked first
@@ -1262,7 +1321,7 @@ class TestSynth:
         rc, out, err = run(["synth", "-"], json.dumps(spec))
         assert rc == EXIT_INPUT
         assert out == ""
-        assert err == f"kpcurve synth: {value} outside (-90, 90); model self-occludes\n"
+        assert err == f"kpcurve synth: <stdin>: {value} outside (-90, 90); model self-occludes\n"
 
     # a step past the float range: frame 0 is still the start yaw, and the
     # error names a yaw the spec gave, with no numpy warning
@@ -1276,7 +1335,7 @@ class TestSynth:
         fields, value = self.YAW_OVERFLOWS[name]
         rc, out, err = run(["synth", "-"], '{"hinge_angle_deg": 30, ' + fields + "}")
         assert (rc, out) == (EXIT_INPUT, "")
-        assert err == f"kpcurve synth: {value} outside (-90, 90); model self-occludes\n"
+        assert err == f"kpcurve synth: <stdin>: {value} outside (-90, 90); model self-occludes\n"
 
     def test_one_step_sweep_is_its_start_yaw(self, tmp_path):
         spec = '{"hinge_angle_deg": 30, "steps": 1, "yaw_start_deg": 0, "yaw_end_deg": 1e999}'
@@ -1299,7 +1358,8 @@ class TestSynth:
             assert (rc, err) == (EXIT_OK, ""), name
         for name in ("spec", "return", "snapped_hinge_position"):
             rc, _, err = run(["synth", "-"], json.dumps({"hinge_angle_deg": 30.0, name: 1}))
-            assert (rc, err) == (EXIT_INPUT, f"kpcurve synth: unknown spec field {name!r}\n")
+            expected = f"kpcurve synth: <stdin>: unknown spec field {name!r}\n"
+            assert (rc, err) == (EXIT_INPUT, expected)
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         section = readme.split("\n## Synthetic phantoms\n")[1].split("\n## ")[0]
         assert [name for name in values if f"`{name}`" not in section] == []
@@ -1657,6 +1717,51 @@ class TestArgumentErrors:
         assert rc == 2
 
 
+class TestInputErrorsNameTheirSource:
+    """A fault found in a whole read input names its file, or <stdin>."""
+
+    LABELS = "case_id,actual\na,pd\n"
+    CASES = {
+        "convert": (
+            "x.xml",
+            CVAT_DOCUMENT.replace('width="640"', 'width="x"'),
+            ["-o", "labels"],
+            "image width 'x' is not an integer",
+        ),
+        "evaluate": (
+            "r.json",
+            '{"cases": [{"case_id": "a"}]}',
+            ["--labels", "labels.csv"],
+            "report cases need 'case_id' and 'curvature_deg' fields",
+        ),
+        "synth": (
+            "s.json",
+            '{"hinge_angle_deg": 40, "bogus": 1}',
+            ["-o", "frames.jsonl"],
+            "unknown spec field 'bogus'",
+        ),
+        "synth-pose": (
+            "s.json",
+            '{"hinge_angle_deg": 40, "pitch_deg": 95}',
+            ["-o", "frames.jsonl"],
+            "pitch 95.0 outside (-90, 90); model self-occludes",
+        ),
+    }
+
+    @pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_message_names_the_file_or_stdin(self, name, from_stdin, tmp_path, monkeypatch):
+        filename, text, options, message = self.CASES[name]
+        monkeypatch.chdir(tmp_path)
+        Path(filename).write_text(text)
+        Path("labels.csv").write_text(self.LABELS)
+        command = name.split("-")[0]
+        rc, out, err = run([command, "-" if from_stdin else filename, *options], text)
+        source = "<stdin>" if from_stdin else filename
+        assert (rc, out, err) == (EXIT_INPUT, "", f"kpcurve {command}: {source}: {message}\n")
+        assert sorted(os.listdir()) == sorted({filename, "labels.csv"})
+
+
 def library_exceptions():
     """Every exception class defined in a kpcurve module."""
     found = []
@@ -1782,8 +1887,16 @@ class TestConsoleScript:
     @pytest.mark.parametrize(
         "argv, stdin_text, expected",
         [
-            (["convert", "-", "-o", "out"], "<annotations><image", "kpcurve convert: not well-formed XML: "),
-            (["synth", "-"], '{"hinge_angle_deg": 40, "bogus": 1}', "kpcurve synth: unknown spec field 'bogus'\n"),
+            (
+                ["convert", "-", "-o", "out"],
+                "<annotations><image",
+                "kpcurve convert: <stdin>: not well-formed XML: ",
+            ),
+            (
+                ["synth", "-"],
+                '{"hinge_angle_deg": 40, "bogus": 1}',
+                "kpcurve synth: <stdin>: unknown spec field 'bogus'\n",
+            ),
         ],
         ids=["convert", "synth"],
     )

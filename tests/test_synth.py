@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import frame_line, line_angles, measure_sequence, vector_angle
+from conftest import frame_line, line_angles, measure_sequence, report_text, vector_angle
 from kpcurve import sequence
 from kpcurve.cli import EXIT_GEOMETRY, EXIT_OK, main
-from kpcurve.report import dumps_frame, dumps_report, sweep_sidecar
+from kpcurve.report import dumps_frame, sweep_sidecar
 from kpcurve.sequence import DegenerateProjectionError
 from kpcurve.synth import (
     BadSpecError,
@@ -258,7 +258,7 @@ def columns(result) -> tuple:
 def sidecar_frames(result) -> list[dict]:
     """The ``frames`` rows of the sidecar written for a sweep."""
     phantom = PhantomSpec("c", HingeModelSpec(0.0), {}, {})
-    return json.loads(dumps_report(sweep_sidecar(phantom, result)))["frames"]
+    return json.loads(report_text(sweep_sidecar(phantom, result)))["frames"]
 
 
 def detections(result) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -428,7 +428,7 @@ def test_random_specs_keep_their_bytes():
             continue
         frames = range(len(result.points))
         digest.update(dumps_frame(phantom.case_id, result.boxes, result.points, frames).encode())
-        digest.update(dumps_report(sweep_sidecar(phantom, result)).encode())
+        digest.update(report_text(sweep_sidecar(phantom, result)).encode())
     assert errors == 19
     assert digest.hexdigest() == "11204654bec9e03263d21ac3e1b5a96d2d6757f838070cae63fb461555b42932"
 

@@ -1,6 +1,6 @@
 """The JSON writers pinned byte for byte to the stock json encoder.
 
-``dumps_report`` must equal ``json.dumps(value, indent=2) + "\\n"`` for
+``dumps_report`` must write ``json.dumps(value, indent=2) + "\\n"`` for
 every value json accepts, and raise what json raises otherwise; a
 measurement report and a sidecar, whose list items orjson writes where
 their values are ones it writes as json does, must equal ``json.dumps``
@@ -18,13 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import report_text
+from kpcurve import report
 from kpcurve.annotation import COORD_DECIMALS
 from kpcurve.evaluation import classify, round_half_up
 from kpcurve.report import (
     SCHEMA_VERSION,
     RunConfig,
     dumps_frame,
-    dumps_report,
     is_case_id,
     iter_frame_stream,
     measurement_report,
@@ -88,7 +89,7 @@ class TestDumpsReport:
     @given(value=trees)
     @settings(max_examples=500, deadline=None)
     def test_matches_stock_encoder(self, value):
-        assert dumps_report(value) == reference_report(value)
+        assert report_text(value) == reference_report(value)
 
     @pytest.mark.parametrize(
         "value",
@@ -107,7 +108,7 @@ class TestDumpsReport:
         ids=repr,
     )
     def test_edge_values(self, value):
-        assert dumps_report(value) == reference_report(value)
+        assert report_text(value) == reference_report(value)
 
     def test_subclasses_follow_json(self):
         class Text(str):
@@ -124,16 +125,16 @@ class TestDumpsReport:
             pass
 
         value = Mapping({Text("k"): Seq([Count(3), Text("v"), Mapping()])})
-        assert dumps_report(value) == reference_report(value)
+        assert report_text(value) == reference_report(value)
         nested = {"a": [value, Seq([Mapping({"b": Seq([1.5])})])]}
-        assert dumps_report(nested) == reference_report(nested)
+        assert report_text(nested) == reference_report(nested)
 
     @pytest.mark.parametrize(
         "value", [np.int64(1), np.float32(0.5), object(), {(1,): 2}, [1, {2, 3}]]
     )
     def test_unsupported_values_raise_type_error(self, value):
         with pytest.raises(TypeError) as ours:
-            dumps_report(value)
+            report_text(value)
         with pytest.raises(TypeError) as theirs:
             json.dumps(value, indent=2)
         assert str(ours.value) == str(theirs.value)
@@ -142,11 +143,11 @@ class TestDumpsReport:
         deep = 0
         for _ in range(800):
             deep = [deep]
-        assert dumps_report(deep) == reference_report(deep)
+        assert report_text(deep) == reference_report(deep)
         loop = []
         loop.append(loop)
         with pytest.raises(ValueError, match="Circular reference"):
-            dumps_report(loop)
+            report_text(loop)
 
 
 # angles at the ends of the range, the smallest subnormal, and a value
@@ -247,7 +248,25 @@ class TestReportItems:
         measured = [case_from_frames(*case) for case in cases]
         document = measurement_report(measured, config, "v", errors=errors)
         entries = [{"case_id": case_id, "error": message} for case_id, message in errors]
-        assert dumps_report(document) == reference_measurement(cases, config, entries)
+        assert report_text(document) == reference_measurement(cases, config, entries)
+
+    def test_a_document_writes_the_same_bytes_twice(self, monkeypatch):
+        # rows are made block by block as they are written, here in blocks of 3,
+        # and written 3 pieces at a time
+        monkeypatch.setattr(report, "CHUNK_FRAMES", 3)
+        monkeypatch.setattr(report, "_PIECES_PER_WRITE", 3)
+        rows = [(i, [10.0 + i, 1.0, 2.0, 3.0]) for i in range(8)] + [(8, 3), (9, [1e-07] * 4)]
+        cases = [("a", rows), ("b", rows[:1]), ("c", rows[:3])]
+        for retain in (True, False):
+            config = RunConfig(retain_per_frame=retain)
+            measured = [case_from_frames(*case) for case in cases]
+            document = measurement_report(measured, config, "v", errors=[("d", "x")])
+            first = report_text(document)
+            assert first == report_text(document)
+            assert first == reference_measurement(cases, config, [{"case_id": "d", "error": "x"}])
+        result = sweep(HingeModelSpec(30.0), steps=7)
+        sidecar = sweep_sidecar(PhantomSpec("c", HingeModelSpec(30.0), {}, {}), result)
+        assert report_text(sidecar) == report_text(sidecar)
 
     def test_edge_rows_in_stream_order(self):
         rows = [(10**30, EDGE_ANGLES), (0, 2), (7, EDGE_ANGLES[::-1])]
@@ -256,7 +275,7 @@ class TestReportItems:
         for retain in (True, False):
             config = RunConfig(retain_per_frame=retain)
             document = measurement_report([case_from_frames("c", rows)], config, "v")
-            assert dumps_report(document) == reference_measurement([("c", rows)], config, [])
+            assert report_text(document) == reference_measurement([("c", rows)], config, [])
 
     @pytest.mark.parametrize("angle", GATE_ANGLES, ids=repr)
     def test_angles_at_the_gate(self, angle):
@@ -268,7 +287,7 @@ class TestReportItems:
             config = RunConfig(retain_per_frame=retain)
             measured = [case_from_frames(*case) for case in cases]
             document = measurement_report(measured, config, "v")
-            assert dumps_report(document) == reference_measurement(cases, config, [])
+            assert report_text(document) == reference_measurement(cases, config, [])
 
     @pytest.mark.parametrize("index", GATE_INDICES)
     def test_frame_indices_at_the_gate(self, index):
@@ -277,7 +296,7 @@ class TestReportItems:
         for retain in (True, False):
             config = RunConfig(retain_per_frame=retain)
             document = measurement_report([case_from_frames("c", rows)], config, "v")
-            assert dumps_report(document) == reference_measurement([("c", rows)], config, [])
+            assert report_text(document) == reference_measurement([("c", rows)], config, [])
 
     @pytest.mark.parametrize("case_id", ["caño\U0001f600", "a\x7fb", "a\x00\x1f\"\\b"])
     def test_case_ids_json_escapes(self, case_id):
@@ -286,14 +305,14 @@ class TestReportItems:
             config = RunConfig(retain_per_frame=retain)
             measured = [case_from_frames(*case) for case in cases]
             document = measurement_report(measured, config, "v")
-            assert dumps_report(document) == reference_measurement(cases, config, [])
+            assert report_text(document) == reference_measurement(cases, config, [])
 
     def test_one_fallback_row_leaves_the_others_to_orjson(self, orjson_rows):
         rows = [(i, [10.0 + i, 1.0, 2.0, 3.0]) for i in range(8)] + [(8, 3)]
         rows[5] = (5, [10.0, 1.0, 9.99e-05, 3.0])
         config = RunConfig()
         document = measurement_report([case_from_frames("c", rows)], config, "v")
-        assert dumps_report(document) == reference_measurement([("c", rows)], config, [])
+        assert report_text(document) == reference_measurement([("c", rows)], config, [])
         assert orjson_rows == [reference_row(*row) for row in rows if row[0] != 5]
 
     def test_case_entries_fall_back_one_by_one(self, orjson_rows):
@@ -303,7 +322,7 @@ class TestReportItems:
         cases[3] = ("d", [(2**64, [40.0, 1.0, 2.0, 3.0])])
         config = RunConfig(retain_per_frame=False)
         document = measurement_report([case_from_frames(*case) for case in cases], config, "v")
-        assert dumps_report(document) == reference_measurement(cases, config, [])
+        assert report_text(document) == reference_measurement(cases, config, [])
         assert [entry["case_id"] for entry in orjson_rows] == ["a"]
 
     @given(
@@ -344,7 +363,7 @@ def assert_sidecar_matches_reference(case_id, spec, yaws, pitch, true_angles):
             for i, (yaw, angle) in enumerate(zip(yaws, true_angles))
         ],
     }
-    assert dumps_report(sweep_sidecar(phantom, result)) == reference_report(document)
+    assert report_text(sweep_sidecar(phantom, result)) == reference_report(document)
 
 
 # values on either side of the orjson path's bounds, an exact binary tie,
