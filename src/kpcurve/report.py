@@ -18,10 +18,11 @@ bad line's error with its line number.
 Every indented document (report or synth sidecar) is written by
 :func:`dumps_report` to a text stream as ``json.dumps(document, indent=2)``
 plus a newline. Its long lists (a report's case entries and ``per_frame``
-rows, a sidecar's ``frames`` rows) are made as they are written, item by
-item, so no whole document text is held; each item is a plain dict that
-orjson writes where every value is one it writes as json does, to the
-same text, and json writes otherwise.
+rows, a sidecar's ``frames`` rows, an evaluation's ``cases`` rows) are made
+as they are written, item by item or run by run, so no whole document text
+is held; each item is a plain dict that orjson writes where every value is
+one it writes as json does, to the same text, and json writes otherwise.
+orjson writes a run of such items of a sidecar or an evaluation in one call.
 Report documents carry exact values alongside their display-rounded
 counterparts; the rounded fields are always recomputable from the exact
 ones under the half-up rule. A measurement report is read back here
@@ -33,7 +34,8 @@ import json
 from collections.abc import Callable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, groupby, islice
+from operator import itemgetter
 
 import numpy as np
 import orjson
@@ -136,20 +138,21 @@ def dumps_frame(case_id: str, boxes, points, frame_indices) -> str:
     boxes = orjson.dumps(taken[:, :4].copy(), option=option).decode()[2:-2].split("],[")
     grids = taken[:, 4:].reshape(-1, NUM_KEYPOINTS, 2).copy()
     grids = orjson.dumps(grids, option=option).decode()[3:-3].split("]],[[")
-    written = zip(boxes, grids)
+    written, fallback = zip(boxes, grids), map(_json_texts, values[~orjson_rows].tolist())
+    texts = (next(written) if by_orjson else next(fallback) for by_orjson in orjson_rows.tolist())
     head = '{"case_id":' + json.dumps(case_id) + ',"frame_index":'
-    lines = []
-    for index, by_orjson, row in zip(frame_indices, orjson_rows.tolist(), values, strict=True):
-        if by_orjson:
-            box, grid = next(written)
-        else:  # json writes the row, rounded
-            row = [round(v, COORD_DECIMALS) for v in row.tolist()]
-            box = json.dumps(row[:4], separators=(",", ":"))[1:-1]
-            grid = json.dumps(list(zip(row[4::2], row[5::2])), separators=(",", ":"))[2:-2]
-        lines.append(
-            f'{head}{int.__repr__(index)},"class_id":0,"bbox":[{box}],"keypoints":[[{grid}]]}}\n'
-        )
-    return "".join(lines)
+    return "".join(
+        f'{head}{int.__repr__(index)},"class_id":0,"bbox":[{box}],"keypoints":[[{grid}]]}}\n'
+        for index, (box, grid) in zip(frame_indices, texts, strict=True)
+    )
+
+
+def _json_texts(row: list) -> tuple[str, str]:
+    """The box and keypoint texts of a frame row that json writes, rounded."""
+    row = [round(v, COORD_DECIMALS) for v in row]
+    box = json.dumps(row[:4], separators=(",", ":"))[1:-1]
+    grid = json.dumps(list(zip(row[4::2], row[5::2])), separators=(",", ":"))[2:-2]
+    return box, grid
 
 
 def is_case_id(text: str) -> bool:
@@ -295,9 +298,10 @@ def iter_frame_stream(lines):
 class _Rows:
     """A list in a document whose items ``produce(*args)`` yields as it is written.
 
-    An item is its text, written already at the list's depth, or a dict
-    holding _Rows, which :func:`_dumps` writes in place. Each iteration
-    calls ``produce`` again, so a document is written the same every time.
+    An item is the text of one or more items, written already at the list's
+    depth with the separators between them, or a dict holding _Rows, which
+    :func:`_dumps` writes in place. Each iteration calls ``produce`` again,
+    so a document is written the same every time.
     """
 
     produce: Callable[..., Iterator]
@@ -310,9 +314,9 @@ class _Rows:
 def _dumps(value, pad: str) -> Iterator[str]:
     """Yield ``json.dumps(value, indent=2)`` at indent ``pad`` piece by piece.
 
-    A _Rows list, and a dict holding one, is written member by member, so
-    no text longer than one item is built; json.dumps writes everything
-    else, and its raw newlines are all structural.
+    A _Rows list, and a dict holding one, is written member by member, so no
+    text longer than one run of ``CHUNK_FRAMES`` items is built; json.dumps
+    writes everything else, and its raw newlines are all structural.
     """
     inner = pad + "  "
     if type(value) is _Rows:
@@ -336,15 +340,39 @@ def _dumps(value, pad: str) -> Iterator[str]:
         yield json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
-def _item(item: dict, by_orjson: bool, pad: str) -> str:
-    """A list item at indent ``pad`` as ``json.dumps(document, indent=2)`` writes it.
+def _item(items: list, by_orjson: bool, pad: str) -> str:
+    """A run of list items at indent ``pad``, with the separators between
+    them, as ``json.dumps(document, indent=2)`` writes them.
 
-    orjson writes it when ``by_orjson`` says that every value is one it
-    writes as json does, to the same text; json.dumps writes it otherwise.
+    orjson writes the run in one call when ``by_orjson`` says that every
+    value is one it writes as json does, to the same text: a lone item as
+    itself, more as a list whose brackets are dropped and whose lines are
+    moved to the depth of ``pad``. json.dumps writes each item otherwise.
     """
-    if by_orjson:
-        return orjson.dumps(item, option=orjson.OPT_INDENT_2).decode().replace("\n", "\n" + pad)
-    return json.dumps(item, indent=2).replace("\n", "\n" + pad)
+    if not by_orjson:
+        return ",\n".join(json.dumps(item, indent=2) for item in items).replace("\n", "\n" + pad)
+    if len(items) == 1:  # the same text with no list to strip, ~0.3 us an item less
+        text = orjson.dumps(items[0], option=orjson.OPT_INDENT_2).decode()
+        return text.replace("\n", "\n" + pad)
+    # less '[\n  ' and '\n]', every line but the first starts 2 spaces past pad's depth
+    text = orjson.dumps(items, option=orjson.OPT_INDENT_2).decode()
+    return text[4:-2].replace("\n", "\n" + pad[2:])
+
+
+def _runs(items: list, gates: list, pad: str) -> Iterator[str]:
+    """Yield a list's items at indent ``pad`` as :func:`_item` writes them: a
+    text per run of consecutive items with the same gate, ``CHUNK_FRAMES``
+    items at most, so orjson writes each run of gated items in one call."""
+    size = CHUNK_FRAMES
+    for start in range(0, len(items), size):
+        block = zip(gates[start : start + size], items[start : start + size])
+        for by_orjson, run in groupby(block, key=itemgetter(0)):
+            yield _item([item for _, item in run], by_orjson, pad)
+
+
+def _orjson_text(text: str) -> bool:
+    """Whether orjson writes ``text`` as json does: ASCII with no DEL, which json escapes."""
+    return text.isascii() and "\x7f" not in text
 
 
 def _per_frame_rows(columns: FrameColumns) -> Iterator[str]:
@@ -379,7 +407,7 @@ def _per_frame_rows(columns: FrameColumns) -> Iterator[str]:
             else:
                 note = f"degenerate middle-line segment {first_bad}"
                 row = {"frame_index": index, "valid": False, "error_note": note}
-            yield _item(row, floats_ok and index in _ORJSON_INTS, "        ")
+            yield _item([row], floats_ok and index in _ORJSON_INTS, "        ")
 
 
 def _case_entries(cases: list[CaseMeasurement], config: RunConfig) -> Iterator:
@@ -401,9 +429,8 @@ def _case_entries(cases: list[CaseMeasurement], config: RunConfig) -> Iterator:
             entry["per_frame"] = _Rows(_per_frame_rows, (case.per_frame,))
             yield entry
             continue
-        text_ok = case.case_id.isascii() and "\x7f" not in case.case_id
-        by_orjson = floats_ok and text_ok and case.argmax_frame in _ORJSON_INTS
-        yield _item(entry, by_orjson, "    ")
+        by_orjson = floats_ok and _orjson_text(case.case_id) and case.argmax_frame in _ORJSON_INTS
+        yield _item([entry], by_orjson, "    ")
 
 
 def measurement_report(
@@ -480,12 +507,15 @@ def report_results(
 
 def evaluation_report(rows, counts, scores, config: RunConfig, tool_version: str) -> dict:
     """Assemble the evaluation report document from ``evaluate_dataset``'s
-    case rows, confusion counts and metrics; every metric is also rounded."""
+    case rows, confusion counts and metrics; every metric is also rounded.
+    orjson writes the runs of case rows whose id and angle it writes as json does."""
+    floats_ok = _orjson_floats(np.array([row["measured_deg"] for row in rows], np.float64))
+    gates = [ok and _orjson_text(row["case_id"]) for row, ok in zip(rows, floats_ok.tolist())]
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": tool_version,
         "config": config.as_dict(),
-        "cases": rows,
+        "cases": _Rows(_runs, (rows, gates, "    ")),
         "confusion": counts,
         "metrics": scores,
         "metrics_rounded": {name: round_half_up(value) for name, value in scores.items()},
@@ -516,5 +546,5 @@ def sweep_sidecar(phantom, result) -> dict:
         "schema_version": SCHEMA_VERSION,
         "case_id": phantom.case_id,
         "spec": {**phantom.given, "snapped_hinge_position": phantom.model.snapped_position},
-        "frames": _Rows(map, (_item, frames, in_range.tolist(), repeat("    "))),
+        "frames": _Rows(_runs, (frames, in_range.tolist(), "    ")),
     }

@@ -23,7 +23,7 @@ true bend. It over-reads otherwise: foreshortening along the axis
 A frame is degenerate when a middle-line segment is shorter than
 ``EPSILON`` after aspect scaling; it is skipped rather than failing the
 case, and only a case with zero valid frames is an error (``synth``
-asks the kernel too, and writes no such frame). :func:`measure_stream`
+checks the rule too, and writes no such frame). :func:`measure_stream`
 consumes batches ``(case_ids, frame_indices, points)`` of whole (15, 2)
 keypoint grids, of any size, as :func:`kpcurve.report.iter_frame_stream`
 yields them from JSONL (a still image is one batch of one frame). It
@@ -75,6 +75,15 @@ def middle_line(points: np.ndarray) -> np.ndarray:
     return points[..., MIDDLE_ROW * COLS : (MIDDLE_ROW + 1) * COLS, :]
 
 
+def segments(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 4, 2) segments s0..s3 of (n, 5, 2) middle lines, and each line's
+    first segment shorter than ``EPSILON``, -1 when none: the one statement of
+    the degeneracy rule, for the angle kernel and for ``synth``'s check."""
+    seg = lines[:, 1:] - lines[:, :-1]
+    short = np.sqrt(seg[..., 0] * seg[..., 0] + seg[..., 1] * seg[..., 1]) < EPSILON
+    return seg, np.where(short.any(axis=1), short.argmax(axis=1), -1)
+
+
 def polyline_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Angles of (n, 5, 2) middle lines, aspect already applied, plus their first bad segment.
 
@@ -87,9 +96,7 @@ def polyline_angles(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if pts.ndim != 3 or pts.shape[1:] != (5, 2):
         raise ValueError(f"expected (n, 5, 2) array, got {pts.shape}")
 
-    seg = pts[:, 1:] - pts[:, :-1]  # segments s0..s3
-    degenerate = np.sqrt(seg[..., 0] * seg[..., 0] + seg[..., 1] * seg[..., 1]) < EPSILON
-    bad = np.where(degenerate.any(axis=1), degenerate.argmax(axis=1), -1)
+    seg, bad = segments(pts)
     # the deviation (s0, s3), then the bends (s0, s1), (s1, s2), (s2, s3)
     u, v = np.take(seg, [0, 0, 1, 2], axis=1), np.take(seg, [3, 1, 2, 3], axis=1)
     cross = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .annotation import COORD_DECIMALS
 from .report import is_case_id
-from .sequence import EPSILON, DegenerateProjectionError, middle_line, polyline_angles
+from .sequence import EPSILON, DegenerateProjectionError, middle_line, segments
 
 DEFAULT_LENGTH_CM = 5.5
 DEFAULT_WIDTH_CM = 1.5
@@ -108,21 +108,21 @@ def build_model(spec: HingeModelSpec) -> np.ndarray:
     width along +/-z.
     """
     beta = math.radians(spec.hinge_angle_deg)
-    snap = spec.snapped_position
-    length = spec.length_cm
-    hinge = np.array([0.0, length * snap, 0.0])
-    pre_dir = np.array([0.0, 1.0, 0.0])
-    post_dir = np.array([math.sin(beta), math.cos(beta), 0.0])
-
-    center = np.empty((5, 3), dtype=np.float64)
-    for i, frac in enumerate(LINE_FRACTIONS):
+    sin, cos = math.sin(beta), math.cos(beta)
+    snap, length, half = spec.snapped_position, spec.length_cm, spec.width_cm / 2.0
+    rise = length * snap
+    # Python floats, each value the IEEE result of the vector form: up +y to the
+    # hinge, then along (sin, cos, 0); the laterals add and subtract (0, 0, half)
+    center = []
+    for frac in LINE_FRACTIONS:
         if frac <= snap:
-            center[i] = pre_dir * (length * frac)
+            run = length * frac
+            center.append((0.0 * run, 1.0 * run, 0.0 * run))
         else:
-            center[i] = hinge + post_dir * (length * (frac - snap))
-
-    offset = np.array([0.0, 0.0, spec.width_cm / 2.0])
-    return np.stack([center + offset, center, center - offset])
+            run = length * (frac - snap)
+            center.append((0.0 + sin * run, rise + cos * run, 0.0 + 0.0 * run))
+    lateral = [(x + 0.0, y + 0.0, z + half) for x, y, z in center]
+    return np.array([lateral, center, [(x - 0.0, y - 0.0, z - half) for x, y, z in center]])
 
 
 def _rotations(yaws, pitch_deg: float) -> np.ndarray:
@@ -157,8 +157,11 @@ def _project_all(model, yaws, pitch_deg: float, image_width: int, image_height: 
     model = np.asarray(model, dtype=np.float64)
     rot = _rotations(yaws, pitch_deg)
     pts = model.reshape(-1, 3) @ rot.transpose(0, 2, 1)
-    # keypoint-major (15, n, 2): a frame's extent is a reduction over contiguous blocks
-    flat = np.stack([pts[..., 0].T, -pts[..., 1].T], axis=-1)
+    # keypoint-major (15, n, 2), C-contiguous, y flipped to image-down: a
+    # frame's extent is a reduction over contiguous blocks
+    flat = np.empty((pts.shape[1], len(yaws), 2))
+    flat[..., 0] = pts[..., 0].T
+    np.negative(pts[..., 1].T, out=flat[..., 1])
     center = middle_line(model.reshape(-1, 3))
     pre = rot @ (center[1] - center[0])
     post = rot @ (center[4] - center[3])
@@ -179,7 +182,7 @@ def _project_all(model, yaws, pitch_deg: float, image_width: int, image_height: 
     ux, uy, vx, vy = pre[:, 0], -pre[:, 1], post[:, 0], -post[:, 1]
     collapsed = np.array(list(map(math.hypot, ux.tolist(), uy.tolist()))) < EPSILON
     collapsed |= np.array(list(map(math.hypot, vx.tolist(), vy.tolist()))) < EPSILON
-    short = polyline_angles(middle_line(points))[1] >= 0
+    short = segments(middle_line(points))[1] >= 0
     failed = collapsed | single.ravel() | short
     if failed.any():
         i = int(failed.argmax())
@@ -250,10 +253,12 @@ def sweep(
         yaws = np.linspace(yaw_start_deg, yaw_end_deg, steps).tolist()
     if math.isnan(yaws[0]):  # 0 * inf; frame 0 is the start yaw, whatever the step
         yaws[0] = float(yaw_start_deg)
-    for yaw in yaws:
-        for name, value in (("yaw", yaw), ("pitch", pitch_deg)):
-            if not -90.0 < value < 90.0:
-                raise BadSpecError(f"{name} {value} outside (-90, 90); model self-occludes")
+    # as frame by frame: frame 0's yaw, then the pitch every frame shares, then the other yaws
+    poses = [("yaw", yaws[0]), ("pitch", pitch_deg)]
+    poses += (("yaw", yaw) for yaw in yaws[1:] if not -90.0 < yaw < 90.0)
+    for name, value in poses:
+        if not -90.0 < value < 90.0:
+            raise BadSpecError(f"{name} {value} outside (-90, 90); model self-occludes")
     if image_width <= 0 or image_height <= 0:
         raise BadSpecError(
             f"image dimensions must be positive, got {image_width}x{image_height}"

@@ -148,3 +148,51 @@ class TestReferenceFormula:
         _, bad = sequence.polyline_angles(near_epsilon_batch(400, seed=4))
         near = [bad[row] >= 0 for row in range(1, 400, 4) if row % 3]
         assert any(near) and not all(near)
+
+
+def short_segment_batches():
+    """(n, 5, 2) lines: random, near EPSILON, all zero, a zero-length segment at
+    each index, and two short segments in a line, the first one first."""
+    at_each = np.repeat(random_batch(1, seed=5), 4, axis=0)
+    for segment in range(4):
+        at_each[segment, segment + 1] = at_each[segment, segment]
+    twice = random_batch(3, seed=6)
+    twice[:, 2], twice[:, 4] = twice[:, 1], twice[:, 3]
+    return {
+        "random": random_batch(257, seed=2),
+        "near-epsilon": near_epsilon_batch(400, seed=4),
+        "all-zero": np.zeros((3, 5, 2)),
+        "zero-at-each-index": at_each,
+        "two-short": twice,
+        "empty": random_batch(0),
+    }
+
+
+class TestSegments:
+    """``segments`` holds the one short-segment rule, for the kernel and for synth."""
+
+    @pytest.mark.parametrize("name", list(short_segment_batches()))
+    @pytest.mark.parametrize("layout", ["contiguous", "middle-line-view", "keypoint-major-view"])
+    def test_first_short_segment_is_the_kernels(self, name, layout):
+        batch = short_segment_batches()[name]
+        n = len(batch)
+        if layout == "middle-line-view":  # a slice of (n, 15, 2) grids
+            grids = np.random.default_rng(1).random((n, 15, 2))
+            sequence.middle_line(grids)[:] = batch
+            batch = sequence.middle_line(grids)
+        elif layout == "keypoint-major-view":  # the (n, 15, 2) view of a (15, n, 2) block
+            grids = np.random.default_rng(1).random((15, n, 2)).transpose(1, 0, 2)
+            sequence.middle_line(grids)[:] = batch
+            batch = sequence.middle_line(grids)
+            assert n < 2 or not batch.flags.c_contiguous
+        seg, bad = sequence.segments(batch)
+        assert seg.tobytes() == (batch[:, 1:] - batch[:, :-1]).tobytes()
+        assert bad.dtype == np.int64
+        assert np.array_equal(bad, sequence.polyline_angles(batch)[1])
+        assert np.array_equal(bad, reference_polyline_angles(batch)[1])
+
+    def test_zero_length_segment_at_each_index(self):
+        _, bad = sequence.segments(short_segment_batches()["zero-at-each-index"])
+        assert bad.tolist() == [0, 1, 2, 3]
+        _, bad = sequence.segments(short_segment_batches()["two-short"])
+        assert bad.tolist() == [1, 1, 1]

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -87,8 +88,65 @@ class TestSpecValidation:
         with pytest.raises(BadSpecError, match=f"^{message}$"):
             project(HingeModelSpec(hinge_angle_deg=40.0), yaw, pitch)
 
+    @pytest.mark.parametrize(
+        "start, end, pitch, bad",
+        [
+            (0.0, 100.0, 95.0, "pitch 95.0"),  # the pitch before a later frame's yaw
+            (95.0, 0.0, 95.0, "yaw 95.0"),  # frame 0's yaw before the pitch
+            (0.0, 100.0, 10.0, "yaw 100.0"),
+            (-100.0, 100.0, 95.0, "yaw -100.0"),
+            (0.0, math.inf, 10.0, "yaw inf"),  # frame 0 is the start yaw
+            (0.0, 100.0, math.nan, "pitch nan"),
+        ],
+    )
+    def test_pose_order_on_multi_frame_sweeps(self, start, end, pitch, bad):
+        # the first bad pose of a frame-by-frame check: frame 0's yaw and the
+        # pitch, then frame 1's yaw, the pitch again and so on
+        message = re.escape(f"{bad} outside (-90, 90); model self-occludes")
+        with pytest.raises(BadSpecError, match=f"^{message}$"):
+            sweep(HingeModelSpec(hinge_angle_deg=40.0), start, end, steps=3, pitch_deg=pitch)
+
+
+def reference_model(spec: HingeModelSpec) -> np.ndarray:
+    """The phantom's three polylines as numpy vector sums, point by point:
+    the form that ``build_model``'s Python floats restate."""
+    beta = math.radians(spec.hinge_angle_deg)
+    snap = spec.snapped_position
+    length = spec.length_cm
+    hinge = np.array([0.0, length * snap, 0.0])
+    pre_dir = np.array([0.0, 1.0, 0.0])
+    post_dir = np.array([math.sin(beta), math.cos(beta), 0.0])
+    center = np.empty((5, 3), dtype=np.float64)
+    for i, frac in enumerate((0.0, 0.25, 0.5, 0.75, 1.0)):
+        if frac <= snap:
+            center[i] = pre_dir * (length * frac)
+        else:
+            center[i] = hinge + post_dir * (length * (frac - snap))
+    offset = np.array([0.0, 0.0, spec.width_cm / 2.0])
+    return np.stack([center + offset, center, center - offset])
+
+
+positive = st.floats(0.0, math.inf, exclude_min=True, exclude_max=True)
+
 
 class TestBuildModel:
+    @given(
+        beta=st.one_of(
+            st.floats(0.0, 180.0, exclude_max=True),
+            st.sampled_from([0.0, 5e-324, 90.0, math.nextafter(180.0, 0.0)]),
+        ),
+        length=st.one_of(positive, st.sampled_from([5e-324, 5.5, sys.float_info.max])),
+        width=st.one_of(positive, st.sampled_from([5e-324, 1.5, sys.float_info.max])),
+        position=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_vector_form_bitwise(self, beta, length, width, position):
+        # tobytes, so that a zero's sign counts
+        spec = HingeModelSpec(beta, length_cm=length, width_cm=width, hinge_position=position)
+        model = build_model(spec)
+        assert model.shape == (3, 5, 3) and model.dtype == np.float64
+        assert model.tobytes() == reference_model(spec).tobytes()
+
     def test_straight_model_three_parallel_lines(self):
         model = build_model(HingeModelSpec(hinge_angle_deg=0.0))
         assert model.shape == (3, 5, 3)

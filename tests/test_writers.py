@@ -21,11 +21,12 @@ from hypothesis import strategies as st
 from conftest import report_text
 from kpcurve import report
 from kpcurve.annotation import COORD_DECIMALS
-from kpcurve.evaluation import classify, round_half_up
+from kpcurve.evaluation import Diagnosis, classify, evaluate_dataset, round_half_up
 from kpcurve.report import (
     SCHEMA_VERSION,
     RunConfig,
     dumps_frame,
+    evaluation_report,
     is_case_id,
     iter_frame_stream,
     measurement_report,
@@ -340,13 +341,72 @@ class TestReportItems:
     @pytest.mark.parametrize("pose", GATE_POSES, ids=repr)
     def test_sidecar_poses_at_the_gate(self, pose, orjson_rows):
         # the pose as one frame's yaw, then as the pitch every frame shares;
-        # json writes the frames it is in, orjson the others
+        # json writes the frames it is in, orjson each run of the others in one call
         by_orjson = pose == 0.0 or abs(pose) >= 1e-4
         assert_sidecar_matches_reference("c", {}, [-30.0, pose, 30.0], 12.5, [40.0, 41.0, 42.0])
-        assert [row["frame_index"] for row in orjson_rows] == ([0, 1, 2] if by_orjson else [0, 2])
+        assert frame_runs(orjson_rows) == ([[0, 1, 2]] if by_orjson else [[0], [2]])
         orjson_rows.clear()
         assert_sidecar_matches_reference("c", {}, [-30.0, 30.0], pose, [40.0, 42.0])
-        assert len(orjson_rows) == (2 if by_orjson else 0)
+        assert frame_runs(orjson_rows) == ([[0, 1]] if by_orjson else [])
+
+    def test_sidecar_runs_between_fallback_rows(self, orjson_rows):
+        yaws = [-30.0, 9.99e-05, 10.0, 30.0]
+        assert_sidecar_matches_reference("c", {}, yaws, 12.5, [40.0, 41.0, 42.0, 43.0])
+        assert frame_runs(orjson_rows) == [[0], [2, 3]]
+
+    def test_sidecar_runs_end_at_each_block(self, orjson_rows, monkeypatch):
+        # runs of at most CHUNK_FRAMES rows, here 3, with a fallback row in the second block
+        monkeypatch.setattr(report, "CHUNK_FRAMES", 3)
+        yaws = [float(i) for i in range(8)]
+        yaws[4] = -9.99e-05
+        assert_sidecar_matches_reference("c", {}, yaws, 12.5, [40.0] * 8)
+        assert frame_runs(orjson_rows) == [[0, 1, 2], [3], [5], [6, 7]]
+
+    @given(
+        rows=st.lists(
+            st.tuples(text.filter(is_case_id), st.one_of(angles, st.sampled_from(GATE_ANGLES))),
+            max_size=6,
+            unique_by=lambda row: row[0],
+        ),
+        labels=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_evaluation_report_matches_stock_encoder(self, rows, labels):
+        triples = [
+            (case_id, Diagnosis.PD if pd else Diagnosis.NORMAL, angle)
+            for (case_id, angle), pd in zip(rows, labels)
+        ]
+        assert_evaluation_matches_reference(triples)
+
+    def test_evaluation_case_rows_fall_back_one_by_one(self, orjson_rows, monkeypatch):
+        # runs of at most CHUNK_FRAMES rows, here 3; json writes a row whose id or
+        # angle orjson writes otherwise
+        monkeypatch.setattr(report, "CHUNK_FRAMES", 3)
+        ids = ["a", "b", "c\x7f", "d", "e", "f", "g", "hé", "i"]
+        angles = [40.0, 9.99e-05, 40.0, 0.0, 1e-4, 180.0, 12.5, 40.0, 5e-324]
+        triples = [(case_id, Diagnosis.PD, angle) for case_id, angle in zip(ids, angles)]
+        assert_evaluation_matches_reference(triples)
+        runs = [[row["case_id"] for row in run] for run in item_runs(orjson_rows)]
+        assert runs == [["a"], ["d", "e", "f"], ["g"]]
+
+
+def item_runs(records) -> list[list[dict]]:
+    """The runs of items that orjson wrote, one per call: a run of one is its item."""
+    return [[record] if type(record) is dict else record for record in records]
+
+
+def frame_runs(records) -> list[list[int]]:
+    """The frame indices of each run of sidecar rows that orjson wrote, in call order."""
+    return [[row["frame_index"] for row in run] for run in item_runs(records)]
+
+
+def assert_evaluation_matches_reference(triples):
+    """The evaluation report of these triples equals json's text of it built as dicts."""
+    config = RunConfig()
+    rows, counts, scores = evaluate_dataset(triples, config.threshold_deg)
+    document = evaluation_report(rows, counts, scores, config, "v")
+    expected = {**document, "cases": rows}
+    assert report_text(document) == reference_report(expected)
 
 
 def assert_sidecar_matches_reference(case_id, spec, yaws, pitch, true_angles):
@@ -454,6 +514,8 @@ def test_orjson_indent_layout_is_json_layout():
         {"valid": True, "note": None, "ok": False},
         [0, -1, 2**63 - 1, -(2**63), 2**64 - 1],
         {"frame_index": 2**64 - 1, "segment_deg": [0.5, -0.0, 1e-4], "note": "a \"b\" \\ \n"},
+        # a run of items, as the sidecar and evaluation writers hand it
+        [{"frame_index": 0, "yaw_deg": -30.0}, {"frame_index": 1, "segment_deg": [1.5, 2.0]}, {}],
     ]
     for value in values:
         text = json.dumps(value, indent=2).encode()
@@ -494,8 +556,8 @@ def assert_matches_reference(case_id, boxes, points, frame_indices):
 @pytest.fixture
 def orjson_rows(monkeypatch):
     """The values that the writers hand ``orjson.dumps``, one per call: the box and
-    keypoint blocks of a frame stream, and each report or sidecar item that orjson
-    writes."""
+    keypoint blocks of a frame stream, and each item, or run of items as a list,
+    of a report, sidecar or evaluation that orjson writes."""
     records = []
     dumps = orjson.dumps
 
