@@ -19,10 +19,10 @@ Every indented document (report or synth sidecar) is written by
 :func:`dumps_report` to a text stream as ``json.dumps(document, indent=2)``
 plus a newline. Its long lists (a report's case entries and ``per_frame``
 rows, a sidecar's ``frames`` rows, an evaluation's ``cases`` rows) are made
-as they are written, item by item or run by run, so no whole document text
-is held; each item is a plain dict that orjson writes where every value is
-one it writes as json does, to the same text, and json writes otherwise.
-orjson writes a run of such items of a sidecar or an evaluation in one call.
+as they are written, run by run, so no whole document text is held; each
+item is a plain dict, and each run of up to ``CHUNK_FRAMES`` consecutive
+items in which every value is one orjson writes as json does, to the same
+text, is one orjson call; json writes each other run.
 Report documents carry exact values alongside their display-rounded
 counterparts; the rounded fields are always recomputable from the exact
 ones under the half-up rule. A measurement report is read back here
@@ -34,8 +34,7 @@ import json
 from collections.abc import Callable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, groupby, islice
-from operator import itemgetter
+from itertools import chain, groupby
 
 import numpy as np
 import orjson
@@ -57,9 +56,9 @@ SCHEMA_VERSION = 2
 # parsed lines (~2.9 KB each), or per-frame rows being written, are held at once
 CHUNK_FRAMES = 256
 
-# pieces of a document joined into one write: a write call per item and
-# separator cost a sidecar ~0.5 us/frame, and 512 pieces hold ~256 list items
-_PIECES_PER_WRITE = 512
+# a write call per piece cost a sidecar ~0.5 us/frame, so pieces (one can be a
+# run of CHUNK_FRAMES rows, ~85 KB) are joined until they reach this many characters
+_WRITE_CHARS = 64 * 1024
 
 # the longest line orjson decodes. orjson 3.8 builds valid JSON's values by
 # recursion with no depth limit, and overflows the C stack (a segfault) on a
@@ -341,33 +340,37 @@ def _dumps(value, pad: str) -> Iterator[str]:
 
 
 def _item(items: list, by_orjson: bool, pad: str) -> str:
-    """A run of list items at indent ``pad``, with the separators between
-    them, as ``json.dumps(document, indent=2)`` writes them.
+    """A run of list items at indent ``pad``, two or more spaces, with the
+    separators between them, as ``json.dumps(document, indent=2)`` writes them.
 
     orjson writes the run in one call when ``by_orjson`` says that every
-    value is one it writes as json does, to the same text: a lone item as
-    itself, more as a list whose brackets are dropped and whose lines are
-    moved to the depth of ``pad``. json.dumps writes each item otherwise.
+    value is one it writes as json does, to the same text, and json.dumps
+    writes it otherwise; a lone item by orjson is written as itself.
     """
-    if not by_orjson:
-        return ",\n".join(json.dumps(item, indent=2) for item in items).replace("\n", "\n" + pad)
-    if len(items) == 1:  # the same text with no list to strip, ~0.3 us an item less
-        text = orjson.dumps(items[0], option=orjson.OPT_INDENT_2).decode()
-        return text.replace("\n", "\n" + pad)
-    # less '[\n  ' and '\n]', every line but the first starts 2 spaces past pad's depth
-    text = orjson.dumps(items, option=orjson.OPT_INDENT_2).decode()
-    return text[4:-2].replace("\n", "\n" + pad[2:])
+    option = orjson.OPT_INDENT_2
+    if by_orjson and len(items) == 1:  # ~0.2 us less than a nested lone item
+        return orjson.dumps(items[0], option=option).decode().replace("\n", "\n" + pad)
+    # nested depth - 1 lists deeper, the run lies at pad's depth, past the outer lists'
+    # head "[\n  [\n ... pad" of depth * (depth + 3) characters and tail of depth * (depth + 1)
+    depth = len(pad) // 2
+    for _ in range(depth - 1):
+        items = [items]
+    text = orjson.dumps(items, option=option).decode() if by_orjson else json.dumps(items, indent=2)
+    return text[depth * (depth + 3) : -depth * (depth + 1)]
 
 
-def _runs(items: list, gates: list, pad: str) -> Iterator[str]:
+def _runs(gates: np.ndarray, rows: Callable[[slice], list], pad: str) -> Iterator[str]:
     """Yield a list's items at indent ``pad`` as :func:`_item` writes them: a
     text per run of consecutive items with the same gate, ``CHUNK_FRAMES``
-    items at most, so orjson writes each run of gated items in one call."""
+    items at most, so orjson writes each run of gated items in one call.
+    ``rows(run)`` makes the items of the slice ``run`` only as it is written."""
     size = CHUNK_FRAMES
-    for start in range(0, len(items), size):
-        block = zip(gates[start : start + size], items[start : start + size])
-        for by_orjson, run in groupby(block, key=itemgetter(0)):
-            yield _item([item for _, item in run], by_orjson, pad)
+    for block in range(0, len(gates), size):
+        start = block
+        for by_orjson, run in groupby(gates[block : block + size].tolist()):
+            stop = start + len(list(run))
+            yield _item(rows(slice(start, stop)), by_orjson, pad)
+            start = stop
 
 
 def _orjson_text(text: str) -> bool:
@@ -376,47 +379,52 @@ def _orjson_text(text: str) -> bool:
 
 
 def _per_frame_rows(columns: FrameColumns) -> Iterator[str]:
-    """Yield a case's ``per_frame`` rows, written from its columns in stream order.
+    """A case's ``per_frame`` rows, written from its columns in stream order.
 
-    The columns become Python values one block of ``CHUNK_FRAMES`` rows at
-    a time, so a long case never holds all its rows as Python objects.
+    The columns become Python values one run at a time, as :func:`_runs` writes
+    it, so a long case never holds more than a run's rows as Python objects.
     """
     frame_angle, curvature_col = frame_rules(columns.angles)
     # a degenerate row writes no angle
-    in_range = _orjson_floats(columns.angles).all(axis=1) | (columns.first_bad >= 0)
-    size = CHUNK_FRAMES
-    for start in range(0, len(columns.frame_indices), size):
-        block = slice(start, start + size)
-        for index, angles, top, col, first_bad, floats_ok in zip(
-            columns.frame_indices[block],
-            columns.angles[block].tolist(),
-            frame_angle[block].tolist(),
-            curvature_col[block].tolist(),
-            columns.first_bad[block].tolist(),
-            in_range[block].tolist(),
-        ):
-            if first_bad < 0:
-                row = {
-                    "frame_index": index,
-                    "valid": True,
-                    "deviation_deg": angles[0],
-                    "segment_deg": angles[1:],
-                    "frame_angle_deg": top,
-                    "curvature_col": col,
-                }
-            else:
-                note = f"degenerate middle-line segment {first_bad}"
-                row = {"frame_index": index, "valid": False, "error_note": note}
-            yield _item([row], floats_ok and index in _ORJSON_INTS, "        ")
+    gates = _orjson_floats(columns.angles).all(axis=1) | (columns.first_bad >= 0)
+    gates &= np.fromiter(map(_ORJSON_INTS.__contains__, columns.frame_indices), bool, len(gates))
+
+    def rows(run: slice) -> list[dict]:
+        return [
+            {
+                "frame_index": index,
+                "valid": True,
+                "deviation_deg": angles[0],
+                "segment_deg": angles[1:],
+                "frame_angle_deg": top,
+                "curvature_col": col,
+            }
+            if first_bad < 0
+            else {
+                "frame_index": index,
+                "valid": False,
+                "error_note": f"degenerate middle-line segment {first_bad}",
+            }
+            for index, angles, top, col, first_bad in zip(
+                columns.frame_indices[run],
+                columns.angles[run].tolist(),
+                frame_angle[run].tolist(),
+                curvature_col[run].tolist(),
+                columns.first_bad[run].tolist(),
+            )
+        ]
+
+    return _runs(gates, rows, "        ")
 
 
 def _case_entries(cases: list[CaseMeasurement], config: RunConfig) -> Iterator:
     """Yield a measurement report's ``cases``, each diagnosed at the threshold:
-    its text, or with per-frame rows a dict that _dumps writes in place."""
+    with per-frame rows a dict per case that _dumps writes in place, else the
+    text of each run of entries as :func:`_runs` writes it."""
     rounded = [round_half_up(case.curvature_deg) for case in cases]
-    angles = np.array([[case.curvature_deg for case in cases], rounded], np.float64)
-    for case, top, floats_ok in zip(cases, rounded, _orjson_floats(angles).all(axis=0).tolist()):
-        entry = {
+
+    def entry(case: CaseMeasurement, top: float) -> dict:
+        return {
             "case_id": case.case_id,
             "curvature_deg": case.curvature_deg,
             "curvature_deg_rounded": top,
@@ -425,12 +433,15 @@ def _case_entries(cases: list[CaseMeasurement], config: RunConfig) -> Iterator:
             "frames_total": case.frames_total,
             "frames_valid": case.frames_valid,
         }
-        if config.retain_per_frame:
-            entry["per_frame"] = _Rows(_per_frame_rows, (case.per_frame,))
-            yield entry
-            continue
-        by_orjson = floats_ok and _orjson_text(case.case_id) and case.argmax_frame in _ORJSON_INTS
-        yield _item([entry], by_orjson, "    ")
+
+    if config.retain_per_frame:
+        for case, top in zip(cases, rounded):
+            yield {**entry(case, top), "per_frame": _Rows(_per_frame_rows, (case.per_frame,))}
+        return
+    angles = np.array([[case.curvature_deg for case in cases], rounded], np.float64)
+    texts_ok = [_orjson_text(case.case_id) and case.argmax_frame in _ORJSON_INTS for case in cases]
+    gates = _orjson_floats(angles).all(axis=0) & np.array(texts_ok, bool)
+    yield from _runs(gates, lambda run: list(map(entry, cases[run], rounded[run])), "    ")
 
 
 def measurement_report(
@@ -510,12 +521,12 @@ def evaluation_report(rows, counts, scores, config: RunConfig, tool_version: str
     case rows, confusion counts and metrics; every metric is also rounded.
     orjson writes the runs of case rows whose id and angle it writes as json does."""
     floats_ok = _orjson_floats(np.array([row["measured_deg"] for row in rows], np.float64))
-    gates = [ok and _orjson_text(row["case_id"]) for row, ok in zip(rows, floats_ok.tolist())]
+    gates = floats_ok & np.array([_orjson_text(row["case_id"]) for row in rows], bool)
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": tool_version,
         "config": config.as_dict(),
-        "cases": _Rows(_runs, (rows, gates, "    ")),
+        "cases": _Rows(_runs, (gates, rows.__getitem__, "    ")),
         "confusion": counts,
         "metrics": scores,
         "metrics_rounded": {name: round_half_up(value) for name, value in scores.items()},
@@ -524,11 +535,15 @@ def evaluation_report(rows, counts, scores, config: RunConfig, tool_version: str
 
 def dumps_report(document, out) -> None:
     """Write a document to the text stream ``out`` as ``json.dumps(document, indent=2)``
-    plus a newline, as it is made, ``_PIECES_PER_WRITE`` pieces at a time."""
-    pieces = _dumps(document, "")
-    while block := list(islice(pieces, _PIECES_PER_WRITE)):
-        out.write("".join(block))
-    out.write("\n")
+    plus a newline, as it is made: pieces, each a run of up to ``CHUNK_FRAMES``
+    items at most, are joined into one write once they reach ``_WRITE_CHARS``."""
+    block, chars = [], 0
+    for piece in _dumps(document, ""):
+        block.append(piece)
+        if (chars := chars + len(piece)) >= _WRITE_CHARS:
+            out.write("".join(block))
+            block, chars = [], 0
+    out.write("".join(block) + "\n")
 
 
 def sweep_sidecar(phantom, result) -> dict:
@@ -546,5 +561,5 @@ def sweep_sidecar(phantom, result) -> dict:
         "schema_version": SCHEMA_VERSION,
         "case_id": phantom.case_id,
         "spec": {**phantom.given, "snapped_hinge_position": phantom.model.snapped_position},
-        "frames": _Rows(_runs, (frames, in_range.tolist(), "    ")),
+        "frames": _Rows(_runs, (in_range, frames.__getitem__, "    ")),
     }

@@ -606,6 +606,24 @@ class TestStreamedReport:
         assert not out.exists()
 
 
+def test_report_writes_are_capped_by_characters(long_stream):
+    # each write joins pieces until they reach _WRITE_CHARS, so a run of
+    # CHUNK_FRAMES rows, one piece, cannot make the whole report one write
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    writes, stdout = [], Recorder()
+    assert main(["analyze", str(long_stream)], stdout=stdout) == EXIT_OK
+    with long_stream.open() as lines:
+        cases, failures = measure_stream(iter_frame_stream(lines))
+    document = measurement_report(cases, RunConfig(), __version__, errors=failures)
+    longest = max(map(len, report._dumps(document, "")))
+    assert sum(writes) == len(stdout.getvalue()) > 20 * report._WRITE_CHARS
+    assert all(size < report._WRITE_CHARS + longest for size in writes[:-1])
+
+
 def degenerate_detection():
     middle = normalize_unit(hinge_polyline(30.0))
     middle[2] = middle[1]

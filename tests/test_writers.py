@@ -252,10 +252,10 @@ class TestReportItems:
         assert report_text(document) == reference_measurement(cases, config, entries)
 
     def test_a_document_writes_the_same_bytes_twice(self, monkeypatch):
-        # rows are made block by block as they are written, here in blocks of 3,
-        # and written 3 pieces at a time
+        # rows are made run by run as they are written, here in blocks of 3,
+        # and written once 3 characters are joined
         monkeypatch.setattr(report, "CHUNK_FRAMES", 3)
-        monkeypatch.setattr(report, "_PIECES_PER_WRITE", 3)
+        monkeypatch.setattr(report, "_WRITE_CHARS", 3)
         rows = [(i, [10.0 + i, 1.0, 2.0, 3.0]) for i in range(8)] + [(8, 3), (9, [1e-07] * 4)]
         cases = [("a", rows), ("b", rows[:1]), ("c", rows[:3])]
         for retain in (True, False):
@@ -314,7 +314,21 @@ class TestReportItems:
         config = RunConfig()
         document = measurement_report([case_from_frames("c", rows)], config, "v")
         assert report_text(document) == reference_measurement([("c", rows)], config, [])
-        assert orjson_rows == [reference_row(*row) for row in rows if row[0] != 5]
+        # row 5 is json's; the degenerate row 8 writes no angle and joins the run before it
+        assert frame_runs(orjson_rows) == [[0, 1, 2, 3, 4], [6, 7, 8]]
+        expected = [reference_row(*row) for row in rows if row[0] != 5]
+        assert sum(item_runs(orjson_rows), []) == expected
+
+    def test_per_frame_runs_end_at_each_block(self, orjson_rows, monkeypatch):
+        # runs of at most CHUNK_FRAMES rows, here 3, with a fallback row and a
+        # degenerate row in the second block
+        monkeypatch.setattr(report, "CHUNK_FRAMES", 3)
+        rows = [(i, [10.0 + i, 1.0, 2.0, 3.0]) for i in range(8)]
+        rows[4], rows[5] = (4, [10.0, 9.99e-05, 2.0, 3.0]), (5, 1)
+        config = RunConfig()
+        document = measurement_report([case_from_frames("c", rows)], config, "v")
+        assert report_text(document) == reference_measurement([("c", rows)], config, [])
+        assert frame_runs(orjson_rows) == [[0, 1, 2], [3], [5], [6, 7]]
 
     def test_case_entries_fall_back_one_by_one(self, orjson_rows):
         cases = [(case_id, [(0, [40.0, 1.0, 2.0, 3.0])]) for case_id in "abcd"]
@@ -325,6 +339,20 @@ class TestReportItems:
         document = measurement_report([case_from_frames(*case) for case in cases], config, "v")
         assert report_text(document) == reference_measurement(cases, config, [])
         assert [entry["case_id"] for entry in orjson_rows] == ["a"]
+
+    def test_case_entry_runs_end_at_each_block(self, orjson_rows, monkeypatch):
+        # without per-frame rows, runs of at most CHUNK_FRAMES entries, here 3;
+        # json writes an entry whose id, angle or argmax frame orjson writes otherwise
+        monkeypatch.setattr(report, "CHUNK_FRAMES", 3)
+        cases = [(case_id, [(0, [40.0, 1.0, 2.0, 3.0])]) for case_id in "abcdefghi"]
+        cases[3] = ("d\x7f", cases[3][1])
+        cases[5] = ("f", [(0, [9.99e-05] * 4)])
+        cases[8] = ("i", [(2**64, [40.0, 1.0, 2.0, 3.0])])
+        config = RunConfig(retain_per_frame=False)
+        document = measurement_report([case_from_frames(*case) for case in cases], config, "v")
+        assert report_text(document) == reference_measurement(cases, config, [])
+        runs = [[entry["case_id"] for entry in run] for run in item_runs(orjson_rows)]
+        assert runs == [["a", "b", "c"], ["e"], ["g", "h"]]
 
     @given(
         case_id=text,
@@ -391,8 +419,14 @@ class TestReportItems:
 
 
 def item_runs(records) -> list[list[dict]]:
-    """The runs of items that orjson wrote, one per call: a run of one is its item."""
-    return [[record] if type(record) is dict else record for record in records]
+    """The runs of items that orjson wrote, one per call: a run of one is its
+    item, and a longer run is nested in lists up to its list's depth."""
+    runs = []
+    for record in records:
+        while type(record) is list and len(record) == 1 and type(record[0]) is list:
+            record = record[0]
+        runs.append([record] if type(record) is dict else record)
+    return runs
 
 
 def frame_runs(records) -> list[list[int]]:
@@ -514,8 +548,10 @@ def test_orjson_indent_layout_is_json_layout():
         {"valid": True, "note": None, "ok": False},
         [0, -1, 2**63 - 1, -(2**63), 2**64 - 1],
         {"frame_index": 2**64 - 1, "segment_deg": [0.5, -0.0, 1e-4], "note": "a \"b\" \\ \n"},
-        # a run of items, as the sidecar and evaluation writers hand it
         [{"frame_index": 0, "yaw_deg": -30.0}, {"frame_index": 1, "segment_deg": [1.5, 2.0]}, {}],
+        # a run of items, nested as the report writers hand it at indents 4 and 8
+        [[{"frame_index": 0, "yaw_deg": -30.0}, {"frame_index": 1, "segment_deg": [1.5, 2.0]}]],
+        [[[[{"frame_index": 0, "valid": False, "note": "x"}, {"segment_deg": [1.5, 2.0]}, {}]]]],
     ]
     for value in values:
         text = json.dumps(value, indent=2).encode()
@@ -556,8 +592,8 @@ def assert_matches_reference(case_id, boxes, points, frame_indices):
 @pytest.fixture
 def orjson_rows(monkeypatch):
     """The values that the writers hand ``orjson.dumps``, one per call: the box and
-    keypoint blocks of a frame stream, and each item, or run of items as a list,
-    of a report, sidecar or evaluation that orjson writes."""
+    keypoint blocks of a frame stream, and each item, or run of items as a list
+    nested in lists, of a report, sidecar or evaluation that orjson writes."""
     records = []
     dumps = orjson.dumps
 
