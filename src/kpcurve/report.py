@@ -18,11 +18,12 @@ bad line's error with its line number.
 Every indented document (report or synth sidecar) is written by
 :func:`dumps_report` to a text stream as ``json.dumps(document, indent=2)``
 plus a newline. Its long lists (a report's case entries and ``per_frame``
-rows, a sidecar's ``frames`` rows, an evaluation's ``cases`` rows) are made
-as they are written, run by run, so no whole document text is held; each
-item is a plain dict, and each run of up to ``CHUNK_FRAMES`` consecutive
-items in which every value is one orjson writes as json does, to the same
-text, is one orjson call; json writes each other run.
+rows, a sidecar's ``frames`` rows, an evaluation's ``cases`` rows) are
+:class:`_Rows`, whose items :func:`_dumps`, which alone lays a document out,
+makes run by run as it writes them, so no whole document text is held; each
+run of up to ``CHUNK_FRAMES`` consecutive items in which every value is one
+orjson writes as json does, to the same text, is one orjson call; json writes
+each other run of plain items.
 Report documents carry exact values alongside their display-rounded
 counterparts; the rounded fields are always recomputable from the exact
 ones under the half-up rule. A measurement report is read back here
@@ -55,10 +56,6 @@ SCHEMA_VERSION = 2
 # frames per batch, read when a batch producer starts; bounds how many
 # parsed lines (~2.9 KB each), or per-frame rows being written, are held at once
 CHUNK_FRAMES = 256
-
-# a write call per piece cost a sidecar ~0.5 us/frame, so pieces (one can be a
-# run of CHUNK_FRAMES rows, ~85 KB) are joined until they reach this many characters
-_WRITE_CHARS = 64 * 1024
 
 # the longest line orjson decodes. orjson 3.8 builds valid JSON's values by
 # recursion with no depth limit, and overflows the C stack (a segfault) on a
@@ -295,40 +292,50 @@ def iter_frame_stream(lines):
 
 @dataclass(frozen=True)
 class _Rows:
-    """A list in a document whose items ``produce(*args)`` yields as it is written.
+    """A list in a document whose items are made only as :func:`_dumps` writes them.
 
-    An item is the text of one or more items, written already at the list's
-    depth with the separators between them, or a dict holding _Rows, which
-    :func:`_dumps` writes in place. Each iteration calls ``produce`` again,
-    so a document is written the same every time.
+    ``gates`` holds a bool per item, True where orjson writes each of its values
+    as json does; ``items(run)`` makes the items of the slice ``run``: all plain
+    values, or all dicts holding a _Rows, never gated. Each write makes them again.
     """
 
-    produce: Callable[..., Iterator]
-    args: tuple
+    gates: np.ndarray
+    items: Callable[[slice], list]
 
-    def __iter__(self):
-        return self.produce(*self.args)
+
+def _holds_rows(value) -> bool:
+    """Whether ``value`` is a dict with a _Rows member at any depth."""
+    types = set(map(type, value.values())) if type(value) is dict else ()
+    return _Rows in types or dict in types and any(map(_holds_rows, value.values()))
 
 
 def _dumps(value, pad: str) -> Iterator[str]:
     """Yield ``json.dumps(value, indent=2)`` at indent ``pad`` piece by piece.
 
-    A _Rows list, and a dict holding one, is written member by member, so no
-    text longer than one run of ``CHUNK_FRAMES`` items is built; json.dumps
-    writes everything else, and its raw newlines are all structural.
+    Only here is a document laid out. A _Rows list goes in blocks of ``CHUNK_FRAMES``
+    items, split into runs of one gate; a run of plain items, written by :func:`_item`,
+    is one piece with its separator. A dict holding a _Rows at any depth is written
+    member by member, so no text longer than one run is built; json.dumps writes
+    everything else, and its raw newlines are all structural.
     """
     inner = pad + "  "
     if type(value) is _Rows:
-        opening = "[\n" + inner
-        for item in value:
-            yield opening
-            opening = ",\n" + inner
-            if type(item) is str:
-                yield item
-            else:
-                yield from _dumps(item, inner)
+        opening, size = "[\n" + inner, CHUNK_FRAMES
+        for block in range(0, len(value.gates), size):
+            stop = block
+            for by_orjson, run in groupby(value.gates[block : block + size].tolist()):
+                start, stop = stop, stop + len(list(run))
+                items = value.items(slice(start, stop))
+                if by_orjson or not _holds_rows(items[0]):
+                    yield opening + _item(items, by_orjson, inner)  # a run is one write
+                    opening = ",\n" + inner
+                else:
+                    for item in items:
+                        yield opening
+                        opening = ",\n" + inner
+                        yield from _dumps(item, inner)
         yield "[]" if opening[0] == "[" else "\n" + pad + "]"  # "[]": no item came
-    elif type(value) is dict and _Rows in map(type, value.values()):
+    elif _holds_rows(value):
         opening = "{\n" + inner
         for key, member in value.items():
             yield opening + json.dumps(key) + ": "
@@ -345,11 +352,9 @@ def _item(items: list, by_orjson: bool, pad: str) -> str:
 
     orjson writes the run in one call when ``by_orjson`` says that every
     value is one it writes as json does, to the same text, and json.dumps
-    writes it otherwise; a lone item by orjson is written as itself.
+    writes it otherwise.
     """
     option = orjson.OPT_INDENT_2
-    if by_orjson and len(items) == 1:  # ~0.2 us less than a nested lone item
-        return orjson.dumps(items[0], option=option).decode().replace("\n", "\n" + pad)
     # nested depth - 1 lists deeper, the run lies at pad's depth, past the outer lists'
     # head "[\n  [\n ... pad" of depth * (depth + 3) characters and tail of depth * (depth + 1)
     depth = len(pad) // 2
@@ -359,29 +364,15 @@ def _item(items: list, by_orjson: bool, pad: str) -> str:
     return text[depth * (depth + 3) : -depth * (depth + 1)]
 
 
-def _runs(gates: np.ndarray, rows: Callable[[slice], list], pad: str) -> Iterator[str]:
-    """Yield a list's items at indent ``pad`` as :func:`_item` writes them: a
-    text per run of consecutive items with the same gate, ``CHUNK_FRAMES``
-    items at most, so orjson writes each run of gated items in one call.
-    ``rows(run)`` makes the items of the slice ``run`` only as it is written."""
-    size = CHUNK_FRAMES
-    for block in range(0, len(gates), size):
-        start = block
-        for by_orjson, run in groupby(gates[block : block + size].tolist()):
-            stop = start + len(list(run))
-            yield _item(rows(slice(start, stop)), by_orjson, pad)
-            start = stop
-
-
 def _orjson_text(text: str) -> bool:
     """Whether orjson writes ``text`` as json does: ASCII with no DEL, which json escapes."""
     return text.isascii() and "\x7f" not in text
 
 
-def _per_frame_rows(columns: FrameColumns) -> Iterator[str]:
-    """A case's ``per_frame`` rows, written from its columns in stream order.
+def _per_frame_rows(columns: FrameColumns) -> _Rows:
+    """A case's ``per_frame`` rows, made from its columns in stream order.
 
-    The columns become Python values one run at a time, as :func:`_runs` writes
+    The columns become Python values one run at a time, as :func:`_dumps` writes
     it, so a long case never holds more than a run's rows as Python objects.
     """
     frame_angle, curvature_col = frame_rules(columns.angles)
@@ -414,17 +405,20 @@ def _per_frame_rows(columns: FrameColumns) -> Iterator[str]:
             )
         ]
 
-    return _runs(gates, rows, "        ")
+    return _Rows(gates, rows)
 
 
-def _case_entries(cases: list[CaseMeasurement], config: RunConfig) -> Iterator:
-    """Yield a measurement report's ``cases``, each diagnosed at the threshold:
-    with per-frame rows a dict per case that _dumps writes in place, else the
-    text of each run of entries as :func:`_runs` writes it."""
+def _case_entries(cases: list[CaseMeasurement], config: RunConfig) -> _Rows:
+    """A measurement report's ``cases``, each diagnosed at the threshold and
+    holding its ``per_frame`` rows when they are kept; such an entry is not gated."""
     rounded = [round_half_up(case.curvature_deg) for case in cases]
+    angles = np.array([[case.curvature_deg for case in cases], rounded], np.float64)
+    texts_ok = [_orjson_text(case.case_id) and case.argmax_frame in _ORJSON_INTS for case in cases]
+    gates = _orjson_floats(angles).all(axis=0) & np.array(texts_ok, bool)
+    gates &= not config.retain_per_frame
 
     def entry(case: CaseMeasurement, top: float) -> dict:
-        return {
+        fields = {
             "case_id": case.case_id,
             "curvature_deg": case.curvature_deg,
             "curvature_deg_rounded": top,
@@ -433,15 +427,11 @@ def _case_entries(cases: list[CaseMeasurement], config: RunConfig) -> Iterator:
             "frames_total": case.frames_total,
             "frames_valid": case.frames_valid,
         }
+        if config.retain_per_frame:
+            fields["per_frame"] = _per_frame_rows(case.per_frame)
+        return fields
 
-    if config.retain_per_frame:
-        for case, top in zip(cases, rounded):
-            yield {**entry(case, top), "per_frame": _Rows(_per_frame_rows, (case.per_frame,))}
-        return
-    angles = np.array([[case.curvature_deg for case in cases], rounded], np.float64)
-    texts_ok = [_orjson_text(case.case_id) and case.argmax_frame in _ORJSON_INTS for case in cases]
-    gates = _orjson_floats(angles).all(axis=0) & np.array(texts_ok, bool)
-    yield from _runs(gates, lambda run: list(map(entry, cases[run], rounded[run])), "    ")
+    return _Rows(gates, lambda run: list(map(entry, cases[run], rounded[run])))
 
 
 def measurement_report(
@@ -456,7 +446,7 @@ def measurement_report(
         "schema_version": SCHEMA_VERSION,
         "tool_version": tool_version,
         "config": config.as_dict(),
-        "cases": _Rows(_case_entries, (cases, config)),
+        "cases": _case_entries(cases, config),
         "errors": [{"case_id": case_id, "error": message} for case_id, message in errors],
     }
 
@@ -526,7 +516,7 @@ def evaluation_report(rows, counts, scores, config: RunConfig, tool_version: str
         "schema_version": SCHEMA_VERSION,
         "tool_version": tool_version,
         "config": config.as_dict(),
-        "cases": _Rows(_runs, (gates, rows.__getitem__, "    ")),
+        "cases": _Rows(gates, rows.__getitem__),
         "confusion": counts,
         "metrics": scores,
         "metrics_rounded": {name: round_half_up(value) for name, value in scores.items()},
@@ -535,15 +525,10 @@ def evaluation_report(rows, counts, scores, config: RunConfig, tool_version: str
 
 def dumps_report(document, out) -> None:
     """Write a document to the text stream ``out`` as ``json.dumps(document, indent=2)``
-    plus a newline, as it is made: pieces, each a run of up to ``CHUNK_FRAMES``
-    items at most, are joined into one write once they reach ``_WRITE_CHARS``."""
-    block, chars = [], 0
-    for piece in _dumps(document, ""):
-        block.append(piece)
-        if (chars := chars + len(piece)) >= _WRITE_CHARS:
-            out.write("".join(block))
-            block, chars = [], 0
-    out.write("".join(block) + "\n")
+    plus a newline, as it is made: one write per piece of :func:`_dumps`, so a
+    write holds at most one run of ``CHUNK_FRAMES`` items."""
+    out.writelines(_dumps(document, ""))
+    out.write("\n")
 
 
 def sweep_sidecar(phantom, result) -> dict:
@@ -561,5 +546,5 @@ def sweep_sidecar(phantom, result) -> dict:
         "schema_version": SCHEMA_VERSION,
         "case_id": phantom.case_id,
         "spec": {**phantom.given, "snapped_hinge_position": phantom.model.snapped_position},
-        "frames": _Rows(_runs, (in_range, frames.__getitem__, "    ")),
+        "frames": _Rows(in_range, frames.__getitem__),
     }

@@ -606,12 +606,12 @@ class TestStreamedReport:
         assert not out.exists()
 
 
-def test_report_writes_are_capped_by_characters(long_stream):
-    # each write joins pieces until they reach _WRITE_CHARS, so a run of
-    # CHUNK_FRAMES rows, one piece, cannot make the whole report one write
+def test_report_writes_are_its_pieces(long_stream):
+    # one write per piece of the report's layout, so a write holds at most
+    # one run of CHUNK_FRAMES rows, never the whole report
     class Recorder(io.StringIO):
         def write(self, text):
-            writes.append(len(text))
+            writes.append(text)
             return super().write(text)
 
     writes, stdout = [], Recorder()
@@ -619,9 +619,8 @@ def test_report_writes_are_capped_by_characters(long_stream):
     with long_stream.open() as lines:
         cases, failures = measure_stream(iter_frame_stream(lines))
     document = measurement_report(cases, RunConfig(), __version__, errors=failures)
-    longest = max(map(len, report._dumps(document, "")))
-    assert sum(writes) == len(stdout.getvalue()) > 20 * report._WRITE_CHARS
-    assert all(size < report._WRITE_CHARS + longest for size in writes[:-1])
+    assert writes == [*report._dumps(document, ""), "\n"]
+    assert len(stdout.getvalue()) > 20 * max(map(len, writes))
 
 
 def degenerate_detection():

@@ -11,6 +11,7 @@ coordinates are Python ``round`` to six decimals.
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -84,6 +85,22 @@ trees = st.recursive(
     ),
     max_leaves=24,
 )
+# values orjson writes as json does: 0 or a magnitude in [1e-4, 1e16), ASCII
+# text but DEL, and 64-bit integers, alone or in lists and dicts
+ascii_text = st.text(st.characters(max_codepoint=0x7E), max_size=8)
+gated_values = st.recursive(
+    st.one_of(
+        st.just(0.0),
+        st.floats(1e-4, 1e16, exclude_max=True),
+        st.floats(-1e16, -1e-4, exclude_min=True),
+        ascii_text,
+        st.integers(-(2**63), 2**64 - 1),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3), st.dictionaries(ascii_text, children, max_size=3)
+    ),
+    max_leaves=8,
+)
 
 
 class TestDumpsReport:
@@ -91,6 +108,26 @@ class TestDumpsReport:
     @settings(max_examples=500, deadline=None)
     def test_matches_stock_encoder(self, value):
         assert report_text(value) == reference_report(value)
+
+    @given(
+        items=st.lists(
+            st.one_of(st.tuples(st.just(True), gated_values), st.tuples(st.just(False), trees)),
+            max_size=8,
+        ),
+        path=st.lists(text, max_size=4),
+        chunk=st.integers(1, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lazy_list_at_any_depth_matches_stock_encoder(self, items, path, chunk):
+        # a lazy list as the document or under 1 to 4 keys: its layout is the
+        # writer's alone, whatever the gates and the blocks of CHUNK_FRAMES items
+        values = [value for _, value in items]
+        document = report._Rows(np.array([gate for gate, _ in items], bool), values.__getitem__)
+        concrete = values
+        for key in reversed(path):
+            document, concrete = {key: document}, {key: concrete}
+        with mock.patch.object(report, "CHUNK_FRAMES", chunk):
+            assert report_text(document) == reference_report(concrete)
 
     @pytest.mark.parametrize(
         "value",
@@ -252,10 +289,8 @@ class TestReportItems:
         assert report_text(document) == reference_measurement(cases, config, entries)
 
     def test_a_document_writes_the_same_bytes_twice(self, monkeypatch):
-        # rows are made run by run as they are written, here in blocks of 3,
-        # and written once 3 characters are joined
+        # rows are made run by run as they are written, here in blocks of 3
         monkeypatch.setattr(report, "CHUNK_FRAMES", 3)
-        monkeypatch.setattr(report, "_WRITE_CHARS", 3)
         rows = [(i, [10.0 + i, 1.0, 2.0, 3.0]) for i in range(8)] + [(8, 3), (9, [1e-07] * 4)]
         cases = [("a", rows), ("b", rows[:1]), ("c", rows[:3])]
         for retain in (True, False):
@@ -338,7 +373,7 @@ class TestReportItems:
         config = RunConfig(retain_per_frame=False)
         document = measurement_report([case_from_frames(*case) for case in cases], config, "v")
         assert report_text(document) == reference_measurement(cases, config, [])
-        assert [entry["case_id"] for entry in orjson_rows] == ["a"]
+        assert [[entry["case_id"] for entry in run] for run in item_runs(orjson_rows)] == [["a"]]
 
     def test_case_entry_runs_end_at_each_block(self, orjson_rows, monkeypatch):
         # without per-frame rows, runs of at most CHUNK_FRAMES entries, here 3;
@@ -419,13 +454,13 @@ class TestReportItems:
 
 
 def item_runs(records) -> list[list[dict]]:
-    """The runs of items that orjson wrote, one per call: a run of one is its
-    item, and a longer run is nested in lists up to its list's depth."""
+    """The runs of items that orjson wrote, one per call, each a list nested
+    in lists up to its list's depth."""
     runs = []
     for record in records:
-        while type(record) is list and len(record) == 1 and type(record[0]) is list:
+        while len(record) == 1 and type(record[0]) is list:
             record = record[0]
-        runs.append([record] if type(record) is dict else record)
+        runs.append(record)
     return runs
 
 
