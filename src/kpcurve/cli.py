@@ -53,7 +53,12 @@ from .report import (
     report_results,
     sweep_sidecar,
 )
-from .sequence import AllFramesInvalidError, DegenerateProjectionError, measure_stream
+from .sequence import (
+    AllFramesInvalidError,
+    DegenerateProjectionError,
+    EmptySequenceError,
+    measure_stream,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -318,8 +323,8 @@ def _cmd_analyze(args, stdin, stdout, stderr) -> int:
                 aspect=config.aspect_ratio,
                 keep_frames=config.retain_per_frame,
             )
-    except JsonlFormatError as exc:  # the parser names the line, not its source
-        raise JsonlFormatError(f"{'<stdin>' if from_stdin else args.input}: {exc}") from None
+    except (JsonlFormatError, EmptySequenceError) as exc:  # neither names its source
+        raise type(exc)(f"{'<stdin>' if from_stdin else args.input}: {exc}") from None
     document = measurement_report(cases, config, __version__, errors=failures)
     _write_document(args.output, document, stdout)
     if not cases:

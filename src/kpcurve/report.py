@@ -20,10 +20,10 @@ Every indented document (report or synth sidecar) is written by
 plus a newline. Its long lists (a report's case entries and ``per_frame``
 rows, a sidecar's ``frames`` rows, an evaluation's ``cases`` rows) are
 :class:`_Rows`, whose items :func:`_dumps`, which alone lays a document out,
-makes run by run as it writes them, so no whole document text is held; each
-run of up to ``CHUNK_FRAMES`` consecutive items in which every value is one
-orjson writes as json does, to the same text, is one orjson call; json writes
-each other run of plain items.
+makes run by run as it writes them, so no whole document text is held. A run
+of up to ``CHUNK_FRAMES`` consecutive items whose floats orjson writes as json
+does is one orjson call, kept unless orjson refuses it or writes non-ASCII or
+DEL, which json escapes; json writes each other run of plain items.
 Report documents carry exact values alongside their display-rounded
 counterparts; the rounded fields are always recomputable from the exact
 ones under the half-up rule. A measurement report is read back here
@@ -63,11 +63,6 @@ CHUNK_FRAMES = 256
 # 819 objects or 2048 lists deep; orjson parsed 4000 and 16000 on a 1 MB
 # thread stack. A frame line is ~450 characters; a longer one goes to json.
 _ORJSON_MAX_CHARS = 4096
-
-# what orjson writes as json does: ints in this range (it refuses others),
-# ASCII text but DEL (json escapes it, orjson does not) and _orjson_floats
-_ORJSON_INTS = range(-(2**63), 2**64)
-
 
 def _orjson_floats(values):
     """Where a float array holds 0 or a magnitude in [1e-4, 1e16): below, json
@@ -294,9 +289,9 @@ def iter_frame_stream(lines):
 class _Rows:
     """A list in a document whose items are made only as :func:`_dumps` writes them.
 
-    ``gates`` holds a bool per item, True where orjson writes each of its values
-    as json does; ``items(run)`` makes the items of the slice ``run``: all plain
-    values, or all dicts holding a _Rows, never gated. Each write makes them again.
+    ``gates`` holds a bool per item, True where orjson writes each of its floats
+    as json does; ``items(run)`` makes the items of the slice ``run``: all built
+    of json's types, or all dicts holding a _Rows. Each write makes them again.
     """
 
     gates: np.ndarray
@@ -326,7 +321,7 @@ def _dumps(value, pad: str) -> Iterator[str]:
             for by_orjson, run in groupby(value.gates[block : block + size].tolist()):
                 start, stop = stop, stop + len(list(run))
                 items = value.items(slice(start, stop))
-                if by_orjson or not _holds_rows(items[0]):
+                if not _holds_rows(items[0]):
                     yield opening + _item(items, by_orjson, inner)  # a run is one write
                     opening = ",\n" + inner
                 else:
@@ -350,23 +345,23 @@ def _item(items: list, by_orjson: bool, pad: str) -> str:
     """A run of list items at indent ``pad``, two or more spaces, with the
     separators between them, as ``json.dumps(document, indent=2)`` writes them.
 
-    orjson writes the run in one call when ``by_orjson`` says that every
-    value is one it writes as json does, to the same text, and json.dumps
-    writes it otherwise.
+    orjson writes the run in one call when ``by_orjson`` says that every float in
+    it is one orjson writes as json does. json.dumps writes it otherwise, and, as
+    :func:`_parse_batch` reads again a batch orjson refuses, when orjson refuses it
+    (an integer past 64 bits, a lone surrogate, a non-text key) or writes non-ASCII or DEL.
     """
-    option = orjson.OPT_INDENT_2
     # nested depth - 1 lists deeper, the run lies at pad's depth, past the outer lists'
     # head "[\n  [\n ... pad" of depth * (depth + 3) characters and tail of depth * (depth + 1)
     depth = len(pad) // 2
     for _ in range(depth - 1):
         items = [items]
-    text = orjson.dumps(items, option=option).decode() if by_orjson else json.dumps(items, indent=2)
+    try:
+        text = orjson.dumps(items, option=orjson.OPT_INDENT_2).decode() if by_orjson else None
+    except orjson.JSONEncodeError:
+        text = None
+    if text is None or not text.isascii() or "\x7f" in text:
+        text = json.dumps(items, indent=2)
     return text[depth * (depth + 3) : -depth * (depth + 1)]
-
-
-def _orjson_text(text: str) -> bool:
-    """Whether orjson writes ``text`` as json does: ASCII with no DEL, which json escapes."""
-    return text.isascii() and "\x7f" not in text
 
 
 def _per_frame_rows(columns: FrameColumns) -> _Rows:
@@ -378,7 +373,6 @@ def _per_frame_rows(columns: FrameColumns) -> _Rows:
     frame_angle, curvature_col = frame_rules(columns.angles)
     # a degenerate row writes no angle
     gates = _orjson_floats(columns.angles).all(axis=1) | (columns.first_bad >= 0)
-    gates &= np.fromiter(map(_ORJSON_INTS.__contains__, columns.frame_indices), bool, len(gates))
 
     def rows(run: slice) -> list[dict]:
         return [
@@ -410,12 +404,10 @@ def _per_frame_rows(columns: FrameColumns) -> _Rows:
 
 def _case_entries(cases: list[CaseMeasurement], config: RunConfig) -> _Rows:
     """A measurement report's ``cases``, each diagnosed at the threshold and
-    holding its ``per_frame`` rows when they are kept; such an entry is not gated."""
+    holding its ``per_frame`` rows when they are kept. Only the exact angle is
+    gated: classified, it lies in [0, 180], so its rounded value is 0 or in [0.01, 180]."""
     rounded = [round_half_up(case.curvature_deg) for case in cases]
-    angles = np.array([[case.curvature_deg for case in cases], rounded], np.float64)
-    texts_ok = [_orjson_text(case.case_id) and case.argmax_frame in _ORJSON_INTS for case in cases]
-    gates = _orjson_floats(angles).all(axis=0) & np.array(texts_ok, bool)
-    gates &= not config.retain_per_frame
+    gates = _orjson_floats(np.array([case.curvature_deg for case in cases], np.float64))
 
     def entry(case: CaseMeasurement, top: float) -> dict:
         fields = {
@@ -509,9 +501,8 @@ def report_results(
 def evaluation_report(rows, counts, scores, config: RunConfig, tool_version: str) -> dict:
     """Assemble the evaluation report document from ``evaluate_dataset``'s
     case rows, confusion counts and metrics; every metric is also rounded.
-    orjson writes the runs of case rows whose id and angle it writes as json does."""
-    floats_ok = _orjson_floats(np.array([row["measured_deg"] for row in rows], np.float64))
-    gates = floats_ok & np.array([_orjson_text(row["case_id"]) for row in rows], bool)
+    Case rows are gated by their measured angle, their one float."""
+    gates = _orjson_floats(np.array([row["measured_deg"] for row in rows], np.float64))
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": tool_version,
@@ -537,7 +528,6 @@ def sweep_sidecar(phantom, result) -> dict:
     pitch = result.pitch_deg  # a float, or an int as given to synth.sweep
     poses = np.array([result.yaw_deg, result.true_apparent_deg], np.float64).reshape(2, -1)
     in_range = _orjson_floats(poses).all(axis=0) & _orjson_floats(np.float64(pitch))
-    in_range &= type(pitch) in (int, float)
     frames = [
         {"frame_index": i, "yaw_deg": yaw, "pitch_deg": pitch, "true_apparent_deg": angle}
         for i, (yaw, angle) in enumerate(zip(result.yaw_deg, result.true_apparent_deg))

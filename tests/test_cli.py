@@ -213,6 +213,38 @@ class TestConvert:
         assert rc == EXIT_INPUT
         assert "convert" in err
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (' name="case_a_0001.png"', "", "image element missing 'name' attribute"),
+            (' width="1280"', "", "image element missing 'width' attribute"),
+            (' xtl="100.5"', "", "box in 'case_a_0001.png' missing 'xtl' attribute"),
+            (
+                'xtl="100.5"',
+                'xtl="x"',
+                "box attribute xtl='x' in 'case_a_0001.png' is not a number",
+            ),
+            ("120,80;", "1,2,3;", "bad point '1,2,3' in 'case_a_0001.png'"),
+            ("120,80;", "a,b;", "bad point 'a,b' in 'case_a_0001.png'"),
+        ],
+        ids=["no_name", "no_width", "no_xtl", "xtl_not_a_number", "three_values", "not_numbers"],
+    )
+    def test_malformed_image_is_an_input_error(self, old, new, message, tmp_path):
+        out_dir = tmp_path / "labels"
+        assert old in CVAT_DOCUMENT
+        rc, out, err = run(["convert", "-", "-o", str(out_dir)], CVAT_DOCUMENT.replace(old, new))
+        assert (rc, out, err) == (EXIT_INPUT, "", f"kpcurve convert: <stdin>: {message}\n")
+        assert not out_dir.exists()
+
+    def test_failed_write_removes_the_files_written(self, tmp_path):
+        # the second label file's path is a directory: the first file is removed
+        blocked = tmp_path / "case_b_0001.txt"
+        blocked.mkdir()
+        rc, out, err = run(["convert", "-", "-o", str(tmp_path)], CVAT_DOCUMENT)
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == f"kpcurve convert: [Errno 21] Is a directory: '{blocked}'\n"
+        assert list(tmp_path.iterdir()) == [blocked]
+
 
 class TestMeasure:
     def test_straight_shaft_is_normal(self):
@@ -466,10 +498,15 @@ class TestAnalyze:
         assert "no case yielded a valid measurement" in err
         assert json.loads(out)["cases"] == []
 
-    def test_empty_stream(self):
-        rc, _, err = run(["analyze", "-"], "")
-        assert rc == EXIT_INPUT
-        assert "analyze" in err
+    def test_empty_stream(self, tmp_path):
+        # a stream with no frames names its source, as every other input error does
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        for source, text in (("-", ""), ("-", " \n\t\r\n\n"), (str(empty), "")):
+            rc, out, err = run(["analyze", source], text)
+            named = "<stdin>" if source == "-" else source
+            assert (rc, out) == (EXIT_INPUT, "")
+            assert err == f"kpcurve analyze: {named}: no frames in stream\n"
 
     def test_no_per_frame_flag(self):
         rc, out, _ = run(["analyze", "--no-per-frame", "-"], jsonl_for("a", [10.0, 20.0]))
@@ -1602,6 +1639,11 @@ class TestRender:
         assert (rc, out) == (EXIT_INPUT, "")
         assert err == "kpcurve render: canvas dimensions too large for a float\n"
 
+    def test_zero_width_canvas(self):
+        rc, out, err = run(["render", "--width", "0", "-"], label_line(25.0))
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == "kpcurve render: canvas dimensions must be positive, got 0x640\n"
+
     def test_degenerate_input_exit_code(self):
         rc, _, _ = run(["render", "-"], degenerate_label_line())
         assert rc == EXIT_GEOMETRY
@@ -1733,6 +1775,14 @@ class TestArgumentErrors:
         rc, _, _ = run(["convert", "file.xml"])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["measure", "analyze", "evaluate"])
+    @pytest.mark.parametrize("value", ["0", "180", "nan"])
+    def test_threshold_outside_the_open_range(self, command, value):
+        # the run config rejects it before any input is read
+        rc, out, err = run([command, "--threshold", value, "-"], jsonl_for("a", [40.0]))
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == f"kpcurve {command}: threshold {float(value)} outside (0, 180)\n"
+
 
 class TestInputErrorsNameTheirSource:
     """A fault found in a whole read input names its file, or <stdin>."""
@@ -1751,11 +1801,23 @@ class TestInputErrorsNameTheirSource:
             ["--labels", "labels.csv"],
             "report cases need 'case_id' and 'curvature_deg' fields",
         ),
+        "evaluate-no-cases": (
+            "r.json",
+            "{}",
+            ["--labels", "labels.csv"],
+            "report JSON has no 'cases' list",
+        ),
         "synth": (
             "s.json",
             '{"hinge_angle_deg": 40, "bogus": 1}',
             ["-o", "frames.jsonl"],
             "unknown spec field 'bogus'",
+        ),
+        "synth-array": (
+            "s.json",
+            '[{"hinge_angle_deg": 40}]',
+            ["-o", "frames.jsonl"],
+            "spec must be a JSON object",
         ),
         "synth-pose": (
             "s.json",

@@ -2,8 +2,8 @@
 
 ``dumps_report`` must write ``json.dumps(value, indent=2) + "\\n"`` for
 every value json accepts, and raise what json raises otherwise; a
-measurement report and a sidecar, whose list items orjson writes where
-their values are ones it writes as json does, must equal ``json.dumps``
+measurement report and a sidecar, whose list items orjson writes in runs
+where their floats are ones it writes as json does, must equal ``json.dumps``
 of the same document built as dicts. ``dumps_frame`` must equal the
 compact dumps of the canonical records below, one line per row, whose
 coordinates are Python ``round`` to six decimals.
@@ -85,19 +85,24 @@ trees = st.recursive(
     ),
     max_leaves=24,
 )
-# values orjson writes as json does: 0 or a magnitude in [1e-4, 1e16), ASCII
-# text but DEL, and 64-bit integers, alone or in lists and dicts
-ascii_text = st.text(st.characters(max_codepoint=0x7E), max_size=8)
+# values whose floats orjson writes as json does, 0 or a magnitude in [1e-4, 1e16),
+# as float or np.float64, with any text, integers and keys, alone or in lists and dicts
+gated_floats = st.one_of(
+    st.just(0.0),
+    st.floats(1e-4, 1e16, exclude_max=True),
+    st.floats(-1e16, -1e-4, exclude_min=True),
+)
 gated_values = st.recursive(
     st.one_of(
-        st.just(0.0),
-        st.floats(1e-4, 1e16, exclude_max=True),
-        st.floats(-1e16, -1e-4, exclude_min=True),
-        ascii_text,
-        st.integers(-(2**63), 2**64 - 1),
+        st.none(),
+        st.booleans(),
+        gated_floats,
+        gated_floats.map(np.float64),
+        text,
+        st.integers(-(10**30), 10**30),
     ),
     lambda children: st.one_of(
-        st.lists(children, max_size=3), st.dictionaries(ascii_text, children, max_size=3)
+        st.lists(children, max_size=3), st.dictionaries(keys, children, max_size=3)
     ),
     max_leaves=8,
 )
@@ -373,11 +378,15 @@ class TestReportItems:
         config = RunConfig(retain_per_frame=False)
         document = measurement_report([case_from_frames(*case) for case in cases], config, "v")
         assert report_text(document) == reference_measurement(cases, config, [])
-        assert [[entry["case_id"] for entry in run] for run in item_runs(orjson_rows)] == [["a"]]
+        # json writes "b" for its angle; orjson is handed "c\x7f" and "d" as one run,
+        # refuses it for d's argmax frame past 64 bits, and json writes that run whole
+        runs = [[entry["case_id"] for entry in run] for run in item_runs(orjson_rows)]
+        assert runs == [["a"], ["c\x7f", "d"]]
 
     def test_case_entry_runs_end_at_each_block(self, orjson_rows, monkeypatch):
-        # without per-frame rows, runs of at most CHUNK_FRAMES entries, here 3;
-        # json writes an entry whose id, angle or argmax frame orjson writes otherwise
+        # without per-frame rows, runs of at most CHUNK_FRAMES entries, here 3; json
+        # writes "f" for its angle, the run orjson is handed with "d\x7f", as orjson's
+        # text holds DEL, and the one it refuses for i's argmax frame past 64 bits
         monkeypatch.setattr(report, "CHUNK_FRAMES", 3)
         cases = [(case_id, [(0, [40.0, 1.0, 2.0, 3.0])]) for case_id in "abcdefghi"]
         cases[3] = ("d\x7f", cases[3][1])
@@ -387,7 +396,7 @@ class TestReportItems:
         document = measurement_report([case_from_frames(*case) for case in cases], config, "v")
         assert report_text(document) == reference_measurement(cases, config, [])
         runs = [[entry["case_id"] for entry in run] for run in item_runs(orjson_rows)]
-        assert runs == [["a", "b", "c"], ["e"], ["g", "h"]]
+        assert runs == [["a", "b", "c"], ["d\x7f", "e"], ["g", "h", "i"]]
 
     @given(
         case_id=text,
@@ -442,19 +451,19 @@ class TestReportItems:
         assert_evaluation_matches_reference(triples)
 
     def test_evaluation_case_rows_fall_back_one_by_one(self, orjson_rows, monkeypatch):
-        # runs of at most CHUNK_FRAMES rows, here 3; json writes a row whose id or
-        # angle orjson writes otherwise
+        # runs of at most CHUNK_FRAMES rows, here 3; json writes a row whose angle
+        # orjson writes otherwise, and a run whose text orjson writes with DEL or "é"
         monkeypatch.setattr(report, "CHUNK_FRAMES", 3)
         ids = ["a", "b", "c\x7f", "d", "e", "f", "g", "hé", "i"]
         angles = [40.0, 9.99e-05, 40.0, 0.0, 1e-4, 180.0, 12.5, 40.0, 5e-324]
         triples = [(case_id, Diagnosis.PD, angle) for case_id, angle in zip(ids, angles)]
         assert_evaluation_matches_reference(triples)
         runs = [[row["case_id"] for row in run] for run in item_runs(orjson_rows)]
-        assert runs == [["a"], ["d", "e", "f"], ["g"]]
+        assert runs == [["a"], ["c\x7f"], ["d", "e", "f"], ["g", "hé"]]
 
 
 def item_runs(records) -> list[list[dict]]:
-    """The runs of items that orjson wrote, one per call, each a list nested
+    """The runs of items handed to orjson, one per call, each a list nested
     in lists up to its list's depth."""
     runs = []
     for record in records:
@@ -465,7 +474,7 @@ def item_runs(records) -> list[list[dict]]:
 
 
 def frame_runs(records) -> list[list[int]]:
-    """The frame indices of each run of sidecar rows that orjson wrote, in call order."""
+    """The frame indices of each run of rows handed to orjson, in call order."""
     return [[row["frame_index"] for row in run] for run in item_runs(records)]
 
 
@@ -627,8 +636,9 @@ def assert_matches_reference(case_id, boxes, points, frame_indices):
 @pytest.fixture
 def orjson_rows(monkeypatch):
     """The values that the writers hand ``orjson.dumps``, one per call: the box and
-    keypoint blocks of a frame stream, and each item, or run of items as a list
-    nested in lists, of a report, sidecar or evaluation that orjson writes."""
+    keypoint blocks of a frame stream, and each run of items, as a list nested in
+    lists, of a report, sidecar or evaluation, also one that orjson refuses or
+    whose text json then writes again."""
     records = []
     dumps = orjson.dumps
 
