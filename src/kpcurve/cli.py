@@ -21,9 +21,10 @@ phantom (``synth``), SVG (``overlay``) or XML code.
 
 import argparse
 import functools
+import gc
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import __version__
@@ -83,6 +84,23 @@ def _read_text(path: str, stdin) -> str:
         where = "<stdin>" if from_stdin else path
         raise ValueError(f"{where}: line {lineno}: not valid UTF-8") from None
     return text
+
+
+@contextmanager
+def _collector_paused():
+    """Run the body with the cycle collector off, then leave it as it was found.
+
+    A read phase decodes thousands of small dicts and lists a batch; they hold no
+    cycle and refcounting frees them, so a collector pass over them is pure cost.
+    Writing stays outside: ``json.dumps(indent=2)`` builds a cycle on every call.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _named(path: str, reader, *args, **kwargs):
@@ -317,7 +335,7 @@ def _cmd_analyze(args, stdin, stdout, stderr) -> int:
         else open(args.input, encoding="utf-8", errors="surrogateescape")
     )
     try:
-        with source as lines:
+        with source as lines, _collector_paused():
             cases, failures = measure_stream(
                 iter_frame_stream(lines),
                 aspect=config.aspect_ratio,
@@ -335,35 +353,34 @@ def _cmd_analyze(args, stdin, stdout, stderr) -> int:
 
 def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
     config = RunConfig(threshold_deg=args.threshold)
-    text = _read_text(args.input, stdin)
-    # one byte-order mark is dropped, as the CSV readers drop it
-    body = text.removeprefix("\ufeff")
-    if body.lstrip().startswith("{"):
-        # json, not orjson: orjson 3.8 has no nesting limit and overflows the C stack
-        # on deep input, and a report is far longer than the lines it is trusted with
-        document = _named(args.input, loads_json, body, DatasetFormatError)
-        if args.labels is None:
-            raise DatasetFormatError(
-                "report JSON input needs --labels with ground-truth diagnoses"
-            )
-        if args.labels == "-" and args.input == "-":
-            raise DatasetFormatError("the report JSON and --labels cannot both be stdin")
-        labels = _named(args.labels, read_labels_csv, _read_text(args.labels, stdin))
-        triples, left_out = _named(args.input, report_results, document, labels)
-        for case_id, reason in left_out:
-            stderr.write(
-                f"kpcurve: warning: case {case_id!r} left out of the metrics: {reason}\n"
-            )
-    else:
-        if args.labels is not None:
-            stderr.write(
-                "kpcurve: warning: --labels ignored for dataset CSV input\n"
-            )
-        triples = _named(args.input, read_dataset_csv, text)
+    with _collector_paused():
+        text = _read_text(args.input, stdin)
+        # one byte-order mark is dropped, as the CSV readers drop it
+        body = text.removeprefix("\ufeff")
+        if body.lstrip().startswith("{"):
+            # json, not orjson: orjson 3.8 has no nesting limit and overflows the C stack
+            # on deep input, and a report is far longer than the lines it is trusted with
+            document = _named(args.input, loads_json, body, DatasetFormatError)
+            if args.labels is None:
+                raise DatasetFormatError(
+                    "report JSON input needs --labels with ground-truth diagnoses"
+                )
+            if args.labels == "-" and args.input == "-":
+                raise DatasetFormatError("the report JSON and --labels cannot both be stdin")
+            labels = _named(args.labels, read_labels_csv, _read_text(args.labels, stdin))
+            triples, left_out = _named(args.input, report_results, document, labels)
+            for case_id, reason in left_out:
+                stderr.write(
+                    f"kpcurve: warning: case {case_id!r} left out of the metrics: {reason}\n"
+                )
+        else:
+            if args.labels is not None:
+                stderr.write("kpcurve: warning: --labels ignored for dataset CSV input\n")
+            triples = _named(args.input, read_dataset_csv, text)
 
-    if not triples:
-        stderr.write("kpcurve evaluate: no cases in input; metrics undefined\n")
-    rows, counts, scores = evaluate_dataset(triples, config.threshold_deg)
+        if not triples:
+            stderr.write("kpcurve evaluate: no cases in input; metrics undefined\n")
+        rows, counts, scores = evaluate_dataset(triples, config.threshold_deg)
     document = evaluation_report(rows, counts, scores, config, __version__)
     _write_document(args.output, document, stdout)
     return EXIT_OK

@@ -315,13 +315,15 @@ def _dumps(value, pad: str) -> Iterator[str]:
     """
     inner = pad + "  "
     if type(value) is _Rows:
-        opening, size = "[\n" + inner, CHUNK_FRAMES
+        opening, size, nested = "[\n" + inner, CHUNK_FRAMES, None
         for block in range(0, len(value.gates), size):
             stop = block
             for by_orjson, run in groupby(value.gates[block : block + size].tolist()):
                 start, stop = stop, stop + len(list(run))
                 items = value.items(slice(start, stop))
-                if not _holds_rows(items[0]):
+                # all of a list's items hold a _Rows or none do: one answer per list
+                nested = _holds_rows(items[0]) if nested is None else nested
+                if not nested:
                     yield opening + _item(items, by_orjson, inner)  # a run is one write
                     opening = ",\n" + inner
                 else:

@@ -1,6 +1,8 @@
 """End-to-end command tests driving main() with injected streams."""
 
+import contextlib
 import dataclasses
+import gc
 import hashlib
 import importlib
 import inspect
@@ -1062,6 +1064,104 @@ class TestEvaluate:
         _, out_low, _ = run(["evaluate", "--threshold", "20", "-"], csv_text)
         assert json.loads(out_default)["confusion"]["fn"] == 1
         assert json.loads(out_low)["confusion"]["tp"] == 1
+
+
+def paused_run(name, tmp_path):
+    """The argv, stdin text and exit code of one analyze or evaluate run, by name."""
+    long = jsonl_for("a", [10.0, 42.0] * (report.CHUNK_FRAMES // 2 + 22)) + jsonl_for("b", [5.0])
+    _, analyzed, _ = run(["analyze", "-"], long)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("case_id,actual\na,pd\nb,normal\n")
+    evaluate = ["evaluate", "-", "--labels", str(labels)]
+    bad_errors = json.dumps({**json.loads(analyzed), "errors": [{"case_id": "x"}]})
+    return {
+        "analyze": (["analyze", "-"], long, EXIT_OK),
+        "analyze-no-per-frame": (["analyze", "--no-per-frame", "-"], long, EXIT_OK),
+        # a 5000-character id puts its lines past the length orjson is trusted with
+        "json-fallback": (["analyze", "-"], jsonl_for("L" * 5000, [10.0, 42.0]) + long, EXIT_OK),
+        "bad-line": (["analyze", "-"], long + '{"case_id": "a"}\n', EXIT_INPUT),
+        "all-degenerate": (
+            ["analyze", "-"], frame_line("bad", degenerate_detection(), 0) + "\n", EXIT_GEOMETRY
+        ),
+        "evaluate-report": (evaluate, analyzed, EXIT_OK),
+        "evaluate-report-bom": (evaluate, "\ufeff" + analyzed, EXIT_OK),
+        "evaluate-csv": (["evaluate", "-"], golden_dataset_csv(), EXIT_OK),
+        "evaluate-rejected-report": (evaluate, bad_errors, EXIT_INPUT),
+    }[name]
+
+
+class TestCollectorPause:
+    """analyze and evaluate read with the cycle collector paused, and write with
+    it as the caller left it."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "analyze",
+            "analyze-no-per-frame",
+            "json-fallback",
+            "bad-line",
+            "all-degenerate",
+            "evaluate-report",
+            "evaluate-report-bom",
+            "evaluate-csv",
+            "evaluate-rejected-report",
+        ],
+    )
+    def test_paused_regions_leave_no_cyclic_garbage(self, name, tmp_path, monkeypatch):
+        # garbage a paused region leaves is never collected while it runs
+        argv, stdin_text, expected = paused_run(name, tmp_path)
+        paused, counts = cli._collector_paused, []
+
+        @contextlib.contextmanager
+        def collecting():
+            gc.collect()  # only what the region makes is counted
+            with paused():
+                try:
+                    yield
+                finally:
+                    counts.append(gc.collect())
+
+        monkeypatch.setattr(cli, "_collector_paused", collecting)
+        assert run(argv, stdin_text)[0] == expected
+        assert counts and counts == [0] * len(counts)
+
+    def test_only_reading_runs_paused(self, monkeypatch):
+        states = []
+
+        def recorded(name, function):
+            def call(*args, **kwargs):
+                states.append((name, gc.isenabled()))
+                return function(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(cli, "measure_stream", recorded("measure", cli.measure_stream))
+        monkeypatch.setattr(cli, "dumps_report", recorded("write", cli.dumps_report))
+        assert gc.isenabled()
+        good, bad = jsonl_for("a", [10.0]), frame_line("bad", degenerate_detection(), 0) + "\n"
+        for stream, expected in ((good, EXIT_OK), (good + "{\n", EXIT_INPUT), (bad, EXIT_GEOMETRY)):
+            states.clear()
+            assert run(["analyze", "-"], stream)[0] == expected
+            writes = [("write", True)] if expected != EXIT_INPUT else []
+            assert states == [("measure", False), *writes]
+            assert gc.isenabled()
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("measure failed")
+
+        monkeypatch.setattr(cli, "measure_stream", recorded("measure", failing))
+        with pytest.raises(RuntimeError, match="measure failed"):
+            run(["analyze", "-"], good)
+        assert gc.isenabled()
+
+    def test_a_caller_that_disabled_the_collector_keeps_it_disabled(self):
+        gc.disable()
+        try:
+            assert run(["analyze", "-"], jsonl_for("a", [10.0]))[0] == EXIT_OK
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestSynth:
