@@ -10,21 +10,23 @@ Exit codes are stable across subcommands: 0 success, 2 input or parse
 error, 3 geometry error.
 
 This module holds no file format and no report policy: it reads argv,
-opens files and streams, writes warnings to stderr and maps errors to
-exit codes. Each format is read and written by the module that defines
-it: the synth spec by ``synth``, frame streams and reports (and what
-they diagnose and leave out) by ``report``, label lines, CVAT XML and
-CSV datasets by ``annotation`` and ``evaluation``. Each command imports
-only what it runs: ``measure``, ``analyze`` and ``evaluate`` load no
-phantom (``synth``), SVG (``overlay``) or XML code.
+opens inputs (``_source``), writes outputs (``_write``) and warnings,
+and maps errors to exit codes. Each format is read and written by the
+module that defines it: the synth spec by ``synth``, frame streams and
+reports (and what they diagnose and leave out) by ``report``, label
+lines, CVAT XML and CSV datasets by ``annotation`` and ``evaluation``.
+Each command imports only what it runs: ``measure``, ``analyze`` and
+``evaluate`` load no phantom (``synth``), SVG (``overlay``) or XML code.
 """
 
 import argparse
 import functools
 import gc
 import os
+import stat
 import sys
 from contextlib import contextmanager, nullcontext
+from operator import methodcaller
 from pathlib import Path
 
 from . import __version__
@@ -72,18 +74,50 @@ _INPUT_ERRORS = (OSError, ValueError)
 _GEOMETRY_ERRORS = (DegenerateProjectionError, AllFramesInvalidError)
 
 
+def _where(path: str) -> str:
+    """How a message names the input at ``path``."""
+    return "<stdin>" if path == "-" else path
+
+
+def _source(path: str, stdin):
+    """A context manager giving ``stdin`` for "-", else the file at ``path`` as UTF-8,
+    a byte that is not UTF-8 read as a lone surrogate for the reader to reject."""
+    if path == "-":
+        return nullcontext(stdin)
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
 def _read_text(path: str, stdin) -> str:
-    """The text of a UTF-8 file, or of ``stdin`` for "-"; a byte that is not
-    UTF-8 raises ValueError naming its source and line."""
-    from_stdin = path == "-"
-    text = stdin.read() if from_stdin else Path(path).read_text("utf-8", "surrogateescape")
+    """The text of ``_source(path, stdin)``; a byte that is not UTF-8 is named with its line."""
+    with _source(path, stdin) as source:
+        text = source.read()
     try:
         text.isascii() or text.encode("utf-8")  # ASCII text holds no lone surrogate
     except UnicodeEncodeError as exc:  # the byte was read as a lone surrogate
         lineno = text.count("\n", 0, exc.start) + 1
-        where = "<stdin>" if from_stdin else path
-        raise ValueError(f"{where}: line {lineno}: not valid UTF-8") from None
+        raise ValueError(f"{_where(path)}: line {lineno}: not valid UTF-8") from None
     return text
+
+
+def _write(outputs, stdout) -> None:
+    """Call ``write(stream)`` for each ``(path, write)`` in turn, ``stream`` being the
+    file at ``path``, opened only then, or ``stdout`` for None or "-". If one fails,
+    every regular file this call opened is removed, so a command leaves all of its
+    files or none; a symlink, device or FIFO is never removed."""
+    opened = []
+    try:
+        for path, write in outputs:
+            if path is None or path == "-":
+                write(stdout)
+                continue
+            with open(path, "w", encoding="utf-8") as out:
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    opened.append(path)
+                write(out)
+    except BaseException:
+        for path in opened:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 @contextmanager
@@ -109,25 +143,7 @@ def _named(path: str, reader, *args, **kwargs):
     try:
         return reader(*args, **kwargs)
     except ValueError as exc:  # every kpcurve error takes its message alone
-        raise type(exc)(f"{'<stdin>' if path == '-' else path}: {exc}") from None
-
-
-def _write_text(path: str | None, text: str, stdout) -> None:
-    if path is None or path == "-":
-        stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
-def _write_document(path: str | None, document, stdout) -> None:
-    """Write a built document through ``dumps_report`` to ``path``, or to stdout
-    for None or "-". The file is opened only once the document is built, so a
-    run that fails before then leaves none."""
-    if path is None or path == "-":
-        dumps_report(document, stdout)
-    else:
-        with open(path, "w", encoding="utf-8") as out:
-            dumps_report(document, out)
+        raise type(exc)(f"{_where(path)}: {exc}") from None
 
 
 def _add_threshold(parser):
@@ -263,20 +279,11 @@ def _cmd_convert(args, stdin, stdout, stderr) -> int:
             raise AnnotationError(
                 f"two images map to the same label file {filename!r}"
             )
-        outputs[filename] = line
+        outputs[filename] = methodcaller("write", line)
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    try:
-        for filename, text in outputs.items():
-            target = out_dir / filename
-            target.write_text(text, encoding="utf-8")
-            written.append(target)
-    except OSError:
-        for target in written:
-            target.unlink(missing_ok=True)
-        raise
+    _write([(out_dir / filename, write) for filename, write in outputs.items()], stdout)
     stdout.write(f"converted {len(outputs)} images to {out_dir}\n")
     return EXIT_OK
 
@@ -320,31 +327,23 @@ def _cmd_measure(args, stdin, stdout, stderr) -> int:
     config = RunConfig(args.threshold, args.aspect, retain_per_frame=not args.no_per_frame)
     *_, case = _measure_still(args, stdin, stderr)
     document = measurement_report([case], config, __version__)
-    _write_document(args.output, document, stdout)
+    _write([(args.output, functools.partial(dumps_report, document))], stdout)
     return EXIT_OK
 
 
 def _cmd_analyze(args, stdin, stdout, stderr) -> int:
     config = RunConfig(args.threshold, args.aspect, retain_per_frame=not args.no_per_frame)
-    # an undecodable byte reaches the parser as a lone surrogate, which it
-    # rejects with its line number
-    from_stdin = args.input == "-"
-    source = (
-        nullcontext(stdin)
-        if from_stdin
-        else open(args.input, encoding="utf-8", errors="surrogateescape")
-    )
     try:
-        with source as lines, _collector_paused():
+        with _source(args.input, stdin) as lines, _collector_paused():
             cases, failures = measure_stream(
                 iter_frame_stream(lines),
                 aspect=config.aspect_ratio,
                 keep_frames=config.retain_per_frame,
             )
     except (JsonlFormatError, EmptySequenceError) as exc:  # neither names its source
-        raise type(exc)(f"{'<stdin>' if from_stdin else args.input}: {exc}") from None
+        raise type(exc)(f"{_where(args.input)}: {exc}") from None
     document = measurement_report(cases, config, __version__, errors=failures)
-    _write_document(args.output, document, stdout)
+    _write([(args.output, functools.partial(dumps_report, document))], stdout)
     if not cases:
         stderr.write("kpcurve analyze: no case yielded a valid measurement\n")
         return EXIT_GEOMETRY
@@ -382,7 +381,7 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
             stderr.write("kpcurve evaluate: no cases in input; metrics undefined\n")
         rows, counts, scores = evaluate_dataset(triples, config.threshold_deg)
     document = evaluation_report(rows, counts, scores, config, __version__)
-    _write_document(args.output, document, stdout)
+    _write([(args.output, functools.partial(dumps_report, document))], stdout)
     return EXIT_OK
 
 
@@ -412,14 +411,11 @@ def _cmd_synth(args, stdin, stdout, stderr) -> int:
     stream = dumps_frame(phantom.case_id, result.boxes, result.points, range(len(result.points)))
 
     # the sidecar goes first, so a failed run writes no stream, not even to stdout
+    outputs = [(args.output, methodcaller("write", stream))]
     if sidecar_path is not None:
-        _write_document(sidecar_path, sweep_sidecar(phantom, result), stdout)
-    try:
-        _write_text(args.output, stream, stdout)
-    except OSError:  # no sidecar is left without its stream
-        if sidecar_path is not None:
-            Path(sidecar_path).unlink(missing_ok=True)
-        raise
+        write_sidecar = functools.partial(dumps_report, sweep_sidecar(phantom, result))
+        outputs.insert(0, (sidecar_path, write_sidecar))
+    _write(outputs, stdout)
     return EXIT_OK
 
 
@@ -428,7 +424,7 @@ def _cmd_render(args, stdin, stdout, stderr) -> int:
 
     box, points, case = _measure_still(args, stdin, stderr)
     svg = render_svg(box, points, case.per_frame.angles[0], args.width, args.height)
-    _write_text(args.output, svg, stdout)
+    _write([(args.output, methodcaller("write", svg))], stdout)
     return EXIT_OK
 
 

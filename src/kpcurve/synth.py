@@ -116,13 +116,13 @@ def build_model(spec: HingeModelSpec) -> np.ndarray:
     center = []
     for frac in LINE_FRACTIONS:
         if frac <= snap:
-            run = length * frac
-            center.append((0.0 * run, 1.0 * run, 0.0 * run))
+            center.append((0.0, length * frac, 0.0))
         else:
             run = length * (frac - snap)
-            center.append((0.0 + sin * run, rise + cos * run, 0.0 + 0.0 * run))
-    lateral = [(x + 0.0, y + 0.0, z + half) for x, y, z in center]
-    return np.array([lateral, center, [(x - 0.0, y - 0.0, z - half) for x, y, z in center]])
+            center.append((sin * run, rise + cos * run, 0.0))
+    # 0.0 - half, not -half: a width whose half underflows to 0 would give -0.0
+    lower = [(x, y, 0.0 - half) for x, y, _ in center]
+    return np.array([[(x, y, half) for x, y, _ in center], center, lower])
 
 
 def _rotations(yaws, pitch_deg: float) -> np.ndarray:

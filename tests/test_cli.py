@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import errno
 import gc
 import hashlib
 import importlib
@@ -1309,6 +1310,16 @@ class TestSynth:
         assert (rc, err.getvalue()) == (EXIT_INPUT, "kpcurve synth: [Errno 32] Broken pipe\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_stream_leaves_a_symlinked_sidecar_in_place(self, tmp_path):
+        # only a regular file the run opened is removed, never a link named as an output
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        link.symlink_to(target)
+        out = tmp_path / "nodir" / "frames.jsonl"
+        rc, stdout, err = run(["synth", "-", "-o", str(out), "--sidecar", str(link)], self.SPEC)
+        assert (rc, stdout) == (EXIT_INPUT, "")
+        assert err == f"kpcurve synth: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert link.is_symlink() and link.readlink() == target
+
     @pytest.mark.parametrize("sidecar", ["out.jsonl", "./out.jsonl", "{tmp}/out.jsonl"])
     def test_sidecar_naming_the_stream_file_is_an_input_error(
         self, sidecar, tmp_path, monkeypatch
@@ -1760,6 +1771,52 @@ class TestRender:
         assert rc == EXIT_OK
         assert out == ""
         assert target.read_text().startswith("<?xml")
+
+
+class TestFailedWrite:
+    """A command whose write fails after its file is opened leaves none of the
+    files it opened, the one that failed included."""
+
+    LABEL, SPEC = label_line(30.0), TestSynth.SPEC
+    # argv, stdin and which file opened for writing fails; every output is under DIR
+    RUNS = {
+        "measure": (["measure", "-", "-o", "DIR/report.json"], LABEL, 1),
+        "analyze": (["analyze", "-", "-o", "DIR/report.json"], jsonl_for("a", [10.0, 20.0]), 1),
+        "evaluate": (["evaluate", "-", "-o", "DIR/metrics.json"], golden_dataset_csv(), 1),
+        "render": (["render", "-", "-o", "DIR/overlay.svg"], LABEL, 1),
+        "synth-sidecar": (["synth", "-", "-o", "DIR/frames.jsonl"], SPEC, 1),
+        "synth-stream": (["synth", "-", "-o", "DIR/frames.jsonl"], SPEC, 2),
+        "convert-second-label": (["convert", "-", "-o", "DIR"], CVAT_DOCUMENT, 2),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_full_disk_leaves_no_file(self, name, tmp_path, monkeypatch):
+        argv, stdin_text, fail_at = self.RUNS[name]
+        opened = []
+
+        def full_disk_open(path, mode="r", **kwargs):
+            stream = open(path, mode, **kwargs)
+            if "w" in mode:
+                opened.append(Path(path))
+                if len(opened) == fail_at:
+                    write = stream.write
+
+                    def failing_write(text):
+                        # the text reaches the file, then the disk is full
+                        write(text)
+                        stream.flush()
+                        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+                    stream.write = failing_write
+            return stream
+
+        monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+        argv = [arg.replace("DIR", str(tmp_path)) for arg in argv]
+        rc, stdout, err = run(argv, stdin_text)
+        assert (rc, stdout) == (EXIT_INPUT, "")
+        assert err == f"kpcurve {argv[0]}: [Errno 28] No space left on device\n"
+        assert len(opened) == fail_at
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPipeline:

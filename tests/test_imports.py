@@ -1,8 +1,9 @@
 """Static checks on the package sources: every imported name and every
 module-level private name is read, every module-level public name is
 read somewhere in the package, only the CLI talks to the terminal, only
-the gated writers of ``report`` call ``orjson.dumps``, and the package
-imports exactly the third-party modules it declares."""
+the gated writers of ``report`` call ``orjson.dumps``, only the CLI's
+opener and writer touch files, and the package imports exactly the
+third-party modules it declares."""
 
 import ast
 import re
@@ -269,6 +270,71 @@ def test_orjson_writes_only_through_the_gated_writers():
 )
 def test_checker_finds_ungated_orjson_uses(sources, uses):
     assert ungated_orjson_uses(sources) == uses
+
+
+# the one opener and the one writer, by module
+FILE_OWNERS = {"cli": {"_source", "_write"}}
+FILE_CALLS = {"open", "read_text", "write_text", "write_bytes", "unlink"}
+
+
+def file_uses(sources: dict[str, str]) -> list[str]:
+    """Each ``open``, ``read_text``, ``write_text``, ``write_bytes`` or ``unlink``,
+    as a name or an attribute, outside the module's top-level functions that
+    own file access, in module and source order."""
+    uses = []
+    for module, source in sources.items():
+        found = []
+        for top in ast.parse(source).body:
+            if isinstance(top, ast.FunctionDef) and top.name in FILE_OWNERS.get(module, ()):
+                continue
+            for node in ast.walk(top):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name in FILE_CALLS:
+                    found.append((node.lineno, node.col_offset, f"{module}:{node.lineno}: {name}"))
+        uses.extend(use for *_, use in sorted(found))
+    return uses
+
+
+def test_files_open_only_through_the_cli_opener_and_writer():
+    """One opener decides how an input is read and one writer how an output is
+    written and, when a write fails, what is removed."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert file_uses(sources) == []
+
+
+@pytest.mark.parametrize(
+    "sources, uses",
+    [
+        (
+            {
+                "cli": "def _source(path):\n    return open(path)\n"
+                "def _write(path):\n    def inner():\n        Path(path).unlink()\n",
+                "report": "def f(stream, source):\n    stream.write(source.read())\n",
+            },
+            [],
+        ),
+        (
+            {
+                "cli": "def _read(path):\n    return open(path).read()\n"
+                "class C:\n    def _source(self, path):\n        return path.read_text()\n",
+                "synth": "def _source(path):\n    return open(path)\n"
+                "x = Path('a').write_bytes(b''); os.unlink('a')\nopener, y = open, p.write_text\n",
+            },
+            [
+                "cli:2: open",
+                "cli:5: read_text",
+                "synth:2: open",
+                "synth:3: write_bytes",
+                "synth:3: unlink",
+                "synth:4: open",
+                "synth:4: write_text",
+            ],
+        ),
+    ],
+    ids=["passing", "failing"],
+)
+def test_checker_finds_file_uses(sources, uses):
+    assert file_uses(sources) == uses
 
 
 def dependency_mismatch(sources: list[str], pyproject: str) -> tuple[list[str], list[str]]:
