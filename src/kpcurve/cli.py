@@ -6,12 +6,14 @@ to a per-case report), evaluate (measurements plus ground truth to
 classifier metrics), synth (phantom spec to a frame stream plus oracle
 sidecar), render (label file to an SVG overlay).
 
-Exit codes are stable across subcommands: 0 success, 2 input or parse
-error, 3 geometry error.
+Exit codes are stable across subcommands: a command returns 0 or raises,
+and ``main`` alone writes the fault's one stderr line and returns 3 for
+geometry the kernel cannot measure (``DegenerateProjectionError``), 2 for
+any other fault (every kpcurve error is a ValueError).
 
 This module holds no file format and no report policy: it reads argv,
 opens inputs (``_source``), writes outputs (``_write``) and warnings,
-and maps errors to exit codes. Each format is read and written by the
+and maps faults to exit codes. Each format is read and written by the
 module that defines it: the synth spec by ``synth``, frame streams and
 reports (and what they diagnose and leave out) by ``report``, label
 lines, CVAT XML and CSV datasets by ``annotation`` and ``evaluation``.
@@ -25,7 +27,8 @@ import gc
 import os
 import stat
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
+from itertools import takewhile
 from operator import methodcaller
 from pathlib import Path
 
@@ -56,22 +59,13 @@ from .report import (
     report_results,
     sweep_sidecar,
 )
-from .sequence import (
-    AllFramesInvalidError,
-    DegenerateProjectionError,
-    EmptySequenceError,
-    measure_stream,
-)
+from .sequence import DegenerateProjectionError, EmptySequenceError, measure_stream
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_GEOMETRY = 3
 
 DEFAULT_CANVAS_PX = 640
-
-# every kpcurve error is a ValueError; the geometry ones are matched first
-_INPUT_ERRORS = (OSError, ValueError)
-_GEOMETRY_ERRORS = (DegenerateProjectionError, AllFramesInvalidError)
 
 
 def _where(path: str) -> str:
@@ -282,8 +276,16 @@ def _cmd_convert(args, stdin, stdout, stderr) -> int:
         outputs[filename] = methodcaller("write", line)
 
     out_dir = Path(args.output_dir)
+    # the directories mkdir makes, deepest first, go again when a write fails
+    made = list(takewhile(lambda path: not path.exists(), [out_dir, *out_dir.parents]))
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write([(out_dir / filename, write) for filename, write in outputs.items()], stdout)
+    try:
+        _write([(out_dir / filename, write) for filename, write in outputs.items()], stdout)
+    except BaseException:
+        for directory in made:
+            with suppress(OSError):  # the write's error is the one reported
+                directory.rmdir()
+        raise
     stdout.write(f"converted {len(outputs)} images to {out_dir}\n")
     return EXIT_OK
 
@@ -319,14 +321,14 @@ def _measure_still(args, stdin, stderr):
     batch = ([case_id], [0], points[None])
     cases, failures = measure_stream([batch], aspect=args.aspect)
     if failures:
-        raise AllFramesInvalidError(f"case {case_id!r}: {failures[0][1]}")
+        raise DegenerateProjectionError(f"case {case_id!r}: {failures[0][1]}")
     return box, points, cases[0]
 
 
 def _cmd_measure(args, stdin, stdout, stderr) -> int:
     config = RunConfig(args.threshold, args.aspect, retain_per_frame=not args.no_per_frame)
     *_, case = _measure_still(args, stdin, stderr)
-    document = measurement_report([case], config, __version__)
+    document = measurement_report([case], config)
     _write([(args.output, functools.partial(dumps_report, document))], stdout)
     return EXIT_OK
 
@@ -342,11 +344,10 @@ def _cmd_analyze(args, stdin, stdout, stderr) -> int:
             )
     except (JsonlFormatError, EmptySequenceError) as exc:  # neither names its source
         raise type(exc)(f"{_where(args.input)}: {exc}") from None
-    document = measurement_report(cases, config, __version__, errors=failures)
+    document = measurement_report(cases, config, errors=failures)
     _write([(args.output, functools.partial(dumps_report, document))], stdout)
-    if not cases:
-        stderr.write("kpcurve analyze: no case yielded a valid measurement\n")
-        return EXIT_GEOMETRY
+    if not cases:  # raised once the report, every case under its errors, is written
+        raise DegenerateProjectionError("no case yielded a valid measurement")
     return EXIT_OK
 
 
@@ -380,7 +381,7 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
         if not triples:
             stderr.write("kpcurve evaluate: no cases in input; metrics undefined\n")
         rows, counts, scores = evaluate_dataset(triples, config.threshold_deg)
-    document = evaluation_report(rows, counts, scores, config, __version__)
+    document = evaluation_report(rows, counts, scores, config)
     _write([(args.output, functools.partial(dumps_report, document))], stdout)
     return EXIT_OK
 
@@ -452,12 +453,9 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     command = _COMMANDS[args.command]
     try:
         return command(args, stdin, stdout, stderr)
-    except _GEOMETRY_ERRORS as exc:
+    except (OSError, ValueError) as exc:
         stderr.write(f"kpcurve {args.command}: {exc}\n")
-        return EXIT_GEOMETRY
-    except _INPUT_ERRORS as exc:
-        stderr.write(f"kpcurve {args.command}: {exc}\n")
-        return EXIT_INPUT
+        return EXIT_GEOMETRY if isinstance(exc, DegenerateProjectionError) else EXIT_INPUT
 
 
 def entry() -> None:

@@ -40,6 +40,7 @@ from itertools import chain, groupby
 import numpy as np
 import orjson
 
+from . import __version__
 from .annotation import COORD_DECIMALS, NUM_KEYPOINTS
 from .evaluation import (
     DEFAULT_THRESHOLD_DEG,
@@ -431,14 +432,13 @@ def _case_entries(cases: list[CaseMeasurement], config: RunConfig) -> _Rows:
 def measurement_report(
     cases: list[CaseMeasurement],
     config: RunConfig,
-    tool_version: str,
     errors: list[tuple[str, str]] = (),
 ) -> dict:
     """Assemble the measurement report document from the measured cases and
     the ``(case_id, message)`` errors that ``measure_stream`` returns."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "tool_version": tool_version,
+        "tool_version": __version__,
         "config": config.as_dict(),
         "cases": _case_entries(cases, config),
         "errors": [{"case_id": case_id, "error": message} for case_id, message in errors],
@@ -500,14 +500,14 @@ def report_results(
     return [(case_id, labels[case_id], angle) for case_id, angle in measured], left_out
 
 
-def evaluation_report(rows, counts, scores, config: RunConfig, tool_version: str) -> dict:
+def evaluation_report(rows, counts, scores, config: RunConfig) -> dict:
     """Assemble the evaluation report document from ``evaluate_dataset``'s
     case rows, confusion counts and metrics; every metric is also rounded.
     Case rows are gated by their measured angle, their one float."""
     gates = _orjson_floats(np.array([row["measured_deg"] for row in rows], np.float64))
     return {
         "schema_version": SCHEMA_VERSION,
-        "tool_version": tool_version,
+        "tool_version": __version__,
         "config": config.as_dict(),
         "cases": _Rows(gates, rows.__getitem__),
         "confusion": counts,

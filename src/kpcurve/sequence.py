@@ -22,17 +22,19 @@ true bend. It over-reads otherwise: foreshortening along the axis
 
 A frame is degenerate when a middle-line segment is shorter than
 ``EPSILON`` after aspect scaling; it is skipped rather than failing the
-case, and only a case with zero valid frames is an error (``synth``
-checks the rule too, and writes no such frame). :func:`measure_stream`
-consumes batches ``(case_ids, frame_indices, points)`` of whole (15, 2)
-keypoint grids, of any size, as :func:`kpcurve.report.iter_frame_stream`
-yields them from JSONL (a still image is one batch of one frame). It
-alone picks the middle row (:func:`middle_line`) and runs the angle
-kernel (:func:`polyline_angles`) on it once per batch, cases
-interleaving freely within and across batches, then reduces frame by
-frame. The reduction is a per-case maximum, ties going to the lowest
-frame index, so neither batch size nor stream order changes any result.
-A case's retained frames stay as columns (:class:`FrameColumns`).
+case. A case with zero valid frames is returned as a failure, which a
+caller raises as :class:`DegenerateProjectionError` (``synth`` checks
+the rule too, raises that class, and writes no such frame).
+:func:`measure_stream` consumes batches ``(case_ids, frame_indices,
+points)`` of whole (15, 2) keypoint grids, of any size, as
+:func:`kpcurve.report.iter_frame_stream` yields them from JSONL (a still
+image is one batch of one frame). It alone picks the middle row
+(:func:`middle_line`) and runs the angle kernel (:func:`polyline_angles`)
+on it once per batch, cases interleaving freely within and across
+batches, then reduces frame by frame. The reduction is a per-case
+maximum, ties going to the lowest frame index, so neither batch size nor
+stream order changes any result. A case's retained frames stay as
+columns (:class:`FrameColumns`).
 
 Each angle is ``atan2(|cross|, dot)`` of two segment vectors. Unlike
 arccos of a normalized dot product, it needs no division and no clip,
@@ -55,13 +57,10 @@ class EmptySequenceError(ValueError):
     """The frame stream yielded no frames at all."""
 
 
-class AllFramesInvalidError(ValueError):
-    """Every frame of a case had degenerate geometry."""
-
-
 class DegenerateProjectionError(ValueError):
-    """A synth pose whose projection the kernel could not measure: a
-    collapsed bend direction, a single point or a short middle-line segment."""
+    """Geometry the kernel cannot measure: a case none of whose frames is
+    valid, or a synth pose whose projection collapses (a collapsed bend
+    direction, a single point or a short middle-line segment)."""
 
 
 def middle_line(points: np.ndarray) -> np.ndarray:

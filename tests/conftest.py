@@ -12,7 +12,7 @@ from kpcurve import report
 from kpcurve.report import RunConfig, dumps_frame, dumps_report, measurement_report
 from kpcurve.sequence import (
     EPSILON,
-    AllFramesInvalidError,
+    DegenerateProjectionError,
     EmptySequenceError,
     angle_set_from_row,
     measure_stream,
@@ -55,13 +55,13 @@ def line_angles(points, aspect: float = 1.0) -> LineAngles:
 
     The line is the middle row of a grid whose three rows are all that
     line. The angles are read from the case's frame columns, the frame's kernel row
-    through ``angle_set_from_row``. Raises AllFramesInvalidError when a
+    through ``angle_set_from_row``. Raises DegenerateProjectionError when a
     segment of the line is degenerate.
     """
     batch = (["line"], [0], np.tile(np.asarray(points, dtype=np.float64), (3, 1))[None])
     cases, failures = measure_stream([batch], aspect=aspect)
     if failures:
-        raise AllFramesInvalidError(failures[0][1])
+        raise DegenerateProjectionError(failures[0][1])
     return LineAngles(*angle_set_from_row(cases[0].per_frame.angles[0]))
 
 
@@ -74,7 +74,7 @@ def report_text(document) -> str:
 
 def per_frame_rows(case) -> list[dict]:
     """The ``per_frame`` rows a measurement report writes for ``case``."""
-    document = measurement_report([case], RunConfig(), "test")
+    document = measurement_report([case], RunConfig())
     return json.loads(report_text(document))["cases"][0]["per_frame"]
 
 
@@ -169,7 +169,7 @@ def measure_sequence(case_id, frames, aspect=1.0, keep_frames=True, frame_indice
 
     Frames are numbered by position unless ``frame_indices`` gives
     their indices. Raises EmptySequenceError for no frames and
-    AllFramesInvalidError when every frame is degenerate.
+    DegenerateProjectionError when every frame is degenerate.
     """
     if frame_indices is None:
         frame_indices = range(len(frames))
@@ -181,7 +181,7 @@ def measure_sequence(case_id, frames, aspect=1.0, keep_frames=True, frame_indice
     except EmptySequenceError:
         raise EmptySequenceError(f"case {case_id!r}: no frames in stream") from None
     if failures:
-        raise AllFramesInvalidError(f"case {case_id!r}: {failures[0][1]}")
+        raise DegenerateProjectionError(f"case {case_id!r}: {failures[0][1]}")
     return cases[0]
 
 

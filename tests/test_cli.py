@@ -40,7 +40,7 @@ from kpcurve.annotation import emit_yolo_line
 from kpcurve.cli import EXIT_GEOMETRY, EXIT_INPUT, EXIT_OK, build_parser, main
 from kpcurve.evaluation import round_half_up
 from kpcurve.report import RunConfig, iter_frame_stream, measurement_report
-from kpcurve.sequence import measure_stream
+from kpcurve.sequence import DegenerateProjectionError, measure_stream
 from kpcurve.synth import HingeModelSpec, sweep
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -493,13 +493,17 @@ class TestAnalyze:
         ]
         assert "degenerate" in doc["errors"][0]["error"]
 
-    def test_all_cases_failed(self):
-        rc, out, err = run(
-            ["analyze", "-"], frame_line("bad", degenerate_detection(), 0) + "\n"
-        )
+    def test_all_cases_failed(self, tmp_path):
+        stream = frame_line("bad", degenerate_detection(), 0) + "\n"
+        rc, out, err = run(["analyze", "-"], stream)
         assert rc == EXIT_GEOMETRY
-        assert "no case yielded a valid measurement" in err
+        assert err == "kpcurve analyze: no case yielded a valid measurement\n"
         assert json.loads(out)["cases"] == []
+        # the report is written before the fault is raised, so -o keeps it
+        target = tmp_path / "report.json"
+        assert run(["analyze", "-", "-o", str(target)], stream) == (EXIT_GEOMETRY, "", err)
+        assert target.read_text() == out
+        assert [entry["case_id"] for entry in json.loads(out)["errors"]] == ["bad"]
 
     def test_empty_stream(self, tmp_path):
         # a stream with no frames names its source, as every other input error does
@@ -633,7 +637,7 @@ class TestStreamedReport:
         rc, stdout, _ = run(["analyze", "-"], long_stream.read_text())
         with long_stream.open() as lines:
             cases, failures = measure_stream(iter_frame_stream(lines))
-        document = measurement_report(cases, RunConfig(), __version__, errors=failures)
+        document = measurement_report(cases, RunConfig(), errors=failures)
         assert rc == EXIT_OK
         assert out.read_text() == stdout == report_text(document)
 
@@ -658,7 +662,7 @@ def test_report_writes_are_its_pieces(long_stream):
     assert main(["analyze", str(long_stream)], stdout=stdout) == EXIT_OK
     with long_stream.open() as lines:
         cases, failures = measure_stream(iter_frame_stream(lines))
-    document = measurement_report(cases, RunConfig(), __version__, errors=failures)
+    document = measurement_report(cases, RunConfig(), errors=failures)
     assert writes == [*report._dumps(document, ""), "\n"]
     assert len(stdout.getvalue()) > 20 * max(map(len, writes))
 
@@ -1759,11 +1763,14 @@ class TestRender:
         rc, _, _ = run(["render", "-"], degenerate_label_line())
         assert rc == EXIT_GEOMETRY
 
-    def test_degenerate_message_matches_measure(self):
-        results = {cmd: run([cmd, "-"], degenerate_label_line()) for cmd in ("measure", "render")}
-        for cmd, (rc, out, err) in results.items():
-            assert (rc, out) == (EXIT_GEOMETRY, "")
-            assert err == f"kpcurve {cmd}: case 'stdin': all 1 frames had degenerate geometry\n"
+    def test_degenerate_message_matches_measure(self, tmp_path):
+        # to stdout or to a file named by -o, which is never left behind
+        for argv in (["-"], ["-", "-o", str(tmp_path / "out")]):
+            for cmd in ("measure", "render"):
+                rc, out, err = run([cmd, *argv], degenerate_label_line())
+                assert (rc, out) == (EXIT_GEOMETRY, "")
+                assert err == f"kpcurve {cmd}: case 'stdin': all 1 frames had degenerate geometry\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "overlay.svg"
@@ -1787,6 +1794,7 @@ class TestFailedWrite:
         "synth-sidecar": (["synth", "-", "-o", "DIR/frames.jsonl"], SPEC, 1),
         "synth-stream": (["synth", "-", "-o", "DIR/frames.jsonl"], SPEC, 2),
         "convert-second-label": (["convert", "-", "-o", "DIR"], CVAT_DOCUMENT, 2),
+        "convert-new-directory": (["convert", "-", "-o", "DIR/new/labels"], CVAT_DOCUMENT, 1),
     }
 
     @pytest.mark.parametrize("name", RUNS)
@@ -2015,7 +2023,7 @@ def library_exceptions():
 
 class TestExitCodes:
     def test_library_exceptions_found(self):
-        # one input error per module, plus the two the CLI maps to exit 3
+        # one input error per module, plus the one the CLI maps to exit 3
         names = {cls.__name__ for cls in library_exceptions()}
         assert names == {
             "AnnotationError",
@@ -2024,14 +2032,11 @@ class TestExitCodes:
             "BadSpecError",
             "EmptySequenceError",
             "DegenerateProjectionError",
-            "AllFramesInvalidError",
         }
-        geometry = {cls.__name__ for cls in cli._GEOMETRY_ERRORS}
-        assert geometry == {"DegenerateProjectionError", "AllFramesInvalidError"}
 
     @pytest.mark.parametrize("error", library_exceptions(), ids=lambda cls: cls.__name__)
     def test_every_library_exception_maps_to_a_stable_exit_code(self, error):
-        # a ValueError is an input error unless the CLI lists it as a geometry error
+        # a ValueError is an input error unless it is the one geometry error
         assert issubclass(error, ValueError)
 
         exc = error("boom")
@@ -2041,7 +2046,7 @@ class TestExitCodes:
 
         with mock.patch.dict(cli._COMMANDS, {"render": fail}):
             rc, out, err = run(["render", "-"])
-        expected = EXIT_GEOMETRY if issubclass(error, cli._GEOMETRY_ERRORS) else EXIT_INPUT
+        expected = EXIT_GEOMETRY if error is DegenerateProjectionError else EXIT_INPUT
         assert (rc, out, err) == (expected, "", f"kpcurve render: {exc}\n")
 
 

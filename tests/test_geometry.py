@@ -25,7 +25,7 @@ from conftest import (
 )
 from kpcurve.cli import main
 from kpcurve.sequence import (
-    AllFramesInvalidError,
+    DegenerateProjectionError,
     angle_set_from_row,
     frame_rules,
     measure_stream,
@@ -276,7 +276,7 @@ class TestComputeAngles:
     def test_degenerate_segment_identified(self):
         pts = hinge_polyline(30.0)
         pts[2] = pts[1]
-        with pytest.raises(AllFramesInvalidError, match="all 1 frames had degenerate geometry"):
+        with pytest.raises(DegenerateProjectionError, match="all 1 frames had degenerate geometry"):
             line_angles(pts)
         # beside a valid frame, the degenerate one is kept with its first bad segment
         grids = [np.tile(line, (3, 1)) for line in (hinge_polyline(30.0), pts)]

@@ -2,8 +2,9 @@
 module-level private name is read, every module-level public name is
 read somewhere in the package, only the CLI talks to the terminal, only
 the gated writers of ``report`` call ``orjson.dumps``, only the CLI's
-opener and writer touch files, and the package imports exactly the
-third-party modules it declares."""
+opener and writer touch files, every CLI command returns ``EXIT_OK`` or
+raises, and the package imports exactly the third-party modules it
+declares."""
 
 import ast
 import re
@@ -335,6 +336,48 @@ def test_files_open_only_through_the_cli_opener_and_writer():
 )
 def test_checker_finds_file_uses(sources, uses):
     assert file_uses(sources) == uses
+
+
+def non_ok_returns(source: str) -> list[str]:
+    """Each ``return`` of a top-level ``_cmd_*`` function whose value is not
+    the name ``EXIT_OK``, as ``function:line``, in source order."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name.startswith("_cmd_"):
+            returns = [node for node in ast.walk(top) if isinstance(node, ast.Return)]
+            found.extend(
+                f"{top.name}:{node.lineno}"
+                for node in sorted(returns, key=lambda node: node.lineno)
+                if getattr(node.value, "id", None) != "EXIT_OK"
+            )
+    return found
+
+
+def test_commands_succeed_or_raise():
+    """A command returns ``EXIT_OK`` or raises; ``main`` alone writes a fault's
+    message and picks its exit code."""
+    assert non_ok_returns((Path(kpcurve.__file__).parent / "cli.py").read_text("utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "source, returns",
+    [
+        (
+            "def _cmd_a(args):\n    if args:\n        raise ValueError(args)\n    return EXIT_OK\n"
+            "def helper():\n    return 3\n"
+            "class C:\n    def _cmd_b(self):\n        return 2\n",
+            [],
+        ),
+        (
+            "def _cmd_a(args):\n    if args:\n        return EXIT_GEOMETRY\n    return\n"
+            "def _cmd_b(args):\n    def inner():\n        return 1\n    return cli.EXIT_OK\n",
+            ["_cmd_a:3", "_cmd_a:4", "_cmd_b:7", "_cmd_b:8"],
+        ),
+    ],
+    ids=["passing", "failing"],
+)
+def test_checker_finds_non_ok_returns(source, returns):
+    assert non_ok_returns(source) == returns
 
 
 def dependency_mismatch(sources: list[str], pyproject: str) -> tuple[list[str], list[str]]:

@@ -22,7 +22,7 @@ from kpcurve import report
 from kpcurve.annotation import emit_yolo_line
 from kpcurve.cli import main
 from kpcurve.report import iter_frame_stream
-from kpcurve.sequence import AllFramesInvalidError, EmptySequenceError, measure_stream
+from kpcurve.sequence import DegenerateProjectionError, EmptySequenceError, measure_stream
 
 
 def degenerate_detection():
@@ -74,7 +74,7 @@ class TestMeasureSequence:
         assert "segment 1" in rows[1]["error_note"]
 
     def test_all_frames_invalid(self):
-        with pytest.raises(AllFramesInvalidError):
+        with pytest.raises(DegenerateProjectionError):
             measure_sequence("c", [degenerate_detection(), degenerate_detection()])
 
     def test_empty_stream(self):

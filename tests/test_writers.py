@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import report_text
-from kpcurve import report
+from kpcurve import __version__, report
 from kpcurve.annotation import COORD_DECIMALS
 from kpcurve.evaluation import Diagnosis, classify, evaluate_dataset, round_half_up
 from kpcurve.report import (
@@ -271,7 +271,7 @@ def reference_measurement(cases, config, errors) -> str:
         entries.append(entry)
     document = {
         "schema_version": SCHEMA_VERSION,
-        "tool_version": "v",
+        "tool_version": __version__,
         "config": config.as_dict(),
         "cases": entries,
         "errors": errors,
@@ -289,7 +289,7 @@ class TestReportItems:
     def test_measurement_report_matches_stock_encoder(self, cases, retain, errors):
         config = RunConfig(retain_per_frame=retain)
         measured = [case_from_frames(*case) for case in cases]
-        document = measurement_report(measured, config, "v", errors=errors)
+        document = measurement_report(measured, config, errors=errors)
         entries = [{"case_id": case_id, "error": message} for case_id, message in errors]
         assert report_text(document) == reference_measurement(cases, config, entries)
 
@@ -301,7 +301,7 @@ class TestReportItems:
         for retain in (True, False):
             config = RunConfig(retain_per_frame=retain)
             measured = [case_from_frames(*case) for case in cases]
-            document = measurement_report(measured, config, "v", errors=[("d", "x")])
+            document = measurement_report(measured, config, errors=[("d", "x")])
             first = report_text(document)
             assert first == report_text(document)
             assert first == reference_measurement(cases, config, [{"case_id": "d", "error": "x"}])
@@ -315,7 +315,7 @@ class TestReportItems:
         rows += [(5, [1e-07] * 4), (3, [180.0, 0.0, 180.0, 5e-324])]
         for retain in (True, False):
             config = RunConfig(retain_per_frame=retain)
-            document = measurement_report([case_from_frames("c", rows)], config, "v")
+            document = measurement_report([case_from_frames("c", rows)], config)
             assert report_text(document) == reference_measurement([("c", rows)], config, [])
 
     @pytest.mark.parametrize("angle", GATE_ANGLES, ids=repr)
@@ -327,7 +327,7 @@ class TestReportItems:
         for retain in (True, False):
             config = RunConfig(retain_per_frame=retain)
             measured = [case_from_frames(*case) for case in cases]
-            document = measurement_report(measured, config, "v")
+            document = measurement_report(measured, config)
             assert report_text(document) == reference_measurement(cases, config, [])
 
     @pytest.mark.parametrize("index", GATE_INDICES)
@@ -336,7 +336,7 @@ class TestReportItems:
         rows = [(index, [40.0, 1.0, 2.0, 3.0]), (index, 2), (0, [10.0, 1.0, 2.0, 3.0])]
         for retain in (True, False):
             config = RunConfig(retain_per_frame=retain)
-            document = measurement_report([case_from_frames("c", rows)], config, "v")
+            document = measurement_report([case_from_frames("c", rows)], config)
             assert report_text(document) == reference_measurement([("c", rows)], config, [])
 
     @pytest.mark.parametrize("case_id", ["caño\U0001f600", "a\x7fb", "a\x00\x1f\"\\b"])
@@ -345,14 +345,14 @@ class TestReportItems:
         for retain in (True, False):
             config = RunConfig(retain_per_frame=retain)
             measured = [case_from_frames(*case) for case in cases]
-            document = measurement_report(measured, config, "v")
+            document = measurement_report(measured, config)
             assert report_text(document) == reference_measurement(cases, config, [])
 
     def test_one_fallback_row_leaves_the_others_to_orjson(self, orjson_rows):
         rows = [(i, [10.0 + i, 1.0, 2.0, 3.0]) for i in range(8)] + [(8, 3)]
         rows[5] = (5, [10.0, 1.0, 9.99e-05, 3.0])
         config = RunConfig()
-        document = measurement_report([case_from_frames("c", rows)], config, "v")
+        document = measurement_report([case_from_frames("c", rows)], config)
         assert report_text(document) == reference_measurement([("c", rows)], config, [])
         # row 5 is json's; the degenerate row 8 writes no angle and joins the run before it
         assert frame_runs(orjson_rows) == [[0, 1, 2, 3, 4], [6, 7, 8]]
@@ -366,7 +366,7 @@ class TestReportItems:
         rows = [(i, [10.0 + i, 1.0, 2.0, 3.0]) for i in range(8)]
         rows[4], rows[5] = (4, [10.0, 9.99e-05, 2.0, 3.0]), (5, 1)
         config = RunConfig()
-        document = measurement_report([case_from_frames("c", rows)], config, "v")
+        document = measurement_report([case_from_frames("c", rows)], config)
         assert report_text(document) == reference_measurement([("c", rows)], config, [])
         assert frame_runs(orjson_rows) == [[0, 1, 2], [3], [5], [6, 7]]
 
@@ -376,7 +376,7 @@ class TestReportItems:
         cases[2] = ("c\x7f", cases[2][1])
         cases[3] = ("d", [(2**64, [40.0, 1.0, 2.0, 3.0])])
         config = RunConfig(retain_per_frame=False)
-        document = measurement_report([case_from_frames(*case) for case in cases], config, "v")
+        document = measurement_report([case_from_frames(*case) for case in cases], config)
         assert report_text(document) == reference_measurement(cases, config, [])
         # json writes "b" for its angle; orjson is handed "c\x7f" and "d" as one run,
         # refuses it for d's argmax frame past 64 bits, and json writes that run whole
@@ -393,7 +393,7 @@ class TestReportItems:
         cases[5] = ("f", [(0, [9.99e-05] * 4)])
         cases[8] = ("i", [(2**64, [40.0, 1.0, 2.0, 3.0])])
         config = RunConfig(retain_per_frame=False)
-        document = measurement_report([case_from_frames(*case) for case in cases], config, "v")
+        document = measurement_report([case_from_frames(*case) for case in cases], config)
         assert report_text(document) == reference_measurement(cases, config, [])
         runs = [[entry["case_id"] for entry in run] for run in item_runs(orjson_rows)]
         assert runs == [["a", "b", "c"], ["d\x7f", "e"], ["g", "h", "i"]]
@@ -482,7 +482,7 @@ def assert_evaluation_matches_reference(triples):
     """The evaluation report of these triples equals json's text of it built as dicts."""
     config = RunConfig()
     rows, counts, scores = evaluate_dataset(triples, config.threshold_deg)
-    document = evaluation_report(rows, counts, scores, config, "v")
+    document = evaluation_report(rows, counts, scores, config)
     expected = {**document, "cases": rows}
     assert report_text(document) == reference_report(expected)
 
