@@ -47,7 +47,6 @@ from .evaluation import (
     read_labels_csv,
 )
 from .report import (
-    JsonlFormatError,
     RunConfig,
     dumps_frame,
     dumps_report,
@@ -59,7 +58,7 @@ from .report import (
     report_results,
     sweep_sidecar,
 )
-from .sequence import DegenerateProjectionError, EmptySequenceError, measure_stream
+from .sequence import DegenerateProjectionError, measure_stream
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -136,6 +135,8 @@ def _named(path: str, reader, *args, **kwargs):
     name that path, or <stdin> for "-"."""
     try:
         return reader(*args, **kwargs)
+    except UnicodeError:  # a strict stream's decode error, whose class takes more than a message
+        raise
     except ValueError as exc:  # every kpcurve error takes its message alone
         raise type(exc)(f"{_where(path)}: {exc}") from None
 
@@ -306,7 +307,7 @@ def _first_label(text: str, stderr):
         raise AnnotationError(f"line {lineno}: {exc}") from None
 
 
-def _measure_still(args, stdin, stderr):
+def _measure_still(args, config, stdin, stderr):
     """The first label line's box and keypoints, and its case measured with its one frame kept.
 
     A still image is a stream of one batch of one frame, so ``measure``
@@ -319,7 +320,7 @@ def _measure_still(args, stdin, stderr):
             f"case id {case_id!r} from the label file's name is empty or has outer whitespace"
         )
     batch = ([case_id], [0], points[None])
-    cases, failures = measure_stream([batch], aspect=args.aspect)
+    cases, failures = measure_stream([batch], aspect=config.aspect_ratio)
     if failures:
         raise DegenerateProjectionError(f"case {case_id!r}: {failures[0][1]}")
     return box, points, cases[0]
@@ -327,7 +328,7 @@ def _measure_still(args, stdin, stderr):
 
 def _cmd_measure(args, stdin, stdout, stderr) -> int:
     config = RunConfig(args.threshold, args.aspect, retain_per_frame=not args.no_per_frame)
-    *_, case = _measure_still(args, stdin, stderr)
+    *_, case = _measure_still(args, config, stdin, stderr)
     document = measurement_report([case], config)
     _write([(args.output, functools.partial(dumps_report, document))], stdout)
     return EXIT_OK
@@ -335,15 +336,14 @@ def _cmd_measure(args, stdin, stdout, stderr) -> int:
 
 def _cmd_analyze(args, stdin, stdout, stderr) -> int:
     config = RunConfig(args.threshold, args.aspect, retain_per_frame=not args.no_per_frame)
-    try:
-        with _source(args.input, stdin) as lines, _collector_paused():
-            cases, failures = measure_stream(
-                iter_frame_stream(lines),
-                aspect=config.aspect_ratio,
-                keep_frames=config.retain_per_frame,
-            )
-    except (JsonlFormatError, EmptySequenceError) as exc:  # neither names its source
-        raise type(exc)(f"{_where(args.input)}: {exc}") from None
+    with _source(args.input, stdin) as lines, _collector_paused():
+        cases, failures = _named(
+            args.input,
+            measure_stream,
+            iter_frame_stream(lines),
+            aspect=config.aspect_ratio,
+            keep_frames=config.retain_per_frame,
+        )
     document = measurement_report(cases, config, errors=failures)
     _write([(args.output, functools.partial(dumps_report, document))], stdout)
     if not cases:  # raised once the report, every case under its errors, is written
@@ -379,7 +379,7 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
             triples = _named(args.input, read_dataset_csv, text)
 
         if not triples:
-            stderr.write("kpcurve evaluate: no cases in input; metrics undefined\n")
+            stderr.write("kpcurve: warning: no cases in input; metrics undefined\n")
         rows, counts, scores = evaluate_dataset(triples, config.threshold_deg)
     document = evaluation_report(rows, counts, scores, config)
     _write([(args.output, functools.partial(dumps_report, document))], stdout)
@@ -423,7 +423,7 @@ def _cmd_synth(args, stdin, stdout, stderr) -> int:
 def _cmd_render(args, stdin, stdout, stderr) -> int:
     from .overlay import render_svg
 
-    box, points, case = _measure_still(args, stdin, stderr)
+    box, points, case = _measure_still(args, RunConfig(aspect_ratio=args.aspect), stdin, stderr)
     svg = render_svg(box, points, case.per_frame.angles[0], args.width, args.height)
     _write([(args.output, methodcaller("write", svg))], stdout)
     return EXIT_OK

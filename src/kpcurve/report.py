@@ -32,6 +32,7 @@ its policies: which diagnosis a case gets and which cases metrics count.
 """
 
 import json
+import math
 from collections.abc import Callable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass
@@ -81,8 +82,10 @@ class JsonlFormatError(ValueError):
 class RunConfig:
     """Knobs shared across commands, snapshotted into every report.
 
-    The snapshot also records the fixed output precisions, so a report
-    states how its coordinates and rounded fields were produced.
+    It checks every option it records before a command reads any input: the
+    threshold lies in (0, 180), the aspect ratio is positive with a finite
+    square (at most ~1.34e154). The snapshot also records the fixed output
+    precisions, so a report states how its coordinates and rounded fields were produced.
     """
 
     threshold_deg: float = DEFAULT_THRESHOLD_DEG
@@ -92,6 +95,13 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.threshold_deg < 180.0:
             raise ValueError(f"threshold {self.threshold_deg} outside (0, 180)")
+        aspect = self.aspect_ratio
+        # a NaN or infinite ratio would give NaN angles that count as valid
+        if not 0.0 < aspect < math.inf:
+            raise ValueError(f"aspect ratio {aspect} must be positive and finite")
+        # coordinates lie in [0, 1], so polyline_angles' products stay below aspect**2 + 1
+        if aspect * aspect == math.inf:
+            raise ValueError(f"aspect ratio {aspect} is too large: its square overflows a float")
 
     def as_dict(self) -> dict:
         return {
@@ -181,23 +191,24 @@ def parse_frame_line(line: str, lineno: int = 1) -> tuple[str, int, np.ndarray]:
         line.encode("utf-8")
     except UnicodeEncodeError:
         raise JsonlFormatError(f"line {lineno}: not valid UTF-8") from None
-    obj = loads_json(line, JsonlFormatError, lineno)
-    frames = _frames([obj])
-    if type(frames) is str:
-        raise JsonlFormatError(f"line {lineno}: {frames}")
+    obj = loads_json(line, JsonlFormatError, lineno)  # its message has the line already
+    try:
+        frames = _frames([obj])
+    except JsonlFormatError as exc:
+        raise JsonlFormatError(f"line {lineno}: {exc}") from None
     return tuple(column[0] for column in frames)
 
 
 def _frames(objs: list):
     """The frame-line rules, each checked in turn over a batch of decoded lines.
 
-    Returns ``(case_ids, frame_indices, points)``, or the message of the
-    first rule that some line breaks: for one line, that line's message.
+    Returns ``(case_ids, frame_indices, points)``, or raises JsonlFormatError for
+    the first rule that some line breaks: for one line, that line's message.
     Types are exact, as json and orjson yield no subclasses and bool is
     not int here; orjson returns an integer past 64 bits as a float.
     """
     if set(map(type, objs)) != {dict}:
-        return "expected a JSON object"
+        raise JsonlFormatError("expected a JSON object")
     try:
         case_ids = [obj["case_id"] for obj in objs]
         frame_indices = [obj["frame_index"] for obj in objs]
@@ -206,20 +217,21 @@ def _frames(objs: list):
         keypoints = [obj["keypoints"] for obj in objs]
     except KeyError:
         fields = ("case_id", "frame_index", "class_id", "bbox", "keypoints")
-        return "missing field %r" % next(f for f in fields if not all(f in o for o in objs))
+        missing = next(f for f in fields if not all(f in o for o in objs))
+        raise JsonlFormatError(f"missing field {missing!r}") from None
     if set(map(type, case_ids)) != {str} or not all(map(is_case_id, set(case_ids))):
-        return "bad case_id"
+        raise JsonlFormatError("bad case_id")
     if set(map(type, frame_indices)) != {int} or min(frame_indices) < 0:
-        return "frame_index must be a non-negative integer"
+        raise JsonlFormatError("frame_index must be a non-negative integer")
     if set(map(type, class_ids)) != {int} or min(class_ids) < 0:
-        return "class_id must be a non-negative integer"
+        raise JsonlFormatError("class_id must be a non-negative integer")
     if set(map(type, bboxes)) != {list} or set(map(len, bboxes)) != {4}:
-        return "bbox must be a list of 4 numbers"
+        raise JsonlFormatError("bbox must be a list of 4 numbers")
     if set(map(type, keypoints)) != {list} or set(map(len, keypoints)) != {NUM_KEYPOINTS}:
-        return f"keypoints must be a list of {NUM_KEYPOINTS} [x, y] pairs"
+        raise JsonlFormatError(f"keypoints must be a list of {NUM_KEYPOINTS} [x, y] pairs")
     pairs = list(chain.from_iterable(keypoints))
     if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
-        return "each keypoint must be an [x, y] pair"
+        raise JsonlFormatError("each keypoint must be an [x, y] pair")
     values = list(chain(chain.from_iterable(bboxes), chain.from_iterable(pairs)))
     if set(map(type, values)) <= {int, float}:
         with suppress(OverflowError):  # an integer with no float value
@@ -230,9 +242,9 @@ def _frames(objs: list):
     # the first bad value in line order, each line's box before its keypoints
     for value in chain.from_iterable(chain(obj["bbox"], *obj["keypoints"]) for obj in objs):
         if type(value) not in (int, float):
-            return "coordinates must be numbers"
+            raise JsonlFormatError("coordinates must be numbers")
         if not 0.0 <= value <= 1.0:
-            return f"coordinate {value} outside [0, 1]"
+            raise JsonlFormatError(f"coordinate {value} outside [0, 1]")
 
 
 def _parse_batch(texts: list[str], linenos: list[int]):
@@ -247,12 +259,8 @@ def _parse_batch(texts: list[str], linenos: list[int]):
     line's message.
     """
     if max(map(len, texts)) <= _ORJSON_MAX_CHARS:
-        try:
-            batch = _frames(list(map(orjson.loads, texts)))
-        except orjson.JSONDecodeError:
-            batch = None
-        if type(batch) is tuple:
-            return batch
+        with suppress(orjson.JSONDecodeError, JsonlFormatError):
+            return _frames(list(map(orjson.loads, texts)))
     case_ids, frame_indices, points = zip(*map(parse_frame_line, texts, linenos))
     return list(case_ids), list(frame_indices), np.array(points)
 
@@ -268,9 +276,10 @@ def iter_frame_stream(lines):
     refusal, an overlong line or a broken rule sends the batch line by line
     to the stdlib json, which names the first bad line. Lines are stripped
     of JSON whitespace only (space, tab, CR, LF), and lines left empty are
-    skipped; line numbers in errors refer to the physical input.
+    skipped; line numbers in errors refer to the physical input. A stream
+    with no frame line raises JsonlFormatError once its last line is read.
     """
-    size = CHUNK_FRAMES
+    size, full_batches = CHUNK_FRAMES, 0
     texts: list[str] = []
     linenos: list[int] = []
     for lineno, line in enumerate(lines, start=1):
@@ -281,9 +290,11 @@ def iter_frame_stream(lines):
         linenos.append(lineno)
         if len(texts) >= size:
             yield _parse_batch(texts, linenos)
-            texts, linenos = [], []
+            texts, linenos, full_batches = [], [], full_batches + 1
     if texts:
         yield _parse_batch(texts, linenos)
+    elif not full_batches:  # not read from texts, which every full batch empties
+        raise JsonlFormatError("no frames in stream")
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ of the four, which keeps the measurement sensitive to both gradual
 arcs and a sharp local kink. Coordinates arrive normalized per axis,
 so angles are distorted on non-square images unless x is rescaled by
 the width/height ratio first; :func:`measure_stream` takes that ratio
-as ``aspect`` (default 1.0), a positive number whose square is finite
-(at most ~1.34e154).
+as ``aspect`` (default 1.0), once :class:`kpcurve.report.RunConfig` has
+checked it: options and input are checked where they enter, not here.
 
 A case is a stream of detections from one video (or a single still).
 Each frame is measured independently; the case-level curvature is the
@@ -43,7 +43,6 @@ degrees where arccos loses most of its digits (W. Kahan, "How Futile are
 Mindless Assessments of Roundoff in Floating-Point Computation?", 2006).
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,10 +50,6 @@ import numpy as np
 from .annotation import COLS, MIDDLE_ROW
 
 EPSILON = 1e-9
-
-
-class EmptySequenceError(ValueError):
-    """The frame stream yielded no frames at all."""
 
 
 class DegenerateProjectionError(ValueError):
@@ -186,16 +181,10 @@ def measure_stream(
     appearance. With ``keep_frames`` each case's frames are kept as
     :class:`FrameColumns`; otherwise its columns have no rows. Returns
     the measured cases plus a (case_id, message) list for cases whose
-    frames were all degenerate. Raises ValueError when ``aspect`` is not
-    a positive number whose square is finite, and EmptySequenceError
-    when the stream has no frames at all.
+    frames were all degenerate; a stream with no frames gives two empty
+    lists. ``aspect`` is a ratio that :class:`kpcurve.report.RunConfig`
+    has checked: positive, with a finite square.
     """
-    # a NaN or infinite ratio would give NaN angles that count as valid
-    if not 0.0 < aspect < math.inf:
-        raise ValueError(f"aspect ratio {aspect} must be positive and finite")
-    # coordinates lie in [0, 1], so polyline_angles' products stay below aspect**2 + 1
-    if aspect * aspect == math.inf:
-        raise ValueError(f"aspect ratio {aspect} is too large: its square overflows a float")
     # x * 1.0 is exact, so at aspect 1.0 the scaling changes no coordinate
     scale = np.array([aspect, 1.0], dtype=np.float64)
 
@@ -228,9 +217,6 @@ def measure_stream(
                 state.best_angle = angle
                 state.best_frame = frame_index
         offset += len(case_ids)
-
-    if not states:
-        raise EmptySequenceError("no frames in stream")
 
     all_angles, all_bad = np.concatenate(kept_angles), np.concatenate(kept_bad)
     no_frames = FrameColumns([], all_angles, all_bad)  # every case's, unless frames are kept

@@ -13,7 +13,6 @@ from kpcurve.report import RunConfig, dumps_frame, dumps_report, measurement_rep
 from kpcurve.sequence import (
     EPSILON,
     DegenerateProjectionError,
-    EmptySequenceError,
     angle_set_from_row,
     measure_stream,
 )
@@ -168,18 +167,17 @@ def measure_sequence(case_id, frames, aspect=1.0, keep_frames=True, frame_indice
     """``measure_stream`` over the detections of one case.
 
     Frames are numbered by position unless ``frame_indices`` gives
-    their indices. Raises EmptySequenceError for no frames and
-    DegenerateProjectionError when every frame is degenerate.
+    their indices. Raises ValueError for no frames, as a case of none has
+    no measurement, and DegenerateProjectionError when every frame is degenerate.
     """
+    if not frames:
+        raise ValueError(f"case {case_id!r}: no frames")
     if frame_indices is None:
         frame_indices = range(len(frames))
     records = [(case_id, index, points) for index, (_, points) in zip(frame_indices, frames)]
-    try:
-        cases, failures = measure_stream(
-            detection_batches(records), aspect=aspect, keep_frames=keep_frames
-        )
-    except EmptySequenceError:
-        raise EmptySequenceError(f"case {case_id!r}: no frames in stream") from None
+    cases, failures = measure_stream(
+        detection_batches(records), aspect=aspect, keep_frames=keep_frames
+    )
     if failures:
         raise DegenerateProjectionError(f"case {case_id!r}: {failures[0][1]}")
     return cases[0]

@@ -295,7 +295,7 @@ class TestMeasure:
     def test_multiple_lines_warns_and_uses_first(self):
         rc, out, err = run(["measure", "-"], label_line(50.0) + label_line(5.0))
         assert rc == EXIT_OK
-        assert "2 label lines" in err
+        assert err == "kpcurve: warning: 2 label lines found, measuring the first\n"
         assert json.loads(out)["cases"][0]["diagnosis"] == "pd"
 
     def test_degenerate_geometry_exit_code(self):
@@ -800,7 +800,8 @@ class TestEvaluate:
     def test_header_only_yields_undefined_metrics(self):
         rc, out, err = run(["evaluate", "-"], "case_id,actual,measured_deg\n")
         assert rc == EXIT_OK
-        assert "no cases" in err
+        # a warning, not a fault: it never has the shape "kpcurve evaluate: ..."
+        assert err == "kpcurve: warning: no cases in input; metrics undefined\n"
         doc = json.loads(out)
         assert doc["metrics"] == {
             "accuracy": None,
@@ -1061,7 +1062,7 @@ class TestEvaluate:
         csv_text = "case_id,actual,measured_deg\nc1,pd,50\n"
         rc, _, err = run(["evaluate", "--labels", str(labels), "-"], csv_text)
         assert rc == EXIT_OK
-        assert "ignored" in err
+        assert err == "kpcurve: warning: --labels ignored for dataset CSV input\n"
 
     def test_custom_threshold_changes_predictions(self):
         csv_text = "case_id,actual,measured_deg\nc1,pd,25.0\n"
@@ -1926,6 +1927,14 @@ class TestAspectRule:
         rc, out, err = run([command, "--aspect=1e154", "-"], stdin)
         assert (rc, err) == (EXIT_OK, "")
 
+    @pytest.mark.parametrize("command", ["measure", "analyze", "render"])
+    def test_checked_before_the_input_is_read(self, command):
+        # the run config checks the aspect as the command builds it, so an input
+        # that is neither a label line nor a frame line is never reached
+        rc, out, err = run([command, "--aspect=0", "-"], "not a line\n")
+        assert (rc, out) == (EXIT_INPUT, "")
+        assert err == f"kpcurve {command}: aspect ratio 0.0 must be positive and finite\n"
+
 
 class TestArgumentErrors:
     def test_no_command(self):
@@ -2030,7 +2039,6 @@ class TestExitCodes:
             "JsonlFormatError",
             "DatasetFormatError",
             "BadSpecError",
-            "EmptySequenceError",
             "DegenerateProjectionError",
         }
 
@@ -2199,6 +2207,19 @@ class TestFileEncoding:
         )
         assert (proc.returncode, proc.stdout) == (EXIT_INPUT, b"")
         assert proc.stderr == b"kpcurve analyze: <stdin>: line 1: not valid UTF-8\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "evaluate"])
+    def test_strict_stream_given_to_main(self, command):
+        # an embedding caller's stdin may decode strictly: its decode error is an
+        # input fault, exit 2, whether the command reads stdin whole or line by line
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        assert main([command, "-"], stdin=stdin, stdout=out, stderr=err) == EXIT_INPUT
+        assert (out.getvalue(), err.getvalue()) == (
+            "",
+            f"kpcurve {command}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n",
+        )
 
     def test_utf8_stdin_under_ascii_locale(self):
         proc = subprocess.run(

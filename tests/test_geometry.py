@@ -24,6 +24,7 @@ from conftest import (
     vector_angle,
 )
 from kpcurve.cli import main
+from kpcurve.report import RunConfig
 from kpcurve.sequence import (
     DegenerateProjectionError,
     angle_set_from_row,
@@ -314,10 +315,21 @@ class TestAspectCorrection:
         pts = normalize_unit(hinge_polyline(30.0))
         assert line_angles(pts, aspect=1.0) == line_angles(pts)
 
-    @pytest.mark.parametrize("aspect", [0.0, -1.5, math.nan, math.inf, -math.inf])
-    def test_invalid_aspect_rejected(self, aspect):
-        with pytest.raises(ValueError, match="must be positive and finite"):
-            line_angles(hinge_polyline(10.0), aspect=aspect)
+    @pytest.mark.parametrize(
+        "aspect, reason",
+        [
+            *(
+                pytest.param(aspect, "must be positive and finite", id=str(aspect))
+                for aspect in (0.0, -1.5, math.nan, math.inf, -math.inf)
+            ),
+            pytest.param(1e300, "is too large: its square overflows a float", id="1e+300"),
+        ],
+    )
+    def test_invalid_aspect_rejected(self, aspect, reason):
+        # the run config checks the ratio that measure_stream takes
+        with pytest.raises(ValueError) as exc:
+            RunConfig(aspect_ratio=aspect)
+        assert str(exc.value) == f"aspect ratio {aspect} {reason}"
 
 
 class TestInvariances:

@@ -3,8 +3,9 @@ module-level private name is read, every module-level public name is
 read somewhere in the package, only the CLI talks to the terminal, only
 the gated writers of ``report`` call ``orjson.dumps``, only the CLI's
 opener and writer touch files, every CLI command returns ``EXIT_OK`` or
-raises, and the package imports exactly the third-party modules it
-declares."""
+raises, only the CLI's reader and namer name a source, the CLI writes
+only warnings to stderr outside ``main``, and the package imports exactly
+the third-party modules it declares."""
 
 import ast
 import re
@@ -378,6 +379,106 @@ def test_commands_succeed_or_raise():
 )
 def test_checker_finds_non_ok_returns(source, returns):
     assert non_ok_returns(source) == returns
+
+
+def reads_outside(source: str, name: str, readers: set[str]) -> list[str]:
+    """Each read of ``name`` outside the top-level functions ``readers``, as
+    ``owner:line`` in source order, ``owner`` being the top-level function or
+    class it lies in, or the line of another top-level statement."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name in readers:
+            continue
+        found.extend(
+            (node.lineno, f"{getattr(top, 'name', top.lineno)}:{node.lineno}")
+            for node in ast.walk(top)
+            if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+        )
+    return [read for _, read in sorted(found)]
+
+
+def test_only_the_reader_and_the_namer_name_a_source():
+    """How a message names its input (``_where``) is decided once: a command
+    names a fault of what it read by reading through ``_named``."""
+    source = (Path(kpcurve.__file__).parent / "cli.py").read_text("utf-8")
+    assert reads_outside(source, "_where", {"_read_text", "_named"}) == []
+
+
+@pytest.mark.parametrize(
+    "source, reads",
+    [
+        (
+            "def _where(p):\n    return p\ndef _named(p):\n    return _where(p)\n"
+            "def _cmd(args):\n    _where = 1\n    return _named(args)\n",
+            [],
+        ),
+        (
+            "def _where(p):\n    return p\ndef _cmd(args):\n    return _where(args)\n"
+            "x = [_where(a) for a in ()]\nclass C:\n    def _named(self):\n        _where(1)\n",
+            ["_cmd:4", "5:5", "C:8"],
+        ),
+    ],
+    ids=["passing", "failing"],
+)
+def test_checker_finds_reads_outside(source, reads):
+    assert reads_outside(source, "_where", {"_named"}) == reads
+
+
+WARNING = "kpcurve: warning: "
+
+
+def unshaped_warnings(source: str) -> list[str]:
+    """Each ``stderr.write`` outside the top-level function ``main`` whose
+    argument is not a string literal, or an f-string, that starts with
+    ``WARNING``, as ``owner:line`` in source order, as :func:`reads_outside` names them."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == "main":
+            continue
+        for node in ast.walk(top):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "write"
+                and getattr(node.func.value, "id", None) == "stderr"
+            ):
+                continue
+            text = node.args[0] if len(node.args) == 1 else None
+            if isinstance(text, ast.JoinedStr):  # an f-string: its first piece
+                text = text.values[0]
+            if not (isinstance(text, ast.Constant) and str(text.value).startswith(WARNING)):
+                found.append((node.lineno, f"{getattr(top, 'name', top.lineno)}:{node.lineno}"))
+    return [write for _, write in sorted(found)]
+
+
+def test_the_cli_warns_in_one_shape():
+    """A command writes to stderr only warnings, each ``kpcurve: warning: ...``:
+    a warning never ends a run, and ``main`` alone writes a fault's
+    ``kpcurve <command>: <message>`` line."""
+    source = (Path(kpcurve.__file__).parent / "cli.py").read_text("utf-8")
+    assert unshaped_warnings(source) == []
+
+
+@pytest.mark.parametrize(
+    "source, writes",
+    [
+        (
+            "def main(stderr):\n    stderr.write(f'kpcurve {x}: fault')\n"
+            "def _cmd(stderr, n):\n    stderr.write('kpcurve: warning: a\\n')\n"
+            "    stderr.write(f'kpcurve: warning: {n} b\\n')\n    out.write('x')\n",
+            [],
+        ),
+        (
+            "def _cmd(stderr, text):\n    stderr.write('kpcurve _cmd: no cases\\n')\n"
+            "    stderr.write(text)\n    stderr.write(f'{text}kpcurve: warning: ')\n"
+            "class C:\n    def main(self, stderr):\n        stderr.write('x', 1)\n",
+            ["_cmd:2", "_cmd:3", "_cmd:4", "C:7"],
+        ),
+    ],
+    ids=["passing", "failing"],
+)
+def test_checker_finds_unshaped_warnings(source, writes):
+    assert unshaped_warnings(source) == writes
 
 
 def dependency_mismatch(sources: list[str], pyproject: str) -> tuple[list[str], list[str]]:

@@ -413,6 +413,26 @@ def test_value_count_checked_per_line(monkeypatch):
     assert error_for(lines) == "line 2: bbox must be a list of 4 numbers"
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [[], ["\n", "\n", "\n", "\n"], [" \t\r\n", "\r\n", "  ", "\t"]],
+    ids=["no-lines", "blank", "json-whitespace"],
+)
+def test_stream_without_frames_raises(lines, monkeypatch):
+    # more lines than a batch of three, and not one of them a frame
+    monkeypatch.setattr(report, "CHUNK_FRAMES", 3)
+    assert error_for(lines) == "no frames in stream"
+
+
+@pytest.mark.parametrize("count", [3, 6])
+def test_whole_batches_are_not_empty(count, monkeypatch):
+    # every full batch empties the lists the next is gathered in, so a stream of
+    # whole batches, a blank line after them, ends with those lists empty
+    monkeypatch.setattr(report, "CHUNK_FRAMES", 3)
+    batches = list(iter_frame_stream([GOOD_LINE + "\n"] * count + ["\n"]))
+    assert [len(ids) for ids, _, _ in batches] == [3] * (count // 3)
+
+
 def test_lone_surrogates():
     # a raw surrogate is an undecodable byte read with surrogateescape; an
     # escaped one is JSON text, which json reads when orjson refuses it

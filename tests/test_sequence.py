@@ -22,7 +22,7 @@ from kpcurve import report
 from kpcurve.annotation import emit_yolo_line
 from kpcurve.cli import main
 from kpcurve.report import iter_frame_stream
-from kpcurve.sequence import DegenerateProjectionError, EmptySequenceError, measure_stream
+from kpcurve.sequence import DegenerateProjectionError, measure_stream
 
 
 def degenerate_detection():
@@ -77,10 +77,6 @@ class TestMeasureSequence:
         with pytest.raises(DegenerateProjectionError):
             measure_sequence("c", [degenerate_detection(), degenerate_detection()])
 
-    def test_empty_stream(self):
-        with pytest.raises(EmptySequenceError):
-            measure_sequence("c", [])
-
     def test_explicit_frame_indices_respected(self):
         frames = [detection_with_angle(10.0), detection_with_angle(40.0)]
         case = measure_sequence("c", frames, frame_indices=[7, 3])
@@ -107,8 +103,12 @@ class TestMeasureSequence:
         assert square.curvature_deg != pytest.approx(wide.curvature_deg, abs=1e-3)
 
     def test_invalid_aspect_rejected(self):
-        with pytest.raises(ValueError):
-            measure_sequence("c", [detection_with_angle(5.0)], aspect=0.0)
+        # the ratio is checked where it enters, before any frame is measured
+        stream = io.StringIO(frame_line("c", detection_with_angle(5.0), 0) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        assert main(["analyze", "--aspect", "0", "-"], stdin=stream, stdout=out, stderr=err) == 2
+        assert out.getvalue() == ""
+        assert err.getvalue() == "kpcurve analyze: aspect ratio 0.0 must be positive and finite\n"
 
     def test_spans_kernel_chunk_boundary(self):
         frames = [detection_with_angle(10.0)] * 5000
@@ -240,9 +240,9 @@ class TestMeasureStream:
         assert failures[0][0] == "bad"
         assert "degenerate" in failures[0][1]
 
-    def test_empty_stream_raises(self):
-        with pytest.raises(EmptySequenceError):
-            measure_stream(iter([]))
+    def test_empty_stream_measures_nothing(self):
+        # the reader rejects a stream with no frame line; measurement has nothing to say
+        assert measure_stream([]) == ([], [])
 
     @staticmethod
     def peak_bytes(batch_count: int, keep_frames: bool) -> int:
