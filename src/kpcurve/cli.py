@@ -81,9 +81,10 @@ def _source(path: str, stdin):
 
 
 def _read_text(path: str, stdin) -> str:
-    """The text of ``_source(path, stdin)``; a byte that is not UTF-8 is named with its line."""
+    """The text of ``_source(path, stdin)``; a byte that is not UTF-8 is named with its
+    line, or with no line where a strictly decoding stream refuses it."""
     with _source(path, stdin) as source:
-        text = source.read()
+        text = _named(path, source.read)
     try:
         text.isascii() or text.encode("utf-8")  # ASCII text holds no lone surrogate
     except UnicodeEncodeError as exc:  # the byte was read as a lone surrogate
@@ -135,7 +136,9 @@ def _named(path: str, reader, *args, **kwargs):
     name that path, or <stdin> for "-"."""
     try:
         return reader(*args, **kwargs)
-    except UnicodeError:  # a strict stream's decode error, whose class takes more than a message
+    except UnicodeDecodeError:  # a strict stream's, whose offset is into a chunk, not a line
+        raise ValueError(f"{_where(path)}: not valid UTF-8") from None
+    except UnicodeError:  # its class takes more than a message
         raise
     except ValueError as exc:  # every kpcurve error takes its message alone
         raise type(exc)(f"{_where(path)}: {exc}") from None

@@ -206,6 +206,15 @@ def _frames(objs: list):
     the first rule that some line breaks: for one line, that line's message.
     Types are exact, as json and orjson yield no subclasses and bool is
     not int here; orjson returns an integer past 64 bits as a float.
+
+    A batch of good lines takes one pass per field, then three over the
+    keypoints: the lengths of the flattened pairs (a pair with no length
+    breaks the pair rule), the types of the flattened values, and their
+    conversion, which the range test reads. The pairs' own type is tested
+    only once the value types fail: a pair of length 2 that is not a list is
+    a text or an object, and flattens to texts, so values that are all
+    numbers come from list pairs only, and a pair fault is still named
+    before a value fault.
     """
     if set(map(type, objs)) != {dict}:
         raise JsonlFormatError("expected a JSON object")
@@ -230,15 +239,21 @@ def _frames(objs: list):
     if set(map(type, keypoints)) != {list} or set(map(len, keypoints)) != {NUM_KEYPOINTS}:
         raise JsonlFormatError(f"keypoints must be a list of {NUM_KEYPOINTS} [x, y] pairs")
     pairs = list(chain.from_iterable(keypoints))
-    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+    try:
+        paired = set(map(len, pairs)) == {2}
+    except TypeError:  # a number, true or null has no length
+        paired = False
+    if not paired:
         raise JsonlFormatError("each keypoint must be an [x, y] pair")
     values = list(chain(chain.from_iterable(bboxes), chain.from_iterable(pairs)))
     if set(map(type, values)) <= {int, float}:
         with suppress(OverflowError):  # an integer with no float value
-            array = np.array(values, dtype=np.float64)
+            array = np.fromiter(values, np.float64, len(values))
             if array.min() >= 0.0 and array.max() <= 1.0:  # NaN fails both
                 points = array[4 * len(objs) :].reshape(len(objs), NUM_KEYPOINTS, 2)
                 return case_ids, frame_indices, points
+    elif set(map(type, pairs)) != {list}:
+        raise JsonlFormatError("each keypoint must be an [x, y] pair")
     # the first bad value in line order, each line's box before its keypoints
     for value in chain.from_iterable(chain(obj["bbox"], *obj["keypoints"]) for obj in objs):
         if type(value) not in (int, float):

@@ -2208,18 +2208,33 @@ class TestFileEncoding:
         assert (proc.returncode, proc.stdout) == (EXIT_INPUT, b"")
         assert proc.stderr == b"kpcurve analyze: <stdin>: line 1: not valid UTF-8\n"
 
-    @pytest.mark.parametrize("command", ["analyze", "evaluate"])
-    def test_strict_stream_given_to_main(self, command):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["convert", "-", "-o", "labels"],
+            ["measure", "-"],
+            ["analyze", "-"],
+            ["evaluate", "-"],
+            ["evaluate", "report.json", "--labels", "-"],
+            ["synth", "-"],
+            ["render", "-"],
+        ],
+        ids=["convert", "measure", "analyze", "evaluate", "evaluate-labels", "synth", "render"],
+    )
+    def test_strict_stream_given_to_main(self, argv, tmp_path, monkeypatch):
         # an embedding caller's stdin may decode strictly: its decode error is an
-        # input fault, exit 2, whether the command reads stdin whole or line by line
+        # input fault, exit 2, named by its source whether the command reads stdin
+        # whole or line by line; a strict decoder's offset is into a chunk, so no line
+        monkeypatch.chdir(tmp_path)
+        Path("report.json").write_text("{}")
         stdin = io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
-        assert main([command, "-"], stdin=stdin, stdout=out, stderr=err) == EXIT_INPUT
+        assert main(argv, stdin=stdin, stdout=out, stderr=err) == EXIT_INPUT
         assert (out.getvalue(), err.getvalue()) == (
             "",
-            f"kpcurve {command}: 'utf-8' codec can't decode byte 0xff in position 0: "
-            "invalid start byte\n",
+            f"kpcurve {argv[0]}: <stdin>: not valid UTF-8\n",
         )
+        assert os.listdir() == ["report.json"]
 
     def test_utf8_stdin_under_ascii_locale(self):
         proc = subprocess.run(

@@ -159,8 +159,24 @@ def regrouped_pairs(record):
     record["keypoints"][2].append(record["keypoints"][3].pop())
 
 
+def set_pair(value):
+    def edit(record):
+        record["keypoints"][3] = value
+
+    return edit
+
+
+# whole keypoints that are no pair, and pairs of two values that are no numbers
+NOT_PAIRS = ["ab", "abc", {"x": 0.5, "y": 0.5}, 0.5, None, True, []]
+PAIRS_OF_NON_NUMBERS = [[True, False], [[0.5], [0.5]], ["0.5", "0.5"]]
+
+
 def label(value) -> str:
     return f"list{len(value)}" if isinstance(value, list) else f"{value!r:.12}"
+
+
+def pair_label(value) -> str:
+    return "pair=" + json.dumps(value, separators=(",", ":"))
 
 
 BAD_LINES = {
@@ -175,6 +191,7 @@ BAD_LINES = {
         for value in values
     },
     **{f"no_{field}": edited(drop_field(field)) for field in BAD_FIELDS},
+    **{pair_label(value): edited(set_pair(value)) for value in NOT_PAIRS + PAIRS_OF_NON_NUMBERS},
     "three_element_pair": edited(three_element_pair),
     "regrouped_pairs": edited(regrouped_pairs),
     "array": "[1, 2]",
@@ -200,6 +217,7 @@ BAD_LINES = {
     "separator_only": "\x1c",
 }
 NOT_NUMBERS = "coordinates must be numbers"
+NOT_A_PAIR = "each keypoint must be an [x, y] pair"
 # each BAD_VALUES entry's message, in order
 BAD_VALUE_MESSAGES = [
     NOT_NUMBERS, NOT_NUMBERS, NOT_NUMBERS, NOT_NUMBERS,
@@ -232,8 +250,10 @@ BAD_LINE_MESSAGES = {
         for value in values
     },
     **{f"no_{field}": f"missing field {field!r}" for field in BAD_FIELDS},
-    "three_element_pair": "each keypoint must be an [x, y] pair",
-    "regrouped_pairs": "each keypoint must be an [x, y] pair",
+    **{pair_label(value): NOT_A_PAIR for value in NOT_PAIRS},
+    **{pair_label(value): NOT_NUMBERS for value in PAIRS_OF_NON_NUMBERS},
+    "three_element_pair": NOT_A_PAIR,
+    "regrouped_pairs": NOT_A_PAIR,
     "array": "expected a JSON object",
     "string": "expected a JSON object",
     "number": "expected a JSON object",
@@ -381,6 +401,14 @@ def test_bad_line_message(name, chunk, monkeypatch):
     with pytest.raises(JsonlFormatError) as exc:
         parse_frame_line(BAD_LINES[name], 9)
     assert str(exc.value) == f"line 9: {BAD_LINE_MESSAGES[name]}"
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 256])
+def test_value_fault_before_a_later_pair_fault(chunk, monkeypatch):
+    # a batch of all three breaks the pair rule on line 3, yet line 2 is named
+    monkeypatch.setattr(report, "CHUNK_FRAMES", chunk)
+    lines = [GOOD_LINE, edited(set_keypoint(1.5)), edited(set_pair("ab"))]
+    assert error_for(lines) == "line 2: coordinate 1.5 outside [0, 1]"
 
 
 LONG_ID = "L" * 5000
