@@ -54,6 +54,7 @@ from .report import (
     is_case_id,
     iter_frame_stream,
     loads_json,
+    loads_report,
     measurement_report,
     report_results,
     sweep_sidecar,
@@ -361,9 +362,7 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
         # one byte-order mark is dropped, as the CSV readers drop it
         body = text.removeprefix("\ufeff")
         if body.lstrip().startswith("{"):
-            # json, not orjson: orjson 3.8 has no nesting limit and overflows the C stack
-            # on deep input, and a report is far longer than the lines it is trusted with
-            document = _named(args.input, loads_json, body, DatasetFormatError)
+            document = _named(args.input, loads_report, body, DatasetFormatError)
             if args.labels is None:
                 raise DatasetFormatError(
                     "report JSON input needs --labels with ground-truth diagnoses"

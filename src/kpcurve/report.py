@@ -27,8 +27,9 @@ DEL, which json escapes; json writes each other run of plain items.
 Report documents carry exact values alongside their display-rounded
 counterparts; the rounded fields are always recomputable from the exact
 ones under the half-up rule. A measurement report is read back here
-too, by :func:`report_results`, so its schema has one home, and so do
-its policies: which diagnosis a case gets and which cases metrics count.
+too, by :func:`loads_report` and :func:`report_results`, so its schema
+has one home, and so do its policies: which diagnosis a case gets and
+which cases metrics count.
 """
 
 import json
@@ -163,19 +164,33 @@ def is_case_id(text: str) -> bool:
     return text != "" and text == text.strip()
 
 
-def loads_json(text: str, error: type[ValueError], lineno: int = 0):
-    """``json.loads(text)``, raising ``error("line N: not valid JSON (reason)")`` if invalid.
+def loads_json(text: str, error: type[ValueError], lineno: int = 0, **decoder):
+    """``json.loads(text, **decoder)``, raising ``error("line N: not valid JSON (reason)")``
+    if invalid.
 
     N is ``lineno`` if given, else the decoder's line; the reason is the decoder's
     message. JSON nested past the interpreter's recursion limit gives "nested too
     deeply", and no line unless ``lineno`` is given.
     """
     try:
-        return json.loads(text)
+        return json.loads(text, **decoder)
     except (json.JSONDecodeError, RecursionError) as exc:
         reason = getattr(exc, "msg", "nested too deeply")  # RecursionError has no msg
         line = lineno or getattr(exc, "lineno", 0)  # nor a line
         raise error((f"line {line}: " if line else "") + f"not valid JSON ({reason})") from None
+
+
+def loads_report(text: str, error: type[ValueError]):
+    """A report JSON decoded by :func:`loads_json` for :func:`report_results`, which
+    reads only case and error entries and the angles in them: an object holding a
+    ``case_id`` or ``cases`` key is kept, any other (a ``per_frame`` row, ``config``)
+    is None, and a float stays its text as ASCII bytes, for ``float`` where read.
+
+    json, not orjson: orjson 3.8 has no nesting limit and overflows the C stack on
+    deep input, and a report is far longer than the lines it is trusted with.
+    """
+    kept = lambda obj: obj if "case_id" in obj or "cases" in obj else None
+    return loads_json(text, error, object_hook=kept, parse_float=str.encode)
 
 
 def parse_frame_line(line: str, lineno: int = 1) -> tuple[str, int, np.ndarray]:
@@ -478,8 +493,9 @@ def report_results(
     report order, and a ``(case_id, reason)`` pair per case the metrics leave
     out: failed cases in report order, then the labelled cases it lacks in
     ``labels`` order. A case listed twice, under one list or under both,
-    raises; an unlabelled case raises after that."""
-    cases = document.get("cases")
+    raises; an unlabelled case raises after that. The document is as
+    :func:`loads_report` gives it: None, or a dict whose floats may be bytes."""
+    cases = (document or {}).get("cases")
     if not isinstance(cases, list):
         raise DatasetFormatError("report JSON has no 'cases' list")
     measured = []
@@ -488,7 +504,7 @@ def report_results(
             not isinstance(entry, dict)
             or not isinstance(entry.get("case_id"), str)
             # exact types, so a JSON true is not read as 1 degree
-            or type(entry.get("curvature_deg")) not in (int, float)
+            or type(entry.get("curvature_deg")) not in (int, float, bytes)
         ):
             raise DatasetFormatError("report cases need 'case_id' and 'curvature_deg' fields")
         try:

@@ -1009,7 +1009,7 @@ class TestEvaluate:
             f"kpcurve evaluate: case 'b': measured angle {float(angle)} outside [0, 180]\n"
         )
 
-    @pytest.mark.parametrize("angle", ["-1", "180.5", "NaN"])
+    @pytest.mark.parametrize("angle", ["-1", "180.5", "NaN", "1e400"])
     def test_out_of_range_report_angle_names_its_case(self, angle, tmp_path):
         labels = tmp_path / "labels.csv"
         labels.write_text("case_id,actual\na,pd\nb,normal\n")
@@ -1070,6 +1070,114 @@ class TestEvaluate:
         _, out_low, _ = run(["evaluate", "--threshold", "20", "-"], csv_text)
         assert json.loads(out_default)["confusion"]["fn"] == 1
         assert json.loads(out_low)["confusion"]["tp"] == 1
+
+
+class TestReportReader:
+    """evaluate decodes a report's case and error entries and skips everything
+    else, per-frame rows included, with no change to any output byte."""
+
+    LABELS = "case_id,actual\na,pd\nb,normal\nbad,pd\n"
+
+    @pytest.fixture
+    def reports(self, tmp_path):
+        """The per-frame and the --no-per-frame report of one stream, and a labels file."""
+        stream = (
+            jsonl_for("a", [67.51, 40.0, 12.5])
+            + jsonl_for("b", [3.75, 20.0])
+            + frame_line("bad", degenerate_detection(), 0)
+            + "\n"
+        )
+        _, rows, _ = run(["analyze", "-"], stream)
+        _, cases, _ = run(["analyze", "-", "--no-per-frame"], stream)
+        labels = tmp_path / "labels.csv"
+        labels.write_text(self.LABELS)
+        return rows, cases, str(labels)
+
+    def test_per_frame_rows_change_no_output_byte(self, reports):
+        rows, cases, labels = reports
+        assert '"per_frame"' in rows and '"per_frame"' not in cases
+        scored = run(["evaluate", "-", "--labels", labels], rows)
+        assert scored[0] == EXIT_OK
+        assert scored == run(["evaluate", "-", "--labels", labels], cases)
+
+    def test_rows_holding_any_json_change_no_metric(self, reports):
+        rows, cases, labels = reports
+        document = json.loads(rows)
+        for entry in document["cases"]:
+            entry["per_frame"] = [
+                "text",
+                None,
+                [[1, [2.5, "x"]], [], {}],
+                {"case_id": "zz", "curvature_deg": 1.5},
+                {"cases": [], "errors": 3},
+                {"valid": True, "deviation_deg": math.inf, "nested": {"case_id": None}},
+                -0.0,
+                10**30,
+            ]
+        junk = json.dumps(document, indent=2)
+        assert run(["evaluate", "-", "--labels", labels], junk) == run(
+            ["evaluate", "-", "--labels", labels], cases
+        )
+
+    @pytest.mark.parametrize("angle", ["4e1", "-0.0", "1.25E+1", "45.000000000000001"])
+    def test_angle_text_scores_as_its_float(self, angle, tmp_path):
+        """The report's angle scores as json's float of its text, which is
+        also the dataset CSV reader's."""
+        labels = tmp_path / "labels.csv"
+        labels.write_text("case_id,actual\na,pd\n")
+        report = '{"cases": [{"case_id": "a", "curvature_deg": %s}]}' % angle
+        rc, out, err = run(["evaluate", "-", "--labels", str(labels)], report)
+        assert (rc, err) == (EXIT_OK, "")
+        dataset = f"case_id,actual,measured_deg\na,pd,{angle}\n"
+        assert (rc, out, err) == run(["evaluate", "-"], dataset)
+        assert repr(json.loads(out)["cases"][0]["measured_deg"]) == repr(json.loads(angle))
+
+    @pytest.mark.parametrize(
+        "report, message",
+        [
+            ('{"cases": {}}', "report JSON has no 'cases' list"),
+            ('{"errors": {}}', "report JSON has no 'cases' list"),
+            ('{"cases": [], "errors": {}}', "report errors need 'case_id' and 'error' fields"),
+            (
+                '{"cases": [], "errors": [{"error": "x"}]}',
+                "report errors need 'case_id' and 'error' fields",
+            ),
+            (
+                '{"cases": [{"curvature_deg": 40.5}]}',
+                "report cases need 'case_id' and 'curvature_deg' fields",
+            ),
+            (
+                '{"cases": [{"case_id": 1.5, "curvature_deg": 40.5}]}',
+                "report cases need 'case_id' and 'curvature_deg' fields",
+            ),
+        ],
+    )
+    def test_skipped_objects_keep_their_messages(self, report, message, tmp_path):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("case_id,actual\na,pd\n")
+        rc, out, err = run(["evaluate", "-", "--labels", str(labels)], report)
+        assert (rc, out, err) == (EXIT_INPUT, "", f"kpcurve evaluate: <stdin>: {message}\n")
+
+    def test_decoded_report_holds_no_row(self):
+        row = {
+            "frame_index": 0,
+            "valid": True,
+            "deviation_deg": 12.345678901234,
+            "segment_deg": [1.5, 2.25, 3.125],
+            "frame_angle_deg": 12.345678901234,
+            "curvature_col": 2,
+        }
+        case = {"case_id": "a", "curvature_deg": 40.5, "per_frame": [row] * 5000}
+        text = json.dumps({"config": {"threshold_deg": 30.0}, "cases": [case], "errors": []})
+        tracemalloc.start()
+        try:
+            document = report.loads_report(text, ValueError)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert document["cases"][0]["curvature_deg"] == b"40.5"
+        assert document["config"] is None
+        assert retained < len(text) / 10
 
 
 def paused_run(name, tmp_path):
