@@ -35,6 +35,15 @@ class AnnotationError(ValueError):
     """A label line or CVAT document that cannot be read."""
 
 
+def ascii_number(text: str, kind=float):
+    """``kind(text)`` for a number as a data file writes it, with a sign, an exponent
+    or outer ASCII spaces; the ``_`` separators and non-ASCII digits that Python's
+    literal grammar lets ``int`` and ``float`` read raise ValueError instead."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{text!r} is not an ASCII number")
+    return kind(text)
+
+
 def parse_yolo_line(line: str) -> tuple[np.ndarray, np.ndarray]:
     """The box and keypoints of one YOLO keypoint label line.
 
@@ -47,7 +56,7 @@ def parse_yolo_line(line: str) -> tuple[np.ndarray, np.ndarray]:
     if len(tokens) != YOLO_TOKENS:
         raise AnnotationError(f"expected {YOLO_TOKENS} tokens, got {len(tokens)}")
     try:
-        class_id = int(tokens[0])
+        class_id = ascii_number(tokens[0], int)
     except ValueError:
         raise AnnotationError(f"class id {tokens[0]!r} is not an integer") from None
     if class_id < 0:
@@ -56,7 +65,7 @@ def parse_yolo_line(line: str) -> tuple[np.ndarray, np.ndarray]:
     values = []
     for pos, token in enumerate(tokens[1:], start=1):
         try:
-            value = float(token)
+            value = ascii_number(token)
         except ValueError:
             raise AnnotationError(f"token {pos} ({token!r}) is not a number") from None
         if not math.isfinite(value) or value < 0.0 or value > 1.0:
@@ -87,7 +96,7 @@ def _dimension(element, name: str) -> int:
     if raw is None:
         raise AnnotationError(f"image element missing {name!r} attribute")
     try:
-        value = int(raw)
+        value = ascii_number(raw, int)
     except ValueError:
         raise AnnotationError(f"image {name} {raw!r} is not an integer") from None
     if value <= 0:
@@ -100,7 +109,7 @@ def _box_attr(box, name: str, image_name: str) -> float:
     if raw is None:
         raise AnnotationError(f"box in {image_name!r} missing {name!r} attribute")
     try:
-        return float(raw)
+        return ascii_number(raw)
     except ValueError:
         raise AnnotationError(
             f"box attribute {name}={raw!r} in {image_name!r} is not a number"
@@ -171,7 +180,7 @@ def parse_cvat_xml(document: str) -> list[tuple[str, np.ndarray, np.ndarray]]:
             if len(parts) != 2:
                 raise AnnotationError(f"bad point {chunk!r} in {name!r}")
             try:
-                pairs.append((float(parts[0]), float(parts[1])))
+                pairs.append((ascii_number(parts[0]), ascii_number(parts[1])))
             except ValueError:
                 raise AnnotationError(f"bad point {chunk!r} in {name!r}") from None
         if len(pairs) != NUM_KEYPOINTS:

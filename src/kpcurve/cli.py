@@ -160,8 +160,8 @@ def _add_aspect(parser):
         "--aspect",
         type=float,
         default=1.0,
-        metavar="W/H",
-        help="image width/height ratio for angle correction (default 1.0)",
+        metavar="RATIO",
+        help="image width over height as one number, e.g. 1.7778 for 16:9 (default 1.0)",
     )
 
 
@@ -312,7 +312,7 @@ def _first_label(text: str, stderr):
 
 
 def _measure_still(args, config, stdin, stderr):
-    """The first label line's box and keypoints, and its case measured with its one frame kept.
+    """The first label line's box and keypoints, and its case measured under ``config``.
 
     A still image is a stream of one batch of one frame, so ``measure``
     and ``render`` share the measurement and its error messages.
@@ -324,7 +324,7 @@ def _measure_still(args, config, stdin, stderr):
             f"case id {case_id!r} from the label file's name is empty or has outer whitespace"
         )
     batch = ([case_id], [0], points[None])
-    cases, failures = measure_stream([batch], aspect=config.aspect_ratio)
+    cases, failures = measure_stream([batch], config)
     if failures:
         raise DegenerateProjectionError(f"case {case_id!r}: {failures[0][1]}")
     return box, points, cases[0]
@@ -341,13 +341,7 @@ def _cmd_measure(args, stdin, stdout, stderr) -> int:
 def _cmd_analyze(args, stdin, stdout, stderr) -> int:
     config = RunConfig(args.threshold, args.aspect, retain_per_frame=not args.no_per_frame)
     with _source(args.input, stdin) as lines, _collector_paused():
-        cases, failures = _named(
-            args.input,
-            measure_stream,
-            iter_frame_stream(lines),
-            aspect=config.aspect_ratio,
-            keep_frames=config.retain_per_frame,
-        )
+        cases, failures = _named(args.input, measure_stream, iter_frame_stream(lines), config)
     document = measurement_report(cases, config, errors=failures)
     _write([(args.output, functools.partial(dumps_report, document))], stdout)
     if not cases:  # raised once the report, every case under its errors, is written
@@ -382,7 +376,7 @@ def _cmd_evaluate(args, stdin, stdout, stderr) -> int:
 
         if not triples:
             stderr.write("kpcurve: warning: no cases in input; metrics undefined\n")
-        rows, counts, scores = evaluate_dataset(triples, config.threshold_deg)
+        rows, counts, scores = evaluate_dataset(triples, config)
     document = evaluation_report(rows, counts, scores, config)
     _write([(args.output, functools.partial(dumps_report, document))], stdout)
     return EXIT_OK

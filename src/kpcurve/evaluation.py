@@ -3,7 +3,8 @@
 A case measurement becomes a binary diagnosis by comparison against an
 angle threshold: strictly greater is positive (PD), anything else,
 including the threshold exactly, is normal. :func:`evaluate_dataset`
-returns the evaluation report's bodies as plain dicts in its key order:
+reads that threshold from the run's :class:`kpcurve.report.RunConfig`
+and returns the evaluation report's bodies as plain dicts in its key order:
 one row per case, the ``tp``/``fp``/``fn``/``tn`` counts, and the
 metrics of :func:`metrics`, the one place each metric is named and
 defined. A metric whose denominator is zero is reported as undefined
@@ -18,6 +19,8 @@ import enum
 import io
 from collections import Counter
 from decimal import ROUND_HALF_UP, Decimal
+
+from .annotation import ascii_number
 
 DEFAULT_THRESHOLD_DEG = 30.0
 DISPLAY_DECIMALS = 2
@@ -69,13 +72,15 @@ def metrics(tp: int, fp: int, fn: int, tn: int) -> dict[str, float | None]:
     }
 
 
-def evaluate_dataset(cases, threshold_deg: float = DEFAULT_THRESHOLD_DEG):
-    """Classify (case_id, actual, measured_deg) triples and score them.
+def evaluate_dataset(cases, config):
+    """Classify (case_id, actual, measured_deg) triples at the run's
+    ``RunConfig.threshold_deg`` and score them.
 
     Returns the evaluation report's ``cases`` rows, its ``confusion``
     counts and its ``metrics``. An angle outside [0, 180] raises, naming
     the case; the readers of the triples have rejected a repeated case id.
     """
+    threshold_deg = config.threshold_deg
     rows = []
     tally = Counter()
     for case_id, actual, measured_deg in cases:
@@ -143,7 +148,7 @@ def read_dataset_csv(text: str) -> list[tuple[str, Diagnosis, float]]:
     rows = []
     for lineno, case_id, diagnosis, (measured,) in _csv_rows(text, DATASET_CSV_HEADER, "dataset"):
         try:
-            rows.append((case_id, diagnosis, float(measured)))
+            rows.append((case_id, diagnosis, ascii_number(measured)))
         except ValueError:
             raise DatasetFormatError(
                 f"line {lineno}: measured_deg {measured!r} is not a number"

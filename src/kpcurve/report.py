@@ -85,8 +85,11 @@ class RunConfig:
 
     It checks every option it records before a command reads any input: the
     threshold lies in (0, 180), the aspect ratio is positive with a finite
-    square (at most ~1.34e154). The snapshot also records the fixed output
-    precisions, so a report states how its coordinates and rounded fields were produced.
+    square (at most ~1.34e154). The stages read their options from it, so a
+    report records the options it was made with: ``measure_stream`` the ratio
+    and frame retention, ``evaluate_dataset`` the threshold. The snapshot also
+    records the fixed output precisions, so a report states how its
+    coordinates and rounded fields were produced.
     """
 
     threshold_deg: float = DEFAULT_THRESHOLD_DEG

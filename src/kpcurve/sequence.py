@@ -8,9 +8,9 @@ meeting at the interior points. The frame-level angle is the largest
 of the four, which keeps the measurement sensitive to both gradual
 arcs and a sharp local kink. Coordinates arrive normalized per axis,
 so angles are distorted on non-square images unless x is rescaled by
-the width/height ratio first; :func:`measure_stream` takes that ratio
-as ``aspect`` (default 1.0), once :class:`kpcurve.report.RunConfig` has
-checked it: options and input are checked where they enter, not here.
+the width/height ratio first. :func:`measure_stream` reads that ratio,
+and whether frames are kept, from the run's
+:class:`kpcurve.report.RunConfig`, which checked them when it was made.
 
 A case is a stream of detections from one video (or a single still).
 Each frame is measured independently; the case-level curvature is the
@@ -167,26 +167,23 @@ class _CaseState:
     frame_indices: list = field(default_factory=list)
 
 
-def measure_stream(
-    batches,
-    aspect: float = 1.0,
-    keep_frames: bool = True,
-) -> tuple[list[CaseMeasurement], list[tuple[str, str]]]:
-    """Measure a stream of frame batches.
+def measure_stream(batches, config) -> tuple[list[CaseMeasurement], list[tuple[str, str]]]:
+    """Measure a stream of frame batches under the run's ``RunConfig``.
 
     Each batch is ``(case_ids, frame_indices, points)``, of any size:
     per frame a case id, a frame index and its whole keypoint grid, an
-    (n, 15, 2) array in all, of which the middle row is measured. Cases
-    may interleave arbitrarily; results come back in order of first
-    appearance. With ``keep_frames`` each case's frames are kept as
+    (n, 15, 2) array in all, of which the middle row is measured, its x
+    scaled by ``config.aspect_ratio``. Cases may interleave arbitrarily;
+    results come back in order of first appearance. With
+    ``config.retain_per_frame`` each case's frames are kept as
     :class:`FrameColumns`; otherwise its columns have no rows. Returns
     the measured cases plus a (case_id, message) list for cases whose
     frames were all degenerate; a stream with no frames gives two empty
-    lists. ``aspect`` is a ratio that :class:`kpcurve.report.RunConfig`
-    has checked: positive, with a finite square.
+    lists.
     """
+    keep_frames = config.retain_per_frame
     # x * 1.0 is exact, so at aspect 1.0 the scaling changes no coordinate
-    scale = np.array([aspect, 1.0], dtype=np.float64)
+    scale = np.array([config.aspect_ratio, 1.0], dtype=np.float64)
 
     states: dict[str, _CaseState] = {}
     # the kernel output of every batch, when frames are kept

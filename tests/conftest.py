@@ -49,8 +49,9 @@ class LineAngles(NamedTuple):
     curvature_col: int
 
 
-def line_angles(points, aspect: float = 1.0) -> LineAngles:
-    """The angles ``measure_stream`` gives a (5, 2) middle line as a one-frame case.
+def line_angles(points, config: RunConfig = RunConfig()) -> LineAngles:
+    """The angles ``measure_stream`` gives a (5, 2) middle line as a one-frame case
+    under ``config``.
 
     The line is the middle row of a grid whose three rows are all that
     line. The angles are read from the case's frame columns, the frame's kernel row
@@ -58,7 +59,7 @@ def line_angles(points, aspect: float = 1.0) -> LineAngles:
     segment of the line is degenerate.
     """
     batch = (["line"], [0], np.tile(np.asarray(points, dtype=np.float64), (3, 1))[None])
-    cases, failures = measure_stream([batch], aspect=aspect)
+    cases, failures = measure_stream([batch], config)
     if failures:
         raise DegenerateProjectionError(failures[0][1])
     return LineAngles(*angle_set_from_row(cases[0].per_frame.angles[0]))
@@ -163,8 +164,8 @@ def detection_batches(records):
         yield case_ids, frame_indices, np.array(grids)
 
 
-def measure_sequence(case_id, frames, aspect=1.0, keep_frames=True, frame_indices=None):
-    """``measure_stream`` over the detections of one case.
+def measure_sequence(case_id, frames, config: RunConfig = RunConfig(), frame_indices=None):
+    """``measure_stream`` over the detections of one case, under ``config``.
 
     Frames are numbered by position unless ``frame_indices`` gives
     their indices. Raises ValueError for no frames, as a case of none has
@@ -175,9 +176,7 @@ def measure_sequence(case_id, frames, aspect=1.0, keep_frames=True, frame_indice
     if frame_indices is None:
         frame_indices = range(len(frames))
     records = [(case_id, index, points) for index, (_, points) in zip(frame_indices, frames)]
-    cases, failures = measure_stream(
-        detection_batches(records), aspect=aspect, keep_frames=keep_frames
-    )
+    cases, failures = measure_stream(detection_batches(records), config)
     if failures:
         raise DegenerateProjectionError(f"case {case_id!r}: {failures[0][1]}")
     return cases[0]

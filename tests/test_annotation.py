@@ -97,6 +97,28 @@ class TestParseYoloLine:
         with raises("class id '1.5' is not an integer"):
             parse_yolo_line(" ".join(bad))
 
+    @pytest.mark.parametrize(
+        "position, token, message",
+        [
+            (0, "\u0660", "class id '\u0660' is not an integer"),
+            (7, "0.3_5", "token 7 ('0.3_5') is not a number"),
+        ],
+        ids=["arabic-indic-class", "underscore-token"],
+    )
+    def test_python_literal_grammar_refused(self, position, token, message):
+        # int and float read 0.3_5 as 0.35 and an Arabic-Indic zero as 0
+        bad = VALID_LINE.split()
+        bad[position] = token
+        with raises(message):
+            parse_yolo_line(" ".join(bad))
+
+    def test_signs_and_exponents_still_read(self):
+        tokens = VALID_LINE.split()
+        tokens[0], tokens[1], tokens[4] = "+0", "5E-1", "+6e-1"
+        assert [a.tolist() for a in parse_yolo_line(" ".join(tokens))] == [
+            a.tolist() for a in parse_yolo_line(VALID_LINE)
+        ]
+
     def test_negative_class(self):
         bad = VALID_LINE.split()
         bad[0] = "-1"
@@ -196,6 +218,43 @@ class TestParseCvatXml:
             parse_cvat_xml(cvat_document.replace('width="1280"', 'width="0"'))
         with raises("image width 'wide' is not an integer"):
             parse_cvat_xml(cvat_document.replace('width="1280"', 'width="wide"'))
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('width="1280"', 'width="1_280"', "image width '1_280' is not an integer"),
+            (
+                'height="720"',
+                'height="\u0667\u0662\u0660"',
+                "image height '\u0667\u0662\u0660' is not an integer",
+            ),
+            (
+                'xtl="100.5"',
+                'xtl="10_0.5"',
+                "box attribute xtl='10_0.5' in 'case_a_0001.png' is not a number",
+            ),
+            ("120,80", "12_0,80", "bad point '12_0,80' in 'case_a_0001.png'"),
+            ("120,80", "120,\uff18\uff10", "bad point '120,\uff18\uff10' in 'case_a_0001.png'"),
+        ],
+        ids=[
+            "underscore-width",
+            "arabic-indic-height",
+            "underscore-xtl",
+            "underscore-x",
+            "fullwidth-y",
+        ],
+    )
+    def test_python_literal_grammar_refused(self, cvat_document, old, new, message):
+        # int and float read 1_280 as 1280 and non-ASCII digits as their values
+        with raises(message):
+            parse_cvat_xml(cvat_document.replace(old, new, 1))
+
+    def test_signs_exponents_and_spaces_still_read(self, cvat_document):
+        doc = cvat_document.replace('width="1280"', 'width=" +1280 "', 1)
+        doc = doc.replace('xtl="100.5"', 'xtl="1.005e2"', 1).replace("120,80", " +120 , 8E1 ", 1)
+        first, again = parse_cvat_xml(doc)[0], parse_cvat_xml(cvat_document)[0]
+        assert first[0] == again[0]
+        assert [a.tolist() for a in first[1:]] == [a.tolist() for a in again[1:]]
 
     def test_inverted_box(self, cvat_document):
         doc = cvat_document.replace('xbr="900.75"', 'xbr="50.0"')

@@ -636,7 +636,7 @@ class TestStreamedReport:
         assert main(["analyze", str(long_stream), "-o", str(out)]) == EXIT_OK
         rc, stdout, _ = run(["analyze", "-"], long_stream.read_text())
         with long_stream.open() as lines:
-            cases, failures = measure_stream(iter_frame_stream(lines))
+            cases, failures = measure_stream(iter_frame_stream(lines), RunConfig())
         document = measurement_report(cases, RunConfig(), errors=failures)
         assert rc == EXIT_OK
         assert out.read_text() == stdout == report_text(document)
@@ -661,7 +661,7 @@ def test_report_writes_are_its_pieces(long_stream):
     writes, stdout = [], Recorder()
     assert main(["analyze", str(long_stream)], stdout=stdout) == EXIT_OK
     with long_stream.open() as lines:
-        cases, failures = measure_stream(iter_frame_stream(lines))
+        cases, failures = measure_stream(iter_frame_stream(lines), RunConfig())
     document = measurement_report(cases, RunConfig(), errors=failures)
     assert writes == [*report._dumps(document, ""), "\n"]
     assert len(stdout.getvalue()) > 20 * max(map(len, writes))
@@ -1723,7 +1723,8 @@ class TestReportGolden:
         for r in range(3)
         for c in range(5)
     )
-    # sha256 per output: any change to report bytes fails here
+    # sha256 per output: any change to report bytes fails here; measure_slim was
+    # recorded before measure_stream, not the report writer, dropped measure's frame
     GOLDEN = {
         "analyze": "11fdbb10b7f9686c54a4f6635c49e0a293a4a414dbe4e8932bee19e01a6b6285",
         "analyze_slim": "31b5d606f3fb817d88302e2831d182a60d80bc9bf2b90545bc16adc34a50c20b",
@@ -1731,6 +1732,7 @@ class TestReportGolden:
         "evaluate_csv": "351aa5c302092daba393268ddccfb640e2edf90f68648b8641e94271d5bf859b",
         "evaluate_empty": "874d00771fe50f334ce781814b1bd3a64e6a2d3d484e6c1b75e0e9dffc9e57c7",
         "measure": "17dcb08bab59799d65e96ac315241bee9c00f244152462c8044faf85711dc00e",
+        "measure_slim": "6c27c3c04087f437e5e3a5ade3013dfb0bdd5df9a7a6949e25ebd9d3ef0075e3",
     }
 
     @pytest.fixture(scope="class")
@@ -1770,6 +1772,7 @@ class TestReportGolden:
         run_fresh(["evaluate", str(dataset), "-o", str(paths["evaluate_csv"])])
         run_fresh(["evaluate", str(empty), "-o", str(paths["evaluate_empty"])])
         run_fresh(["measure", str(still), "-o", str(paths["measure"])])
+        run_fresh(["measure", str(still), "--no-per-frame", "-o", str(paths["measure_slim"])])
         return paths
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -2042,6 +2045,15 @@ class TestAspectRule:
         rc, out, err = run([command, "--aspect=0", "-"], "not a line\n")
         assert (rc, out) == (EXIT_INPUT, "")
         assert err == f"kpcurve {command}: aspect ratio 0.0 must be positive and finite\n"
+
+    def test_help_asks_for_one_number(self, capsys):
+        assert run(["analyze", "--help"])[0] == EXIT_OK
+        help_text = " ".join(capsys.readouterr().out.split())
+        expected = "--aspect RATIO image width over height as one number, e.g. 1.7778 for 16:9"
+        assert expected in help_text
+        # a fraction is no number argparse reads
+        assert run(["analyze", "--aspect", "16/9", "-"])[0] == EXIT_INPUT
+        assert "invalid float value: '16/9'" in capsys.readouterr().err
 
 
 class TestArgumentErrors:

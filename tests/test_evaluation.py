@@ -14,6 +14,7 @@ from kpcurve.evaluation import (
     read_labels_csv,
     round_half_up,
 )
+from kpcurve.report import RunConfig
 
 # the two published confusion matrices used as golden fixtures
 MATRIX_FINAL = {"tp": 29, "fp": 0, "fn": 1, "tn": 30}
@@ -28,7 +29,7 @@ ANGLE = {Diagnosis.PD: 45.0, Diagnosis.NORMAL: 12.0}
 def counts_of(pairs):
     """evaluate_dataset's confusion counts of (actual, predicted) pairs."""
     cases = [(f"c{i}", actual, ANGLE[guess]) for i, (actual, guess) in enumerate(pairs)]
-    return evaluate_dataset(cases)[1]
+    return evaluate_dataset(cases, RunConfig())[1]
 
 
 def rounded(scores):
@@ -91,7 +92,7 @@ class TestConfusion:
         assert counts_of(pairs) == MATRIX_BASELINE
 
     def test_empty_is_all_zero(self):
-        rows, counts, _ = evaluate_dataset([])
+        rows, counts, _ = evaluate_dataset([], RunConfig())
         assert rows == []
         assert list(counts.items()) == list(ZERO_COUNTS.items())  # the report's key order
 
@@ -197,7 +198,7 @@ class TestEvaluateDataset:
         return cases
 
     def test_reproduces_final_dataset(self):
-        rows, counts, scores = evaluate_dataset(self._dataset(MATRIX_FINAL))
+        rows, counts, scores = evaluate_dataset(self._dataset(MATRIX_FINAL), RunConfig())
         assert len(rows) == 60
         assert counts == MATRIX_FINAL
         assert scores == metrics(**MATRIX_FINAL)
@@ -209,7 +210,7 @@ class TestEvaluateDataset:
 
     def test_all_normal_zero_angle(self):
         cases = [(f"n{i}", Diagnosis.NORMAL, 0.0) for i in range(10)]
-        _, counts, scores = evaluate_dataset(cases)
+        _, counts, scores = evaluate_dataset(cases, RunConfig())
         assert counts == {"tp": 0, "fp": 0, "fn": 0, "tn": 10}
         assert scores["specificity"] == 1.0
         assert scores["sensitivity"] is None
@@ -237,7 +238,7 @@ class TestEvaluateDataset:
         ]
         prev_sens, prev_spec = None, None
         for threshold in np.linspace(1.0, 89.0, 45):
-            _, _, scores = evaluate_dataset(cases, float(threshold))
+            _, _, scores = evaluate_dataset(cases, RunConfig(float(threshold)))
             sens, spec = scores["sensitivity"], scores["specificity"]
             if prev_sens is not None and sens is not None:
                 assert sens <= prev_sens + 1e-12
@@ -247,7 +248,7 @@ class TestEvaluateDataset:
             prev_spec = spec if spec is not None else prev_spec
 
     def test_record_contents(self):
-        rows, _, _ = evaluate_dataset([("k", Diagnosis.NORMAL, 31.5)])
+        rows, _, _ = evaluate_dataset([("k", Diagnosis.NORMAL, 31.5)], RunConfig())
         # the report's row, in its key order; 31.5 is above the default threshold
         assert list(rows[0].items()) == [
             ("case_id", "k"),
@@ -283,6 +284,10 @@ class TestDatasetCsv:
     def test_bad_number(self):
         with pytest.raises(DatasetFormatError):
             read_dataset_csv("case_id,actual,measured_deg\nc1,pd,many\n")
+
+    def test_signs_exponents_and_spaces_still_read(self):
+        rows = read_dataset_csv("case_id,actual,measured_deg\nc1,pd, +4e1 \nc2,normal,-0.0\n")
+        assert rows == [("c1", Diagnosis.PD, 40.0), ("c2", Diagnosis.NORMAL, -0.0)]
 
     def test_wrong_field_count(self):
         with pytest.raises(DatasetFormatError):
@@ -411,6 +416,21 @@ class TestCsvMessages:
             DatasetFormatError,
             "line 3: measured_deg 'many' is not a number",
             id="dataset-number",
+        ),
+        # float reads each of these, as 40, 20 and 35, by Python's literal grammar
+        *(
+            pytest.param(
+                read_dataset_csv,
+                f"case_id,actual,measured_deg\nc1,pd,{text}\n",
+                DatasetFormatError,
+                f"line 2: measured_deg {text!r} is not a number",
+                id=f"dataset-number-{name}",
+            )
+            for name, text in [
+                ("underscore", "4_0"),
+                ("arabic-indic", "\u0662\u0660"),
+                ("fullwidth", "\uff13\uff15"),
+            ]
         ),
         pytest.param(
             read_dataset_csv,

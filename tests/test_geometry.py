@@ -162,7 +162,8 @@ class TestMiddleLine:
             for variant in variants
         ]
         for aspect in (1.0, 16 / 9):
-            measured = [measure_stream([(*batch, grid)], aspect=aspect) for grid in variants]
+            config = RunConfig(aspect_ratio=aspect)
+            measured = [measure_stream([(*batch, grid)], config) for grid in variants]
             assert len(measured[0][0]) == 2 and measured[0][1] == []
             assert measured[1] == measured[0] and measured[2] == measured[0]
             reports = set()
@@ -282,7 +283,7 @@ class TestComputeAngles:
         # beside a valid frame, the degenerate one is kept with its first bad segment
         grids = [np.tile(line, (3, 1)) for line in (hinge_polyline(30.0), pts)]
         batch = (["c", "c"], [0, 1], np.array(grids))
-        cases, failures = measure_stream([batch])
+        cases, failures = measure_stream([batch], RunConfig())
         assert failures == []
         assert cases[0].per_frame.first_bad.tolist() == [-1, 1]
         assert per_frame_rows(cases[0])[1] == {
@@ -301,19 +302,19 @@ class TestAspectCorrection:
     def test_matches_manual_prescaling(self):
         pts = normalize_unit(hinge_polyline(28.0))
         aspect = 16.0 / 9.0
-        direct = line_angles(pts, aspect=aspect)
+        direct = line_angles(pts, RunConfig(aspect_ratio=aspect))
         manual = line_angles(pts * np.array([aspect, 1.0]))
         assert direct == manual
 
     def test_nonsquare_distorts_normalized_angles(self):
         pts = normalize_unit(hinge_polyline(30.0))
-        assert line_angles(pts, aspect=2.0).frame_angle_deg != pytest.approx(
+        assert line_angles(pts, RunConfig(aspect_ratio=2.0)).frame_angle_deg != pytest.approx(
             30.0, abs=1e-3
         )
 
     def test_aspect_one_is_identity(self):
         pts = normalize_unit(hinge_polyline(30.0))
-        assert line_angles(pts, aspect=1.0) == line_angles(pts)
+        assert line_angles(pts, RunConfig(aspect_ratio=1.0)) == line_angles(pts)
 
     @pytest.mark.parametrize(
         "aspect, reason",
@@ -326,7 +327,7 @@ class TestAspectCorrection:
         ],
     )
     def test_invalid_aspect_rejected(self, aspect, reason):
-        # the run config checks the ratio that measure_stream takes
+        # the run config checks the ratio that measure_stream reads from it
         with pytest.raises(ValueError) as exc:
             RunConfig(aspect_ratio=aspect)
         assert str(exc.value) == f"aspect ratio {aspect} {reason}"

@@ -21,7 +21,7 @@ from conftest import (
 from kpcurve import report
 from kpcurve.annotation import emit_yolo_line
 from kpcurve.cli import main
-from kpcurve.report import iter_frame_stream
+from kpcurve.report import RunConfig, iter_frame_stream
 from kpcurve.sequence import DegenerateProjectionError, measure_stream
 
 
@@ -87,7 +87,7 @@ class TestMeasureSequence:
     def test_keep_frames_false_drops_details_only(self):
         frames = [detection_with_angle(a) for a in (12.0, 48.0)]
         full = measure_sequence("c", frames)
-        slim = measure_sequence("c", frames, keep_frames=False)
+        slim = measure_sequence("c", frames, RunConfig(retain_per_frame=False))
         assert slim.per_frame.frame_indices == []
         assert slim.per_frame.angles.shape == (0, 4)
         assert slim.per_frame.first_bad.shape == (0,)
@@ -98,8 +98,8 @@ class TestMeasureSequence:
 
     def test_aspect_forwarded_to_geometry(self):
         det = detection_with_angle(30.0)
-        square = measure_sequence("c", [det], aspect=1.0)
-        wide = measure_sequence("c", [det], aspect=2.0)
+        square = measure_sequence("c", [det], RunConfig(aspect_ratio=1.0))
+        wide = measure_sequence("c", [det], RunConfig(aspect_ratio=2.0))
         assert square.curvature_deg != pytest.approx(wide.curvature_deg, abs=1e-3)
 
     def test_invalid_aspect_rejected(self):
@@ -113,7 +113,7 @@ class TestMeasureSequence:
     def test_spans_kernel_chunk_boundary(self):
         frames = [detection_with_angle(10.0)] * 5000
         frames.append(detection_with_angle(50.0))
-        case = measure_sequence("c", frames, keep_frames=False)
+        case = measure_sequence("c", frames, RunConfig(retain_per_frame=False))
         assert case.frames_total == 5001
         assert case.curvature_deg == pytest.approx(50.0, abs=1e-6)
         assert case.argmax_frame == 5000
@@ -209,7 +209,7 @@ class TestMeasureStream:
             ("a", 1, detection_with_angle(55.0)[1]),
             ("b", 1, detection_with_angle(20.0)[1]),
         ]
-        cases, failures = measure_stream(detection_batches(records))
+        cases, failures = measure_stream(detection_batches(records), RunConfig())
         assert failures == []
         assert [c.case_id for c in cases] == ["a", "b"]
         by_id = {c.case_id: c for c in cases}
@@ -224,7 +224,7 @@ class TestMeasureStream:
             ("b", None, detection_with_angle(20.0)[1]),
             ("a", None, detection_with_angle(30.0)[1]),
         ]
-        cases, _ = measure_stream(detection_batches(records))
+        cases, _ = measure_stream(detection_batches(records), RunConfig())
         by_id = {c.case_id: c for c in cases}
         assert by_id["a"].per_frame.frame_indices == [0, 1]
         assert by_id["b"].per_frame.frame_indices == [0]
@@ -234,7 +234,7 @@ class TestMeasureStream:
             ("ok", None, detection_with_angle(40.0)[1]),
             ("bad", None, degenerate_detection()[1]),
         ]
-        cases, failures = measure_stream(detection_batches(records))
+        cases, failures = measure_stream(detection_batches(records), RunConfig())
         assert [c.case_id for c in cases] == ["ok"]
         assert len(failures) == 1
         assert failures[0][0] == "bad"
@@ -242,7 +242,7 @@ class TestMeasureStream:
 
     def test_empty_stream_measures_nothing(self):
         # the reader rejects a stream with no frame line; measurement has nothing to say
-        assert measure_stream([]) == ([], [])
+        assert measure_stream([], RunConfig()) == ([], [])
 
     @staticmethod
     def peak_bytes(batch_count: int, keep_frames: bool) -> int:
@@ -256,7 +256,7 @@ class TestMeasureStream:
 
         tracemalloc.start()
         try:
-            measure_stream(batches(), keep_frames=keep_frames)
+            measure_stream(batches(), RunConfig(retain_per_frame=keep_frames))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -286,7 +286,7 @@ class TestMeasureStream:
                 assert [len(ids) for ids, _, _ in batches[:-1]] == [chunk] * (
                     len(batches) - 1
                 )
-                results[name, chunk] = measure_stream(iter(batches))
+                results[name, chunk] = measure_stream(iter(batches), RunConfig())
         assert results["records", 1][0][0].frames_total == 1000
         for (name, chunk), result in results.items():
             assert result == results[name, 1], (name, chunk)

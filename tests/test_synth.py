@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import frame_line, line_angles, measure_sequence, report_text, vector_angle
 from kpcurve import sequence
 from kpcurve.cli import EXIT_GEOMETRY, EXIT_OK, main
-from kpcurve.report import dumps_frame, sweep_sidecar
+from kpcurve.report import RunConfig, dumps_frame, sweep_sidecar
 from kpcurve.sequence import DegenerateProjectionError
 from kpcurve.synth import (
     BadSpecError,
@@ -49,9 +49,9 @@ def project(spec, yaw_deg=0.0, pitch_deg=0.0, **image):
     return sweep(spec, yaw_start_deg=yaw_deg, steps=1, pitch_deg=pitch_deg, **image)
 
 
-def measured_deg(result, aspect=1.0) -> float:
-    """The frame angle ``measure_stream`` gives row 0 of a sweep."""
-    return line_angles(result.points[0].reshape(3, 5, 2)[1], aspect=aspect).frame_angle_deg
+def measured_deg(result, config=RunConfig()) -> float:
+    """The frame angle ``measure_stream`` gives row 0 of a sweep under ``config``."""
+    return line_angles(result.points[0].reshape(3, 5, 2)[1], config).frame_angle_deg
 
 
 class TestSpecValidation:
@@ -240,7 +240,8 @@ class TestProject:
     def test_nonsquare_image_roundtrips_with_aspect(self):
         spec = HingeModelSpec(hinge_angle_deg=50.0)
         result = project(spec, image_width=1280, image_height=720)
-        assert measured_deg(result, aspect=1280 / 720) == pytest.approx(50.0, abs=0.5)
+        wide = RunConfig(aspect_ratio=1280 / 720)
+        assert measured_deg(result, wide) == pytest.approx(50.0, abs=0.5)
 
     # a hand-built model no spec can give goes straight to the projection
     def test_point_model_degenerate(self):

@@ -481,7 +481,7 @@ def frame_runs(records) -> list[list[int]]:
 def assert_evaluation_matches_reference(triples):
     """The evaluation report of these triples equals json's text of it built as dicts."""
     config = RunConfig()
-    rows, counts, scores = evaluate_dataset(triples, config.threshold_deg)
+    rows, counts, scores = evaluate_dataset(triples, config)
     document = evaluation_report(rows, counts, scores, config)
     expected = {**document, "cases": rows}
     assert report_text(document) == reference_report(expected)
